@@ -126,28 +126,13 @@ def test_ordering_variation(benchmark, fig12_datasets, dataset, ordering):
 # summary / shape checks
 # --------------------------------------------------------------------------- #
 def test_figure12_summary(benchmark):
-    def collect():
-        by_dataset: dict[str, dict[str, float]] = {}
-        for row in _TIME_ROWS:
-            by_dataset.setdefault(str(row["dataset"]), {})[str(row["algorithm"])] = float(
-                row["seconds"]
-            )
-        return by_dataset
-
-    by_dataset = once(benchmark, collect)
+    once(benchmark, lambda: len(_TIME_ROWS))
     record_rows("fig12_dedup", "Figure 12a: deduplication algorithm time", _TIME_ROWS)
     record_rows("fig12_dedup", "Figure 12b: effect of node ordering", _ORDER_ROWS)
 
-    # BITMAP-1 is the cheapest preprocessing algorithm (the paper's main
-    # Figure 12a observation).  The measurements are single-shot and a few
-    # milliseconds on the small datasets, so allow a small absolute slack on
-    # top of the relative factor to keep the shape check out of noise range.
-    for dataset, times in by_dataset.items():
-        others = [t for name, t in times.items() if name != "BITMAP1"]
-        if "BITMAP1" in times and others:
-            assert times["BITMAP1"] <= min(others) * 1.5 + 0.005, (
-                f"{dataset}: BITMAP-1 expected to be (near-)fastest"
-            )
+    # "BITMAP-1 is the cheapest preprocessing algorithm" (Figure 12a) is a
+    # wall-clock observation: it is recorded in the table above and measured
+    # by bench/, never asserted here (tier-1 must not decide on timings).
 
     # node ordering causes only small variations in the output size (12b)
     sizes: dict[str, list[int]] = {}

@@ -34,6 +34,7 @@ from typing import Any, Callable, Sequence
 from repro.core.config import EXTRACT_ENGINES
 from repro.core.graphgen import GraphGen, REPRESENTATIONS
 from repro.graph.backend import BACKEND_ENV_VAR, get_backend
+from repro.dsl import parse as parse_query
 from repro.datasets import (
     COACTOR_QUERY,
     COAUTHOR_QUERY,
@@ -153,7 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="directory of persisted CSR snapshots, keyed by "
                 "dataset/query/representation; the extracted graph's snapshot "
                 "is written there (only when missing or stale, detected by "
-                "content hash) and --parallel workers mmap the cached file",
+                "content hash) and --parallel workers mmap the cached file; "
+                "with --data, a later run over byte-identical CSV files, query "
+                "and options reopens that file instead of parsing and "
+                "extracting (not with --shards / --memory-budget)",
             )
             sub.add_argument(
                 "--parallel",
@@ -234,7 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--snapshot-cache",
         metavar="DIR",
         help="directory of persisted CSR snapshots; defaults to a temporary "
-        "directory when --parallel > 1 (workers mmap the snapshot file)",
+        "directory when --parallel > 1 (workers mmap the snapshot file); "
+        "with --data, a boot over unchanged CSV files reopens the persisted "
+        "snapshot instead of extracting (not with --incremental, --shards "
+        "or --memory-budget)",
     )
     serve.add_argument(
         "--parallel",
@@ -343,6 +350,13 @@ def _resolve_database(args: argparse.Namespace) -> Database:
         return read_database(args.data)
     generator, _ = BUILTIN_DATASETS[args.dataset]
     return generator(args.scale, args.seed)
+
+
+def _session_source(args: argparse.Namespace) -> "Database | str":
+    """What a GraphSession is opened on: a --data directory goes in as a
+    path (the session parses it only if the snapshot cache cannot answer),
+    a --dataset generator as the database it builds."""
+    return args.data or _resolve_database(args)
 
 
 def _engine_overrides(args: argparse.Namespace) -> dict[str, str]:
@@ -522,7 +536,7 @@ RESULT_PRINTERS: dict[str, Callable[[AnalysisResult, argparse.Namespace, Any], N
 
 
 def _snapshot_cache_key(args: argparse.Namespace, query: str) -> str:
-    """Cache key identifying (database origin + dataset args, query,
+    """Cache key identifying (database origin + dataset args, parsed query,
     representation) — everything that changes the snapshot's content or
     vertex order.  A ``--data`` directory is identified by its full resolved
     path (hashed), so two directories that happen to share a basename never
@@ -534,12 +548,13 @@ def _snapshot_cache_key(args: argparse.Namespace, query: str) -> str:
     else:
         path = Path(args.data).resolve()
         origin = f"{path.name}_{hashlib.sha256(str(path).encode('utf-8')).hexdigest()[:8]}"
-    digest = hashlib.sha256(query.encode("utf-8")).hexdigest()[:12]
+    digest = hashlib.sha256(repr(parse_query(query)).encode("utf-8")).hexdigest()[:12]
     return f"{origin}_{args.representation}_{digest}"
 
 
 def _parse_vertex(graph, text: str):
-    """Interpret a --source string as an existing vertex ID (int if possible)."""
+    """Interpret a --source string as an existing vertex ID (int if possible);
+    ``graph`` is the snapshot, whose ID codec answers without extracting."""
     if graph.has_vertex(text):
         return text
     try:
@@ -564,11 +579,11 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
         # blame the actual source: the flag if given, else the environment
         source = "--backend" if args.backend is not None else BACKEND_ENV_VAR
         raise UsageError(f"{source}: {exc}") from None
-    db = _resolve_database(args)
+    source = _session_source(args)
     query = _resolve_query(args)
 
     session = GraphSession(
-        db,
+        source,
         snapshot_cache=args.snapshot_cache,
         backend=args.backend,
         parallelism=args.parallel,
@@ -590,7 +605,7 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
         if name == "bfs":
             if args.source is None:
                 raise GraphGenError("--source is required for the bfs algorithm")
-            params["source"] = _parse_vertex(handle.graph, args.source)
+            params["source"] = _parse_vertex(handle.snapshot(), args.source)
         plan.add(name, **params)
     report = plan.run()
 
@@ -621,7 +636,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
     except UsageError as exc:
         source = "--backend" if args.backend is not None else BACKEND_ENV_VAR
         raise UsageError(f"{source}: {exc}") from None
-    db = _resolve_database(args)
+    source = _session_source(args)
     query = _resolve_query(args)
 
     # parallel plans need a snapshot *file* for workers to mmap; without a
@@ -634,7 +649,7 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         snapshot_cache = temp_store.name
 
     session = GraphSession(
-        db,
+        source,
         snapshot_cache=snapshot_cache,
         backend=args.backend,
         parallelism=args.parallel,

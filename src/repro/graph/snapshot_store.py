@@ -17,8 +17,14 @@ per dataset can be mapped read-only by any number of processes, so
 A process that *holds the live graph* and wants correctness rather than
 trust uses :meth:`SnapshotStore.load_or_build`, which hashes the graph's own
 snapshot against the file header — that validates/refreshes the cache (and
-is what keeps it fresh for the trusting readers above), but necessarily
-builds the in-memory snapshot first.
+is what keeps it fresh for the trusting readers above), but builds the
+in-memory snapshot first.
+
+A fresh process holding only the *source* uses :meth:`SnapshotStore.lookup`:
+a snapshot recorded with the fingerprint of what it was extracted from (a
+``.src`` sidecar, :meth:`SnapshotStore.record_source`) is trusted while the
+caller presents the same fingerprint and the file still verifies — that
+reopen skips loading tables, extracting and snapshotting altogether.
 
 File format (version 1)
 -----------------------
@@ -73,6 +79,7 @@ little-endian so snapshots are portable).
 from __future__ import annotations
 
 import hashlib
+import json
 import mmap as _mmap
 import os
 import pickle
@@ -96,6 +103,9 @@ FORMAT_VERSION = 1
 _HEADER_STRUCT = struct.Struct("<8sHHIQQQ32s")
 HEADER_SIZE = _HEADER_STRUCT.size  # 72 bytes, 8-aligned
 _ITEM = 8  # bytes per offsets/targets element
+#: upper bound on a ``.src`` source-fingerprint sidecar (two sha256 hex
+#: digests and a short label); anything larger is not ours
+SOURCE_SIDECAR_MAX = 256
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -401,7 +411,10 @@ class SnapshotStore:
       written), rewrites the file and returns the fresh snapshot.
 
     ``load(key)`` trusts the file without consulting a live graph — that is
-    the pay-once-per-dataset path used by worker processes and warm starts.
+    the pay-once-per-dataset path used by worker processes.  ``lookup(key,
+    fingerprint)`` is the *conditional* trust of a warm start: the verified
+    mmap load, while the ``.src`` sidecar pins this ``.csr``'s content hash
+    and that source fingerprint (monolithic snapshots only).
 
     Sharding policy
     ---------------
@@ -447,7 +460,8 @@ class SnapshotStore:
         #: records are folded into a fresh base snapshot once they exceed
         #: this fraction of the base edge count
         self.compact_fraction = compact_fraction
-        #: outcome of the most recent :meth:`fetch` in *any* thread — ``"hit"``
+        #: outcome of the most recent :meth:`fetch` / successful :meth:`lookup`
+        #: in *any* thread — ``"source-hit"`` (trusted reopen), ``"hit"``
         #: (file matched; the mmap load was returned), ``"stale"`` (file
         #: existed but was unreadable or its hash no longer matched;
         #: rewritten) or ``"miss"`` (no file; written).  ``None`` before the
@@ -459,6 +473,7 @@ class SnapshotStore:
         #: instrumentation the session layer and its tests read; mutated under
         #: a lock, so totals stay exact under concurrent plans
         self.counters: dict[str, int] = {
+            "source-hit": 0,
             "hit": 0,
             "stale": 0,
             "miss": 0,
@@ -473,6 +488,10 @@ class SnapshotStore:
     def delta_path_for(self, key: str) -> Path:
         """Where a journaled graph's delta sidecar for ``key`` lives."""
         return self.directory / f"{_slug(key)}.csrd"
+
+    def source_path_for(self, key: str) -> Path:
+        """Where the source-fingerprint sidecar of ``key``'s ``.csr`` lives."""
+        return self.directory / f"{_slug(key)}.src"
 
     def manifest_path_for(self, key: str) -> Path:
         """Where a *sharded* snapshot's manifest for ``key`` lives."""
@@ -515,6 +534,47 @@ class SnapshotStore:
     def load(self, key: str, *, mmap: bool = True, verify: bool = True) -> "CSRGraph":
         return load_snapshot(self.path_for(key), mmap=mmap, verify=verify)
 
+    def lookup(self, key: str, fingerprint: str) -> "tuple[CSRGraph, str] | None":
+        """Trusted reopen: ``key``'s snapshot as a **verified** mmap load plus
+        the label it was recorded with — if, and only if, its sidecar names
+        this source ``fingerprint`` and the content hash of the ``.csr``
+        beside it.  Anything else (no or unreadable sidecar, a ``.csr`` that
+        is missing, malformed or fails verification) is ``None``: the caller
+        falls into :meth:`fetch`, which rebuilds and rewrites as always.
+        """
+        try:
+            raw = self.source_path_for(key).read_bytes()
+            if len(raw) > SOURCE_SIDECAR_MAX:
+                return None
+            recorded = json.loads(raw)
+            if recorded["source"] != fingerprint:
+                return None
+            csr = load_snapshot(self.path_for(key), mmap=True, verify=True)
+            if csr.content_hash.hex() != recorded["content"]:
+                return None
+            label = str(recorded["label"])
+        except (OSError, ValueError, KeyError, TypeError, SnapshotFormatError):
+            return None
+        self._record("source-hit")
+        return csr, label
+
+    def record_source(self, key: str, fingerprint: str, csr: "CSRGraph", label: str) -> None:
+        """Pin ``key``'s persisted ``.csr`` (which must hold ``csr``) to the
+        source ``fingerprint`` it was extracted from, for a later
+        :meth:`lookup`.  Atomic; an identical sidecar is left alone."""
+        payload = json.dumps(
+            {"source": fingerprint, "content": csr.content_hash.hex(), "label": label}
+        ).encode("utf-8")
+        path = self.source_path_for(key)
+        try:
+            if path.read_bytes() == payload:
+                return
+        except OSError:
+            pass
+        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+        tmp.write_bytes(payload)
+        os.replace(tmp, path)
+
     def load_or_build(self, graph: "Graph", key: str, *, mmap: bool = True) -> "CSRGraph":
         """The current snapshot of ``graph``, backed by the store (see
         :meth:`fetch`, which additionally returns the per-call outcome)."""
@@ -530,8 +590,9 @@ class SnapshotStore:
 
         Correctness-first caching: this *builds* (or reuses the in-process
         cache of) the graph's snapshot to compare content hashes, so it never
-        avoids the build itself — use :meth:`load` when the file can be
-        trusted without a live graph.  A stale or corrupt file is rewritten;
+        avoids the build itself — use :meth:`lookup` (trusted while the
+        source fingerprint matches) or :meth:`load` (trusted outright) when
+        there is no live graph.  A stale or corrupt file is rewritten;
         on a hash match the mmap-backed load is adopted as the graph's cached
         snapshot (shared physical memory, and the heap copy can be freed).
         The returned snapshot keeps ``graph`` as its property source.
@@ -559,7 +620,9 @@ class SnapshotStore:
             try:
                 header = peek_header(path)
                 if header.content_hash == snap.content_hash:
-                    loaded = load_snapshot(path, mmap=mmap, verify=False, source=graph)
+                    # verified: a payload that no longer hashes to its own
+                    # header is rewritten below, not adopted
+                    loaded = load_snapshot(path, mmap=mmap, verify=True, source=graph)
                     self._record("hit")
                     return graph.adopt_snapshot(loaded), "hit"
             except SnapshotFormatError:

@@ -8,10 +8,16 @@ used by the test suite to cross-check algorithm results against NetworkX.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.graph.api import Graph, VertexId
 from repro.graph.expanded import ExpandedGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    # networkx costs ~0.1 s to import; ``import repro`` (every CLI process,
+    # every ``serve`` boot) must not pay it — only to_networkx() builds
+    # NetworkX objects, so only it imports the library
+    import networkx as nx
 
 
 def to_networkx(graph: Graph, directed: bool = True) -> "nx.DiGraph | nx.Graph":
@@ -21,6 +27,8 @@ def to_networkx(graph: Graph, directed: bool = True) -> "nx.DiGraph | nx.Graph":
     de-duplicated edge, plus vertex properties when the representation stores
     them.
     """
+    import networkx as nx
+
     result: nx.DiGraph | nx.Graph = nx.DiGraph() if directed else nx.Graph()
     for vertex in graph.get_vertices():
         result.add_node(vertex)

@@ -11,7 +11,10 @@ it), so this module provides:
   type inference when no schema is given);
 * :func:`write_database` / :func:`read_database` — a directory with one CSV
   per table plus a ``_schema.json`` manifest preserving column types, primary
-  keys and foreign keys.
+  keys and foreign keys;
+* :func:`fingerprint_database` — a digest of exactly the bytes
+  :func:`read_database` would parse, so work derived from a directory (a
+  persisted snapshot) can be reused for as long as those bytes stay put.
 
 The CLI (:mod:`repro.cli`) builds on these to run extraction queries directly
 against a directory of CSV files.
@@ -20,6 +23,7 @@ against a directory of CSV files.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 from typing import Any, Iterable
@@ -205,32 +209,76 @@ def write_database(db: Database, directory: str | Path) -> list[Path]:
     return written
 
 
+def _read_manifest(directory: Path) -> dict[str, Any] | None:
+    path = directory / SCHEMA_MANIFEST
+    return json.loads(path.read_text(encoding="utf-8")) if path.exists() else None
+
+
+def _default_name(directory: Path, manifest: dict[str, Any] | None) -> str:
+    return (manifest or {}).get("database", directory.name)
+
+
+def database_name(directory: str | Path) -> str:
+    """The name :func:`read_database` gives the database in ``directory``
+    (the manifest's, else the directory's) — without parsing any table."""
+    directory = Path(directory)
+    return _default_name(directory, _read_manifest(directory))
+
+
+def fingerprint_database(directory: str | Path) -> str | None:
+    """SHA-256 (hex) over the names and bytes of the files
+    :func:`read_database` would read from ``directory``: the manifest plus
+    the tables it lists, else every ``*.csv`` in sorted order.
+
+    ``None`` when that set cannot be determined or read — the caller then
+    loads the database the ordinary way, which reports what is wrong.
+    """
+    directory = Path(directory)
+    digest = hashlib.sha256()
+    try:
+        manifest = _read_manifest(directory)
+        if manifest is not None:
+            paths = [directory / SCHEMA_MANIFEST]
+            paths += [directory / f"{entry['name']}.csv" for entry in manifest["tables"]]
+        else:
+            paths = sorted(directory.glob("*.csv"))
+        for path in paths:
+            data = path.read_bytes()
+            digest.update(f"{path.name}\0{len(data)}\0".encode("utf-8"))
+            digest.update(data)
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return digest.hexdigest()
+
+
 def read_database(directory: str | Path, name: str | None = None) -> Database:
     """Load a database from a directory of CSV files.
 
     When ``_schema.json`` is present it drives table names, column types and
     key declarations; otherwise every ``*.csv`` file becomes a table with
-    inferred column types.
+    inferred column types.  The result carries the directory's
+    :func:`fingerprint_database` as ``source_fingerprint`` (when the files
+    did not change while they were being parsed) until it is mutated.
     """
     directory = Path(directory)
     if not directory.is_dir():
         raise SchemaError(f"{directory} is not a directory")
-    manifest_path = directory / SCHEMA_MANIFEST
+    fingerprint = fingerprint_database(directory)
+    manifest = _read_manifest(directory)
+    db = Database(name or _default_name(directory, manifest))
 
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        db = Database(name or manifest.get("database", directory.name))
+    if manifest is not None:
         for entry in manifest["tables"]:
             schema = _schema_from_manifest(entry)
             csv_path = directory / f"{schema.name}.csv"
             if not csv_path.exists():
                 raise SchemaError(f"manifest lists table {schema.name!r} but {csv_path} is missing")
             db.add_table(read_table_csv(csv_path, schema=schema))
-        return db
-
-    db = Database(name or directory.name)
-    for csv_path in sorted(directory.glob("*.csv")):
-        db.add_table(read_table_csv(csv_path))
-    if not db.table_names():
-        raise SchemaError(f"{directory} contains no CSV files")
+    else:
+        for csv_path in sorted(directory.glob("*.csv")):
+            db.add_table(read_table_csv(csv_path))
+        if not db.table_names():
+            raise SchemaError(f"{directory} contains no CSV files")
+    if fingerprint is not None and fingerprint == fingerprint_database(directory):
+        db.stamp_source(fingerprint)
     return db

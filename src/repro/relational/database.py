@@ -33,6 +33,8 @@ class Database:
         self._structure_version = 0
         self._sqlite_cache: "SQLiteBackend | None" = None
         self._sqlite_cache_version: tuple[int, ...] | None = None
+        # (version, fingerprint) stamped by csv_io.read_database
+        self._source_stamp: tuple[tuple[int, ...], str] | None = None
 
     # ------------------------------------------------------------------ #
     # table management
@@ -114,6 +116,19 @@ class Database:
         return (self._structure_version,) + tuple(
             self._tables[name].data_version for name in self.table_names()
         )
+
+    def stamp_source(self, fingerprint: str) -> None:
+        """Record that the *current* contents were loaded from source bytes
+        with this fingerprint (see :func:`repro.relational.csv_io.fingerprint_database`)."""
+        self._source_stamp = (self.version, fingerprint)
+
+    @property
+    def source_fingerprint(self) -> str | None:
+        """Fingerprint of the files this database was read from, while its
+        contents are still exactly what was read; ``None`` once anything
+        moved :attr:`version`, and for databases built in memory."""
+        stamp = self._source_stamp
+        return stamp[1] if stamp is not None and stamp[0] == self.version else None
 
     def sqlite_backend(self) -> "SQLiteBackend":
         """One loaded :class:`SQLiteBackend` mirror, cached per database.

@@ -194,7 +194,7 @@ class GraphService:
     def health(self) -> dict[str, Any]:
         return {
             "status": "ok",
-            "database": self.session.database.name,
+            "database": self.session.database_name,
             "representation": self.handle.representation,
             "backend": self.session.backend.name,
             "parallelism": self.session.parallelism,
@@ -231,7 +231,7 @@ class GraphService:
                 store.shard_threshold_bytes if store is not None else None
             ),
         }
-        journal = getattr(self.handle.graph, "journal", None)
+        journal = self.handle.journal
         journal_stats = None
         if journal is not None:
             journal_stats = {
@@ -245,6 +245,9 @@ class GraphService:
             "cache": self.cache.stats(),
             "admission": admission,
             "pool": dict(pool_manager.counters) if pool_manager is not None else None,
+            # which store path answered each snapshot request: "source-hit"
+            # (trusted reopen, nothing extracted), "hit", "stale", "miss", ...
+            "store": dict(store.counters) if store is not None else None,
             "sharding": sharding,
             "journal": journal_stats,
         }
@@ -342,7 +345,7 @@ class GraphService:
                 snapshot_source="result-cache",
                 parallelism=self.session.parallelism,
             )
-        journal = getattr(self.handle.graph, "journal", None)
+        journal = self.handle.journal
         return AnalysisReport(
             results=results,
             provenance=provenance,

@@ -913,7 +913,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 computed_total += 1
             else:
                 reused_total += 1
-    journal = getattr(handle.graph, "journal", None)
+    journal = handle.journal
     return AnalysisReport(
         results=results,
         provenance=Provenance(

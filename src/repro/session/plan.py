@@ -867,7 +867,7 @@ class AnalysisPlan:
                 except OSError:  # pragma: no cover - best-effort cleanup
                     pass
 
-        journal = getattr(handle.graph, "journal", None)
+        journal = handle.journal
         return AnalysisReport(
             results=results,
             provenance=Provenance(

@@ -28,21 +28,34 @@ reused (``"cache-hit"`` provenance) while the graph is structurally
 unchanged, and rebuilt automatically after a mutation such as ``add_edge``
 (the representations' version counters invalidate the cached snapshot, and
 the store detects the stale file by content hash and rewrites it).
+
+**Trusted reopen.**  A session may be given a CSV *directory* instead of a
+loaded database.  ``session.graph()`` then asks the snapshot store first,
+presenting a fingerprint of everything the snapshot would be produced from
+(:meth:`GraphSession._source_key`).  On a match the handle's ``snapshot()``
+*is* the store's verified mmap load — no CSV parsed, no sqlite mirror, no
+extraction — and ``handle.graph`` / ``handle.extraction`` /
+``session.database`` run the ordinary load + extraction on first touch.  Any
+mismatch is an ordinary miss; sharded stores and journaled graphs never take
+this path.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.config import ExtractionOptions
 from repro.core.graphgen import ExtractionResult, GraphGen
+from repro.dsl.parser import parse
 from repro.exceptions import UsageError
 from repro.graph.backend import get_backend
-from repro.graph.snapshot_store import SnapshotStore, ensure_saved
+from repro.graph.snapshot_store import FORMAT_VERSION, SnapshotStore, ensure_saved
+from repro.relational.csv_io import database_name, fingerprint_database, read_database
 from repro.session.plan import PLAN_ALGORITHMS, AnalysisPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -52,6 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
     from repro.graph.kernel import CSRGraph
     from repro.relational.database import Database
+
+
+def _canonical(query: "str | GraphSpec") -> str:
+    """The query as its parsed form: layout and comments do not count."""
+    return repr(parse(query) if isinstance(query, str) else query)
 
 
 @dataclass
@@ -97,28 +115,40 @@ class GraphHandle:
     for an already-built :class:`~repro.graph.api.Graph`).  The handle does
     not copy anything: ``handle.graph`` is the live representation, and
     mutating it through the Graph API invalidates the snapshot as usual.
+
+    A handle produced by a *trusted reopen* (module docstring) starts out
+    holding only the store's verified snapshot; ``graph`` / ``extraction``
+    run the deferred extraction on first access.
     """
 
     def __init__(
         self,
         session: "GraphSession",
-        graph: "Graph",
+        graph: "Graph | None",
         representation: str,
         store_key: str,
         extraction: ExtractionResult | None = None,
+        *,
+        source: str | None = None,
+        reopened: "tuple[CSRGraph, Callable[[], tuple[ExtractionResult, str | None]]] | None" = None,
     ) -> None:
         self.session = session
-        #: the live in-memory representation (Graph API)
-        self.graph = graph
+        self._graph = graph
+        #: trusted reopen only, until materialised: the store's verified
+        #: snapshot, and the deferred extraction that yields the logical
+        #: graph together with the source fingerprint it then has
+        self._reopened = reopened
+        #: fingerprint of what ``graph`` was extracted from, while the graph
+        #: is still exactly that extraction (see :meth:`_pin_source`)
+        self._source = source
+        self._source_token = graph._snapshot_token() if graph is not None else None
         #: resolved representation name ("cdup", "exp", ...)
         self.representation = representation
         #: key under which this handle's snapshot persists in the session
         #: store; None = derive lazily from the first snapshot's content hash
         #: (wrapped graphs, so equal graphs share one stable store file)
         self._store_key = store_key
-        #: full extraction result (plan, condensed graph, report), when the
-        #: handle came out of an extraction; None for wrapped graphs
-        self.extraction = extraction
+        self._extraction = extraction
         self._builds = 0
         self._snapshot_source: str | None = None
         #: pending edge-delta records behind the most recent snapshot (0 for
@@ -133,6 +163,36 @@ class GraphHandle:
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
+    @property
+    def graph(self) -> "Graph":
+        """The live in-memory representation (Graph API)."""
+        if self._graph is None:
+            with self._lock:
+                if self._graph is None:
+                    # trusted reopen: something needs the logical graph after
+                    # all — run the ordinary load + extraction now.  The next
+                    # snapshot() goes through store.fetch like any live graph.
+                    self._extraction, self._source = self._reopened[1]()
+                    graph = self._extraction.graph
+                    self._source_token = graph._snapshot_token()
+                    self._graph = graph
+                    self._reopened = None
+        return self._graph
+
+    @property
+    def extraction(self) -> ExtractionResult | None:
+        """Full extraction result (plan, condensed graph, report) when the
+        handle came out of an extraction; None for wrapped graphs."""
+        if self._extraction is None and self._reopened is not None:
+            self.graph  # materialise
+        return self._extraction
+
+    @property
+    def journal(self):
+        """The graph's delta journal (journaled graphs only), else None —
+        never materialises a reopened handle's graph to find out."""
+        return getattr(self._graph, "journal", None)
+
     @property
     def store_key(self) -> str:
         """The handle's snapshot-store key.
@@ -160,7 +220,9 @@ class GraphHandle:
     @property
     def snapshot_source(self) -> str | None:
         """Provenance of the most recent :meth:`snapshot` call — ``"heap"``,
-        ``"mmap"`` or ``"cache-hit"`` (None before the first call)."""
+        ``"mmap"`` (a store file matched the build, or was reopened on its
+        source fingerprint without one) or ``"cache-hit"`` (None before the
+        first call)."""
         return self._snapshot_source
 
     def snapshot(self) -> "CSRGraph":
@@ -174,17 +236,24 @@ class GraphHandle:
         (re)written from the fresh heap build (``"heap"``).
         """
         with self._lock:
-            cached = self.graph.cached_snapshot()
+            if self._graph is None:
+                # trusted reopen: the store's verified mmap load is the
+                # snapshot for as long as nobody asks for the logical graph
+                self._snapshot_source = "mmap"
+                self._builds = 1
+                return self._reopened[0]
+            graph = self._graph
+            cached = graph.cached_snapshot()
             if cached is not None:
                 self._snapshot_source = "cache-hit"
-                self._delta_edges = getattr(self.graph, "delta_edges", 0)
+                self._delta_edges = getattr(graph, "delta_edges", 0)
                 return cached
             store = self.session.store
             if store is not None:
                 # the per-call outcome, not a read-back of shared store state:
                 # another thread's fetch on the same store could land between
                 # the two (see SnapshotStore.fetch)
-                csr, outcome = store.fetch(self.graph, self.store_key)
+                csr, outcome = store.fetch(graph, self.store_key)
                 if outcome == "base+delta":
                     # journaled graph: the base file stayed put, pending
                     # deltas went to the .csrd sidecar, and the served
@@ -197,15 +266,29 @@ class GraphHandle:
                     self._snapshot_source = "heap"
                 else:
                     self._snapshot_source = "mmap" if outcome == "hit" else "heap"
+                self._pin_source(store, csr)
             else:
-                csr = self.graph.snapshot()
-                journal = getattr(self.graph, "journal", None)
+                csr = graph.snapshot()
+                journal = self.journal
                 self._snapshot_source = (
                     "base+delta" if journal is not None and journal.records else "heap"
                 )
-            self._delta_edges = getattr(self.graph, "delta_edges", 0)
+            self._delta_edges = getattr(graph, "delta_edges", 0)
             self._builds += 1
             return csr
+
+    def _pin_source(self, store: SnapshotStore, csr: "CSRGraph") -> None:
+        """``store`` now holds ``csr`` under this handle's key: record the
+        source it was extracted from, so the next session over the same
+        source reopens the file without extracting.  Not for a graph mutated
+        since — it is no longer what the source produces (and the ``.csr``
+        written for it no longer matches the hash an older sidecar pins)."""
+        if self._source is None:
+            return
+        if self._graph._snapshot_token() == self._source_token:
+            store.record_source(self.store_key, self._source, csr, self.representation)
+        else:
+            self._source = None
 
     def persist(self) -> str | None:
         """Make sure the session store holds this handle's current snapshot;
@@ -231,7 +314,9 @@ class GraphHandle:
                         snap, store.manifest_path_for(self.store_key), ranges=ranges
                     )
                 )
-            return str(ensure_saved(snap, store.path_for(self.store_key)))
+            path = ensure_saved(snap, store.path_for(self.store_key))
+            self._pin_source(store, snap)
+            return str(path)
 
     # ------------------------------------------------------------------ #
     # incremental maintenance (journaled graphs)
@@ -240,7 +325,7 @@ class GraphHandle:
         """Drain any provenance notes the journaled graph queued for the
         next snapshot consumer (corrupt-sidecar rebuilds, out-of-band
         mutation detection); empty for non-journaled graphs."""
-        consume = getattr(self.graph, "consume_notes", None)
+        consume = getattr(self._graph, "consume_notes", None)
         return consume() if consume is not None else ()
 
     @staticmethod
@@ -251,7 +336,7 @@ class GraphHandle:
         """Remember a freshly computed result so the dynamic maintainers can
         carry it over future deltas.  No-op for non-journaled graphs and for
         non-dict result shapes."""
-        journal = getattr(self.graph, "journal", None)
+        journal = self.journal
         if journal is None or not isinstance(values, dict):
             return
         with self._lock:
@@ -278,7 +363,7 @@ class GraphHandle:
         """
         from repro.incremental import MAINTAINERS, build_delta_view
 
-        journal = getattr(self.graph, "journal", None)
+        journal = self.journal
         if journal is None:
             return None
         key = self._incremental_key(name, params)
@@ -383,7 +468,7 @@ class GraphSession:
 
     def __init__(
         self,
-        database: "Database",
+        database: "Database | str | os.PathLike",
         *,
         snapshot_cache: str | None = None,
         backend: str | None = None,
@@ -405,7 +490,20 @@ class GraphSession:
             )
         if shards is not None and memory_budget_mb is not None:
             raise UsageError("pass shards=N or memory_budget_mb=MB, not both")
-        self._graphgen = GraphGen(database, options=options, **option_overrides)
+        if options is not None and option_overrides:
+            raise ValueError("pass either an ExtractionOptions object or keyword overrides, not both")
+        self._options = options or ExtractionOptions(**option_overrides)
+        # a CSV directory instead of a loaded database: parsing is deferred
+        # until something needs the tables (a trusted reopen never does)
+        self._graphgen: GraphGen | None = None
+        self._source_dir: str | None = None
+        self._load_lock = threading.Lock()
+        if isinstance(database, (str, os.PathLike)):
+            self._source_dir = os.fspath(database)
+            self._database_name = database_name(database)
+        else:
+            self._graphgen = GraphGen(database, options=self._options)
+            self._database_name = database.name
         self._store_tmpdir = None
         threshold = (
             int(memory_budget_mb * 1024 * 1024) if memory_budget_mb is not None else None
@@ -443,11 +541,23 @@ class GraphSession:
     # ------------------------------------------------------------------ #
     @property
     def database(self) -> "Database":
-        return self._graphgen.database
+        return self.graphgen.database
+
+    @property
+    def database_name(self) -> str:
+        """``database.name`` — without loading a CSV-directory session's tables."""
+        return self._database_name
 
     @property
     def graphgen(self) -> GraphGen:
-        """The underlying extractor (for plan/explain and advanced options)."""
+        """The underlying extractor (for plan/explain and advanced options).
+        A session opened on a CSV directory loads the tables here, once."""
+        if self._graphgen is None:
+            with self._load_lock:
+                if self._graphgen is None:
+                    self._graphgen = GraphGen(
+                        read_database(self._source_dir), options=self._options
+                    )
         return self._graphgen
 
     @property
@@ -552,7 +662,7 @@ class GraphSession:
     # ------------------------------------------------------------------ #
     def explain(self, query: "str | GraphSpec") -> str:
         """Human-readable extraction plan plus generated SQL (no execution)."""
-        return self._graphgen.explain(query)
+        return self.graphgen.explain(query)
 
     def graph(
         self,
@@ -582,15 +692,33 @@ class GraphSession:
         with self._memo_lock:
             handle = self._handles.get(memo_key)
             if handle is None:
-                result = self._graphgen.extract_with_report(
-                    query, representation=representation, **extract_kwargs
-                )
-                store_key = key or self._store_key(query, result.representation, extract_kwargs)
-                handle = GraphHandle(
-                    self, result.graph, result.representation, store_key, extraction=result
-                )
+                handle = self._open(query, representation, key, extract_kwargs)
                 self._handles[memo_key] = handle
         return handle
+
+    def _open(
+        self, query: "str | GraphSpec", representation: str, key: str | None, extract_kwargs: dict
+    ) -> GraphHandle:
+        """A new handle for ``graph()``: reopened from the store when it
+        holds a snapshot recorded under this request's source fingerprint,
+        else extracted now."""
+        store_key = key or self._store_key(query, representation, extract_kwargs)
+
+        def extract() -> "tuple[ExtractionResult, str | None]":
+            result = self.graphgen.extract_with_report(
+                query, representation=representation, **extract_kwargs
+            )
+            return result, self._source_key(query, representation, extract_kwargs)
+
+        source = self._source_key(query, representation, extract_kwargs)
+        found = self._store.lookup(store_key, source) if source is not None else None
+        if found is not None:
+            csr, resolved = found
+            return GraphHandle(self, None, resolved, store_key, reopened=(csr, extract))
+        result, source = extract()
+        return GraphHandle(
+            self, result.graph, result.representation, store_key, result, source=source
+        )
 
     def wrap(self, graph: "Graph", *, key: str | None = None) -> GraphHandle:
         """Adopt an already-built :class:`~repro.graph.api.Graph` into this
@@ -621,20 +749,54 @@ class GraphSession:
     def _store_key(
         self, query: "str | GraphSpec", representation: str, extract_kwargs: dict
     ) -> str:
-        """Default snapshot-store key: database name + representation + a
-        digest of the query text and extraction options.  Everything that
-        changes the snapshot's logical content or vertex order is included;
-        residual collisions (e.g. two databases sharing a name) are caught by
-        the store's content-hash staleness check and cost only a rewrite."""
-        text = query if isinstance(query, str) else repr(query)
+        """Default snapshot-store key: database name + requested
+        representation + a digest of the parsed query and extraction options.
+        Everything that changes the snapshot's logical content or vertex
+        order is included; residual collisions (e.g. two databases sharing a
+        name) are caught by the store's content-hash staleness check and cost
+        only a rewrite."""
+        text = _canonical(query)
         if extract_kwargs:
             text += "\0" + repr(sorted(extract_kwargs.items()))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
-        return f"{self.database.name}_{representation}_{digest}"
+        return f"{self._database_name}_{representation}_{digest}"
+
+    def _source_key(
+        self, query: "str | GraphSpec", representation: str, extract_kwargs: dict
+    ) -> str | None:
+        """Fingerprint of everything a ``graph()`` request's snapshot is
+        produced from: the source files' bytes, the *parsed* query (layout
+        and comments do not count), requested representation, extraction
+        options and keywords, package and snapshot-format version.
+
+        ``None`` when there is no store to record it in (or a sharding one),
+        or the tables are not pinned to bytes on disk — built in memory, or
+        mutated since they were read.
+        """
+        if self._store is None or self._store.sharded:
+            return None
+        if self._graphgen is None:
+            base = fingerprint_database(self._source_dir)
+        else:
+            base = self._graphgen.database.source_fingerprint
+        if base is None:
+            return None
+        import repro
+
+        parts = (
+            base,
+            _canonical(query),
+            representation,
+            repr(self._options),
+            sorted(extract_kwargs.items()),
+            repro.__version__,
+            FORMAT_VERSION,
+        )
+        return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         store = self._store.directory if self._store is not None else None
         return (
-            f"<GraphSession db={self.database.name!r} backend={self._backend.name} "
+            f"<GraphSession db={self._database_name!r} backend={self._backend.name} "
             f"parallelism={self._parallelism} store={store}>"
         )

@@ -8,10 +8,16 @@ These cover the pipeline-level guarantees:
   graphs, even though the structure has duplicate paths;
 * DEDUP-1 output is duplication-free and equivalent, with the Graph API
   contract (degree == len(neighbors), exists_edge consistent with neighbors)
-  holding on every representation.
+  holding on every representation;
+* a session that reopens a persisted snapshot on its source fingerprint
+  (no tables loaded, nothing extracted) answers exactly like the cold
+  session that extracted it.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +30,9 @@ from repro.graph import (
     logical_edge_set,
     logically_equivalent,
 )
+from repro.relational.csv_io import write_database
 from repro.relational.database import Database
+from repro.session import GraphSession
 
 
 # --------------------------------------------------------------------------- #
@@ -140,3 +148,64 @@ def test_property_graph_api_contract(condensed):
             for neighbor in neighbors:
                 assert graph.exists_edge(vertex, neighbor)
         assert graph.num_edges() == total == len(edge_set)
+
+
+# --------------------------------------------------------------------------- #
+# trusted reopen == cold extraction
+# --------------------------------------------------------------------------- #
+REOPEN_RULES = (
+    "Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID).",
+    "Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID), PubID >= 2.",
+    "Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID), PubID <= 4.",
+)  # filters on the join key only: every rule stays symmetric (DEDUP-2 needs that)
+
+
+def _reopen_answers(handle) -> dict:
+    report = (
+        handle.analyze().degree().components().triangles().kcore().pagerank().closeness().run()
+    )
+    return {result.algorithm: result.values for result in report}
+
+
+def _assert_same_answers(left, right, tolerance=1e-9):
+    """ints (and labels) exact, floats within ``tolerance``."""
+    if isinstance(left, float) or isinstance(right, float):
+        assert abs(left - right) <= tolerance
+    elif isinstance(left, dict):
+        assert left.keys() == right.keys()
+        for key in left:
+            _assert_same_answers(left[key], right[key], tolerance)
+    else:
+        assert left == right
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    author_pub_database(),
+    st.sampled_from(REOPEN_RULES),
+    st.sampled_from(["cdup", "exp", "dedup1", "dedup2", "bitmap", "auto"]),
+    st.booleans(),
+)
+def test_property_trusted_reopen_answers_like_a_cold_session(
+    db, edge_rule, representation, force_virtual
+):
+    query = "Nodes(ID, Name) :- Author(ID, Name).\n" + edge_rule
+    threshold = 0.0001 if force_virtual else 2.0
+    with tempfile.TemporaryDirectory(prefix="ggprop-") as scratch:
+        data, cache = Path(scratch, "data"), Path(scratch, "snaps")
+        write_database(db, data)
+
+        def fresh_session() -> GraphSession:
+            return GraphSession(data, snapshot_cache=str(cache), threshold_factor=threshold)
+
+        cold_session = fresh_session()
+        cold = cold_session.graph(query, representation=representation)
+        expected = _reopen_answers(cold)
+        assert cold_session.store.counters["source-hit"] == 0
+
+        warm_session = fresh_session()
+        warm = warm_session.graph(query, representation=representation)
+        assert warm_session.store.counters["source-hit"] == 1
+        assert warm.representation == cold.representation
+        _assert_same_answers(_reopen_answers(warm), expected)
+        assert warm.snapshot_source == "mmap"  # still nothing extracted

@@ -140,3 +140,33 @@ def test_plan_registry_matches_documented_algorithms():
         "pagerank",
         "triangles",
     ]
+
+
+def test_import_and_analyze_do_not_import_networkx():
+    """networkx costs ~0.1 s to import and only ``to_networkx`` needs it:
+    ``import repro`` — every CLI process, every ``serve`` boot — and a whole
+    ``repro analyze`` run must leave it unimported."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import io, sys\n"
+        "import repro\n"
+        "assert 'networkx' not in sys.modules, 'import repro pulled in networkx'\n"
+        "from repro.cli import main\n"
+        "code = main(['analyze', '--dataset', 'dblp', '--scale', '0.1',\n"
+        "             '--algo', 'pagerank', '--algo', 'components'], out=io.StringIO())\n"
+        "assert code == 0\n"
+        "assert 'networkx' not in sys.modules, 'repro analyze pulled in networkx'\n"
+        "from repro import extract_to_networkx, load_networkx  # still exported\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

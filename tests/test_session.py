@@ -133,7 +133,7 @@ class TestSnapshotLifecycle:
         assert handle.builds == 1
         assert report.provenance.snapshot_source == "heap"
         # first store interaction for this key is a miss (file written)
-        assert session.store.counters == {"hit": 0, "stale": 0, "miss": 1, "base+delta": 0, "compact": 0}
+        assert session.store.counters == {"source-hit": 0, "hit": 0, "stale": 0, "miss": 1, "base+delta": 0, "compact": 0}
 
     def test_consecutive_analyze_runs_reuse_snapshot(self, session):
         handle = session.graph(COAUTHOR_QUERY)

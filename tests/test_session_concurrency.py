@@ -133,7 +133,7 @@ class TestStoreFetchOutcomes:
         graph.add_edge(7, 1)
         _, outcome = store.fetch(graph, "k")
         assert outcome == "stale"
-        assert store.counters == {"hit": 1, "stale": 1, "miss": 1, "base+delta": 0, "compact": 0}
+        assert store.counters == {"source-hit": 0, "hit": 1, "stale": 1, "miss": 1, "base+delta": 0, "compact": 0}
 
     def test_load_or_build_still_returns_just_the_snapshot(self, tmp_path):
         store = SnapshotStore(tmp_path / "snaps")
@@ -177,7 +177,7 @@ class TestStoreFetchOutcomes:
         for index in range(workers):
             assert outcomes[(index, 0)] == "miss"
             assert outcomes[(index, 1)] == "hit"
-        assert store.counters == {"hit": workers, "stale": 0, "miss": workers, "base+delta": 0, "compact": 0}
+        assert store.counters == {"source-hit": 0, "hit": workers, "stale": 0, "miss": workers, "base+delta": 0, "compact": 0}
 
 
 # --------------------------------------------------------------------------- #
