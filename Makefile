@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service bench bench-table1 bench-fig16 bench-fig17 bench-fig18 bench-fig19 bench-fig20 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service bench bench-table1 bench-fig16 bench-fig17 bench-fig18 bench-fig19 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -17,8 +17,8 @@ help:
 	@echo "make bench-fig17  - optimizing plan compiler (shared-sweep DAG) vs per-request"
 	@echo "make bench-fig18  - service result cache: cached vs uncached req/s"
 	@echo "make bench-fig19  - sharded snapshots: out-of-core memory ceiling + bit-identity"
-	@echo "make bench-fig20  - incremental maintenance: refresh + repair vs rebuild + recompute"
-	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms)"
+	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
+	@echo "                    python-vs-numpy maintainer parity)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
 	@echo "make all          - everything (tier-1 equivalent)"
 
@@ -52,16 +52,14 @@ bench-fig18:
 bench-fig19:
 	$(PYTEST) -q -rA benchmarks/test_bench_fig19_sharding.py
 
-bench-fig20:
-	$(PYTEST) -q -rA benchmarks/test_bench_fig20_incremental.py
-
 test-service:
 	$(PYTEST) -q tests/test_service.py tests/test_service_http.py \
 		tests/test_session_concurrency.py
 
 smoke:
 	$(PYTEST) -q tests/test_kernel.py tests/test_representation_parity.py \
-		tests/test_algorithms.py tests/test_graph_representations.py
+		tests/test_algorithms.py tests/test_graph_representations.py \
+		tests/test_incremental.py
 
 serve-smoke:
 	$(PYTEST) -q tests/test_service_http.py::TestServeCommand \

@@ -245,7 +245,7 @@ class NumpyBackend(KernelBackend):
         """
         from repro.graph.kernel import CSRGraph
 
-        new_vertices, strip, additions = overlay.plan(csr)
+        index, new_vertices, strip, additions = overlay.plan(csr)
         offsets_v, targets_v = _views(csr)
         base_n = csr.n
         n = base_n + len(new_vertices)
@@ -294,7 +294,11 @@ class NumpyBackend(KernelBackend):
         out_targets = array("q")
         out_targets.frombytes(np.ascontiguousarray(merged).tobytes())
         return CSRGraph(
-            out_offsets, out_targets, list(csr.external_ids) + new_vertices, source=source
+            out_offsets,
+            out_targets,
+            list(csr.external_ids) + new_vertices,
+            source=source,
+            index=index,
         )
 
     # ------------------------------------------------------------------ #
@@ -348,9 +352,67 @@ class NumpyBackend(KernelBackend):
                 break
         return ranks.tolist()
 
+    def pagerank_correction(
+        self,
+        csr: "CSRGraph",
+        ranks: Sequence[float],
+        residual: dict[int, float],
+        damping: float,
+        max_iterations: int,
+        tolerance: float,
+    ) -> list[float] | None:
+        """The reference series with the frontier held as an index array.
+
+        A term gathers the frontier's out-edges and scatters them with
+        ``np.bincount`` over the index window they land in, so it costs the
+        frontier's edge volume plus that window — not ``n`` — while the
+        delta's neighbourhood is small; once the frontier is every vertex
+        the edge arrays *are* the gather, and a term is one sweep over them:
+        what a dense power-iteration step costs.
+        """
+        n = csr.n
+        offsets, targets = _views(csr)
+        degrees = _out_degrees(csr)
+        if not degrees.all():
+            return None
+        repaired = np.array(ranks, dtype=np.float64)
+        # the frontier stays in ascending index order (flatnonzero keeps it
+        # so), which is what lets a full frontier read the edge arrays as-is
+        seeds = sorted(residual)
+        frontier = np.array(seeds, dtype=np.int64)
+        values = np.array([residual[v] for v in seeds], dtype=np.float64)
+        for _ in range(max_iterations):
+            repaired[frontier] += values
+            if not frontier.size or np.abs(values).sum() < tolerance:
+                break
+            counts = degrees[frontier]
+            shares = np.repeat(damping * values / counts, counts)
+            if frontier.size == n:
+                low, spread = 0, np.bincount(targets, weights=shares)
+            else:
+                reached = _gather_targets(offsets, targets, frontier)
+                low = reached.min()
+                spread = np.bincount(reached - low, weights=shares)
+            support = np.flatnonzero(spread)
+            frontier, values = support + low, spread[support]
+        return repaired.tolist()
+
     # ------------------------------------------------------------------ #
     # connected components
     # ------------------------------------------------------------------ #
+    def relabel_components(
+        self, labels: Sequence[int], n: int, absorbed: dict[int, int]
+    ) -> list[int]:
+        previous = np.array(labels, dtype=np.int64)
+        count = int(previous.max()) + 1 if previous.size else 0
+        root = np.arange(count + n - previous.size, dtype=np.int64)
+        extended = np.concatenate((previous, root[count:]))
+        root[np.fromiter(absorbed, dtype=np.int64, count=len(absorbed))] = np.fromiter(
+            absorbed.values(), dtype=np.int64, count=len(absorbed)
+        )
+        rank = np.cumsum(root == np.arange(root.size)) - 1
+        return rank[root[extended]].tolist()
+
     def connected_components(self, csr: "CSRGraph") -> list[int]:
         n = csr.n
         if n == 0:

@@ -234,9 +234,66 @@ class KernelBackend:
                 break
         return ranks
 
+    def pagerank_correction(
+        self,
+        csr: "CSRGraph",
+        ranks: Sequence[float],
+        residual: dict[int, float],
+        damping: float,
+        max_iterations: int,
+        tolerance: float,
+    ) -> list[float] | None:
+        """``ranks + e`` where ``e = d·Pᵀe + ρ`` — the incremental PageRank
+        repair (:mod:`repro.incremental.pagerank`) for a sparse residual
+        ``ρ`` (dense index -> value); ``None`` when a vertex dangles, which
+        couples every vertex and makes the correction dense.
+
+        Summed as the Neumann series ``e = Σ_t (d·Pᵀ)^t ρ``, one frontier
+        push per term, truncated on :meth:`pagerank`'s own contract: per-term
+        L1 mass below ``tolerance``, at most ``max_iterations`` terms.
+        """
+        if 0 in self.degrees(csr):
+            return None
+        offsets = csr.offsets_list
+        targets = csr.targets_list
+        repaired = list(ranks)
+        current = residual
+        for _ in range(max_iterations):
+            for v, value in current.items():
+                repaired[v] += value
+            if sum(abs(value) for value in current.values()) < tolerance:
+                break
+            spread: dict[int, float] = {}
+            for u, value in current.items():
+                start, end = offsets[u], offsets[u + 1]
+                share = damping * value / (end - start)
+                for e in range(start, end):
+                    v = targets[e]
+                    spread[v] = spread.get(v, 0.0) + share
+            current = spread
+        return repaired
+
     # ------------------------------------------------------------------ #
     # connected components
     # ------------------------------------------------------------------ #
+    def relabel_components(
+        self, labels: Sequence[int], n: int, absorbed: dict[int, int]
+    ) -> list[int]:
+        """The canonical labelling (0-based, ordered by first vertex) of
+        ``n`` vertices after component merges: ``labels`` is the previous
+        canonical labelling of the first ``len(labels)`` vertices, the rest
+        are appended singletons, and ``absorbed`` maps every label that
+        merged away to the lowest label of its merged component (appended
+        vertices numbered on after the previous labels, in dense order)."""
+        count = max(labels, default=-1) + 1
+        total = count + n - len(labels)
+        rank: list[int] = []
+        survivors = 0
+        for label in range(total):
+            rank.append(survivors)
+            survivors += label not in absorbed
+        return [rank[absorbed.get(label, label)] for label in (*labels, *range(count, total))]
+
     def connected_components(self, csr: "CSRGraph") -> list[int]:
         """Component index (0-based, ordered by first vertex) per dense index.
 

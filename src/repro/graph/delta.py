@@ -348,14 +348,19 @@ class DeltaOverlay:
     def __bool__(self) -> bool:
         return bool(self.touched or self.vertex_candidates)
 
-    def plan(self, base: "CSRGraph") -> tuple[list[VertexId], dict[int, set[int]], dict[int, list[int]]]:
-        """Resolve the patch against ``base``'s codec: the appended new
-        vertices plus per-dense-row strip sets and sorted addition lists
-        (rows indexed in the *merged* vertex order)."""
-        index = dict(base._index)
+    def plan(
+        self, base: "CSRGraph"
+    ) -> tuple[dict[VertexId, int], list[VertexId], dict[int, set[int]], dict[int, list[int]]]:
+        """Resolve the patch against ``base``'s codec: the merged snapshot's
+        ``external ID -> dense`` index (``base``'s own when no vertex is
+        new), the appended new vertices, plus per-dense-row strip sets and
+        sorted addition lists (rows indexed in the *merged* vertex order)."""
+        index = base._index
         new_vertices = [v for v in self.vertex_candidates if v not in index]
-        for vertex in new_vertices:
-            index[vertex] = len(index)
+        if new_vertices:
+            index = dict(index)
+            for vertex in new_vertices:
+                index[vertex] = len(index)
         strip: dict[int, set[int]] = {}
         additions: dict[int, list[int]] = {}
         for u, v in self.touched:
@@ -364,7 +369,7 @@ class DeltaOverlay:
             additions.setdefault(index[u], []).append(index[v])
         for row in additions.values():
             row.sort()
-        return new_vertices, strip, additions
+        return index, new_vertices, strip, additions
 
     def materialize(
         self,
@@ -391,7 +396,7 @@ def merge_overlay(
     ``backend.apply_overlay`` implementations must match element-wise."""
     from repro.graph.kernel import CSRGraph
 
-    new_vertices, strip, additions = overlay.plan(base)
+    index, new_vertices, strip, additions = overlay.plan(base)
     external_ids = list(base.external_ids) + new_vertices
     n = len(external_ids)
     base_n = base.n
@@ -413,7 +418,7 @@ def merge_overlay(
         if extra:
             extend(extra)
         offsets[i + 1] = len(targets)
-    return CSRGraph(offsets, targets, external_ids, source=source)
+    return CSRGraph(offsets, targets, external_ids, source=source, index=index)
 
 
 # --------------------------------------------------------------------------- #

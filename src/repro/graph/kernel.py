@@ -84,13 +84,20 @@ class CSRGraph:
         targets: array,
         external_ids: list[VertexId],
         source: "Graph | None" = None,
+        *,
+        index: dict[VertexId, int] | None = None,
     ) -> None:
         self.offsets = offsets
         self.targets = targets
         self.external_ids = external_ids
-        self._index: dict[VertexId, int] = {
-            external: index for index, external in enumerate(external_ids)
-        }
+        #: external ID -> dense index.  ``index`` is a caller that already
+        #: holds the codec (the overlay merges) handing it over instead of
+        #: having it re-derived; never mutated, so snapshots may share one
+        self._index: dict[VertexId, int] = (
+            index
+            if index is not None
+            else {external: i for i, external in enumerate(external_ids)}
+        )
         if len(self._index) != len(external_ids):
             seen: set = set()
             duplicates: list[VertexId] = []

@@ -1,11 +1,15 @@
-"""Shared delta decoding for the dynamic-algorithm maintainers."""
+"""Shared by the dynamic-algorithm maintainers: delta decoding, and the one
+boundary where their dense vectors meet external vertex IDs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.graph.api import VertexId
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.kernel import CSRGraph
 
 
 @dataclass(frozen=True)
@@ -61,3 +65,17 @@ def build_delta_view(records: list[tuple[str, Any]]) -> DeltaView:
         record_count=len(records),
         prior_present=frozenset(pair for pair, op in first.items() if op == "-"),
     )
+
+
+def encode(csr: "CSRGraph", values: dict) -> list:
+    """A decoded (external-ID keyed) result as the per-dense-index vector the
+    maintainers carry; a vertex without an entry (BFS: unreached) holds ``-1``."""
+    return [values.get(vertex, -1) for vertex in csr.external_ids]
+
+
+def decode(maintainer: str, csr: "CSRGraph", dense: list) -> dict:
+    """A maintained dense vector as the fresh external-ID keyed dict the cold
+    kernel reports — for BFS, unreached vertices (``-1``) have no entry."""
+    if maintainer == "bfs":
+        return {v: d for v, d in zip(csr.external_ids, dense) if d >= 0}
+    return csr.decode(dense)

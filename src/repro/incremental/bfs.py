@@ -2,9 +2,11 @@
 
 With insertions only, exact previous distances are an *over*-estimate
 nowhere and an under-estimate nowhere — a new edge ``u -> v`` can only
-shorten paths through ``v``.  Label-correcting relaxation seeded from the
+shorten paths through ``v``.  Nearest-first relaxation seeded from the
 added edges' improved endpoints therefore converges to the exact new
-distance map while visiting only the region the delta actually improved.
+distance map while visiting only the region the delta actually improved:
+the previous dense vector is copied (appended vertices start unreached) and
+never re-keyed, so the cost is that one copy plus the improved region.
 
 Fallbacks (return ``None``):
 
@@ -17,7 +19,6 @@ Fallbacks (return ``None``):
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.incremental.base import DeltaView
@@ -28,48 +29,58 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def maintain_bfs(
-    prev_values: dict,
+    prev: list[int],
     csr: "CSRGraph",
     delta: DeltaView,
     params: dict,
     backend: "KernelBackend",
-) -> dict | None:
+) -> list[int] | None:
     if params.get("max_depth") is not None:
         return None
-    source = params["source"]
-    if prev_values.get(source) != 0:
+    index = csr._index
+    known = len(prev)
+    source = index.get(params["source"])
+    if source is None or source >= known or prev[source] != 0:
         return None  # previous result is not a full-depth map from source
+
+    def prior(vertex) -> int:
+        dense = index[vertex]
+        return prev[dense] if dense < known else -1
+
     for u, v in delta.removed:
-        du = prev_values.get(u)
-        if du is not None and prev_values.get(v) == du + 1:
+        du = prior(u)
+        if du >= 0 and prior(v) == du + 1:
             return None  # possibly a tree edge: repair is not monotone
         # otherwise the removed edge lay on no shortest path; ignore it
 
-    index = csr._index
-    ids = csr.external_ids
-    n = csr.n
-    distances = [-1] * n
-    for vertex, distance in prev_values.items():
-        dense = index.get(vertex)
-        if dense is not None:
-            distances[dense] = distance
-
-    offsets = csr.offsets_list
-    targets = csr.targets_list
-    queue: deque[int] = deque()
+    # the previous vector is exact on its prefix; appended vertices start
+    # unreached.  Relaxation touches only the region the delta improved.
+    distances = prev + [-1] * (csr.n - known)
+    offsets = csr.offsets
+    targets = csr.targets
+    seeds: dict[int, list[int]] = {}  # improved distance -> endpoints
     for u, v in delta.added:
         iu, iv = index[u], index[v]
         du = distances[iu]
         if du >= 0 and (distances[iv] < 0 or distances[iv] > du + 1):
             distances[iv] = du + 1
-            queue.append(iv)
-    while queue:
-        current = queue.popleft()
-        next_distance = distances[current] + 1
-        for e in range(offsets[current], offsets[current + 1]):
-            neighbor = targets[e]
-            if distances[neighbor] < 0 or distances[neighbor] > next_distance:
-                distances[neighbor] = next_distance
-                queue.append(neighbor)
-
-    return {ids[v]: d for v, d in enumerate(distances) if d >= 0}
+            seeds.setdefault(du + 1, []).append(iv)
+    # level by level, nearest first: a vertex is expanded once, at its final
+    # distance, however many added edges improve the same region
+    frontier: list[int] = []
+    depth = 0
+    while frontier or seeds:
+        if not frontier:
+            depth = min(seeds)
+        frontier += seeds.pop(depth, ())
+        reached: list[int] = []
+        for current in frontier:
+            if distances[current] != depth:
+                continue  # improved again since it was queued
+            for neighbor in targets[offsets[current] : offsets[current + 1]]:
+                if distances[neighbor] < 0 or distances[neighbor] > depth + 1:
+                    distances[neighbor] = depth + 1
+                    reached.append(neighbor)
+        frontier = reached
+        depth += 1
+    return distances

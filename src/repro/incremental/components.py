@@ -1,15 +1,23 @@
-"""Dynamic connected components: union-find over the delta stream.
+"""Dynamic connected components: union-find over the delta's *labels*.
 
-Edge additions only ever *merge* components, so the previous labeling plus a
-union per added pair determines the new partition exactly — no traversal of
-the snapshot at all, ``O(k α)`` for k added edges.  A net edge *removal* may
-split a component, and deciding whether it does costs a reachability query,
-so deletions fall back to the cold kernel (return ``None``).
+Edge additions only ever *merge* components, so the previous labelling plus
+a union per added pair determines the new partition exactly.  The unions run
+over the handful of labels the added pairs touch — ``O(k α)`` for k added
+edges, no traversal of the snapshot — and when no pair joins two labels and
+no vertex is new, the previous labelling *is* the answer and is returned
+untouched.  Otherwise one pass over the vector renumbers it
+(``backend.relabel_components``: a python loop in the reference backend, a
+single gather in the numpy one).  A net edge *removal* may split a
+component, and deciding whether it does costs a reachability query, so
+deletions fall back to the cold kernel (return ``None``).
 
 The cold kernels label components 0-based in order of each component's
 first dense vertex; identical partitions therefore canonicalise to identical
 labelings, which is what makes the maintained result bit-identical to a
-cold recompute.
+cold recompute.  Two facts keep that canonical form cheap: new vertices are
+appended after every previous one, so a new singleton's label follows every
+previous label; and a merged component's first vertex is the first vertex of
+its lowest-labelled part, so the lowest label survives every union.
 """
 
 from __future__ import annotations
@@ -24,54 +32,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def maintain_components(
-    prev_values: dict,
+    prev: list[int],
     csr: "CSRGraph",
     delta: DeltaView,
     params: dict,
     backend: "KernelBackend",
-) -> dict | None:
+) -> list[int] | None:
     if delta.removed:
         return None  # a removal may split; recompute decides
 
-    ids = csr.external_ids
     n = csr.n
+    known = len(prev)
     index = csr._index
-    parent = list(range(n))
+    # an appended vertex starts as a singleton labelled one past the previous
+    # labels, in dense order: its dense index + shift
+    shift = 0
+    if n > known:
+        shift = (max(prev) + 1 if known else 0) - known
+    absorbed: dict[int, int] = {}  # label -> the lower label it merged into
 
-    def find(item: int) -> int:
-        while parent[item] != item:
-            parent[item] = parent[parent[item]]
-            item = parent[item]
-        return item
+    def find(label: int) -> int:
+        root = label
+        while root in absorbed:
+            root = absorbed[root]
+        while label != root:  # path compression
+            absorbed[label], label = root, absorbed[label]
+        return root
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    # seed the forest with the previous partition: vertices sharing a prev
-    # label join one set (vertices the previous result does not know — new
-    # ones — stay singletons)
-    anchor: dict = {}
-    for vertex in ids:
-        label = prev_values.get(vertex)
-        if label is None:
-            continue
-        dense = index[vertex]
-        if label in anchor:
-            union(anchor[label], dense)
-        else:
-            anchor[label] = dense
     for u, v in delta.added:
-        union(index[u], index[v])
-
-    # canonical relabel: 0-based in first-vertex order, exactly the kernels'
-    labels_of_root: dict[int, int] = {}
-    values: dict = {}
-    for dense, vertex in enumerate(ids):
-        root = find(dense)
-        label = labels_of_root.get(root)
-        if label is None:
-            label = labels_of_root[root] = len(labels_of_root)
-        values[vertex] = label
-    return values
+        iu, iv = index[u], index[v]
+        a = find(prev[iu] if iu < known else iu + shift)
+        b = find(prev[iv] if iv < known else iv + shift)
+        if a != b:
+            absorbed[max(a, b)] = min(a, b)
+    if not absorbed and n == known:
+        return prev
+    return backend.relabel_components(
+        prev, n, {label: find(label) for label in list(absorbed)}
+    )

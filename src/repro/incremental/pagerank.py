@@ -1,5 +1,5 @@
 """Incremental PageRank: a localized correction solve, falling back to a
-warm-started power iteration.
+warm-started power iteration only where the correction's structure breaks.
 
 PageRank is linear in its source term: with ``P`` the out-degree-normalised
 transition matrix, the fixed point satisfies ``r = (1-d)/n + d P^T r``.  A
@@ -17,22 +17,28 @@ touching a region far smaller than one dense sweep — the classic dynamic-
 PageRank observation (Chien et al.; Bahmani et al., VLDB'10) that updates
 are local.
 
-The sparse path is *exact about structure*: it distinguishes a genuinely
-new edge from a removed-then-re-added one via
-:attr:`~repro.incremental.base.DeltaView.prior_present`, and it refuses
-(falls back) whenever its assumptions don't hold — vertex set changed,
-dangling vertices present (their redistributed mass couples every vertex,
-so the correction is dense), or the frontier grows past a work budget where
-a dense warm start is cheaper.  Termination mirrors the kernels' contract:
-the series is truncated once its per-term L1 mass drops below the same
-``tolerance``, capped at the same ``max_iterations``, so a converged
-maintained result sits within the same distance of the true fixed point as
-a converged cold run (L∞ within the backends' documented 1e-9 for
-tolerances at or below 1e-10).
+This module computes ``rho`` (python work proportional to the changed
+sources' out-degrees) and hands the series to the kernel backend
+(``backend.pagerank_correction``).  There is **no work budget**: the numpy
+kernel keeps the frontier as an index array, so a term costs the frontier's
+edge volume while the frontier is small and one sweep of the edge arrays —
+what a dense power-iteration step costs — once it covers the graph; a wide
+delta is never tried sparsely and then redone densely.  Termination mirrors
+the kernels' contract: the series is truncated once its per-term L1 mass
+drops below the same ``tolerance``, capped at the same ``max_iterations``,
+so a converged maintained result sits within the same distance of the true
+fixed point as a converged cold run (L∞ within the backends' documented
+1e-9 for tolerances at or below 1e-10).
 
-The dense fallback restarts power iteration from the previous ranks
-(renormalised over the current vertex set) — strictly better-seeded than a
-cold run, same termination contract.
+The correction is *exact about structure*: it distinguishes a genuinely new
+edge from a removed-then-re-added one via
+:attr:`~repro.incremental.base.DeltaView.prior_present`.  It is refused
+only where its structure does not hold — the vertex set changed (``(1-d)/n``
+shifted at every vertex), a vertex dangles (its redistributed mass couples
+every vertex, so the correction is dense from the first term), or a changed
+source dangled before the delta.  Those cases restart power iteration from
+the previous ranks (new vertices seeded uniformly, renormalised) — strictly
+better-seeded than a cold run, same termination contract.
 """
 
 from __future__ import annotations
@@ -46,134 +52,81 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
     from repro.graph.kernel import CSRGraph
 
-#: the sparse solve bails to the dense warm start once it has pushed more
-#: than ``m * max_iterations / _BUDGET_DIVISOR`` edge traversals — past that
-#: the frontier has engulfed enough of the graph that per-edge dict work
-#: loses to the kernels' array sweeps
-_BUDGET_DIVISOR = 16
-
 
 def maintain_pagerank(
-    prev_values: dict,
+    prev: list[float],
     csr: "CSRGraph",
     delta: DeltaView,
     params: dict,
     backend: "KernelBackend",
-) -> dict | None:
+) -> list[float] | None:
     n = csr.n
     if n == 0:
-        return {}
-    maintained = _maintain_sparse(prev_values, csr, delta, params)
-    if maintained is not None:
-        return maintained
+        return []
+    damping = params["damping"]
+    if len(prev) == n:
+        residual = _residual(prev, csr, delta, damping)
+        if residual is not None:
+            if not residual:
+                return prev
+            repaired = backend.pagerank_correction(
+                csr, prev, residual, damping, params["max_iterations"], params["tolerance"]
+            )
+            if repaired is not None:
+                return repaired
 
-    uniform = 1.0 / n
-    initial = [prev_values.get(vertex, uniform) for vertex in csr.external_ids]
+    initial = prev + [1.0 / n] * (n - len(prev))
     total = sum(initial)
     if total <= 0.0:
         return None
-    initial = [rank / total for rank in initial]
-    ranks = pagerank_kernel(
+    return pagerank_kernel(
         csr,
-        damping=params["damping"],
+        damping=damping,
         max_iterations=params["max_iterations"],
         tolerance=params["tolerance"],
         backend=backend,
-        initial=initial,
+        initial=[rank / total for rank in initial],
     )
-    return csr.decode(ranks)
 
 
-def _maintain_sparse(
-    prev_values: dict, csr: "CSRGraph", delta: DeltaView, params: dict
-) -> dict | None:
-    """Correction solve; ``None`` means "use the dense warm start"."""
-    n = csr.n
-    if len(prev_values) != n or delta.new_vertices:
-        return None  # vertex set changed: (1-d)/n shifted at every vertex
-    ids = csr.external_ids
+def _residual(
+    prev: list[float], csr: "CSRGraph", delta: DeltaView, damping: float
+) -> dict[int, float] | None:
+    """``rho = d (P - P0)^T r_prev`` by dense index, supported on the changed
+    out-neighborhoods; ``None`` when a changed source dangles before or after
+    the delta (dense coupling: use the warm start)."""
     index = csr._index
-    offsets = csr.offsets_list
-    targets = csr.targets_list
-    damping = params["damping"]
-    tolerance = params["tolerance"]
-    max_iterations = params["max_iterations"]
-
-    ranks = [0.0] * n
-    for dense, vertex in enumerate(ids):
-        rank = prev_values.get(vertex)
-        if rank is None:
-            return None  # same cardinality, different vertices
-        if offsets[dense + 1] == offsets[dense]:
-            return None  # dangling: redistributed mass couples every vertex
-        ranks[dense] = rank
-
+    offsets = csr.offsets
+    targets = csr.targets
     # per-source structural delta, old-graph membership resolved through
     # prior_present (a net-added pair that was present before the window is
-    # a remove+re-add: structurally a no-op)
+    # a remove+re-add: structurally a no-op; a net-removed pair that was not
+    # was added and removed inside the window: it never existed)
     new_out: dict[int, list[int]] = {}
     old_out: dict[int, list[int]] = {}
-    for u_ext, v_ext in delta.added:
-        if (u_ext, v_ext) in delta.prior_present:
-            continue
-        u, v = index.get(u_ext), index.get(v_ext)
-        if u is None or v is None:
-            return None
-        new_out.setdefault(u, []).append(v)
-    for u_ext, v_ext in delta.removed:
-        if (u_ext, v_ext) not in delta.prior_present:
-            continue  # added-then-removed inside the window: never existed
-        u, v = index.get(u_ext), index.get(v_ext)
-        if u is None or v is None:
-            return None
-        old_out.setdefault(u, []).append(v)
-    if not new_out and not old_out:
-        return dict(prev_values)
+    for pair in delta.added:
+        if pair not in delta.prior_present:
+            new_out.setdefault(index[pair[0]], []).append(index[pair[1]])
+    for pair in delta.removed:
+        if pair in delta.prior_present:
+            old_out.setdefault(index[pair[0]], []).append(index[pair[1]])
 
-    # rho = d (P - P0)^T r_prev, supported on changed out-neighborhoods
     residual: dict[int, float] = {}
-    for u in set(new_out) | set(old_out):
+    for u in new_out.keys() | old_out.keys():
         start, end = offsets[u], offsets[u + 1]
+        added_here = new_out.get(u, ())
+        removed_here = old_out.get(u, ())
         new_deg = end - start
-        old_deg = new_deg - len(new_out.get(u, ())) + len(old_out.get(u, ()))
-        if old_deg <= 0:
-            return None  # u dangled before the delta: dense coupling
-        share_new = damping * ranks[u] / new_deg
-        share_old = damping * ranks[u] / old_deg
-        added_here = set(new_out.get(u, ()))
-        for e in range(start, end):
-            v = targets[e]
+        old_deg = new_deg - len(added_here) + len(removed_here)
+        if new_deg == 0 or old_deg <= 0:
+            return None
+        share_new = damping * prev[u] / new_deg
+        share_old = damping * prev[u] / old_deg
+        added_set = set(added_here)
+        for v in targets[start:end]:
             residual[v] = residual.get(v, 0.0) + share_new - (
-                0.0 if v in added_here else share_old
+                0.0 if v in added_set else share_old
             )
-        for v in old_out.get(u, ()):
+        for v in removed_here:
             residual[v] = residual.get(v, 0.0) - share_old
-    residual = {v: value for v, value in residual.items() if value != 0.0}
-
-    # Neumann series: e = sum_t (d P^T)^t rho, truncated on the kernels'
-    # own contract — per-term L1 mass below tolerance, max_iterations cap
-    budget = max(offsets[n], offsets[n] * max_iterations // _BUDGET_DIVISOR)
-    pushed = 0
-    correction: dict[int, float] = {}
-    current = residual
-    for _ in range(max_iterations):
-        for v, value in current.items():
-            correction[v] = correction.get(v, 0.0) + value
-        mass = sum(abs(value) for value in current.values())
-        if mass < tolerance:
-            break
-        pushed += sum(offsets[u + 1] - offsets[u] for u in current)
-        if pushed > budget:
-            return None  # frontier too wide: the dense warm start wins
-        spread: dict[int, float] = {}
-        for u, value in current.items():
-            share = damping * value / (offsets[u + 1] - offsets[u])
-            for e in range(offsets[u], offsets[u + 1]):
-                v = targets[e]
-                spread[v] = spread.get(v, 0.0) + share
-        current = spread
-
-    maintained = dict(prev_values)
-    for dense, value in correction.items():
-        maintained[ids[dense]] = ranks[dense] + value
-    return maintained
+    return {v: value for v, value in residual.items() if value != 0.0}

@@ -866,7 +866,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             # incremental store so the *next* run after mutations can serve
             # it from the journal (idempotent for duplicate bindings)
             if spec.maintainer is not None and node.mode != "incremental":
-                handle._incremental_record(spec.name, params, node.value)
+                handle._incremental_record(spec.name, params, node.value, csr)
 
             count = seen_labels.get(spec.name, 0) + 1
             seen_labels[spec.name] = count

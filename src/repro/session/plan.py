@@ -816,7 +816,7 @@ class AnalysisPlan:
                 if spec.maintainer is not None and mode != "incremental":
                     # remember the fresh result so future plans (and
                     # handle.refresh()) can maintain it over deltas
-                    handle._incremental_record(spec.name, params, values)
+                    handle._incremental_record(spec.name, params, values, csr)
 
                 count = seen_labels.get(spec.name, 0) + 1
                 seen_labels[spec.name] = count

@@ -101,8 +101,11 @@ class _IncrementalEntry:
     params: dict[str, Any]
     #: journal position (``journal.total``) the values are exact at
     position: int
-    #: private copy of the decoded values
-    values: dict
+    #: the result as a per-dense-index vector (``repro.incremental.encode``),
+    #: exact on the prefix ``[0, len(dense))`` of every later snapshot of the
+    #: same generation — merges only ever append vertices.  Replaced, never
+    #: mutated, and never handed out: reports get a fresh decode
+    dense: list
     #: journal generation the position is valid for (a rebaseline that could
     #: not be expressed as edge records bumps it, invalidating the entry)
     generation: int
@@ -332,10 +335,15 @@ class GraphHandle:
     def _incremental_key(name: str, params: dict) -> tuple[str, str]:
         return name, repr(sorted(params.items(), key=lambda item: item[0]))
 
-    def _incremental_record(self, name: str, params: dict, values: Any) -> None:
-        """Remember a freshly computed result so the dynamic maintainers can
-        carry it over future deltas.  No-op for non-journaled graphs and for
-        non-dict result shapes."""
+    def _incremental_record(
+        self, name: str, params: dict, values: Any, csr: "CSRGraph"
+    ) -> None:
+        """Remember a result freshly computed on ``csr`` — as its dense
+        vector, encoded here once — so the dynamic maintainers can carry it
+        over future deltas.  No-op for non-journaled graphs and for non-dict
+        result shapes."""
+        from repro.incremental import encode
+
         journal = self.journal
         if journal is None or not isinstance(values, dict):
             return
@@ -344,64 +352,71 @@ class GraphHandle:
                 algorithm=name,
                 params=dict(params),
                 position=journal.total,
-                values=dict(values),
+                dense=encode(csr, values),
                 generation=self.graph.generation,
             )
 
-    def _incremental_serve(
+    def _incremental_advance(
         self, name: str, maintainer_name: str, params: dict, csr: "CSRGraph", backend
-    ) -> "tuple[Any, float, str] | None":
-        """Serve ``name(params)`` by maintaining the remembered previous
-        result over the journal window, or ``None`` to fall back cold.
-
-        ``csr`` must be the handle's *current* snapshot (the caller just
-        fetched it, pinning ``journal.total``).  On success the remembered
-        entry advances to the current position and a fresh copy of the
-        values is returned with the maintenance seconds and a provenance
-        note; unmaintainable entries are dropped so they do not retry on
-        every plan.
-        """
+    ) -> "tuple[_IncrementalEntry, int] | None":
+        """Bring the remembered ``name(params)`` entry up to ``csr`` — the
+        handle's *current* snapshot (the caller just fetched it, pinning
+        ``journal.total``) — through its maintainer.  Returns the entry and
+        how many delta records it absorbed; ``None`` (and the entry dropped,
+        so it does not retry on every plan) when there is none or it cannot
+        be maintained.  Caller holds ``_lock``."""
         from repro.incremental import MAINTAINERS, build_delta_view
 
         journal = self.journal
         if journal is None:
             return None
         key = self._incremental_key(name, params)
-        with self._lock:
-            entry = self._incremental.get(key)
-            if entry is None:
-                return None
-            if entry.generation != self.graph.generation:
-                # a rebaseline (vertex deletion, out-of-band mutation) broke
-                # the delta stream the entry is keyed to
-                del self._incremental[key]
-                return None
+        entry = self._incremental.get(key)
+        if entry is None:
+            return None
+        records = None
+        if entry.generation == self.graph.generation:
+            # (else a rebaseline — vertex deletion, out-of-band mutation —
+            # broke the delta stream the entry is keyed to.)  None here: the
+            # entry predates the current base, compacted away before it
+            # could be maintained
             records = journal.records_since(entry.position)
-            if records is None:
-                # the entry predates the current base (compacted away before
-                # it could be maintained)
-                del self._incremental[key]
-                return None
-            started = time.perf_counter()
-            if not records:
-                return (
-                    dict(entry.values),
-                    time.perf_counter() - started,
-                    "incremental: no new deltas since the previous result",
-                )
-            delta = build_delta_view(records)
-            values = MAINTAINERS[maintainer_name](
-                entry.values, csr, delta, params, backend
+        dense = entry.dense
+        if records:
+            dense = MAINTAINERS[maintainer_name](
+                dense, csr, build_delta_view(records), params, backend
             )
-            if values is None:
-                del self._incremental[key]
+        if records is None or dense is None:
+            del self._incremental[key]
+            return None
+        entry.dense = dense
+        entry.position = journal.total
+        return entry, len(records)
+
+    def _incremental_serve(
+        self, name: str, maintainer_name: str, params: dict, csr: "CSRGraph", backend
+    ) -> "tuple[Any, float, str] | None":
+        """Serve ``name(params)`` by maintaining the remembered previous
+        result over the journal window (:meth:`_incremental_advance`), or
+        ``None`` to fall back cold.  The values are decoded from the
+        remembered dense vector here, once — a fresh dict per call, returned
+        with the maintenance seconds and a provenance note.
+        """
+        from repro.incremental import decode
+
+        with self._lock:
+            started = time.perf_counter()
+            advanced = self._incremental_advance(name, maintainer_name, params, csr, backend)
+            if advanced is None:
                 return None
-            entry.values = dict(values)
-            entry.position = journal.total
+            entry, absorbed = advanced
+            values = decode(maintainer_name, csr, entry.dense)
             return (
                 values,
                 time.perf_counter() - started,
-                f"incremental: maintained over {len(records)} delta record(s)",
+                f"incremental: maintained over {absorbed} delta record(s)"
+                if absorbed
+                else "incremental: no new deltas since the previous result",
             )
 
     def refresh(self) -> RefreshReport:
@@ -409,10 +424,16 @@ class GraphHandle:
         and carry every remembered result forward through its dynamic
         maintainer (components / PageRank / BFS).
 
-        Cheap by construction — the snapshot is an array merge, and each
-        maintained result costs ``O(delta)``-ish instead of a cold
-        recompute.  Entries no maintainer can repair (e.g. a component
-        split) are dropped and recompute cold on their next request.
+        The snapshot is one array merge (``O(n + m)`` copying, no
+        traversal).  Each maintained result then costs one copy of its dense
+        vector plus work in the delta's neighbourhood — nothing for
+        components when no added pair joins two labels, the region whose
+        distance improved for BFS, the correction frontier's edge volume for
+        PageRank, which a delta spread over the whole graph grows to one
+        sweep of the edge arrays per term, never more; nothing is decoded
+        until a plan asks.  Entries no maintainer can repair (e.g. a
+        component split) are dropped and recompute cold on their next
+        request.
         """
         started = time.perf_counter()
         with self._lock:
@@ -429,10 +450,10 @@ class GraphHandle:
                     del self._incremental[key]
                     dropped.append(entry.algorithm)
                     continue
-                served = self._incremental_serve(
+                advanced = self._incremental_advance(
                     entry.algorithm, spec.maintainer, entry.params, csr, backend
                 )
-                (maintained if served is not None else dropped).append(entry.algorithm)
+                (maintained if advanced is not None else dropped).append(entry.algorithm)
             return RefreshReport(
                 delta_edges=self._delta_edges,
                 snapshot_source=self._snapshot_source,

@@ -8,10 +8,18 @@ The contract under test:
   PageRank within L∞ 1e-9, on both kernel backends through BOTH execution
   paths (the PR-5 scheduler and the PR-6 compiler), with
   ``engine="incremental"`` and ``snapshot_source="base+delta"`` provenance;
-* each maintainer falls back (returns ``None``) exactly where its repair
-  is not provably exact: components on any net removal, delta-BFS on a
-  possible shortest-path-tree edge removal or a depth-limited previous
-  result — and the session then recomputes cold and resumes maintaining;
+* the maintainers are dense in, dense out (``repro.incremental.encode`` /
+  ``decode`` are the only places external IDs appear), and each falls back
+  (returns ``None``) exactly where its repair is not provably exact:
+  components on any net removal, delta-BFS on a possible shortest-path-tree
+  edge removal or a depth-limited previous result — and the session then
+  recomputes cold and resumes maintaining;
+* what the retired fig20 stopwatch module asserted besides its ratio
+  (provenance, bit-identical components, PageRank L∞) plus *work* pins that
+  need no clock: an intra-component delta returns the previous labelling
+  itself, a bulk delta is repaired in one pass of at most ``terms × m`` edge
+  touches, and the maintained / fallback tally on the ``bench/`` schedule
+  shape is the parent's;
 * compaction and generation bumps invalidate stored positions (entries are
   dropped, not served stale);
 * the incremental service patches cached results of maintainable
@@ -30,7 +38,7 @@ import pytest
 from repro.graph import ExpandedGraph
 from repro.graph.backend import get_backend, numpy_available
 from repro.graph.delta import JournaledGraph
-from repro.incremental import MAINTAINERS, build_delta_view
+from repro.incremental import MAINTAINERS, build_delta_view, decode, encode
 from repro.relational.database import Database
 from repro.service import GraphService, decode_report, encode_report
 from repro.service.codec import dumps, loads
@@ -61,17 +69,25 @@ def _build(edges: set[tuple[int, int]]) -> ExpandedGraph:
     return graph
 
 
-def _mutate(graph, k: int, vertex_ceiling: int, seed: int) -> int:
-    """Add ``k`` fresh symmetric edges (some touching new vertices)."""
-    rng = random.Random(seed)
-    added = 0
-    while added < k:
-        u, v = rng.randrange(vertex_ceiling), rng.randrange(vertex_ceiling)
+def _add_undirected(graph, rng, count: int, pick) -> list[tuple[int, int]]:
+    """Add ``count`` fresh undirected edges, endpoints drawn by ``pick(rng)``."""
+    added = []
+    while len(added) < count:
+        u, v = pick(rng)
         if u != v and not graph.exists_edge(u, v):
             graph.add_edge(u, v)
             graph.add_edge(v, u)
-            added += 1
+            added.append((u, v))
     return added
+
+
+def _anywhere(n: int):
+    return lambda rng: (rng.randrange(n), rng.randrange(n))
+
+
+def _mutate(graph, k: int, vertex_ceiling: int, seed: int) -> int:
+    """Add ``k`` fresh symmetric edges (some touching new vertices)."""
+    return len(_add_undirected(graph, random.Random(seed), k, _anywhere(vertex_ceiling)))
 
 
 def _source_vertex(edges) -> int:
@@ -92,16 +108,17 @@ class TestMaintainers:
         backend = get_backend(backend_name)
         edges = _random_symmetric_edges(40, 60, seed=3)
         graph = JournaledGraph(_build(edges))
-        graph.snapshot()
+        before = graph.snapshot()
         source = _source_vertex(edges)
 
         from repro.algorithms import bfs_distances, connected_components, pagerank
 
         prev = {
-            "components": connected_components(graph),
-            "bfs": bfs_distances(graph, source),
-            "pagerank": pagerank(graph, **PAGERANK_PARAMS),
+            "components": encode(before, connected_components(graph)),
+            "bfs": encode(before, bfs_distances(graph, source)),
+            "pagerank": encode(before, pagerank(graph, **PAGERANK_PARAMS)),
         }
+        untouched = {name: list(dense) for name, dense in prev.items()}
         position = graph.journal.total
         _mutate(graph, 12, 46, seed=17)
         csr = graph.snapshot()
@@ -117,21 +134,22 @@ class TestMaintainers:
             "bfs": {"source": source, "max_depth": None},
             "pagerank": dict(PAGERANK_PARAMS, damping=0.85),
         }
+        assert csr.n > before.n  # the delta appended vertices past the prefix
         for name in ("components", "bfs"):
             maintained = MAINTAINERS[name](prev[name], csr, delta, params[name], backend)
-            assert maintained == cold[name], name
+            assert decode(name, csr, maintained) == cold[name], name
         warm = MAINTAINERS["pagerank"](
             prev["pagerank"], csr, delta, params["pagerank"], backend
         )
-        assert _linf(warm, cold["pagerank"]) <= 1e-9
+        assert _linf(decode("pagerank", csr, warm), cold["pagerank"]) <= 1e-9
+        assert prev == untouched  # maintainers treat the previous vector as read-only
 
     def test_components_falls_back_on_removal(self):
         backend = get_backend("python")
         graph = JournaledGraph(_build(_random_symmetric_edges(20, 30, seed=5)))
-        graph.snapshot()
         from repro.algorithms import connected_components
 
-        prev = connected_components(graph)
+        prev = encode(graph.snapshot(), connected_components(graph))
         position = graph.journal.total
         u, v = next(iter(_random_symmetric_edges(20, 30, seed=5)))
         graph.delete_edge(u, v)
@@ -149,7 +167,7 @@ class TestMaintainers:
             )
         )
         graph.snapshot()
-        prev = {0: 0, 1: 1, 2: 2, 3: 3}
+        prev = [0, 1, 2, 3]
         position = graph.journal.total
         graph.delete_edge(1, 2)  # dist(2) == dist(1) + 1: possible tree edge
         delta = build_delta_view(graph.journal.records_since(position))
@@ -175,16 +193,17 @@ class TestMaintainers:
             )
         )
         graph.snapshot()
-        prev = {0: 0, 1: 1, 2: 1}
+        prev = [0, 1, 1]
         position = graph.journal.total
         graph.delete_edge(1, 2)
         graph.delete_edge(2, 1)
         delta = build_delta_view(graph.journal.records_since(position))
         params = {"source": 0, "max_depth": None}
-        maintained = MAINTAINERS["bfs"](prev, graph.snapshot(), delta, params, backend)
+        csr = graph.snapshot()
+        maintained = MAINTAINERS["bfs"](prev, csr, delta, params, backend)
         from repro.algorithms import bfs_distances
 
-        assert maintained == bfs_distances(graph.inner, 0)
+        assert decode("bfs", csr, maintained) == bfs_distances(graph.inner, 0)
 
 
 # --------------------------------------------------------------------------- #
@@ -261,6 +280,12 @@ class TestSessionEquivalence:
         from repro.algorithms import connected_components
 
         assert warm["components"].values == connected_components(graph.inner)
+        # a report's values are a fresh decode, never the remembered vector:
+        # scribbling on them cannot change the next answer ("no new deltas")
+        warm["components"].values.clear()
+        again = handle.analyze().components().run()
+        assert again["components"].engine == "incremental"
+        assert again["components"].values == connected_components(graph.inner)
 
 
 class TestFallbackAndInvalidation:
@@ -330,6 +355,174 @@ class TestFallbackAndInvalidation:
         from repro.algorithms import connected_components
 
         assert warm["components"].values == connected_components(graph.inner)
+
+
+# --------------------------------------------------------------------------- #
+# the ring of the retired Figure 20 module and of bench/'s mutate_refresh:
+# what a refresh must report, and how much work it may do — no stopwatch
+# --------------------------------------------------------------------------- #
+RING_PAGERANK = {"tolerance": 1e-10, "max_iterations": 500}
+
+
+def _ring(n: int, seed: int) -> ExpandedGraph:
+    """Ring plus short random chords: heterogeneous degrees, a large
+    diameter (corrections stay local), no dangling vertex."""
+    rng = random.Random(seed)
+    graph = ExpandedGraph()
+    for i in range(n):
+        for j in [(i + 1) % n] + ([(i + rng.randrange(2, 9)) % n] if rng.random() < 0.5 else []):
+            graph.add_edge(i, j)
+            graph.add_edge(j, i)
+    return graph
+
+
+def _local(n: int, base: int):
+    """The small cycle's adds: both endpoints within ~160 vertices of ``base``."""
+    return lambda rng: (
+        (u := (base + rng.randrange(120)) % n),
+        (u + rng.randrange(10, 40)) % n,
+    )
+
+
+def _ring_plan(handle):
+    return handle.analyze().components().pagerank(**RING_PAGERANK).bfs(source=0)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestRingRefresh:
+    def test_refresh_reports_and_equals_a_cold_rebuild(self, backend_name):
+        # Figure 20's assertions, minus its >= 5x wall-clock ratio
+        n, k = 2000, 8
+        graph = JournaledGraph(_ring(n, seed=5))
+        handle = GraphSession(Database("fig20"), backend=backend_name).wrap(graph)
+
+        def plan(h):
+            return h.analyze().components().pagerank(**RING_PAGERANK)
+
+        plan(handle).run()  # snapshot built, incremental state seeded
+        _add_undirected(graph, random.Random(100), k, _local(n, 0))
+
+        report = handle.refresh()
+        warm = plan(handle).run()
+        assert report.snapshot_source == "base+delta"
+        assert report.delta_edges == 2 * k
+        assert sorted(report.maintained) == ["components", "pagerank"]
+        assert [r.engine for r in warm] == ["incremental", "incremental"]
+
+        cold = plan(
+            GraphSession(Database("fig20-cold"), backend=backend_name).wrap(graph.inner)
+        ).run()
+        assert warm["components"].values == cold["components"].values
+        assert _linf(warm["pagerank"].values, cold["pagerank"].values) <= 1e-9
+
+    def test_intra_component_delta_returns_the_previous_labelling(self, backend_name, monkeypatch):
+        backend = get_backend(backend_name)
+        n = 400
+        graph = JournaledGraph(_ring(n, seed=5))
+        from repro.algorithms import connected_components
+
+        prev = encode(graph.snapshot(), connected_components(graph))
+        position = graph.journal.total
+        _add_undirected(graph, random.Random(1), 8, _local(n, 50))
+        delta = build_delta_view(graph.journal.records_since(position))
+        monkeypatch.setattr(
+            backend, "relabel_components", lambda *args: pytest.fail("relabel pass ran")
+        )
+        # the very same list: nothing was copied, nothing was renumbered
+        assert MAINTAINERS["components"](prev, graph.snapshot(), delta, {}, backend) is prev
+
+    def test_bulk_delta_is_repaired_in_one_pass(self, backend_name, monkeypatch):
+        n = 3000
+        graph = JournaledGraph(_ring(n, seed=5))
+        session = GraphSession(Database("bulk"), backend=backend_name)
+        handle = session.wrap(graph)
+        _ring_plan(handle).run()
+        m = handle.snapshot().num_edges
+        _add_undirected(graph, random.Random(7), m // 60, _anywhere(n))
+
+        backend = session.backend
+        calls = {"pagerank": 0, "correction": 0}
+        dense_kernel, correction = backend.pagerank, backend.pagerank_correction
+
+        def count(name, kernel):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(backend, "pagerank", count("pagerank", dense_kernel))
+        monkeypatch.setattr(backend, "pagerank_correction", count("correction", correction))
+        touched: list[int] = []
+        if backend_name == "numpy":
+            # every series term scatters exactly the edges it touches
+            import numpy as np
+
+            from repro.graph.backend import numpy_backend
+
+            class Spy:
+                def __getattr__(self, name):
+                    return getattr(np, name)
+
+                def bincount(self, x, **kwargs):
+                    touched.append(len(x))
+                    return np.bincount(x, **kwargs)
+
+            monkeypatch.setattr(numpy_backend, "np", Spy())
+
+        report = handle.refresh()
+        warm = _ring_plan(handle).run()
+        assert sorted(report.maintained) == ["bfs", "components", "pagerank"]
+        assert [r.engine for r in warm] == ["incremental"] * 3
+        # the wide frontier was neither refused nor tried sparsely and then
+        # redone densely: one correction, no dense power iteration
+        assert calls == {"pagerank": 0, "correction": 1}
+        csr = handle.snapshot()
+        if touched:
+            assert len(touched) <= RING_PAGERANK["max_iterations"]
+            assert sum(touched) <= len(touched) * csr.num_edges
+            # once the frontier covered the graph every term is one sweep
+            first_sweep = touched.index(csr.num_edges)
+            assert set(touched[first_sweep:]) == {csr.num_edges}
+
+        monkeypatch.undo()
+        cold = _ring_plan(
+            GraphSession(Database("bulk-cold"), backend=backend_name).wrap(graph.inner)
+        ).run()
+        assert warm["components"].values == cold["components"].values
+        assert warm["bfs"].values == cold["bfs"].values
+        assert _linf(warm["pagerank"].values, cold["pagerank"].values) <= 1e-9
+
+    def test_bench_schedule_tally_is_the_parents(self, backend_name):
+        # bench/'s mutate_refresh schedule shape at 1/20 size: small cycles
+        # (8 local adds), removals of an earlier small add, bulk cycles last
+        n = 2000
+        rng = random.Random(11)
+        graph = JournaledGraph(_ring(n, seed=11))
+        handle = GraphSession(Database("tally"), backend=backend_name).wrap(graph)
+        _ring_plan(handle).run()
+        m = handle.snapshot().num_edges
+        removable: list[tuple[int, int]] = []
+        engines: dict[str, list[tuple[str, ...]]] = {"small": [], "removal": [], "bulk": []}
+        for kind in ["small", "small", "removal", "small", "removal", "small", "removal", "bulk", "bulk"]:
+            if kind == "small":
+                removable += _add_undirected(graph, rng, 8, _local(n, rng.randrange(n)))
+            elif kind == "removal":
+                u, v = removable.pop(rng.randrange(len(removable)))
+                graph.delete_edge(u, v)
+                graph.delete_edge(v, u)
+            else:
+                _add_undirected(graph, rng, m // 60, _anywhere(n))
+            handle.refresh()
+            report = _ring_plan(handle).run()
+            engines[kind].append(tuple(r.engine for r in report))
+        # every add-only cycle is maintained whole, bulk ones included ...
+        assert set(engines["small"]) == set(engines["bulk"]) == {("incremental",) * 3}
+        # ... a removal is never "repaired" by components, always by
+        # PageRank, and not by BFS (these chords are shortest-path edges):
+        # the refusals — 21 maintained, 6 fallbacks — are what the parent
+        # commit's dict-keyed, work-budgeted maintainers made on this schedule
+        assert engines["removal"] == [("kernel", "incremental", "kernel")] * 3
 
 
 # --------------------------------------------------------------------------- #

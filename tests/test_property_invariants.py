@@ -11,7 +11,11 @@ These cover the pipeline-level guarantees:
   holding on every representation;
 * a session that reopens a persisted snapshot on its source fingerprint
   (no tables loaded, nothing extracted) answers exactly like the cold
-  session that extracted it.
+  session that extracted it;
+* the dynamic maintainers (``repro.incremental``), on either backend and
+  over any sequence of journal windows, return what a cold recompute of the
+  current snapshot returns — or refuse exactly where the repair would not
+  be exact.
 """
 
 from __future__ import annotations
@@ -21,15 +25,22 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.bfs import distances_kernel
+from repro.algorithms.connected_components import components_kernel
+from repro.algorithms.pagerank import pagerank_kernel
 from repro.core import ExtractionOptions, GraphGen
 from repro.dedup import deduplicate_dedup1, preprocess_bitmap
 from repro.graph import (
     CDupGraph,
     CondensedGraph,
+    ExpandedGraph,
     expanded_from_condensed,
     logical_edge_set,
     logically_equivalent,
 )
+from repro.graph.backend import get_backend, numpy_available
+from repro.graph.delta import JournaledGraph
+from repro.incremental import MAINTAINERS, build_delta_view
 from repro.relational.csv_io import write_database
 from repro.relational.database import Database
 from repro.session import GraphSession
@@ -209,3 +220,122 @@ def test_property_trusted_reopen_answers_like_a_cold_session(
         assert warm.representation == cold.representation
         _assert_same_answers(_reopen_answers(warm), expected)
         assert warm.snapshot_source == "mmap"  # still nothing extracted
+
+
+# --------------------------------------------------------------------------- #
+# incremental maintenance: maintained == cold, numpy == python, same refusals
+# --------------------------------------------------------------------------- #
+MAINTAINER_BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+MAINTAINED_PAGERANK = {"damping": 0.85, "tolerance": 1e-12, "max_iterations": 1000}
+BFS_SOURCE = 0
+
+
+@st.composite
+def journal_windows(draw):
+    """A small graph (directed or symmetric; isolated — dangling — vertices
+    and self-loops allowed; half the time over a path ``0 -> 1 -> ...``, so a
+    shortcut improves a whole region) plus a few journal windows.  An op
+    is ``("add", u, v)`` (``u``/``v`` may be new vertices), ``("remove", k)``
+    / ``("flip", k)`` — delete the k-th present edge, ``flip`` re-adding it
+    inside the same window — or ``("fan_in", hub)`` / ``("fan_out", hub)``:
+    an edge between the hub and *every* vertex, so the delta covers the whole
+    graph (and, after a fan-in, no vertex dangles).  A window may be preceded
+    by a journal compaction."""
+    size = draw(st.integers(2, 12))
+    vertex = st.integers(0, size + 3)
+    pairs = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    op = st.one_of(
+        st.tuples(st.just("add"), vertex, vertex),
+        st.tuples(st.sampled_from(["remove", "flip"]), st.integers(0, 50)),
+        st.tuples(st.sampled_from(["fan_in", "fan_out"]), st.integers(0, size - 1)),
+    )
+    windows = st.lists(
+        st.tuples(st.booleans(), st.lists(op, min_size=1, max_size=6)), min_size=1, max_size=4
+    )
+    edges = draw(st.sets(pairs, max_size=30))
+    if draw(st.booleans()):
+        edges |= {(v, v + 1) for v in range(size - 1)}
+    return size, draw(st.booleans()), edges, draw(windows)
+
+
+def _apply(graph: JournaledGraph, symmetric: bool, op: tuple) -> None:
+    def both(mutate, u, v):
+        mutate(u, v)
+        if symmetric and u != v:
+            mutate(v, u)
+
+    if op[0] == "add":
+        both(graph.add_edge, op[1], op[2])
+    elif op[0] in ("fan_in", "fan_out"):
+        for vertex in list(graph.get_vertices()):
+            both(graph.add_edge, *((vertex, op[1]) if op[0] == "fan_in" else (op[1], vertex)))
+    else:
+        present = sorted(logical_edge_set(graph.inner))
+        if present:
+            u, v = present[op[1] % len(present)]
+            both(graph.delete_edge, u, v)
+            if op[0] == "flip":
+                both(graph.add_edge, u, v)
+
+
+def _cold(csr) -> dict[str, list]:
+    reference = get_backend("python")
+    return {
+        "components": components_kernel(csr, backend=reference),
+        "bfs": distances_kernel(csr, csr.index(BFS_SOURCE), backend=reference),
+        "pagerank": pagerank_kernel(csr, backend=reference, **MAINTAINED_PAGERANK),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(journal_windows())
+def test_property_maintained_results_equal_a_cold_recompute(case):
+    size, symmetric, edges, windows = case
+    inner = ExpandedGraph()
+    for v in range(size):
+        inner.add_vertex(v)
+    graph = JournaledGraph(inner)
+    for u, v in sorted(edges):
+        _apply(graph, symmetric, ("add", u, v))
+    params = {
+        "components": {},
+        "bfs": {"source": BFS_SOURCE, "max_depth": None},
+        "pagerank": MAINTAINED_PAGERANK,
+    }
+    before = graph.snapshot()
+    prev = _cold(before)
+    for compact, ops in windows:
+        if compact:
+            graph.rebase_onto(graph.snapshot())  # what the store's compaction does
+        position = graph.journal.total
+        for op in ops:
+            _apply(graph, symmetric, op)
+        csr = graph.snapshot()
+        assert csr.external_ids[: before.n] == before.external_ids  # prefix stability
+        delta = build_delta_view(graph.journal.records_since(position))
+        cold = _cold(csr)
+
+        # the refusals the parent commit made, stated on the previous results
+        def reached(vertex):
+            dense = csr._index[vertex]
+            return prev["bfs"][dense] if dense < len(prev["bfs"]) else -1
+
+        refused = {
+            "components": bool(delta.removed),
+            "bfs": any(reached(u) >= 0 and reached(v) == reached(u) + 1 for u, v in delta.removed),
+            "pagerank": False,
+        }
+        maintained = {}
+        for backend in map(get_backend, MAINTAINER_BACKENDS):
+            for name, maintain in MAINTAINERS.items():
+                dense = maintain(prev[name], csr, delta, params[name], backend)
+                assert (dense is None) == refused[name], (name, backend.name)
+                if dense is not None:
+                    # == cold, and so numpy == python
+                    _assert_same_answers(dict(enumerate(dense)), dict(enumerate(cold[name])))
+                    maintained[name] = dense
+            depth_limited = {"source": BFS_SOURCE, "max_depth": 3}
+            assert MAINTAINERS["bfs"](prev["bfs"], csr, delta, depth_limited, backend) is None
+        # like the session: carry what was maintained, recompute what was refused
+        prev = {name: maintained.get(name, cold[name]) for name in MAINTAINERS}
+        before = csr
