@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service bench bench-table1 bench-fig16 bench-fig17 bench-fig18 bench-fig19 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service bench bench-table1 bench-fig18 bench-fig19 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -13,8 +13,6 @@ help:
 	@echo "                    front-end, session concurrency regressions"
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + python vs pushdown engine race"
-	@echo "make bench-fig16  - plan-level scheduling vs per-request parallel path"
-	@echo "make bench-fig17  - optimizing plan compiler (shared-sweep DAG) vs per-request"
 	@echo "make bench-fig18  - service result cache: cached vs uncached req/s"
 	@echo "make bench-fig19  - sharded snapshots: out-of-core memory ceiling + bit-identity"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
@@ -39,12 +37,6 @@ bench:
 
 bench-table1:
 	$(PYTEST) -q -rA benchmarks/test_bench_table1_extraction.py
-
-bench-fig16:
-	$(PYTEST) -q -rA benchmarks/test_bench_fig16_plan_scheduling.py
-
-bench-fig17:
-	$(PYTEST) -q -rA benchmarks/test_bench_fig17_plan_compiler.py
 
 bench-fig18:
 	$(PYTEST) -q -rA benchmarks/test_bench_fig18_service.py

@@ -2,10 +2,9 @@
 
 Every benchmark module reproduces one table or figure of the paper.  Besides
 the pytest-benchmark timings, each module appends the paper-style rows it
-measured to ``benchmarks/results/<artefact>.txt`` through the
+measured to ``benchmarks/results/<artefact>.txt`` (untracked) through the
 :func:`record_rows` helper, so the regenerated tables can be inspected after a
-``pytest benchmarks/ --benchmark-only`` run and are summarised in
-EXPERIMENTS.md.
+``pytest benchmarks/ --benchmark-only`` run.
 """
 
 from __future__ import annotations

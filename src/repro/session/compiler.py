@@ -1,13 +1,13 @@
 """Optimizing plan compiler: a DAG of shared primitive nodes per plan.
 
-PR 5's scheduler routed every :class:`~repro.session.AnalysisPlan` request
-independently: a ``closeness + diameter + sampled-betweenness`` batch ran
-three full BFS/SSSP source sweeps over the same snapshot, duplicate requests
-executed twice, and derived views (the symmetrised sorted CSR, degree
-arrays) were materialised by whichever kernel touched them first.  This
-module lowers the request list into a small DAG of **primitive nodes**
-instead and executes the DAG in dependency order through the PR-5 scheduler
-machinery (one pool, one snapshot file per plan):
+This module is how :meth:`repro.session.AnalysisPlan.run` executes.  Run
+request by request, a ``closeness + diameter + sampled-betweenness`` batch
+would grow three full BFS/SSSP source sweeps over the same snapshot, execute
+duplicate requests twice, and materialise derived views (the symmetrised
+sorted CSR, degree arrays) inside whichever kernel touched them first.
+Instead the request list is lowered into a small DAG of **primitive nodes**
+and executed in dependency order over the :mod:`repro.session.scheduler`
+worker machinery (one pool, one snapshot file per plan):
 
 * ``snapshot`` — acquisition of the handle's shared CSR (cache-aware:
   reported ``reused`` when it came off the in-process cache or a store mmap);
@@ -29,27 +29,27 @@ algorithm and identical effective parameters resolve to one node (the
 second result reports ``reused``), and ``closeness + diameter +
 sampled-betweenness`` in one plan perform the BFS/Brandes sweeps once.
 
-**Bit-identity.**  Results equal the uncompiled path exactly, floats
-included, by reusing the PR-5 merge contracts: closeness values are the
-pure-integer-stat expression every backend computes
-(:func:`repro.algorithms.centrality.closeness_value`), diameter is a max of
-integer eccentricities, and betweenness re-sums ordered per-source
-contribution lists with one flat left-to-right pass in each request's own
-global source order — exactly the serial kernels' accumulation sequence.
-Uncovered requests run the PR-5 routes (superstep / chunks / task / inline)
-with identical notes and fallbacks.
+**Bit-identity.**  Every result equals its per-request kernel runner
+(``PLAN_ALGORITHMS[name].kernel(csr, backend, params)``) exactly, floats
+included: closeness values are the pure-integer-stat expression every
+backend computes (:func:`repro.algorithms.centrality.closeness_value`),
+diameter is a max of integer eccentricities, and betweenness re-sums ordered
+per-source contribution lists with one flat left-to-right pass in each
+request's own global source order — exactly the serial kernels' accumulation
+sequence.  Requests the sweep does not cover are routed superstep / chunks /
+task / inline (see :func:`compile_plan`), each fallback with a note.
 
 **Cost model.**  Execution choices are fed by the snapshot's ``n`` and ``m``
-plus constants calibrated against the fig13/fig15/fig16 measurements (see
+plus constants calibrated on the paper-figure benchmark rigs (see
 :data:`TRAVERSAL_SECONDS_PER_ELEMENT` and friends): concurrent serial-kernel
 tasks are dispatched longest-first to minimise pool makespan, pool sweeps
 partition their source list by weighted cost (a Brandes source counts
 :data:`BRANDES_FACTOR` plain-BFS traversals), and an inline sweep with no
 float (Brandes) demand — where every product is integer-exact across
 backends — may run its traversals on the cheaper backend for the snapshot's
-size.  Session ``parallelism`` remains a directive: pool-vs-inline follows
-the PR-5 rules, so scheduling behaviour (pool starts, snapshot writes,
-engines, notes) is unchanged for plans with no shareable work.
+size.  Session ``parallelism`` remains a directive: a pool is started only
+when a superstep / chunk-parallel node or at least two concurrent serial
+kernels would use it.
 
 Every result gains per-node provenance
 (:class:`~repro.session.NodeProvenance`): the nodes in its dependency
@@ -108,14 +108,15 @@ class CompilerCounters:
 
 
 # --------------------------------------------------------------------------- #
-# cost model constants, calibrated on the fig13/fig15/fig16 rigs (synthetic
-# condensed graphs, container hardware).  Decisions depend on *ratios*, which
-# are stable across machines even when absolute seconds drift.
+# cost model constants, calibrated on the fig13/fig15 rigs and the (since
+# deleted) fig16/fig17 plan-timing rigs: synthetic condensed graphs, container
+# hardware.  Decisions depend on *ratios*, which are stable across machines
+# even when absolute seconds drift.
 # --------------------------------------------------------------------------- #
 #: one full-depth traversal costs about this many seconds per n + m element
 TRAVERSAL_SECONDS_PER_ELEMENT = {"python": 2.3e-8, "numpy": 1.2e-8}
 #: a Brandes traversal costs this multiple of a plain BFS (predecessor lists
-#: plus the reverse accumulation pass; measured on the fig16/fig17 rigs)
+#: plus the reverse accumulation pass)
 BRANDES_FACTOR = {"python": 2.85, "numpy": 2.04}
 #: below this many n + m elements one python-loop traversal beats numpy's
 #: per-level vectorisation overhead (fig15 rig crossover, measured ~3.5k)
@@ -380,31 +381,34 @@ def compile_plan(
             if sources:
                 node.demand = {"kind": "diameter", "sources": sources}
                 demanding.append(node)
-        elif name == "betweenness" and n > 2:
+        elif name == "betweenness" and n > 0:
             sources, scale = betweenness_sources(csr, params["sample_size"], params["seed"])
             strict_subset = len(sources) < n
-            if strict_subset:
+            if n > 2 and (strict_subset or not pool_sweep):
                 node.demand = {
                     "kind": "betweenness",
                     "sources": sources,
                     "scale": scale,
-                    "stream": False,
+                    "stream": not strict_subset,
                 }
-                sweep.delta_sources.update(sources)
+                if strict_subset:
+                    sweep.delta_sources.update(sources)
+                else:
+                    # full-source Brandes: stream the running total in the
+                    # serial kernel's ascending source order (inline sweeps only)
+                    sweep.stream = True
+                    sweep.covers_all = True
                 demanding.append(node)
-            elif not pool_sweep:
-                # full-source Brandes: stream the running total in the serial
-                # kernel's ascending source order (inline sweeps only — on a
-                # pool this request keeps its PR-5 serial-kernel fallback)
-                node.demand = {
-                    "kind": "betweenness",
-                    "sources": sources,
-                    "scale": scale,
-                    "stream": True,
-                }
-                sweep.stream = True
-                sweep.covers_all = True
-                demanding.append(node)
+            elif pool_sweep:
+                # shipping one contribution list per source is the price of
+                # bit-identity on a pool; it only pays (and only bounds
+                # traffic) for a strict sample, so this request keeps the
+                # serial kernel (n <= 2 is that kernel's early exit)
+                node.notes = (
+                    "note: betweenness with these parameters is not "
+                    "chunk-parallel eligible (requires sampling a strict "
+                    "subset of sources); running serial kernel",
+                )
     for node in algo_nodes:
         if (
             node.spec.name == "bfs"
@@ -442,11 +446,14 @@ def compile_plan(
     covered = {id(node) for node in demanding}
 
     # -- routing: sweep-covered nodes bypass their kernels; everything else
-    #    keeps the PR-5 scheduler's routes, fallbacks and notes ----------- #
+    #    is "superstep" (vertex-centric program on the pool), "chunks"
+    #    (chunk-parallel kernel on the pool), "task" (whole-graph serial
+    #    kernel on one pool worker) or "inline" (serial kernel on the
+    #    coordinator — always the mode at parallelism == 1) ---------------- #
     symmetric: bool | None = None
     for node in algo_nodes:
         spec, params = node.spec, node.params
-        notes: list[str] = []
+        notes = list(node.notes)
         if node.mode == "incremental":
             continue
         if id(node) in covered:
@@ -485,21 +492,13 @@ def compile_plan(
                         mode = "superstep"
                         if spec.superstep_note:
                             notes.append(spec.superstep_note)
-            elif spec.chunk is not None and (
-                spec.chunk_ok is None or spec.chunk_ok(params, csr)
-            ):
-                mode = "chunks"
             elif spec.chunk is not None:
-                notes.append(
-                    f"note: {spec.name} with these parameters is not "
-                    "chunk-parallel eligible (requires sampling a strict "
-                    "subset of sources); running serial kernel"
-                )
-                mode = "task"
+                mode = "chunks"
             else:
-                notes.append(
-                    f"note: {spec.name} has no superstep program; running serial kernel"
-                )
+                if not notes:  # else the sweep pass already said why
+                    notes.append(
+                        f"note: {spec.name} has no superstep program; running serial kernel"
+                    )
                 mode = "task"
             if oc and mode == "task":
                 # the serial fallback needs the whole graph, which
@@ -512,8 +511,10 @@ def compile_plan(
         node.mode = mode
         node.notes = tuple(notes)
 
-    # -- pool decision: the PR-5 rule over *unique* nodes (deduplicated
-    #    requests no longer count twice), sweep-on-pool counts as chunks -- #
+    # -- pool decision over *unique* nodes (a duplicate request does not
+    #    count twice; sweep-on-pool counts as chunks): one concurrent task
+    #    cannot beat running it inline, so a pool needs a pool-parallel node
+    #    or at least two tasks ------------------------------------------- #
     modes = [node.mode for node in algo_nodes]
     sweep_active = bool(demanding)
     wants_pool = (
@@ -575,7 +576,7 @@ def compile_plan(
 def _accumulate(total: list[float] | None, delta: list[float]) -> list[float]:
     # same per-element left-to-right addition sequence as the serial kernels'
     # accumulation (list or ndarray alike), so the running total stays
-    # bit-identical to the uncompiled path
+    # bit-identical to the betweenness kernel's
     if total is None:
         return [0.0 + value for value in delta]
     return [current + value for current, value in zip(total, delta)]
@@ -611,8 +612,8 @@ def _execute_sweep(
             if source in sweep.dist_sources:
                 sweep.dists[source] = owner.tree_distances(tree)
     else:
-        # pool sweeps never stream (full-source betweenness keeps its PR-5
-        # fallback on pools), so products are independent per source and the
+        # pool sweeps never stream (full-source betweenness keeps the serial
+        # kernel on pools), so products are independent per source and the
         # weighted contiguous split below only balances load
         slices = cost.partition_sweep_sources(
             sweep.sources, sweep.delta_sources, sweep.stream, len(pool.partitions)
@@ -655,7 +656,7 @@ def _finalise_from_sweep(node: Node, sweep: SweepPlan, csr: "CSRGraph") -> Any:
             totals = [0.0] * n
             for source in demand["sources"]:
                 # flat left-to-right re-sum in this request's own global
-                # source order: the PR-5 chunk-merge contract
+                # source order: the serial kernel's addition sequence
                 totals = _accumulate(totals, sweep.deltas[source])
         return csr.decode(
             apply_betweenness_scale(
@@ -670,7 +671,7 @@ def _finalise_from_sweep(node: Node, sweep: SweepPlan, csr: "CSRGraph") -> Any:
 
 
 # --------------------------------------------------------------------------- #
-# compiled execution (the AnalysisPlan.run() body when compilation is on)
+# execution (the AnalysisPlan.run() body)
 # --------------------------------------------------------------------------- #
 def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     """Compile and execute ``plan``, returning its report (see module doc)."""

@@ -100,7 +100,7 @@ class AnalysisResult:
     scheduled: str = "inline"
     #: per-node provenance over this result's dependency closure, in
     #: execution order (snapshot, derived views, shared sweep, the algorithm
-    #: node itself).  Empty for uncompiled runs.
+    #: node itself)
     nodes: tuple[NodeProvenance, ...] = ()
 
     @property
@@ -135,7 +135,7 @@ class AnalysisReport:
     #: store-less tempfile alike) — at most 1 per plan; thread-local delta,
     #: same scoping as :attr:`pool_starts`
     snapshot_writes: int = 0
-    #: DAG nodes the compiled run executed (0 for uncompiled runs)
+    #: DAG nodes this run executed
     nodes_computed: int = 0
     #: reuse events: closure entries that resolved to an already-available
     #: node (CSE hits, duplicate requests, cached snapshots)
@@ -191,7 +191,7 @@ class AnalysisReport:
         return [result.label for result in self.results]
 
     def nodes(self) -> list[NodeProvenance]:
-        """Every distinct DAG node touched by this (compiled) run, in first
+        """Every distinct DAG node touched by this run, in first
         appearance order, with the status of its first consumer — i.e. shared
         nodes show up once, as ``computed`` (or ``reused`` for snapshots that
         came off a cache)."""

@@ -1,40 +1,34 @@
 """Plan-level scheduling: one worker pool, one snapshot file per plan.
 
-PR 4 put every request of an :class:`~repro.session.AnalysisPlan` onto one
-shared snapshot, but ``parallelism > 1`` plans still paid per request: each
-superstep-routed algorithm forked its own worker pool and, on store-less
-sessions, wrote its own tempfile copy of the snapshot, while direct kernels
-never used workers at all.  This module holds the worker-side machinery the
-plan scheduler drives instead:
+An :class:`~repro.session.AnalysisPlan` at ``parallelism > 1`` runs its whole
+batch over one worker pool and one persisted snapshot file, instead of
+forking a pool (and, store-less, writing a tempfile copy of the snapshot)
+per superstep-routed request.  This module holds the worker-side machinery
+the plan executor (:mod:`repro.session.compiler`) drives:
 
 * :class:`PlanWorkerFactory` / :class:`PlanWorker` — one *generic* worker per
   partition, forked once per plan, mmap-loading the plan's single snapshot
-  file.  A worker serves three kinds of work over the run's lifetime:
+  file.  A worker serves four kinds of work over the run's lifetime:
 
   - ``install_program`` + the standard superstep protocol — the
     vertex-centric coordinator installs each superstep-routed request's
     program (shipped by value through the pipe) on the same processes, so a
     plan with three superstep requests forks one pool, not three;
   - ``run_chunk`` — one partition's share of a chunk-parallel direct kernel
-    (see :data:`CHUNK_RUNNERS`); the master merges partials in partition
-    order, which keeps results bit-identical to the serial kernels;
+    (see :data:`CHUNK_RUNNERS`): the worker's ``(lo, hi)`` vertex range,
+    whose integer partial is exact under any regrouping;
+  - ``run_sweep`` — one contiguous slice of the plan's fused source sweep.
+    Merge determinism mirrors the superstep executor's contract: integer
+    stats are exact, float products are shipped as *ordered per-source
+    contribution lists* and re-summed by the master with one flat
+    left-to-right pass in global source order — exactly the serial kernels'
+    accumulation order, so floats are bit-identical, not merely close;
   - ``run_task`` — a whole-graph serial kernel executed on a single worker,
     so independent kernel-only requests run *concurrently* across the worker
     budget instead of sequentially on the master.
 
-* :data:`CHUNK_RUNNERS` — the worker half of the chunk-parallel direct
-  kernels.  Range tasks (triangles, closeness) receive the worker's
-  ``(lo, hi)`` vertex partition; source tasks (sampled betweenness, diameter
-  sweeps) receive their contiguous slice of the master's seeded source list.
-  Merge determinism mirrors the superstep executor's contract: integer
-  partials are exact under any regrouping, float partials are shipped as
-  *ordered per-source contribution lists* and re-summed by the master with
-  one flat left-to-right pass in global source order — exactly the serial
-  kernels' accumulation order, so floats are bit-identical, not merely
-  close.
-
 The master half (routing, pool lifecycle, merges) lives in
-:mod:`repro.session.plan`.
+:mod:`repro.session.compiler`.
 """
 
 from __future__ import annotations
@@ -60,33 +54,9 @@ def _chunk_triangles(csr: CSRGraph, backend: "KernelBackend", payload: Any) -> i
     return backend.count_triangles(csr, lo, hi)
 
 
-def _chunk_closeness(csr: CSRGraph, backend: "KernelBackend", payload: Any) -> list[float]:
-    lo, hi = payload
-    return backend.closeness_centrality(csr, lo, hi)
-
-
-def _chunk_betweenness(
-    csr: CSRGraph, backend: "KernelBackend", payload: Any
-) -> list[list[float]]:
-    # ordered per-source Brandes contributions for this worker's slice of the
-    # master's seeded source list; the master re-sums them in global source
-    # order, replaying the serial kernel's addition sequence exactly
-    return [backend.betweenness_contribution(csr, source) for source in payload]
-
-
-def _chunk_diameter(csr: CSRGraph, backend: "KernelBackend", payload: Any) -> int:
-    best = 0
-    for source in payload:
-        best = max(best, backend.tree_stats(backend.bfs_tree(csr, source))[2])
-    return best
-
-
 #: chunk task name -> worker-side runner
 CHUNK_RUNNERS: dict[str, Callable[[CSRGraph, "KernelBackend", Any], Any]] = {
     "triangles": _chunk_triangles,
-    "closeness": _chunk_closeness,
-    "betweenness": _chunk_betweenness,
-    "diameter": _chunk_diameter,
 }
 
 
@@ -196,7 +166,8 @@ class SharedPoolManager:
     :meth:`acquire` blocks until the pool is free, then hands out the cached
     executor when the *identity key* — snapshot path, snapshot content hash,
     parallelism, worker geometry, backend — still matches, re-forking only on
-    a mismatch (e.g. the dataset was mutated, so the content hash moved).
+    a mismatch (e.g. the dataset was mutated, so the content hash moved) or
+    when a dead worker made the previous plan close the pool.
     The returned ``release`` merely frees the lease; worker processes stay
     alive, keeping their mmap of the snapshot file warm for the next plan.
 
@@ -243,7 +214,8 @@ class SharedPoolManager:
         )
         try:
             self.counters["leases"] += 1
-            if self._pool is None or self._key != key:
+            # a pool whose worker died closed itself mid-plan: replace it
+            if self._pool is None or self._key != key or not self._pool.running:
                 if self._pool is not None:
                     self._pool.close()
                     self._pool = None

@@ -494,7 +494,6 @@ class GraphSession:
         snapshot_cache: str | None = None,
         backend: str | None = None,
         parallelism: int = 1,
-        compile_plans: bool = True,
         warm_pool: bool = False,
         shards: int | None = None,
         memory_budget_mb: float | None = None,
@@ -547,7 +546,6 @@ class GraphSession:
         # with a UsageError message, not at the first kernel call
         self._backend = get_backend(backend)
         self._parallelism = parallelism
-        self._compile_plans = compile_plans
         self._handles: dict[Any, GraphHandle] = {}
         self._wrapped: dict[tuple[int, str | None], GraphHandle] = {}
         # guards the handle memos against concurrent service request threads
@@ -596,13 +594,6 @@ class GraphSession:
         return self._parallelism
 
     @property
-    def compile_plans(self) -> bool:
-        """Whether plans lower through the optimizing compiler by default
-        (:mod:`repro.session.compiler`); ``plan.run(compiled=...)`` overrides
-        per run."""
-        return self._compile_plans
-
-    @property
     def pool_manager(self):
         """The session's :class:`~repro.session.scheduler.SharedPoolManager`
         when constructed with ``warm_pool=True``, else None."""
@@ -632,11 +623,11 @@ class GraphSession:
         when done.
 
         Default sessions fork a fresh pool per plan and ``release`` closes
-        it — exactly the PR-5 lifecycle.  ``warm_pool=True`` sessions (the
-        graph service) keep one pool alive across plans: ``release`` merely
-        returns the lease, and the same worker processes (and their mmap of
-        the snapshot file) serve the next plan, re-forking only when the
-        snapshot's content hash, path, or the worker geometry changes.
+        it.  ``warm_pool=True`` sessions (the graph service) keep one pool
+        alive across plans: ``release`` merely returns the lease, and the
+        same worker processes (and their mmap of the snapshot file) serve
+        the next plan, re-forking only when the snapshot's content hash,
+        path, or the worker geometry changes — or a worker died.
         """
         from repro.session.scheduler import PlanWorkerFactory
 

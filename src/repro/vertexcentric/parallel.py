@@ -185,8 +185,8 @@ class ParallelSuperstepExecutor:
     """
 
     #: cumulative successful :meth:`start` calls in this process — the
-    #: instrumentation the plan-scheduling tests and the fig16 benchmark read
-    #: to assert "one worker pool per plan"
+    #: instrumentation the plan-scheduling tests read to assert "one worker
+    #: pool per plan"
     started_total = 0
 
     def __init__(
@@ -262,19 +262,35 @@ class ParallelSuperstepExecutor:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    @property
+    def running(self) -> bool:
+        """Whether the worker processes are up: False before :meth:`start`
+        and after :meth:`close` — including the close a dead worker forces."""
+        return self._started
+
     # ------------------------------------------------------------------ #
+    def _died(self, worker: int, doing: str) -> VertexCentricError:
+        """Close the pool over a dead worker; the error for the caller to
+        raise.  A dead worker's pipe fails with EOFError after a clean exit
+        and with a raw OSError (broken pipe, connection reset) after a kill —
+        both ends of every exchange catch both."""
+        self.close()
+        return VertexCentricError(f"parallel worker {worker} died {doing}")
+
     def _round(self, command: str, payloads: Sequence[Any]) -> list[Any]:
         if not self._started:
             raise VertexCentricError("executor is not running (call start() first)")
-        for conn, payload in zip(self._conns, payloads):
-            conn.send((command, payload))
+        for k, (conn, payload) in enumerate(zip(self._conns, payloads)):
+            try:
+                conn.send((command, payload))
+            except OSError:
+                raise self._died(k, "mid-superstep") from None
         results = []
         for k, conn in enumerate(self._conns):
             try:
                 status, payload = conn.recv()
-            except EOFError:
-                self.close()
-                raise VertexCentricError(f"parallel worker {k} died mid-superstep") from None
+            except (EOFError, OSError):
+                raise self._died(k, "mid-superstep") from None
             if status != "ok":
                 self.close()
                 raise VertexCentricError(f"compute failed in parallel worker {k}:\n{payload}")
@@ -330,7 +346,10 @@ class ParallelSuperstepExecutor:
             while free and next_task < len(arguments):
                 worker = free.pop()
                 conn = self._conns[worker]
-                conn.send(("call", (method, arguments[next_task])))
+                try:
+                    conn.send(("call", (method, arguments[next_task])))
+                except OSError:
+                    raise self._died(worker, f"running task {next_task}") from None
                 pending[conn] = (next_task, worker)
                 next_task += 1
             if not pending:
@@ -339,11 +358,8 @@ class ParallelSuperstepExecutor:
                 index, worker = pending.pop(conn)
                 try:
                     status, payload = conn.recv()
-                except EOFError:
-                    self.close()
-                    raise VertexCentricError(
-                        f"parallel worker {worker} died running task {index}"
-                    ) from None
+                except (EOFError, OSError):
+                    raise self._died(worker, f"running task {index}") from None
                 if status != "ok":
                     self.close()
                     raise VertexCentricError(

@@ -207,18 +207,18 @@ class TestMaintainers:
 
 
 # --------------------------------------------------------------------------- #
-# session wiring: scheduler path and compiler path, both backends
+# session wiring, both backends
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend_name", BACKENDS)
-@pytest.mark.parametrize("compiled", [False, True], ids=["scheduler", "compiler"])
+# (ids keep the "compiler-" prefix these cases have always had)
+@pytest.mark.parametrize(
+    "backend_name", BACKENDS, ids=[f"compiler-{name}" for name in BACKENDS]
+)
 class TestSessionEquivalence:
-    def test_refresh_then_serve_matches_cold_rebuild(self, backend_name, compiled):
+    def test_refresh_then_serve_matches_cold_rebuild(self, backend_name):
         edges = _random_symmetric_edges(40, 60, seed=7)
         source = _source_vertex(edges)
         graph = JournaledGraph(_build(edges))
-        session = GraphSession(
-            Database("inc"), backend=backend_name, compile_plans=compiled
-        )
+        session = GraphSession(Database("inc"), backend=backend_name)
         handle = session.wrap(graph)
 
         def plan():
@@ -248,9 +248,7 @@ class TestSessionEquivalence:
         assert warm.journal["pending"] == warm.journal["total"] > 0
 
         # equivalence against a cold rebuild + recompute of the mutated graph
-        cold_session = GraphSession(
-            Database("inc-cold"), backend=backend_name, compile_plans=compiled
-        )
+        cold_session = GraphSession(Database("inc-cold"), backend=backend_name)
         cold_handle = cold_session.wrap(graph.inner)
         reference = (
             cold_handle.analyze()
@@ -262,14 +260,12 @@ class TestSessionEquivalence:
         assert warm["bfs"].values == reference["bfs"].values
         assert _linf(warm["pagerank"].values, reference["pagerank"].values) <= 1e-9
 
-    def test_serve_without_refresh(self, backend_name, compiled):
+    def test_serve_without_refresh(self, backend_name):
         # a plan run straight after mutations serves incrementally too:
         # refresh() is a convenience, not a prerequisite
         edges = _random_symmetric_edges(30, 45, seed=9)
         graph = JournaledGraph(_build(edges))
-        session = GraphSession(
-            Database("inc2"), backend=backend_name, compile_plans=compiled
-        )
+        session = GraphSession(Database("inc2"), backend=backend_name)
         handle = session.wrap(graph)
         handle.analyze().components().run()
         _mutate(graph, 5, 36, seed=31)

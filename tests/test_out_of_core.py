@@ -12,8 +12,7 @@ The contract under test (PR 8's tentpole):
   budget every entry stays ≤ the budget);
 * provenance says what happened: ``snapshot_source="shard-mmap"`` and a
   shard count on out-of-core superstep results, plain handle provenance on
-  inline fallbacks — identically for the uncompiled scheduler and the plan
-  compiler;
+  inline fallbacks;
 * the warm pool keys on shard geometry, and the service codec round-trips
   the new provenance fields.
 """
@@ -60,10 +59,8 @@ def graph():
     )["C-DUP"]
 
 
-def _session(backend, compile_plans, **kwargs):
-    return GraphSession(
-        Database("ooc"), backend=backend, compile_plans=compile_plans, **kwargs
-    )
+def _session(backend, **kwargs):
+    return GraphSession(Database("ooc"), backend=backend, **kwargs)
 
 
 def _full_plan(handle, source):
@@ -76,32 +73,28 @@ def _full_plan(handle, source):
 
 
 # --------------------------------------------------------------------------- #
-# bit-identity: out-of-core == monolithic, every algorithm x backend x path
+# bit-identity: out-of-core == monolithic, every algorithm x backend
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("compile_plans", [False, True], ids=["scheduler", "compiler"])
+# (ids keep the "compiler-" prefix these cases have always had)
+@pytest.mark.parametrize("backend", BACKENDS, ids=[f"compiler-{name}" for name in BACKENDS])
 class TestOutOfCoreDeterminism:
-    def test_sharded_plan_bit_identical_to_monolithic(
-        self, graph, backend, compile_plans
-    ):
+    def test_sharded_plan_bit_identical_to_monolithic(self, graph, backend):
         source = sorted(graph.get_vertices(), key=repr)[0]
         # the monolithic reference runs the same engines (parallelism=3 puts
         # superstep algorithms on the superstep engine there too), so every
         # label compares like for like
-        with _session(backend, compile_plans, parallelism=3) as reference_session:
+        with _session(backend, parallelism=3) as reference_session:
             reference = _full_plan(reference_session.wrap(graph), source).run()
-        with _session(backend, compile_plans, shards=3) as session:
+        with _session(backend, shards=3) as session:
             assert session.out_of_core
             report = _full_plan(session.wrap(graph), source).run()
         for serial, sharded in zip(reference, report):
             assert sharded.label == serial.label
             assert sharded.values == serial.values
 
-    def test_superstep_results_carry_shard_provenance(
-        self, graph, backend, compile_plans
-    ):
+    def test_superstep_results_carry_shard_provenance(self, graph, backend):
         source = sorted(graph.get_vertices(), key=repr)[0]
-        with _session(backend, compile_plans, shards=3) as session:
+        with _session(backend, shards=3) as session:
             report = _full_plan(session.wrap(graph), source).run()
         for result in report:
             if result.engine == "superstep":
@@ -109,7 +102,7 @@ class TestOutOfCoreDeterminism:
                 assert result.provenance.shards == 3
                 assert result.provenance.parallelism == 3
             else:
-                # whole-graph algorithms (and, compiled, sweep-covered bfs)
+                # whole-graph algorithms (and sweep-covered bfs)
                 # run on the coordinator, never on shard-local workers
                 assert result.engine == "kernel"
                 assert result.scheduled == "inline"
@@ -134,7 +127,7 @@ class TestOutOfCoreDeterminism:
 # --------------------------------------------------------------------------- #
 class TestWorkerMemory:
     def test_worker_memory_reports_per_shard_mappings(self, graph):
-        with _session(None, True, shards=3) as session:
+        with _session(None, shards=3) as session:
             handle = session.wrap(graph)
             report = handle.analyze().add("pagerank").run()
             whole = snapshot_payload_bytes(handle.snapshot())
@@ -151,7 +144,7 @@ class TestWorkerMemory:
 
     def test_memory_budget_caps_every_worker(self, graph):
         budget_mb = 0.002  # ~2 KiB: far below this graph's payload
-        with _session(None, True, memory_budget_mb=budget_mb) as session:
+        with _session(None, memory_budget_mb=budget_mb) as session:
             handle = session.wrap(graph)
             assert snapshot_payload_bytes(handle.snapshot()) > budget_mb * 1024 * 1024
             report = handle.analyze().add("pagerank").add("components").run()
@@ -161,7 +154,7 @@ class TestWorkerMemory:
             assert entry["mapped_bytes"] <= int(budget_mb * 1024 * 1024)
 
     def test_monolithic_runs_report_no_worker_memory(self, graph):
-        with _session(None, True, parallelism=2) as session:
+        with _session(None, parallelism=2) as session:
             report = session.wrap(graph).analyze().add("pagerank").run()
         assert report.worker_memory == []
         assert report.provenance.shards == 0
@@ -189,7 +182,7 @@ class TestSessionConfiguration:
     def test_threshold_session_stays_monolithic_under_budget(self, graph):
         # a generous budget: the snapshot fits, so no sharding happens and
         # plans run exactly like a plain store-backed session
-        with _session(None, True, memory_budget_mb=64) as session:
+        with _session(None, memory_budget_mb=64) as session:
             report = session.wrap(graph).analyze().add("pagerank").run()
         assert report.provenance.shards == 0
         assert report.worker_memory == []
@@ -215,7 +208,7 @@ class TestCodecRoundTrip:
     def test_report_with_shard_provenance_round_trips(self, graph):
         from repro.service.codec import decode_report, dumps, encode_report, loads
 
-        with _session(None, True, shards=3) as session:
+        with _session(None, shards=3) as session:
             report = session.wrap(graph).analyze().add("pagerank").add("triangles").run()
         decoded = decode_report(loads(dumps(encode_report(report))))
         assert decoded.provenance == report.provenance
@@ -230,7 +223,7 @@ class TestCodecRoundTrip:
         # results); the out-of-core evidence must survive that reassembly
         from repro.service import GraphService
 
-        with _session(None, True, shards=3) as session:
+        with _session(None, shards=3) as session:
             service = GraphService(session, session.wrap(graph))
             report = service.analyze({"algorithm": "pagerank"})
             assert report.provenance.shards == 3

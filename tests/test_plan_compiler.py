@@ -1,12 +1,15 @@
-"""Plan-compiler tests: CSE, shared sweeps, provenance, and compiled-vs-naive
-bit-identity.
+"""Plan-compiler tests: CSE, shared sweeps, provenance, routing, and
+bit-identity with the per-request kernel runners.
 
 The compiler's contract (:mod:`repro.session.compiler`) is that lowering a
 plan into a deduplicated node DAG changes *scheduling*, never *values*:
 
-* the full compiled-vs-uncompiled matrix — every registry algorithm on both
-  kernel backends at parallelism 1 / 2 / 4 — asserts exact equality, floats
-  included (``==``, no tolerance);
+* the reference matrix — every registry algorithm on symmetric and directed
+  graphs, both kernel backends, parallelism 1 / 2 / 4 — asserts each result
+  equals ``PLAN_ALGORITHMS[name].kernel(csr, backend, params)`` exactly,
+  floats included (``==``, no tolerance);
+* how each request was routed (engine, scheduling, notes, pool starts,
+  snapshot writes, shard provenance) is pinned by a literal table;
 * CSE is regression-tested at the node level through the compiler's
   instrumentation counters: a ``closeness + diameter + betweenness`` batch
   performs the BFS/Brandes sweep **once** (``sweep_traversals`` moves by
@@ -19,6 +22,8 @@ plan into a deduplicated node DAG changes *scheduling*, never *values*:
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.exceptions import RepresentationError, UsageError
@@ -26,7 +31,8 @@ from repro.graph import snapshot_store
 from repro.graph.backend import get_backend, numpy_available
 from repro.graph import CDupGraph
 from repro.relational.database import Database
-from repro.session import GraphSession, NodeProvenance
+from repro.session import AnalysisPlan, GraphSession, NodeProvenance
+from repro.session.plan import PLAN_ALGORITHMS
 from repro.session.compiler import (
     BRANDES_FACTOR,
     CompilerCounters,
@@ -42,8 +48,16 @@ BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 
 @pytest.fixture(scope="module")
-def family():
-    return build_parity_family("symmetric", seed=47, num_real=36, num_virtual=12, max_size=6)
+def families():
+    return {
+        kind: build_parity_family(kind, seed=47, num_real=36, num_virtual=12, max_size=6)
+        for kind in ("symmetric", "directed")
+    }
+
+
+@pytest.fixture(scope="module")
+def family(families):
+    return families["symmetric"]
 
 
 def _session(parallelism, backend, **kwargs):
@@ -71,35 +85,168 @@ def _counters():
 
 
 # --------------------------------------------------------------------------- #
-# bit-identity: compiled == uncompiled, every algorithm x backend x parallelism
+# bit-identity: plan == per-request kernel runner, every algorithm x graph
+# kind x backend x parallelism
 # --------------------------------------------------------------------------- #
+def _assert_matches_kernel_runners(report, csr, backend):
+    """Every result equals its registry kernel runner exactly — the entry
+    points ``tests/test_api_compat.py`` pins the free functions to.  Returns
+    how many results were skipped as the one documented approximation
+    (default-parameter pagerank on the fixed-iteration superstep engine)."""
+    approximate = 0
+    for result in report:
+        if result.engine == "superstep" and result.notes:
+            assert result.algorithm == "pagerank"
+            approximate += 1
+            continue
+        want = PLAN_ALGORITHMS[result.algorithm].kernel(csr, get_backend(backend), result.params)
+        assert result.values == want, f"{result.label} diverged from its kernel runner"
+    return approximate
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("parallelism", [1, 2, 4])
-def test_compiled_matches_uncompiled_exactly(family, backend, parallelism):
-    """The full registry (floats included) at the same parallelism: values,
-    labels, engines, notes and scheduling are all identical — the compiler
-    only deduplicates and shares work."""
-    graph = family["C-DUP"]
+@pytest.mark.parametrize("kind", ["symmetric", "directed"])
+def test_plan_matches_per_request_kernel_runners_exactly(families, kind, backend, parallelism):
+    graph = families[kind]["C-DUP"]
     source = sorted(graph.get_vertices(), key=repr)[0]
-    compiled = _full_plan(_session(parallelism, backend).wrap(graph), source).run(
-        compiled=True
-    )
-    naive = _full_plan(_session(parallelism, backend).wrap(graph), source).run(
-        compiled=False
-    )
-    assert compiled.labels() == naive.labels()
-    for got, want in zip(compiled, naive):
-        assert got.values == want.values, (
-            f"{got.label} x{parallelism} on {backend} diverged from the "
-            "uncompiled plan"
-        )
-        assert got.engine == want.engine, got.label
-        assert got.scheduled == want.scheduled, got.label
-        assert got.notes == want.notes, got.label
-        assert got.provenance.parallelism == want.provenance.parallelism, got.label
-    # uncompiled runs carry no node provenance; compiled runs always do
-    assert all(result.nodes == () for result in naive)
-    assert all(result.nodes for result in compiled)
+    handle = _session(parallelism, backend).wrap(graph)
+    report = _full_plan(handle, source).run()
+    approximate = _assert_matches_kernel_runners(report, handle.snapshot(), backend)
+    assert approximate == (1 if kind == "symmetric" and parallelism > 1 else 0)
+    assert all(result.nodes for result in report)
+
+
+# --------------------------------------------------------------------------- #
+# routing: a literal table (captured before the per-request executor was
+# deleted, when both executors were asserted to agree on it) — label ->
+# (engine, scheduled, provenance.parallelism, one substring per note)
+# --------------------------------------------------------------------------- #
+P = "the session's parallelism"
+NO_PROGRAM = "has no superstep program; running serial kernel"
+NEEDS_SYMMETRIC = "superstep program requires a symmetric graph; running serial kernel"
+CUSTOM_CONVERGENCE = "pagerank with custom max_iterations/tolerance runs on the serial kernel"
+FIXED_ITERATIONS = "pagerank via the superstep engine (20 fixed iterations)"
+STRICT_SUBSET = "not chunk-parallel eligible (requires sampling a strict subset of sources)"
+WHOLE_GRAPH = "needs whole-graph adjacency, which out-of-core workers do not map"
+OWN_SHARD = "out-of-core workers map only their own shard; running inline on the coordinator"
+
+ROUTING_POOLED = {  # parallelism 2 and 4: pool_starts == snapshot_writes == 1
+    "symmetric": {
+        "degree": ("superstep", "pool", P, ()),
+        "pagerank": ("superstep", "pool", P, (FIXED_ITERATIONS,)),
+        "pagerank#2": ("kernel", "pool", 1, (CUSTOM_CONVERGENCE,)),
+        "components": ("superstep", "pool", P, ()),
+        "bfs": ("superstep", "pool", P, ()),
+        "kcore": ("kernel", "pool", 1, (NO_PROGRAM,)),
+        "triangles": ("chunks", "pool", P, ()),
+        "clustering": ("kernel", "pool", 1, (NO_PROGRAM,)),
+        "label_propagation": ("kernel", "pool", 1, (NO_PROGRAM,)),
+        "closeness": ("chunks", "pool", P, ()),
+        "betweenness": ("chunks", "pool", P, ()),
+        "betweenness#2": ("kernel", "pool", 1, (STRICT_SUBSET,)),
+        "diameter": ("chunks", "pool", P, ()),
+        "link_predictions": ("kernel", "pool", 1, (NO_PROGRAM,)),
+    },
+    "directed": {
+        "degree": ("superstep", "pool", P, ()),
+        "pagerank": ("kernel", "pool", 1, (NEEDS_SYMMETRIC,)),
+        "pagerank#2": ("kernel", "pool", 1, (CUSTOM_CONVERGENCE,)),
+        "components": ("kernel", "pool", 1, (NEEDS_SYMMETRIC,)),
+        "bfs": ("kernel", "pool", 1, (NEEDS_SYMMETRIC,)),
+        "kcore": ("kernel", "pool", 1, (NO_PROGRAM,)),
+        "triangles": ("chunks", "pool", P, ()),
+        "clustering": ("kernel", "pool", 1, (NO_PROGRAM,)),
+        "label_propagation": ("kernel", "pool", 1, (NO_PROGRAM,)),
+        "closeness": ("chunks", "pool", P, ()),
+        "betweenness": ("chunks", "pool", P, ()),
+        "betweenness#2": ("kernel", "pool", 1, (STRICT_SUBSET,)),
+        "diameter": ("chunks", "pool", P, ()),
+        "link_predictions": ("kernel", "pool", 1, (NO_PROGRAM,)),
+    },
+}
+#: parallelism == 1, either graph kind: pool_starts == snapshot_writes == 0
+ROUTING_INLINE = {label: ("kernel", "inline", 1, ()) for label in ROUTING_POOLED["symmetric"]}
+#: ``shards=3`` sessions: only superstep programs leave the coordinator (3
+#: workers, one shard each, ``snapshot_source == "shard-mmap"``); the sweep
+#: (closeness, both betweenness, diameter — and bfs riding along) runs inline
+#: without a note; pool_starts == snapshot_writes == 1
+ROUTING_OUT_OF_CORE = {
+    "symmetric": {
+        "degree": ("superstep", "pool", 3, ()),
+        "pagerank": ("superstep", "pool", 3, (FIXED_ITERATIONS,)),
+        "pagerank#2": ("kernel", "inline", 1, (CUSTOM_CONVERGENCE, OWN_SHARD)),
+        "components": ("superstep", "pool", 3, ()),
+        "bfs": ("kernel", "inline", 1, ()),
+        "kcore": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "triangles": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "clustering": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "label_propagation": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "closeness": ("kernel", "inline", 1, ()),
+        "betweenness": ("kernel", "inline", 1, ()),
+        "betweenness#2": ("kernel", "inline", 1, ()),
+        "diameter": ("kernel", "inline", 1, ()),
+        "link_predictions": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+    },
+    "directed": {
+        "degree": ("superstep", "pool", 3, ()),
+        "pagerank": ("kernel", "inline", 1, (NEEDS_SYMMETRIC, OWN_SHARD)),
+        "pagerank#2": ("kernel", "inline", 1, (CUSTOM_CONVERGENCE, OWN_SHARD)),
+        "components": ("kernel", "inline", 1, (NEEDS_SYMMETRIC, OWN_SHARD)),
+        "bfs": ("kernel", "inline", 1, ()),
+        "kcore": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "triangles": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "clustering": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "label_propagation": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+        "closeness": ("kernel", "inline", 1, ()),
+        "betweenness": ("kernel", "inline", 1, ()),
+        "betweenness#2": ("kernel", "inline", 1, ()),
+        "diameter": ("kernel", "inline", 1, ()),
+        "link_predictions": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
+    },
+}
+
+
+def _assert_routed(report, table, parallelism):
+    assert report.labels() == list(table)
+    for result in report:
+        engine, scheduled, workers, notes = table[result.label]
+        assert (result.engine, result.scheduled) == (engine, scheduled), result.label
+        assert result.provenance.parallelism == (parallelism if workers is P else workers)
+        assert len(result.notes) == len(notes), (result.label, result.notes)
+        assert all(want in got for want, got in zip(notes, result.notes)), result.label
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("parallelism", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["symmetric", "directed"])
+def test_routing_matches_the_literal_table(families, kind, backend, parallelism):
+    graph = families[kind]["C-DUP"]
+    source = sorted(graph.get_vertices(), key=repr)[0]
+    report = _full_plan(_session(parallelism, backend).wrap(graph), source).run()
+    pooled = parallelism > 1
+    _assert_routed(report, ROUTING_POOLED[kind] if pooled else ROUTING_INLINE, parallelism)
+    assert (report.pool_starts, report.snapshot_writes) == ((1, 1) if pooled else (0, 0))
+    assert all(result.provenance.shards == 0 for result in report)
+    assert report.provenance.parallelism == parallelism
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["symmetric", "directed"])
+def test_out_of_core_routing_matches_the_literal_table(families, kind, backend):
+    graph = families[kind]["C-DUP"]
+    source = sorted(graph.get_vertices(), key=repr)[0]
+    with GraphSession(Database("compiler"), backend=backend, shards=3) as session:
+        report = _full_plan(session.wrap(graph), source).run()
+    _assert_routed(report, ROUTING_OUT_OF_CORE[kind], None)
+    for result in report:
+        sharded = result.engine == "superstep"
+        assert result.provenance.shards == (3 if sharded else 0), result.label
+        assert (result.provenance.snapshot_source == "shard-mmap") == sharded, result.label
+    assert (report.pool_starts, report.snapshot_writes) == (1, 1)
+    assert report.provenance.snapshot_source == "shard-mmap"
+    assert (report.provenance.shards, report.provenance.parallelism) == (3, 1)
+    assert len(report.worker_memory) == 3
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -108,8 +255,8 @@ def test_compiled_parallel_matches_compiled_serial(family, backend):
     partition-order merge is the serial sweep's order)."""
     graph = family["EXP"]
     source = sorted(graph.get_vertices(), key=repr)[0]
-    serial = _full_plan(_session(1, backend).wrap(graph), source).run(compiled=True)
-    parallel = _full_plan(_session(4, backend).wrap(graph), source).run(compiled=True)
+    serial = _full_plan(_session(1, backend).wrap(graph), source).run()
+    parallel = _full_plan(_session(4, backend).wrap(graph), source).run()
     for got, want in zip(parallel, serial):
         if got.engine == "superstep" and got.notes:
             continue  # default-parameter pagerank: documented approximation
@@ -130,12 +277,12 @@ def test_sweep_is_shared_across_closeness_diameter_betweenness(family, backend):
         .closeness()
         .diameter(samples=5, seed=1)
         .betweenness(sample_size=7, seed=2)
-        .run(compiled=True)
+        .run()
     )
     plans, computed, _, swept = (now - then for now, then in zip(_counters(), before))
     assert plans == 1
-    # ONE traversal per vertex serves all three requests; the naive path pays
-    # n (closeness) + 5 (diameter) + 7 (betweenness) traversals
+    # ONE traversal per vertex serves all three requests; run one by one the
+    # kernels pay n (closeness) + 5 (diameter) + 7 (betweenness) traversals
     assert swept == n
     # nodes executed: the sweep + three finalisers (snapshot was a cache hit
     # from the n probe above, so it is not computed by this plan)
@@ -164,7 +311,7 @@ def test_duplicate_requests_compute_once_and_report_reused(family, backend):
         .pagerank(max_iterations=9, tolerance=0.0)
         .pagerank(max_iterations=9, tolerance=0.0)
         .pagerank(max_iterations=10, tolerance=0.0)
-        .run(compiled=True)
+        .run()
     )
     _, computed, reused, _ = (now - then for now, then in zip(_counters(), before))
     # two distinct pagerank nodes executed; the duplicate resolved to the first
@@ -189,20 +336,20 @@ def test_bfs_joins_the_sweep_only_when_it_covers_every_source(family):
         .analyze()
         .closeness()
         .bfs(source=source)
-        .run(compiled=True)
+        .run()
     )
     assert any(node.kind == "sweep" for node in report["bfs"].nodes)
     assert report["bfs"].nodes[-1].status == "computed"
     # without a covering demand, bfs keeps its own kernel
     lone = (
-        _session(1, "python").wrap(graph).analyze().bfs(source=source).run(compiled=True)
+        _session(1, "python").wrap(graph).analyze().bfs(source=source).run()
     )
     assert not any(node.kind == "sweep" for node in lone["bfs"].nodes)
 
 
 def test_full_source_betweenness_streams_through_the_sweep_serially(family):
     """Unsampled betweenness joins the sweep at parallelism 1 (streamed
-    running total in serial source order) but keeps its PR-5 serial-kernel
+    running total in serial source order) but keeps its serial-kernel
     fallback and note on pools."""
     graph = family["C-DUP"]
     serial = (
@@ -211,7 +358,7 @@ def test_full_source_betweenness_streams_through_the_sweep_serially(family):
         .analyze()
         .closeness()
         .betweenness()
-        .run(compiled=True)
+        .run()
     )
     assert any(node.kind == "sweep" for node in serial["betweenness"].nodes)
     parallel = (
@@ -220,7 +367,7 @@ def test_full_source_betweenness_streams_through_the_sweep_serially(family):
         .analyze()
         .closeness()
         .betweenness()
-        .run(compiled=True)
+        .run()
     )
     assert not any(node.kind == "sweep" for node in parallel["betweenness"].nodes)
     assert parallel["betweenness"].engine == "kernel"
@@ -233,7 +380,7 @@ def test_derived_view_nodes_are_shared_and_attributed_once(family, backend):
     graph = family["C-DUP"]
     handle = _session(1, backend).wrap(graph)
     report = (
-        handle.analyze().kcore().triangles().clustering().run(compiled=True)
+        handle.analyze().kcore().triangles().clustering().run()
     )
     und = {
         result.label: [node for node in result.nodes if node.key == "und-csr"]
@@ -253,7 +400,7 @@ def test_derived_view_nodes_are_shared_and_attributed_once(family, backend):
 def test_compiled_plan_keeps_one_pool_and_one_snapshot_file(family):
     graph = family["C-DUP"]
     source = sorted(graph.get_vertices(), key=repr)[0]
-    report = _full_plan(_session(4, "python").wrap(graph), source).run(compiled=True)
+    report = _full_plan(_session(4, "python").wrap(graph), source).run()
     assert report.pool_starts == 1
     assert report.snapshot_writes <= 1
 
@@ -269,7 +416,7 @@ def test_compiled_serial_plan_never_forks_or_writes(family):
         .closeness()
         .diameter()
         .betweenness(sample_size=5)
-        .run(compiled=True)
+        .run()
     )
     assert report.pool_starts == 0
     assert report.snapshot_writes == 0
@@ -277,25 +424,19 @@ def test_compiled_serial_plan_never_forks_or_writes(family):
     assert snapshot_store.SAVE_COUNT == writes_before
 
 
-def test_session_compile_plans_flag_and_per_run_override(family):
-    graph = family["C-DUP"]
-    session = _session(1, "python", compile_plans=False)
-    assert session.compile_plans is False
-    handle = session.wrap(graph)
-    plain = handle.analyze().degree().run()
-    assert all(result.nodes == () for result in plain)
-    forced = handle.analyze().degree().run(compiled=True)
-    assert all(result.nodes for result in forced)
-    assert forced["degree"].values == plain["degree"].values
+def test_there_is_one_executor_and_no_switch():
+    assert list(inspect.signature(AnalysisPlan.run).parameters) == ["self"]
+    assert not any("compile" in name for name in inspect.signature(GraphSession).parameters)
+    assert not hasattr(AnalysisPlan, "_route")
 
 
 def test_compiled_caller_mistakes_keep_their_types(family):
     graph = family["C-DUP"]
     handle = _session(1, "python").wrap(graph)
     with pytest.raises(RepresentationError, match="not in the graph"):
-        handle.analyze().closeness().bfs(source="nope").run(compiled=True)
+        handle.analyze().closeness().bfs(source="nope").run()
     with pytest.raises(UsageError, match="empty"):
-        handle.analyze().run(compiled=True)
+        handle.analyze().run()
 
 
 def test_compiled_empty_and_tiny_graphs_fall_back_to_inline_kernels():
@@ -305,14 +446,8 @@ def test_compiled_empty_and_tiny_graphs_fall_back_to_inline_kernels():
     tiny.add_real_node(0)
     tiny.add_real_node(1)
     handle = _session(1, "python").wrap(CDupGraph(tiny))
-    report = (
-        handle.analyze().closeness().betweenness().diameter().run(compiled=True)
-    )
-    naive = (
-        handle.analyze().closeness().betweenness().diameter().run(compiled=False)
-    )
-    for got, want in zip(report, naive):
-        assert got.values == want.values, got.label
+    report = handle.analyze().closeness().betweenness().diameter().run()
+    assert _assert_matches_kernel_runners(report, handle.snapshot(), "python") == 0
     # n <= 2 betweenness is the kernel's early-exit, not a sweep product
     assert not any(node.kind == "sweep" for node in report["betweenness"].nodes)
 
@@ -328,7 +463,7 @@ def test_node_provenance_shape_and_summary(family):
         .analyze()
         .closeness()
         .closeness()
-        .run(compiled=True)
+        .run()
     )
     first, second = report.results
     assert [node.kind for node in first.nodes] == ["snapshot", "sweep", "algo"]
@@ -354,10 +489,10 @@ def test_snapshot_node_reports_cache_reuse():
         build_symmetric_condensed(seed=13, num_real=12, num_virtual=4, max_size=4)
     )
     handle = _session(1, "python").wrap(graph)
-    fresh = handle.analyze().degree().run(compiled=True)
+    fresh = handle.analyze().degree().run()
     assert fresh[0].nodes[0].key == "snapshot"
     assert fresh[0].nodes[0].status == "computed"
-    warm = handle.analyze().degree().run(compiled=True)
+    warm = handle.analyze().degree().run()
     assert warm[0].nodes[0].status == "reused"
     assert warm.provenance.snapshot_source == "cache-hit"
 

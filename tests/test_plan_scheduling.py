@@ -27,6 +27,7 @@ from repro.graph.backend import numpy_available
 from repro.relational.database import Database
 from repro.session import GraphSession
 from repro.vertexcentric.parallel import ParallelSuperstepExecutor
+from repro.vertexcentric.programs import run_connected_components, run_degree, run_sssp
 
 from tests.conftest import build_parity_family
 
@@ -162,6 +163,28 @@ class TestOnePoolOneSnapshotPerPlan:
         assert report.pool_starts == 1
         assert report.snapshot_writes == 1
         assert sum(1 for r in report if r.engine == "superstep") == 3
+
+    def test_free_functions_pay_one_pool_and_one_tempfile_per_call(self, families):
+        """What the plan amortises: the same three programs as back-to-back
+        free ``run_*(parallelism=4)`` calls fork three pools and write three
+        tempfile snapshot copies (fig16's counter row, ``1 vs 3``)."""
+        graph = families["symmetric"]["EXP"]
+        source = sorted(graph.get_vertices(), key=repr)[0]
+        pools_before = ParallelSuperstepExecutor.started_total
+        writes_before = snapshot_store.SAVE_COUNT
+        degree, _ = run_degree(graph, parallelism=4)
+        components, _ = run_connected_components(graph, parallelism=4)
+        distances, _ = run_sssp(graph, source, parallelism=4)
+        assert ParallelSuperstepExecutor.started_total - pools_before == 3
+        assert snapshot_store.SAVE_COUNT - writes_before == 3
+        report = (
+            _session(4, "python").wrap(graph)
+            .analyze().degree().components().bfs(source=source).run()
+        )
+        assert (report.pool_starts, report.snapshot_writes) == (1, 1)
+        assert report["degree"].values == degree
+        assert set(report["components"].values) == set(components)
+        assert report["bfs"].values == {v: d for v, d in distances.items() if d is not None}
 
     def test_three_algorithm_parallelism_4_plan_acceptance(self, families, tmp_path):
         """The acceptance shape: a 3-algorithm parallelism=4 plan forks

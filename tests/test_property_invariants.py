@@ -15,7 +15,10 @@ These cover the pipeline-level guarantees:
 * the dynamic maintainers (``repro.incremental``), on either backend and
   over any sequence of journal windows, return what a cold recompute of the
   current snapshot returns — or refuse exactly where the repair would not
-  be exact.
+  be exact;
+* an analysis plan — any request list over the whole registry, duplicates
+  included — returns for every request exactly what that request's kernel
+  runner returns alone, traversing each source at most once.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms.bfs import distances_kernel
 from repro.algorithms.connected_components import components_kernel
 from repro.algorithms.pagerank import pagerank_kernel
+from repro.algorithms.similarity import SCORE_NAMES
 from repro.core import ExtractionOptions, GraphGen
 from repro.dedup import deduplicate_dedup1, preprocess_bitmap
 from repro.graph import (
@@ -44,6 +48,8 @@ from repro.incremental import MAINTAINERS, build_delta_view
 from repro.relational.csv_io import write_database
 from repro.relational.database import Database
 from repro.session import GraphSession
+from repro.session.compiler import CompilerCounters
+from repro.session.plan import PLAN_ALGORITHMS
 
 
 # --------------------------------------------------------------------------- #
@@ -70,16 +76,19 @@ def author_pub_database(draw):
 
 
 @st.composite
-def random_condensed(draw):
-    """A random single-layer condensed graph (possibly with direct edges)."""
-    num_real = draw(st.integers(2, 15))
+def random_condensed(draw, min_real=2, symmetric=False):
+    """A random single-layer condensed graph (possibly with direct edges,
+    self-loops and isolated vertices); ``symmetric`` mirrors every edge."""
+    num_real = draw(st.integers(min_real, 15))
     graph = CondensedGraph()
     for node in range(num_real):
         graph.add_real_node(node)
-    num_virtual = draw(st.integers(0, 6))
+    num_virtual = draw(st.integers(0, 6)) if num_real else 0
     for label in range(num_virtual):
         in_side = draw(st.lists(st.integers(0, num_real - 1), min_size=1, max_size=5, unique=True))
-        out_side = draw(st.lists(st.integers(0, num_real - 1), min_size=1, max_size=5, unique=True))
+        out_side = in_side if symmetric else draw(
+            st.lists(st.integers(0, num_real - 1), min_size=1, max_size=5, unique=True)
+        )
         virtual = graph.add_virtual_node(("v", label))
         for node in in_side:
             graph.add_edge(graph.internal(node), virtual)
@@ -90,9 +99,13 @@ def random_condensed(draw):
             st.tuples(st.integers(0, num_real - 1), st.integers(0, num_real - 1)),
             max_size=10,
         )
+        if num_real
+        else st.just(set())
     )
     for source, target in direct:
         graph.add_edge(graph.internal(source), graph.internal(target))
+        if symmetric:
+            graph.add_edge(graph.internal(target), graph.internal(source))
     return graph
 
 
@@ -186,6 +199,10 @@ def _assert_same_answers(left, right, tolerance=1e-9):
         assert left.keys() == right.keys()
         for key in left:
             _assert_same_answers(left[key], right[key], tolerance)
+    elif isinstance(left, list):
+        assert len(left) == len(right)
+        for ours, theirs in zip(left, right):
+            _assert_same_answers(ours, theirs, tolerance)
     else:
         assert left == right
 
@@ -339,3 +356,84 @@ def test_property_maintained_results_equal_a_cold_recompute(case):
         # like the session: carry what was maintained, recompute what was refused
         prev = {name: maintained.get(name, cold[name]) for name in MAINTAINERS}
         before = csr
+
+
+# --------------------------------------------------------------------------- #
+# analysis plans: every request == its kernel runner alone, numpy == python
+# --------------------------------------------------------------------------- #
+@st.composite
+def plans_over_condensed(draw):
+    """A condensed graph (directed or symmetric; ``n`` from 0 up) and a
+    request list drawn from the whole registry with generated parameters:
+    bfs with and without ``max_depth``; unsampled, sampled and oversampled
+    betweenness; diameter up to ``samples >= n`` — with or without the
+    closeness / full-betweenness demand that makes the sweep cover every
+    source — then some of the requests repeated."""
+    condensed = draw(random_condensed(min_real=0, symmetric=draw(st.booleans())))
+    n = condensed.num_real_nodes
+    seeds = st.integers(0, 3)
+    choices = [
+        st.tuples(st.sampled_from(["degree", "components", "kcore", "triangles", "clustering"]),
+                  st.just({})),
+        st.just(("closeness", {})),
+        st.just(("pagerank", {})),
+        st.tuples(st.just("pagerank"), st.fixed_dictionaries({
+            "damping": st.sampled_from([0.5, 0.85, 0.9]),
+            "max_iterations": st.integers(1, 12),
+            "tolerance": st.just(0.0),
+        })),
+        st.tuples(st.just("label_propagation"), st.fixed_dictionaries({
+            "max_iterations": st.integers(1, 6), "seed": seeds,
+        })),
+        st.tuples(st.just("betweenness"), st.fixed_dictionaries({
+            "normalized": st.booleans(),
+            "sample_size": st.none() | st.integers(1, n + 3),
+            "seed": seeds,
+        })),
+        st.tuples(st.just("diameter"), st.fixed_dictionaries({
+            "samples": st.integers(1, n + 3), "seed": seeds,
+        })),
+        st.tuples(st.just("link_predictions"), st.fixed_dictionaries({
+            "k": st.integers(1, 6), "score": st.sampled_from(sorted(SCORE_NAMES)),
+        })),
+    ]
+    if n:
+        choices.append(st.tuples(st.just("bfs"), st.fixed_dictionaries({
+            "source": st.integers(0, n - 1), "max_depth": st.none() | st.integers(0, 4),
+        })))
+    requests = draw(st.lists(st.one_of(choices), min_size=1, max_size=8))
+    repeats = draw(st.lists(st.sampled_from(requests), max_size=3))
+    return condensed, requests + repeats
+
+
+@settings(max_examples=60, deadline=None)
+@given(plans_over_condensed())
+def test_property_plan_results_equal_their_kernel_runners(case):
+    condensed, requests = case
+    graph = CDupGraph(condensed)
+    values = {}
+    for name in MAINTAINER_BACKENDS:
+        handle = GraphSession(Database("prop_plan"), backend=name).wrap(graph)
+        csr = handle.snapshot()
+        plan = handle.analyze()
+        for algorithm, params in requests:
+            plan.add(algorithm, **params)
+        swept_before = CompilerCounters.sweep_traversals
+        report = plan.run()
+        assert CompilerCounters.sweep_traversals - swept_before <= csr.n
+        seen = set()
+        for result in report:
+            runner = PLAN_ALGORITHMS[result.algorithm].kernel
+            assert result.values == runner(csr, get_backend(name), result.params), result.label
+            key = (result.algorithm, repr(sorted(result.params.items())))
+            assert result.reused == (key in seen), result.label
+            seen.add(key)
+        values[name] = [
+            # near-tied float scores may rank differently: compare the scores
+            sorted(score for _, _, score in result.values)
+            if result.algorithm == "link_predictions"
+            else result.values
+            for result in report
+        ]
+    for name in MAINTAINER_BACKENDS[1:]:
+        _assert_same_answers(values[name], values["python"])

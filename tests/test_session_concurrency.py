@@ -14,6 +14,9 @@ of one process, which exposed three latent bugs in the session layer:
 * ``GraphSession.wrap()`` minted a fresh handle per call, resetting build
   provenance and per-dataset sharing on every re-wrap.
 
+A fourth, found later: a warm pool whose worker died was handed out again
+on every lease — raw ``OSError``s (HTTP 500s) until the content hash moved.
+
 Each test here fails on the pre-fix behaviour: the counter test inserts a
 barrier into ``ParallelSuperstepExecutor.start`` so both plans are provably
 in flight before either forks — with global deltas at least one report
@@ -22,10 +25,13 @@ in flight before either forks — with global deltas at least one report
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 
 import pytest
 
+from repro.exceptions import VertexCentricError
 from repro.graph.snapshot_store import SnapshotStore
 from repro.session import GraphSession
 from repro.session.report import AnalysisReport, AnalysisResult, Provenance
@@ -185,10 +191,7 @@ class TestStoreFetchOutcomes:
 # --------------------------------------------------------------------------- #
 @pytest.mark.slow
 class TestConcurrentPlanCounters:
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_each_plan_counts_only_its_own_forks_and_writes(
-        self, tmp_path, monkeypatch, compiled
-    ):
+    def test_each_plan_counts_only_its_own_forks_and_writes(self, tmp_path, monkeypatch):
         """Two plans on two threads, both provably in flight before either
         forks (barrier inside ``start``): each report must still say
         ``pool_starts == 1`` and ``snapshot_writes == 1``.  With the old
@@ -219,7 +222,7 @@ class TestConcurrentPlanCounters:
                 )
                 handle = session.graph(COAUTHOR_QUERY)
                 plan = handle.analyze().pagerank().components()
-                reports[index] = plan.run(compiled=compiled)
+                reports[index] = plan.run()
             except Exception as exc:  # pragma: no cover - diagnostic path
                 errors.append(exc)
 
@@ -234,3 +237,45 @@ class TestConcurrentPlanCounters:
             assert report.pool_starts == 1, (index, report.pool_starts)
             assert report.snapshot_writes == 1, (index, report.snapshot_writes)
             assert len(report.results) == 2
+
+
+# --------------------------------------------------------------------------- #
+# warm pool: a dead worker fails one plan cleanly, then the pool is replaced
+# --------------------------------------------------------------------------- #
+class TestWarmPoolWorkerDeath:
+    def test_killed_worker_fails_one_plan_then_the_pool_is_replaced(self, tmp_path):
+        """What ``repro serve --parallel 2 --snapshot-cache DIR`` builds."""
+        with GraphSession(
+            make_db("deadpool"),
+            snapshot_cache=str(tmp_path / "snaps"),
+            backend="python",
+            parallelism=2,
+            warm_pool=True,
+        ) as session:
+            handle = session.graph(COAUTHOR_QUERY)
+            manager = session.pool_manager
+
+            def run():
+                return handle.analyze().triangles().kcore().clustering().run()
+
+            before = run()
+            assert manager.counters == {"forks": 1, "reuses": 0, "leases": 1}
+            victim = manager._pool._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10)
+            assert not victim.is_alive()
+
+            with pytest.raises(VertexCentricError, match="parallel worker 0 died"):
+                run()
+            # the failed plan returned its lease: a plan on another thread is
+            # not blocked, gets a re-forked pool, and answers as before the kill
+            after = []
+            thread = threading.Thread(target=lambda: after.append(run()))
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive() and after
+            assert manager.counters == {"forks": 2, "reuses": 1, "leases": 3}
+            assert [(r.label, r.engine, r.values) for r in after[0]] == [
+                (r.label, r.engine, r.values) for r in before
+            ]
+            assert after[0].pool_starts == 1
