@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service bench bench-table1 bench-fig18 bench-fig19 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service bench bench-table1 bench-fig18 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -14,7 +14,6 @@ help:
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + python vs pushdown engine race"
 	@echo "make bench-fig18  - service result cache: cached vs uncached req/s"
-	@echo "make bench-fig19  - sharded snapshots: out-of-core memory ceiling + bit-identity"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
@@ -40,9 +39,6 @@ bench-table1:
 
 bench-fig18:
 	$(PYTEST) -q -rA benchmarks/test_bench_fig18_service.py
-
-bench-fig19:
-	$(PYTEST) -q -rA benchmarks/test_bench_fig19_sharding.py
 
 test-service:
 	$(PYTEST) -q tests/test_service.py tests/test_service_http.py \

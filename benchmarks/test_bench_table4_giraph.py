@@ -1,4 +1,4 @@
-"""Tables 4 and 5 — the (simulated) Apache Giraph port.
+"""Tables 4 and 5 — the (simulated) Apache Giraph port, as deterministic pins.
 
 Table 4 of the paper runs Degree, Connected Components and PageRank on three
 representations (EXP, DEDUP-1, BITMAP) ported to Apache Giraph, over the
@@ -6,10 +6,12 @@ synthetic datasets S1/S2 (growing virtual-node size), N1/N2 (growing node
 counts) and the IMDB co-actor graph; Table 5 lists the per-representation
 dataset sizes (nodes, virtual nodes, edges).
 
-This benchmark reproduces both tables on the simulated BSP engine
-(:mod:`repro.giraph`): for every (dataset, representation, algorithm) cell it
-records the running time, the analytic memory estimate and the message volume,
-and a summary reproduces Table 5's size columns.
+Every (dataset, representation, algorithm) cell of the simulated BSP engine
+(:mod:`repro.giraph`) is pinned to its literal superstep count, message
+volume and analytic memory estimate — all three are functions of the seeded
+datasets alone — at ``parallelism`` 1 and 2, whose values and metrics must
+also be equal.  Nothing here reads a clock: the running-time column is
+``giraph.pagerank_s`` / ``giraph.pagerank_p2_s`` of ``bench/``.
 
 Shape assertions:
 
@@ -25,29 +27,81 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import GraphGen
 from repro.dedup import deduplicate_dedup1, preprocess_bitmap
 from repro.dedup.expand import expand
 from repro.datasets import generate_giraph_dataset
 from repro.giraph import run_giraph
 from repro.graph import representation_stats
 
-from benchmarks.conftest import once, record_rows
-
-_TABLE4_ROWS: list[dict[str, object]] = []
-_TABLE5_ROWS: list[dict[str, object]] = []
-
 DATASET_NAMES = ("S1", "S2", "N1", "N2", "IMDB")
 REPRESENTATIONS = ("EXP", "DEDUP-1", "BITMAP")
 ALGORITHMS = ("degree", "connected_components", "pagerank")
 
+#: (dataset, representation, algorithm) ->
+#: (supersteps, total_messages, estimated_memory_bytes), 10 PageRank iterations
+EXPECTED_CELLS = {
+    ("S1", "EXP", "degree"): (1, 0, 259720),
+    ("S1", "EXP", "connected_components"): (4, 65645, 885280),
+    ("S1", "EXP", "pagerank"): (11, 260650, 885280),
+    ("S1", "DEDUP-1", "degree"): (3, 932, 127496),
+    ("S1", "DEDUP-1", "connected_components"): (5, 21376, 303080),
+    ("S1", "DEDUP-1", "pagerank"): (21, 80750, 303080),
+    ("S1", "BITMAP", "degree"): (3, 932, 70352),
+    ("S1", "BITMAP", "connected_components"): (6, 1972, 70352),
+    ("S1", "BITMAP", "pagerank"): (21, 9320, 70352),
+    ("S2", "EXP", "degree"): (1, 0, 1390632),
+    ("S2", "EXP", "connected_components"): (4, 418590, 5408928),
+    ("S2", "EXP", "pagerank"): (11, 1674290, 5408928),
+    ("S2", "DEDUP-1", "degree"): (3, 3166, 520488),
+    ("S2", "DEDUP-1", "connected_components"): (5, 143730, 1763016),
+    ("S2", "DEDUP-1", "pagerank"): (21, 538480, 1763016),
+    ("S2", "BITMAP", "degree"): (3, 3166, 115032),
+    ("S2", "BITMAP", "connected_components"): (6, 6724, 115032),
+    ("S2", "BITMAP", "pagerank"): (21, 31660, 115032),
+    ("N1", "EXP", "degree"): (1, 0, 783496),
+    ("N1", "EXP", "connected_components"): (4, 247445, 2903584),
+    ("N1", "EXP", "pagerank"): (11, 883370, 2903584),
+    ("N1", "DEDUP-1", "degree"): (3, 4909, 590408),
+    ("N1", "DEDUP-1", "connected_components"): (5, 161387, 1864712),
+    ("N1", "DEDUP-1", "pagerank"): (21, 562870, 1864712),
+    ("N1", "BITMAP", "degree"): (3, 4956, 179760),
+    ("N1", "BITMAP", "connected_components"): (6, 11755, 179760),
+    ("N1", "BITMAP", "pagerank"): (21, 49560, 179760),
+    ("N2", "EXP", "degree"): (1, 0, 1334936),
+    ("N2", "EXP", "connected_components"): (4, 416345, 4955744),
+    ("N2", "EXP", "pagerank"): (11, 1508670, 4955744),
+    ("N2", "DEDUP-1", "degree"): (3, 8019, 1013120),
+    ("N2", "DEDUP-1", "connected_components"): (5, 271493, 3232328),
+    ("N2", "DEDUP-1", "pagerank"): (21, 977320, 3232328),
+    ("N2", "BITMAP", "degree"): (3, 8072, 295840),
+    ("N2", "BITMAP", "connected_components"): (6, 18957, 295840),
+    ("N2", "BITMAP", "pagerank"): (21, 80720, 295840),
+    ("IMDB", "EXP", "degree"): (1, 0, 94640),
+    ("IMDB", "EXP", "connected_components"): (5, 23919, 301760),
+    ("IMDB", "EXP", "pagerank"): (11, 86300, 301760),
+    ("IMDB", "DEDUP-1", "degree"): (3, 1349, 82632),
+    ("IMDB", "DEDUP-1", "connected_components"): (7, 15600, 167472),
+    ("IMDB", "DEDUP-1", "pagerank"): (21, 45640, 167472),
+    ("IMDB", "BITMAP", "degree"): (3, 1390, 57240),
+    ("IMDB", "BITMAP", "connected_components"): (8, 3419, 57240),
+    ("IMDB", "BITMAP", "pagerank"): (21, 13900, 57240),
+}
+
 
 @pytest.fixture(scope="module")
-def giraph_graphs(small_condensed_graphs):
+def giraph_graphs(small_datasets):
     """dataset -> {representation -> graph} for the Table 4/5 datasets."""
     condensed_by_name = {
         name: generate_giraph_dataset(name) for name in ("S1", "S2", "N1", "N2")
     }
-    condensed_by_name["IMDB"] = small_condensed_graphs["IMDB"]
+    # extracted here, not taken from the session-wide condensed graphs: other
+    # modules preprocess those in place, and the pins below are literal
+    imdb_db, coactor_query = small_datasets["IMDB"]
+    extractor = GraphGen(imdb_db, estimator="exact", preprocess=False)
+    condensed_by_name["IMDB"] = extractor.extract_with_report(
+        coactor_query, representation="cdup"
+    ).condensed
     graphs: dict[str, dict[str, object]] = {}
     for name, condensed in condensed_by_name.items():
         graphs[name] = {
@@ -58,85 +112,69 @@ def giraph_graphs(small_condensed_graphs):
     return graphs
 
 
+@pytest.fixture(scope="module")
+def giraph_run(giraph_graphs):
+    """``run(dataset, representation, algorithm, parallelism=1)``, each cell
+    computed once per module."""
+    results: dict[tuple, object] = {}
+
+    def run(dataset, representation, algorithm, parallelism=1):
+        key = (dataset, representation, algorithm, parallelism)
+        if key not in results:
+            graph = giraph_graphs[dataset][representation]
+            results[key] = run_giraph(graph, algorithm, 10, parallelism=parallelism)
+        return results[key]
+
+    return run
+
+
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_giraph_cell(benchmark, giraph_graphs, dataset, representation, algorithm):
-    graph = giraph_graphs[dataset][representation]
-    result = once(benchmark, run_giraph, graph, algorithm, 10)
-    _TABLE4_ROWS.append(
-        {
-            "dataset": dataset,
-            "representation": representation,
-            "algorithm": algorithm,
-            "seconds": round(result.seconds, 4),
-            "estimated_memory_bytes": result.estimated_memory_bytes,
-            "supersteps": result.metrics.supersteps,
-            "total_messages": result.metrics.total_messages,
-        }
-    )
-    assert len(result.values) == graph.num_vertices()
+def test_giraph_cell(giraph_graphs, giraph_run, dataset, representation, algorithm):
+    serial = giraph_run(dataset, representation, algorithm)
+    assert len(serial.values) == giraph_graphs[dataset][representation].num_vertices()
+    assert (
+        serial.metrics.supersteps,
+        serial.metrics.total_messages,
+        serial.estimated_memory_bytes,
+    ) == EXPECTED_CELLS[(dataset, representation, algorithm)]
+    parallel = giraph_run(dataset, representation, algorithm, parallelism=2)
+    assert parallel.values == serial.values
+    assert parallel.metrics == serial.metrics
 
 
-def test_table5_sizes(benchmark, giraph_graphs):
-    """Table 5: per-representation dataset sizes."""
-
-    def collect():
-        for dataset, reps in giraph_graphs.items():
-            for representation, graph in reps.items():
-                stats = representation_stats(graph)
-                _TABLE5_ROWS.append(
-                    {
-                        "dataset": dataset,
-                        "representation": representation,
-                        "all_nodes": stats.total_nodes,
-                        "virtual_nodes": stats.virtual_nodes,
-                        "edges": stats.edges,
-                    }
-                )
-        return len(_TABLE5_ROWS)
-
-    count = once(benchmark, collect)
-    assert count == len(DATASET_NAMES) * len(REPRESENTATIONS)
-
-
-def test_table4_summary(benchmark, giraph_graphs):
-    def index_rows():
-        table: dict[tuple[str, str, str], dict[str, object]] = {}
-        for row in _TABLE4_ROWS:
-            key = (str(row["dataset"]), str(row["representation"]), str(row["algorithm"]))
-            table[key] = row
-        sizes: dict[tuple[str, str], dict[str, object]] = {}
-        for row in _TABLE5_ROWS:
-            sizes[(str(row["dataset"]), str(row["representation"]))] = row
-        return table, sizes
-
-    table, sizes = once(benchmark, index_rows)
-    record_rows("table4_giraph", "Table 4: Giraph time / memory / messages", _TABLE4_ROWS)
-    record_rows("table4_giraph", "Table 5: Giraph dataset sizes", _TABLE5_ROWS)
-
-    # Table 5 shape: on the dense synthetic datasets BITMAP keeps far fewer
-    # physical edges than EXP (that is the whole point of the representation)
+def test_table5_sizes(giraph_graphs):
+    """Table 5: on the dense synthetic datasets BITMAP keeps far fewer
+    physical edges than EXP (that is the whole point of the representation)."""
+    edges = {
+        (dataset, representation): representation_stats(graph).edges
+        for dataset, reps in giraph_graphs.items()
+        for representation, graph in reps.items()
+    }
+    assert len(edges) == len(DATASET_NAMES) * len(REPRESENTATIONS)
     for dataset in ("S1", "S2", "N1", "N2"):
-        exp_edges = int(sizes[(dataset, "EXP")]["edges"])
-        bmp_edges = int(sizes[(dataset, "BITMAP")]["edges"])
-        assert bmp_edges * 2 < exp_edges, f"{dataset}: BITMAP should store far fewer edges"
+        assert edges[(dataset, "BITMAP")] * 2 < edges[(dataset, "EXP")], (
+            f"{dataset}: BITMAP should store far fewer edges"
+        )
 
+
+def test_table4_summary(giraph_run):
     # message-volume shape: BITMAP (virtual-node aggregation) sends fewer
     # PageRank messages than EXP on the dense datasets
     for dataset in ("S2", "N2"):
-        exp_messages = int(table[(dataset, "EXP", "pagerank")]["total_messages"])
-        bmp_messages = int(table[(dataset, "BITMAP", "pagerank")]["total_messages"])
+        exp_messages = giraph_run(dataset, "EXP", "pagerank").metrics.total_messages
+        bmp_messages = giraph_run(dataset, "BITMAP", "pagerank").metrics.total_messages
         assert bmp_messages < exp_messages, (
             f"{dataset}: BITMAP PageRank should send fewer messages than EXP"
         )
 
     # correctness: every representation must agree on every algorithm
-    for dataset, reps in giraph_graphs.items():
+    for dataset in DATASET_NAMES:
         for algorithm in ALGORITHMS:
-            reference = run_giraph(reps["EXP"], algorithm, 10).values
+            reference = giraph_run(dataset, "EXP", algorithm).values
             for representation in ("DEDUP-1", "BITMAP"):
-                values = run_giraph(reps[representation], algorithm, 10).values
+                values = giraph_run(dataset, representation, algorithm).values
                 if algorithm == "pagerank":
                     assert set(values) == set(reference)
                     for vertex, score in values.items():

@@ -338,7 +338,7 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         help="extraction engine: 'python' row-at-a-time reference, 'sqlite' "
         "row-at-a-time over the sqlite mirror, 'pushdown' compiles the whole "
         "plan into set-based SQL emitting sorted edge arrays, 'auto' tries "
-        "pushdown and falls back (default: derived from the query backend)",
+        "pushdown and falls back (default: python)",
     )
 
 

@@ -8,11 +8,7 @@ from dataclasses import dataclass
 ESTIMATOR_DISTINCT = "distinct"
 ESTIMATOR_EXACT = "exact"
 
-#: execution backends
-BACKEND_PYTHON = "python"
-BACKEND_SQLITE = "sqlite"
-
-#: extraction engines (the seam introduced for SQL pushdown)
+#: extraction engines
 ENGINE_PYTHON = "python"
 ENGINE_SQLITE = "sqlite"
 ENGINE_PUSHDOWN = "pushdown"
@@ -34,10 +30,6 @@ class ExtractionOptions:
         the catalog's distinct counts; ``"exact"`` — compute the true join
         output size from the per-value counts (more work, never misses a
         large-output join).
-    backend:
-        ``"python"`` executes the generated conjunctive queries with the
-        built-in hash-join executor; ``"sqlite"`` generates SQL and runs it
-        on an in-memory SQLite database.
     preprocess:
         Apply Step 6 of Section 4.2: expand every virtual node ``V`` with
         ``in(V) * out(V) <= in(V) + out(V) + 1``.
@@ -50,47 +42,32 @@ class ExtractionOptions:
         Edge tuples whose endpoints were not produced by any Nodes statement
         are skipped (and counted) rather than silently adding vertices.
     extract_engine:
-        Which extraction engine runs the plan.  ``"python"`` and ``"sqlite"``
-        are the row-at-a-time reference engines (per-row ``add_edge`` over the
-        Python hash-join executor / generated per-segment SQL respectively);
+        Which extraction engine runs the plan.  ``"python"`` (the default and
+        the reference) and ``"sqlite"`` are the row-at-a-time engines (per-row
+        ``add_edge`` over the built-in hash-join executor / generated
+        per-segment SQL on the database's SQLite mirror respectively);
         ``"pushdown"`` compiles the whole plan into set-based SQL
         (:mod:`repro.relational.pushdown`) whose sorted result arrays bulk-load
-        the condensed graph, falling back to the reference engine with a note
+        the condensed graph, falling back to the ``python`` engine with a note
         when the plan or data cannot be pushed down; ``"auto"`` is pushdown
         with a silent-by-report fallback too (the two differ only in intent:
-        ``pushdown`` is an explicit request, ``auto`` a hint).  ``None``
-        (default) derives the engine from ``backend`` so existing
-        configurations behave exactly as before.
+        ``pushdown`` is an explicit request, ``auto`` a hint).
     """
 
     threshold_factor: float = 2.0
     estimator: str = ESTIMATOR_DISTINCT
-    backend: str = BACKEND_PYTHON
     preprocess: bool = True
     auto_expand_growth: float | None = None
     skip_unknown_endpoints: bool = True
-    extract_engine: str | None = None
+    extract_engine: str = ENGINE_PYTHON
 
     def __post_init__(self) -> None:
         if self.threshold_factor <= 0:
             raise ValueError("threshold_factor must be positive")
         if self.estimator not in (ESTIMATOR_DISTINCT, ESTIMATOR_EXACT):
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.backend not in (BACKEND_PYTHON, BACKEND_SQLITE):
-            raise ValueError(f"unknown backend {self.backend!r}")
-        if self.extract_engine is not None and self.extract_engine not in EXTRACT_ENGINES:
+        if self.extract_engine not in EXTRACT_ENGINES:
             raise ValueError(
                 f"unknown extract_engine {self.extract_engine!r}; "
                 f"expected one of {EXTRACT_ENGINES}"
             )
-
-    def resolved_engine(self) -> str:
-        """The engine that will run: ``extract_engine``, or derived from
-        ``backend`` when unset (preserving pre-seam behaviour)."""
-        if self.extract_engine is not None:
-            return self.extract_engine
-        return ENGINE_SQLITE if self.backend == BACKEND_SQLITE else ENGINE_PYTHON
-
-    def fallback_engine(self) -> str:
-        """The row-at-a-time engine pushdown falls back to."""
-        return ENGINE_SQLITE if self.backend == BACKEND_SQLITE else ENGINE_PYTHON

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.core.config import (
-    BACKEND_SQLITE,
     ENGINE_AUTO,
     ENGINE_PUSHDOWN,
+    ENGINE_PYTHON,
     ENGINE_SQLITE,
     ExtractionOptions,
 )
@@ -76,19 +76,9 @@ class QueryExecutor:
     therefore only drops the reference — the mirror belongs to the database.
     """
 
-    def __init__(
-        self,
-        db: Database,
-        options: ExtractionOptions,
-        use_sqlite: bool | None = None,
-    ) -> None:
+    def __init__(self, db: Database, use_sqlite: bool) -> None:
         self._db = db
-        self._options = options
-        if use_sqlite is None:
-            use_sqlite = options.backend == BACKEND_SQLITE
-        self._sqlite: SQLiteBackend | None = None
-        if use_sqlite:
-            self._sqlite = db.sqlite_backend()
+        self._sqlite: SQLiteBackend | None = db.sqlite_backend() if use_sqlite else None
 
     def run(self, query: ConjunctiveQuery) -> list[tuple[Any, ...]]:
         if self._sqlite is not None:
@@ -123,22 +113,20 @@ class Extractor:
     ) -> tuple[CondensedGraph, ExtractionReport]:
         """Build the condensed (C-DUP) graph for ``plan``.
 
-        Dispatches to the engine selected by
-        :meth:`~repro.core.config.ExtractionOptions.resolved_engine`: the
-        row-at-a-time reference engines (``python``/``sqlite``) or the
-        set-based SQL ``pushdown`` engine, which falls back to a reference
-        engine — with a note in the report — whenever the plan or data cannot
-        be pushed down.  All engines produce logically equivalent graphs.
+        Dispatches on ``ExtractionOptions.extract_engine``: the row-at-a-time
+        engines (``python``/``sqlite``) or the set-based SQL ``pushdown``
+        engine, which falls back to the ``python`` reference — with a note in
+        the report — whenever the plan or data cannot be pushed down.  All
+        engines produce logically equivalent graphs.
         """
-        engine = self._options.resolved_engine()
+        engine = self._options.extract_engine
         if engine in (ENGINE_PUSHDOWN, ENGINE_AUTO):
             try:
                 return self._extract_condensed_pushdown(plan)
             except PushdownUnsupported as exc:
-                fallback = self._options.fallback_engine()
-                graph, report = self._extract_condensed_rows(plan, fallback)
+                graph, report = self._extract_condensed_rows(plan, ENGINE_PYTHON)
                 report.notes.append(
-                    f"pushdown unavailable ({exc}); fell back to the {fallback} engine"
+                    f"pushdown unavailable ({exc}); fell back to the {ENGINE_PYTHON} engine"
                 )
                 return graph, report
         return self._extract_condensed_rows(plan, engine)
@@ -169,7 +157,7 @@ class Extractor:
         pre-pushdown extractor)."""
         report = ExtractionReport(engine=engine)
         timer = Timer().start()
-        executor = QueryExecutor(self._db, self._options, use_sqlite=engine == ENGINE_SQLITE)
+        executor = QueryExecutor(self._db, use_sqlite=engine == ENGINE_SQLITE)
         try:
             graph = CondensedGraph()
             self._load_nodes(executor, plan.node_plans, graph, report)

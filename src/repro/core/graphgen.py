@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.config import ENGINE_AUTO, ENGINE_PUSHDOWN, ExtractionOptions
+from repro.core.config import ENGINE_AUTO, ENGINE_PUSHDOWN, ENGINE_PYTHON, ExtractionOptions
 from repro.relational.pushdown import PushdownUnsupported
 from repro.core.extractor import ExtractionReport, Extractor, maybe_auto_expand
 from repro.core.planner import ExtractionPlan, Planner
@@ -91,15 +91,12 @@ class GraphGen:
         plan = self.plan(query)
         lines = [plan.describe(), "sql:"]
         lines.extend(f"  {statement}" for statement in plan.sql(self._db))
-        if self._options.resolved_engine() in (ENGINE_AUTO, ENGINE_PUSHDOWN):
+        if self._options.extract_engine in (ENGINE_AUTO, ENGINE_PUSHDOWN):
             lines.append("pushdown sql:")
             try:
                 lines.extend(f"  {statement}" for statement in plan.pushdown_sql(self._db))
             except PushdownUnsupported as exc:
-                lines.append(
-                    f"  (not pushable: {exc}; "
-                    f"the {self._options.fallback_engine()} engine would run)"
-                )
+                lines.append(f"  (not pushable: {exc}; the {ENGINE_PYTHON} engine would run)")
         return "\n".join(lines)
 
     # ------------------------------------------------------------------ #

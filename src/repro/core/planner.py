@@ -22,13 +22,7 @@ from dataclasses import dataclass, field
 from repro.dsl.ast import Anonymous, Atom, Constant, GraphSpec, Rule, Variable
 from repro.dsl.validator import EdgeChain, derive_chain, is_acyclic
 from repro.exceptions import DSLValidationError, ExtractionError
-from repro.core.config import (
-    ENGINE_AUTO,
-    ENGINE_PUSHDOWN,
-    ENGINE_SQLITE,
-    ESTIMATOR_EXACT,
-    ExtractionOptions,
-)
+from repro.core.config import ENGINE_PYTHON, ESTIMATOR_EXACT, ExtractionOptions
 from repro.relational.aggregates import (
     AggregateQuery,
     AggregateSpec,
@@ -235,7 +229,7 @@ class Planner:
     # so plans are identical across engines.
     # ------------------------------------------------------------------ #
     def _sqlite_probe_backend(self):
-        if self._options.resolved_engine() not in (ENGINE_SQLITE, ENGINE_PUSHDOWN, ENGINE_AUTO):
+        if self._options.extract_engine == ENGINE_PYTHON:
             return None
         try:
             return self._db.sqlite_backend()

@@ -62,6 +62,13 @@ class VertexCentricError(GraphGenError):
     raised during a superstep."""
 
 
+class WorkerDiedError(VertexCentricError):
+    """A worker process of a parallel pool exited or was killed mid-request.
+    A server-side fault, not a caller mistake: the pool has closed itself,
+    the next lease forks a fresh one, and the request can simply be retried
+    (HTTP 503)."""
+
+
 class UsageError(GraphGenError):
     """A user-supplied configuration value is invalid (bad CLI flag value,
     unknown kernel backend name, ...); reported as a message, never a

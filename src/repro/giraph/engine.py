@@ -20,13 +20,17 @@ supersteps over flat inbox/halted arrays; vertex identifiers only appear at
 the ``send`` boundary and in the program-facing API, which is unchanged.
 
 With ``parallelism=N`` (default 1 = serial) supersteps run through the shared
-:class:`~repro.vertexcentric.parallel.ParallelSuperstepExecutor`: the dense
+:class:`~repro.vertexcentric.parallel.ParallelSuperstepExecutor` — the same
+pool and the same named-method wire command the vertex-centric framework
+uses, here over :class:`_GiraphChunkWorker`: the dense
 index range is split into ``N`` fixed contiguous partitions, each owned by a
 persistent forked worker that keeps its partition's vertex state (values,
 ``data`` scratch, halt votes) local across supersteps; the master routes
 messages between partitions and re-reduces aggregator contributions in
 partition order, so values, metrics and floating-point aggregates are
-bit-identical to the serial engine.
+bit-identical to the serial engine.  The serial loop in :meth:`GiraphEngine.run`
+stays as this engine's reference (driving it through a one-partition chunk
+worker costs 1.6-1.8x: every message would take the pack/route path).
 
 The engine knows nothing about condensed representations; the adapters in
 :mod:`repro.giraph.adapters` build the vertex sets for each representation and
@@ -36,6 +40,7 @@ compute logic.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass, field
@@ -43,6 +48,7 @@ from typing import Any, Hashable
 
 from repro.exceptions import VertexCentricError
 from repro.utils.memory import EDGE_SLOT_BYTES, NODE_OVERHEAD_BYTES
+from repro.vertexcentric.parallel import MessageChannel, ParallelSuperstepExecutor
 
 MESSAGE_BYTES = 24
 
@@ -274,13 +280,10 @@ class GiraphEngine:
         the pickled per-superstep payload while preserving delivery order and
         values exactly.
         """
-        from repro.vertexcentric.parallel import (
-            MessageChannel,
-            ParallelSuperstepExecutor,
-        )
-
-        factory = _GiraphWorkerFactory(
-            self._ordered, self._index, self.num_real_vertices, program
+        # the vertex list and index map reach the workers through the fork —
+        # no pickling of the (possibly large) vertex set
+        factory = functools.partial(
+            _GiraphChunkWorker, self._ordered, self._index, self.num_real_vertices, program
         )
         pool = ParallelSuperstepExecutor(self._parallelism, len(self._ids), factory)
         #: partition id per dense index, for message routing
@@ -309,7 +312,7 @@ class GiraphEngine:
                     (self.superstep, outbound[part].pack(items), self._aggregate_previous)
                     for part, items in enumerate(grouped)
                 ]
-                results = pool.superstep(payloads)
+                results = pool.call("run_superstep", payloads)
 
                 inbox = {}
                 aggregate_next: dict[str, float] = {}
@@ -339,7 +342,7 @@ class GiraphEngine:
                 metrics.supersteps = self.superstep
             # pull final vertex values back into the master's vertex objects
             ordered = self._ordered
-            for partition_values in pool.collect():
+            for partition_values in pool.broadcast("collect", None):
                 for index, value in partition_values:
                     ordered[index].value = value
         finally:
@@ -375,8 +378,6 @@ class _GiraphChunkWorker:
         self._program = program
         self.lo = lo
         self.hi = hi
-        from repro.vertexcentric.parallel import MessageChannel
-
         self.superstep = 0
         self._halted = bytearray(len(ordered))  # only [lo, hi) is meaningful
         self._sends: list[tuple[int, Any]] = []
@@ -446,30 +447,5 @@ class _GiraphChunkWorker:
             remaining,
         )
 
-    def collect(self):
+    def collect(self, _payload=None):
         return [(i, self._ordered[i].value) for i in range(self.lo, self.hi)]
-
-
-class _GiraphWorkerFactory:
-    """Builds a :class:`_GiraphChunkWorker` inside a forked worker.
-
-    The ordered vertex list and index map are inherited through the fork —
-    no pickling of the (possibly large) vertex set.
-    """
-
-    def __init__(
-        self,
-        ordered: list[GiraphVertex],
-        index: dict[Hashable, int],
-        num_real_vertices: int,
-        program: GiraphProgram,
-    ) -> None:
-        self.ordered = ordered
-        self.index = index
-        self.num_real_vertices = num_real_vertices
-        self.program = program
-
-    def __call__(self, lo: int, hi: int) -> _GiraphChunkWorker:
-        return _GiraphChunkWorker(
-            self.ordered, self.index, self.num_real_vertices, self.program, lo, hi
-        )

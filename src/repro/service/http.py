@@ -13,8 +13,10 @@ hardened for) dispatching five routes onto the service object:
 Error contract, mirroring the CLI's: caller mistakes
 (:class:`~repro.exceptions.UsageError` and friends) become a 4xx JSON body
 ``{"error": "<one-line message>"}`` — never a traceback;
-:class:`~repro.exceptions.ServiceOverloadedError` becomes 503 so clients
-know to back off and retry; only a genuine server bug produces a 500.
+:class:`~repro.exceptions.ServiceOverloadedError` and
+:class:`~repro.exceptions.WorkerDiedError` (a pool worker was killed under
+the request) become 503 so clients know to back off and retry; only a
+genuine server bug produces a 500.
 
 No new dependencies: everything here is ``http.server`` + ``json``.
 """
@@ -29,6 +31,7 @@ from repro.exceptions import (
     GraphGenError,
     ServiceOverloadedError,
     UsageError,
+    WorkerDiedError,
 )
 from repro.service.codec import dumps, encode_report, loads
 
@@ -85,14 +88,26 @@ class GraphServiceHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self.server.count_request()
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise UsageError(f"request body too large ({length} bytes)")
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # whatever body follows stays unread, so the connection must end
+            # with this reply: on a kept-alive socket the leftover bytes
+            # would be parsed as the next request line
+            self.close_connection = True
+            raise UsageError(
+                f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}] (got {declared!r})"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise UsageError("request body is empty; send a JSON object")
@@ -104,7 +119,8 @@ class GraphServiceHandler(BaseHTTPRequestHandler):
     def _dispatch(self, handler) -> None:
         try:
             status, payload = handler()
-        except ServiceOverloadedError as exc:
+        except (ServiceOverloadedError, WorkerDiedError) as exc:
+            # the server's condition, not the caller's mistake: retryable
             self._reply(503, {"error": str(exc)})
         except GraphGenError as exc:
             # one-line caller-mistake message, never a traceback — the same
@@ -138,6 +154,7 @@ class GraphServiceHandler(BaseHTTPRequestHandler):
         elif self.path == "/edges":
             self._dispatch(lambda: (200, service.add_edge(self._read_body())))
         else:
+            self.close_connection = True  # the body stays unread, as above
             self._reply(404, {"error": f"unknown path {self.path!r}"})
 
 

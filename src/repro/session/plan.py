@@ -240,11 +240,11 @@ def _superstep_bfs(graph, parallelism, path, backend, params, pool=None):
 # --------------------------------------------------------------------------- #
 # chunk runner (master half): (csr, backend, params, pool) -> value.  One
 # backend call per pool partition (a vertex range) over the shared mmap'd
-# snapshot (worker half: repro.session.scheduler.PlanWorker.run_chunk); the
-# integer partials merge exactly under any regrouping.
+# snapshot (worker half: repro.session.scheduler.PlanWorker.count_triangles);
+# the integer partials merge exactly under any regrouping.
 # --------------------------------------------------------------------------- #
 def _chunked_triangles(csr, backend, params, pool):
-    return sum(pool.call("run_chunk", [("triangles", bounds) for bounds in pool.partitions]))
+    return sum(pool.call("count_triangles", pool.partitions))
 
 
 # --------------------------------------------------------------------------- #

@@ -6,17 +6,21 @@ forking a pool (and, store-less, writing a tempfile copy of the snapshot)
 per superstep-routed request.  This module holds the worker-side machinery
 the plan executor (:mod:`repro.session.compiler`) drives:
 
-* :class:`PlanWorkerFactory` / :class:`PlanWorker` — one *generic* worker per
-  partition, forked once per plan, mmap-loading the plan's single snapshot
-  file.  A worker serves four kinds of work over the run's lifetime:
+* :class:`PlanWorker` — one *generic* worker per partition, forked once per
+  plan.  It is the vertex-centric framework's
+  :class:`~repro.vertexcentric.parallel.SnapshotWorker` (built by the same
+  ``factory``, which mmap-loads the plan's single snapshot file — or, under
+  sharding, the worker's own segment) plus three kinds of direct-kernel work.
+  Every kind is a method the master invokes by name through the pool's one
+  wire command:
 
-  - ``install_program`` + the standard superstep protocol — the
-    vertex-centric coordinator installs each superstep-routed request's
-    program (shipped by value through the pipe) on the same processes, so a
-    plan with three superstep requests forks one pool, not three;
-  - ``run_chunk`` — one partition's share of a chunk-parallel direct kernel
-    (see :data:`CHUNK_RUNNERS`): the worker's ``(lo, hi)`` vertex range,
-    whose integer partial is exact under any regrouping;
+  - ``install_program`` + ``run_superstep`` (inherited) — the vertex-centric
+    coordinator installs each superstep-routed request's program (shipped by
+    value through the pipe) on the same processes, so a plan with three
+    superstep requests forks one pool, not three;
+  - ``count_triangles`` — one partition's share of the chunk-parallel
+    triangle count: the worker's ``(lo, hi)`` vertex range, whose integer
+    partial is exact under any regrouping;
   - ``run_sweep`` — one contiguous slice of the plan's fused source sweep.
     Merge determinism mirrors the superstep executor's contract: integer
     stats are exact, float products are shipped as *ordered per-source
@@ -27,6 +31,9 @@ the plan executor (:mod:`repro.session.compiler`) drives:
     so independent kernel-only requests run *concurrently* across the worker
     budget instead of sequentially on the master.
 
+* :class:`SharedPoolManager` — the warm pool a ``warm_pool=True`` session
+  leases to one plan at a time.
+
 The master half (routing, pool lifecycle, merges) lives in
 :mod:`repro.session.compiler`.
 """
@@ -35,62 +42,19 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable
 
-from repro.graph.backend import get_backend
-from repro.graph.kernel import CSRGraph
-from repro.vertexcentric.parallel import ParallelSuperstepExecutor, VertexChunkWorker
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.backend.python_backend import KernelBackend
+from repro.vertexcentric.parallel import ParallelSuperstepExecutor, SnapshotWorker
 
 
-# --------------------------------------------------------------------------- #
-# chunk runners: (csr, backend, payload) -> partial result, executed inside a
-# worker over the shared mmap'd snapshot
-# --------------------------------------------------------------------------- #
-def _chunk_triangles(csr: CSRGraph, backend: "KernelBackend", payload: Any) -> int:
-    lo, hi = payload
-    return backend.count_triangles(csr, lo, hi)
+class PlanWorker(SnapshotWorker):
+    """One partition's generic worker for a scheduled plan (see module doc):
+    the snapshot worker's superstep protocol plus direct-kernel work."""
 
-
-#: chunk task name -> worker-side runner
-CHUNK_RUNNERS: dict[str, Callable[[CSRGraph, "KernelBackend", Any], Any]] = {
-    "triangles": _chunk_triangles,
-}
-
-
-class PlanWorker:
-    """One partition's generic worker for a scheduled plan (see module doc)."""
-
-    def __init__(self, csr: CSRGraph, lo: int, hi: int, backend: "KernelBackend") -> None:
-        self.csr = csr
-        self.lo = lo
-        self.hi = hi
-        self.backend = backend
-        self._program_worker: VertexChunkWorker | None = None
-
-    # -- superstep protocol (pool reuse across programs) ----------------- #
-    def install_program(self, executor) -> None:
-        """Adopt a new vertex-centric program: fresh per-program state, same
-        process, same mmap'd snapshot."""
-        self._program_worker = VertexChunkWorker(
-            self.csr, executor, self.lo, self.hi, backend=self.backend
-        )
-
-    def run_superstep(self, payload):
-        if self._program_worker is None:
-            raise RuntimeError("no superstep program installed on this worker")
-        return self._program_worker.run_superstep(payload)
-
-    def collect(self):  # pragma: no cover - master merges every superstep
-        return None
-
-    # -- direct-kernel work ---------------------------------------------- #
-    def run_chunk(self, payload):
-        """One partition's share of a chunk-parallel kernel."""
-        name, argument = payload
-        return CHUNK_RUNNERS[name](self.csr, self.backend, argument)
+    def count_triangles(self, bounds):
+        """One vertex range's share of the triangle count; the integer
+        partials merge exactly under any regrouping."""
+        lo, hi = bounds
+        return self.backend.count_triangles(self.csr, lo, hi)
 
     def run_sweep(self, payload):
         """One slice of the plan compiler's shared source sweep.
@@ -137,24 +101,6 @@ class PlanWorker:
         except (UsageError, RepresentationError) as exc:
             return ("error", exc)
         return ("ok", time.perf_counter() - started, values)
-
-    # -- observability ---------------------------------------------------- #
-    def memory_stats(self, _payload=None) -> dict:
-        """This worker's snapshot footprint — the out-of-core assertion data.
-
-        ``mapped_bytes`` is the snapshot file bytes this process keeps
-        memory-mapped (one shard's segment file under sharding, the whole
-        snapshot otherwise); ``peak_rss_bytes`` the process-lifetime peak
-        resident set size.
-        """
-        from repro.utils.memstats import mapped_snapshot_bytes, peak_rss_bytes
-
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "mapped_bytes": mapped_snapshot_bytes(self.csr),
-            "peak_rss_bytes": peak_rss_bytes(),
-        }
 
 
 class SharedPoolManager:
@@ -222,7 +168,7 @@ class SharedPoolManager:
                 self._pool = ParallelSuperstepExecutor(
                     parallelism,
                     num_items,
-                    PlanWorkerFactory(snapshot_path, backend_name, sharded=sharded),
+                    PlanWorker.factory(snapshot_path, backend_name, sharded=sharded),
                     partitions=partitions,
                 ).start()
                 self._key = key
@@ -244,34 +190,3 @@ class SharedPoolManager:
                 self._pool.close()
                 self._pool = None
                 self._key = None
-
-
-class PlanWorkerFactory:
-    """Builds a :class:`PlanWorker` inside a forked worker process.
-
-    Loads the plan's snapshot file with ``mmap=True`` so all workers (and the
-    master, when its snapshot came off the store) share one physical copy of
-    the arrays, and re-resolves the session's backend by name so workers run
-    the same kernels regardless of their inherited environment.
-
-    With ``sharded=True`` the path is a shard *manifest* and each worker maps
-    only its own partition's segment file (the partition bounds must equal
-    the manifest's shard ranges) — the out-of-core contract: no worker
-    process ever maps the full graph.
-    """
-
-    def __init__(
-        self, snapshot_path, backend: str | None = None, *, sharded: bool = False
-    ) -> None:
-        self.snapshot_path = snapshot_path
-        self.backend = backend
-        self.sharded = sharded
-
-    def __call__(self, lo: int, hi: int) -> PlanWorker:
-        if self.sharded:
-            from repro.graph.shard_store import load_shard
-
-            csr: CSRGraph = load_shard(self.snapshot_path, (lo, hi), mmap=True)
-        else:
-            csr = CSRGraph.load(self.snapshot_path, mmap=True, verify=False)
-        return PlanWorker(csr, lo, hi, get_backend(self.backend))

@@ -629,7 +629,7 @@ class GraphSession:
         the next plan, re-forking only when the snapshot's content hash,
         path, or the worker geometry changes — or a worker died.
         """
-        from repro.session.scheduler import PlanWorkerFactory
+        from repro.session.scheduler import PlanWorker
 
         parallelism = len(partitions) if partitions is not None else self._parallelism
         if self._pool_manager is not None:
@@ -647,7 +647,7 @@ class GraphSession:
         pool = ParallelSuperstepExecutor(
             parallelism,
             num_items,
-            PlanWorkerFactory(snapshot_path, backend_name, sharded=sharded),
+            PlanWorker.factory(snapshot_path, backend_name, sharded=sharded),
             partitions=partitions,
         ).start()
         return pool, pool.close

@@ -1,51 +1,67 @@
 """The vertex-centric ("think like a vertex") execution framework.
 
 Section 3.4 of the paper describes a simple multi-threaded vertex-centric
-framework: a coordinator object splits the vertex set into chunks, runs a
-user-supplied ``compute`` function for every vertex each superstep, tracks
-which vertices have voted to halt, and stops when all have halted (or a
-superstep limit is reached).  Communication follows the gather-apply-scatter
-style of GraphLab: a vertex reads its neighbors' *previous-superstep* values
-directly instead of exchanging explicit messages.
+framework: a coordinator object splits the vertex set, runs a user-supplied
+``compute`` function for every vertex each superstep, tracks which vertices
+have voted to halt, and stops when all have halted (or a superstep limit is
+reached).  Communication follows the gather-apply-scatter style of GraphLab:
+a vertex reads its neighbors' *previous-superstep* values directly instead of
+exchanging explicit messages.
 
 This reproduction keeps the same API (an :class:`Executor` with a single
-``compute`` method, run through :class:`VertexCentric`).  By default the
-chunks execute sequentially — CPython threads would add overhead without
-parallelism, and every comparison in the paper is relative between
-representations on the same engine.  With ``parallelism=N`` the coordinator
-instead persists the snapshot to an mmap-able file and runs each superstep's
-chunks in ``N`` worker *processes* that map the file read-only
-(:mod:`repro.vertexcentric.parallel`); per-chunk outputs are merged in fixed
-chunk order so results — including floating-point aggregator sums — are
-bit-identical to serial execution.
+``compute`` method, run through :class:`VertexCentric`) and has **one**
+coordinator loop, :meth:`VertexCentric._superstep_loop`: each superstep it
+splits the active vertices along the pool's fixed partition bounds, has every
+partition's worker run its ``compute`` calls against last superstep's value
+map, and merges the partitions' writes, halt votes, wake-ups and aggregator
+contributions in partition order.  The default ``parallelism=1`` is the
+one-partition case, run in-process on the caller's stack — CPython threads
+would add overhead without parallelism, and every comparison in the paper is
+relative between representations on the same engine.  With ``parallelism=N``
+the same loop drives ``N`` worker *processes* that map the persisted snapshot
+file read-only (:mod:`repro.vertexcentric.parallel`).  The worker class, the
+object a :class:`VertexContext` talks to and the merge are the same either
+way, so results — including floating-point aggregator sums — do not depend
+on the partition count.
 
 Supersteps are scheduled over the graph's CSR snapshot
 (:meth:`repro.graph.api.Graph.snapshot`): neighbor iteration and degrees come
 from the flat offset/target arrays instead of per-vertex ``get_neighbors``
 calls, so a PageRank superstep over a condensed representation no longer
-re-traverses the virtual layer for every vertex.  The ``compute`` API is
-unchanged and continues to see external vertex IDs.
+re-traverses the virtual layer for every vertex.  The ``compute`` API
+continues to see external vertex IDs.
 
 The *gather* phase additionally routes through the selected kernel backend
 (:func:`repro.graph.backend.get_backend`): ``ctx.gather_sum(key)`` returns
 the sum of the vertex's out-neighbors' previous-superstep values for ``key``,
-computed **once per superstep for all vertices** as a backend segment-sum
-over the snapshot's flat adjacency — a vectorised scatter-gather on the
-``numpy`` backend — instead of per-vertex dict lookups.  The ``python``
-backend sums in snapshot target order, exactly the order the per-vertex loop
-used, so results are bit-identical; parallel workers call the same kernel on
-their partition of the shared mmap'd snapshot.
+computed **once per superstep for a worker's whole partition** as a backend
+segment-sum over the snapshot's flat adjacency — a vectorised scatter-gather
+on the ``numpy`` backend — instead of per-vertex dict lookups.  The
+``python`` backend sums in snapshot target order, so every partitioning
+performs identical per-vertex reductions.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
 from abc import ABC, abstractmethod
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.exceptions import VertexCentricError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
+from repro.graph.snapshot_store import ensure_saved
+from repro.vertexcentric.parallel import (
+    InProcessPool,
+    ParallelSuperstepExecutor,
+    SnapshotWorker,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.vertexcentric.parallel import _WorkerCoordinator
 
 
 class VertexContext:
@@ -53,7 +69,7 @@ class VertexContext:
 
     __slots__ = ("_coordinator", "vertex", "_index")
 
-    def __init__(self, coordinator: "VertexCentric", vertex: VertexId, index: int) -> None:
+    def __init__(self, coordinator: "_WorkerCoordinator", vertex: VertexId, index: int) -> None:
         self._coordinator = coordinator
         self.vertex = vertex
         self._index = index
@@ -62,10 +78,6 @@ class VertexContext:
     @property
     def superstep(self) -> int:
         return self._coordinator.superstep
-
-    @property
-    def graph(self) -> Graph:
-        return self._coordinator.graph
 
     def neighbors(self) -> Iterator[VertexId]:
         """External IDs of the vertex's out-neighbors, off the CSR snapshot."""
@@ -101,9 +113,10 @@ class VertexContext:
         """Sum of the out-neighbors' previous-superstep values for ``key``.
 
         The values must be numeric; missing entries count as ``default``.
-        Computed through the kernel backend as a whole-graph segment sum the
-        first time a superstep asks for ``key``, then served from the cached
-        per-index list — the vectorised gather phase of the engine.
+        Computed through the kernel backend as one segment sum over the
+        worker's partition the first time a superstep asks for ``key``, then
+        served from the cached per-index list — the vectorised gather phase
+        of the engine.
         """
         return self._coordinator.gather_sum(self._index, key, default)
 
@@ -142,6 +155,7 @@ class RunStatistics:
     supersteps: int = 0
     compute_calls: int = 0
     halted_early: bool = False
+    #: partitions driven, summed over supersteps (1 per superstep in-process)
     chunk_count: int = 0
     per_superstep_active: list[int] = field(default_factory=list)
 
@@ -156,29 +170,22 @@ class VertexCentric:
     def __init__(
         self,
         graph: Graph,
-        num_workers: int = 4,
-        chunk_size: int | None = None,
         parallelism: int = 1,
         snapshot_path: str | None = None,
         backend: str | None = None,
         pool: "Any | None" = None,
     ) -> None:
-        if num_workers < 1:
-            raise VertexCentricError("num_workers must be at least 1")
         if parallelism < 1:
             raise VertexCentricError("parallelism must be at least 1")
         self.graph = graph
-        #: kernel backend powering the gather phase (serial and in workers)
+        #: kernel backend powering the gather phase (in every worker)
         self.backend = get_backend(backend)
         #: the shared physical core every superstep is scheduled over
         self.csr = graph.snapshot()
-        self._vertices = self.csr.external_ids
         self.num_vertices = self.csr.n
-        self._num_workers = num_workers
-        self._chunk_size = chunk_size or max(1, self.num_vertices // num_workers)
-        #: number of worker processes (1 = serial, the default)
+        #: number of worker processes (1 = in-process, the default)
         self._parallelism = parallelism
-        #: where to persist the snapshot for parallel workers (None = tempfile)
+        #: where to persist the snapshot for forked workers (None = tempfile)
         self._snapshot_path = snapshot_path
         #: an already-running shared worker pool (plan-level scheduling): the
         #: coordinator installs its program on the pool's generic workers and
@@ -186,24 +193,13 @@ class VertexCentric:
         self._pool = pool
 
         self.superstep = 0
-        self._previous: dict[VertexId, dict[str, Any]] = {v: {} for v in self._vertices}
-        self._next: dict[VertexId, dict[str, Any]] = {v: {} for v in self._vertices}
+        #: the merged value map: what every vertex read last superstep
+        self._previous: dict[VertexId, dict[str, Any]] = {
+            v: {} for v in self.csr.external_ids
+        }
         self._halted: set[VertexId] = set()
-        self._woken: set[VertexId] = set()
-        self._aggregate_previous: dict[str, float] = {}
-        self._aggregate_next: dict[str, float] = {}
-        #: per-superstep cache of backend segment sums: (key, default) -> list
-        self._gather_cache: dict[tuple[str, float], list[float]] = {}
 
     # ------------------------------------------------------------------ #
-    # value buffers
-    # ------------------------------------------------------------------ #
-    def read_value(self, vertex: VertexId, key: str, default: Any = None) -> Any:
-        return self._previous.get(vertex, {}).get(key, default)
-
-    def write_value(self, vertex: VertexId, key: str, value: Any) -> None:
-        self._next.setdefault(vertex, {})[key] = value
-
     def value(self, vertex: VertexId, key: str = "value", default: Any = None) -> Any:
         """Final value after :meth:`run` has completed."""
         return self._previous.get(vertex, {}).get(key, default)
@@ -211,111 +207,45 @@ class VertexCentric:
     def values(self, key: str = "value") -> dict[VertexId, Any]:
         return {v: data.get(key) for v, data in self._previous.items()}
 
-    # ------------------------------------------------------------------ #
     def degree(self, vertex: VertexId) -> int:
         """Logical out-degree, read off the CSR snapshot's offset array."""
         index = self.csr.index(vertex)
         offsets = self.csr.offsets_list
         return offsets[index + 1] - offsets[index]
 
-    def vote_to_halt(self, vertex: VertexId) -> None:
-        self._halted.add(vertex)
-
-    def activate(self, vertex: VertexId) -> None:
-        self._woken.add(vertex)
-
-    def aggregate(self, name: str, value: float) -> None:
-        self._aggregate_next[name] = self._aggregate_next.get(name, 0.0) + value
-
-    def get_aggregate(self, name: str, default: float = 0.0) -> float:
-        return self._aggregate_previous.get(name, default)
-
-    def gather_sum(self, index: int, key: str, default: float) -> float:
-        """Backend-computed neighbor-sum of the previous superstep's ``key``
-        values for the vertex at dense ``index`` (cached per superstep)."""
-        entry = self._gather_cache.get((key, default))
-        if entry is None:
-            previous = self._previous
-            values = [previous[v].get(key, default) for v in self._vertices]
-            entry = self.backend.segment_sums(self.csr, values)
-            self._gather_cache[(key, default)] = entry
-        return entry[index]
-
     # ------------------------------------------------------------------ #
-    def _chunks(self, indexes: list[int]) -> Iterator[list[int]]:
-        for start in range(0, len(indexes), self._chunk_size):
-            yield indexes[start : start + self._chunk_size]
-
     def run(self, executor: Executor, max_supersteps: int = 100) -> RunStatistics:
-        """Run ``executor.compute`` until every vertex halts or the limit hits."""
+        """Run ``executor.compute`` until every vertex halts or the limit hits.
+
+        One loop (:meth:`_superstep_loop`) drives whichever pool the run has:
+
+        * ``parallelism == 1`` and no shared pool (or an empty graph): an
+          in-process single-partition pool whose worker reads the
+          coordinator's own value map — no fork, no snapshot file, no pipe;
+        * a shared ``pool`` (plan-level scheduling): the executor is
+          installed on the pool's generic workers by value — it must be
+          picklable — and the pool's snapshot file and process lifetime are
+          owned by the caller;
+        * otherwise this run forks its own pool, whose workers inherit the
+          executor through the fork (it need not be picklable) and map the
+          snapshot file — ``snapshot_path``, or a tempfile for the run's
+          duration.
+
+        Workers only hold the snapshot: compute functions read topology
+        through the context (``neighbors`` / ``degree``) and must not rely on
+        mutable executor state carried across supersteps (each forked worker
+        runs on its own copy of the executor).
+        """
         if not isinstance(executor, Executor):
             raise VertexCentricError("executor must implement the Executor interface")
-        if (self._parallelism > 1 or self._pool is not None) and self.num_vertices > 0:
-            return self._run_parallel(executor, max_supersteps)
-        stats = RunStatistics()
-        ids = self.csr.external_ids
-        self.superstep = 0
-        self._aggregate_previous = {}
-        self._aggregate_next = {}
-        while self.superstep < max_supersteps:
-            halted = self._halted
-            if halted:
-                active = [i for i in range(self.num_vertices) if ids[i] not in halted]
-            else:
-                active = list(range(self.num_vertices))
-            if not active:
-                stats.halted_early = True
-                break
-            stats.per_superstep_active.append(len(active))
-            # carry forward values so untouched keys persist between supersteps
-            self._next = {v: dict(data) for v, data in self._previous.items()}
-            self._woken = set()
-            self._aggregate_next = {}
-            self._gather_cache = {}
-            compute = executor.compute
-            for chunk in self._chunks(active):
-                stats.chunk_count += 1
-                for index in chunk:
-                    compute(VertexContext(self, ids[index], index))
-                    stats.compute_calls += 1
-            self._previous = self._next
-            self._aggregate_previous = self._aggregate_next
-            self._halted -= self._woken
-            self.superstep += 1
-            stats.supersteps = self.superstep
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # process-parallel supersteps (see repro.vertexcentric.parallel)
-    # ------------------------------------------------------------------ #
-    def _run_parallel(self, executor: Executor, max_supersteps: int) -> RunStatistics:
-        """Run supersteps in worker processes over a shared mmap'd snapshot
-        file, merging chunk outputs in fixed chunk order.
-
-        The merge order makes every result — value maps, halting, and
-        floating-point aggregator totals — bit-identical to the serial path.
-        Compute functions must not touch ``ctx.graph`` (workers only hold the
-        snapshot) and must not rely on mutable executor state carried across
-        supersteps (each worker runs on its own copy of the executor).
-
-        With a shared ``pool`` (plan-level scheduling) the executor is
-        installed on the pool's generic workers by value — it must be
-        picklable — and the pool's snapshot file and process lifetime are
-        owned by the caller; otherwise this run forks its own pool and, when
-        no ``snapshot_path`` was given, persists the snapshot to a tempfile
-        for the run's duration.
-        """
+        n = self.num_vertices
+        if n == 0 or (self._pool is None and self._parallelism == 1):
+            worker = SnapshotWorker(self.csr, 0, n, self.backend)
+            worker.install_program(executor, self._previous)
+            return self._superstep_loop(InProcessPool(worker), max_supersteps)
         if self._pool is not None:
             self._pool.broadcast("install_program", executor)
             return self._superstep_loop(self._pool, max_supersteps)
-
-        import os
-        import tempfile
-
-        from repro.vertexcentric.parallel import (
-            ParallelSuperstepExecutor,
-            VertexChunkWorkerFactory,
-        )
 
         cleanup_path: str | None = None
         if self._snapshot_path is None:
@@ -324,12 +254,9 @@ class VertexCentric:
             cleanup_path = path
             self.csr.save(path)
         else:
-            from repro.graph.snapshot_store import ensure_saved
-
             path = str(ensure_saved(self.csr, self._snapshot_path))
-
-        factory = VertexChunkWorkerFactory(path, executor, backend=self.backend.name)
-        pool = ParallelSuperstepExecutor(self._parallelism, self.num_vertices, factory)
+        factory = SnapshotWorker.factory(path, self.backend.name, program=executor)
+        pool = ParallelSuperstepExecutor(self._parallelism, n, factory)
         try:
             pool.start()
             return self._superstep_loop(pool, max_supersteps)
@@ -342,15 +269,20 @@ class VertexCentric:
                     pass
 
     def _superstep_loop(self, pool, max_supersteps: int) -> RunStatistics:
-        """Drive supersteps against a running pool (owned or shared)."""
+        """Drive supersteps against a pool — in-process, owned or shared.
+
+        Partition outputs are merged in fixed partition order: value maps,
+        halting and floating-point aggregator totals come out the same
+        whatever the partition count.
+        """
         stats = RunStatistics()
         ids = self.csr.external_ids
+        values = self._previous
+        halted = self._halted
         self.superstep = 0
-        self._aggregate_previous = {}
-        self._aggregate_next = {}
         deltas: dict[VertexId, dict[str, Any]] = {}
+        aggregates: dict[str, float] = {}
         while self.superstep < max_supersteps:
-            halted = self._halted
             if halted:
                 active = [i for i in range(self.num_vertices) if ids[i] not in halted]
             else:
@@ -365,46 +297,30 @@ class VertexCentric:
             position = 0
             for _, hi in pool.partitions:
                 start = position
-                while position < len(active) and active[position] < hi:
-                    position += 1
-                payloads.append(
-                    (self.superstep, active[start:position], deltas, self._aggregate_previous)
-                )
-            results = pool.superstep(payloads)
+                position = bisect_left(active, hi, start)
+                payloads.append((self.superstep, active[start:position], deltas, aggregates))
+            results = pool.call("run_superstep", payloads)
 
-            # merge in fixed chunk order — identical to the serial engine's
-            # chunk-sequential execution
-            self._next = {v: dict(data) for v, data in self._previous.items()}
-            self._woken = set()
-            merged_writes: dict[VertexId, dict[str, Any]] = {}
-            aggregate_next: dict[str, float] = {}
-            for writes, halts, woken, contributions, calls in results:
+            # gather: a vertex is computed by exactly one partition, so the
+            # partitions' write maps are disjoint; untouched keys persist
+            deltas = {}
+            aggregates = {}
+            woken: set[VertexId] = set()
+            for writes, halts, wakes, contributions, calls in results:
                 stats.chunk_count += 1
                 stats.compute_calls += calls
                 for vertex, data in writes.items():
-                    slot = self._next.get(vertex)
-                    if slot is None:
-                        self._next[vertex] = dict(data)
-                    else:
-                        slot.update(data)
-                    merged = merged_writes.get(vertex)
-                    if merged is None:
-                        merged_writes[vertex] = dict(data)
-                    else:
-                        merged.update(data)
-                self._halted.update(halts)
-                self._woken.update(woken)
-                for name, values in contributions.items():
-                    # flat left-to-right sum in chunk order == serial order
-                    total = aggregate_next.get(name, 0.0)
-                    for value in values:
-                        total = total + value
-                    aggregate_next[name] = total
-            self._previous = self._next
-            self._aggregate_previous = aggregate_next
-            self._aggregate_next = {}
-            self._halted -= self._woken
-            deltas = merged_writes
+                    values[vertex].update(data)
+                deltas.update(writes)
+                halted.update(halts)
+                woken.update(wakes)
+                for name, shares in contributions.items():
+                    # flat left-to-right sum in ascending vertex order
+                    total = aggregates.get(name, 0.0)
+                    for share in shares:
+                        total = total + share
+                    aggregates[name] = total
+            halted -= woken
             self.superstep += 1
             stats.supersteps = self.superstep
         return stats

@@ -1,11 +1,11 @@
-"""Process-parallel superstep execution over a shared snapshot file.
+"""Worker pools for superstep execution over a shared snapshot file.
 
 The vertex-centric coordinator and the Giraph engine both schedule supersteps
 over frozen dense-index arrays, which makes their per-superstep work
 embarrassingly parallel *within* a superstep: the dense vertex range is split
 into fixed contiguous partitions and each partition's ``compute`` calls run in
 a separate worker process.  What is **not** trivially parallel is keeping the
-results bit-identical to the serial engines — floating-point aggregation and
+results independent of the partition count — floating-point aggregation and
 message delivery are order-sensitive.  This module provides the shared
 machinery and its determinism contract:
 
@@ -15,34 +15,44 @@ machinery and its determinism contract:
 
 * **Persistent workers, fork start method.**  One worker process per
   partition lives for the whole run (created with the ``fork`` start method,
-  so engine-side state such as Giraph vertex sets is inherited without
-  pickling).  Vertex-centric workers do not even inherit the graph: they map
-  the run's **snapshot file** read-only
-  (:func:`repro.graph.snapshot_store.load_snapshot` with ``mmap=True``), so
-  every worker shares one physical copy of ``offsets``/``targets`` through
-  the page cache.
+  so engine-side state such as Giraph vertex sets or a standalone run's
+  executor is inherited without pickling).  A :class:`SnapshotWorker` does
+  not even inherit the graph: its :meth:`~SnapshotWorker.factory` maps the
+  run's **snapshot file** read-only inside the fork, so every worker shares
+  one physical copy of ``offsets``/``targets`` through the page cache — or,
+  under sharding, maps only its own partition's segment file.
+
+* **One wire command.**  A pool moves ``(method, argument)`` messages:
+  the worker answers ``getattr(worker, method)(argument)``.  Supersteps,
+  program installs, final-value collection and the plan scheduler's sweeps
+  and tasks are all method names (:meth:`ParallelSuperstepExecutor.call` /
+  ``broadcast`` / ``map_tasks``); the executor only moves bytes and enforces
+  ordering.
 
 * **Deterministic merge.**  Each superstep the master scatters one payload
   per partition and gathers results *in partition order*.  Order-sensitive
   outputs are returned as ordered sequences (per-aggregator contribution
   lists, per-sender message lists) and re-reduced by the master with one flat
-  left-to-right pass — exactly the serial engines' iteration order (ascending
-  dense index).  Floating-point results are therefore bit-identical to
-  serial execution, not merely close.
+  left-to-right pass — ascending dense index, whatever the split.
+  Floating-point results are therefore bit-identical across partition
+  counts, not merely close.
 
-Workers implement two methods: ``run_superstep(payload) -> result`` and
-``collect() -> result``; the executor only moves bytes and enforces ordering.
+* **The one-partition case needs no processes.**  :class:`InProcessPool`
+  offers the same ``partitions`` / ``call`` surface around a
+  :class:`SnapshotWorker` on the caller's stack; it is what
+  ``VertexCentric(parallelism=1)`` runs on.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import threading
 import traceback
 from array import array
 from typing import Any, Callable, Sequence
 
-from repro.exceptions import VertexCentricError
+from repro.exceptions import VertexCentricError, WorkerDiedError
 from repro.graph.backend import get_backend
 from repro.graph.kernel import CSRGraph
 
@@ -146,22 +156,13 @@ def _worker_main(conn, lo: int, hi: int, worker_factory) -> None:
     try:
         while True:
             try:
-                command, payload = conn.recv()
+                method, argument = conn.recv()
             except EOFError:
                 break
-            if command == "stop":
+            if method is None:  # stop
                 break
             try:
-                if command == "step":
-                    result = worker.run_superstep(payload)
-                elif command == "collect":
-                    result = worker.collect()
-                elif command == "call":
-                    method, argument = payload
-                    result = getattr(worker, method)(argument)
-                else:
-                    raise VertexCentricError(f"unknown worker command {command!r}")
-                conn.send(("ok", result))
+                conn.send(("ok", getattr(worker, method)(argument)))
             except BaseException:
                 conn.send(("error", traceback.format_exc()))
     finally:
@@ -177,11 +178,12 @@ class ParallelSuperstepExecutor:
 
     Use as a context manager, or call :meth:`start` / :meth:`close`.
 
-    Beyond the superstep protocol, workers may expose extra methods invoked
-    by name through :meth:`call` (broadcast one payload per partition, gather
-    in partition order) or :meth:`map_tasks` (independent whole-graph tasks
-    load-balanced over free workers) — the plan-level scheduler uses these to
-    reuse one pool across heterogeneous requests.
+    Everything a worker does is a method invoked by name: :meth:`call` (one
+    payload per partition, results gathered in partition order — a superstep
+    is ``call("run_superstep", payloads)``), :meth:`broadcast` (the same
+    payload everywhere) or :meth:`map_tasks` (independent whole-graph tasks
+    load-balanced over free workers) — which is what lets the plan-level
+    scheduler reuse one pool across heterogeneous requests.
     """
 
     #: cumulative successful :meth:`start` calls in this process — the
@@ -269,20 +271,26 @@ class ParallelSuperstepExecutor:
         return self._started
 
     # ------------------------------------------------------------------ #
-    def _died(self, worker: int, doing: str) -> VertexCentricError:
+    def _died(self, worker: int, doing: str) -> WorkerDiedError:
         """Close the pool over a dead worker; the error for the caller to
         raise.  A dead worker's pipe fails with EOFError after a clean exit
         and with a raw OSError (broken pipe, connection reset) after a kill —
         both ends of every exchange catch both."""
         self.close()
-        return VertexCentricError(f"parallel worker {worker} died {doing}")
+        return WorkerDiedError(f"parallel worker {worker} died {doing}")
 
-    def _round(self, command: str, payloads: Sequence[Any]) -> list[Any]:
+    def call(self, method: str, payloads: Sequence[Any]) -> list[Any]:
+        """Invoke ``worker.<method>(payload)`` on every worker — one payload
+        per partition — and gather results in partition order."""
         if not self._started:
             raise VertexCentricError("executor is not running (call start() first)")
+        if len(payloads) != len(self.partitions):
+            raise VertexCentricError(
+                f"expected {len(self.partitions)} payloads, got {len(payloads)}"
+            )
         for k, (conn, payload) in enumerate(zip(self._conns, payloads)):
             try:
-                conn.send((command, payload))
+                conn.send((method, payload))
             except OSError:
                 raise self._died(k, "mid-superstep") from None
         results = []
@@ -296,30 +304,6 @@ class ParallelSuperstepExecutor:
                 raise VertexCentricError(f"compute failed in parallel worker {k}:\n{payload}")
             results.append(payload)
         return results
-
-    def superstep(self, payloads: Sequence[Any]) -> list[Any]:
-        """Scatter one payload per partition, gather results in partition order."""
-        if len(payloads) != len(self.partitions):
-            raise VertexCentricError(
-                f"expected {len(self.partitions)} payloads, got {len(payloads)}"
-            )
-        return self._round("step", payloads)
-
-    def collect(self) -> list[Any]:
-        """Gather each worker's ``collect()`` result in partition order."""
-        return self._round("collect", [None] * len(self.partitions))
-
-    # ------------------------------------------------------------------ #
-    # generic named-method rounds (plan-level scheduling)
-    # ------------------------------------------------------------------ #
-    def call(self, method: str, payloads: Sequence[Any]) -> list[Any]:
-        """Invoke ``worker.<method>(payload)`` on every worker — one payload
-        per partition — and gather results in partition order."""
-        if len(payloads) != len(self.partitions):
-            raise VertexCentricError(
-                f"expected {len(self.partitions)} payloads, got {len(payloads)}"
-            )
-        return self._round("call", [(method, payload) for payload in payloads])
 
     def broadcast(self, method: str, payload: Any) -> list[Any]:
         """Invoke ``worker.<method>(payload)`` with the same payload on every
@@ -347,7 +331,7 @@ class ParallelSuperstepExecutor:
                 worker = free.pop()
                 conn = self._conns[worker]
                 try:
-                    conn.send(("call", (method, arguments[next_task])))
+                    conn.send((method, arguments[next_task]))
                 except OSError:
                     raise self._died(worker, f"running task {next_task}") from None
                 pending[conn] = (next_task, worker)
@@ -373,7 +357,7 @@ class ParallelSuperstepExecutor:
     def close(self) -> None:
         for conn in self._conns:
             try:
-                conn.send(("stop", None))
+                conn.send((None, None))
             except (OSError, ValueError):
                 pass
         for proc in self._procs:
@@ -392,30 +376,34 @@ class ParallelSuperstepExecutor:
 
 
 # --------------------------------------------------------------------------- #
-# the vertex-centric chunk worker (used by repro.vertexcentric.framework)
+# the snapshot worker (vertex-centric supersteps; the plan scheduler's
+# PlanWorker extends it with direct-kernel work)
 # --------------------------------------------------------------------------- #
 class _WorkerCoordinator:
-    """Duck-types :class:`~repro.vertexcentric.framework.VertexCentric` for
-    :class:`~repro.vertexcentric.framework.VertexContext` inside a worker.
+    """What a :class:`~repro.vertexcentric.framework.VertexContext` talks to
+    while one partition's ``compute`` calls run.
 
-    Reads see the previous superstep's values (double buffering, as in the
-    serial coordinator); writes, halts, wake-ups and aggregator contributions
-    are recorded and shipped back to the master for the deterministic merge.
-    ``graph`` is ``None`` in workers: parallel compute functions must read
-    topology through the context (``neighbors`` / ``degree``), not through
-    the source representation.
+    Reads see the previous superstep's values (double buffering); writes,
+    halts, wake-ups and aggregator contributions are recorded and handed
+    back to the master for the deterministic merge.  Workers only hold the
+    snapshot: compute functions read topology through the context
+    (``neighbors`` / ``degree``), never through the source representation.
     """
 
-    graph = None
-
-    def __init__(self, csr: CSRGraph, lo: int = 0, hi: int | None = None, backend=None) -> None:
+    def __init__(self, csr: CSRGraph, lo: int, hi: int, backend, values: dict | None) -> None:
         self.csr = csr
         self.num_vertices = csr.n
         self.superstep = 0
         self.lo = lo
-        self.hi = csr.n if hi is None else hi
-        self.backend = backend if backend is not None else get_backend()
-        self._previous: dict = {vertex: {} for vertex in csr.external_ids}
+        self.hi = hi
+        self.backend = backend
+        #: last superstep's value of every vertex: the master's own map when
+        #: the worker runs in-process, else a mirror kept current by the
+        #: deltas each superstep's payload carries
+        self._mirrored = values is None
+        self._previous: dict = (
+            {vertex: {} for vertex in csr.external_ids} if self._mirrored else values
+        )
         self._aggregate_previous: dict[str, float] = {}
         self._writes: dict = {}
         self._halts: set = set()
@@ -424,13 +412,10 @@ class _WorkerCoordinator:
         self._gather_cache: dict[tuple[str, float], list[float]] = {}
 
     def begin_superstep(self, superstep: int, deltas: dict, aggregates: dict) -> None:
-        previous = self._previous
-        for vertex, data in deltas.items():
-            slot = previous.get(vertex)
-            if slot is None:
-                previous[vertex] = dict(data)
-            else:
-                slot.update(data)
+        if self._mirrored:  # the master's own map is already merged
+            previous = self._previous
+            for vertex, data in deltas.items():
+                previous[vertex].update(data)
         self.superstep = superstep
         self._aggregate_previous = aggregates
         self._writes = {}
@@ -444,11 +429,7 @@ class _WorkerCoordinator:
         return self._previous.get(vertex, {}).get(key, default)
 
     def write_value(self, vertex, key, value) -> None:
-        slot = self._writes.get(vertex)
-        if slot is None:
-            self._writes[vertex] = {key: value}
-        else:
-            slot[key] = value
+        self._writes.setdefault(vertex, {})[key] = value
 
     def vote_to_halt(self, vertex) -> None:
         self._halts.add(vertex)
@@ -463,11 +444,10 @@ class _WorkerCoordinator:
         return self._aggregate_previous.get(name, default)
 
     def gather_sum(self, index: int, key: str, default: float) -> float:
-        """Backend segment sums over this worker's partition of the shared
-        mmap'd snapshot — the vectorised gather phase, computed once per
-        (superstep, key) for the whole partition.  Identical per-vertex
-        reductions to the serial coordinator's whole-graph call, so parallel
-        gathers stay bit-identical to serial execution."""
+        """Backend segment sums over this worker's partition of the snapshot
+        — the vectorised gather phase, computed once per (superstep, key) for
+        the whole partition.  The per-vertex reductions do not depend on the
+        partition bounds, so gathers are bit-identical under any partitioning."""
         entry = self._gather_cache.get((key, default))
         if entry is None:
             previous = self._previous
@@ -477,86 +457,105 @@ class _WorkerCoordinator:
         return entry[index - self.lo]
 
 
-class VertexChunkWorker:
-    """Runs one partition's ``compute`` calls over the mmap-loaded snapshot."""
+class SnapshotWorker:
+    """One partition's worker over a CSR snapshot.
 
-    def __init__(self, csr: CSRGraph, executor, lo: int, hi: int, backend=None) -> None:
+    Forked pools build it with :meth:`factory`, which maps the run's snapshot
+    file read-only inside the worker process — the whole file, shared by all
+    workers through the page cache, or under sharding only the worker's own
+    segment file, so no process ever maps the full graph.  The in-process
+    pool wraps one directly around the coordinator's snapshot.
+    """
+
+    def __init__(self, csr: CSRGraph, lo: int, hi: int, backend) -> None:
+        self.csr = csr
+        self.lo = lo
+        self.hi = hi
+        self.backend = backend
+        self._coordinator: _WorkerCoordinator | None = None
+
+    @classmethod
+    def factory(
+        cls, snapshot_path, backend: str | None = None, *, sharded: bool = False, program=None
+    ) -> Callable[[int, int], "SnapshotWorker"]:
+        """The ``worker_factory(lo, hi)`` of a pool of this class over
+        ``snapshot_path`` — a shard *manifest* when ``sharded`` (the pool's
+        partitions must equal its shard ranges).  ``backend`` is the
+        coordinator's resolved backend name, so workers run the same kernels
+        regardless of their inherited environment.  ``program`` is installed
+        inside the fork: a standalone run's executor is inherited, never
+        pickled."""
+        return functools.partial(cls._open, snapshot_path, backend, sharded, program)
+
+    @classmethod
+    def _open(cls, snapshot_path, backend, sharded, program, lo: int, hi: int):
+        if sharded:
+            from repro.graph.shard_store import load_shard
+
+            csr: CSRGraph = load_shard(snapshot_path, (lo, hi), mmap=True)
+        else:
+            csr = CSRGraph.load(snapshot_path, mmap=True, verify=False)
+        worker = cls(csr, lo, hi, get_backend(backend))
+        if program is not None:
+            worker.install_program(program)
+        return worker
+
+    def install_program(self, executor, values: dict | None = None) -> None:
+        """Adopt a vertex-centric program: fresh per-program state, same
+        process, same snapshot.  ``values`` is the in-process case — the
+        master's value map, read directly instead of mirrored."""
         from repro.vertexcentric.framework import VertexContext
 
         self._context_class = VertexContext
-        self._coordinator = _WorkerCoordinator(csr, lo, hi, backend=backend)
+        self._coordinator = _WorkerCoordinator(self.csr, self.lo, self.hi, self.backend, values)
         self._compute = executor.compute
-        self._ids = csr.external_ids
-        self.lo = lo
-        self.hi = hi
 
     def run_superstep(self, payload):
-        superstep, active, deltas, aggregates = payload
         coordinator = self._coordinator
+        if coordinator is None:
+            raise RuntimeError("no superstep program installed on this worker")
+        superstep, active, deltas, aggregates = payload
         coordinator.begin_superstep(superstep, deltas, aggregates)
         compute = self._compute
         make_context = self._context_class
-        ids = self._ids
-        calls = 0
+        ids = self.csr.external_ids
         for index in active:
             compute(make_context(coordinator, ids[index], index))
-            calls += 1
         return (
             coordinator._writes,
             coordinator._halts,
             coordinator._woken,
             coordinator._contributions,
-            calls,
+            len(active),
         )
 
-    def collect(self):  # pragma: no cover - master merges every superstep
-        return None
-
     def memory_stats(self, _payload=None) -> dict:
-        """This worker's snapshot footprint — the out-of-core assertion data."""
+        """This worker's snapshot footprint — the out-of-core assertion data.
+
+        ``mapped_bytes`` is the snapshot file bytes this process keeps
+        memory-mapped (one shard's segment file under sharding, the whole
+        snapshot otherwise); ``peak_rss_bytes`` the process-lifetime peak
+        resident set size.
+        """
         from repro.utils.memstats import mapped_snapshot_bytes, peak_rss_bytes
 
         return {
             "lo": self.lo,
             "hi": self.hi,
-            "mapped_bytes": mapped_snapshot_bytes(self._coordinator.csr),
+            "mapped_bytes": mapped_snapshot_bytes(self.csr),
             "peak_rss_bytes": peak_rss_bytes(),
         }
 
 
-class VertexChunkWorkerFactory:
-    """Builds a :class:`VertexChunkWorker` inside a forked worker process.
+class InProcessPool:
+    """The one-partition case of :class:`ParallelSuperstepExecutor`: the same
+    ``partitions`` / ``call`` surface around a worker on the caller's stack —
+    no fork, no snapshot file, no pipe."""
 
-    Loads the run's snapshot file with ``mmap=True`` so all workers share one
-    physical copy of the arrays; the compute ``executor`` object is inherited
-    through the fork.  With ``sharded=True`` the path is a shard *manifest*
-    and each worker maps only its own partition's segment file
-    (:func:`repro.graph.shard_store.load_shard` — the partition bounds must
-    equal the manifest's shard ranges), so no single process ever maps the
-    full graph.
-    """
+    def __init__(self, worker: SnapshotWorker) -> None:
+        self.partitions = [(worker.lo, worker.hi)]
+        self._worker = worker
 
-    def __init__(
-        self,
-        snapshot_path,
-        executor,
-        mmap: bool = True,
-        backend: str | None = None,
-        sharded: bool = False,
-    ) -> None:
-        self.snapshot_path = snapshot_path
-        self.executor = executor
-        self.mmap = mmap
-        #: resolved backend name from the coordinator, so workers run the
-        #: same kernels regardless of their inherited environment
-        self.backend = backend
-        self.sharded = sharded
-
-    def __call__(self, lo: int, hi: int) -> VertexChunkWorker:
-        if self.sharded:
-            from repro.graph.shard_store import load_shard
-
-            csr: CSRGraph = load_shard(self.snapshot_path, (lo, hi), mmap=self.mmap)
-        else:
-            csr = CSRGraph.load(self.snapshot_path, mmap=self.mmap, verify=False)
-        return VertexChunkWorker(csr, self.executor, lo, hi, backend=get_backend(self.backend))
+    def call(self, method: str, payloads: Sequence[Any]) -> list[Any]:
+        (payload,) = payloads
+        return [getattr(self._worker, method)(payload)]

@@ -174,107 +174,76 @@ class LabelPropagationProgram(Executor):
 # --------------------------------------------------------------------------- #
 # convenience wrappers
 # --------------------------------------------------------------------------- #
+def _run(graph, program, key, max_supersteps, parallelism, snapshot_path, backend, pool):
+    """Run ``program`` to completion; ``(values under key, statistics)``."""
+    coordinator = VertexCentric(
+        graph, parallelism=parallelism, snapshot_path=snapshot_path, backend=backend, pool=pool
+    )
+    stats = coordinator.run(program, max_supersteps=max_supersteps)
+    return coordinator.values(key), stats
+
+
 def run_degree(
     graph: Graph,
-    num_workers: int = 4,
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
     pool=None,
 ) -> tuple[dict[VertexId, int], RunStatistics]:
-    coordinator = VertexCentric(
-        graph,
-        num_workers=num_workers,
-        parallelism=parallelism,
-        snapshot_path=snapshot_path,
-        backend=backend,
-        pool=pool,
-    )
-    stats = coordinator.run(DegreeProgram(), max_supersteps=2)
-    return coordinator.values("degree"), stats
+    return _run(graph, DegreeProgram(), "degree", 2, parallelism, snapshot_path, backend, pool)
 
 
 def run_pagerank(
     graph: Graph,
     iterations: int = 20,
     damping: float = 0.85,
-    num_workers: int = 4,
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
     pool=None,
 ) -> tuple[dict[VertexId, float], RunStatistics]:
-    coordinator = VertexCentric(
-        graph,
-        num_workers=num_workers,
-        parallelism=parallelism,
-        snapshot_path=snapshot_path,
-        backend=backend,
-        pool=pool,
-    )
-    stats = coordinator.run(PageRankProgram(iterations, damping), max_supersteps=iterations + 2)
-    return coordinator.values("rank"), stats
+    program = PageRankProgram(iterations, damping)
+    return _run(graph, program, "rank", iterations + 2, parallelism, snapshot_path, backend, pool)
 
 
 def run_connected_components(
     graph: Graph,
-    num_workers: int = 4,
     max_supersteps: int = 200,
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
     pool=None,
 ) -> tuple[dict[VertexId, object], RunStatistics]:
-    coordinator = VertexCentric(
-        graph,
-        num_workers=num_workers,
-        parallelism=parallelism,
-        snapshot_path=snapshot_path,
-        backend=backend,
-        pool=pool,
+    program = ConnectedComponentsProgram()
+    return _run(
+        graph, program, "component", max_supersteps, parallelism, snapshot_path, backend, pool
     )
-    stats = coordinator.run(ConnectedComponentsProgram(), max_supersteps=max_supersteps)
-    return coordinator.values("component"), stats
 
 
 def run_sssp(
     graph: Graph,
     source: VertexId,
-    num_workers: int = 4,
     max_supersteps: int = 200,
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
     pool=None,
 ) -> tuple[dict[VertexId, int | None], RunStatistics]:
-    coordinator = VertexCentric(
-        graph,
-        num_workers=num_workers,
-        parallelism=parallelism,
-        snapshot_path=snapshot_path,
-        backend=backend,
-        pool=pool,
+    program = SingleSourceShortestPathsProgram(source)
+    return _run(
+        graph, program, "distance", max_supersteps, parallelism, snapshot_path, backend, pool
     )
-    stats = coordinator.run(SingleSourceShortestPathsProgram(source), max_supersteps=max_supersteps)
-    return coordinator.values("distance"), stats
 
 
 def run_label_propagation(
     graph: Graph,
-    num_workers: int = 4,
     max_supersteps: int = 50,
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
     pool=None,
 ) -> tuple[dict[VertexId, object], RunStatistics]:
-    coordinator = VertexCentric(
-        graph,
-        num_workers=num_workers,
-        parallelism=parallelism,
-        snapshot_path=snapshot_path,
-        backend=backend,
-        pool=pool,
+    program = LabelPropagationProgram()
+    return _run(
+        graph, program, "community", max_supersteps, parallelism, snapshot_path, backend, pool
     )
-    stats = coordinator.run(LabelPropagationProgram(), max_supersteps=max_supersteps)
-    return coordinator.values("community"), stats

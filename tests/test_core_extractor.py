@@ -99,7 +99,7 @@ class TestExpandedExtraction:
     def test_sqlite_backend_parity(self, toy_dblp):
         python_graph, _ = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False)
         sqlite_graph, _ = extract(
-            toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False, backend="sqlite"
+            toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False, extract_engine="sqlite"
         )
         assert logically_equivalent(
             expanded_from_condensed(python_graph), expanded_from_condensed(sqlite_graph)

@@ -14,15 +14,19 @@ The contract under test (PR 8's tentpole):
   shard count on out-of-core superstep results, plain handle provenance on
   inline fallbacks;
 * the warm pool keys on shard geometry, and the service codec round-trips
-  the new provenance fields.
+  the new provenance fields;
+* graphs whose snapshot payload is several times a per-worker memory budget
+  still complete, under the budget and bit-identical (the former Figure 19).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.datasets.synthetic import generate_condensed
 from repro.exceptions import UsageError
 from repro.graph.backend import numpy_available
+from repro.graph.cdup import CDupGraph
 from repro.graph.shard_store import snapshot_payload_bytes
 from repro.relational.database import Database
 from repro.session import GraphSession
@@ -158,6 +162,55 @@ class TestWorkerMemory:
             report = session.wrap(graph).analyze().add("pagerank").run()
         assert report.worker_memory == []
         assert report.provenance.shards == 0
+
+
+# --------------------------------------------------------------------------- #
+# Figure 19: the snapshot payload is several times the per-worker budget
+# --------------------------------------------------------------------------- #
+#: the payload must be at least this many times the budget — the check is
+#: pointless if the graph would have fit in one worker anyway
+MIN_OVERSUBSCRIPTION = 3
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "num_real, num_virtual",
+    [
+        pytest.param(1200, 600, id="synthetic_mid"),
+        pytest.param(4000, 2000, id="synthetic_large", marks=pytest.mark.slow),
+    ],
+)
+def test_out_of_core_under_budget_bit_identical(num_real, num_virtual, backend):
+    graph = CDupGraph(generate_condensed(num_real, num_virtual, mean_size=6, std_size=2, seed=11))
+    source = sorted(graph.get_vertices(), key=repr)[0]
+
+    def run(**session_kwargs):
+        with _session(backend, **session_kwargs) as session:
+            plan = session.wrap(graph).analyze()
+            return plan.pagerank().components().bfs(source=source).degree().run()
+
+    payload = snapshot_payload_bytes(graph.snapshot())
+    budget_bytes = payload // (MIN_OVERSUBSCRIPTION + 1)
+    assert payload >= MIN_OVERSUBSCRIPTION * budget_bytes
+    sharded = run(memory_budget_mb=budget_bytes / (1024 * 1024))
+
+    # the memory ceiling, asserted from the workers' own memory_stats
+    shards = sharded.provenance.shards
+    assert shards >= MIN_OVERSUBSCRIPTION
+    assert sharded.provenance.snapshot_source == "shard-mmap"
+    assert len(sharded.worker_memory) == shards
+    for entry in sharded.worker_memory:
+        assert 0 < entry["mapped_bytes"] <= budget_bytes, entry
+        assert entry["peak_rss_bytes"] > 0
+
+    # bit-identity: the same engines on an unsharded pool of the same size,
+    # and the plain serial kernels for the integer-exact algorithms
+    monolithic = run(parallelism=shards)
+    serial = run()
+    for label in ("pagerank", "components", "bfs", "degree"):
+        assert sharded[label].values == monolithic[label].values, label
+    for label in ("components", "bfs", "degree"):
+        assert sharded[label].values == serial[label].values, label
 
 
 # --------------------------------------------------------------------------- #

@@ -2,28 +2,46 @@
 
 The determinism contract (see ``repro.vertexcentric.parallel``): running the
 vertex-centric framework or the Giraph engine with ``parallelism=N`` must
-produce results **bit-identical** to the serial engines — value maps
+produce results **bit-identical** to ``parallelism=1`` — value maps
 (including floating-point PageRank ranks and dangling-mass aggregator sums),
 superstep counts, compute-call counts and message metrics.
+
+The vertex-centric framework has one superstep loop, so "parallel == serial"
+there only compares partition merges with each other; what pins the values
+themselves is the property at the end of its section: every way of driving
+the loop against references that live outside the engine (the
+``repro.algorithms`` kernels and a textbook PageRank written here).
 
 Coverage spans all five representations through the shared parity-family
 helpers in ``tests/conftest.py`` (DEDUP-2 is included directly: serial and
 parallel run on the *same* graph, so no self-loop projection is needed).
 """
 
-import pytest
+import os
+import pickle
+import tempfile
+from contextlib import contextmanager
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.algorithms import bfs_distances, connected_components, degrees
 from repro.exceptions import VertexCentricError
 from repro.giraph.runner import run_giraph
 from repro.graph import ExpandedGraph
+from repro.graph.shard_store import plan_shard_ranges, save_sharded_snapshot
+from repro.session.plan import canonical_component_labels
+from repro.session.scheduler import PlanWorker, SharedPoolManager
 from repro.vertexcentric import (
     Executor,
+    ParallelSuperstepExecutor,
     VertexCentric,
     partition_range,
 )
 from repro.vertexcentric.programs import (
     PageRankProgram,
     run_connected_components,
+    run_degree,
     run_label_propagation,
     run_pagerank,
     run_sssp,
@@ -149,6 +167,25 @@ class TestVertexCentricEdgeCases:
         assert path.stat().st_mtime_ns == stamp  # hash matched: not rewritten
         assert first == serial and second == serial
 
+    def test_standalone_pool_inherits_an_unpicklable_executor(self):
+        """A standalone run's executor reaches its workers through the fork,
+        never through a pickle: a class defined inside a function (which
+        pickle refuses) runs at ``parallelism=2``."""
+        offset = 7
+
+        class Local(Executor):
+            def compute(self, ctx):
+                ctx.set_value(ctx.degree() + offset)
+                ctx.vote_to_halt()
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(Local())
+        graph = ExpandedGraph.from_edges([(1, 2), (2, 1), (2, 3), (3, 2)])
+        coordinator = VertexCentric(graph, parallelism=2)
+        stats = coordinator.run(Local(), max_supersteps=3)
+        assert coordinator.values() == {1: 8, 2: 9, 3: 8}
+        assert stats.chunk_count == 2 and stats.halted_early
+
     def test_compute_error_propagates(self):
         class Exploding(Executor):
             def compute(self, ctx):
@@ -173,6 +210,105 @@ def test_partition_range_properties():
         assert max(hi - lo for lo, hi in bounds) - min(hi - lo for lo, hi in bounds) <= 1
     with pytest.raises(VertexCentricError):
         partition_range(5, 0)
+
+
+# --------------------------------------------------------------------------- #
+# the engine's reference lives outside the engine
+# --------------------------------------------------------------------------- #
+@st.composite
+def symmetric_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    edges = {(u, v) for u, v in pairs if u != v}
+    edges |= {(v, u) for u, v in edges}
+    return ExpandedGraph.from_edges(sorted(edges), vertices=list(range(n)))
+
+
+@contextmanager
+def every_engine(graph):
+    """name -> ``run_*`` keywords, one entry per way of driving the loop."""
+    csr = graph.snapshot()
+    with tempfile.TemporaryDirectory() as scratch:
+        snapshot = os.path.join(scratch, "graph.csr")
+        csr.save(snapshot)
+        manager = SharedPoolManager()
+        leased, release = manager.acquire(2, csr.n, snapshot, csr.content_hash, "python")
+        manifest = os.path.join(scratch, "graph.csrm")
+        save_sharded_snapshot(csr, manifest, shards=3)
+        sharded = ParallelSuperstepExecutor(
+            3,
+            csr.n,
+            PlanWorker.factory(manifest, "python", sharded=True),
+            partitions=plan_shard_ranges(csr, shards=3),
+        ).start()
+        try:
+            yield {
+                "in-process": {},
+                "forked-2": {"parallelism": 2},
+                "forked-3": {"parallelism": 3},
+                "leased-plan-pool": {"pool": leased},
+                "sharded-pool": {"pool": sharded},
+            }
+        finally:
+            sharded.close()
+            release()
+            manager.close()
+
+
+def textbook_pagerank(graph, iterations, damping=0.85):
+    """Synchronous PageRank with uniform dangling redistribution, written
+    against the Graph API alone (its neighbor order is the summation order)."""
+    vertices = list(graph.get_vertices())
+    n = len(vertices)
+    adjacency = {v: list(graph.get_neighbors(v)) for v in vertices}
+    rank = {v: 1.0 / n for v in vertices}
+    for _ in range(iterations):
+        share = {v: rank[v] / len(adjacency[v]) if adjacency[v] else 0.0 for v in vertices}
+        dangling = 0.0
+        for v in vertices:
+            if not adjacency[v]:
+                dangling += rank[v]
+        updated = {}
+        for v in vertices:
+            total = 0.0
+            for u in adjacency[v]:
+                total += share[u]
+            updated[v] = (1.0 - damping) / n + damping * (total + dangling / n)
+        rank = updated
+    return rank
+
+
+@settings(max_examples=25, deadline=None)
+@given(symmetric_graphs())
+def test_every_engine_equals_the_independent_references(graph):
+    source = 0
+    programs = {
+        "degree": lambda **engine: run_degree(graph, backend="python", **engine),
+        "pagerank": lambda **engine: run_pagerank(graph, iterations=6, backend="python", **engine),
+        "components": lambda **engine: run_connected_components(graph, backend="python", **engine),
+        "sssp": lambda **engine: run_sssp(graph, source, backend="python", **engine),
+        "label_propagation": lambda **engine: run_label_propagation(
+            graph, backend="python", **engine
+        ),
+    }
+    with every_engine(graph) as engines:
+        outcomes = {
+            program: {name: run(**keywords) for name, keywords in engines.items()}
+            for program, run in programs.items()
+        }
+    for program, by_engine in outcomes.items():
+        values, stats = by_engine["in-process"]
+        for name, (other_values, other_stats) in by_engine.items():
+            assert other_values == values, f"{program} on {name}"
+            _assert_stats_match(other_stats, stats)
+    # ... and the in-process values are the ones an engine-free computation gives
+    assert outcomes["degree"]["in-process"][0] == degrees(graph)
+    assert outcomes["pagerank"]["in-process"][0] == textbook_pagerank(graph, iterations=6)
+    labels = canonical_component_labels(outcomes["components"]["in-process"][0])
+    assert labels == connected_components(graph)
+    distances = outcomes["sssp"]["in-process"][0]
+    assert {v: d for v, d in distances.items() if d is not None} == bfs_distances(graph, source)
 
 
 # --------------------------------------------------------------------------- #

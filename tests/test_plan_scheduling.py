@@ -324,13 +324,13 @@ class TestMapTasks:
     def test_more_tasks_than_workers_load_balance_in_order(self, families, tmp_path):
         """map_tasks hands queued tasks to workers as they free up and
         returns results in argument order."""
-        from repro.session.scheduler import PlanWorkerFactory
+        from repro.session.scheduler import PlanWorker
 
         graph = families["symmetric"]["EXP"]
         csr = graph.snapshot()
         path = tmp_path / "sched.csr"
         csr.save(path)
-        pool = ParallelSuperstepExecutor(2, csr.n, PlanWorkerFactory(str(path), "python"))
+        pool = ParallelSuperstepExecutor(2, csr.n, PlanWorker.factory(str(path), "python"))
         with pool:
             payloads = [("degree", {}), ("kcore", {}), ("triangles", {}), ("clustering", {})]
             results = pool.map_tasks("run_task", payloads)

@@ -232,17 +232,18 @@ def test_fallback_on_unbindable_data():
     assert graph.num_real_nodes == 2 and graph.num_condensed_edges == 2
 
 
-def test_fallback_prefers_sqlite_when_backend_is_sqlite():
+def test_explicit_sqlite_engine_does_not_fall_back():
+    """Only pushdown/auto degrade (to the python reference, above); an
+    explicit ``extract_engine="sqlite"`` on data sqlite cannot bind surfaces
+    the error.  The old second knob that chose a sqlite fallback is gone."""
     db = Database("weird")
     db.create_table("Node", [("id", "any")])
     db.insert("Node", [((1,),), ((2,),)])
-    gg = GraphGen(db, extract_engine=ENGINE_PUSHDOWN, backend="sqlite")
+    gg = GraphGen(db, extract_engine=ENGINE_SQLITE)
     with pytest.raises(GraphGenError):
-        # the sqlite row engine cannot bind tuples either: surfacing that
-        # error (rather than silently degrading twice) keeps backend="sqlite"
-        # meaningful -- but the fallback *choice* must be sqlite
         gg.extract_condensed("Nodes(ID) :- Node(ID). Edges(A, A) :- Node(A).")
-    assert ExtractionOptions(backend="sqlite").fallback_engine() == ENGINE_SQLITE
+    with pytest.raises(TypeError):
+        ExtractionOptions(backend="sqlite")
 
 
 def test_malformed_plan_is_not_pushable(toy_dblp):
@@ -264,10 +265,10 @@ def test_auto_engine_runs_pushdown(toy_dblp, coauthor_query):
 
 
 def test_default_engine_unchanged(toy_dblp, coauthor_query):
-    """No extract_engine -> derived from the query backend, as before."""
+    """No extract_engine -> the python reference engine."""
     _, report = GraphGen(toy_dblp).extract_condensed(coauthor_query)
     assert report.engine == ENGINE_PYTHON
-    _, report = GraphGen(toy_dblp, backend="sqlite").extract_condensed(coauthor_query)
+    _, report = GraphGen(toy_dblp, extract_engine="sqlite").extract_condensed(coauthor_query)
     assert report.engine == ENGINE_SQLITE
 
 

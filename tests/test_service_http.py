@@ -3,19 +3,25 @@
 Boots :class:`repro.service.GraphServiceServer` in-process on a loopback
 port and talks to it with ``urllib`` — the same wire a curl user sees.
 Covers the route table, the error contract (4xx one-line JSON messages,
-never a traceback; 503 on admission refusal), concurrent clients sharing
-one result cache, the mutation endpoint, bounded-lifetime shutdown
-(``max_requests``), and finally the CLI ``serve`` command end-to-end in a
-subprocess (the same path ``make serve-smoke`` drives).
+never a traceback; 503 on admission refusal), faults (malformed or
+oversized ``Content-Length`` over a raw socket, a pool worker killed
+mid-plan), concurrent clients sharing one result cache, the mutation
+endpoint, bounded-lifetime shutdown (``max_requests``), and finally the CLI
+``serve`` command end-to-end in a subprocess (the same path ``make
+serve-smoke`` drives).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+import signal
+import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -23,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import GraphService, decode_report, make_server, serve_in_thread
+from repro.service.http import MAX_BODY_BYTES
 from repro.session import GraphSession
 from tests.conftest import COAUTHOR_QUERY
 from tests.test_session import make_db
@@ -172,6 +179,135 @@ class TestErrorContract:
         finally:
             for _ in range(held):
                 service._leave()
+
+
+def raw_exchange(server, request: bytes, timeout: float = 5.0) -> bytes:
+    """Send ``request`` verbatim and read until the *server* closes the
+    socket; a server that neither answers nor closes within ``timeout``
+    raises ``socket.timeout``."""
+    with socket.create_connection(server.server_address[:2], timeout=timeout) as sock:
+        sock.sendall(request)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestMalformedContentLength:
+    """A bad or oversized ``Content-Length`` is a caller mistake answered
+    with one 400 — and, because the declared body is never read, the
+    connection ends with that reply."""
+
+    @pytest.mark.parametrize("declared", ["-1", "abc"])
+    def test_unusable_content_length_is_400_and_closes(self, served, declared):
+        _, _, server = served
+        reply = raw_exchange(
+            server,
+            f"POST /analyze HTTP/1.1\r\nHost: t\r\nContent-Length: {declared}\r\n\r\n".encode(),
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        error = json.loads(body)["error"]
+        assert "Content-Length" in error and "\n" not in error
+
+    @pytest.mark.parametrize(
+        "path, extra, status",
+        [("/analyze", MAX_BODY_BYTES + 1, 400), ("/nope", 0, 404)],
+        ids=["oversized", "unknown-path"],
+    )
+    def test_unread_body_does_not_desynchronise_the_connection(self, served, path, extra, status):
+        base, _, server = served
+        # the start of the "body" is itself a well-formed request: left
+        # unread on a kept-alive socket it would be answered as a second one
+        smuggled = b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n"
+        declared = len(smuggled) + extra
+        reply = raw_exchange(
+            server,
+            f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {declared}\r\n\r\n".encode()
+            + smuggled,
+        )
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert reply.count(b"HTTP/1.1 ") == 1  # one request, one response, then closed
+        assert b"Connection: close" in reply.partition(b"\r\n\r\n")[0]
+        assert http_get(base, "/health")[0] == 200  # a fresh connection is served
+
+
+class TestPoolWorkerKilledMidPlan:
+    def test_killed_worker_is_503_then_the_pool_is_replaced(self, tmp_path):
+        """What ``repro serve --parallel 2 --snapshot-cache DIR`` builds, under
+        two concurrent clients.  Worker 0 is frozen (SIGSTOP) before they
+        arrive, so whichever request wins the pool lease is provably
+        mid-plan — blocked on that worker — when it is SIGKILLed."""
+        max_inflight = 2
+        session = GraphSession(
+            make_db("deadserve"),
+            snapshot_cache=str(tmp_path / "snaps"),
+            backend="python",
+            parallelism=2,
+            warm_pool=True,
+        )
+        service = GraphService(session, session.graph(COAUTHOR_QUERY), max_inflight=max_inflight)
+        server = make_server(service)
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        serve_in_thread(server)
+        victim = None
+        try:
+            assert http_post(base, "/analyze", {"algorithm": "triangles"})[0] == 200
+            manager = session.pool_manager
+            assert manager.counters["forks"] == 1
+            victim = manager._pool._procs[0]
+            os.kill(victim.pid, signal.SIGSTOP)
+
+            request = {"algorithms": ["components", "degree"]}  # superstep programs on the pool
+            replies = []
+            clients = [
+                threading.Thread(target=lambda: replies.append(http_post(base, "/analyze", request)))
+                for _ in range(2)
+            ]
+            for client in clients:
+                client.start()
+            deadline = time.monotonic() + 30
+            while not manager._busy.locked() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert manager._busy.locked(), "no request reached the pool"
+            os.kill(victim.pid, signal.SIGKILL)
+            for client in clients:
+                client.join(timeout=60)
+            assert not any(client.is_alive() for client in clients)
+
+            # the lease holder failed retryably with the one-line message;
+            # the other request got a re-forked pool and the right answer
+            (failed_status, failed), (status, body) = sorted(replies, key=lambda r: -r[0])
+            assert failed_status == 503
+            assert failed["error"].startswith("parallel worker 0 died")
+            assert "\n" not in failed["error"]
+            assert status == 200
+            report = decode_report(body)
+            assert report.pool_starts == 1
+            with GraphSession(make_db("deadserve"), backend="python") as inline:
+                expected = inline.graph(COAUTHOR_QUERY).analyze().components().degree().run()
+            assert [(r.label, r.values) for r in report] == [(r.label, r.values) for r in expected]
+
+            stats = http_get(base, "/stats")[1]
+            assert stats["pool"]["forks"] == 2
+            assert stats["admission"]["queue_depth"] == 0
+            assert stats["admission"]["rejected"] == 0
+            # no execution slot leaked with the failed plan
+            held = 0
+            while service._slots.acquire(blocking=False):
+                held += 1
+            for _ in range(held):
+                service._leave()
+            assert held == max_inflight
+        finally:
+            if victim is not None and victim.is_alive():
+                os.kill(victim.pid, signal.SIGKILL)
+            server.shutdown()
+            server.server_close()
+            session.close()
 
 
 class TestConcurrentClients:

@@ -33,7 +33,7 @@ def expanded(condensed):
 class TestFramework:
     def test_invalid_configuration(self, expanded):
         with pytest.raises(VertexCentricError):
-            VertexCentric(expanded, num_workers=0)
+            VertexCentric(expanded, parallelism=0)
         with pytest.raises(VertexCentricError):
             VertexCentric(expanded).run(object())  # type: ignore[arg-type]
 
@@ -76,10 +76,20 @@ class TestFramework:
             assert coordinator.value(vertex) == expanded.degree(vertex)
 
     def test_chunking_counts(self, expanded):
-        coordinator = VertexCentric(expanded, num_workers=4)
-        stats = coordinator.run(DegreeProgram(), max_supersteps=2)
-        assert stats.chunk_count >= 4
-        assert stats.compute_calls == expanded.num_vertices()
+        """``chunk_count`` is the number of partitions driven: one per
+        superstep in-process, ``parallelism`` per superstep on a pool."""
+
+        class ThreeRounds(Executor):
+            def compute(self, ctx):
+                if ctx.superstep == 2:
+                    ctx.vote_to_halt()
+
+        for parallelism in (1, 3):
+            coordinator = VertexCentric(expanded, parallelism=parallelism)
+            stats = coordinator.run(ThreeRounds(), max_supersteps=10)
+            assert stats.supersteps == 3
+            assert stats.chunk_count == 3 * parallelism
+            assert stats.compute_calls == 3 * expanded.num_vertices()
 
 
 class TestPrograms:
