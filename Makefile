@@ -15,7 +15,7 @@ help:
 	@echo "make bench-table1 - condensed vs full extraction + python vs pushdown engine race"
 	@echo "make bench-fig18  - service result cache: cached vs uncached req/s"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
-	@echo "                    python-vs-numpy maintainer parity)"
+	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
 	@echo "make all          - everything (tier-1 equivalent)"
 
@@ -47,7 +47,7 @@ test-service:
 smoke:
 	$(PYTEST) -q tests/test_kernel.py tests/test_representation_parity.py \
 		tests/test_algorithms.py tests/test_graph_representations.py \
-		tests/test_incremental.py
+		tests/test_incremental.py tests/test_sweep_kernel.py
 
 serve-smoke:
 	$(PYTEST) -q tests/test_service_http.py::TestServeCommand \

@@ -5,16 +5,19 @@ introduction lists as a motivation for extracting hidden graphs.
 
 * :func:`degree_centrality` — normalised out-degree (off the offset array).
 * :func:`closeness_centrality` — inverse average BFS distance (Wasserman–Faust
-  normalisation for disconnected graphs), one integer BFS per vertex.
-* :func:`betweenness_centrality` — Brandes' algorithm on flat sigma/delta
-  lists; an optional ``sample_size`` runs it from a random sample of sources,
-  the standard approximation for large graphs.
+  normalisation for disconnected graphs), from one integer BFS tree per vertex.
+* :func:`betweenness_centrality` — Brandes' algorithm; an optional
+  ``sample_size`` runs it from a random sample of sources, the standard
+  approximation for large graphs.
 
 All three dispatch to the selected kernel backend
-(:func:`repro.graph.backend.get_backend`).  The path counts (sigma) are
-integers and identical on every backend; the float delta accumulation is
-re-associated by the ``numpy`` backend's per-level ``bincount`` reduction, so
-betweenness and closeness match the reference within 1e-9 L-infinity.
+(:func:`repro.graph.backend.get_backend`); the two per-source ones go through
+its block-wise ``sweep``: the reference grows one traversal per vertex on
+flat sigma/delta lists, the ``numpy`` backend 64 trees per edge pass.  The
+path counts (sigma) are integers and identical on every backend; the float
+delta accumulation is re-associated by the ``numpy`` backend's per-level
+``bincount`` reduction, so betweenness matches the reference within 1e-9
+L-infinity (closeness is a pure function of integer tree stats: equal).
 
 :func:`closeness_kernel` / :func:`betweenness_kernel` are the kernel-level
 entry points (sampling and normalisation included) the session layer's
@@ -28,6 +31,7 @@ import random
 from typing import TYPE_CHECKING
 
 from repro.algorithms.degree import degrees_kernel
+from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
 
@@ -54,6 +58,22 @@ def closeness_value(n: int, reachable: int, total: int) -> float:
     return (reachable / (n - 1)) * (reachable / total)
 
 
+def is_positive_int(value) -> bool:
+    # bool is an int subclass; reject it explicitly (True would silently
+    # mean "1 sample")
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def check_sample_size(sample_size) -> None:
+    """The one ``sample_size`` check: eager in ``plan.add()``, and again in
+    :func:`betweenness_sources` for callers of the free functions."""
+    if sample_size is not None and not is_positive_int(sample_size):
+        raise UsageError(
+            f"betweenness: sample_size must be a positive integer or None "
+            f"(got {sample_size!r})"
+        )
+
+
 def betweenness_sources(
     csr: "CSRGraph", sample_size: int | None, seed: int
 ) -> tuple[list[int], float]:
@@ -65,6 +85,7 @@ def betweenness_sources(
     for a given seed — shared by the serial kernel and the plan scheduler's
     chunk-parallel path, which partitions this exact list across workers.
     """
+    check_sample_size(sample_size)
     n = csr.n
     if sample_size is not None and sample_size < n:
         rng = random.Random(seed)

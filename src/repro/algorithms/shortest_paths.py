@@ -1,11 +1,11 @@
 """Single-source shortest paths (unweighted) plus eccentricity / diameter
 estimates, executed on the CSR kernel.
 
-The sampled estimators run the integer BFS kernel once per sampled source
-over the shared snapshot and aggregate distances without materialising
-per-source dictionaries.  Sampling draws from the snapshot's external-ID list
-(the canonical ``get_vertices`` order), keeping the chosen sources identical
-to the pre-kernel implementation for a given seed.
+The sampled estimators hand their source sample to the backend's block-wise
+sweep over the shared snapshot and aggregate its integer tree stats without
+materialising per-source dictionaries.  Sampling draws from the snapshot's
+external-ID list (the canonical ``get_vertices`` order), keeping the chosen
+sources identical to the pre-kernel implementation for a given seed.
 
 :func:`diameter_kernel` / :func:`average_path_length_kernel` are the
 kernel-level entry points the session layer's
@@ -18,6 +18,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.algorithms.bfs import bfs_distances, distances_kernel
+from repro.algorithms.centrality import is_positive_int
+from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
 from repro.utils.rand import SeededRandom
@@ -27,28 +29,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def diameter_sample_indexes(csr: "CSRGraph", samples: int, seed: int) -> list[int]:
-    """Dense indexes of the seeded BFS sample a diameter estimate sweeps from.
+def check_samples(samples) -> None:
+    """The one ``samples`` check: eager in ``plan.add()``, and again in
+    :func:`diameter_sample_indexes` for callers of the free functions."""
+    if not is_positive_int(samples):
+        raise UsageError(f"diameter: samples must be a positive integer (got {samples!r})")
 
-    Shared by the serial kernel and the plan scheduler's chunk-parallel path
-    (which partitions this exact list across workers), so both sweep the same
+
+def diameter_sample_indexes(csr: "CSRGraph", samples: int, seed: int) -> list[int]:
+    """Dense indexes of the seeded BFS sample a diameter or path-length
+    estimate sweeps from.
+
+    Shared by the serial kernels and the plan compiler's fused sweep (which
+    partitions this exact list across workers), so all sweep the same
     sources for a given seed.
     """
+    check_samples(samples)
     vertices = csr.external_ids
     if not vertices:
         return []
     rng = SeededRandom(seed)
     return [csr.index(vertex) for vertex in rng.sample(vertices, min(samples, len(vertices)))]
-
-
-def source_eccentricity(
-    csr: "CSRGraph", source: int, backend: "KernelBackend | None" = None
-) -> int:
-    """Eccentricity of one dense index via the backend's shared BFS-tree
-    entry point (the same integer the plan compiler's sweep reads out of
-    ``tree_stats``, so sampled diameters agree however the tree was grown)."""
-    active = backend or get_backend()
-    return active.tree_stats(active.bfs_tree(csr, source))[2]
 
 
 def diameter_kernel(
@@ -57,16 +58,12 @@ def diameter_kernel(
     seed: int = 0,
     backend: "KernelBackend | None" = None,
 ) -> int:
-    """Kernel-level entry point: diameter lower bound from sampled BFS runs."""
-    if csr.n == 0:
-        return 0
-    return max(
-        (
-            source_eccentricity(csr, source, backend=backend)
-            for source in diameter_sample_indexes(csr, samples, seed)
-        ),
-        default=0,
-    )
+    """Kernel-level entry point: diameter lower bound from sampled BFS trees
+    (the sample goes to the backend's block-wise sweep as one list; the
+    eccentricity is the integer the plan compiler reads off ``tree_stats``)."""
+    active = backend or get_backend()
+    sources = diameter_sample_indexes(csr, samples, seed)
+    return max((active.tree_stats(tree)[2] for tree, _ in active.sweep(csr, sources)), default=0)
 
 
 def average_path_length_kernel(
@@ -76,19 +73,12 @@ def average_path_length_kernel(
     backend: "KernelBackend | None" = None,
 ) -> float:
     """Kernel-level entry point: mean hop distance over sampled BFS trees."""
-    vertices = csr.external_ids
-    if not vertices:
-        return 0.0
-    rng = SeededRandom(seed)
-    chosen = rng.sample(vertices, min(samples, len(vertices)))
-    total = 0.0
-    count = 0
-    for vertex in chosen:
-        source = csr.index(vertex)
-        for node, distance in enumerate(distances_kernel(csr, source, backend=backend)):
-            if node != source and distance > 0:
-                total += distance
-                count += 1
+    active = backend or get_backend()
+    total = count = 0
+    for tree, _ in active.sweep(csr, diameter_sample_indexes(csr, samples, seed)):
+        reachable, distance, _ = active.tree_stats(tree)
+        count += reachable
+        total += distance
     return total / count if count else 0.0
 
 

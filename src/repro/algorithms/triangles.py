@@ -16,7 +16,9 @@ bit-identical too.
 :func:`count_triangles_kernel` / :func:`triangles_per_vertex_kernel` /
 :func:`average_clustering_kernel` are the kernel-level entry points the
 session layer's :class:`~repro.session.AnalysisPlan` calls over a shared
-snapshot; the free functions are thin delegations around them.
+snapshot; the free functions are thin delegations around them.  A plan that
+asks for both the count and the clustering coefficient runs one per-vertex
+pass and shapes both answers from it (:func:`clustering_from_counts`).
 """
 
 from __future__ import annotations
@@ -51,6 +53,24 @@ def average_clustering_kernel(
     if csr.n == 0:
         return 0.0
     return (backend or get_backend()).average_clustering(csr)
+
+
+def clustering_from_counts(csr: "CSRGraph", per_vertex: list[int]) -> float:
+    """Mean local clustering coefficient from the per-vertex triangle counts.
+
+    A vertex's triangles are exactly the links among its neighbourhood, so
+    this is the backends' ``average_clustering`` arithmetic term for term,
+    in the same vertex order — the same float, bit for bit.
+    """
+    if csr.n == 0:
+        return 0.0
+    offsets, _ = csr.undirected_csr()
+    total = 0.0
+    for vertex, triangles in enumerate(per_vertex):
+        degree = offsets[vertex + 1] - offsets[vertex]
+        if degree >= 2:
+            total += 2.0 * triangles / (degree * (degree - 1))
+    return total / csr.n
 
 
 def count_triangles(graph: Graph) -> int:

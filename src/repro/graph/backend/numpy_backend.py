@@ -13,12 +13,20 @@ Kernel strategies (see ``tests/test_backend_parity.py`` for the contract):
 * **PageRank / gather** — scatter-gather with ``np.bincount`` weights over
   the flat edge array (accumulation in global edge order, the same order the
   reference kernel adds shares in) and ``np.add.reduceat`` segment sums.
-* **BFS / components / shortest paths** — frontier expansion with flat
-  gathers; ``np.unique(..., return_index=True)`` keeps the *first-occurrence
+* **BFS / components** — frontier expansion with flat gathers;
+  ``np.unique(..., return_index=True)`` keeps the *first-occurrence
   discovery order*, so visit orders and parent pointers equal the reference
   FIFO kernels exactly, not just up to relabeling.  Components are peeled
   with vectorised BFS sweeps from ascending start vertices, which reproduces
   the union-find labeling (0-based, ordered by first vertex).
+* **Per-source sweeps** (closeness, betweenness, diameter, the plan
+  compiler's fused sweep) — one block kernel, :meth:`NumpyBackend.sweep`:
+  up to 64 sources advance together through a bit-parallel multi-source BFS
+  (one ``uint64`` lane each, every frontier edge touched once per level for
+  the whole block), and each Brandes dependency vector is accumulated
+  edge-centrically from its distance row with per-level ``bincount``s over
+  edges kept in CSR order — so a source's floats are a function of the
+  source alone, not of the block it rides in.
 * **Triangles / similarity / k-core** — a symmetrised, deduplicated,
   *sorted* adjacency CSR (built once per snapshot and cached on it) makes
   neighbor intersection a ``searchsorted`` probe and peeling a masked
@@ -63,6 +71,18 @@ def _out_degrees(csr: "CSRGraph") -> np.ndarray:
         offsets, _ = _views(csr)
         degrees = cache["np_degrees"] = np.diff(offsets)
     return degrees
+
+
+def _edge_sources(csr: "CSRGraph") -> np.ndarray:
+    """The source vertex of every ``targets`` entry (cached): with it the
+    snapshot reads as one flat ``(source, target)`` edge list in CSR order."""
+    cache = csr._backend_cache
+    sources = cache.get("np_edge_sources")
+    if sources is None:
+        sources = cache["np_edge_sources"] = np.repeat(
+            np.arange(csr.n, dtype=np.int64), _out_degrees(csr)
+        )
+    return sources
 
 
 def _undirected_csr(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
@@ -178,9 +198,9 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------ #
     # traversals (first-occurrence frontier expansion == reference FIFO)
     # ------------------------------------------------------------------ #
-    def _bfs_distances_array(
+    def bfs_distances(
         self, csr: "CSRGraph", source: int, max_depth: int | None = None
-    ) -> np.ndarray:
+    ) -> list[int]:
         offsets, targets = _views(csr)
         distances = np.full(csr.n, -1, dtype=np.int64)
         distances[source] = 0
@@ -193,12 +213,7 @@ class NumpyBackend(KernelBackend):
             candidates, _ = _gather(offsets, targets, frontier)
             frontier = np.unique(candidates[distances[candidates] < 0])
             distances[frontier] = depth
-        return distances
-
-    def bfs_distances(
-        self, csr: "CSRGraph", source: int, max_depth: int | None = None
-    ) -> list[int]:
-        return self._bfs_distances_array(csr, source, max_depth=max_depth).tolist()
+        return distances.tolist()
 
     def bfs_order(self, csr: "CSRGraph", source: int) -> list[int]:
         offsets, targets = _views(csr)
@@ -541,50 +556,97 @@ class NumpyBackend(KernelBackend):
         return 2.0 * links / (degree * (degree - 1))
 
     def average_clustering(self, csr: "CSRGraph") -> float:
+        # local import: repro.algorithms.triangles imports the backend layer
+        from repro.algorithms.triangles import clustering_from_counts
+
+        return clustering_from_counts(csr, self.triangles_per_vertex(csr))
+
+    # ------------------------------------------------------------------ #
+    # the block-wise source sweep: closeness, betweenness, diameter and the
+    # plan compiler's fused sweep all run through it.  Native form is a
+    # narrow-int distance row / an np.float64 delta, converted only on demand
+    # ------------------------------------------------------------------ #
+    def sweep(self, csr: "CSRGraph", sources, brandes=()):
+        sources = list(sources)
+        # one bit lane per source: a block is as wide as the uint64 word
+        for start in range(0, len(sources), 64):
+            block = sources[start : start + 64]
+            for source, tree in zip(block, self._block_distances(csr, block)):
+                yield tree, (self._dependency(csr, tree, source) if source in brandes else None)
+
+    def _block_distances(self, csr: "CSRGraph", block: list[int]) -> np.ndarray:
+        """Bit-parallel multi-source BFS: the ``len(block) x n`` hop-distance
+        block (``-1`` unreachable) of up to 64 sources.
+
+        ``seen`` / ``front`` hold one lane bit per source in a word per
+        vertex, so a level gathers the active rows once for every lane, ORs
+        each edge's source word into its target and unpacks only the fresh
+        bits: a level costs the frontier's edges, not that times the lanes.
+        """
         n = csr.n
-        if n == 0:
-            return 0.0
-        degrees = np.diff(_undirected_csr(csr)[0])
-        triangles = self._triangle_counts(csr)[1]
-        # identical per-vertex arithmetic to the reference; only the final
-        # mean re-associates the sum
-        total = 0.0
-        for vertex in np.flatnonzero(degrees >= 2).tolist():
-            degree = int(degrees[vertex])
-            total += 2.0 * int(triangles[vertex]) / (degree * (degree - 1))
-        return total / n
+        offsets, targets = _views(csr)
+        # the narrowest signed int holding every depth the loop can count to
+        distances = np.full((len(block), n), -1, dtype=np.min_scalar_type(-n - 1))
+        distances[np.arange(len(block)), block] = 0
+        # "<u8": the byte view below reads the lane bits little-endian
+        seen = np.zeros(n, dtype="<u8")
+        np.bitwise_or.at(seen, block, np.uint64(1) << np.arange(len(block), dtype="<u8"))
+        front = seen
+        frontier = np.flatnonzero(front)
+        depth = 0
+        while frontier.size:
+            depth += 1
+            candidates, origins = _gather(offsets, targets, frontier)
+            reached = np.zeros(n, dtype="<u8")
+            np.bitwise_or.at(reached, candidates, front[origins])
+            front = reached & ~seen
+            seen |= front
+            frontier = np.flatnonzero(front)
+            bits = np.unpackbits(
+                front[frontier].view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+            )
+            vertex, lane = np.nonzero(bits)
+            distances[lane, frontier[vertex]] = depth
+        return distances
 
-    # ------------------------------------------------------------------ #
-    # centrality
-    # ------------------------------------------------------------------ #
-    def closeness_centrality(
-        self, csr: "CSRGraph", lo: int = 0, hi: int | None = None
-    ) -> list[float]:
-        from repro.algorithms.centrality import closeness_value
+    def _dependency(self, csr: "CSRGraph", tree: np.ndarray, source: int) -> np.ndarray:
+        """One source's Brandes dependency vector (source entry zeroed) from
+        its distance row, edge-centrically: the shortest-path DAG is the
+        edges with ``tree[w] == tree[u] + 1``, selected once over the flat
+        edge list and stably grouped by level.
 
+        Edges keep CSR order inside a level, so every ``bincount`` bin adds
+        its terms in one fixed order (bin ``w`` ascending ``u``, bin ``u``
+        its row order) — the result is a function of the source alone, not
+        of the block it rode in.
+        """
         n = csr.n
-        if hi is None:
-            hi = n
-        result = [0.0] * (hi - lo)
-        if n <= 1:
-            return result
-        for vertex in range(lo, hi):
-            reachable, total, _ = self.tree_stats(self._bfs_distances_array(csr, vertex))
-            result[vertex - lo] = closeness_value(n, reachable, total)
-        return result
+        origins, targets = _edge_sources(csr), _views(csr)[1]
+        level = np.repeat(tree, _out_degrees(csr))  # == tree[origins], cheaper
+        dag = np.flatnonzero((level >= 0) & (tree[targets] == level + 1))
+        level = level[dag]
+        dag = dag[np.argsort(level, kind="stable")]
+        u, w = origins[dag], targets[dag]
+        bounds = np.cumsum(np.bincount(level)).tolist()
+        spans = [slice(lo, hi) for lo, hi in zip([0] + bounds, bounds)]
+        sigma = np.zeros(n, dtype=np.float64)  # exact: path counts < 2^53
+        sigma[source] = 1.0
+        for span in spans:
+            sigma += np.bincount(w[span], weights=sigma[u[span]], minlength=n)
+        delta = np.zeros(n, dtype=np.float64)
+        for span in reversed(spans):
+            v, t = u[span], w[span]
+            delta += np.bincount(v, weights=(sigma[v] / sigma[t]) * (1.0 + delta[t]), minlength=n)
+        delta[source] = 0.0
+        return delta
 
-    # ------------------------------------------------------------------ #
-    # shared traversal intermediates (plan-compiler sweep protocol): native
-    # form is the np.int64 / np.float64 array, converted only on demand
-    # ------------------------------------------------------------------ #
     def bfs_tree(self, csr: "CSRGraph", source: int) -> np.ndarray:
-        return self._bfs_distances_array(csr, source)
+        return next(self.sweep(csr, (source,)))[0]
 
     def brandes_tree(
         self, csr: "CSRGraph", source: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        distance, delta = self._brandes_arrays(csr, source)
-        return distance, delta
+        return next(self.sweep(csr, (source,), (source,)))
 
     def tree_stats(self, tree: np.ndarray) -> tuple[int, int, int]:
         positive = tree > 0
@@ -601,61 +663,11 @@ class NumpyBackend(KernelBackend):
     def tree_delta(self, delta: np.ndarray) -> list[float]:
         return delta.tolist()
 
+    def add_delta(self, total: np.ndarray | None, delta: np.ndarray) -> np.ndarray:
+        return (0.0 if total is None else total) + delta
+
     def warm_undirected(self, csr: "CSRGraph") -> None:
         _undirected_csr(csr)
-
-    def _brandes_arrays(
-        self, csr: "CSRGraph", source: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One source's Brandes traversal: ``(distance, delta)`` arrays, the
-        delta's source entry zeroed."""
-        n = csr.n
-        offsets, targets = _views(csr)
-        distance = np.full(n, -1, dtype=np.int64)
-        distance[source] = 0
-        sigma = np.zeros(n, dtype=np.float64)  # exact: path counts < 2^53
-        sigma[source] = 1.0
-        levels: list[np.ndarray] = [np.array([source], dtype=np.int64)]
-        depth = 0
-        while True:
-            candidates, srcs = _gather(offsets, targets, levels[-1])
-            if candidates.size == 0:
-                break
-            frontier = np.unique(candidates[distance[candidates] < 0])
-            distance[frontier] = depth + 1
-            forward = distance[candidates] == depth + 1
-            sigma += np.bincount(
-                candidates[forward], weights=sigma[srcs[forward]], minlength=n
-            )
-            if frontier.size == 0:
-                break
-            levels.append(frontier)
-            depth += 1
-        delta = np.zeros(n, dtype=np.float64)
-        for depth in range(len(levels) - 1, 0, -1):
-            candidates, srcs = _gather(offsets, targets, levels[depth - 1])
-            down = distance[candidates] == depth
-            w, v = candidates[down], srcs[down]
-            delta += np.bincount(
-                v, weights=(sigma[v] / sigma[w]) * (1.0 + delta[w]), minlength=n
-            )
-        delta[source] = 0.0
-        return distance, delta
-
-    def _betweenness_delta(self, csr: "CSRGraph", source: int) -> np.ndarray:
-        return self._brandes_arrays(csr, source)[1]
-
-    def betweenness_contribution(self, csr: "CSRGraph", source: int) -> list[float]:
-        return self._betweenness_delta(csr, source).tolist()
-
-    def betweenness(self, csr: "CSRGraph", sources: list[int]) -> list[float]:
-        # elementwise float64 addition per source, in source order — the
-        # exact operation sequence the chunk-parallel merge replays, so
-        # serial and scheduled results are bit-identical per backend
-        betweenness = np.zeros(csr.n, dtype=np.float64)
-        for source in sources:
-            betweenness += self._betweenness_delta(csr, source)
-        return betweenness.tolist()
 
     # ------------------------------------------------------------------ #
     # neighborhood similarity (sorted-array intersections)

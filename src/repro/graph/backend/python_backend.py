@@ -100,6 +100,22 @@ class KernelBackend:
     # accessor converts them, so a vectorised backend never round-trips
     # through Python lists just to compute (reachable, total, ecc).
     # ------------------------------------------------------------------ #
+    def sweep(self, csr: "CSRGraph", sources, brandes=()):
+        """The block-wise source sweep every per-source algorithm goes
+        through: yields ``(tree, delta | None)`` per source, in source order
+        and native form — the Brandes pair where the source is in
+        ``brandes``, a plain BFS tree otherwise.
+
+        The reference grows one traversal per source; a backend may grow a
+        block of them at once, as long as a source's products do not depend
+        on which other sources ride along.
+        """
+        for source in sources:
+            if source in brandes:
+                yield self.brandes_tree(csr, source)
+            else:
+                yield self.bfs_tree(csr, source), None
+
     def bfs_tree(self, csr: "CSRGraph", source: int):
         """Full-depth hop-distance array from ``source`` in this backend's
         native form (``-1`` marks unreachable); feed to ``tree_*``."""
@@ -167,6 +183,15 @@ class KernelBackend:
     def tree_delta(self, delta) -> list[float]:
         """A native Brandes dependency vector as a plain float list."""
         return delta
+
+    def add_delta(self, total, delta):
+        """``total + delta`` elementwise, in native form (``None`` is the
+        zero vector): the one float addition that full-source, streamed and
+        re-summed betweenness all perform, source by source — which is why
+        they agree bit for bit however the sources were scheduled."""
+        if total is None:
+            return [0.0 + value for value in delta]
+        return [current + value for current, value in zip(total, delta)]
 
     # ------------------------------------------------------------------ #
     # derived-view warmers (plan-compiler derive nodes)
@@ -481,7 +506,8 @@ class KernelBackend:
         self, csr: "CSRGraph", lo: int = 0, hi: int | None = None
     ) -> list[float]:
         """Wasserman–Faust closeness for dense indexes ``[lo, hi)`` (one BFS
-        per vertex; the default range covers the whole graph).
+        tree per vertex off :meth:`sweep`; the default range covers the
+        whole graph).
 
         Per-vertex values are independent, so concatenating partition slices
         in partition order reproduces the whole-graph call bit-for-bit.
@@ -490,12 +516,10 @@ class KernelBackend:
         from repro.algorithms.centrality import closeness_value
 
         n = csr.n
-        if hi is None:
-            hi = n
-        result = [0.0] * (hi - lo)
-        for vertex in range(lo, hi):
-            reachable, total, _ = self.tree_stats(self.bfs_tree(csr, vertex))
-            result[vertex - lo] = closeness_value(n, reachable, total)
+        result: list[float] = []
+        for tree, _ in self.sweep(csr, range(lo, n if hi is None else hi)):
+            reachable, total, _ = self.tree_stats(tree)
+            result.append(closeness_value(n, reachable, total))
         return result
 
     def betweenness_contribution(self, csr: "CSRGraph", source: int) -> list[float]:
@@ -512,17 +536,15 @@ class KernelBackend:
     def betweenness(self, csr: "CSRGraph", sources: list[int]) -> list[float]:
         """Brandes accumulation from ``sources`` over dense indexes.
 
-        Sums per-source contributions in source order; unreached vertices
-        contribute an exact ``+ 0.0``, so this equals the historical
-        accumulate-in-place loop bit-for-bit.
+        Sums the sweep's per-source contributions in source order
+        (:meth:`add_delta`); unreached vertices contribute an exact
+        ``+ 0.0``, so this equals the historical accumulate-in-place loop
+        bit-for-bit.
         """
-        n = csr.n
-        betweenness = [0.0] * n
-        for source in sources:
-            delta = self.betweenness_contribution(csr, source)
-            for w in range(n):
-                betweenness[w] += delta[w]
-        return betweenness
+        total = None
+        for _, delta in self.sweep(csr, sources, frozenset(sources)):
+            total = self.add_delta(total, delta)
+        return [0.0] * csr.n if total is None else self.tree_delta(total)
 
     # ------------------------------------------------------------------ #
     # neighborhood similarity

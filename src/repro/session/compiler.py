@@ -14,13 +14,19 @@ worker machinery (one pool, one snapshot file per plan):
 * ``derive`` nodes — the backend-neutral symmetrised/sorted adjacency CSR
   (``und-csr``) and degree arrays, created once per plan when an inline
   consumer needs them, so the derivation cost is attributed to a node
-  instead of hiding inside the first consuming kernel;
+  instead of hiding inside the first consuming kernel; and the per-vertex
+  ``triangle-counts`` that inline ``triangles`` and ``clustering`` both
+  read — a node *value*, gone when ``run()`` returns;
 * one fused ``sweep`` node — per-source BFS trees / Brandes contributions
   over the union of every source-sweep demand in the plan.  Hop distances
   are uniquely determined integers, so a single traversal per source feeds
   closeness stats, diameter eccentricities, bfs distance maps *and*
   betweenness dependency vectors at once, and a Brandes traversal's internal
-  distance array doubles as the BFS tree;
+  distance array doubles as the BFS tree.  The source list goes to the
+  backend's block-wise ``sweep`` whole (through
+  :func:`repro.session.scheduler.sweep_products`, the same loop a pool
+  worker runs on its slice), and Brandes products stay in the backend's
+  native vector form until a finaliser needs a list;
 * ``algo`` nodes — per-request execution or (for sweep-covered requests) a
   cheap finaliser over the sweep's products.
 
@@ -34,7 +40,7 @@ sampled-betweenness`` in one plan perform the BFS/Brandes sweeps once.
 included: closeness values are the pure-integer-stat expression every
 backend computes (:func:`repro.algorithms.centrality.closeness_value`),
 diameter is a max of integer eccentricities, and betweenness re-sums ordered
-per-source contribution lists with one flat left-to-right pass in each
+per-source contributions (``backend.add_delta``, elementwise) in each
 request's own global source order — exactly the serial kernels' accumulation
 sequence.  Requests the sweep does not cover are routed superstep / chunks /
 task / inline (see :func:`compile_plan`), each fallback with a note.
@@ -42,14 +48,12 @@ task / inline (see :func:`compile_plan`), each fallback with a note.
 **Cost model.**  Execution choices are fed by the snapshot's ``n`` and ``m``
 plus constants calibrated on the paper-figure benchmark rigs (see
 :data:`TRAVERSAL_SECONDS_PER_ELEMENT` and friends): concurrent serial-kernel
-tasks are dispatched longest-first to minimise pool makespan, pool sweeps
+tasks are dispatched longest-first to minimise pool makespan, and pool sweeps
 partition their source list by weighted cost (a Brandes source counts
-:data:`BRANDES_FACTOR` plain-BFS traversals), and an inline sweep with no
-float (Brandes) demand — where every product is integer-exact across
-backends — may run its traversals on the cheaper backend for the snapshot's
-size.  Session ``parallelism`` remains a directive: a pool is started only
-when a superstep / chunk-parallel node or at least two concurrent serial
-kernels would use it.
+:data:`BRANDES_FACTOR` plain-BFS traversals).  The sweep always runs on the
+session's backend.  Session ``parallelism`` remains a directive: a pool is
+started only when a superstep / chunk-parallel node or at least two
+concurrent serial kernels would use it.
 
 Every result gains per-node provenance
 (:class:`~repro.session.NodeProvenance`): the nodes in its dependency
@@ -74,7 +78,7 @@ from repro.algorithms.centrality import (
 )
 from repro.algorithms.shortest_paths import diameter_sample_indexes
 from repro.graph import snapshot_store
-from repro.graph.backend import get_backend
+from repro.session.scheduler import sweep_products
 from repro.session.report import (
     AnalysisReport,
     AnalysisResult,
@@ -118,9 +122,6 @@ TRAVERSAL_SECONDS_PER_ELEMENT = {"python": 2.3e-8, "numpy": 1.2e-8}
 #: a Brandes traversal costs this multiple of a plain BFS (predecessor lists
 #: plus the reverse accumulation pass)
 BRANDES_FACTOR = {"python": 2.85, "numpy": 2.04}
-#: below this many n + m elements one python-loop traversal beats numpy's
-#: per-level vectorisation overhead (fig15 rig crossover, measured ~3.5k)
-NUMPY_TRAVERSAL_CROSSOVER = 3500
 #: coarse whole-request weights (multiples of one n + m scan) for ordering
 #: concurrent task dispatch longest-first; per-source algorithms are costed
 #: from their actual source counts instead
@@ -168,26 +169,6 @@ class CostModel:
             sources = self.n if sample is None else min(sample, self.n)
             return sources * self.traversal_seconds(brandes=True)
         return REQUEST_SCAN_WEIGHT.get(name, 1.0) * self.traversal_seconds()
-
-    def inline_sweep_backend(self, backend: "KernelBackend", has_delta: bool) -> "KernelBackend":
-        """The backend an *inline* sweep grows its traversals on.
-
-        With a Brandes (float) demand the session backend is pinned — float
-        deltas are bit-identical only per backend.  Stats/distance-only
-        sweeps are integer-exact everywhere, so the model picks whichever
-        side of the measured crossover the snapshot falls on; an unavailable
-        alternative (no numpy in the environment) just keeps the session
-        backend.
-        """
-        if has_delta:
-            return backend
-        faster = "python" if self.elements < NUMPY_TRAVERSAL_CROSSOVER else "numpy"
-        if faster == backend.name:
-            return backend
-        try:
-            return get_backend(faster)
-        except Exception:  # pragma: no cover - numpy-less environments
-            return backend
 
     def partition_sweep_sources(
         self, sources: list[int], needs_delta: set[int] | None, stream: bool, parts: int
@@ -257,12 +238,10 @@ class SweepPlan:
     # runtime products
     stats: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     dists: dict[int, list[int]] = field(default_factory=dict)
-    deltas: dict[int, list[float]] = field(default_factory=dict)
-    stream_total: list[float] | None = None
-
-    @property
-    def has_delta(self) -> bool:
-        return self.stream or bool(self.delta_sources)
+    #: Brandes products stay in the backend's native vector form until a
+    #: betweenness finaliser converts its total
+    deltas: dict[int, Any] = field(default_factory=dict)
+    stream_total: Any = None
 
 
 @dataclass
@@ -536,6 +515,7 @@ def compile_plan(
         und_consumers.add("components")
     und_node = None
     degrees_node = None
+    triangles_node = None
     for node in algo_nodes:
         if node.mode != "inline":
             continue
@@ -548,6 +528,17 @@ def compile_plan(
                 )
                 derive_nodes.append(und_node)
             node.deps = node.deps + (und_node,)
+        if node.spec.from_triangles is not None:
+            # one per-vertex triangle pass per plan: its value lives on the
+            # node and dies with the plan
+            if triangles_node is None:
+                triangles_node = Node(
+                    key="triangle-counts",
+                    kind="derive",
+                    est_seconds=REQUEST_SCAN_WEIGHT["triangles"] * cost.traversal_seconds(),
+                )
+                derive_nodes.append(triangles_node)
+            node.deps = node.deps + (triangles_node,)
         if node.spec.name == "degree":
             if degrees_node is None:
                 degrees_node = Node(
@@ -573,15 +564,6 @@ def compile_plan(
 # --------------------------------------------------------------------------- #
 # sweep execution
 # --------------------------------------------------------------------------- #
-def _accumulate(total: list[float] | None, delta: list[float]) -> list[float]:
-    # same per-element left-to-right addition sequence as the serial kernels'
-    # accumulation (list or ndarray alike), so the running total stays
-    # bit-identical to the betweenness kernel's
-    if total is None:
-        return [0.0 + value for value in delta]
-    return [current + value for current, value in zip(total, delta)]
-
-
 def _execute_sweep(
     sweep: SweepPlan,
     csr: "CSRGraph",
@@ -589,54 +571,46 @@ def _execute_sweep(
     pool,
     cost: CostModel,
 ) -> None:
-    """Grow one traversal per swept source and materialise every demanded
-    product (stats always; distances and deltas on demand)."""
+    """Grow one traversal per swept source — in blocks, on the session's
+    backend — and keep every demanded product (stats always; distances and
+    deltas on demand, deltas in the backend's native form)."""
     started = time.perf_counter()
     CompilerCounters.sweep_traversals += len(sweep.sources)
+
+    def payload(chunk: list[int]) -> list[tuple[int, bool, bool]]:
+        return [
+            (source, sweep.stream or source in sweep.delta_sources, source in sweep.dist_sources)
+            for source in chunk
+        ]
+
     if pool is None:
-        active = cost.inline_sweep_backend(backend, sweep.has_delta)
-        for source in sweep.sources:
-            want_delta = sweep.stream or source in sweep.delta_sources
-            if want_delta:
-                tree, delta = backend.brandes_tree(csr, source)
-                delta_list = backend.tree_delta(delta)
-                if sweep.stream:
-                    sweep.stream_total = _accumulate(sweep.stream_total, delta_list)
-                if source in sweep.delta_sources:
-                    sweep.deltas[source] = delta_list
-                owner = backend
-            else:
-                tree = active.bfs_tree(csr, source)
-                owner = active
-            sweep.stats[source] = owner.tree_stats(tree)
-            if source in sweep.dist_sources:
-                sweep.dists[source] = owner.tree_distances(tree)
+        # one slice, consumed lazily: a streamed total holds one delta at a time
+        slices = [sweep.sources]
+        batches = [sweep_products(backend, csr, payload(sweep.sources))]
     else:
         # pool sweeps never stream (full-source betweenness keeps the serial
         # kernel on pools), so products are independent per source and the
-        # weighted contiguous split below only balances load
+        # weighted contiguous split only balances load
         slices = cost.partition_sweep_sources(
             sweep.sources, sweep.delta_sources, sweep.stream, len(pool.partitions)
         )
-        payloads = [
-            [
-                (source, source in sweep.delta_sources, source in sweep.dist_sources)
-                for source in chunk
-            ]
-            for chunk in slices
-        ]
-        for chunk, products in zip(slices, pool.call("run_sweep", payloads)):
-            for source, (stats, delta_list, dists) in zip(chunk, products):
-                sweep.stats[source] = stats
-                if delta_list is not None:
-                    sweep.deltas[source] = delta_list
-                if dists is not None:
-                    sweep.dists[source] = dists
+        batches = pool.call("run_sweep", [payload(chunk) for chunk in slices])
+    for chunk, products in zip(slices, batches):
+        for source, (stats, delta, dists) in zip(chunk, products):
+            sweep.stats[source] = stats
+            if sweep.stream:
+                sweep.stream_total = backend.add_delta(sweep.stream_total, delta)
+            if source in sweep.delta_sources:
+                sweep.deltas[source] = delta
+            if dists is not None:
+                sweep.dists[source] = dists
     sweep.node.seconds = time.perf_counter() - started
     sweep.node.done = True
 
 
-def _finalise_from_sweep(node: Node, sweep: SweepPlan, csr: "CSRGraph") -> Any:
+def _finalise_from_sweep(
+    node: Node, sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend"
+) -> Any:
     """Shape one sweep-covered request's values from the shared products —
     bit-identical to the matching kernel runner (see module docstring)."""
     demand = node.demand
@@ -650,17 +624,16 @@ def _finalise_from_sweep(node: Node, sweep: SweepPlan, csr: "CSRGraph") -> Any:
     if kind == "diameter":
         return max((sweep.stats[s][2] for s in demand["sources"]), default=0)
     if kind == "betweenness":
-        if demand["stream"]:
-            totals = list(sweep.stream_total) if sweep.stream_total is not None else [0.0] * n
-        else:
-            totals = [0.0] * n
+        totals = sweep.stream_total
+        if not demand["stream"]:
+            totals = None
             for source in demand["sources"]:
-                # flat left-to-right re-sum in this request's own global
-                # source order: the serial kernel's addition sequence
-                totals = _accumulate(totals, sweep.deltas[source])
+                # re-sum in this request's own global source order: the
+                # serial kernel's addition sequence, on the native vectors
+                totals = backend.add_delta(totals, sweep.deltas[source])
         return csr.decode(
             apply_betweenness_scale(
-                totals, n, node.params["normalized"], demand["scale"]
+                backend.tree_delta(totals), n, node.params["normalized"], demand["scale"]
             )
         )
     if kind == "bfs":
@@ -775,11 +748,14 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             tick = time.perf_counter()
             if node.key == "und-csr":
                 backend.warm_undirected(csr)
+            elif node.key == "triangle-counts":
+                node.value = backend.triangles_per_vertex(csr)
             else:  # degrees
                 backend.degrees(csr)
             node.seconds = time.perf_counter() - tick
             node.done = True
             CompilerCounters.nodes_computed += 1
+        derived = {node.key: node.value for node in compiled.derive_nodes}
         if compiled.sweep is not None:
             # honour the compiled mode, not mere pool presence: an out-of-core
             # pool's workers map one shard each and cannot grow whole-graph
@@ -805,7 +781,9 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 elif node.mode == "chunks":
                     node.value = spec.chunk(csr, backend, params, pool)
                 elif node.mode == "sweep":
-                    node.value = _finalise_from_sweep(node, compiled.sweep, csr)
+                    node.value = _finalise_from_sweep(node, compiled.sweep, csr, backend)
+                elif node.mode == "inline" and spec.from_triangles is not None:
+                    node.value = spec.from_triangles(csr, derived["triangle-counts"])
                 else:
                     node.value = spec.kernel(csr, backend, params)
                 node.seconds = time.perf_counter() - tick

@@ -44,15 +44,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.algorithms.bfs import distances_kernel
-from repro.algorithms.centrality import betweenness_kernel, closeness_kernel
+from repro.algorithms.centrality import betweenness_kernel, check_sample_size, closeness_kernel
 from repro.algorithms.connected_components import components_kernel
 from repro.algorithms.degree import degrees_kernel
 from repro.algorithms.kcore import core_numbers_kernel
 from repro.algorithms.label_propagation import label_propagation_kernel
 from repro.algorithms.pagerank import pagerank_kernel
-from repro.algorithms.shortest_paths import diameter_kernel
+from repro.algorithms.shortest_paths import check_samples, diameter_kernel
 from repro.algorithms.similarity import SCORE_NAMES, link_predictions_kernel
-from repro.algorithms.triangles import average_clustering_kernel, count_triangles_kernel
+from repro.algorithms.triangles import (
+    average_clustering_kernel,
+    clustering_from_counts,
+    count_triangles_kernel,
+)
 from repro.exceptions import RepresentationError, UsageError
 from repro.session.compiler import run_compiled
 from repro.session.report import AnalysisReport
@@ -264,25 +268,12 @@ def _validate_bfs(params):
         raise UsageError("bfs requires a source vertex (pass source=...)")
 
 
-def _is_positive_int(value) -> bool:
-    # bool is an int subclass; reject it explicitly (True would silently
-    # mean "1 sample")
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 def _validate_betweenness(params):
-    sample_size = params["sample_size"]
-    if sample_size is not None and not _is_positive_int(sample_size):
-        raise UsageError(
-            f"betweenness: sample_size must be a positive integer or None "
-            f"(got {sample_size!r})"
-        )
+    check_sample_size(params["sample_size"])
 
 
 def _validate_diameter(params):
-    samples = params["samples"]
-    if not _is_positive_int(samples):
-        raise UsageError(f"diameter: samples must be a positive integer (got {samples!r})")
+    check_samples(params["samples"])
 
 
 def _validate_link_predictions(params):
@@ -317,6 +308,9 @@ class PlanAlgorithm:
     #: (closeness / diameter / betweenness partition by *source* instead,
     #: through the compiler's fused sweep)
     chunk: Callable[["CSRGraph", "KernelBackend", dict, Any], Any] | None = None
+    #: ``(csr, per-vertex triangle counts) -> value`` for the algorithms an
+    #: inline plan answers from its one shared ``triangle-counts`` pass
+    from_triangles: Callable[["CSRGraph", list], Any] | None = None
     #: name of this algorithm's dynamic maintainer in
     #: :data:`repro.incremental.MAINTAINERS`, or None when no incremental
     #: path exists.  When the handle's graph is journaled and a previous
@@ -369,9 +363,19 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
         ),
         PlanAlgorithm("kcore", defaults={}, kernel=_kernel_kcore),
         PlanAlgorithm(
-            "triangles", defaults={}, kernel=_kernel_triangles, chunk=_chunked_triangles
+            "triangles",
+            defaults={},
+            kernel=_kernel_triangles,
+            chunk=_chunked_triangles,
+            # every triangle is counted at each of its three corners
+            from_triangles=lambda csr, counts: sum(counts) // 3,
         ),
-        PlanAlgorithm("clustering", defaults={}, kernel=_kernel_clustering),
+        PlanAlgorithm(
+            "clustering",
+            defaults={},
+            kernel=_kernel_clustering,
+            from_triangles=clustering_from_counts,
+        ),
         PlanAlgorithm(
             "label_propagation",
             defaults={"max_iterations": 20, "seed": 0},

@@ -21,12 +21,14 @@ the plan executor (:mod:`repro.session.compiler`) drives:
   - ``count_triangles`` — one partition's share of the chunk-parallel
     triangle count: the worker's ``(lo, hi)`` vertex range, whose integer
     partial is exact under any regrouping;
-  - ``run_sweep`` — one contiguous slice of the plan's fused source sweep.
-    Merge determinism mirrors the superstep executor's contract: integer
-    stats are exact, float products are shipped as *ordered per-source
-    contribution lists* and re-summed by the master with one flat
-    left-to-right pass in global source order — exactly the serial kernels'
-    accumulation order, so floats are bit-identical, not merely close;
+  - ``run_sweep`` — one contiguous slice of the plan's fused source sweep,
+    through :func:`sweep_products`, the same per-source product loop the
+    coordinator runs for an inline sweep.  Merge determinism mirrors the
+    superstep executor's contract: integer stats are exact, float products
+    are shipped as *ordered per-source contribution vectors* (the backend's
+    native form) and re-summed by the master in global source order —
+    exactly the serial kernels' accumulation order, so floats are
+    bit-identical, not merely close;
   - ``run_task`` — a whole-graph serial kernel executed on a single worker,
     so independent kernel-only requests run *concurrently* across the worker
     budget instead of sequentially on the master.
@@ -46,6 +48,30 @@ import time
 from repro.vertexcentric.parallel import ParallelSuperstepExecutor, SnapshotWorker
 
 
+def sweep_products(backend, csr, payload):
+    """The fused sweep's per-source product loop — the one place it exists,
+    for the coordinator's inline sweep and for :meth:`PlanWorker.run_sweep`.
+
+    ``payload`` is a list of ``(source, want_delta, want_dists)`` tuples;
+    the backend's block-wise :meth:`~KernelBackend.sweep` grows a Brandes
+    traversal where a betweenness demand needs the dependency vector and a
+    plain BFS tree otherwise, and each source yields ``(stats, delta | None,
+    dists | None)`` in payload order: integer-exact stats, the delta still
+    in the backend's native form, distances as a plain list.
+    """
+    trees = backend.sweep(
+        csr,
+        [source for source, _, _ in payload],
+        {source for source, want_delta, _ in payload if want_delta},
+    )
+    for (_, _, want_dists), (tree, delta) in zip(payload, trees):
+        yield (
+            backend.tree_stats(tree),
+            delta,
+            backend.tree_distances(tree) if want_dists else None,
+        )
+
+
 class PlanWorker(SnapshotWorker):
     """One partition's generic worker for a scheduled plan (see module doc):
     the snapshot worker's superstep protocol plus direct-kernel work."""
@@ -57,29 +83,13 @@ class PlanWorker(SnapshotWorker):
         return self.backend.count_triangles(self.csr, lo, hi)
 
     def run_sweep(self, payload):
-        """One slice of the plan compiler's shared source sweep.
-
-        ``payload`` is a list of ``(source, want_delta, want_dists)`` tuples;
-        for each source the worker grows one traversal — a Brandes traversal
-        when a betweenness demand needs the dependency vector, a plain BFS
-        tree otherwise — and ships ``(stats, delta|None, dists|None)`` back.
-        Stats are integer-exact and deltas are ordered per-source contribution
-        lists, so the master's partition-order merge keeps every consuming
-        algorithm bit-identical to its serial kernel (see
-        :mod:`repro.session.compiler`).
-        """
-        products = []
-        for source, want_delta, want_dists in payload:
-            if want_delta:
-                tree, delta = self.backend.brandes_tree(self.csr, source)
-                delta_list = self.backend.tree_delta(delta)
-            else:
-                tree = self.backend.bfs_tree(self.csr, source)
-                delta_list = None
-            stats = self.backend.tree_stats(tree)
-            dists = self.backend.tree_distances(tree) if want_dists else None
-            products.append((stats, delta_list, dists))
-        return products
+        """One slice of the plan compiler's shared source sweep: this
+        worker's :func:`sweep_products`, shipped back as a list.  Stats are
+        integer-exact and deltas are ordered per-source contributions, so
+        the master's partition-order merge keeps every consuming algorithm
+        bit-identical to its serial kernel (see
+        :mod:`repro.session.compiler`)."""
+        return list(sweep_products(self.backend, self.csr, payload))
 
     def run_task(self, payload):
         """A whole-graph serial kernel on this worker.

@@ -27,7 +27,8 @@ from repro.algorithms import (
     top_k_pagerank,
     triangles_per_vertex,
 )
-from repro.exceptions import RepresentationError
+from repro.algorithms.centrality import betweenness_centrality
+from repro.exceptions import RepresentationError, UsageError
 from repro.graph import CDupGraph, ExpandedGraph, expanded_from_condensed
 from repro.io import to_networkx
 
@@ -210,3 +211,25 @@ class TestCommunitiesAndPaths:
         graph = ExpandedGraph()
         assert approximate_diameter(graph) == 0
         assert average_path_length(graph) == 0.0
+
+    @pytest.mark.parametrize(
+        "free, planned",
+        [
+            (lambda g: betweenness_centrality(g, sample_size=0), lambda p: p.betweenness(sample_size=0)),
+            (lambda g: betweenness_centrality(g, sample_size=-2), lambda p: p.betweenness(sample_size=-2)),
+            (lambda g: approximate_diameter(g, samples=0), lambda p: p.diameter(samples=0)),
+            (lambda g: approximate_diameter(g, samples=-1), lambda p: p.diameter(samples=-1)),
+            (lambda g: average_path_length(g, samples=-1), lambda p: p.diameter(samples=-1)),
+        ],
+        ids=["betweenness-0", "betweenness--2", "diameter-0", "diameter--1", "path-length--1"],
+    )
+    def test_bad_sample_counts_fail_like_the_plan_does(self, sample_graph, free, planned):
+        """Was: ZeroDivisionError, random.sample's ValueError, or a silent 0."""
+        from repro.relational.database import Database
+        from repro.session import GraphSession
+
+        with pytest.raises(UsageError) as from_plan:
+            planned(GraphSession(Database("samples")).wrap(sample_graph).analyze())
+        with pytest.raises(UsageError) as from_free_function:
+            free(sample_graph)
+        assert str(from_free_function.value) == str(from_plan.value)

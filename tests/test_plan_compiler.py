@@ -394,6 +394,34 @@ def test_derived_view_nodes_are_shared_and_attributed_once(family, backend):
     assert sum(1 for node in report.nodes() if node.key == "und-csr") == 1
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["symmetric", "directed"])
+def test_triangles_and_clustering_share_one_triangle_pass(families, kind, backend, monkeypatch):
+    graph = families[kind]["C-DUP"]
+    handle = _session(1, backend).wrap(graph)
+    passes = []
+    cls = type(get_backend(backend))
+    monkeypatch.setattr(
+        cls,
+        "triangles_per_vertex",
+        lambda self, csr, _real=cls.triangles_per_vertex: passes.append(1) or _real(self, csr),
+    )
+    report = handle.analyze().triangles().clustering().run()
+    shared = {
+        result.label: [node for node in result.nodes if node.key == "triangle-counts"]
+        for result in report
+    }
+    assert [node.status for node in shared["triangles"]] == ["computed"]
+    assert [node.status for node in shared["clustering"]] == ["reused"]
+    assert shared["triangles"][0].kind == "derive"
+    # a node value, not a snapshot cache entry: a hot re-run computes it again, once
+    handle.analyze().clustering().triangles().run()
+    assert len(passes) == 2
+    assert not any("triangle" in key for key in handle.snapshot()._backend_cache)
+    monkeypatch.undo()
+    assert _assert_matches_kernel_runners(report, handle.snapshot(), backend) == 0
+
+
 # --------------------------------------------------------------------------- #
 # scheduling invariants survive compilation
 # --------------------------------------------------------------------------- #
@@ -565,16 +593,35 @@ def test_cost_model_weighted_sweep_partitions_cover_sources_in_order():
     assert all(share <= target + factor for share in shares)
 
 
-def test_cost_model_inline_backend_choice_respects_float_demand():
-    small = CostModel(n=20, m=40, backend_name="python")
-    backend = get_backend("python")
-    assert small.inline_sweep_backend(backend, has_delta=False).name == "python"
-    assert small.inline_sweep_backend(backend, has_delta=True).name == "python"
-    if numpy_available():
-        big = CostModel(n=5000, m=20000, backend_name="python")
-        assert big.inline_sweep_backend(backend, has_delta=False).name == "numpy"
-        # float (Brandes) demand pins the session backend for bit-identity
-        assert big.inline_sweep_backend(backend, has_delta=True).name == "python"
+def test_cost_model_inline_backend_choice_respects_float_demand(monkeypatch):
+    """There is no choice any more: the inline sweep runs on the session's
+    backend whatever the demand (stats-only or float) and whichever side of
+    the deleted 3 500-element crossover the snapshot falls on — a
+    ``backend="python"`` session grows its trees on the python reference."""
+    assert not hasattr(CostModel, "inline_sweep_backend")
+    ran = []
+    for name in BACKENDS:
+        cls = type(get_backend(name))
+        monkeypatch.setattr(
+            cls,
+            "sweep",
+            lambda self, csr, sources, brandes=(), _sweep=cls.sweep: (
+                ran.append(self.name) or _sweep(self, csr, sources, brandes)
+            ),
+        )
+    small = CDupGraph(build_symmetric_condensed(seed=3, num_real=12, num_virtual=4, max_size=4))
+    big = CDupGraph(build_symmetric_condensed(seed=3, num_real=300, num_virtual=200, max_size=12))
+    assert small.snapshot().n + small.snapshot().num_edges < 3500
+    assert big.snapshot().n + big.snapshot().num_edges > 3500
+    for graph in (small, big):
+        for name in BACKENDS:
+            for plan in (
+                _session(1, name).wrap(graph).analyze().closeness().diameter(samples=3),
+                _session(1, name).wrap(graph).analyze().closeness().betweenness(sample_size=4),
+            ):
+                ran.clear()
+                plan.run()
+                assert ran == [name]
 
 
 def test_compile_plan_is_pure_and_keys_are_structural(family):
