@@ -12,10 +12,11 @@ help:
 	@echo "make test-service - service layer: JSON codec, result cache, HTTP"
 	@echo "                    front-end, session concurrency regressions"
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
-	@echo "make bench-table1 - condensed vs full extraction + python vs pushdown engine race"
-	@echo "make bench-fig18  - service result cache: cached vs uncached req/s"
+	@echo "make bench-table1 - condensed vs full extraction + pushdown work pins (one scan, distinct rows only)"
+	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
-	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel)"
+	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
+	@echo "                    extraction engines x appended rows)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
 	@echo "make all          - everything (tier-1 equivalent)"
 
@@ -47,7 +48,8 @@ test-service:
 smoke:
 	$(PYTEST) -q tests/test_kernel.py tests/test_representation_parity.py \
 		tests/test_algorithms.py tests/test_graph_representations.py \
-		tests/test_incremental.py tests/test_sweep_kernel.py
+		tests/test_incremental.py tests/test_sweep_kernel.py \
+		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow
 
 serve-smoke:
 	$(PYTEST) -q tests/test_service_http.py::TestServeCommand \

@@ -8,42 +8,39 @@ backend) — a cached request deserialises a stored
 :class:`~repro.session.AnalysisResult` instead of executing kernels, and
 bypasses admission control entirely.
 
-Measured here over a real loopback HTTP server with several concurrent
-client threads driving sustained request streams:
+Driven here over a real loopback HTTP server with several concurrent client
+threads:
 
 * **uncached** — every request carries fresh parameters, so every request
   misses the cache and executes a plan (the PR-6 cost, plus the wire);
 * **cached** — every request repeats one warmed entry, so every request is
   a cache hit (wire + codec only).
 
-Asserted: the cached stream sustains **>= 5x** the uncached request rate,
-cached responses are bit-identical to the original execution, and the
-service's counters account for every request.  The rate ratio is
-re-measured up to three times (like the fig16 latency assertion) because a
-noisy-neighbor burst on a shared CI runner can land in either stream's
-window; every attempt's raw rates are recorded unasserted for
-transparency.  Results land in ``benchmarks/results/fig18_service.txt``.
+Pinned, as counts: the uncached stream is all misses, each executing a
+plan; the cached stream is all hits and compiles **no** plan; every
+cached response is bit-identical to the original execution.  That is what
+makes a hit cheap; how cheap, in requests per second, is ``bench/``'s
+``serve_mix`` workload to say (``service.analyze_hit_s`` /
+``service.analyze_miss_s``), not a ratio of two wall clocks in tier-1.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import time
 import urllib.request
 
 from repro.datasets import COAUTHOR_QUERY, generate_dblp
 from repro.service import GraphService, decode_report, make_server, serve_in_thread
 from repro.session import GraphSession
+from repro.session.compiler import CompilerCounters
 
-from benchmarks.conftest import record_rows
-
-REQUIRED_SPEEDUP = 5.0
 CLIENT_THREADS = 4
 UNCACHED_REQUESTS = 24
 CACHED_REQUESTS = 200
 
-_ROWS: list[dict[str, object]] = []
+#: stream -> (requests, cache hits, cache misses, plans compiled)
+_STREAMS: dict[str, tuple[int, int, int, int]] = {}
 
 
 def _post(base: str, payload: dict) -> dict:
@@ -55,9 +52,9 @@ def _post(base: str, payload: dict) -> dict:
         return json.loads(response.read())
 
 
-def _drive(base: str, payloads: list[dict]) -> tuple[float, list[dict]]:
+def _drive(base: str, payloads: list[dict]) -> list[dict]:
     """Fire ``payloads`` across CLIENT_THREADS concurrent clients; returns
-    (elapsed seconds, responses)."""
+    the responses, in payload order."""
     queue = list(enumerate(payloads))
     responses: list[dict | None] = [None] * len(payloads)
     errors: list[Exception] = []
@@ -77,15 +74,13 @@ def _drive(base: str, payloads: list[dict]) -> tuple[float, list[dict]]:
                 return
 
     threads = [threading.Thread(target=client) for _ in range(CLIENT_THREADS)]
-    started = time.perf_counter()
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=300)
-    elapsed = time.perf_counter() - started
     assert not errors, errors
     assert all(response is not None for response in responses)
-    return elapsed, responses
+    return responses
 
 
 class TestFig18ServiceCache:
@@ -105,92 +100,51 @@ class TestFig18ServiceCache:
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
         serve_in_thread(server)
+        def counters() -> tuple[int, int, int]:
+            stats = service.cache.stats()
+            return stats["hits"], stats["misses"], CompilerCounters.plans_compiled
+
+        def stream(name: str, payloads: list[dict]) -> list[dict]:
+            before = counters()
+            responses = _drive(base, payloads)
+            hits, misses, plans = (now - then for now, then in zip(counters(), before))
+            _STREAMS[name] = (len(payloads), hits, misses, plans)
+            return responses
+
         try:
-            # rate ratios on shared CI runners are noisy: re-measure up to
-            # three times (the fig16 pattern).  Every attempt's raw rates
-            # are recorded unasserted; only the best ratio is asserted.
-            attempts: list[tuple[float, float]] = []
-            for attempt in range(3):
-                # uncached stream: every request carries fresh parameters
-                # (offset per attempt so a retry never hits entries the
-                # previous attempt populated), so every request executes
-                uncached_payloads = [
-                    {
-                        "algorithm": "pagerank",
-                        "params": {
-                            "damping": round(0.5 + 0.001 * (attempt * UNCACHED_REQUESTS + i), 6)
-                        },
-                    }
+            # uncached stream: every request carries fresh parameters, so
+            # every request executes
+            stream(
+                "uncached",
+                [
+                    {"algorithm": "pagerank", "params": {"damping": round(0.5 + 0.001 * i, 6)}}
                     for i in range(UNCACHED_REQUESTS)
-                ]
-                misses_before = service.cache.stats()["misses"]
-                uncached_seconds, _ = _drive(base, uncached_payloads)
-                uncached_rps = UNCACHED_REQUESTS / uncached_seconds
-                assert (
-                    service.cache.stats()["misses"] - misses_before == UNCACHED_REQUESTS
-                )
-
-                # cached stream: one warmed entry, repeated
-                hot = {"algorithm": "pagerank", "params": {"damping": 0.85}}
-                reference = decode_report(_post(base, hot))
-                hits_before = service.cache.stats()["hits"]
-                cached_seconds, responses = _drive(
-                    base, [hot] * CACHED_REQUESTS
-                )
-                cached_rps = CACHED_REQUESTS / cached_seconds
-                assert service.cache.stats()["hits"] - hits_before == CACHED_REQUESTS
-
-                # cached responses are bit-identical to the original execution
-                sample = decode_report(responses[0])
-                assert sample["pagerank"].provenance.snapshot_source == "result-cache"
-                assert repr(sample["pagerank"].values) == repr(
-                    reference["pagerank"].values
-                )
-
-                attempts.append((uncached_rps, cached_rps))
-                if cached_rps / uncached_rps >= REQUIRED_SPEEDUP:
-                    break
-
-            uncached_rps, cached_rps = attempts[-1]
-            speedup = cached_rps / uncached_rps
-            csr = service.handle.snapshot()
-            _ROWS.append(
-                {
-                    "graph": f"dblp coauthor (n={csr.n}, m={csr.num_edges})",
-                    "clients": CLIENT_THREADS,
-                    "uncached_rps": round(uncached_rps, 1),
-                    "cached_rps": round(cached_rps, 1),
-                    "speedup": f"{speedup:.1f}x",
-                    "attempts": len(attempts),
-                    "note": f"asserted >= {REQUIRED_SPEEDUP:.0f}x, bit-identical",
-                }
+                ],
             )
-            for number, (raw_uncached, raw_cached) in enumerate(attempts, start=1):
-                _ROWS.append(
-                    {
-                        "graph": f"  attempt {number} (raw, unasserted)",
-                        "clients": CLIENT_THREADS,
-                        "uncached_rps": round(raw_uncached, 1),
-                        "cached_rps": round(raw_cached, 1),
-                        "speedup": f"{raw_cached / raw_uncached:.1f}x",
-                        "attempts": "-",
-                        "note": "raw measurement",
-                    }
-                )
-            assert speedup >= REQUIRED_SPEEDUP, (
-                f"cached stream only {speedup:.2f}x the uncached rate "
-                f"({cached_rps:.1f} vs {uncached_rps:.1f} req/s) "
-                f"after {len(attempts)} attempt(s)"
-            )
+            requests, hits, misses, plans = _STREAMS["uncached"]
+            assert (hits, misses) == (0, UNCACHED_REQUESTS)
+            # (the process-global plan counter is bumped without a lock by
+            # up to CLIENT_THREADS concurrent runs: bounded, not pinned)
+            assert 0 < plans <= UNCACHED_REQUESTS
+
+            # cached stream: one warmed entry, repeated
+            hot = {"algorithm": "pagerank", "params": {"damping": 0.85}}
+            reference = decode_report(_post(base, hot))
+            responses = stream("cached", [hot] * CACHED_REQUESTS)
+            assert _STREAMS["cached"] == (CACHED_REQUESTS, CACHED_REQUESTS, 0, 0)
+
+            # cached responses are bit-identical to the original execution
+            for response in responses:
+                served = decode_report(response)["pagerank"]
+                assert served.provenance.snapshot_source == "result-cache"
+                assert repr(served.values) == repr(reference["pagerank"].values)
         finally:
             server.shutdown()
             server.server_close()
             session.close()
 
     def test_record_results(self):
-        record_rows(
-            "fig18_service",
-            "Figure 18 - service result cache: sustained req/s, cached vs "
-            "uncached streams (loopback HTTP, python backend)",
-            _ROWS,
-        )
+        """Both streams of the figure ran and were accounted for (a failed
+        or deselected stream leaves its slot empty)."""
+        assert sorted(_STREAMS) == ["cached", "uncached"]
+        assert all(requests == hits + misses for requests, hits, misses, _ in _STREAMS.values())

@@ -336,9 +336,9 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         choices=EXTRACT_ENGINES,
         default=None,
         help="extraction engine: 'python' row-at-a-time reference, 'sqlite' "
-        "row-at-a-time over the sqlite mirror, 'pushdown' compiles the whole "
-        "plan into set-based SQL emitting sorted edge arrays, 'auto' tries "
-        "pushdown and falls back (default: python)",
+        "row-at-a-time over the sqlite mirror, 'pushdown' runs one SELECT "
+        "DISTINCT per distinct query of the plan and wires the rows in one "
+        "pass, 'auto' tries pushdown and falls back (default: python)",
     )
 
 

@@ -43,15 +43,17 @@ class ExtractionOptions:
         are skipped (and counted) rather than silently adding vertices.
     extract_engine:
         Which extraction engine runs the plan.  ``"python"`` (the default and
-        the reference) and ``"sqlite"`` are the row-at-a-time engines (per-row
-        ``add_edge`` over the built-in hash-join executor / generated
-        per-segment SQL on the database's SQLite mirror respectively);
-        ``"pushdown"`` compiles the whole plan into set-based SQL
-        (:mod:`repro.relational.pushdown`) whose sorted result arrays bulk-load
-        the condensed graph, falling back to the ``python`` engine with a note
-        when the plan or data cannot be pushed down; ``"auto"`` is pushdown
-        with a silent-by-report fallback too (the two differ only in intent:
-        ``pushdown`` is an explicit request, ``auto`` a hint).
+        the reference) evaluates each query with the built-in hash-join
+        executor and builds the graph one ``add_edge`` at a time;
+        ``"sqlite"`` is that same loop over rows the database's SQLite mirror
+        evaluated.  ``"pushdown"`` (:mod:`repro.relational.pushdown`) asks the
+        mirror for one ``SELECT DISTINCT`` per *distinct* query of the plan —
+        the two halves of a symmetric co-occurrence rule are one scan — and
+        wires each result into the condensed graph in one pass; it falls back
+        to the ``python`` engine with a note when the plan or data cannot be
+        pushed down.  ``"auto"`` is pushdown with the same fallback (the two
+        differ only in intent: ``pushdown`` is an explicit request, ``auto``
+        a hint).  All four produce logically equivalent graphs.
     """
 
     threshold_factor: float = 2.0

@@ -26,16 +26,15 @@ from repro.core.config import (
     ENGINE_SQLITE,
     ExtractionOptions,
 )
-from repro.core.planner import EdgePlan, ExtractionPlan, NodePlan
+from repro.core.planner import EdgePlan, ExtractionPlan, NodePlan, query_sql
 from repro.dedup.expand import expand, expand_virtual_node
 from repro.exceptions import ExtractionError
 from repro.graph.condensed import CondensedGraph
 from repro.graph.expanded import ExpandedGraph
-from repro.relational.aggregates import aggregate_to_sql, evaluate_aggregate
+from repro.relational.aggregates import AggregateQuery, evaluate_aggregate
 from repro.relational.database import Database
-from repro.relational.pushdown import PushdownExecutor, PushdownUnsupported
+from repro.relational.pushdown import PushdownUnsupported, run_pushdown
 from repro.relational.query import ConjunctiveQuery, evaluate
-from repro.relational.sqlite_backend import SQLiteBackend
 from repro.utils.timing import Timer
 
 
@@ -46,8 +45,10 @@ class ExtractionReport:
     ``engine`` records which extraction engine actually ran (``"python"``,
     ``"sqlite"`` or ``"pushdown"``); ``notes`` carries provenance such as
     pushdown fallbacks.  ``queries_executed`` counts the queries the engine
-    issued — per segment for the row engines, per SQL statement for pushdown
-    — so it is engine-specific by design.
+    issued: one per Nodes rule and one per segment / full / aggregate query
+    for the row engines; pushdown issues one per *distinct* query of a rule,
+    so it reads lower wherever segments share a scan (a symmetric
+    co-occurrence rule: 2 instead of 3) and never higher.
     """
 
     condensed_edges: int = 0
@@ -68,34 +69,33 @@ class ExtractionReport:
 
 
 class QueryExecutor:
-    """Evaluates conjunctive queries either in Python or through SQLite.
+    """Evaluates a plan's queries either in Python or through SQLite.
 
-    The SQLite path borrows the database's cached mirror
-    (:meth:`~repro.relational.database.Database.sqlite_backend`) instead of
-    re-mirroring every table into ``:memory:`` per extraction; :meth:`close`
-    therefore only drops the reference — the mirror belongs to the database.
+    The SQLite path evaluates every query of the plan up front, on the
+    database's one mirror (:meth:`~repro.relational.database.Database.
+    sqlite_backend`) and under one hold of its lock, so that all of them see
+    the same table state; the reference loop then runs over those rows with
+    the lock released.
     """
 
-    def __init__(self, db: Database, use_sqlite: bool) -> None:
+    def __init__(self, db: Database, plan: ExtractionPlan, use_sqlite: bool) -> None:
         self._db = db
-        self._sqlite: SQLiteBackend | None = db.sqlite_backend() if use_sqlite else None
+        self._rows: dict[int, list[tuple[Any, ...]]] | None = None
+        if use_sqlite:
+            queries = list(plan.queries())
+            statements = []
+            for query in queries:
+                parameters: list[Any] = []
+                statements.append((query_sql(db, query, parameters), parameters))
+            rows = db.sqlite_backend().read_all(statements)
+            self._rows = {id(query): result for query, result in zip(queries, rows)}
 
-    def run(self, query: ConjunctiveQuery) -> list[tuple[Any, ...]]:
-        if self._sqlite is not None:
-            return self._sqlite.evaluate(query)
+    def run(self, query: ConjunctiveQuery | AggregateQuery) -> list[tuple[Any, ...]]:
+        if self._rows is not None:
+            return self._rows[id(query)]
+        if isinstance(query, AggregateQuery):
+            return evaluate_aggregate(self._db, query)
         return evaluate(self._db, query)
-
-    def run_aggregate(self, aggregate_query: Any) -> list[tuple[Any, ...]]:
-        """Evaluate a grouped query — generated GROUP BY/HAVING SQL on the
-        SQLite path, the pure-Python evaluator otherwise."""
-        if self._sqlite is not None:
-            parameters: list[Any] = []
-            sql = aggregate_to_sql(self._db, aggregate_query, parameters=parameters)
-            return self._sqlite.execute_sql(sql, parameters)
-        return evaluate_aggregate(self._db, aggregate_query)
-
-    def close(self) -> None:
-        self._sqlite = None
 
 
 class Extractor:
@@ -114,7 +114,7 @@ class Extractor:
         """Build the condensed (C-DUP) graph for ``plan``.
 
         Dispatches on ``ExtractionOptions.extract_engine``: the row-at-a-time
-        engines (``python``/``sqlite``) or the set-based SQL ``pushdown``
+        engines (``python``/``sqlite``) or the one-pass SQL ``pushdown``
         engine, which falls back to the ``python`` reference — with a note in
         the report — whenever the plan or data cannot be pushed down.  All
         engines produce logically equivalent graphs.
@@ -122,63 +122,50 @@ class Extractor:
         engine = self._options.extract_engine
         if engine in (ENGINE_PUSHDOWN, ENGINE_AUTO):
             try:
-                return self._extract_condensed_pushdown(plan)
+                return self._extract(plan, ENGINE_PUSHDOWN)
             except PushdownUnsupported as exc:
-                graph, report = self._extract_condensed_rows(plan, ENGINE_PYTHON)
+                graph, report = self._extract(plan, ENGINE_PYTHON)
                 report.notes.append(
                     f"pushdown unavailable ({exc}); fell back to the {ENGINE_PYTHON} engine"
                 )
                 return graph, report
-        return self._extract_condensed_rows(plan, engine)
+        return self._extract(plan, engine)
 
-    def _extract_condensed_pushdown(
-        self, plan: ExtractionPlan
-    ) -> tuple[CondensedGraph, ExtractionReport]:
-        """The set-based engine: one SQL program per rule, bulk-loaded."""
-        report = ExtractionReport(engine=ENGINE_PUSHDOWN)
+    def _extract(self, plan: ExtractionPlan, engine: str) -> tuple[CondensedGraph, ExtractionReport]:
+        report = ExtractionReport(engine=engine)
         timer = Timer().start()
-        executor = PushdownExecutor(
-            self._db, skip_unknown_endpoints=self._options.skip_unknown_endpoints
-        )
         graph = CondensedGraph()
-        executor.run(plan, graph, report)
+        if engine == ENGINE_PUSHDOWN:
+            run_pushdown(self._db, plan, graph, report, self._options.skip_unknown_endpoints)
+        else:
+            self._load_rows(plan, engine, graph, report)
         if self._options.preprocess:
             report.preprocessing_expanded_virtual_nodes = self._preprocess(graph)
         report.seconds = timer.stop()
         report.real_nodes = graph.num_real_nodes
         report.virtual_nodes = graph.num_virtual_nodes
-        report.condensed_edges = graph.num_condensed_edges
+        # counted while loading; only Step 6 can have changed it since
+        report.condensed_edges = (
+            graph.num_condensed_edges
+            if report.preprocessing_expanded_virtual_nodes
+            else sum(report.per_rule_edges)
+        )
         return graph, report
 
-    def _extract_condensed_rows(
-        self, plan: ExtractionPlan, engine: str
-    ) -> tuple[CondensedGraph, ExtractionReport]:
-        """The row-at-a-time reference path (kept verbatim from the
-        pre-pushdown extractor)."""
-        report = ExtractionReport(engine=engine)
-        timer = Timer().start()
-        executor = QueryExecutor(self._db, use_sqlite=engine == ENGINE_SQLITE)
-        try:
-            graph = CondensedGraph()
-            self._load_nodes(executor, plan.node_plans, graph, report)
-            for edge_plan in plan.edge_plans:
-                before = graph.num_condensed_edges
-                if edge_plan.condensed:
-                    self._load_condensed_edges(executor, edge_plan, graph, report)
-                elif edge_plan.aggregate_query is not None:
-                    self._load_aggregate_edges(executor, edge_plan, graph, report)
-                else:
-                    self._load_full_edges(executor, edge_plan, graph, report)
-                report.per_rule_edges.append(graph.num_condensed_edges - before)
-            if self._options.preprocess:
-                report.preprocessing_expanded_virtual_nodes = self._preprocess(graph)
-        finally:
-            executor.close()
-        report.seconds = timer.stop()
-        report.real_nodes = graph.num_real_nodes
-        report.virtual_nodes = graph.num_virtual_nodes
-        report.condensed_edges = graph.num_condensed_edges
-        return graph, report
+    def _load_rows(
+        self, plan: ExtractionPlan, engine: str, graph: CondensedGraph, report: ExtractionReport
+    ) -> None:
+        """The row-at-a-time reference loop, over Python- or SQL-evaluated rows."""
+        executor = QueryExecutor(self._db, plan, use_sqlite=engine == ENGINE_SQLITE)
+        self._load_nodes(executor, plan.node_plans, graph, report)
+        for edge_plan in plan.edge_plans:
+            if edge_plan.condensed:
+                edges = self._load_condensed_edges(executor, edge_plan, graph, report)
+            elif edge_plan.aggregate_query is not None:
+                edges = self._load_aggregate_edges(executor, edge_plan, graph, report)
+            else:
+                edges = self._load_full_edges(executor, edge_plan, graph, report)
+            report.per_rule_edges.append(edges)
 
     def extract_expanded(
         self, plan: ExtractionPlan
@@ -224,7 +211,7 @@ class Extractor:
         plan: EdgePlan,
         graph: CondensedGraph,
         report: ExtractionReport,
-    ) -> None:
+    ) -> int:
         # virtual nodes live on the *boundaries* between consecutive segments
         # of the rule's chain: one node per (boundary, join value), created
         # lazily as values appear (Step 4).  Keying by boundary index — not by
@@ -241,6 +228,7 @@ class Extractor:
                 virtual_of[key] = graph.add_virtual_node((attribute, value))
             return virtual_of[key]
 
+        edges = 0
         for index, segment in enumerate(plan.segments):
             rows = executor.run(segment.query)
             report.queries_executed += 1
@@ -269,7 +257,8 @@ class Extractor:
                     target = graph.internal(right_value)
                 else:
                     target = virtual_for(index, segment.out_variable, right_value)
-                graph.add_edge(source, target, allow_duplicate=allow_duplicate)
+                edges += graph.add_edge(source, target, allow_duplicate=allow_duplicate)
+        return edges
 
     # ------------------------------------------------------------------ #
     # Case 2: fully expanded edge rule
@@ -280,11 +269,12 @@ class Extractor:
         plan: EdgePlan,
         graph: CondensedGraph,
         report: ExtractionReport,
-    ) -> None:
+    ) -> int:
         if plan.full_query is None:  # pragma: no cover - defensive
             raise ExtractionError(f"edge plan for {plan.rule} has no query")
         rows = executor.run(plan.full_query)
         report.queries_executed += 1
+        edges = 0
         for source_value, target_value in rows:
             known_source = graph.has_external(source_value)
             known_target = graph.has_external(target_value)
@@ -294,11 +284,12 @@ class Extractor:
                     continue
                 graph.add_real_node(source_value)
                 graph.add_real_node(target_value)
-            graph.add_edge(
+            edges += graph.add_edge(
                 graph.internal(source_value),
                 graph.internal(target_value),
                 allow_duplicate=False,
             )
+        return edges
 
     # ------------------------------------------------------------------ #
     # Case 2 with aggregation: grouped edge rule (weights / HAVING filters)
@@ -309,7 +300,7 @@ class Extractor:
         plan: EdgePlan,
         graph: CondensedGraph,
         report: ExtractionReport,
-    ) -> None:
+    ) -> int:
         """Load an aggregated Edges rule as direct, annotated real→real edges.
 
         Grouped rules run through the executor like every other rule: the
@@ -321,9 +312,10 @@ class Extractor:
         aggregate_query = plan.aggregate_query
         if aggregate_query is None:  # pragma: no cover - defensive
             raise ExtractionError(f"edge plan for {plan.rule} has no aggregate query")
-        rows = executor.run_aggregate(aggregate_query)
+        rows = executor.run(aggregate_query)
         report.queries_executed += 1
         property_names = [spec.output_name for spec in aggregate_query.aggregates]
+        edges = 0
         for row in rows:
             source_value, target_value = row[0], row[1]
             known_source = graph.has_external(source_value)
@@ -336,11 +328,12 @@ class Extractor:
                 graph.add_real_node(target_value)
             source = graph.internal(source_value)
             target = graph.internal(target_value)
-            graph.add_edge(source, target, allow_duplicate=False)
+            edges += graph.add_edge(source, target, allow_duplicate=False)
             if property_names:
                 graph.annotate_edge(
                     source, target, **dict(zip(property_names, row[2:]))
                 )
+        return edges
 
     # ------------------------------------------------------------------ #
     # Step 6: preprocessing

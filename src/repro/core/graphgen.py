@@ -84,9 +84,9 @@ class GraphGen:
     def explain(self, query: str | GraphSpec) -> str:
         """Human-readable plan description plus the SQL that would be issued.
 
-        When a pushdown-capable engine is selected, the set-based SQL program
-        (temp-table materialisation, window-function virtual-node numbering,
-        sorted edge emission) is printed after the per-segment SQL.
+        When a pushdown-capable engine is selected, the statements that
+        engine would actually issue — one per distinct query, with a note for
+        every segment that shares another's scan — follow the per-segment SQL.
         """
         plan = self.plan(query)
         lines = [plan.describe(), "sql:"]

@@ -18,6 +18,7 @@ The planner turns a parsed :class:`~repro.dsl.ast.GraphSpec` into an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Iterator
 
 from repro.dsl.ast import Anonymous, Atom, Constant, GraphSpec, Rule, Variable
 from repro.dsl.validator import EdgeChain, derive_chain, is_acyclic
@@ -32,6 +33,15 @@ from repro.relational.aggregates import (
 from repro.relational.database import Database
 from repro.relational.query import Comparison, ConjunctiveQuery, Const, QueryAtom
 from repro.relational.sql import to_sql
+
+
+def query_sql(
+    db: Database, query: ConjunctiveQuery | AggregateQuery, parameters: list[Any] | None = None
+) -> str:
+    """SQL text of one plan query, conjunctive or grouped; values are bound
+    as ``?`` into ``parameters`` when given, inlined otherwise."""
+    lower = aggregate_to_sql if isinstance(query, AggregateQuery) else to_sql
+    return lower(db, query, parameters=parameters)
 
 
 # --------------------------------------------------------------------------- #
@@ -116,20 +126,26 @@ class ExtractionPlan:
     def num_virtual_layers(self) -> int:
         return max((len(p.virtual_attributes) for p in self.edge_plans), default=0)
 
-    def sql(self, db: Database) -> list[str]:
-        """The SQL statements this plan would issue, in execution order."""
-        statements = [to_sql(db, plan.query) for plan in self.node_plans]
+    def queries(self) -> Iterator[ConjunctiveQuery | AggregateQuery]:
+        """Every query this plan hands to the database, in execution order."""
+        for node_plan in self.node_plans:
+            yield node_plan.query
         for plan in self.edge_plans:
             if plan.condensed:
-                statements.extend(to_sql(db, seg.query) for seg in plan.segments)
+                yield from (segment.query for segment in plan.segments)
             elif plan.aggregate_query is not None:
-                statements.append(aggregate_to_sql(db, plan.aggregate_query))
+                yield plan.aggregate_query
             elif plan.full_query is not None:
-                statements.append(to_sql(db, plan.full_query))
-        return statements
+                yield plan.full_query
+
+    def sql(self, db: Database) -> list[str]:
+        """The SQL statements this plan would issue, in execution order."""
+        return [query_sql(db, query) for query in self.queries()]
 
     def pushdown_sql(self, db: Database) -> list[str]:
-        """The set-based SQL program the pushdown engine would run.
+        """What the pushdown engine would run instead: the *distinct*
+        statements of :meth:`sql` (edge columns aliased ``c0, c1``), with a
+        ``--`` line for every segment that reads another segment's scan.
 
         Lowers the plan through :mod:`repro.relational.pushdown`; raises
         :class:`~repro.relational.pushdown.PushdownUnsupported` when the plan

@@ -26,8 +26,6 @@ target side.  External (database) node IDs are preserved and exposed through
 from __future__ import annotations
 
 from collections import deque
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.exceptions import RepresentationError
@@ -90,116 +88,110 @@ class CondensedGraph:
         self.pred[node] = []
         return node
 
-    def bulk_add_real_nodes(self, external_ids: Iterable[Hashable]) -> int:
-        """Add many real nodes at once (add-or-fetch); returns the number of
-        nodes actually created."""
+    def bulk_add_real_nodes(
+        self, rows: Iterable[Sequence[Any]], property_names: Sequence[str] = ()
+    ) -> int:
+        """:meth:`add_real_node` for every row of a Nodes query: ``row[0]`` is
+        the external ID, the rest are the values of ``property_names``.
+        Returns the number of nodes actually created."""
+        internal_of, external_of = self._internal_of, self._external_of
+        succ, pred, node_properties = self.succ, self.pred, self.node_properties
         created = 0
-        for external_id in external_ids:
-            if external_id in self._internal_of:
-                continue
-            node = self._next_real
-            self._next_real += 1
-            self._internal_of[external_id] = node
-            self._external_of[node] = external_id
-            self.succ[node] = []
-            self.pred[node] = []
-            created += 1
+        for row in rows:
+            external_id = row[0]
+            node = internal_of.get(external_id)
+            if node is None:
+                node = self._next_real
+                self._next_real += 1
+                internal_of[external_id] = node
+                external_of[node] = external_id
+                succ[node] = []
+                pred[node] = []
+                created += 1
+            if property_names:
+                node_properties.setdefault(node, {}).update(zip(property_names, row[1:]))
         if created:
             self.version += 1
         return created
 
-    def bulk_add_virtual_nodes(self, labels: Sequence[tuple[str, Any] | None]) -> int:
-        """Allocate one virtual node per label, in order.
-
-        Returns the internal ID of the first allocated node; the node for
-        ``labels[r]`` is ``first - r`` (virtual IDs decrease), which lets a
-        bulk edge loader compute virtual endpoints with integer arithmetic.
-        """
-        first = self._next_virtual
-        virtual_labels = self.virtual_labels
-        succ, pred = self.succ, self.pred
-        for label in labels:
-            node = self._next_virtual
-            self._next_virtual -= 1
-            virtual_labels[node] = label
-            succ[node] = []
-            pred[node] = []
-        if labels:
-            self.version += 1
-        return first
-
-    def bulk_add_edges(
+    def load_edges(
         self,
-        edges_by_source: Sequence[tuple[int, int]],
-        edges_by_target: Sequence[tuple[int, int]] | None = None,
-        allow_duplicate: bool = True,
-    ) -> int:
-        """Bulk-load condensed edges from pre-sorted arrays.
+        rows: Iterable[Sequence[Any]],
+        swapped: bool = False,
+        left: tuple[str, dict[Hashable, int]] | None = None,
+        right: tuple[str, dict[Hashable, int]] | None = None,
+        skip_unknown: bool = True,
+        property_names: Sequence[str] = (),
+    ) -> tuple[int, int]:
+        """Wire the rows of one segment / full / aggregate query into the graph.
 
-        ``edges_by_source`` holds ``(source, target)`` internal-ID pairs
-        grouped by source (e.g. the result of an ``ORDER BY source, target``
-        SQL query); ``edges_by_target`` is the same edge multiset grouped by
-        target (derived by sorting when omitted).  Each adjacency list is then
-        built with one ``extend`` per node instead of per-edge dict lookups —
-        the arrays arrive exactly in the layout ``snapshot_edges()``'s CSR
-        construction wants.
+        One pass: every row's two endpoint values (``row[0], row[1]``, or the
+        other way round when ``swapped``) are dictionary-encoded and the edge
+        is appended to both adjacency lists.  A side given as ``None`` is a
+        real endpoint, encoded by the graph's own external → internal map; a
+        side given as ``(attribute, nodes)`` is a chain boundary whose
+        virtual nodes are created on first sight of a join value (``None``
+        included — a NULL joins NULL here, like any other key) and remembered
+        in ``nodes``, which the caller shares between the two segments that
+        meet at the boundary.
 
-        ``allow_duplicate=False`` falls back to the per-edge checked path
-        (needed only for direct real→real edges that may repeat across
-        rules).  Returns the number of edges added.
+        Row for row this does what the extractor's reference loop does: the
+        left endpoint is resolved first; an unknown real endpoint drops the
+        row and counts it (``skip_unknown``) or becomes a new real node; a
+        virtual left endpoint exists before the right one is looked at; and
+        direct real→real edges — the only ones another rule can have produced
+        already — are added once.  ``property_names`` label ``row[2:]`` as
+        annotations of those direct edges.
+
+        Returns ``(edges added, rows skipped)``.
         """
-        if not allow_duplicate:
-            added = 0
-            for source, target in edges_by_source:
-                if self.add_edge(source, target, allow_duplicate=False):
-                    added += 1
-            return added
-
         succ, pred = self.succ, self.pred
-        count = 0
-        for source, group in groupby(edges_by_source, key=itemgetter(0)):
-            if source not in succ:
-                raise RepresentationError(f"cannot add edges from unknown node {source}")
-            targets = [t for _, t in group]
-            succ[source].extend(targets)
-            count += len(targets)
-        if edges_by_target is None:
-            edges_by_target = sorted(edges_by_source, key=itemgetter(1, 0))
-        target_count = 0
-        for target, group in groupby(edges_by_target, key=itemgetter(1)):
-            if target not in pred:
-                raise RepresentationError(f"cannot add edges into unknown node {target}")
-            sources = [s for s, _ in group]
-            pred[target].extend(sources)
-            target_count += len(sources)
-        if target_count != count:  # pragma: no cover - defensive
-            raise RepresentationError(
-                f"bulk edge arrays disagree: {count} by source, {target_count} by target"
-            )
-        if count:
+        first, second = (1, 0) if swapped else (0, 1)
+        left_of = self._internal_of if left is None else left[1]
+        right_of = self._internal_of if right is None else right[1]
+        direct = left is None and right is None
+        targets_of: dict[int, set[int]] = {}
+        annotations = self.edge_annotations
+
+        def unseen(value: Hashable, side: tuple[str, dict[Hashable, int]] | None) -> int | None:
+            if side is not None:
+                node = side[1][value] = self.add_virtual_node((side[0], value))
+                return node
+            return None if skip_unknown else self.add_real_node(value)
+
+        added = skipped = 0
+        for row in rows:
+            value = row[first]
+            source = left_of.get(value)
+            if source is None:
+                source = unseen(value, left)
+                if source is None:
+                    skipped += 1
+                    continue
+            value = row[second]
+            target = right_of.get(value)
+            if target is None:
+                target = unseen(value, right)
+                if target is None:
+                    skipped += 1
+                    continue
+            if direct:
+                if property_names:
+                    annotations.setdefault((source, target), {}).update(
+                        zip(property_names, row[2:])
+                    )
+                targets = targets_of.get(source)
+                if targets is None:
+                    targets = targets_of[source] = set(succ[source])
+                if target in targets:
+                    continue
+                targets.add(target)
+            succ[source].append(target)
+            pred[target].append(source)
+            added += 1
+        if added:
             self.version += 1
-        return count
-
-    @classmethod
-    def from_arrays(
-        cls,
-        real_ids: Sequence[Hashable],
-        virtual_labels: Sequence[tuple[str, Any] | None] = (),
-        edges_by_source: Sequence[tuple[int, int]] = (),
-        edges_by_target: Sequence[tuple[int, int]] | None = None,
-    ) -> "CondensedGraph":
-        """Build a condensed graph directly from arrays.
-
-        ``real_ids[i]`` becomes internal node ``i``; ``virtual_labels[r]``
-        becomes internal node ``-(r + 1)``; edges are internal-ID pairs sorted
-        by source (and, optionally, the same pairs sorted by target).  This is
-        the bulk-construction entry point the SQL pushdown engine uses.
-        """
-        graph = cls()
-        graph.bulk_add_real_nodes(real_ids)
-        graph.bulk_add_virtual_nodes(virtual_labels)
-        graph.bulk_add_edges(edges_by_source, edges_by_target)
-        return graph
+        return added, skipped
 
     def remove_virtual_node(self, virtual: int) -> None:
         """Remove a virtual node and all its incident edges."""

@@ -21,10 +21,10 @@ from repro.relational.sql import render_value, to_sql, create_table_sql
 from repro.relational.sqlite_backend import SQLiteBackend
 from repro.relational.pushdown import (
     CompiledEdgeRule,
-    PushdownExecutor,
     PushdownProgram,
     PushdownUnsupported,
     compile_plan,
+    run_pushdown,
 )
 from repro.relational.aggregates import (
     AGGREGATE_FUNCTIONS,
@@ -63,10 +63,10 @@ __all__ = [
     "create_table_sql",
     "SQLiteBackend",
     "CompiledEdgeRule",
-    "PushdownExecutor",
     "PushdownProgram",
     "PushdownUnsupported",
     "compile_plan",
+    "run_pushdown",
     "AGGREGATE_FUNCTIONS",
     "AggregateQuery",
     "AggregateSpec",

@@ -9,6 +9,7 @@ attached for executing generated SQL against stdlib ``sqlite3`` instead.
 
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.exceptions import SchemaError
@@ -29,10 +30,9 @@ class Database:
         self._catalog = Catalog(self)
         # structural version, bumped when tables are added/dropped; combined
         # with the per-table data versions it identifies the database state
-        # the cached SQLite mirror was loaded from
         self._structure_version = 0
         self._sqlite_cache: "SQLiteBackend | None" = None
-        self._sqlite_cache_version: tuple[int, ...] | None = None
+        self._sqlite_guard = threading.Lock()
         # (version, fingerprint) stamped by csv_io.read_database
         self._source_stamp: tuple[tuple[int, ...], str] | None = None
 
@@ -110,8 +110,8 @@ class Database:
     def version(self) -> tuple[int, ...]:
         """A token identifying the current data state of the database.
 
-        Changes whenever a table is added, dropped or mutated; used to decide
-        when the cached SQLite mirror must be reloaded.
+        Changes whenever a table is added, dropped or mutated; what
+        :attr:`source_fingerprint` is stamped against.
         """
         return (self._structure_version,) + tuple(
             self._tables[name].data_version for name in self.table_names()
@@ -131,25 +131,24 @@ class Database:
         return stamp[1] if stamp is not None and stamp[0] == self.version else None
 
     def sqlite_backend(self) -> "SQLiteBackend":
-        """One loaded :class:`SQLiteBackend` mirror, cached per database.
+        """The database's one :class:`SQLiteBackend` mirror, brought up to date.
 
-        The mirror is loaded lazily on first use and invalidated (reloaded)
-        whenever :attr:`version` changes, so repeated extractions and planner
-        catalog probes share a single copy instead of re-mirroring every
-        table into ``:memory:`` per extraction.  Callers must not close the
-        returned backend; its lifetime is tied to this database.
+        Created on first use and kept for as long as the database lives:
+        every call syncs it (:meth:`SQLiteBackend.load` — untouched tables
+        are skipped, a table that only grew gets its new rows appended, a
+        cleared, replaced, added or dropped table is redone alone), so
+        repeated extractions and planner catalog probes share a single copy
+        and a few appended rows cost a few inserted rows.  The connection is
+        never replaced, so a thread still reading from the backend it was
+        handed earlier is never left with a closed one; callers must not
+        close it either.
         """
         from repro.relational.sqlite_backend import SQLiteBackend
 
-        version = self.version
-        if self._sqlite_cache is None or self._sqlite_cache_version != version:
-            if self._sqlite_cache is not None:
-                self._sqlite_cache.close()
-                self._sqlite_cache = None
-            backend = SQLiteBackend(self).load()
-            self._sqlite_cache = backend
-            self._sqlite_cache_version = version
-        return self._sqlite_cache
+        with self._sqlite_guard:
+            if self._sqlite_cache is None:
+                self._sqlite_cache = SQLiteBackend(self)
+        return self._sqlite_cache.load()
 
     # ------------------------------------------------------------------ #
     def total_rows(self) -> int:

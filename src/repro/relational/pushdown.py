@@ -1,55 +1,57 @@
-"""Set-based SQL pushdown: compile an extraction plan into SQL programs.
+"""One-pass SQL extraction: the database evaluates the small-output queries,
+one pass over their rows wires the condensed graph (paper §4.2, Table 1).
 
-The row-at-a-time engines in :mod:`repro.core.extractor` pull every segment
-row out of the database and build the condensed graph one ``add_edge`` at a
-time in Python.  This module lowers an
-:class:`~repro.core.planner.ExtractionPlan` into **one SQL program per Edges
-rule** and runs it on the database's cached SQLite mirror, so the engine does
-the set-based work:
+An :class:`~repro.core.planner.ExtractionPlan` lowers to a flat list of
+``SELECT`` statements — one per Nodes rule and, per Edges rule, one per
+*distinct* segment / full / aggregate query:
 
-* every segment / full / aggregate query is materialised once into a TEMP
-  table (projection, selection and joins happen inside SQLite; aggregate
-  rules use the generated ``GROUP BY``/``HAVING`` SQL),
-* each chain boundary's distinct join values are numbered with a
-  ``DENSE_RANK() OVER (ORDER BY value) - 1`` window function — rank ``r`` at
-  boundary ``b`` *is* the virtual node ``first_b - r`` once a block of
-  virtual IDs has been reserved for the boundary,
-* condensed edges are emitted by joining each segment table against the
-  real-node ID map (``ext -> nid``) and the boundary rank tables, with
-  ``ORDER BY source, target`` so the result arrives as sorted integer edge
-  arrays that :meth:`~repro.graph.condensed.CondensedGraph.bulk_add_edges`
-  loads with one ``extend`` per node (the layout ``snapshot_edges()``'s CSR
-  construction wants),
-* skipped-edge-tuple counts and ``skip_unknown_endpoints=False`` endpoint
-  materialisation are pushed down as ``COUNT``/anti-join queries that
-  replicate the reference engine's left-endpoint-first semantics.
+* a query's identity is its generated SQL text with the two output columns
+  aliased ``c0, c1``, plus its bound parameters.  A segment whose text equals
+  an earlier segment's of the same rule reads that scan's rows again; one
+  whose text equals it once the query is written from its other end (the two
+  head variables swapped, the atoms in reverse order) — both halves of every
+  symmetric co-occurrence rule ``R(ID1, P), R(ID2, P)`` — reads them as
+  ``(c1, c0)``.  Only equal texts share; anything else simply runs;
+* all statements of a plan are fetched under one hold of the mirror's lock
+  (:meth:`~repro.relational.sqlite_backend.SQLiteBackend.read_all`), so the
+  graph is an extraction of one table state, and nothing is written to the
+  mirror — no temp table, no index, nothing to clean up;
+* each result is handed to the graph once:
+  :meth:`~repro.graph.condensed.CondensedGraph.bulk_add_real_nodes` for Nodes
+  rows, :meth:`~repro.graph.condensed.CondensedGraph.load_edges` for edge
+  rows, which dictionary-encodes both endpoints (real: the graph's external →
+  internal map; virtual: one dict per chain boundary, keyed by join value)
+  and appends to the adjacency lists with the reference loop's semantics.
+  Endpoint identity is therefore Python equality, exactly as in the reference
+  engine — a ``NULL`` join value is the key ``None``.
 
-Joins against the real/boundary tables use ``IS`` (NULL-safe equality) so a
-``NULL`` join value maps to one virtual node exactly like the reference
-engine's ``(boundary, None)`` key.
+Numbering IDs inside SQL instead (an ID-map temp table, a window-function
+rank per boundary, three-way joins back to both, sorted output) lost to this
+at every size measured: each extra statement re-reads rows that two dict
+lookups encode while they are being loaded anyway.
 
-Anything that cannot be compiled or executed this way raises
-:class:`PushdownUnsupported`; the caller falls back to a row-at-a-time
-engine and records a note, never a wrong graph.
+Anything that cannot be lowered or executed raises
+:class:`PushdownUnsupported`; the caller falls back to the reference engine
+and records a note, never a wrong graph.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import QueryError
 from repro.relational.aggregates import aggregate_to_sql
 from repro.relational.database import Database
+from repro.relational.query import ConjunctiveQuery
 from repro.relational.sql import to_sql
 
 if TYPE_CHECKING:  # pragma: no cover - core imports us; type-only back-ref
     from repro.core.planner import EdgePlan, ExtractionPlan
     from repro.graph.condensed import CondensedGraph
 
-#: distinguishes the temp tables of concurrent pushdown runs sharing one mirror
-_RUN_IDS = itertools.count()
+#: output aliases of every edge query: what makes two texts comparable
+EDGE_COLUMNS = ("c0", "c1")
 
 
 class PushdownUnsupported(Exception):
@@ -58,141 +60,89 @@ class PushdownUnsupported(Exception):
 
 @dataclass
 class Statement:
-    """One SQL statement of a compiled program, with its bound parameters."""
+    """One ``SELECT`` of a compiled program."""
 
     sql: str
-    params: tuple[Any, ...] = ()
+    params: tuple[Any, ...]
+    #: the same statement with its literals inline (``GraphGen.explain``)
+    display: str
+
+    @property
+    def key(self) -> tuple[str, tuple[Any, ...]]:
+        """What makes two statements the same query."""
+        return self.sql, self.params
+
+
+@dataclass
+class CompiledSegment:
+    """Where one segment's rows come from and what its endpoints are."""
+
+    #: index into the rule's ``scans``
+    scan: int
+    #: the rows are the scan's with the two columns swapped
+    swapped: bool
+    #: chain-boundary index of a virtual endpoint, ``None`` for a real one
+    left: int | None = None
+    right: int | None = None
 
 
 @dataclass
 class CompiledEdgeRule:
-    """The static part of one Edges rule's SQL program."""
+    """One Edges rule: its distinct scans and the segments reading them.
+    A full or aggregate rule is one scan read by one real → real segment."""
 
-    kind: str  #: "condensed" | "full" | "aggregate"
     label: str
-    rule_index: int
-    #: one CREATE TEMP TABLE ... AS SELECT per segment (full/aggregate: one)
-    segment_statements: list[Statement]
-    segment_tables: list[str]
-    #: per segment: (starts_at_source, ends_at_target)
-    segment_flags: list[tuple[bool, bool]]
-    #: per boundary: the join-attribute name (virtual-node label attribute)
+    scans: list[Statement]
+    segments: list[CompiledSegment]
+    #: per chain boundary: the join attribute labelling its virtual nodes
     boundary_attributes: list[str] = field(default_factory=list)
-    #: aggregate rules: (source column, target column) of the grouped result
-    group_columns: tuple[str, str] | None = None
-    #: aggregate rules: edge-property column names, in select order
+    #: aggregate rules: names of the edge-property columns after ``c0, c1``
     property_names: list[str] = field(default_factory=list)
 
 
 @dataclass
 class PushdownProgram:
-    """A fully compiled plan: node queries plus one program per Edges rule."""
+    """A compiled plan: the Nodes statements plus one rule program each."""
 
-    prefix: str
     node_statements: list[Statement]
     rules: list[CompiledEdgeRule]
-    #: human-readable SQL program (inline literals) for ``GraphGen.explain``
-    display: list[str]
+
+    def statements(self) -> list[Statement]:
+        """Every statement, in the order their results are consumed."""
+        return self.node_statements + [scan for rule in self.rules for scan in rule.scans]
 
     @property
-    def real_table(self) -> str:
-        return f"{self.prefix}_real"
+    def display(self) -> list[str]:
+        """The distinct statements, and which segment shares which scan."""
+        lines = [statement.display for statement in self.node_statements]
+        for rule in self.rules:
+            lines.extend(scan.display for scan in rule.scans)
+            owner: dict[int, int] = {}
+            for index, segment in enumerate(rule.segments):
+                first = owner.setdefault(segment.scan, index)
+                if first != index:
+                    columns = "(c1, c0)" if segment.swapped else "(c0, c1)"
+                    lines.append(
+                        f"-- {rule.label}: segment {index} shares segment {first}'s "
+                        f"scan, reading its rows as {columns}"
+                    )
+        return lines
 
 
 # --------------------------------------------------------------------------- #
 # compilation
 # --------------------------------------------------------------------------- #
-def _materialize(table: str, select_sql: str, columns: Sequence[str] = ()) -> str:
-    select = select_sql.rstrip().rstrip(";")
-    if columns:
-        # CREATE TABLE AS would give each column its source column's type
-        # affinity, but the ID-map and boundary tables have no-affinity
-        # columns — and SQLite cannot seek an index across an affinity
-        # mismatch, degrading every probe to a full index scan.  Unary +
-        # strips affinity without changing any value, keeping the joins
-        # indexed SEARCHes.
-        projection = ", ".join(f"+v.{column} AS {column}" for column in columns)
-        select = f"SELECT {projection} FROM ({select}) v"
-    return f"CREATE TEMP TABLE {table} AS {select}"
+def _lower(render: Callable[[list[Any] | None], str]) -> Statement:
+    parameters: list[Any] = []
+    sql = render(parameters)
+    return Statement(sql, tuple(parameters), render(None).rstrip(";"))
 
 
-def _boundary_sql(
-    v_table: str, real_table: str, left_seg: str, right_seg: str, filter_left: bool
-) -> str:
-    """Rank the distinct join values of one chain boundary.
-
-    The boundary's value set is the out-values of the segment feeding it
-    (restricted to rows whose real left endpoint is known, when the segment
-    starts at the source and unknown endpoints are skipped) unioned with the
-    in-values of the segment it feeds — exactly the values for which the
-    reference engine lazily creates a virtual node.
-    """
-    survival = (
-        f" WHERE EXISTS (SELECT 1 FROM {real_table} r WHERE r.ext IS s.c0)"
-        if filter_left
-        else ""
-    )
-    return (
-        f"CREATE TEMP TABLE {v_table} AS "
-        f"SELECT value, DENSE_RANK() OVER (ORDER BY value) - 1 AS rnk FROM ("
-        f"SELECT s.c1 AS value FROM {left_seg} s{survival} "
-        f"UNION SELECT s.c0 AS value FROM {right_seg} s) vals"
-    )
+def _edge_select(db: Database, query: ConjunctiveQuery) -> Statement:
+    return _lower(lambda p: to_sql(db, query, parameters=p, column_aliases=EDGE_COLUMNS))
 
 
-def _edge_sql(
-    prefix: str,
-    rule_index: int,
-    seg_table: str,
-    seg_index: int,
-    starts: bool,
-    ends: bool,
-    source_column: str = "c0",
-    target_column: str = "c1",
-) -> str:
-    """The per-segment edge emission query.
-
-    Real endpoints resolve through the ``ext -> nid`` map; virtual endpoints
-    compute their internal ID as ``? - rnk`` where the bound parameter is the
-    first ID of the boundary's reserved block.  ``ORDER BY src, dst`` makes
-    the result a source-grouped edge array ready for bulk loading.
-    """
-    real = f"{prefix}_real"
-    joins: list[str] = []
-    if starts:
-        joins.append(f"JOIN {real} rl ON rl.ext IS s.{source_column}")
-        src = "rl.nid"
-    else:
-        joins.append(f"JOIN {prefix}_r{rule_index}_v{seg_index - 1} vl ON vl.value IS s.{source_column}")
-        src = "? - vl.rnk"
-    if ends:
-        joins.append(f"JOIN {real} rr ON rr.ext IS s.{target_column}")
-        dst = "rr.nid"
-    else:
-        joins.append(f"JOIN {prefix}_r{rule_index}_v{seg_index} vr ON vr.value IS s.{target_column}")
-        dst = "? - vr.rnk"
-    return (
-        f"SELECT {src} AS src, {dst} AS dst FROM {seg_table} s "
-        f"{' '.join(joins)} ORDER BY src, dst"
-    )
-
-
-def _unknown_count_sql(real: str, seg: str, left_ok: str | None, column: str) -> str:
-    """COUNT of rows whose ``column`` endpoint is not a known real node."""
-    condition = f"NOT EXISTS (SELECT 1 FROM {real} r WHERE r.ext IS s.{column})"
-    if left_ok:
-        condition = f"{left_ok} AND {condition}"
-    return f"SELECT COUNT(*) FROM {seg} s WHERE {condition}"
-
-
-def _compile_edge_rule(
-    db: Database,
-    prefix: str,
-    rule_index: int,
-    edge_plan: "EdgePlan",
-    display: list[str],
-    skip_unknown_endpoints: bool = True,
-) -> CompiledEdgeRule:
+def _compile_edge_rule(db: Database, rule_index: int, edge_plan: "EdgePlan") -> CompiledEdgeRule:
     label = str(edge_plan.rule.head) if edge_plan.rule is not None else f"rule {rule_index}"
     try:
         if edge_plan.condensed:
@@ -200,356 +150,125 @@ def _compile_edge_rule(
                 raise PushdownUnsupported(
                     f"malformed plan: condensed rule {label} has no segments"
                 )
-            statements: list[Statement] = []
-            tables: list[str] = []
-            flags: list[tuple[bool, bool]] = []
-            for seg_index, segment in enumerate(edge_plan.segments):
-                table = f"{prefix}_r{rule_index}_s{seg_index}"
-                params: list[Any] = []
-                select = to_sql(
-                    db, segment.query, parameters=params, column_aliases=("c0", "c1")
+            scans: list[Statement] = []
+            scan_of: dict[tuple[str, tuple[Any, ...]], int] = {}
+            segments: list[CompiledSegment] = []
+            for index, segment in enumerate(edge_plan.segments):
+                query = segment.query
+                straight = _edge_select(db, query)
+                # the same conjunctive query read from its other end: head
+                # swapped, atoms in reverse — the text the mirror-image
+                # segment of a symmetric chain is generated with
+                flipped = _edge_select(
+                    db, replace(query, head_vars=query.head_vars[::-1], atoms=query.atoms[::-1])
                 )
-                statements.append(
-                    Statement(_materialize(table, select, ("c0", "c1")), tuple(params))
-                )
-                display.append(
-                    _materialize(
-                        table,
-                        to_sql(db, segment.query, column_aliases=("c0", "c1")),
-                        ("c0", "c1"),
+                swapped = straight.key not in scan_of and flipped.key in scan_of
+                if swapped:
+                    scan = scan_of[flipped.key]
+                else:
+                    if straight.key not in scan_of:
+                        scan_of[straight.key] = len(scans)
+                        scans.append(straight)
+                    scan = scan_of[straight.key]
+                segments.append(
+                    CompiledSegment(
+                        scan=scan,
+                        swapped=swapped,
+                        left=None if segment.starts_at_source else index - 1,
+                        right=None if segment.ends_at_target else index,
                     )
-                )
-                tables.append(table)
-                flags.append((segment.starts_at_source, segment.ends_at_target))
-            boundary_attributes = [
-                segment.out_variable for segment in edge_plan.segments[:-1]
-            ]
-            for boundary in range(len(tables) - 1):
-                display.append(
-                    _boundary_sql(
-                        f"{prefix}_r{rule_index}_v{boundary}",
-                        f"{prefix}_real",
-                        tables[boundary],
-                        tables[boundary + 1],
-                        flags[boundary][0] and skip_unknown_endpoints,
-                    )
-                )
-            for seg_index, (table, (starts, ends)) in enumerate(zip(tables, flags)):
-                display.append(
-                    _edge_sql(prefix, rule_index, table, seg_index, starts, ends)
                 )
             return CompiledEdgeRule(
-                kind="condensed",
                 label=label,
-                rule_index=rule_index,
-                segment_statements=statements,
-                segment_tables=tables,
-                segment_flags=flags,
-                boundary_attributes=boundary_attributes,
+                scans=scans,
+                segments=segments,
+                boundary_attributes=[s.out_variable for s in edge_plan.segments[:-1]],
             )
 
         if edge_plan.aggregate_query is not None:
             aggregate_query = edge_plan.aggregate_query
-            table = f"{prefix}_r{rule_index}_agg"
-            params = []
-            select = aggregate_to_sql(db, aggregate_query, parameters=params)
-            group_columns = (str(aggregate_query.group_by[0]), str(aggregate_query.group_by[1]))
-            property_names = [spec.output_name for spec in aggregate_query.aggregates]
-            agg_columns = tuple(group_columns) + tuple(property_names)
-            display.append(
-                _materialize(table, aggregate_to_sql(db, aggregate_query), agg_columns)
-            )
-            display.append(
-                _edge_sql(prefix, rule_index, table, 0, True, True, *group_columns)
-            )
             return CompiledEdgeRule(
-                kind="aggregate",
                 label=label,
-                rule_index=rule_index,
-                segment_statements=[
-                    Statement(_materialize(table, select, agg_columns), tuple(params))
-                ],
-                segment_tables=[table],
-                segment_flags=[(True, True)],
-                group_columns=group_columns,
-                property_names=property_names,
+                scans=[_lower(lambda p: aggregate_to_sql(db, aggregate_query, parameters=p))],
+                segments=[CompiledSegment(scan=0, swapped=False)],
+                property_names=[spec.output_name for spec in aggregate_query.aggregates],
             )
 
-        if edge_plan.full_query is None:
+        full_query = edge_plan.full_query
+        if full_query is None:
             raise PushdownUnsupported(f"malformed plan: rule {label} has no query")
-        table = f"{prefix}_r{rule_index}_full"
-        params = []
-        select = to_sql(db, edge_plan.full_query, parameters=params, column_aliases=("c0", "c1"))
-        display.append(
-            _materialize(
-                table,
-                to_sql(db, edge_plan.full_query, column_aliases=("c0", "c1")),
-                ("c0", "c1"),
-            )
-        )
-        display.append(_edge_sql(prefix, rule_index, table, 0, True, True))
         return CompiledEdgeRule(
-            kind="full",
             label=label,
-            rule_index=rule_index,
-            segment_statements=[Statement(_materialize(table, select, ("c0", "c1")), tuple(params))],
-            segment_tables=[table],
-            segment_flags=[(True, True)],
+            scans=[_edge_select(db, full_query)],
+            segments=[CompiledSegment(scan=0, swapped=False)],
         )
     except QueryError as exc:
         raise PushdownUnsupported(f"cannot lower rule {label} to SQL: {exc}") from exc
 
 
-def compile_plan(db: Database, plan: "ExtractionPlan", prefix: str = "gg_pd") -> PushdownProgram:
-    """Lower an extraction plan into per-rule SQL programs.
+def compile_plan(db: Database, plan: "ExtractionPlan") -> PushdownProgram:
+    """Lower an extraction plan into its ``SELECT`` statements.
 
     Raises :class:`PushdownUnsupported` when any rule cannot be expressed
     (malformed plans, non-scalar constants, arity mismatches ...).
     """
-    display: list[str] = []
-    node_statements: list[Statement] = []
-    for node_plan in plan.node_plans:
-        try:
-            params: list[Any] = []
-            sql = to_sql(db, node_plan.query, parameters=params)
-            display.append(sql.rstrip(";"))
-            node_statements.append(Statement(sql, tuple(params)))
-        except QueryError as exc:
-            raise PushdownUnsupported(f"cannot lower Nodes rule to SQL: {exc}") from exc
-    display.append(f"CREATE TEMP TABLE {prefix}_real (ext, nid INTEGER)")
-    skip = getattr(plan.options, "skip_unknown_endpoints", True)
+    try:
+        node_statements = [
+            _lower(lambda p, q=node_plan.query: to_sql(db, q, parameters=p))
+            for node_plan in plan.node_plans
+        ]
+    except QueryError as exc:
+        raise PushdownUnsupported(f"cannot lower Nodes rule to SQL: {exc}") from exc
     rules = [
-        _compile_edge_rule(db, prefix, index, edge_plan, display, skip)
+        _compile_edge_rule(db, index, edge_plan)
         for index, edge_plan in enumerate(plan.edge_plans)
     ]
-    return PushdownProgram(
-        prefix=prefix, node_statements=node_statements, rules=rules, display=display
-    )
+    return PushdownProgram(node_statements=node_statements, rules=rules)
 
 
 # --------------------------------------------------------------------------- #
 # execution
 # --------------------------------------------------------------------------- #
-class PushdownExecutor:
-    """Runs a compiled pushdown program against the cached SQLite mirror.
+def run_pushdown(
+    db: Database,
+    plan: "ExtractionPlan",
+    graph: "CondensedGraph",
+    report: Any,
+    skip_unknown_endpoints: bool = True,
+) -> None:
+    """Fill ``graph`` (a fresh condensed graph) from ``plan``'s statements.
 
-    The executor populates ``graph`` (a fresh
-    :class:`~repro.graph.condensed.CondensedGraph`) and the per-rule counters
-    of ``report`` (``skipped_edge_tuples``, ``per_rule_edges``,
-    ``queries_executed`` — the latter counts SQL statements issued, which by
-    design differs from the per-segment counts of the row engines).
+    Also fills the per-rule counters of ``report`` (an
+    :class:`~repro.core.extractor.ExtractionReport`): ``skipped_edge_tuples``,
+    ``per_rule_edges`` and ``queries_executed`` — the number of statements
+    issued, at most the row engines' count and lower wherever segments
+    share a scan.
     """
-
-    def __init__(self, db: Database, skip_unknown_endpoints: bool = True) -> None:
-        self._db = db
-        self._skip = skip_unknown_endpoints
-        try:
-            self._backend = db.sqlite_backend()
-        except Exception as exc:
-            raise PushdownUnsupported(f"sqlite mirror unavailable: {exc}") from exc
-        self._temp_tables: list[str] = []
-        self._graph: "CondensedGraph | None" = None
-        self._report: Any = None
-
-    # ------------------------------------------------------------------ #
-    def run(self, plan: "ExtractionPlan", graph: "CondensedGraph", report: Any) -> None:
-        prefix = f"gg_pd{next(_RUN_IDS)}"
-        program = compile_plan(self._db, plan, prefix=prefix)
-        self._graph = graph
-        self._report = report
-        try:
-            self._load_nodes(plan, program)
-            self._create_real_table(program)
-            for compiled in program.rules:
-                before = graph.num_condensed_edges
-                if compiled.kind == "condensed":
-                    self._run_condensed_rule(program, compiled)
-                elif compiled.kind == "aggregate":
-                    self._run_aggregate_rule(program, compiled)
-                else:
-                    self._run_full_rule(program, compiled)
-                report.per_rule_edges.append(graph.num_condensed_edges - before)
-        except QueryError as exc:
-            raise PushdownUnsupported(f"pushdown SQL failed: {exc}") from exc
-        finally:
-            self._cleanup()
-
-    # ------------------------------------------------------------------ #
-    def _run(self, sql: str, params: tuple[Any, ...] = (), count: bool = True) -> list[tuple]:
-        rows = self._backend.execute_sql(sql, params)
-        if count:
-            self._report.queries_executed += 1
-        return rows
-
-    def _create(self, statement: Statement, table: str) -> None:
-        self._run(f"DROP TABLE IF EXISTS {table}", count=False)
-        self._temp_tables.append(table)
-        self._run(statement.sql, statement.params)
-
-    def _cleanup(self) -> None:
-        for table in self._temp_tables:
-            try:
-                self._run(f"DROP TABLE IF EXISTS {table}", count=False)
-            except QueryError:  # pragma: no cover - defensive
-                pass
-        self._temp_tables.clear()
-
-    # ------------------------------------------------------------------ #
-    def _load_nodes(self, plan: "ExtractionPlan", program: PushdownProgram) -> None:
-        graph = self._graph
-        for node_plan, statement in zip(plan.node_plans, program.node_statements):
-            rows = self._run(statement.sql, statement.params)
-            properties = node_plan.property_variables
-            if properties:
-                for row in rows:
-                    graph.add_real_node(row[0], **dict(zip(properties, row[1:])))
-            else:
-                graph.bulk_add_real_nodes(row[0] for row in rows)
-
-    def _create_real_table(self, program: PushdownProgram) -> None:
-        real = program.real_table
-        self._run(f"DROP TABLE IF EXISTS {real}", count=False)
-        self._temp_tables.append(real)
-        self._run(f"CREATE TEMP TABLE {real} (ext, nid INTEGER)", count=False)
-        graph = self._graph
-        try:
-            self._backend.executemany(
-                f"INSERT INTO {real} VALUES (?, ?)",
-                [(ext, graph.internal(ext)) for ext in graph.external_ids()],
-            )
-        except QueryError as exc:
-            raise PushdownUnsupported(f"node IDs are not SQL-bindable: {exc}") from exc
-        self._run(f"CREATE INDEX {real}_ix ON {real} (ext)", count=False)
-
-    def _add_unknown_endpoints(self, program: PushdownProgram, seg: str, columns: list[str]) -> None:
-        """``skip_unknown_endpoints=False``: materialise unknown endpoint
-        values as fresh real nodes (and extend the ID map)."""
-        real = program.real_table
-        graph = self._graph
-        new_rows: list[tuple[Any, int]] = []
-        for column in columns:
-            values = self._run(
-                f"SELECT DISTINCT s.{column} FROM {seg} s "
-                f"WHERE NOT EXISTS (SELECT 1 FROM {real} r WHERE r.ext IS s.{column}) "
-                f"ORDER BY 1"
-            )
-            for (value,) in values:
-                if not graph.has_external(value):
-                    new_rows.append((value, graph.add_real_node(value)))
-        if new_rows:
-            self._backend.executemany(f"INSERT INTO {real} VALUES (?, ?)", new_rows)
-
-    # ------------------------------------------------------------------ #
-    def _run_condensed_rule(self, program: PushdownProgram, compiled: CompiledEdgeRule) -> None:
-        graph, report = self._graph, self._report
-        real = program.real_table
-        prefix = program.prefix
-        rule_index = compiled.rule_index
-
-        for statement, table in zip(compiled.segment_statements, compiled.segment_tables):
-            self._create(statement, table)
-
-        tables = compiled.segment_tables
-        flags = compiled.segment_flags
-        last = len(tables) - 1
-
-        # skipped edge tuples (left endpoint resolved first, like the
-        # reference engine)
-        if self._skip:
-            if flags[0][0]:
-                report.skipped_edge_tuples += self._run(
-                    _unknown_count_sql(real, tables[0], None, "c0")
-                )[0][0]
-            if flags[last][1]:
-                left_ok = (
-                    f"EXISTS (SELECT 1 FROM {real} r WHERE r.ext IS s.c0)"
-                    if last == 0
-                    else None
-                )
-                report.skipped_edge_tuples += self._run(
-                    _unknown_count_sql(real, tables[last], left_ok, "c1")
-                )[0][0]
-        else:
-            if flags[0][0]:
-                self._add_unknown_endpoints(program, tables[0], ["c0"])
-            if flags[last][1]:
-                self._add_unknown_endpoints(program, tables[last], ["c1"])
-
-        # boundary rank tables + reserved virtual-ID blocks
-        first_ids: list[int] = []
-        for boundary, attribute in enumerate(compiled.boundary_attributes):
-            v_table = f"{prefix}_r{rule_index}_v{boundary}"
-            self._run(f"DROP TABLE IF EXISTS {v_table}", count=False)
-            self._temp_tables.append(v_table)
-            self._run(
-                _boundary_sql(
-                    v_table, real, tables[boundary], tables[boundary + 1],
-                    flags[boundary][0] and self._skip,
-                )
-            )
-            self._run(f"CREATE INDEX {v_table}_ix ON {v_table} (value)", count=False)
-            values = self._run(f"SELECT value FROM {v_table} ORDER BY rnk")
-            labels = [(attribute, value) for (value,) in values]
-            first_ids.append(graph.bulk_add_virtual_nodes(labels))
-
-        # per-segment edge emission: sorted integer arrays, bulk-loaded
-        for seg_index, (table, (starts, ends)) in enumerate(zip(tables, flags)):
-            sql = _edge_sql(prefix, rule_index, table, seg_index, starts, ends)
-            params: list[int] = []
-            if not starts:
-                params.append(first_ids[seg_index - 1])
-            if not ends:
-                params.append(first_ids[seg_index])
-            rows = self._run(sql, tuple(params))
-            graph.bulk_add_edges(rows, allow_duplicate=not (starts and ends))
-
-    def _run_full_rule(self, program: PushdownProgram, compiled: CompiledEdgeRule) -> None:
-        graph, report = self._graph, self._report
-        real = program.real_table
-        table = compiled.segment_tables[0]
-        self._create(compiled.segment_statements[0], table)
-        if self._skip:
-            either_unknown = (
-                f"NOT (EXISTS (SELECT 1 FROM {real} r WHERE r.ext IS s.c0) "
-                f"AND EXISTS (SELECT 1 FROM {real} r WHERE r.ext IS s.c1))"
-            )
-            report.skipped_edge_tuples += self._run(
-                f"SELECT COUNT(*) FROM {table} s WHERE {either_unknown}"
-            )[0][0]
-        else:
-            self._add_unknown_endpoints(program, table, ["c0", "c1"])
-        rows = self._run(
-            f"SELECT rl.nid AS src, rr.nid AS dst FROM {table} s "
-            f"JOIN {real} rl ON rl.ext IS s.c0 JOIN {real} rr ON rr.ext IS s.c1 "
-            f"ORDER BY src, dst"
+    program = compile_plan(db, plan)
+    statements = program.statements()
+    try:
+        fetched = iter(
+            db.sqlite_backend().read_all((s.sql, s.params) for s in statements)
         )
-        graph.bulk_add_edges(rows, allow_duplicate=False)
+    except QueryError as exc:
+        raise PushdownUnsupported(f"sqlite cannot run the plan: {exc}") from exc
+    report.queries_executed += len(statements)
 
-    def _run_aggregate_rule(self, program: PushdownProgram, compiled: CompiledEdgeRule) -> None:
-        graph, report = self._graph, self._report
-        real = program.real_table
-        table = compiled.segment_tables[0]
-        src_col, dst_col = compiled.group_columns  # type: ignore[misc]
-        self._create(compiled.segment_statements[0], table)
-        if self._skip:
-            either_unknown = (
-                f"NOT (EXISTS (SELECT 1 FROM {real} r WHERE r.ext IS s.{src_col}) "
-                f"AND EXISTS (SELECT 1 FROM {real} r WHERE r.ext IS s.{dst_col}))"
+    for node_plan in plan.node_plans:
+        graph.bulk_add_real_nodes(next(fetched), node_plan.property_variables)
+    for rule in program.rules:
+        scans = [next(fetched) for _ in rule.scans]
+        boundaries = [(attribute, {}) for attribute in rule.boundary_attributes]
+        edges = 0
+        for segment in rule.segments:
+            added, skipped = graph.load_edges(
+                scans[segment.scan],
+                swapped=segment.swapped,
+                left=None if segment.left is None else boundaries[segment.left],
+                right=None if segment.right is None else boundaries[segment.right],
+                skip_unknown=skip_unknown_endpoints,
+                property_names=rule.property_names,
             )
-            report.skipped_edge_tuples += self._run(
-                f"SELECT COUNT(*) FROM {table} s WHERE {either_unknown}"
-            )[0][0]
-        else:
-            self._add_unknown_endpoints(program, table, [src_col, dst_col])
-        property_select = "".join(f", s.{name}" for name in compiled.property_names)
-        rows = self._run(
-            f"SELECT rl.nid AS src, rr.nid AS dst{property_select} FROM {table} s "
-            f"JOIN {real} rl ON rl.ext IS s.{src_col} "
-            f"JOIN {real} rr ON rr.ext IS s.{dst_col} ORDER BY src, dst"
-        )
-        property_names = compiled.property_names
-        for row in rows:
-            source, target = row[0], row[1]
-            graph.add_edge(source, target, allow_duplicate=False)
-            if property_names:
-                graph.annotate_edge(source, target, **dict(zip(property_names, row[2:])))
+            edges += added
+            report.skipped_edge_tuples += skipped
+        report.per_rule_edges.append(edges)

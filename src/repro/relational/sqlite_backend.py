@@ -1,12 +1,26 @@
 """SQLite execution backend.
 
 The paper's GraphGen sits on top of PostgreSQL but "requires only basic SQL
-support from the underlying storage engine".  This backend loads a
+support from the underlying storage engine".  This backend mirrors a
 :class:`~repro.relational.database.Database` into an in-memory ``sqlite3``
 database (Python standard library) and executes the SQL that
 :mod:`repro.relational.sql` generates — demonstrating that the extraction
 pipeline runs unchanged on a real SQL engine, and acting as a cross-check for
 the pure-Python executor.
+
+The mirror *follows* the database instead of being rebuilt: :meth:`load`
+remembers, per table, which :class:`~repro.relational.table.Table` object it
+copied, at which :attr:`~repro.relational.table.Table.epoch` and how many
+rows, so the next :meth:`load` skips an untouched table, inserts only the
+appended tail of one that grew and reloads just the table that was cleared,
+replaced, added or dropped.
+
+One connection serves every thread (the analysis service shares one
+``Database``), serialised by one re-entrant lock.  The lock is held across a
+:meth:`load` and across a :meth:`read_all`, so a reader's statements all see
+the same table state and a sync never runs under a statement; it is never
+held while a caller builds a graph from the rows it got.  The mirror keeps no
+per-extraction state: extraction engines only ever ``SELECT`` from it.
 """
 
 from __future__ import annotations
@@ -19,6 +33,7 @@ from repro.exceptions import QueryError
 from repro.relational.database import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sql import create_table_sql, to_sql
+from repro.relational.table import Table
 
 Row = tuple[Any, ...]
 
@@ -28,32 +43,45 @@ class SQLiteBackend:
 
     def __init__(self, database: Database) -> None:
         self._db = database
-        # the backend may be cached on the Database and shared by extractions
-        # running on different threads (e.g. the analysis service); statements
-        # are serialised through a lock instead of per-thread connections
         self._conn = sqlite3.connect(":memory:", check_same_thread=False)
         self._lock = threading.RLock()
-        self._loaded = False
+        #: table name -> (the Table mirrored, its epoch, rows mirrored so far);
+        #: ``None`` until the first load
+        self._mirrored: dict[str, tuple[Table, int, int]] | None = None
 
     # ------------------------------------------------------------------ #
     def load(self) -> "SQLiteBackend":
-        """(Re)create and populate every table.  Idempotent."""
+        """Bring the mirror to the database's current contents.  Idempotent:
+        a table that did not change since the last load costs nothing."""
         with self._lock:
+            mirrored = self._mirrored or {}
+            tables = {name: self._db.table(name) for name in self._db.table_names()}
             cursor = self._conn.cursor()
             try:
-                for name in self._db.table_names():
-                    cursor.execute(f"DROP TABLE IF EXISTS {name}")
-                    cursor.execute(create_table_sql(self._db, name))
-                    table = self._db.table(name)
-                    if table.num_rows:
-                        placeholders = ", ".join("?" for _ in range(table.schema.arity))
-                        cursor.executemany(
-                            f"INSERT INTO {name} VALUES ({placeholders})", table.rows()
-                        )
-            except sqlite3.Error as exc:
+                for name in mirrored.keys() - tables.keys():
+                    cursor.execute(f"DROP TABLE {name}")
+                    del mirrored[name]
+                for name, table in tables.items():
+                    known, epoch, done = mirrored.pop(name, (None, 0, 0))
+                    current = table.epoch
+                    if known is not table or epoch != current:
+                        done = 0
+                        cursor.execute(f"DROP TABLE IF EXISTS {name}")
+                        cursor.execute(create_table_sql(self._db, name))
+                    # one slice = one consistent view of a list that another
+                    # thread may be appending to
+                    tail = table.rows()[done:]
+                    if tail:
+                        placeholders = ", ".join("?" * table.schema.arity)
+                        cursor.executemany(f"INSERT INTO {name} VALUES ({placeholders})", tail)
+                    self._conn.commit()
+                    mirrored[name] = (table, current, done + len(tail))
+            except (sqlite3.Error, OverflowError) as exc:
+                # the table that failed was popped above: the next load
+                # starts it over, the ones before it are committed
+                self._conn.rollback()
                 raise QueryError(f"cannot mirror table {name!r} into sqlite: {exc}") from exc
-            self._conn.commit()
-            self._loaded = True
+            self._mirrored = mirrored
         return self
 
     def close(self) -> None:
@@ -68,24 +96,20 @@ class SQLiteBackend:
     # ------------------------------------------------------------------ #
     def execute_sql(self, sql: str, parameters: Iterable[Any] = ()) -> list[Row]:
         """Run raw SQL and return all rows."""
-        if not self._loaded:
-            self.load()
         with self._lock:
+            if self._mirrored is None:
+                self.load()
             try:
-                cursor = self._conn.execute(sql, tuple(parameters))
+                return self._conn.execute(sql, tuple(parameters)).fetchall()
             except sqlite3.Error as exc:
                 raise QueryError(f"sqlite error for {sql!r}: {exc}") from exc
-            return [tuple(row) for row in cursor.fetchall()]
 
-    def executemany(self, sql: str, rows: Sequence[Sequence[Any]]) -> None:
-        """Run one statement for every parameter row (bulk temp-table fills)."""
-        if not self._loaded:
-            self.load()
+    def read_all(self, statements: Iterable[tuple[str, Sequence[Any]]]) -> list[list[Row]]:
+        """Run ``(sql, parameters)`` statements under one hold of the lock,
+        so that all of them read the same table state: a concurrent
+        :meth:`load` waits until the last one returned."""
         with self._lock:
-            try:
-                self._conn.executemany(sql, rows)
-            except sqlite3.Error as exc:
-                raise QueryError(f"sqlite error for {sql!r}: {exc}") from exc
+            return [self.execute_sql(sql, parameters) for sql, parameters in statements]
 
     def evaluate(self, query: ConjunctiveQuery, use_distinct: bool = True) -> list[Row]:
         """Evaluate a conjunctive query by generating SQL and executing it.

@@ -23,6 +23,9 @@ class Table:
         #: bumped on every mutation so callers (e.g. the Database's cached
         #: SQLite mirror) can detect staleness without hashing rows
         self._version = 0
+        #: bumped only when rows are discarded (:meth:`clear`): with the row
+        #: count it tells "only grew since I looked" from "was rewritten"
+        self._epoch = 0
         if rows is not None:
             self.insert_many(rows)
 
@@ -61,7 +64,7 @@ class Table:
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
         """Insert many rows; returns the number inserted."""
-        validated = [self.schema.validate_row(r) for r in rows]
+        validated = self.schema.validate_rows(rows)
         self._rows.extend(validated)
         self._indexes.clear()
         self._version += 1
@@ -71,11 +74,20 @@ class Table:
         self._rows.clear()
         self._indexes.clear()
         self._version += 1
+        self._epoch += 1
 
     @property
     def data_version(self) -> int:
         """Monotonic counter incremented by every mutation of this table."""
         return self._version
+
+    @property
+    def epoch(self) -> int:
+        """Incremented by :meth:`clear` and by nothing else.  Rows are only
+        ever appended between two clears, so a reader that remembers
+        ``(epoch, num_rows)`` can catch up from ``rows()[num_rows:]`` while
+        the epoch stands and must start over once it moved."""
+        return self._epoch
 
     # ------------------------------------------------------------------ #
     # column access & statistics support

@@ -40,6 +40,8 @@ from repro.exceptions import GraphGenError
 from repro.graph.condensed import CondensedGraph
 from repro.relational.database import Database
 from repro.relational.pushdown import PushdownUnsupported, compile_plan
+from repro.relational.schema import Column, TableSchema
+from repro.relational.table import Table
 
 WEIGHTED_QUERY = """
 Nodes(ID, Name) :- Author(ID, Name).
@@ -278,6 +280,7 @@ def test_default_engine_unchanged(toy_dblp, coauthor_query):
 def test_explain_prints_pushdown_sql(toy_dblp, coauthor_query):
     text = GraphGen(toy_dblp, extract_engine=ENGINE_PUSHDOWN).explain(coauthor_query)
     assert "pushdown sql:" in text
+    assert "TEMP" not in text and "ORDER BY" not in text
     # plain engines do not advertise a program they will not run
     assert "pushdown sql:" not in GraphGen(toy_dblp).explain(coauthor_query)
 
@@ -295,7 +298,126 @@ def test_explain_reports_unpushable_plans():
 
 
 def test_pushdown_counts_sql_statements(toy_dblp, coauthor_query):
-    _, report = GraphGen(toy_dblp, extract_engine=ENGINE_PUSHDOWN).extract_condensed(
+    """One statement per Nodes rule plus one per *distinct* query of a rule:
+    the co-author rule's two segments are one scan."""
+    counts = {
+        engine: GraphGen(toy_dblp, extract_engine=engine, threshold_factor=1e-9)
+        .extract_condensed(coauthor_query)[1]
+        .queries_executed
+        for engine in (ENGINE_PYTHON, ENGINE_SQLITE, ENGINE_PUSHDOWN)
+    }
+    assert counts == {ENGINE_PYTHON: 3, ENGINE_SQLITE: 3, ENGINE_PUSHDOWN: 2}
+
+
+# --------------------------------------------------------------------------- #
+# scan sharing: only when the generated texts prove it
+# --------------------------------------------------------------------------- #
+def _scans(db, query, **options):
+    plan = GraphGen(db, threshold_factor=1e-9, **options).plan(query)
+    return [
+        ([scan.display for scan in rule.scans], [(s.scan, s.swapped) for s in rule.segments])
+        for rule in compile_plan(db, plan).rules
+    ]
+
+
+def test_symmetric_rule_shares_one_scan_swapped(toy_dblp, coauthor_query):
+    [(scans, segments)] = _scans(toy_dblp, coauthor_query)
+    assert scans == ["SELECT DISTINCT A.aid AS c0, A.pid AS c1 FROM AuthorPub A"]
+    assert segments == [(0, False), (0, True)]
+    text = GraphGen(toy_dblp, extract_engine=ENGINE_PUSHDOWN, threshold_factor=1e-9).explain(
         coauthor_query
     )
-    assert report.queries_executed > 0
+    assert text.count("FROM AuthorPub A") == 3  # two under "sql:", one under "pushdown sql:"
+    assert "segment 1 shares segment 0's scan, reading its rows as (c1, c0)" in text
+
+
+def test_rules_that_only_look_symmetric_do_not_share(toy_dblp, toy_univ, bipartite_query):
+    # a selection on one side only: same table, different text
+    one_sided = """
+    Nodes(ID, Name) :- Author(ID, Name).
+    Edges(ID1, ID2) :- AuthorPub(ID1, P), AuthorPub(ID2, P), ID1 >= 2.
+    """
+    [(scans, segments)] = _scans(toy_dblp, one_sided)
+    assert len(scans) == 2 and segments == [(0, False), (1, False)]
+    assert_parity(toy_dblp, one_sided, threshold_factor=1e-9)
+    # two different tables
+    for scans, segments in _scans(toy_univ, bipartite_query):
+        assert len(scans) == len(segments)
+        assert not any(swapped for _, swapped in segments)
+
+
+def test_same_conference_chain_shares_both_mirrored_pairs():
+    """A(ID1,P1) Pub(P1,C) | Pub(P2,C) A(ID2,P2): four segments, two scans."""
+    db = _dblp()
+    [(scans, segments)] = _scans(db, SAME_CONFERENCE_QUERY)
+    assert len(segments) == 4 and len(scans) == 2
+    assert segments == [(0, False), (1, False), (1, True), (0, True)]
+
+
+def test_multi_atom_mirror_segments_share():
+    """Co-purchase: Orders ⋈ LineItem on one side, LineItem ⋈ Orders on the
+    other — one query written from its two ends, so one scan."""
+    db = generate_tpch(num_customers=60, num_parts=25, seed=3)
+    plan = GraphGen(db).plan(COPURCHASE_QUERY)
+    [rule] = compile_plan(db, plan).rules
+    assert [len(segment.query.atoms) for segment in plan.edge_plans[0].segments] == [2, 2]
+    assert len(rule.scans) == 1
+    assert [(s.scan, s.swapped) for s in rule.segments] == [(0, False), (0, True)]
+
+
+# --------------------------------------------------------------------------- #
+# semantics the one-pass loader must share with the reference loop
+# --------------------------------------------------------------------------- #
+def test_parity_null_join_values():
+    """A NULL join value at a chain boundary is one virtual node, keyed
+    ``None`` — on every engine."""
+    db = Database("nulls")
+    db.create_table("Node", [("id", "int")])
+    db.add_table(
+        Table(TableSchema("R", [Column("a", "int"), Column("p", "int", nullable=True)]))
+    )
+    db.insert("Node", [(i,) for i in range(5)])
+    db.insert("R", [(0, None), (1, None), (2, None), (3, 7), (4, 7), (0, 7), (0, None)])
+    query = "Nodes(ID) :- Node(ID). Edges(A, B) :- R(A, P), R(B, P)."
+    graph, report = assert_parity(db, query, threshold_factor=1e-9, preprocess=False)
+    assert sorted(graph.virtual_labels.values(), key=repr) == [("P", 7), ("P", None)]
+    null_node = next(v for v, label in graph.virtual_labels.items() if label == ("P", None))
+    assert sorted(graph.external(n) for n in graph.inn(null_node)) == [0, 1, 2]
+    assert sorted(graph.external(n) for n in graph.out(null_node)) == [0, 1, 2]
+    sqlite_graph, _ = GraphGen(
+        db, extract_engine=ENGINE_SQLITE, threshold_factor=1e-9, preprocess=False
+    ).extract_condensed(query)
+    assert signature(sqlite_graph) == signature(graph)
+
+
+def test_parity_cross_rule_duplicate_direct_edges(toy_dblp):
+    """Two rules producing the same direct real->real edges: the second
+    rule adds none of them again, and says so in ``per_rule_edges``."""
+    query = """
+    Nodes(ID, Name) :- Author(ID, Name).
+    Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID).
+    Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID), PubID >= 0.
+    Edges(ID1, ID2, count(PubID)) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID).
+    """
+    graph, report = assert_parity(toy_dblp, query, threshold_factor=1e9)
+    first, second, third = report.per_rule_edges
+    assert first > 0 and second == 0 and third == 0
+    assert report.condensed_edges == first
+    assert len(graph.edge_annotations) == first  # the aggregate rule still annotated them
+
+
+def test_extraction_is_deterministic():
+    """Same table content in the same row order: the same graph down to
+    internal IDs and adjacency order (arrival order, as in the row engines)."""
+    db = _dblp_with_dangling()
+    for options in ({"threshold_factor": 1e-9}, {"skip_unknown_endpoints": False}):
+        runs = [
+            GraphGen(db, extract_engine=ENGINE_PUSHDOWN, **options).extract_condensed(
+                SAME_CONFERENCE_QUERY
+            )[0]
+            for _ in range(2)
+        ]
+        first, second = runs
+        assert first.succ == second.succ and first.pred == second.pred
+        assert first.virtual_labels == second.virtual_labels
+        assert list(first.external_ids()) == list(second.external_ids())

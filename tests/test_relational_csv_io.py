@@ -88,6 +88,40 @@ class TestTableRoundTrip:
         with pytest.raises(SchemaError):
             read_table_csv(path)
 
+    def test_what_was_parsed_is_still_validated(self, tmp_path):
+        """Parsed values are checked against the schema once, column by
+        column; every malformed file still raises what it always raised."""
+        from repro.relational.schema import Column, TableSchema
+
+        path = tmp_path / "t.csv"
+        typed = TableSchema("T", [Column("a", "int"), Column("b", "str", nullable=True)])
+        untyped = TableSchema("T", [Column("a", "any"), Column("b", "str", nullable=True)])
+
+        def read(text, schema=None):
+            path.write_text(text, encoding="utf-8")
+            return read_table_csv(path, schema=schema)
+
+        # NULL in a non-nullable column
+        with pytest.raises(SchemaError, match="value None is not valid for column T.a"):
+            read("a,b\n1,x\n,y\n", untyped)
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            read("a,b\n1,x\n,y\n", typed)
+        # a non-int in an int column is refused while parsing
+        with pytest.raises(ValueError, match="invalid literal for int"):
+            read("a,b\n1,x\nzz,y\n", typed)
+        # a short row; a long row when the columns are inferred
+        with pytest.raises(SchemaError, match="row arity 1 does not match table 'T' arity 2"):
+            read("a,b\n1,x\n2\n", typed)
+        with pytest.raises(SchemaError, match="row arity 3 does not match table 't' arity 2"):
+            read("a,b\n1,x\n2,y,z\n")
+        with pytest.raises(SchemaError, match="does not match schema columns"):
+            read("x,b\n1,y\n", typed)
+        # and what was valid still loads, mixed types included
+        assert read("a,b\n1,x\n2,\n", typed).rows() == [(1, "x"), (2, None)]
+        mixed = read("a,b\n1,x\n2.5,\ntrue,7\n")
+        assert mixed.rows() == [(1, "x"), (2.5, None), (True, 7)]
+        assert [c.type for c in mixed.schema.columns] == ["any", "any"]
+
     def test_null_round_trip(self, tmp_path):
         from repro.relational.schema import Column, TableSchema
 

@@ -97,6 +97,33 @@ class TestTableSchema:
         with pytest.raises(SchemaError):
             schema.validate_row(["not-an-int"])
 
+    def test_validate_rows_agrees_with_validate_row(self):
+        """The per-column batch check accepts and rejects exactly what the
+        per-cell check does, and a rejected batch raises the first offending
+        row's error."""
+        schema = TableSchema(
+            "T", [Column("a", "int"), Column("b", "float", nullable=True), Column("c", "any")]
+        )
+        good = [[1, 2.5, "x"], (2, None, (1, 2)), (3, 4, 0)]
+        assert schema.validate_rows(iter(good)) == [schema.validate_row(r) for r in good]
+        assert schema.validate_rows([]) == []
+        bad_batches = [
+            [(1, 1.0, "x"), (True, 1.0, "x")],  # bool is not an int here
+            [(1, 1.0, "x"), ("1", 1.0, "x")],
+            [(1, 1.0, "x"), (None, 1.0, "x")],  # NULL in a non-nullable column
+            [(1, 1.0, "x"), (2, 1.0, None)],  # ... even an `any` one
+            [(1, 1.0, "x"), (2, "y", "x")],
+            [(1, 1.0, "x"), (2, 1.0)],  # short row
+            [(1, 1.0, "x", 9), (2, 1.0, "x")],  # long row
+        ]
+        for batch in bad_batches:
+            with pytest.raises(SchemaError) as bulk:
+                schema.validate_rows(batch)
+            with pytest.raises(SchemaError) as single:
+                for row in batch:
+                    schema.validate_row(row)
+            assert str(bulk.value) == str(single.value)
+
     def test_plain_string_columns_default_to_any(self):
         schema = make_schema("T", ["a", "b"])
         assert schema.column("a").type == "any"

@@ -30,9 +30,25 @@ class TestTableBasics:
     def test_insert_many_returns_count(self, people):
         assert people.insert_many([(10, "a"), (11, "b")]) == 2
 
+    def test_insert_many_validates_and_inserts_nothing_on_failure(self, people):
+        with pytest.raises(SchemaError, match="not valid for column People.id"):
+            people.insert_many([(10, "a"), ("11", "b")])
+        with pytest.raises(SchemaError, match="arity"):
+            people.insert_many([(10, "a"), (11,)])
+        assert people.num_rows == 4
+
     def test_clear(self, people):
         people.clear()
         assert people.num_rows == 0
+
+    def test_epoch_moves_on_clear_only(self, people):
+        epoch, version = people.epoch, people.data_version
+        people.insert((5, "sea"))
+        people.insert_many([(6, "sea")])
+        assert people.epoch == epoch and people.data_version == version + 2
+        people.clear()
+        assert people.epoch == epoch + 1
+        assert people.copy().epoch == 0  # a copy is another table
 
 
 class TestColumnAccess:

@@ -1,0 +1,256 @@
+"""The SQLite mirror follows its database; extraction only reads it.
+
+Work pins — every assertion is a count of statements or rows as sqlite saw
+them (``Connection.set_trace_callback`` on every connection the backend
+opens), none reads a clock — plus the regression test for the process crash
+the rebuilt-on-every-change mirror had: it runs in a subprocess, so a crash
+fails one test instead of killing pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import sqlite3
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from repro.core import ExtractionOptions, GraphGen
+from repro.core.extractor import Extractor
+from repro.exceptions import QueryError
+from repro.relational import sqlite_backend
+from repro.relational.database import Database
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+COOCCURRENCE = """
+Nodes(ID, Name) :- Entity(ID, Name).
+Edges(ID1, ID2) :- R(ID1, P), R(ID2, P).
+"""
+
+
+def make_db() -> Database:
+    """30 entities; R holds 60 distinct (id, p) pairs, each written 3 times."""
+    db = Database("pins")
+    db.create_table("Entity", [("id", "int"), ("name", "str")], primary_key="id")
+    db.create_table("R", [("id", "int"), ("p", "int")])
+    db.create_table("Other", [("x", "int")])
+    db.insert("Entity", [(i, f"e{i}") for i in range(30)])
+    db.insert("R", [(i % 30, i % 20) for i in range(60)] * 3)
+    db.insert("Other", [(i,) for i in range(5)])
+    return db
+
+
+@pytest.fixture
+def statements(monkeypatch):
+    """Every statement executed on any connection a mirror opens from now
+    on, bound values expanded, in order."""
+    log: list[str] = []
+    connect = sqlite3.connect
+
+    def traced_connect(*args, **kwargs):
+        connection = connect(*args, **kwargs)
+        connection.set_trace_callback(log.append)
+        return connection
+
+    monkeypatch.setattr(sqlite_backend.sqlite3, "connect", traced_connect)
+    return log
+
+
+def starting(log: list[str], prefix: str) -> list[str]:
+    return [statement for statement in log if statement.startswith(prefix)]
+
+
+# --------------------------------------------------------------------------- #
+# the extraction program
+# --------------------------------------------------------------------------- #
+def test_cooccurrence_rule_is_one_nodes_statement_and_one_distinct_scan(statements, monkeypatch):
+    db = make_db()
+    db.sqlite_backend()
+    # planned by the python engine's planner: no catalog probe goes to sqlite
+    plan = GraphGen(db).plan(COOCCURRENCE)
+    fetched: list[int] = []
+    execute_sql = sqlite_backend.SQLiteBackend.execute_sql
+
+    def counting(self, sql, parameters=()):
+        rows = execute_sql(self, sql, parameters)
+        fetched.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(sqlite_backend.SQLiteBackend, "execute_sql", counting)
+    del statements[:]
+    pushdown = Extractor(db, ExtractionOptions(extract_engine="pushdown"))
+    graph, report = pushdown.extract_condensed(plan)
+
+    assert report.engine == "pushdown" and report.notes == []
+    assert statements == [
+        "SELECT DISTINCT A.id AS ID, A.name AS Name FROM Entity A;",
+        "SELECT DISTINCT A.id AS c0, A.p AS c1 FROM R A;",
+    ]
+    assert report.queries_executed == 2
+    # exactly the DISTINCT rows came back: 30 entities, 60 of R's 180 rows
+    assert fetched == [30, 60]
+    # both halves of the rule were wired from that one scan
+    assert report.per_rule_edges == [120]
+    reference = Extractor(db).extract_condensed(plan)[1]
+    assert reference.queries_executed == 3
+    assert (report.condensed_edges, report.virtual_nodes) == (
+        reference.condensed_edges,
+        reference.virtual_nodes,
+    )
+
+
+def test_extraction_writes_nothing_to_the_mirror(statements):
+    db = make_db()
+    db.sqlite_backend()
+    del statements[:]
+    for engine in ("sqlite", "pushdown", "auto"):
+        GraphGen(db, extract_engine=engine, threshold_factor=1e-9).extract_condensed(COOCCURRENCE)
+    assert statements and all(s.startswith("SELECT ") for s in statements), statements
+    assert not [s for s in statements if "TEMP" in s.upper()]
+
+
+# --------------------------------------------------------------------------- #
+# following the database
+# --------------------------------------------------------------------------- #
+def test_appended_rows_are_the_only_rows_inserted(statements):
+    db = make_db()
+    mirror = db.sqlite_backend()
+    assert len(starting(statements, "INSERT INTO R ")) == 180
+    del statements[:]
+
+    assert db.sqlite_backend() is mirror
+    assert statements == []  # nothing changed: nothing executed
+
+    db.insert("R", [(i % 30, 100 + i) for i in range(200)])
+    assert db.sqlite_backend() is mirror
+    assert len(starting(statements, "INSERT INTO R ")) == 200
+    assert not [s for s in statements if "Entity" in s or "Other" in s or "TABLE" in s]
+    assert mirror.row_count("R") == 380
+
+
+def test_clear_reloads_that_table_only(statements):
+    db = make_db()
+    mirror = db.sqlite_backend()
+    db.table("R").clear()
+    db.insert("R", [(1, 1), (2, 1)])
+    del statements[:]
+
+    assert db.sqlite_backend() is mirror
+    assert starting(statements, "DROP TABLE") == ["DROP TABLE IF EXISTS R"]
+    assert len(starting(statements, "CREATE TABLE")) == 1
+    assert len(starting(statements, "INSERT INTO")) == 2
+    assert mirror.execute_sql("SELECT * FROM R ORDER BY id") == [(1, 1), (2, 1)]
+    assert mirror.row_count("Entity") == 30
+
+
+def test_dropped_added_and_replaced_tables_are_followed(statements):
+    db = make_db()
+    mirror = db.sqlite_backend()
+    db.drop_table("Other")
+    db.create_table("Extra", [("y", "int")])
+    db.insert("Extra", [(7,)])
+    replaced = db.table("R").copy()  # same name and rows, another Table object
+    db.drop_table("R")
+    db.add_table(replaced)
+    del statements[:]
+
+    assert db.sqlite_backend() is mirror
+    assert sorted(starting(statements, "DROP TABLE")) == [
+        "DROP TABLE IF EXISTS Extra",
+        "DROP TABLE IF EXISTS R",
+        "DROP TABLE Other",
+    ]
+    assert len(starting(statements, "INSERT INTO R ")) == 180
+    assert not starting(statements, "INSERT INTO Entity")
+    assert mirror.execute_sql("SELECT y FROM Extra") == [(7,)]
+    with pytest.raises(QueryError, match="no such table"):
+        mirror.execute_sql("SELECT * FROM Other")
+
+
+def test_unmirrorable_table_is_retried_not_half_kept():
+    db = make_db()
+    mirror = db.sqlite_backend()
+    db.create_table("Weird", [("v", "any")])
+    db.insert("Weird", [(1,), ((2, 3),)])  # a tuple cell: sqlite cannot bind it
+    with pytest.raises(QueryError, match="cannot mirror table 'Weird'"):
+        db.sqlite_backend()
+    assert mirror.row_count("R") == 180  # the tables before it are intact
+    db.table("Weird").clear()
+    db.insert("Weird", [(4,)])
+    assert db.sqlite_backend().execute_sql("SELECT v FROM Weird") == [(4,)]
+
+
+# --------------------------------------------------------------------------- #
+# one thread extracts while another appends and syncs
+# --------------------------------------------------------------------------- #
+RACE = textwrap.dedent(
+    """
+    import faulthandler, random, sys, threading, time
+
+    from repro.core import GraphGen
+    from repro.relational.database import Database
+
+    faulthandler.enable()
+    engine = sys.argv[1]
+    query = "Nodes(ID, Name) :- Entity(ID, Name). Edges(ID1, ID2) :- R(ID1, P), R(ID2, P)."
+    rng = random.Random(7)
+    db = Database("race")
+    db.create_table("Entity", [("id", "int"), ("name", "str")], primary_key="id")
+    db.insert("Entity", [(i, f"entity_{i}") for i in range(3000)])
+    db.create_table("R", [("id", "int"), ("p", "int")])
+    db.insert("R", [(rng.randrange(3000), rng.randrange(12)) for _ in range(300_000)])
+
+    def structure(graph):
+        # the condensed structure by external IDs and virtual labels (the
+        # expanded graph has nine million edges)
+        def name(node):
+            return graph.external(node) if node >= 0 else graph.virtual_labels[node]
+
+        return sorted(
+            (repr(name(node)), sorted(repr(name(target)) for target in targets))
+            for node, targets in graph.succ.items()
+        )
+
+    def extract(engine):
+        # Step 6 would expand the one-member virtual node a torn read leaves
+        extractor = GraphGen(db, extract_engine=engine, preprocess=False)
+        return structure(extractor.extract_condensed(query)[0])
+
+    db.sqlite_backend()
+    before = extract("python")
+    result = []
+    worker = threading.Thread(target=lambda: result.append(extract(engine)))
+    worker.start()
+    time.sleep(0.15)
+    # a pair on a new join key: segment one seeing it and segment two not
+    # (or the reverse) would be a graph of no table state
+    db.insert("R", [(1, 999)])
+    db.sqlite_backend()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and result, "the extraction did not finish"
+    after = extract("python")
+    assert before != after
+    assert result[0] in (before, after), "a mix of two table states"
+    assert extract(engine) == after
+    print("ok")
+    """
+)
+
+
+@pytest.mark.parametrize("engine", ["pushdown", "sqlite"])
+def test_append_and_sync_during_an_extraction(engine):
+    """At the parent ``Database.sqlite_backend()`` closed the connection the
+    other thread was executing on: exit 139, both engines."""
+    completed = subprocess.run(
+        [sys.executable, "-c", RACE, engine],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, (completed.returncode, completed.stderr[-2000:])
+    assert completed.stdout.strip() == "ok"
