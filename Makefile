@@ -16,6 +16,7 @@ help:
 	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
+	@echo "                    hook-and-jump components + frontier-adaptive BFS,"
 	@echo "                    extraction engines x appended rows)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
 	@echo "make all          - everything (tier-1 equivalent)"
@@ -49,6 +50,7 @@ smoke:
 	$(PYTEST) -q tests/test_kernel.py tests/test_representation_parity.py \
 		tests/test_algorithms.py tests/test_graph_representations.py \
 		tests/test_incremental.py tests/test_sweep_kernel.py \
+		tests/test_traversal_kernels.py \
 		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow
 
 serve-smoke:

@@ -232,7 +232,9 @@ class Planner:
     def __init__(self, db: Database, options: ExtractionOptions | None = None) -> None:
         self._db = db
         self._options = options or ExtractionOptions()
+        #: probe results, valid for the database state they were read at
         self._probe_cache: dict[tuple[Any, ...], int] = {}
+        self._probe_version = db.version
 
     # ------------------------------------------------------------------ #
     # catalog probes
@@ -253,6 +255,12 @@ class Planner:
             return None
 
     def _probe(self, key: tuple[Any, ...], sql: str) -> int | None:
+        version = self._db.version
+        if version != self._probe_version:
+            # the tables moved since the cached counts were read: a planner
+            # that outlives an insert must not plan from the old sizes
+            self._probe_cache.clear()
+            self._probe_version = version
         if key in self._probe_cache:
             return self._probe_cache[key]
         backend = self._sqlite_probe_backend()

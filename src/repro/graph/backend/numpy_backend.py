@@ -13,12 +13,17 @@ Kernel strategies (see ``tests/test_backend_parity.py`` for the contract):
 * **PageRank / gather** — scatter-gather with ``np.bincount`` weights over
   the flat edge array (accumulation in global edge order, the same order the
   reference kernel adds shares in) and ``np.add.reduceat`` segment sums.
-* **BFS / components** — frontier expansion with flat gathers;
-  ``np.unique(..., return_index=True)`` keeps the *first-occurrence
-  discovery order*, so visit orders and parent pointers equal the reference
-  FIFO kernels exactly, not just up to relabeling.  Components are peeled
-  with vectorised BFS sweeps from ascending start vertices, which reproduces
-  the union-find labeling (0-based, ordered by first vertex).
+* **Single-source BFS** — one frontier-adaptive level step
+  (:func:`_bfs_levels`): a frontier of at most :data:`SCALAR_FRONTIER`
+  vertices is expanded by a scalar loop over the snapshot's own buffers, a
+  wider one by a flat gather whose ``np.unique(..., return_index=True)``
+  keeps the *first-occurrence discovery order* — so visit orders and parent
+  pointers equal the reference FIFO kernels exactly, and a high-diameter
+  graph does not pay a fixed run of array calls per level.
+* **Components** — hooking + pointer jumping over the flat directed edge
+  list: ``O(log n)`` rounds of array work whatever the diameter, roots are
+  component minima, so ranking them reproduces the union-find labeling
+  (0-based, ordered by first vertex).  No symmetrised view is built.
 * **Per-source sweeps** (closeness, betweenness, diameter, the plan
   compiler's fused sweep) — one block kernel, :meth:`NumpyBackend.sweep`:
   up to 64 sources advance together through a bit-parallel multi-source BFS
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -132,19 +138,23 @@ def _undirected_csr(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
     return und
 
 
-def _gather_targets(
-    offsets: np.ndarray, targets: np.ndarray, frontier: np.ndarray
-) -> np.ndarray:
-    """Flat targets of all out-edges of ``frontier``, concatenated in
-    frontier order with per-vertex target order preserved."""
+def _gather_index(offsets: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Flat ``targets`` positions of all out-edges of ``frontier``,
+    concatenated in frontier order with per-vertex target order preserved."""
     starts = offsets[frontier]
     counts = offsets[frontier + 1] - starts
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
     ends = np.cumsum(counts)
-    index = np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
-    return targets[index]
+    return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
+
+
+def _gather_targets(
+    offsets: np.ndarray, targets: np.ndarray, frontier: np.ndarray
+) -> np.ndarray:
+    """Flat targets of all out-edges of ``frontier`` (see :func:`_gather_index`)."""
+    return targets[_gather_index(offsets, frontier)]
 
 
 def _gather(
@@ -158,8 +168,92 @@ def _gather(
     )
 
 
+def _flatten(rows: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A ``row -> collection of ints`` mapping as ``(keys, counts, values)``
+    arrays: keys and collection sizes in dict order, the values concatenated
+    in that order."""
+    return (
+        np.fromiter(rows, dtype=np.int64, count=len(rows)),
+        np.fromiter(map(len, rows.values()), dtype=np.int64, count=len(rows)),
+        np.fromiter(chain.from_iterable(rows.values()), dtype=np.int64),
+    )
+
+
 def _sorted_row(offsets: np.ndarray, targets: np.ndarray, index: int) -> np.ndarray:
     return targets[offsets[index] : offsets[index + 1]]
+
+
+class TraversalCounters:
+    """Process-global instrumentation (read as deltas, like
+    ``CompilerCounters``): the clock-free pins of the traversal kernels."""
+
+    #: hook-and-jump rounds run by :meth:`NumpyBackend.connected_components`
+    hook_rounds = 0
+
+
+#: a BFS frontier of at most this many vertices is expanded by a scalar loop,
+#: a wider one by one flat gather.  A fixed constant, not an option: 16 / 64 /
+#: 256 time the same on both ring and small-world inputs.
+SCALAR_FRONTIER = 64
+
+
+def _bfs_levels(
+    csr: "CSRGraph",
+    source: int,
+    state: array,
+    *,
+    parents: bool = False,
+    max_depth: int | None = None,
+):
+    """Breadth-first levels from ``source``: yields each new frontier in FIFO
+    discovery order (a list, or an index array when it is wider than the
+    scalar step and came off the wide one), having marked every vertex in it
+    in ``state`` — with its depth, or with the vertex whose edge discovered
+    it first when ``parents``.  ``state`` holds the undiscovered mark for
+    every vertex but the source: ``-1`` under depths, ``-2`` under parents.
+
+    The level step adapts to the frontier.  A narrow frontier (a path, a
+    ring: thousands of levels of a handful of vertices) is expanded by a
+    scalar loop over the snapshot's own ``offsets``/``targets`` buffers, so a
+    level costs its edges and not a fixed run of array calls; a wide one goes
+    through :func:`_gather_targets`, first occurrences kept in edge order.
+    ``state`` is one ``array('q')`` both steps write: the scalar step by
+    index, the wide step through a zero-copy view.
+    """
+    offsets, targets = csr.offsets, csr.targets
+    offsets_v, targets_v = _views(csr)
+    state_v = np.frombuffer(state, dtype=np.int64)
+    unseen = -2 if parents else -1
+    frontier = [source]
+    depth = 0
+    while len(frontier) and depth != max_depth:
+        depth += 1
+        if len(frontier) <= SCALAR_FRONTIER:
+            fresh = []
+            for u in frontier:
+                mark = u if parents else depth
+                for v in targets[offsets[u] : offsets[u + 1]]:
+                    if state[v] == unseen:
+                        state[v] = mark
+                        fresh.append(v)
+            frontier = fresh
+        else:
+            frontier = np.asarray(frontier, dtype=np.int64)
+            candidates = _gather_targets(offsets_v, targets_v, frontier)
+            undiscovered = state_v[candidates] == unseen
+            fresh = candidates[undiscovered]
+            _, first = np.unique(fresh, return_index=True)
+            first.sort()  # first-occurrence discovery order
+            if parents:
+                origins = np.repeat(frontier, offsets_v[frontier + 1] - offsets_v[frontier])
+                marks = origins[undiscovered][first]  # first discovering edge
+            else:
+                marks = depth
+            frontier = fresh[first]
+            state_v[frontier] = marks
+            if frontier.size <= SCALAR_FRONTIER:
+                frontier = frontier.tolist()  # the scalar step's form
+        yield frontier
 
 
 class NumpyBackend(KernelBackend):
@@ -196,54 +290,31 @@ class NumpyBackend(KernelBackend):
         return sums.tolist()
 
     # ------------------------------------------------------------------ #
-    # traversals (first-occurrence frontier expansion == reference FIFO)
+    # traversals (one frontier-adaptive level step == reference FIFO)
     # ------------------------------------------------------------------ #
     def bfs_distances(
         self, csr: "CSRGraph", source: int, max_depth: int | None = None
     ) -> list[int]:
-        offsets, targets = _views(csr)
-        distances = np.full(csr.n, -1, dtype=np.int64)
-        distances[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        depth = 0
-        while frontier.size:
-            if max_depth is not None and depth >= max_depth:
-                break
-            depth += 1
-            candidates, _ = _gather(offsets, targets, frontier)
-            frontier = np.unique(candidates[distances[candidates] < 0])
-            distances[frontier] = depth
-        return distances.tolist()
+        state = array("q", [-1]) * csr.n
+        state[source] = 0
+        for _ in _bfs_levels(csr, source, state, max_depth=max_depth):
+            pass
+        return state.tolist()
 
     def bfs_order(self, csr: "CSRGraph", source: int) -> list[int]:
-        offsets, targets = _views(csr)
-        seen = np.zeros(csr.n, dtype=bool)
-        seen[source] = True
+        state = array("q", [-1]) * csr.n
+        state[source] = 0
         order: list[int] = [source]
-        frontier = np.array([source], dtype=np.int64)
-        while frontier.size:
-            candidates, _ = _gather(offsets, targets, frontier)
-            fresh = candidates[~seen[candidates]]
-            _, first = np.unique(fresh, return_index=True)
-            frontier = fresh[np.sort(first)]  # first-occurrence discovery order
-            seen[frontier] = True
-            order.extend(frontier.tolist())
+        for frontier in _bfs_levels(csr, source, state):
+            order.extend(frontier if type(frontier) is list else frontier.tolist())
         return order
 
     def bfs_parents(self, csr: "CSRGraph", source: int) -> list[int]:
-        offsets, targets = _views(csr)
-        parents = np.full(csr.n, -2, dtype=np.int64)  # -2 = undiscovered
-        parents[source] = -1
-        frontier = np.array([source], dtype=np.int64)
-        while frontier.size:
-            candidates, sources = _gather(offsets, targets, frontier)
-            mask = parents[candidates] == -2
-            fresh, fresh_sources = candidates[mask], sources[mask]
-            _, first = np.unique(fresh, return_index=True)
-            first.sort()
-            frontier = fresh[first]
-            parents[frontier] = fresh_sources[first]  # first discovering edge
-        return parents.tolist()
+        state = array("q", [-2]) * csr.n  # -2 = undiscovered
+        state[source] = -1
+        for _ in _bfs_levels(csr, source, state, parents=True):
+            pass
+        return state.tolist()
 
     # ------------------------------------------------------------------ #
     # snapshot maintenance
@@ -252,11 +323,12 @@ class NumpyBackend(KernelBackend):
         """Vectorised delta-overlay merge, element-wise identical to the
         reference :func:`repro.graph.delta.merge_overlay`.
 
-        Strips touched pairs with per-row masks over the flat target array
-        (only rows the overlay touched are visited in Python), scatters the
-        surviving targets to their shifted destinations in one gather, then
-        drops each row's sorted net additions at its end — ``O(n + m)`` array
-        work plus ``O(|delta|)`` loop iterations.
+        One pass each way, no per-row loop: the touched pairs become flat
+        ``row * n + target`` keys, the touched rows' base edges are gathered
+        and tested against them with one ``np.isin``, the survivors move to
+        their shifted destinations in one scatter, and every row's sorted net
+        additions drop at its end through one computed destination index —
+        ``O(n + m)`` array work plus ``O(|delta|)`` to flatten the plan.
         """
         from repro.graph.kernel import CSRGraph
 
@@ -266,25 +338,22 @@ class NumpyBackend(KernelBackend):
         n = base_n + len(new_vertices)
 
         keep = np.ones(targets_v.size, dtype=bool)
-        for row, dropped in strip.items():
-            if row >= base_n:
-                continue
-            start, end = int(offsets_v[row]), int(offsets_v[row + 1])
-            if start == end:
-                continue
-            keep[start:end] = ~np.isin(
-                targets_v[start:end],
-                np.fromiter(dropped, dtype=np.int64, count=len(dropped)),
-            )
+        touched, strip_counts, dropped = _flatten(strip)
+        if dropped.size:
+            rows = touched[touched < base_n]
+            at = _gather_index(offsets_v, rows)
+            edge_keys = np.repeat(rows, offsets_v[rows + 1] - offsets_v[rows]) * n + targets_v[at]
+            strip_keys = np.repeat(touched, strip_counts) * n + dropped
+            keep[at] = ~np.isin(edge_keys, strip_keys)
 
         keep_csum = np.concatenate(
             (np.zeros(1, dtype=np.int64), np.cumsum(keep, dtype=np.int64))
         )
         kept_per_row = np.zeros(n, dtype=np.int64)
         kept_per_row[:base_n] = keep_csum[offsets_v[1:]] - keep_csum[offsets_v[:-1]]
+        add_rows, add_counts, added = _flatten(additions)
         add_per_row = np.zeros(n, dtype=np.int64)
-        for row, extra in additions.items():
-            add_per_row[row] = len(extra)
+        add_per_row[add_rows] = add_counts
 
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(kept_per_row + add_per_row, out=offsets[1:])
@@ -300,9 +369,11 @@ class NumpyBackend(KernelBackend):
             )
             shift = offsets[:base_n] - kept_offsets[:-1]
             merged[np.arange(kept.size, dtype=np.int64) + np.repeat(shift, kept_per_row[:base_n])] = kept
-        for row, extra in additions.items():
-            end = int(offsets[row + 1])
-            merged[end - len(extra) : end] = extra
+        if added.size:
+            # a row's additions fill its last slots, in their (sorted) order
+            first = offsets[add_rows + 1] - add_counts
+            flat_start = np.cumsum(add_counts) - add_counts
+            merged[np.arange(added.size, dtype=np.int64) + np.repeat(first - flat_start, add_counts)] = added
 
         out_offsets = array("q")
         out_offsets.frombytes(np.ascontiguousarray(offsets).tobytes())
@@ -429,39 +500,37 @@ class NumpyBackend(KernelBackend):
         return rank[root[extended]].tolist()
 
     def connected_components(self, csr: "CSRGraph") -> list[int]:
+        """Hooking + pointer jumping over the flat directed edge list.
+
+        ``parent`` is a forest of stars between rounds.  A round reads every
+        live edge as a pair of roots, drops the pairs already inside one tree
+        (they never come back), hooks each larger root under the smallest
+        root it touches, and jumps ``parent = parent[parent]`` until the
+        trees are stars again.  A root that survives a round has no smaller
+        neighbouring root, and one that survives two has absorbed every
+        neighbour it had, so the roots of a component at least halve every
+        two rounds: ``O(log n)`` rounds of ``O(live edges)`` array work,
+        whatever the diameter.  A root only ever hooks under a smaller one,
+        so every root is its component's lowest index and ranking the roots
+        is the reference labelling (0-based, by first vertex).
+        """
         n = csr.n
-        if n == 0:
-            return []
-        offsets, targets = _undirected_csr(csr)
-        # BFS sweeps label one non-singleton component each; every
-        # undirected edge is gathered exactly once over the whole pass, and
-        # frontier dedup goes through a flag array instead of a sort.
-        # Isolated vertices (the bulk of the component *count* on extracted
-        # graphs) are handled wholesale: a unique provisional label each.
-        raw = np.full(n, -1, dtype=np.int64)
-        isolated = np.diff(offsets) == 0
-        raw[isolated] = n + np.flatnonzero(isolated)
-        sweep = 0
-        for start in np.flatnonzero(~isolated).tolist():
-            if raw[start] >= 0:
-                continue
-            raw[start] = sweep
-            frontier = np.array([start], dtype=np.int64)
-            while frontier.size:
-                candidates = _gather_targets(offsets, targets, frontier)
-                fresh = candidates[raw[candidates] < 0]
-                raw[fresh] = sweep
-                # dedup proportional to the frontier, not to n: a
-                # high-diameter component must not pay a full-array scan
-                # per level
-                frontier = np.unique(fresh)
-            sweep += 1
-        # canonical relabel: 0-based in order of each component's first
-        # vertex — exactly the reference union-find labeling
-        unique, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-        rank = np.empty(unique.size, dtype=np.int64)
-        rank[np.argsort(first, kind="stable")] = np.arange(unique.size, dtype=np.int64)
-        return rank[inverse].tolist()
+        parent = np.arange(n, dtype=np.int64)
+        u, v = _edge_sources(csr), _views(csr)[1]
+        while True:
+            live = u != v  # self-loops, then edges whose ends share a root
+            u, v = u[live], v[live]
+            if not u.size:
+                break
+            TraversalCounters.hook_rounds += 1
+            np.minimum.at(parent, np.maximum(u, v), np.minimum(u, v))
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+            u, v = parent[u], parent[v]
+        return (np.cumsum(parent == np.arange(n, dtype=np.int64)) - 1)[parent].tolist()
 
     # ------------------------------------------------------------------ #
     # k-core

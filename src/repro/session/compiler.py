@@ -78,6 +78,7 @@ from repro.algorithms.centrality import (
 )
 from repro.algorithms.shortest_paths import diameter_sample_indexes
 from repro.graph import snapshot_store
+from repro.incremental.base import decode
 from repro.session.scheduler import sweep_products
 from repro.session.report import (
     AnalysisReport,
@@ -215,6 +216,9 @@ class Node:
     # runtime state
     done: bool = False
     value: Any = None
+    #: a maintainable inline node's value before decoding (see
+    #: ``PlanAlgorithm.dense``): what the incremental record keeps
+    dense: list | None = None
     seconds: float = 0.0
     attributed: bool = False
 
@@ -510,16 +514,13 @@ def compile_plan(
     # -- derive nodes: shared views for *inline* consumers (pool workers
     #    materialise their own over the mmap'd snapshot) ------------------ #
     derive_nodes: list[Node] = []
-    und_consumers = set(_UND_CONSUMERS)
-    if backend.name == "numpy":
-        und_consumers.add("components")
     und_node = None
     degrees_node = None
     triangles_node = None
     for node in algo_nodes:
         if node.mode != "inline":
             continue
-        if node.spec.name in und_consumers:
+        if node.spec.name in _UND_CONSUMERS:
             if und_node is None:
                 und_node = Node(
                     key="und-csr",
@@ -784,6 +785,10 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     node.value = _finalise_from_sweep(node, compiled.sweep, csr, backend)
                 elif node.mode == "inline" and spec.from_triangles is not None:
                     node.value = spec.from_triangles(csr, derived["triangle-counts"])
+                elif spec.dense is not None:
+                    # the kernel runner, keeping the vector it decodes
+                    node.dense = spec.dense(csr, backend, params)
+                    node.value = decode(spec.maintainer, csr, node.dense)
                 else:
                     node.value = spec.kernel(csr, backend, params)
                 node.seconds = time.perf_counter() - tick
@@ -845,7 +850,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             # incremental store so the *next* run after mutations can serve
             # it from the journal (idempotent for duplicate bindings)
             if spec.maintainer is not None and node.mode != "incremental":
-                handle._incremental_record(spec.name, params, node.value, csr)
+                handle._incremental_record(spec.name, params, node.value, csr, node.dense)
 
             count = seen_labels.get(spec.name, 0) + 1
             seen_labels[spec.name] = count

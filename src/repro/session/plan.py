@@ -58,6 +58,7 @@ from repro.algorithms.triangles import (
     count_triangles_kernel,
 )
 from repro.exceptions import RepresentationError, UsageError
+from repro.incremental.base import decode
 from repro.session.compiler import run_compiled
 from repro.session.report import AnalysisReport
 from repro.vertexcentric.programs import (
@@ -104,27 +105,34 @@ def _kernel_degree(csr, backend, params):
     return csr.decode(degrees_kernel(csr, backend=backend))
 
 
-def _kernel_pagerank(csr, backend, params):
-    return csr.decode(
-        pagerank_kernel(
-            csr,
-            damping=params["damping"],
-            max_iterations=params["max_iterations"],
-            tolerance=params["tolerance"],
-            backend=backend,
-        )
+# maintainable algorithms run in two steps: ``_dense_*`` is the kernel's
+# per-dense-index vector — the form the dynamic maintainers carry, which an
+# inline plan node hands to the handle's incremental record as it is — and
+# the kernel runner is that vector decoded
+def _dense_pagerank(csr, backend, params):
+    return pagerank_kernel(
+        csr,
+        damping=params["damping"],
+        max_iterations=params["max_iterations"],
+        tolerance=params["tolerance"],
+        backend=backend,
     )
 
 
-def _kernel_components(csr, backend, params):
-    return csr.decode(components_kernel(csr, backend=backend))
+def _dense_components(csr, backend, params):
+    return components_kernel(csr, backend=backend)
 
 
-def _kernel_bfs(csr, backend, params):
+def _dense_bfs(csr, backend, params):
     src = _encode_source(csr, params["source"])
-    distances = distances_kernel(csr, src, max_depth=params["max_depth"], backend=backend)
-    ids = csr.external_ids
-    return {ids[v]: d for v, d in enumerate(distances) if d >= 0}
+    return distances_kernel(csr, src, max_depth=params["max_depth"], backend=backend)
+
+
+def _decoded(maintainer, dense):
+    def kernel(csr, backend, params):
+        return decode(maintainer, csr, dense(csr, backend, params))
+
+    return kernel
 
 
 def _kernel_kcore(csr, backend, params):
@@ -293,6 +301,10 @@ class PlanAlgorithm:
     defaults: dict[str, Any]
     #: serial path over the shared snapshot
     kernel: Callable[["CSRGraph", "KernelBackend", dict], Any]
+    #: maintainable algorithms: the serial path's result still as the
+    #: per-dense-index vector its maintainer carries — ``kernel`` is
+    #: ``repro.incremental.decode`` of it
+    dense: Callable[["CSRGraph", "KernelBackend", dict], list] | None = None
     #: extra parameter validation (beyond unknown/missing checks)
     validate: Callable[[dict], None] | None = None
     #: process-parallel path, or None when no superstep program exists
@@ -331,7 +343,8 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
         PlanAlgorithm(
             "pagerank",
             defaults={"damping": 0.85, "max_iterations": 50, "tolerance": 1.0e-9},
-            kernel=_kernel_pagerank,
+            kernel=_decoded("pagerank", _dense_pagerank),
+            dense=_dense_pagerank,
             validate=_validate_pagerank,
             superstep=_superstep_pagerank,
             requires_symmetric=True,
@@ -346,7 +359,8 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
         PlanAlgorithm(
             "components",
             defaults={},
-            kernel=_kernel_components,
+            kernel=_decoded("components", _dense_components),
+            dense=_dense_components,
             superstep=_superstep_components,
             requires_symmetric=True,
             maintainer="components",
@@ -354,7 +368,8 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
         PlanAlgorithm(
             "bfs",
             defaults={"source": REQUIRED, "max_depth": None},
-            kernel=_kernel_bfs,
+            kernel=_decoded("bfs", _dense_bfs),
+            dense=_dense_bfs,
             validate=_validate_bfs,
             superstep=_superstep_bfs,
             requires_symmetric=True,

@@ -336,10 +336,11 @@ class GraphHandle:
         return name, repr(sorted(params.items(), key=lambda item: item[0]))
 
     def _incremental_record(
-        self, name: str, params: dict, values: Any, csr: "CSRGraph"
+        self, name: str, params: dict, values: Any, csr: "CSRGraph", dense: list | None = None
     ) -> None:
         """Remember a result freshly computed on ``csr`` — as its dense
-        vector, encoded here once — so the dynamic maintainers can carry it
+        vector: ``dense`` when the kernel runner still held it, else encoded
+        from the dict here, once — so the dynamic maintainers can carry it
         over future deltas.  No-op for non-journaled graphs and for non-dict
         result shapes."""
         from repro.incremental import encode
@@ -352,7 +353,7 @@ class GraphHandle:
                 algorithm=name,
                 params=dict(params),
                 position=journal.total,
-                dense=encode(csr, values),
+                dense=encode(csr, values) if dense is None else dense,
                 generation=self.graph.generation,
             )
 

@@ -27,6 +27,8 @@ The contract under test:
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.exceptions import SnapshotFormatError
@@ -265,6 +267,58 @@ class TestDeltaOverlay:
         reference = merge_overlay(base, overlay)
         applied = backend.apply_overlay(base, overlay)
         _assert_snapshots_equal(applied, reference)
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_apply_overlay_matches_reference_on_a_wide_delta(self, backend_name, seed):
+        """One strip pass, one addition scatter — over a delta that touches
+        more than a thousand rows: rows stripped to empty, touched pairs the
+        base never held (a removal of an edge added inside the window, an
+        addition), last-op-wins re-adds, parallel base edges, and new
+        vertices that both receive and emit additions."""
+        import random
+
+        rng = random.Random(seed)
+        n = 3000
+        rows = [[(v + step) % n for step in (1, 2, 5, -1, -2, -5)] for v in range(n)]
+        for v in range(0, n, 9):
+            rows[v].append((v + 1) % n)  # a parallel base edge: every copy is stripped
+        offsets, targets = array("q", [0]), array("q")
+        for row in rows:
+            targets.extend(row)
+            offsets.append(len(targets))
+        base = CSRGraph(offsets, targets, list(range(n)))
+        records: list[tuple] = []
+        for v in rng.sample(range(n), 400):  # every out-edge of the row goes
+            records += [("-", (v, t)) for t in {(v + s) % n for s in (1, 2, 5, -1, -2, -5)}]
+        for _ in range(900):
+            u, v = rng.randrange(n), rng.randrange(n)
+            records += [("+", (u, v)), ("+", (v, u))]
+        for _ in range(200):  # added, then removed again: touched, absent, not in base
+            u, v = rng.randrange(n), rng.randrange(n)
+            records += [("+", (u, v)), ("-", (u, v))]
+        for v in rng.sample(range(n), 150):  # removed, then re-added
+            records += [("-", (v, (v + 1) % n)), ("+", (v, (v + 1) % n))]
+        for fresh in range(n, n + 60):
+            records.append(("V", fresh))
+            for _ in range(3):
+                old = rng.randrange(n)
+                records += [("+", (fresh, old)), ("+", (old, fresh))]
+        records += [("+", (n + 1, n + 2)), ("V", n + 500)]  # new -> new; an isolated one
+        rng.shuffle(records)
+
+        overlay = DeltaOverlay(records)
+        _, new_vertices, strip, additions = overlay.plan(base)
+        assert len(strip) >= 1000 and len(new_vertices) == 61
+        assert any(row >= base.n for row in additions)
+        reference = merge_overlay(base, overlay)
+        emptied = [v for v in range(base.n) if reference.offsets[v] == reference.offsets[v + 1]]
+        assert emptied
+        applied = get_backend(backend_name).apply_overlay(base, overlay)
+        _assert_snapshots_equal(applied, reference)
+        assert applied._index == reference._index
+        assert type(applied.offsets) is type(reference.offsets)
+        assert applied.offsets.typecode == applied.targets.typecode == "q"
 
 
 # --------------------------------------------------------------------------- #

@@ -520,6 +520,38 @@ class TestRingRefresh:
         # commit's dict-keyed, work-budgeted maintainers made on this schedule
         assert engines["removal"] == [("kernel", "incremental", "kernel")] * 3
 
+    def test_cold_inline_results_are_recorded_without_being_re_encoded(self, backend_name, monkeypatch):
+        """The kernel runner hands the record the dense vector it decoded its
+        dict from; ``encode`` is left for results that arrive as dicts only."""
+        import repro.incremental
+
+        monkeypatch.setattr(
+            repro.incremental, "encode", lambda *args: pytest.fail("a dense result was re-encoded")
+        )
+        n = 600
+        graph = JournaledGraph(_ring(n, seed=7))
+        handle = GraphSession(Database("dense"), backend=backend_name).wrap(graph)
+        assert [r.engine for r in _ring_plan(handle).run()] == ["kernel"] * 3
+        # a removal: components and bfs go cold again and are re-recorded
+        removable = _add_undirected(graph, random.Random(3), 8, _local(n, 40))
+        handle.refresh()
+        assert [r.engine for r in _ring_plan(handle).run()] == ["incremental"] * 3
+        graph.delete_edge(*removable[0])
+        graph.delete_edge(*removable[0][::-1])
+        handle.refresh()
+        assert [r.engine for r in _ring_plan(handle).run()] == ["kernel", "incremental", "kernel"]
+        # ... and what was recorded is a vector the maintainers can carry on
+        _add_undirected(graph, random.Random(4), 8, _local(n, 300))
+        handle.refresh()
+        warm = _ring_plan(handle).run()
+        assert [r.engine for r in warm] == ["incremental"] * 3
+        cold = _ring_plan(
+            GraphSession(Database("dense-cold"), backend=backend_name).wrap(graph.inner)
+        ).run()
+        assert warm["components"].values == cold["components"].values
+        assert warm["bfs"].values == cold["bfs"].values
+        assert _linf(warm["pagerank"].values, cold["pagerank"].values) <= 1e-9
+
 
 # --------------------------------------------------------------------------- #
 # the incremental service: patch-instead-of-evict

@@ -185,6 +185,37 @@ def test_unmirrorable_table_is_retried_not_half_kept():
 
 
 # --------------------------------------------------------------------------- #
+# the planner's catalog probes follow the database too
+# --------------------------------------------------------------------------- #
+def test_a_reused_graphgen_replans_after_a_table_grew_and_probes_only_then(statements):
+    """The probe cache used to live as long as the ``GraphGen``: one reused
+    after ``db.insert`` planned condense-vs-expand from the old row counts."""
+    db = Database("probes")
+    db.create_table("Entity", [("id", "int"), ("name", "str")], primary_key="id")
+    db.create_table("R", [("id", "int"), ("p", "int")])
+    db.insert("Entity", [(i, f"e{i}") for i in range(40)])
+    db.insert("R", [(i, i % 20) for i in range(40)])
+    gen = GraphGen(db, extract_engine="pushdown")
+
+    def large_output_joins(plan):
+        return [decision.is_large_output for decision in plan.edge_plans[0].decisions]
+
+    # 40 * 40 / 20 distinct keys = 80 rows out, under 2 * (40 + 40)
+    assert large_output_joins(gen.plan(COOCCURRENCE)) == [False]
+    probes = starting(statements, "SELECT COUNT(")
+    assert probes  # the planner did ask the mirror
+    del statements[:]
+
+    assert large_output_joins(gen.plan(COOCCURRENCE)) == [False]
+    assert statements == []  # nothing changed: no second probe, no sync
+
+    db.insert("R", [(i % 40, i % 20) for i in range(360)])
+    # 400 * 400 / 20 = 8 000 rows out, over 2 * (400 + 400): the join is cut
+    assert large_output_joins(gen.plan(COOCCURRENCE)) == [True]
+    assert starting(statements, "SELECT COUNT(") == probes  # each probe once more
+
+
+# --------------------------------------------------------------------------- #
 # one thread extracts while another appends and syncs
 # --------------------------------------------------------------------------- #
 RACE = textwrap.dedent(
