@@ -17,7 +17,8 @@ help:
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
 	@echo "                    hook-and-jump components + frontier-adaptive BFS,"
-	@echo "                    extraction engines x appended rows)"
+	@echo "                    extraction engines x appended rows, one plan DAG at"
+	@echo "                    every parallelism + exact sweep/triangle slices)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
 	@echo "make all          - everything (tier-1 equivalent)"
 
@@ -51,7 +52,10 @@ smoke:
 		tests/test_algorithms.py tests/test_graph_representations.py \
 		tests/test_incremental.py tests/test_sweep_kernel.py \
 		tests/test_traversal_kernels.py \
-		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow
+		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow \
+		tests/test_plan_compiler.py::test_property_one_dag_at_every_parallelism \
+		tests/test_plan_compiler.py::test_ranged_triangle_vectors_add_up_under_every_split \
+		tests/test_plan_compiler.py::test_strided_sweep_split_covers_each_source_once
 
 serve-smoke:
 	$(PYTEST) -q tests/test_service_http.py::TestServeCommand \

@@ -27,6 +27,7 @@ default extraction query.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -164,15 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
                 type=int,
                 default=1,
                 metavar="N",
-                help="schedule the whole --algo batch over one pool of N "
-                "worker processes mapping the shared snapshot: "
-                "degree/pagerank/components/bfs run on the superstep engine, "
-                "triangles/closeness/diameter (and sampled betweenness) run "
-                "chunk-parallel, remaining algorithms run concurrently on "
-                "single workers (identical results for any N; pagerank may "
-                "differ from the serial kernel in low-order digits, and "
-                "non-symmetric graphs fall back to the serial kernel with a "
-                "note)",
+                help="run the two sliceable steps of the --algo batch over "
+                "one pool of N worker processes mapping the shared snapshot: "
+                "the per-source sweep behind closeness/diameter/sampled "
+                "betweenness (split by source) and the triangle pass behind "
+                "triangles/clustering (split by vertex range); everything "
+                "else, and a sweep that carries full-source betweenness, "
+                "runs inline (every result identical to N=1)",
             )
             sub.add_argument(
                 "--shards",
@@ -674,11 +673,15 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         host, port = server.server_address[:2]
         # machine-readable boot line: smoke tests (and humans) parse the port
         print(f"serving on http://{host}:{port}", file=out, flush=True)
+        # SIGTERM leaves serve_forever() the way Ctrl-C does, so the finally
+        # blocks below stop the warm pool's workers and remove the store
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             server.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
+        except KeyboardInterrupt:  # pragma: no cover - SIGINT / SIGTERM shutdown
             pass
         finally:
+            signal.signal(signal.SIGTERM, previous)
             server.server_close()
     finally:
         session.close()

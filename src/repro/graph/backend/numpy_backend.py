@@ -562,22 +562,17 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------ #
     # triangles / clustering
     # ------------------------------------------------------------------ #
-    def _triangle_counts(
+    def triangles_per_vertex(
         self, csr: "CSRGraph", lo: int = 0, hi: int | None = None
-    ) -> tuple[int, np.ndarray]:
-        """``(total, per-vertex counts)`` over the u < v < w orientation.
-
-        With a ``[lo, hi)`` range only triangles whose smallest vertex lies
-        in the range are counted (the per-vertex counts then cover only those
-        triangles — whole-graph callers use the default full range).
-        """
+    ) -> list[int]:
+        """Per-vertex counts over the u < v < w orientation; with a
+        ``[lo, hi)`` range only triangles whose smallest vertex lies in it."""
         n = csr.n
         if hi is None:
             hi = n
         offsets, targets = _undirected_csr(csr)
         counts = np.zeros(n, dtype=np.int64)
         hits: list[np.ndarray] = []
-        total = 0
         for u in range(lo, hi):
             row = _sorted_row(offsets, targets, u)
             higher = row[np.searchsorted(row, u + 1) :]  # rows are sorted
@@ -591,19 +586,12 @@ class NumpyBackend(KernelBackend):
             found = higher[position] == candidates
             wedges = int(np.count_nonzero(found))
             if wedges:
-                total += wedges
                 counts[u] += wedges
                 hits.append(sources[found])
                 hits.append(candidates[found])
         if hits:
             counts += np.bincount(np.concatenate(hits), minlength=n)
-        return total, counts
-
-    def count_triangles(self, csr: "CSRGraph", lo: int = 0, hi: int | None = None) -> int:
-        return self._triangle_counts(csr, lo, hi)[0]
-
-    def triangles_per_vertex(self, csr: "CSRGraph") -> list[int]:
-        return self._triangle_counts(csr)[1].tolist()
+        return counts.tolist()
 
     def _links_among_neighbors(self, csr: "CSRGraph", index: int) -> tuple[int, int]:
         """``(degree, edge count among the neighborhood)`` of one vertex."""

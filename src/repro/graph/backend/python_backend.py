@@ -442,31 +442,23 @@ class KernelBackend:
     # ------------------------------------------------------------------ #
     # triangles / clustering
     # ------------------------------------------------------------------ #
-    def count_triangles(self, csr: "CSRGraph", lo: int = 0, hi: int | None = None) -> int:
-        """Number of distinct triangles (each counted once, ``u < v < w``).
+    def triangles_per_vertex(
+        self, csr: "CSRGraph", lo: int = 0, hi: int | None = None
+    ) -> list[int]:
+        """Number of triangles each dense index participates in.
 
         With a ``[lo, hi)`` range, only triangles whose *smallest* dense
-        index falls in the range are counted — every triangle is attributed
-        to exactly one vertex, so partition totals sum to the whole-graph
-        count exactly (the chunk-parallel contract).
+        index falls in the range are counted (at all three corners) — every
+        triangle ``u < v < w`` is attributed to exactly one ``u``, so the
+        vectors of any split of ``[0, n)`` add up to the whole-graph vector
+        exactly (the plan compiler's sliced ``triangle-counts`` node).
         """
         adjacency = csr.undirected_sets()
         if hi is None:
             hi = csr.n
-        total = 0
-        for u in range(lo, hi):
-            neighbors = adjacency[u]
-            higher_u = {v for v in neighbors if v > u}
-            for v in higher_u:
-                total += sum(1 for w in adjacency[v] if w > v and w in higher_u)
-        return total
-
-    def triangles_per_vertex(self, csr: "CSRGraph") -> list[int]:
-        """Number of triangles each dense index participates in."""
-        adjacency = csr.undirected_sets()
         counts = [0] * csr.n
-        for u, neighbors in enumerate(adjacency):
-            higher_u = {v for v in neighbors if v > u}
+        for u in range(lo, hi):
+            higher_u = {v for v in adjacency[u] if v > u}
             for v in higher_u:
                 for w in adjacency[v]:
                     if w > v and w in higher_u:
@@ -474,6 +466,10 @@ class KernelBackend:
                         counts[v] += 1
                         counts[w] += 1
         return counts
+
+    def count_triangles(self, csr: "CSRGraph") -> int:
+        """Number of distinct triangles: each is counted at its three corners."""
+        return sum(self.triangles_per_vertex(csr)) // 3
 
     def clustering_coefficient(self, csr: "CSRGraph", index: int) -> float:
         """Local clustering coefficient of one dense index."""

@@ -12,10 +12,10 @@ worker machinery (one pool, one snapshot file per plan):
 * ``snapshot`` — acquisition of the handle's shared CSR (cache-aware:
   reported ``reused`` when it came off the in-process cache or a store mmap);
 * ``derive`` nodes — the backend-neutral symmetrised/sorted adjacency CSR
-  (``und-csr``) and degree arrays, created once per plan when an inline
+  (``und-csr``) and degree arrays, created once per plan when a
   consumer needs them, so the derivation cost is attributed to a node
   instead of hiding inside the first consuming kernel; and the per-vertex
-  ``triangle-counts`` that inline ``triangles`` and ``clustering`` both
+  ``triangle-counts`` that ``triangles`` and ``clustering`` both
   read — a node *value*, gone when ``run()`` returns;
 * one fused ``sweep`` node — per-source BFS trees / Brandes contributions
   over the union of every source-sweep demand in the plan.  Hop distances
@@ -42,18 +42,23 @@ backend computes (:func:`repro.algorithms.centrality.closeness_value`),
 diameter is a max of integer eccentricities, and betweenness re-sums ordered
 per-source contributions (``backend.add_delta``, elementwise) in each
 request's own global source order — exactly the serial kernels' accumulation
-sequence.  Requests the sweep does not cover are routed superstep / chunks /
-task / inline (see :func:`compile_plan`), each fallback with a note.
+sequence.
 
-**Cost model.**  Execution choices are fed by the snapshot's ``n`` and ``m``
-plus constants calibrated on the paper-figure benchmark rigs (see
-:data:`TRAVERSAL_SECONDS_PER_ELEMENT` and friends): concurrent serial-kernel
-tasks are dispatched longest-first to minimise pool makespan, and pool sweeps
-partition their source list by weighted cost (a Brandes source counts
-:data:`BRANDES_FACTOR` plain-BFS traversals).  The sweep always runs on the
-session's backend.  Session ``parallelism`` remains a directive: a pool is
-started only when a superstep / chunk-parallel node or at least two
-concurrent serial kernels would use it.
+**One DAG, then placement.**  :func:`compile_plan` never sees the session's
+``parallelism``: node keys, ``nodes_computed``, ``sweep_traversals`` and
+every value are the same at any worker count.  :func:`place_on_pool` then
+marks the only two nodes with an exact slice form and hands *those* to the
+pool, one payload per partition: the **fused sweep**, split by source
+(``sources[k::parts]``; products are independent per source and re-keyed by
+it) — unless it streams a full-source betweenness total, one ordered float
+accumulation that stays on the coordinator — and the **``triangle-counts``
+derive node**, split by vertex range (every triangle is attributed to its
+smallest vertex, so the integer partial vectors add exactly).  Everything
+else runs inline on the session's backend, and a plan holding neither node
+starts no pool.  The one other placement is forced, not chosen: an
+*out-of-core* pool's workers map one shard each and cannot see the whole
+graph, so such a plan runs shard-local superstep programs on the pool and
+the rest — sweep and triangle pass included — on the coordinator.
 
 Every result gains per-node provenance
 (:class:`~repro.session.NodeProvenance`): the nodes in its dependency
@@ -113,91 +118,6 @@ class CompilerCounters:
 
 
 # --------------------------------------------------------------------------- #
-# cost model constants, calibrated on the fig13/fig15 rigs and the (since
-# deleted) fig16/fig17 plan-timing rigs: synthetic condensed graphs, container
-# hardware.  Decisions depend on *ratios*, which are stable across machines
-# even when absolute seconds drift.
-# --------------------------------------------------------------------------- #
-#: one full-depth traversal costs about this many seconds per n + m element
-TRAVERSAL_SECONDS_PER_ELEMENT = {"python": 2.3e-8, "numpy": 1.2e-8}
-#: a Brandes traversal costs this multiple of a plain BFS (predecessor lists
-#: plus the reverse accumulation pass)
-BRANDES_FACTOR = {"python": 2.85, "numpy": 2.04}
-#: coarse whole-request weights (multiples of one n + m scan) for ordering
-#: concurrent task dispatch longest-first; per-source algorithms are costed
-#: from their actual source counts instead
-REQUEST_SCAN_WEIGHT = {
-    "degree": 0.2,
-    "pagerank": 20.0,
-    "components": 2.0,
-    "bfs": 1.0,
-    "kcore": 3.0,
-    "triangles": 5.0,
-    "clustering": 6.0,
-    "label_propagation": 10.0,
-    "link_predictions": 8.0,
-}
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-plan execution cost estimates from the snapshot's size."""
-
-    n: int
-    m: int
-    backend_name: str
-
-    @property
-    def elements(self) -> int:
-        return max(1, self.n + self.m)
-
-    def traversal_seconds(self, brandes: bool = False, backend_name: str | None = None) -> float:
-        name = backend_name or self.backend_name
-        per = TRAVERSAL_SECONDS_PER_ELEMENT.get(name, TRAVERSAL_SECONDS_PER_ELEMENT["python"])
-        seconds = per * self.elements
-        if brandes:
-            seconds *= BRANDES_FACTOR.get(name, BRANDES_FACTOR["python"])
-        return seconds
-
-    def request_seconds(self, name: str, params: dict, csr: "CSRGraph") -> float:
-        """Coarse whole-request estimate (drives longest-first task dispatch)."""
-        if name == "closeness":
-            return self.n * self.traversal_seconds()
-        if name == "diameter":
-            return min(params.get("samples", 10), self.n) * self.traversal_seconds()
-        if name == "betweenness":
-            sample = params.get("sample_size")
-            sources = self.n if sample is None else min(sample, self.n)
-            return sources * self.traversal_seconds(brandes=True)
-        return REQUEST_SCAN_WEIGHT.get(name, 1.0) * self.traversal_seconds()
-
-    def partition_sweep_sources(
-        self, sources: list[int], needs_delta: set[int] | None, stream: bool, parts: int
-    ) -> list[list[int]]:
-        """Contiguous slices of the sweep's source list, cut so each worker
-        carries a near-equal *weighted* share (Brandes sources count
-        :data:`BRANDES_FACTOR` plain traversals)."""
-        factor = BRANDES_FACTOR.get(self.backend_name, BRANDES_FACTOR["python"])
-        weights = [
-            factor if (stream or (needs_delta is not None and src in needs_delta)) else 1.0
-            for src in sources
-        ]
-        total = sum(weights)
-        bounds = [0]
-        accumulated = 0.0
-        cut = 1
-        for position, weight in enumerate(weights):
-            accumulated += weight
-            while cut < parts and accumulated >= total * cut / parts - 1e-12:
-                bounds.append(position + 1)
-                cut += 1
-        while len(bounds) < parts:
-            bounds.append(len(sources))
-        bounds.append(len(sources))
-        return [sources[bounds[i] : bounds[i + 1]] for i in range(parts)]
-
-
-# --------------------------------------------------------------------------- #
 # DAG structures
 # --------------------------------------------------------------------------- #
 @dataclass
@@ -206,13 +126,14 @@ class Node:
 
     key: str
     kind: str  # "snapshot" | "derive" | "sweep" | "algo"
-    mode: str = "inline"  # algo: inline|superstep|chunks|task|sweep; sweep: inline|chunks
+    #: algo: inline | sweep | incremental (| superstep, out-of-core plans);
+    #: sweep and triangle-counts: inline | chunks (sliced over the pool)
+    mode: str = "inline"
     spec: "PlanAlgorithm | None" = None
     params: dict | None = None
     notes: tuple[str, ...] = ()
     deps: tuple["Node", ...] = ()
     demand: dict | None = None  # sweep-extraction info for sweep-covered algo nodes
-    est_seconds: float = 0.0
     # runtime state
     done: bool = False
     value: Any = None
@@ -235,8 +156,8 @@ class SweepPlan:
     #: sources whose full distance list must be stored (bfs demands)
     dist_sources: set[int] = field(default_factory=set)
     #: accumulate a running delta total over *every* source in sweep order
-    #: (full-source betweenness; inline sweeps only, where sweep order is the
-    #: serial kernel's ascending source order)
+    #: (full-source betweenness: the serial kernel's ascending source order,
+    #: which is why a streaming sweep is never sliced)
     stream: bool = False
     covers_all: bool = False
     # runtime products
@@ -256,11 +177,17 @@ class CompiledPlan:
     algo_nodes: list[Node]  # unique algo nodes, first-appearance order
     derive_nodes: list[Node]
     sweep: SweepPlan | None
-    wants_pool: bool
-    cost: CostModel
+
+    @property
+    def wants_pool(self) -> bool:
+        """Whether any node was placed on workers."""
+        nodes = [*self.algo_nodes, *self.derive_nodes]
+        if self.sweep is not None:
+            nodes.append(self.sweep.node)
+        return any(node.mode in ("chunks", "superstep") for node in nodes)
 
 
-#: algorithms whose inline kernels consume the symmetrised adjacency view
+#: algorithms whose kernels consume the symmetrised adjacency view
 _UND_CONSUMERS = {"kcore", "triangles", "clustering"}
 
 
@@ -281,36 +208,32 @@ def _algo_key(name: str, params: dict) -> str:
 def compile_plan(
     requests: list[tuple["PlanAlgorithm", dict]],
     csr: "CSRGraph",
-    backend: "KernelBackend",
-    parallelism: int,
     *,
     oc: bool = False,
     incremental: dict[str, tuple[Any, float, str]] | None = None,
 ) -> CompiledPlan:
     """Lower a request list into a deduplicated node DAG (no execution).
 
+    The DAG does not depend on the session's ``parallelism``;
+    :func:`place_on_pool` decides afterwards which of its nodes run sliced.
+
     ``oc`` marks an out-of-core plan (the session store sharded this
-    snapshot): pool workers then map only their own shard, so the cost model
-    routes **only shard-local superstep programs** to the pool — sweeps,
-    chunk kernels and whole-graph task kernels need adjacency outside a
-    worker's shard and run inline on the coordinator instead.  An inline
-    sweep still fuses demands exactly as at ``parallelism == 1`` (stream
-    betweenness and bfs coverage included), because the coordinator holds
-    the full heap snapshot it built.
+    snapshot): pool workers then map only their own shard, so requests with
+    a **shard-local superstep program** go to the pool as ``"superstep"``
+    nodes and everything that needs adjacency outside a worker's shard —
+    the sweep, the triangle pass, whole-graph kernels — runs inline on the
+    coordinator, which holds the full heap snapshot it built.
 
     ``incremental`` maps structural algo keys to pre-served
     ``(values, seconds, note)`` triples from the handle's dynamic
     maintainers (see :mod:`repro.incremental`): those requests compile to
     already-``done`` ``"incremental"`` nodes that place no demand on the
-    sweep, the derive views or the pool decision — a plan whose every
-    request was maintained forks no pool and writes no snapshot file.
+    sweep, the derive views or the pool — a plan whose every request was
+    maintained forks no pool and writes no snapshot file.
     """
     from repro.session.plan import _encode_source
 
-    cost = CostModel(n=csr.n, m=csr.num_edges, backend_name=backend.name)
     n = csr.n
-    # out-of-core pools serve superstep programs only; every sweep is inline
-    pool_sweep = parallelism > 1 and not oc
 
     # -- CSE: one algo node per structural key --------------------------- #
     by_key: dict[str, Node] = {}
@@ -335,13 +258,7 @@ def compile_plan(
                     seconds=seconds,
                 )
             else:
-                node = Node(
-                    key=key,
-                    kind="algo",
-                    spec=spec,
-                    params=params,
-                    est_seconds=cost.request_seconds(spec.name, params, csr),
-                )
+                node = Node(key=key, kind="algo", spec=spec, params=params)
             by_key[key] = node
             algo_nodes.append(node)
         bindings.append(node)
@@ -364,40 +281,27 @@ def compile_plan(
             if sources:
                 node.demand = {"kind": "diameter", "sources": sources}
                 demanding.append(node)
-        elif name == "betweenness" and n > 0:
+        elif name == "betweenness" and n > 2:  # n <= 2 is the kernel's early exit
             sources, scale = betweenness_sources(csr, params["sample_size"], params["seed"])
             strict_subset = len(sources) < n
-            if n > 2 and (strict_subset or not pool_sweep):
-                node.demand = {
-                    "kind": "betweenness",
-                    "sources": sources,
-                    "scale": scale,
-                    "stream": not strict_subset,
-                }
-                if strict_subset:
-                    sweep.delta_sources.update(sources)
-                else:
-                    # full-source Brandes: stream the running total in the
-                    # serial kernel's ascending source order (inline sweeps only)
-                    sweep.stream = True
-                    sweep.covers_all = True
-                demanding.append(node)
-            elif pool_sweep:
-                # shipping one contribution list per source is the price of
-                # bit-identity on a pool; it only pays (and only bounds
-                # traffic) for a strict sample, so this request keeps the
-                # serial kernel (n <= 2 is that kernel's early exit)
-                node.notes = (
-                    "note: betweenness with these parameters is not "
-                    "chunk-parallel eligible (requires sampling a strict "
-                    "subset of sources); running serial kernel",
-                )
+            node.demand = {
+                "kind": "betweenness",
+                "sources": sources,
+                "scale": scale,
+                "stream": not strict_subset,
+            }
+            if strict_subset:
+                sweep.delta_sources.update(sources)
+            else:
+                # full-source Brandes: stream the running total in the
+                # serial kernel's ascending source order
+                sweep.stream = True
+                sweep.covers_all = True
+            demanding.append(node)
     for node in algo_nodes:
         if (
             node.spec.name == "bfs"
             and node.mode != "incremental"
-            and node.demand is None
-            and not pool_sweep
             and sweep.covers_all
             and node.params["max_depth"] is None
         ):
@@ -416,162 +320,100 @@ def compile_plan(
                     if source not in seen:
                         seen.add(source)
                         sweep.sources.append(source)
-        plain = len(sweep.sources) - (
-            len(sweep.sources) if sweep.stream else len(sweep.delta_sources)
-        )
-        brandes = len(sweep.sources) - plain
-        sweep.node.est_seconds = plain * cost.traversal_seconds() + brandes * cost.traversal_seconds(brandes=True)
         sweep.node.key = "sweep[{}:{} sources]".format(
             "+".join(dict.fromkeys(node.spec.name for node in demanding)),
             len(sweep.sources),
         )
-        sweep.node.mode = "chunks" if pool_sweep else "inline"
-    covered = {id(node) for node in demanding}
 
-    # -- routing: sweep-covered nodes bypass their kernels; everything else
-    #    is "superstep" (vertex-centric program on the pool), "chunks"
-    #    (chunk-parallel kernel on the pool), "task" (whole-graph serial
-    #    kernel on one pool worker) or "inline" (serial kernel on the
-    #    coordinator — always the mode at parallelism == 1) ---------------- #
-    symmetric: bool | None = None
-    for node in algo_nodes:
-        spec, params = node.spec, node.params
-        notes = list(node.notes)
-        if node.mode == "incremental":
-            continue
-        if id(node) in covered:
-            node.mode = "sweep"
-            continue
-        mode = "inline"
-        if (parallelism > 1 or oc) and n > 0:
-            if oc and spec.superstep is None:
-                notes.append(
+    # -- modes: sweep-covered nodes bypass their kernels; everything else is
+    #    "inline" (its kernel on the coordinator) unless an out-of-core pool
+    #    can run it as a shard-local superstep program --------------------- #
+    for node in demanding:
+        node.mode = "sweep"
+        node.deps = (sweep.node,)
+    if oc and n > 0:
+        symmetric: bool | None = None
+        for node in algo_nodes:
+            if node.mode != "inline":
+                continue
+            spec = node.spec
+            if spec.superstep is None:
+                node.notes = (
                     f"note: {spec.name} needs whole-graph adjacency, which "
                     "out-of-core workers do not map; running inline on the "
-                    "coordinator"
+                    "coordinator",
                 )
-                node.mode = mode
-                node.notes = tuple(notes)
                 continue
-            if spec.superstep is not None:
-                param_note = (
-                    spec.superstep_params_ok(params)
-                    if spec.superstep_params_ok is not None
-                    else None
-                )
-                if param_note is not None:
-                    notes.append(param_note)
-                    mode = "task"
-                else:
-                    if spec.requires_symmetric and symmetric is None:
-                        symmetric = csr.is_symmetric()
-                    if spec.requires_symmetric and not symmetric:
-                        notes.append(
-                            f"note: the {spec.name} superstep program requires a "
-                            "symmetric graph; running serial kernel"
-                        )
-                        mode = "task"
-                    else:
-                        mode = "superstep"
-                        if spec.superstep_note:
-                            notes.append(spec.superstep_note)
-            elif spec.chunk is not None:
-                mode = "chunks"
-            else:
-                if not notes:  # else the sweep pass already said why
-                    notes.append(
-                        f"note: {spec.name} has no superstep program; running serial kernel"
+            fallback = (
+                spec.superstep_params_ok(node.params)
+                if spec.superstep_params_ok is not None
+                else None
+            )
+            if fallback is None and spec.requires_symmetric:
+                if symmetric is None:
+                    symmetric = csr.is_symmetric()
+                if not symmetric:
+                    fallback = (
+                        f"note: the {spec.name} superstep program requires a "
+                        "symmetric graph; running serial kernel"
                     )
-                mode = "task"
-            if oc and mode == "task":
-                # the serial fallback needs the whole graph, which
-                # out-of-core workers do not map — run it on the coordinator
-                notes.append(
+            if fallback is not None:
+                node.notes = (
+                    fallback,
                     "note: out-of-core workers map only their own shard; "
-                    "running inline on the coordinator"
+                    "running inline on the coordinator",
                 )
-                mode = "inline"
-        node.mode = mode
-        node.notes = tuple(notes)
+            else:
+                node.mode = "superstep"
+                node.notes = (spec.superstep_note,) if spec.superstep_note else ()
 
-    # -- pool decision over *unique* nodes (a duplicate request does not
-    #    count twice; sweep-on-pool counts as chunks): one concurrent task
-    #    cannot beat running it inline, so a pool needs a pool-parallel node
-    #    or at least two tasks ------------------------------------------- #
-    modes = [node.mode for node in algo_nodes]
-    sweep_active = bool(demanding)
-    wants_pool = (
-        "superstep" in modes
-        or "chunks" in modes
-        or (sweep_active and sweep.node.mode == "chunks")
-        or modes.count("task") >= 2
-    )
-    if not wants_pool:
-        for node in algo_nodes:
-            if node.mode == "task":
-                node.mode = "inline"
-
-    # -- derive nodes: shared views for *inline* consumers (pool workers
-    #    materialise their own over the mmap'd snapshot) ------------------ #
+    # -- derive nodes: views shared by the kernels that read them ---------- #
     derive_nodes: list[Node] = []
-    und_node = None
-    degrees_node = None
-    triangles_node = None
+    shared: dict[str, Node] = {}
+
+    def derived(key: str) -> Node:
+        if key not in shared:
+            shared[key] = Node(key=key, kind="derive")
+            derive_nodes.append(shared[key])
+        return shared[key]
+
     for node in algo_nodes:
         if node.mode != "inline":
             continue
         if node.spec.name in _UND_CONSUMERS:
-            if und_node is None:
-                und_node = Node(
-                    key="und-csr",
-                    kind="derive",
-                    est_seconds=2.0 * cost.traversal_seconds(),
-                )
-                derive_nodes.append(und_node)
-            node.deps = node.deps + (und_node,)
+            node.deps += (derived("und-csr"),)
         if node.spec.from_triangles is not None:
             # one per-vertex triangle pass per plan: its value lives on the
             # node and dies with the plan
-            if triangles_node is None:
-                triangles_node = Node(
-                    key="triangle-counts",
-                    kind="derive",
-                    est_seconds=REQUEST_SCAN_WEIGHT["triangles"] * cost.traversal_seconds(),
-                )
-                derive_nodes.append(triangles_node)
-            node.deps = node.deps + (triangles_node,)
+            node.deps += (derived("triangle-counts"),)
         if node.spec.name == "degree":
-            if degrees_node is None:
-                degrees_node = Node(
-                    key="degrees",
-                    kind="derive",
-                    est_seconds=0.1 * cost.traversal_seconds(),
-                )
-                derive_nodes.append(degrees_node)
-            node.deps = node.deps + (degrees_node,)
-    for node in demanding:
-        node.deps = node.deps + (sweep.node,)
+            node.deps += (derived("degrees"),)
 
     return CompiledPlan(
         bindings=bindings,
         algo_nodes=algo_nodes,
         derive_nodes=derive_nodes,
-        sweep=sweep if sweep_active else None,
-        wants_pool=wants_pool,
-        cost=cost,
+        sweep=sweep if demanding else None,
     )
+
+
+def place_on_pool(compiled: CompiledPlan) -> None:
+    """The one placement rule of an in-memory ``parallelism > 1`` plan: the
+    two nodes with an exact slice form run sliced over the pool — the fused
+    sweep by source, unless it streams (one ordered float accumulation), and
+    the ``triangle-counts`` pass by vertex range.  Everything else stays
+    where :func:`compile_plan` put it: inline."""
+    if compiled.sweep is not None and not compiled.sweep.stream:
+        compiled.sweep.node.mode = "chunks"
+    for node in compiled.derive_nodes:
+        if node.key == "triangle-counts":
+            node.mode = "chunks"
 
 
 # --------------------------------------------------------------------------- #
 # sweep execution
 # --------------------------------------------------------------------------- #
-def _execute_sweep(
-    sweep: SweepPlan,
-    csr: "CSRGraph",
-    backend: "KernelBackend",
-    pool,
-    cost: CostModel,
-) -> None:
+def _execute_sweep(sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend", pool) -> None:
     """Grow one traversal per swept source — in blocks, on the session's
     backend — and keep every demanded product (stats always; distances and
     deltas on demand, deltas in the backend's native form)."""
@@ -589,12 +431,11 @@ def _execute_sweep(
         slices = [sweep.sources]
         batches = [sweep_products(backend, csr, payload(sweep.sources))]
     else:
-        # pool sweeps never stream (full-source betweenness keeps the serial
-        # kernel on pools), so products are independent per source and the
-        # weighted contiguous split only balances load
-        slices = cost.partition_sweep_sources(
-            sweep.sources, sweep.delta_sources, sweep.stream, len(pool.partitions)
-        )
+        # a sliced sweep never streams, so products are independent per
+        # source and keyed by it below; striding balances the workers
+        # wherever in the list the (dearer) Brandes sources sit
+        parts = len(pool.partitions)
+        slices = [sweep.sources[k::parts] for k in range(parts)]
         batches = pool.call("run_sweep", [payload(chunk) for chunk in slices])
     for chunk, products in zip(slices, batches):
         for source, (stats, delta, dists) in zip(chunk, products):
@@ -691,9 +532,9 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             incremental_served[key] = served
             CompilerCounters.nodes_computed += 1
 
-    compiled = compile_plan(
-        plan._requests, csr, backend, parallelism, oc=oc, incremental=incremental_served
-    )
+    compiled = compile_plan(plan._requests, csr, oc=oc, incremental=incremental_served)
+    if parallelism > 1 and not oc and csr.n > 0:
+        place_on_pool(compiled)
     CompilerCounters.plans_compiled += 1
     snapshot_node = Node(
         key="snapshot", kind="snapshot", seconds=snapshot_seconds, done=True
@@ -726,29 +567,15 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 sharded=oc,
             )
 
-        # concurrent serial-kernel nodes first, longest-first (cost-model
-        # makespan ordering; map_tasks returns results in argument order)
-        if pool is not None:
-            task_nodes = sorted(
-                (node for node in compiled.algo_nodes if node.mode == "task"),
-                key=lambda node: -node.est_seconds,
-            )
-            if task_nodes:
-                payloads = [(node.spec.name, node.params) for node in task_nodes]
-                for node, outcome in zip(task_nodes, pool.map_tasks("run_task", payloads)):
-                    if outcome[0] == "error":
-                        # caller mistakes keep their original type and
-                        # one-line message, exactly as if run inline
-                        raise outcome[1]
-                    node.seconds, node.value = outcome[1:]
-                    node.done = True
-                    CompilerCounters.nodes_computed += 1
-
         # shared derived views, then the fused sweep, before any consumer
         for node in compiled.derive_nodes:
             tick = time.perf_counter()
             if node.key == "und-csr":
                 backend.warm_undirected(csr)
+            elif node.key == "triangle-counts" and node.mode == "chunks":
+                # one vertex range per worker; integer vectors add exactly
+                partials = pool.call("triangle_counts", pool.partitions)
+                node.value = [sum(column) for column in zip(*partials)]
             elif node.key == "triangle-counts":
                 node.value = backend.triangles_per_vertex(csr)
             else:  # degrees
@@ -758,17 +585,13 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             CompilerCounters.nodes_computed += 1
         derived = {node.key: node.value for node in compiled.derive_nodes}
         if compiled.sweep is not None:
-            # honour the compiled mode, not mere pool presence: an out-of-core
-            # pool's workers map one shard each and cannot grow whole-graph
-            # traversals, so an "inline" sweep stays on the coordinator even
-            # though a (sharded) pool exists for the superstep nodes
+            # the node's mode, not mere pool presence: an out-of-core pool's
+            # workers cannot grow whole-graph traversals, and a streaming
+            # sweep stays on the coordinator whatever the worker count
             sweep_pool = pool if compiled.sweep.node.mode == "chunks" else None
-            _execute_sweep(compiled.sweep, csr, backend, sweep_pool, compiled.cost)
+            _execute_sweep(compiled.sweep, csr, backend, sweep_pool)
             CompilerCounters.nodes_computed += 1
 
-        sweep_on_pool = (
-            compiled.sweep is not None and compiled.sweep.node.mode == "chunks"
-        )
         results: list[AnalysisResult] = []
         seen_labels: dict[str, int] = {}
         for spec_params, node in zip(plan._requests, compiled.bindings):
@@ -779,11 +602,9 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     node.value = spec.superstep(
                         handle.graph, parallelism, snapshot_path, backend.name, params, pool
                     )
-                elif node.mode == "chunks":
-                    node.value = spec.chunk(csr, backend, params, pool)
                 elif node.mode == "sweep":
                     node.value = _finalise_from_sweep(node, compiled.sweep, csr, backend)
-                elif node.mode == "inline" and spec.from_triangles is not None:
+                elif spec.from_triangles is not None:
                     node.value = spec.from_triangles(csr, derived["triangle-counts"])
                 elif spec.dense is not None:
                     # the kernel runner, keeping the vector it decodes
@@ -800,7 +621,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             # actually triggered (snapshot excluded, as before)
             closure = (snapshot_node,) + node.deps + (node,)
             provenance_nodes = []
-            request_seconds = 0.0
+            result_seconds = 0.0
             for member in closure:
                 if member.kind == "snapshot":
                     computed = snapshot_fresh and not member.attributed
@@ -811,7 +632,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 if not computed:
                     CompilerCounters.nodes_reused += 1
                 if computed and member.kind != "snapshot":
-                    request_seconds += member.seconds
+                    result_seconds += member.seconds
                 provenance_nodes.append(
                     NodeProvenance(
                         key=member.key,
@@ -823,28 +644,19 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
 
             result_source = snapshot_source
             result_shards = 0
-            if node.mode == "sweep":
-                engine = "chunks" if sweep_on_pool else "kernel"
-                scheduled = "pool" if sweep_on_pool else "inline"
-                result_parallelism = parallelism if sweep_on_pool else 1
-            else:
-                engine = {
-                    "superstep": "superstep",
-                    "chunks": "chunks",
-                    "task": "kernel",
-                    "inline": "kernel",
-                    "incremental": "incremental",
-                }[node.mode]
-                scheduled = "inline" if node.mode in ("inline", "incremental") else "pool"
-                result_parallelism = (
-                    parallelism if node.mode in ("superstep", "chunks") else 1
-                )
-                if oc and node.mode == "superstep":
-                    # out-of-core execution: workers mapped per-shard segment
-                    # files, and the worker count is the shard count
-                    result_source = "shard-mmap"
-                    result_parallelism = len(pool.partitions)
-                    result_shards = len(oc_ranges)
+            engine, scheduled, result_parallelism = "kernel", "inline", 1
+            if node.mode == "incremental":
+                engine = "incremental"
+            elif node.mode == "superstep":
+                # out-of-core execution: workers mapped per-shard segment
+                # files, and the worker count is the shard count
+                engine, scheduled = "superstep", "pool"
+                result_source = "shard-mmap"
+                result_parallelism = len(pool.partitions)
+                result_shards = len(oc_ranges)
+            elif any(dep.mode == "chunks" for dep in node.deps):
+                # answered from a node that ran sliced over the pool
+                engine, scheduled, result_parallelism = "chunks", "pool", parallelism
 
             # a freshly computed maintainable result seeds the handle's
             # incremental store so the *next* run after mutations can serve
@@ -861,7 +673,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     label=label,
                     params={k: v for k, v in params.items()},
                     values=node.value,
-                    seconds=request_seconds,
+                    seconds=result_seconds,
                     engine=engine,
                     provenance=Provenance(
                         representation=handle.representation,

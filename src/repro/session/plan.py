@@ -22,17 +22,16 @@ an :class:`~repro.session.AnalysisReport`.
 Every value equals what this registry's per-request kernel runner
 ``PLAN_ALGORITHMS[name].kernel(csr, backend, params)`` returns — exactly,
 float kernels included; the matching :mod:`repro.algorithms` free functions
-call the same backend kernels on the same snapshot.  With session
-``parallelism > 1`` the batch runs over (at most) one worker pool and one
-persisted snapshot file, still bit-identical: superstep programs (degree,
-components, bfs) install on the pool's reused workers, falling back to the
-serial kernel with a note on directed graphs and for parameters they cannot
-honor; triangles and the fused sweep run chunk-parallel with
-partition-order merges; remaining serial kernels are dispatched
-concurrently.  The one exception is default-parameter pagerank, whose
-superstep program runs 20 fixed iterations and says so in a note.  Per-result
-``scheduled``/engine/notes fields and the report's ``pool_starts`` /
-``snapshot_writes`` counters record how the batch actually executed.
+call the same backend kernels on the same snapshot.  Session
+``parallelism`` never changes the DAG or a value: at ``parallelism > 1`` the
+fused sweep (split by source) and the ``triangle-counts`` node (split by
+vertex range) run as slices on one worker pool over one persisted snapshot
+file, and everything else runs inline exactly as at ``parallelism == 1``.
+Only an out-of-core session (``shards`` / ``memory_budget_mb``), whose
+workers cannot see the whole graph, runs the superstep programs below.
+Per-result ``scheduled``/engine/notes fields and the report's
+``pool_starts`` / ``snapshot_writes`` counters record how the batch actually
+executed.
 
 The registry :data:`PLAN_ALGORITHMS` is the single source of truth for what
 a plan (and the CLI's repeatable ``--algo`` flag) can request.
@@ -186,7 +185,7 @@ def _kernel_link_predictions(csr, backend, params):
 
 
 # --------------------------------------------------------------------------- #
-# superstep runners:
+# superstep runners (out-of-core plans only):
 # (graph, parallelism, snapshot_path, backend_name, params, pool)
 # -> values canonicalised to the serial kernels' shape.  ``pool`` is the
 # plan's shared worker pool; the coordinator installs the program on it
@@ -250,16 +249,6 @@ def _superstep_bfs(graph, parallelism, path, backend, params, pool=None):
 
 
 # --------------------------------------------------------------------------- #
-# chunk runner (master half): (csr, backend, params, pool) -> value.  One
-# backend call per pool partition (a vertex range) over the shared mmap'd
-# snapshot (worker half: repro.session.scheduler.PlanWorker.count_triangles);
-# the integer partials merge exactly under any regrouping.
-# --------------------------------------------------------------------------- #
-def _chunked_triangles(csr, backend, params, pool):
-    return sum(pool.call("count_triangles", pool.partitions))
-
-
-# --------------------------------------------------------------------------- #
 # validation helpers (raise UsageError: these are caller mistakes, reported
 # as one-line messages, never tracebacks)
 # --------------------------------------------------------------------------- #
@@ -307,7 +296,8 @@ class PlanAlgorithm:
     dense: Callable[["CSRGraph", "KernelBackend", dict], list] | None = None
     #: extra parameter validation (beyond unknown/missing checks)
     validate: Callable[[dict], None] | None = None
-    #: process-parallel path, or None when no superstep program exists
+    #: shard-local vertex-centric program — how an out-of-core pool, whose
+    #: workers map one shard each, runs this algorithm — or None
     superstep: Callable[["Graph", int, str | None, str, dict], Any] | None = None
     #: superstep gathers from out-neighbors: exact only on symmetric graphs
     requires_symmetric: bool = False
@@ -316,12 +306,8 @@ class PlanAlgorithm:
     #: params -> fallback note when the superstep program cannot honor these
     #: parameters (None = eligible); the request then runs the serial kernel
     superstep_params_ok: Callable[[dict], str | None] | None = None
-    #: chunk-parallel path over the plan's shared worker pool, or None
-    #: (closeness / diameter / betweenness partition by *source* instead,
-    #: through the compiler's fused sweep)
-    chunk: Callable[["CSRGraph", "KernelBackend", dict, Any], Any] | None = None
-    #: ``(csr, per-vertex triangle counts) -> value`` for the algorithms an
-    #: inline plan answers from its one shared ``triangle-counts`` pass
+    #: ``(csr, per-vertex triangle counts) -> value`` for the algorithms a
+    #: plan answers from its one shared ``triangle-counts`` pass
     from_triangles: Callable[["CSRGraph", list], Any] | None = None
     #: name of this algorithm's dynamic maintainer in
     #: :data:`repro.incremental.MAINTAINERS`, or None when no incremental
@@ -381,7 +367,6 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             "triangles",
             defaults={},
             kernel=_kernel_triangles,
-            chunk=_chunked_triangles,
             # every triangle is counted at each of its three corners
             from_triangles=lambda csr, counts: sum(counts) // 3,
         ),
@@ -529,15 +514,12 @@ class AnalysisPlan:
         per-node provenance.  Each value equals its per-request kernel
         runner's (``PLAN_ALGORITHMS[name].kernel``) exactly.
 
-        With session ``parallelism > 1`` the whole batch is scheduled over
-        (at most) **one** worker pool and **one** persisted snapshot file:
-        superstep-routed requests install their programs on the same reused
-        workers, triangles and the fused sweep split along the pool's
-        partitions, and remaining serial-kernel requests are dispatched
-        concurrently across the worker budget.  The pool is started only when
-        at least one request uses workers (a lone serial request runs inline,
-        as at ``parallelism == 1``), and a store-less session writes the
-        workers' snapshot file to a tempfile exactly once per plan.
+        With session ``parallelism > 1`` the same DAG is placed over (at
+        most) **one** worker pool and **one** persisted snapshot file: the
+        fused sweep is split by source and the ``triangle-counts`` node by
+        vertex range, everything else runs inline.  The pool is started only
+        when the plan holds one of those two nodes, and a store-less session
+        writes the workers' snapshot file to a tempfile exactly once per plan.
         """
         if not self._requests:
             raise UsageError(

@@ -3,9 +3,9 @@
 An :class:`~repro.session.AnalysisPlan` run produces one
 :class:`AnalysisReport` holding an ordered list of per-algorithm
 :class:`AnalysisResult` objects.  Every result carries its decoded values,
-its wall-clock timing, the engine it ran on (direct kernel vs the superstep
-executor) and a shared :class:`Provenance` record describing the execution
-context: which representation the snapshot was taken from, which kernel
+its wall-clock timing, the engine it ran on (an inline kernel, a node sliced
+over the worker pool, an out-of-core superstep program, a maintainer) and a
+shared :class:`Provenance` record describing the execution context: which representation the snapshot was taken from, which kernel
 backend computed it, where the snapshot's arrays live (freshly built heap
 arrays, an mmap of a store file, or an in-process cache hit) and how many
 worker processes were used.
@@ -82,21 +82,22 @@ class AnalysisResult:
     params: dict[str, Any]
     #: decoded values, shaped exactly like the matching free function's return
     values: Any
-    #: wall-clock seconds spent executing this algorithm (snapshot excluded;
-    #: worker-measured for pool-dispatched serial kernels, which overlap)
+    #: wall-clock seconds spent executing this algorithm (snapshot excluded)
     seconds: float
-    #: ``"kernel"`` (serial backend kernel), ``"superstep"`` (parallel
-    #: vertex-centric executor), ``"chunks"`` (chunk-parallel direct kernel
-    #: merged from per-partition partials) or ``"incremental"`` (a dynamic
-    #: maintainer repaired the previous result over the delta journal — no
-    #: kernel ran)
+    #: ``"kernel"`` (backend kernel on the coordinator), ``"chunks"`` (answered
+    #: from a node that ran sliced over the pool — the fused sweep or the
+    #: triangle pass — merged exactly from per-worker partials),
+    #: ``"superstep"`` (shard-local vertex-centric program; out-of-core
+    #: sessions only) or ``"incremental"`` (a dynamic maintainer repaired the
+    #: previous result over the delta journal — no kernel ran)
     engine: str
     provenance: Provenance
-    #: human-readable execution notes (e.g. a serial fallback explanation)
+    #: human-readable execution notes (e.g. why an out-of-core plan kept a
+    #: request on the coordinator)
     notes: tuple[str, ...] = ()
-    #: how the plan scheduler dispatched this request: ``"inline"`` (master
-    #: process) or ``"pool"`` (the plan's shared worker pool — superstep and
-    #: chunk engines always, serial kernels when dispatched concurrently)
+    #: where the work behind this request ran: ``"inline"`` (coordinator
+    #: process) or ``"pool"`` (the plan's shared worker pool — exactly the
+    #: ``"chunks"`` and ``"superstep"`` engines)
     scheduled: str = "inline"
     #: per-node provenance over this result's dependency closure, in
     #: execution order (snapshot, derived views, shared sweep, the algorithm

@@ -1,49 +1,45 @@
 """Plan-level scheduling: one worker pool, one snapshot file per plan.
 
-An :class:`~repro.session.AnalysisPlan` at ``parallelism > 1`` runs its whole
-batch over one worker pool and one persisted snapshot file, instead of
-forking a pool (and, store-less, writing a tempfile copy of the snapshot)
-per superstep-routed request.  This module holds the worker-side machinery
-the plan executor (:mod:`repro.session.compiler`) drives:
+An :class:`~repro.session.AnalysisPlan` at ``parallelism > 1`` compiles the
+same DAG as at ``parallelism == 1``; the two nodes with an exact slice form
+are then handed to one worker pool over one persisted snapshot file.  This
+module holds the worker-side machinery the plan executor
+(:mod:`repro.session.compiler`) drives:
 
 * :class:`PlanWorker` — one *generic* worker per partition, forked once per
   plan.  It is the vertex-centric framework's
   :class:`~repro.vertexcentric.parallel.SnapshotWorker` (built by the same
   ``factory``, which mmap-loads the plan's single snapshot file — or, under
-  sharding, the worker's own segment) plus three kinds of direct-kernel work.
-  Every kind is a method the master invokes by name through the pool's one
-  wire command:
+  sharding, the worker's own segment) plus one method per sliced node, each
+  invoked by name through the pool's one wire command:
 
-  - ``install_program`` + ``run_superstep`` (inherited) — the vertex-centric
-    coordinator installs each superstep-routed request's program (shipped by
-    value through the pipe) on the same processes, so a plan with three
-    superstep requests forks one pool, not three;
-  - ``count_triangles`` — one partition's share of the chunk-parallel
-    triangle count: the worker's ``(lo, hi)`` vertex range, whose integer
-    partial is exact under any regrouping;
-  - ``run_sweep`` — one contiguous slice of the plan's fused source sweep,
-    through :func:`sweep_products`, the same per-source product loop the
-    coordinator runs for an inline sweep.  Merge determinism mirrors the
-    superstep executor's contract: integer stats are exact, float products
-    are shipped as *ordered per-source contribution vectors* (the backend's
-    native form) and re-summed by the master in global source order —
-    exactly the serial kernels' accumulation order, so floats are
-    bit-identical, not merely close;
-  - ``run_task`` — a whole-graph serial kernel executed on a single worker,
-    so independent kernel-only requests run *concurrently* across the worker
-    budget instead of sequentially on the master.
+  - ``run_sweep`` — one slice of the plan's fused source sweep, through
+    :func:`sweep_products`, the same per-source product loop the coordinator
+    runs for an inline sweep.  Products are independent per source: integer
+    stats are exact, and float products are shipped as *per-source
+    contribution vectors* (the backend's native form) that the master
+    re-sums in each request's own global source order — exactly the serial
+    kernels' accumulation order, so floats are bit-identical, not merely
+    close;
+  - ``triangle_counts`` — the ``triangle-counts`` derive node restricted to
+    the worker's ``(lo, hi)`` vertex range: every triangle is attributed to
+    its smallest vertex, so the integer vectors of all partitions add up to
+    the whole-graph vector exactly;
+  - ``install_program`` + ``run_superstep`` (inherited) — what an
+    *out-of-core* pool runs instead: its workers map one shard each, cannot
+    see the whole graph, and therefore serve shard-local vertex-centric
+    programs only.
 
 * :class:`SharedPoolManager` — the warm pool a ``warm_pool=True`` session
   leases to one plan at a time.
 
-The master half (routing, pool lifecycle, merges) lives in
+The master half (placement, pool lifecycle, merges) lives in
 :mod:`repro.session.compiler`.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.vertexcentric.parallel import ParallelSuperstepExecutor, SnapshotWorker
 
@@ -74,43 +70,21 @@ def sweep_products(backend, csr, payload):
 
 class PlanWorker(SnapshotWorker):
     """One partition's generic worker for a scheduled plan (see module doc):
-    the snapshot worker's superstep protocol plus direct-kernel work."""
+    the snapshot worker's superstep protocol plus one method per sliced node."""
 
-    def count_triangles(self, bounds):
-        """One vertex range's share of the triangle count; the integer
-        partials merge exactly under any regrouping."""
+    def triangle_counts(self, bounds):
+        """This vertex range's share of the ``triangle-counts`` node: the
+        per-vertex vector of the triangles whose smallest vertex lies in it."""
         lo, hi = bounds
-        return self.backend.count_triangles(self.csr, lo, hi)
+        return self.backend.triangles_per_vertex(self.csr, lo, hi)
 
     def run_sweep(self, payload):
         """One slice of the plan compiler's shared source sweep: this
         worker's :func:`sweep_products`, shipped back as a list.  Stats are
-        integer-exact and deltas are ordered per-source contributions, so
-        the master's partition-order merge keeps every consuming algorithm
-        bit-identical to its serial kernel (see
-        :mod:`repro.session.compiler`)."""
+        integer-exact and deltas are per-source contributions the master
+        re-keys by source, so every consuming algorithm stays bit-identical
+        to its serial kernel (see :mod:`repro.session.compiler`)."""
         return list(sweep_products(self.backend, self.csr, payload))
-
-    def run_task(self, payload):
-        """A whole-graph serial kernel on this worker.
-
-        Returns ``("ok", seconds, values)`` with worker-measured execution
-        time, or ``("error", exc)`` for caller-mistake exceptions
-        (:class:`UsageError` / :class:`RepresentationError`) — the master
-        re-raises them as-is, so a bad request fails with the same one-line
-        message type whether it ran inline or on a worker.
-        """
-        # local import: plan.py imports this module at load time
-        from repro.exceptions import RepresentationError, UsageError
-        from repro.session.plan import PLAN_ALGORITHMS
-
-        name, params = payload
-        started = time.perf_counter()
-        try:
-            values = PLAN_ALGORITHMS[name].kernel(self.csr, self.backend, params)
-        except (UsageError, RepresentationError) as exc:
-            return ("error", exc)
-        return ("ok", time.perf_counter() - started, values)
 
 
 class SharedPoolManager:

@@ -10,7 +10,8 @@ workflow wants amortised:
   of persisted, mmap-able CSR snapshot files,
 * one resolved kernel backend (validated eagerly, so a bad name fails at
   session construction, not at the first analysis), and
-* a worker-process budget for the parallel superstep executor.
+* a worker-process budget (``parallelism``) for the two plan nodes that run
+  sliced over a pool.
 
 ``session.graph(query)`` extracts (memoised per query/representation) and
 returns a :class:`GraphHandle`; ``handle.analyze()`` starts an
@@ -297,8 +298,8 @@ class GraphHandle:
         """Make sure the session store holds this handle's current snapshot;
         returns the file path (None when the session has no store).
 
-        Parallel superstep workers mmap this file instead of rebuilding or
-        unpickling the graph.  When the store's sharding policy splits this
+        Pool workers mmap this file instead of rebuilding or unpickling the
+        graph.  When the store's sharding policy splits this
         snapshot, the persisted form is the sharded one and the returned path
         is its *manifest* — each worker then maps only its own partition's
         segment file.

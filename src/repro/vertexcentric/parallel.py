@@ -24,10 +24,9 @@ machinery and its determinism contract:
 
 * **One wire command.**  A pool moves ``(method, argument)`` messages:
   the worker answers ``getattr(worker, method)(argument)``.  Supersteps,
-  program installs, final-value collection and the plan scheduler's sweeps
-  and tasks are all method names (:meth:`ParallelSuperstepExecutor.call` /
-  ``broadcast`` / ``map_tasks``); the executor only moves bytes and enforces
-  ordering.
+  program installs, final-value collection and the plan scheduler's node
+  slices are all method names (:meth:`ParallelSuperstepExecutor.call` /
+  ``broadcast``); the executor only moves bytes and enforces ordering.
 
 * **Deterministic merge.**  Each superstep the master scatters one payload
   per partition and gathers results *in partition order*.  Order-sensitive
@@ -47,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import multiprocessing
+import signal
 import threading
 import traceback
 from array import array
@@ -143,7 +143,16 @@ class MessageChannel:
 # --------------------------------------------------------------------------- #
 # worker process main loop
 # --------------------------------------------------------------------------- #
-def _worker_main(conn, lo: int, hi: int, worker_factory) -> None:
+def _worker_main(conn, inherited, lo: int, hi: int, worker_factory) -> None:
+    # a fork holds the coordinator's end of its own pipe and of every pipe
+    # opened before it; while any copy is open no worker sees EOF, so a
+    # coordinator that dies without close() would leave the pool running
+    for parent_end in inherited:
+        parent_end.close()
+    # a coordinator's handlers (``repro serve`` traps SIGTERM) are not the
+    # worker's: a signalled worker just dies, and the pool reports it
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
     try:
         worker = worker_factory(lo, hi)
     except BaseException:
@@ -180,10 +189,9 @@ class ParallelSuperstepExecutor:
 
     Everything a worker does is a method invoked by name: :meth:`call` (one
     payload per partition, results gathered in partition order — a superstep
-    is ``call("run_superstep", payloads)``), :meth:`broadcast` (the same
-    payload everywhere) or :meth:`map_tasks` (independent whole-graph tasks
-    load-balanced over free workers) — which is what lets the plan-level
-    scheduler reuse one pool across heterogeneous requests.
+    is ``call("run_superstep", payloads)``) or :meth:`broadcast` (the same
+    payload everywhere) — which is what lets the plan-level scheduler reuse
+    one pool across heterogeneous nodes.
     """
 
     #: cumulative successful :meth:`start` calls in this process — the
@@ -239,7 +247,9 @@ class ParallelSuperstepExecutor:
             for lo, hi in self.partitions:
                 parent, child = context.Pipe()
                 proc = context.Process(
-                    target=_worker_main, args=(child, lo, hi, self._worker_factory), daemon=True
+                    target=_worker_main,
+                    args=(child, [*self._conns, parent], lo, hi, self._worker_factory),
+                    daemon=True,
                 )
                 proc.start()
                 child.close()
@@ -309,49 +319,6 @@ class ParallelSuperstepExecutor:
         """Invoke ``worker.<method>(payload)`` with the same payload on every
         worker (e.g. installing a new superstep program on a reused pool)."""
         return self.call(method, [payload] * len(self.partitions))
-
-    def map_tasks(self, method: str, arguments: Sequence[Any]) -> list[Any]:
-        """Run independent whole-graph tasks load-balanced over the workers.
-
-        Each task is ``worker.<method>(argument)``; tasks are handed to free
-        workers as they finish, so heterogeneous task durations do not
-        serialise on the slowest.  Results come back in ``arguments`` order.
-        Tasks must not depend on worker identity or partition bounds.
-        """
-        if not self._started:
-            raise VertexCentricError("executor is not running (call start() first)")
-        from multiprocessing.connection import wait
-
-        results: list[Any] = [None] * len(arguments)
-        free = list(range(len(self._conns)))
-        pending: dict[Any, tuple[int, int]] = {}  # connection -> (task, worker)
-        next_task = 0
-        while next_task < len(arguments) or pending:
-            while free and next_task < len(arguments):
-                worker = free.pop()
-                conn = self._conns[worker]
-                try:
-                    conn.send((method, arguments[next_task]))
-                except OSError:
-                    raise self._died(worker, f"running task {next_task}") from None
-                pending[conn] = (next_task, worker)
-                next_task += 1
-            if not pending:
-                break
-            for conn in wait(list(pending)):
-                index, worker = pending.pop(conn)
-                try:
-                    status, payload = conn.recv()
-                except (EOFError, OSError):
-                    raise self._died(worker, f"running task {index}") from None
-                if status != "ok":
-                    self.close()
-                    raise VertexCentricError(
-                        f"task {index} failed in parallel worker {worker}:\n{payload}"
-                    )
-                results[index] = payload
-                free.append(worker)
-        return results
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

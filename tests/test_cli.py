@@ -170,11 +170,11 @@ class TestSnapshotCacheAndParallel:
         assert warm == cold
         assert files[0].stat().st_mtime_ns == stamp
 
-    @pytest.mark.parametrize("algorithm", ["degree", "components"])
+    @pytest.mark.parametrize("algorithm", ["degree", "components", "pagerank", "kcore"])
     def test_parallel_output_identical_to_serial(self, tmp_path, algorithm):
-        """degree/components must print exactly the serial kernel's answer
-        (univ co-enrollment graphs are symmetric, so the superstep programs
-        match the kernels' semantics and labels are canonicalised)."""
+        """``--parallel`` never changes an answer or adds a note: every
+        algorithm — pagerank included — prints exactly the serial run's
+        output at any worker count."""
         base = (
             "analyze", "--dataset", "univ", "--scale", "0.2",
             "--algorithm", algorithm, "--top", "5",
@@ -188,20 +188,6 @@ class TestSnapshotCacheAndParallel:
             )
             assert code == 0
             assert output == serial, f"--parallel {parallel} output diverged"
-
-    def test_parallel_pagerank_deterministic_and_annotated(self, tmp_path):
-        base = (
-            "analyze", "--dataset", "univ", "--scale", "0.2",
-            "--algorithm", "pagerank", "--top", "5",
-            "--snapshot-cache", str(tmp_path / "snapshots"),
-        )
-        code, parallel2 = run_cli(*base, "--parallel", "2")
-        assert code == 0
-        # the executor switch is announced, never silent
-        assert "superstep engine" in parallel2
-        code, parallel3 = run_cli(*base, "--parallel", "3")
-        assert code == 0
-        assert parallel2 == parallel3  # deterministic across worker counts
 
     def test_parallel_components_and_bfs(self, csv_db_dir):
         code, serial = run_cli(
@@ -226,10 +212,9 @@ class TestSnapshotCacheAndParallel:
         assert output == serial
         assert "reachable vertices: 3" in output
 
-    def test_parallel_falls_back_on_non_symmetric_graph(self, tmp_path):
-        """The bipartite instructor->student graph is directed; the superstep
-        programs would change bfs/components semantics, so the CLI must fall
-        back to the serial kernel (same answer) and say so."""
+    def test_parallel_on_non_symmetric_graph_matches_serial(self, tmp_path):
+        """The bipartite instructor->student graph is directed; ``--parallel``
+        runs the same kernels on it and prints the same answer, no note."""
         db = Database("uni")
         db.create_table("Person", [("id", "int"), ("name", "str")], primary_key="id")
         db.create_table("Taught", [("iid", "int"), ("cid", "int")])
@@ -252,25 +237,12 @@ class TestSnapshotCacheAndParallel:
             assert code == 0
             code, parallel = run_cli(*base, "--parallel", "2")
             assert code == 0
-            assert "requires a symmetric graph" in parallel
-            note, _, rest = parallel.partition("\n")
-            assert rest == serial  # identical answer below the note line
-
-    def test_parallel_fallback_note_for_kernel_only_algorithms(self):
-        """A lone kernel-only algorithm runs inline (one concurrent task
-        cannot beat the master), keeping the serial-fallback note."""
-        code, output = run_cli(
-            "analyze", "--dataset", "univ", "--scale", "0.2",
-            "--algorithm", "kcore", "--parallel", "2",
-        )
-        assert code == 0
-        assert "degeneracy:" in output
-        assert "running serial kernel" in output
+            assert parallel == serial
 
     def test_parallel_triangles_runs_chunked_with_identical_output(self):
-        """--parallel now accelerates direct kernels: triangles is counted
-        per-partition over the shared snapshot, merged exactly — the output
-        is byte-identical to the serial run, with no fallback note."""
+        """The triangle pass is one of the two sliced nodes: counted per
+        vertex range over the shared snapshot, merged exactly — the output
+        is byte-identical to the serial run, with no note."""
         base = ("analyze", "--dataset", "univ", "--scale", "0.2", "--algorithm", "triangles")
         code, serial = run_cli(*base)
         assert code == 0

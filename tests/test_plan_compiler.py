@@ -1,4 +1,4 @@
-"""Plan-compiler tests: CSE, shared sweeps, provenance, routing, and
+"""Plan-compiler tests: CSE, shared sweeps, provenance, placement, and
 bit-identity with the per-request kernel runners.
 
 The compiler's contract (:mod:`repro.session.compiler`) is that lowering a
@@ -8,7 +8,14 @@ plan into a deduplicated node DAG changes *scheduling*, never *values*:
   graphs, both kernel backends, parallelism 1 / 2 / 4 — asserts each result
   equals ``PLAN_ALGORITHMS[name].kernel(csr, backend, params)`` exactly,
   floats included (``==``, no tolerance);
-* how each request was routed (engine, scheduling, notes, pool starts,
+* **one DAG at every parallelism** — a Hypothesis property over request
+  lists drawn from the whole registry: node keys and kinds,
+  ``nodes_computed``, the ``sweep_traversals`` delta and every value are
+  equal at ``parallelism`` 1, 2 and 3 on both backends, and only a sharded
+  session ever reports ``engine == "superstep"``; the two slice forms are
+  pinned exact (ranged triangle vectors add up, the strided source split
+  covers each source once);
+* how each request was placed (engine, scheduling, notes, pool starts,
   snapshot writes, shard provenance) is pinned by a literal table;
 * CSE is regression-tested at the node level through the compiler's
   instrumentation counters: a ``closeness + diameter + betweenness`` batch
@@ -25,6 +32,7 @@ from __future__ import annotations
 import inspect
 
 import pytest
+from hypothesis import given, settings
 
 from repro.exceptions import RepresentationError, UsageError
 from repro.graph import snapshot_store
@@ -33,16 +41,20 @@ from repro.graph import CDupGraph
 from repro.relational.database import Database
 from repro.session import AnalysisPlan, GraphSession, NodeProvenance
 from repro.session.plan import PLAN_ALGORITHMS
+from repro.session.scheduler import PlanWorker
 from repro.session.compiler import (
-    BRANDES_FACTOR,
     CompilerCounters,
-    CostModel,
+    SweepPlan,
+    Node,
+    _execute_sweep,
     compile_plan,
+    place_on_pool,
 )
-from repro.vertexcentric.parallel import ParallelSuperstepExecutor
+from repro.vertexcentric.parallel import ParallelSuperstepExecutor, partition_range
 
 from tests.conftest import build_parity_family, build_symmetric_condensed
 from tests.test_plan_scheduling import ALL_ALGORITHM_REQUESTS
+from tests.test_property_invariants import plans_over_condensed
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -90,18 +102,10 @@ def _counters():
 # --------------------------------------------------------------------------- #
 def _assert_matches_kernel_runners(report, csr, backend):
     """Every result equals its registry kernel runner exactly — the entry
-    points ``tests/test_api_compat.py`` pins the free functions to.  Returns
-    how many results were skipped as the one documented approximation
-    (default-parameter pagerank on the fixed-iteration superstep engine)."""
-    approximate = 0
+    points ``tests/test_api_compat.py`` pins the free functions to."""
     for result in report:
-        if result.engine == "superstep" and result.notes:
-            assert result.algorithm == "pagerank"
-            approximate += 1
-            continue
         want = PLAN_ALGORITHMS[result.algorithm].kernel(csr, get_backend(backend), result.params)
         assert result.values == want, f"{result.label} diverged from its kernel runner"
-    return approximate
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -112,61 +116,163 @@ def test_plan_matches_per_request_kernel_runners_exactly(families, kind, backend
     source = sorted(graph.get_vertices(), key=repr)[0]
     handle = _session(parallelism, backend).wrap(graph)
     report = _full_plan(handle, source).run()
-    approximate = _assert_matches_kernel_runners(report, handle.snapshot(), backend)
-    assert approximate == (1 if kind == "symmetric" and parallelism > 1 else 0)
+    _assert_matches_kernel_runners(report, handle.snapshot(), backend)
     assert all(result.nodes for result in report)
 
 
 # --------------------------------------------------------------------------- #
-# routing: a literal table (captured before the per-request executor was
-# deleted, when both executors were asserted to agree on it) — label ->
-# (engine, scheduled, provenance.parallelism, one substring per note)
+# one DAG at every parallelism (the routing contract, as one property)
+# --------------------------------------------------------------------------- #
+def _dag(report):
+    """Everything about a report that placement must not move."""
+    return (
+        [(node.key, node.kind) for node in report.nodes()],
+        [[(node.key, node.kind, node.status) for node in result.nodes] for result in report],
+        report.nodes_computed,
+        report.nodes_reused,
+        [result.values for result in report],
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(plans_over_condensed())
+def test_property_one_dag_at_every_parallelism(case):
+    """Request lists over the whole registry (duplicates, sampled / full /
+    oversampled betweenness, bfs with and without ``max_depth``, directed
+    and symmetric graphs, ``n`` from 0 so some partitions are empty): node
+    keys and kinds, ``nodes_computed``, the ``sweep_traversals`` delta and
+    every value — floats included, pagerank included — are ``==`` at
+    parallelism 1, 2 and 3 on both backends.  ``engine == "superstep"``
+    appears iff the result ran on shards."""
+    condensed, requests = case
+
+    def run(backend, **options):
+        with GraphSession(Database("one_dag"), backend=backend, **options) as session:
+            # a fresh wrapper per run: every run builds its own snapshot
+            plan = session.wrap(CDupGraph(condensed)).analyze()
+            for algorithm, params in requests:
+                plan.add(algorithm, **params)
+            swept_before = CompilerCounters.sweep_traversals
+            report = plan.run()
+            swept = CompilerCounters.sweep_traversals - swept_before
+        for result in report:
+            assert (result.engine == "superstep") == (result.provenance.shards > 0), result.label
+            assert (result.scheduled == "pool") == (result.engine in ("chunks", "superstep"))
+        return report, swept
+
+    for backend in BACKENDS:
+        serial, serial_swept = run(backend)
+        assert serial.pool_starts == 0
+        assert all(result.engine == "kernel" for result in serial)
+        for parallelism in (2, 3):
+            placed, swept = run(backend, parallelism=parallelism)
+            assert _dag(placed) == _dag(serial), f"parallelism={parallelism} on {backend}"
+            assert swept == serial_swept
+            assert not any(result.provenance.shards for result in placed)
+            assert placed.pool_starts == int(any(r.engine == "chunks" for r in placed))
+        sharded, swept = run(backend, shards=2)
+        assert swept == serial_swept
+        for got, want in zip(sharded, serial):
+            if got.engine == "superstep" and got.notes:
+                assert got.algorithm == "pagerank"  # the fixed-iteration program
+                continue
+            assert got.values == want.values, got.label
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["symmetric", "directed"])
+def test_ranged_triangle_vectors_add_up_under_every_split(families, kind, backend):
+    """The ``triangle-counts`` slice form: each triangle is attributed to its
+    smallest vertex, so the ranged per-vertex vectors of any
+    ``partition_range`` split (empty tail ranges included) sum to the
+    whole-graph vector exactly, and ``count_triangles`` is its sum / 3."""
+    csr = families[kind]["C-DUP"].snapshot()
+    kernels = get_backend(backend)
+    whole = kernels.triangles_per_vertex(csr)
+    assert sum(whole) > 0 and sum(whole) % 3 == 0
+    assert kernels.count_triangles(csr) == sum(whole) // 3
+    for parts in range(1, csr.n + 3):
+        partials = [
+            kernels.triangles_per_vertex(csr, lo, hi) for lo, hi in partition_range(csr.n, parts)
+        ]
+        assert [sum(column) for column in zip(*partials)] == whole, parts
+
+
+class _SlicePool:
+    """``parts`` in-process :class:`PlanWorker` s behind the pool's ``call``
+    surface, recording the payloads each was handed."""
+
+    def __init__(self, parts, csr, backend):
+        self.partitions = partition_range(csr.n, parts)
+        self._worker = PlanWorker(csr, 0, csr.n, backend)
+        self.payloads = None
+
+    def call(self, method, payloads):
+        assert len(payloads) == len(self.partitions)
+        self.payloads = payloads
+        return [getattr(self._worker, method)(payload) for payload in payloads]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_strided_sweep_split_covers_each_source_once(family, backend):
+    """The sweep's slice form: ``sources[k::parts]`` hands every source to
+    exactly one worker — with more workers than sources (empty slices) and
+    with one — and the merged products equal the inline sweep's."""
+    csr = family["C-DUP"].snapshot()
+    kernels = get_backend(backend)
+    sources = [7, 3, 11, 0, 5]
+    brandes = {3, 0}
+
+    def sweep_over(pool):
+        sweep = SweepPlan(
+            node=Node(key="sweep", kind="sweep"),
+            sources=list(sources),
+            delta_sources=set(brandes),
+            dist_sources={11},
+        )
+        _execute_sweep(sweep, csr, kernels, pool)
+        return sweep
+
+    inline = sweep_over(None)
+    for parts in (1, 2, len(sources), len(sources) + 3):
+        pool = _SlicePool(parts, csr, kernels)
+        sliced = sweep_over(pool)
+        handed = [source for payload in pool.payloads for source, _, _ in payload]
+        assert sorted(handed) == sorted(sources), parts
+        assert [len(payload) for payload in pool.payloads].count(0) == max(0, parts - len(sources))
+        assert sliced.stats == inline.stats and sliced.dists == inline.dists
+        assert sliced.deltas.keys() == brandes
+        for source in brandes:
+            assert kernels.tree_delta(sliced.deltas[source]) == kernels.tree_delta(
+                inline.deltas[source]
+            )
+
+
+# --------------------------------------------------------------------------- #
+# placement: a literal table — label -> (engine, scheduled,
+# provenance.parallelism, one substring per note)
 # --------------------------------------------------------------------------- #
 P = "the session's parallelism"
-NO_PROGRAM = "has no superstep program; running serial kernel"
 NEEDS_SYMMETRIC = "superstep program requires a symmetric graph; running serial kernel"
 CUSTOM_CONVERGENCE = "pagerank with custom max_iterations/tolerance runs on the serial kernel"
 FIXED_ITERATIONS = "pagerank via the superstep engine (20 fixed iterations)"
-STRICT_SUBSET = "not chunk-parallel eligible (requires sampling a strict subset of sources)"
 WHOLE_GRAPH = "needs whole-graph adjacency, which out-of-core workers do not map"
 OWN_SHARD = "out-of-core workers map only their own shard; running inline on the coordinator"
 
-ROUTING_POOLED = {  # parallelism 2 and 4: pool_starts == snapshot_writes == 1
-    "symmetric": {
-        "degree": ("superstep", "pool", P, ()),
-        "pagerank": ("superstep", "pool", P, (FIXED_ITERATIONS,)),
-        "pagerank#2": ("kernel", "pool", 1, (CUSTOM_CONVERGENCE,)),
-        "components": ("superstep", "pool", P, ()),
-        "bfs": ("superstep", "pool", P, ()),
-        "kcore": ("kernel", "pool", 1, (NO_PROGRAM,)),
-        "triangles": ("chunks", "pool", P, ()),
-        "clustering": ("kernel", "pool", 1, (NO_PROGRAM,)),
-        "label_propagation": ("kernel", "pool", 1, (NO_PROGRAM,)),
-        "closeness": ("chunks", "pool", P, ()),
-        "betweenness": ("chunks", "pool", P, ()),
-        "betweenness#2": ("kernel", "pool", 1, (STRICT_SUBSET,)),
-        "diameter": ("chunks", "pool", P, ()),
-        "link_predictions": ("kernel", "pool", 1, (NO_PROGRAM,)),
-    },
-    "directed": {
-        "degree": ("superstep", "pool", P, ()),
-        "pagerank": ("kernel", "pool", 1, (NEEDS_SYMMETRIC,)),
-        "pagerank#2": ("kernel", "pool", 1, (CUSTOM_CONVERGENCE,)),
-        "components": ("kernel", "pool", 1, (NEEDS_SYMMETRIC,)),
-        "bfs": ("kernel", "pool", 1, (NEEDS_SYMMETRIC,)),
-        "kcore": ("kernel", "pool", 1, (NO_PROGRAM,)),
-        "triangles": ("chunks", "pool", P, ()),
-        "clustering": ("kernel", "pool", 1, (NO_PROGRAM,)),
-        "label_propagation": ("kernel", "pool", 1, (NO_PROGRAM,)),
-        "closeness": ("chunks", "pool", P, ()),
-        "betweenness": ("chunks", "pool", P, ()),
-        "betweenness#2": ("kernel", "pool", 1, (STRICT_SUBSET,)),
-        "diameter": ("chunks", "pool", P, ()),
-        "link_predictions": ("kernel", "pool", 1, (NO_PROGRAM,)),
-    },
-}
+LABELS = [
+    "degree", "pagerank", "pagerank#2", "components", "bfs", "kcore", "triangles",
+    "clustering", "label_propagation", "closeness", "betweenness", "betweenness#2",
+    "diameter", "link_predictions",
+]  # fmt: skip
 #: parallelism == 1, either graph kind: pool_starts == snapshot_writes == 0
-ROUTING_INLINE = {label: ("kernel", "inline", 1, ()) for label in ROUTING_POOLED["symmetric"]}
+ROUTING_INLINE = {label: ("kernel", "inline", 1, ()) for label in LABELS}
+#: parallelism 2 and 4, either graph kind (pool_starts == snapshot_writes ==
+#: 1): the one sliced node is the triangle pass.  The full plan's sweep
+#: streams ``betweenness#2``'s full-source total, so it stays — fused, with
+#: closeness, both betweenness, diameter and bfs — on the coordinator
+ROUTING_POOLED = dict(
+    ROUTING_INLINE, triangles=("chunks", "pool", P, ()), clustering=("chunks", "pool", P, ())
+)
 #: ``shards=3`` sessions: only superstep programs leave the coordinator (3
 #: workers, one shard each, ``snapshot_source == "shard-mmap"``); the sweep
 #: (closeness, both betweenness, diameter — and bfs riding along) runs inline
@@ -225,7 +331,7 @@ def test_routing_matches_the_literal_table(families, kind, backend, parallelism)
     source = sorted(graph.get_vertices(), key=repr)[0]
     report = _full_plan(_session(parallelism, backend).wrap(graph), source).run()
     pooled = parallelism > 1
-    _assert_routed(report, ROUTING_POOLED[kind] if pooled else ROUTING_INLINE, parallelism)
+    _assert_routed(report, ROUTING_POOLED if pooled else ROUTING_INLINE, parallelism)
     assert (report.pool_starts, report.snapshot_writes) == ((1, 1) if pooled else (0, 0))
     assert all(result.provenance.shards == 0 for result in report)
     assert report.provenance.parallelism == parallelism
@@ -251,15 +357,13 @@ def test_out_of_core_routing_matches_the_literal_table(families, kind, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_compiled_parallel_matches_compiled_serial(family, backend):
-    """Compiled at parallelism 4 == compiled at parallelism 1 (the pool sweep's
-    partition-order merge is the serial sweep's order)."""
+    """Compiled at parallelism 4 == compiled at parallelism 1, pagerank
+    included."""
     graph = family["EXP"]
     source = sorted(graph.get_vertices(), key=repr)[0]
     serial = _full_plan(_session(1, backend).wrap(graph), source).run()
     parallel = _full_plan(_session(4, backend).wrap(graph), source).run()
     for got, want in zip(parallel, serial):
-        if got.engine == "superstep" and got.notes:
-            continue  # default-parameter pagerank: documented approximation
         assert got.values == want.values, got.label
 
 
@@ -348,31 +452,58 @@ def test_bfs_joins_the_sweep_only_when_it_covers_every_source(family):
 
 
 def test_full_source_betweenness_streams_through_the_sweep_serially(family):
-    """Unsampled betweenness joins the sweep at parallelism 1 (streamed
-    running total in serial source order) but keeps its serial-kernel
-    fallback and note on pools."""
+    """Unsampled betweenness joins the sweep (a streamed running total in
+    serial source order) at every parallelism — the stream exception: one
+    ordered float accumulation is never sliced, so the whole fused sweep
+    stays on the coordinator and the plan forks no pool for it."""
     graph = family["C-DUP"]
-    serial = (
-        _session(1, "python")
+    reports = {
+        parallelism: _session(parallelism, "python")
         .wrap(graph)
         .analyze()
         .closeness()
         .betweenness()
         .run()
-    )
-    assert any(node.kind == "sweep" for node in serial["betweenness"].nodes)
-    parallel = (
-        _session(2, "python")
-        .wrap(graph)
-        .analyze()
-        .closeness()
-        .betweenness()
-        .run()
-    )
-    assert not any(node.kind == "sweep" for node in parallel["betweenness"].nodes)
-    assert parallel["betweenness"].engine == "kernel"
-    assert any("strict subset" in note for note in parallel["betweenness"].notes)
-    assert serial["betweenness"].values == parallel["betweenness"].values
+        for parallelism in (1, 2)
+    }
+    for report in reports.values():
+        assert any(node.kind == "sweep" for node in report["betweenness"].nodes)
+        assert report.pool_starts == 0
+        for result in report:
+            assert (result.engine, result.scheduled, result.notes) == ("kernel", "inline", ())
+    assert reports[1]["betweenness"].values == reports[2]["betweenness"].values
+
+
+def test_a_sweep_without_a_stream_is_sliced_with_every_rider(family):
+    """closeness + diameter + sampled betweenness + bfs at parallelism 2:
+    one fused sweep, split by source over one pool, every consumer reporting
+    the ``chunks`` engine — and the same values as at parallelism 1."""
+    graph = family["C-DUP"]
+    source = sorted(graph.get_vertices(), key=repr)[0]
+
+    def run(parallelism):
+        plan = _session(parallelism, "python").wrap(graph).analyze()
+        return (
+            plan.closeness()
+            .diameter(samples=4, seed=1)
+            .betweenness(sample_size=6, seed=2)
+            .bfs(source=source)
+            .degree()
+            .run()
+        )
+
+    serial, sliced = run(1), run(2)
+    assert sliced.pool_starts == 1 and serial.pool_starts == 0
+    for result in sliced:
+        rides = result.label != "degree"
+        assert any(node.kind == "sweep" for node in result.nodes) == rides
+        assert (result.engine, result.scheduled) == (
+            ("chunks", "pool") if rides else ("kernel", "inline")
+        )
+        assert result.provenance.parallelism == (2 if rides else 1)
+        assert result.notes == ()
+    assert [r.values for r in sliced] == [r.values for r in serial]
+    assert [n.key for n in sliced.nodes()] == [n.key for n in serial.nodes()]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -425,7 +556,7 @@ def test_triangles_and_clustering_share_one_triangle_pass(families, kind, backen
     assert len(passes) == 2
     assert not any("triangle" in key for key in handle.snapshot()._backend_cache)
     monkeypatch.undo()
-    assert _assert_matches_kernel_runners(report, handle.snapshot(), backend) == 0
+    _assert_matches_kernel_runners(report, handle.snapshot(), backend)
 
 
 # --------------------------------------------------------------------------- #
@@ -481,7 +612,7 @@ def test_compiled_empty_and_tiny_graphs_fall_back_to_inline_kernels():
     tiny.add_real_node(1)
     handle = _session(1, "python").wrap(CDupGraph(tiny))
     report = handle.analyze().closeness().betweenness().diameter().run()
-    assert _assert_matches_kernel_runners(report, handle.snapshot(), "python") == 0
+    _assert_matches_kernel_runners(report, handle.snapshot(), "python")
     # n <= 2 betweenness is the kernel's early-exit, not a sweep product
     assert not any(node.kind == "sweep" for node in report["betweenness"].nodes)
 
@@ -582,29 +713,14 @@ def test_numpy_wraps_the_neutral_undirected_csr_zero_copy():
 
 
 # --------------------------------------------------------------------------- #
-# cost model
+# the sweep runs on the session's backend
 # --------------------------------------------------------------------------- #
-def test_cost_model_weighted_sweep_partitions_cover_sources_in_order():
-    cost = CostModel(n=100, m=400, backend_name="python")
-    sources = list(range(40))
-    deltas = set(range(10))  # first quarter carries Brandes weight
-    parts = cost.partition_sweep_sources(sources, deltas, False, 4)
-    assert [s for chunk in parts for s in chunk] == sources
-    assert len(parts) == 4
-    factor = BRANDES_FACTOR["python"]
-    weights = {s: (factor if s in deltas else 1.0) for s in sources}
-    shares = [sum(weights[s] for s in chunk) for chunk in parts]
-    target = sum(weights.values()) / 4
-    # weighted balance: no worker carries more than a share plus one source
-    assert all(share <= target + factor for share in shares)
-
-
 def test_cost_model_inline_backend_choice_respects_float_demand(monkeypatch):
-    """There is no choice any more: the inline sweep runs on the session's
-    backend whatever the demand (stats-only or float) and whichever side of
-    the deleted 3 500-element crossover the snapshot falls on — a
-    ``backend="python"`` session grows its trees on the python reference."""
-    assert not hasattr(CostModel, "inline_sweep_backend")
+    """There is no choice (and no cost model) any more: the inline sweep runs
+    on the session's backend whatever the demand (stats-only or float) and
+    whichever side of the deleted 3 500-element crossover the snapshot falls
+    on — a ``backend="python"`` session grows its trees on the python
+    reference."""
     ran = []
     for name in BACKENDS:
         cls = type(get_backend(name))
@@ -635,7 +751,7 @@ def test_compile_plan_is_pure_and_keys_are_structural(family):
     handle = _session(1, "python").wrap(graph)
     csr = handle.snapshot()
     plan = handle.analyze().closeness().diameter(samples=4, seed=1).closeness()
-    compiled = compile_plan(plan._requests, csr, get_backend("python"), 1)
+    compiled = compile_plan(plan._requests, csr)
     assert len(compiled.bindings) == 3
     assert len(compiled.algo_nodes) == 2  # duplicate closeness folded
     assert compiled.bindings[0] is compiled.bindings[2]
@@ -645,3 +761,8 @@ def test_compile_plan_is_pure_and_keys_are_structural(family):
     assert not compiled.wants_pool
     assert compiled.algo_nodes[0].key == "algo:closeness"
     assert compiled.algo_nodes[1].key == "algo:diameter(samples=4, seed=1)"
+    # placement marks modes and nothing else
+    keys = [node.key for node in compiled.algo_nodes + compiled.derive_nodes]
+    place_on_pool(compiled)
+    assert compiled.wants_pool and compiled.sweep.node.mode == "chunks"
+    assert [node.key for node in compiled.algo_nodes + compiled.derive_nodes] == keys

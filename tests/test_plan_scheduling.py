@@ -1,20 +1,16 @@
 """Plan-level scheduling tests: one pool + one snapshot file per plan, and
 scheduled-vs-sequential bit-identity.
 
-The scheduler's determinism contract extends the superstep executor's: a
-``parallelism > 1`` plan must return, for every request, exactly the value
-the same plan returns at ``parallelism == 1`` — superstep programs through
-the canonicalised merges, chunk-parallel direct kernels through
-partition-order partial merges (flat left-to-right float re-summation in
-global source order), and concurrently dispatched serial kernels because
-they run the same backend kernel over the mmap-loaded copy of the same
-snapshot.  The single documented exception is default-parameter pagerank,
-which routes to the fixed-iteration superstep engine and says so in a note.
+The scheduler's determinism contract: a ``parallelism > 1`` plan compiles
+the DAG it compiles at ``parallelism == 1`` and returns, for every request
+— pagerank included — exactly the value it returns there.  Only the fused
+sweep (split by source; per-source products re-summed in each request's own
+source order) and the ``triangle-counts`` pass (split by vertex range;
+integer vectors add exactly) run on workers; everything else runs inline.
 
-The resource contract is counter-asserted: a scheduled plan forks **exactly
-one** worker pool and writes **at most one** snapshot file, where the PR-4
-behaviour forked one pool and (store-less) wrote one tempfile *per
-superstep request*.
+The resource contract is counter-asserted: a scheduled plan forks **at most
+one** worker pool and writes **at most one** snapshot file — and none of
+either when it holds no sliced node.
 """
 
 from __future__ import annotations
@@ -34,9 +30,8 @@ from tests.conftest import build_parity_family
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 PARALLELISMS = (2, 4)
 
-#: every registry algorithm, with parameters that exercise the float kernels
-#: and all four scheduling modes (superstep, chunks, concurrent task, plus a
-#: parameter-fallback task via the custom-convergence pagerank)
+#: every registry algorithm, with parameters that exercise the float kernels,
+#: both sliced nodes' consumers and the full-source betweenness stream
 ALL_ALGORITHM_REQUESTS = [
     ("degree", {}),
     ("pagerank", {}),
@@ -108,31 +103,20 @@ class TestSchedulerDeterminism:
             assert scheduled.snapshot_writes <= 1
             for serial, parallel in zip(sequential, scheduled):
                 assert parallel.label == serial.label
-                if parallel.engine == "superstep" and parallel.notes:
-                    # default-parameter pagerank: fixed-iteration superstep
-                    # engine, approximate by documented design
-                    assert parallel.algorithm == "pagerank"
-                    assert parallel.values.keys() == serial.values.keys()
-                    assert all(
-                        abs(parallel.values[v] - serial.values[v]) < 1e-4
-                        for v in serial.values
-                    )
-                    continue
+                assert parallel.engine != "superstep"
                 assert parallel.values == serial.values, (
                     f"{parallel.label} x{parallelism} on {backend}/{representation} "
                     "diverged from the sequential plan"
                 )
-        # the superstep engine itself is deterministic across worker counts:
-        # every result (pagerank included) is bit-identical between x2 and x4
         for two, four in zip(scheduled_reports[2], scheduled_reports[4]):
             assert two.values == four.values, two.label
 
     def test_directed_graph_scheduled_plans_bit_identical(
         self, families, backend, representation
     ):
-        """On a directed graph every symmetric-requiring program falls back,
-        so the whole batch runs serial kernels — concurrently on workers —
-        and must still match the sequential plan exactly."""
+        """A directed graph is placed like a symmetric one (no program has a
+        symmetry requirement to fall back from) and must match the
+        sequential plan exactly."""
         graph = families["directed"][representation]
         source = sorted(graph.get_vertices(), key=repr)[0]
         sequential = _full_plan(_session(1, backend).wrap(graph), source).run()
@@ -147,14 +131,17 @@ class TestSchedulerDeterminism:
 # regression — fails on the PR-4 per-request behaviour)
 # --------------------------------------------------------------------------- #
 class TestOnePoolOneSnapshotPerPlan:
-    def test_storeless_superstep_plan_writes_one_tempfile_and_one_pool(self, families):
-        """PR-4: a store-less plan with N superstep requests wrote N tempfile
-        snapshot copies and forked N pools.  The scheduler must write exactly
-        one and fork exactly one."""
+    def test_storeless_sliced_plan_writes_one_tempfile_and_one_pool(self, families):
+        """Both sliced nodes — the fused sweep and the triangle pass — and
+        all five of their consumers ride one pool over one tempfile copy of
+        the snapshot."""
         graph = families["symmetric"]["EXP"]
         source = sorted(graph.get_vertices(), key=repr)[0]
         handle = _session(4, "python").wrap(graph)
-        plan = handle.analyze().degree().components().bfs(source=source)
+        plan = (
+            handle.analyze().closeness().diameter(samples=3).bfs(source=source)
+            .triangles().clustering()
+        )
         pools_before = ParallelSuperstepExecutor.started_total
         writes_before = snapshot_store.SAVE_COUNT
         report = plan.run()
@@ -162,12 +149,14 @@ class TestOnePoolOneSnapshotPerPlan:
         assert snapshot_store.SAVE_COUNT - writes_before == 1
         assert report.pool_starts == 1
         assert report.snapshot_writes == 1
-        assert sum(1 for r in report if r.engine == "superstep") == 3
+        assert all(r.engine == "chunks" and r.scheduled == "pool" for r in report)
 
     def test_free_functions_pay_one_pool_and_one_tempfile_per_call(self, families):
-        """What the plan amortises: the same three programs as back-to-back
-        free ``run_*(parallelism=4)`` calls fork three pools and write three
-        tempfile snapshot copies (fig16's counter row, ``1 vs 3``)."""
+        """The vertex-centric engine stays available as ``run_*``: three
+        back-to-back free ``run_*(parallelism=4)`` calls fork three pools and
+        write three tempfile snapshot copies.  The same three algorithms as a
+        ``parallelism=4`` plan run their kernels inline — no pool, no file —
+        to the same values."""
         graph = families["symmetric"]["EXP"]
         source = sorted(graph.get_vertices(), key=repr)[0]
         pools_before = ParallelSuperstepExecutor.started_total
@@ -181,7 +170,8 @@ class TestOnePoolOneSnapshotPerPlan:
             _session(4, "python").wrap(graph)
             .analyze().degree().components().bfs(source=source).run()
         )
-        assert (report.pool_starts, report.snapshot_writes) == (1, 1)
+        assert (report.pool_starts, report.snapshot_writes) == (0, 0)
+        assert all(r.engine == "kernel" and r.scheduled == "inline" for r in report)
         assert report["degree"].values == degree
         assert set(report["components"].values) == set(components)
         assert report["bfs"].values == {v: d for v, d in distances.items() if d is not None}
@@ -208,25 +198,28 @@ class TestOnePoolOneSnapshotPerPlan:
         assert scheduled.snapshot_writes <= 1
         for serial, parallel in zip(sequential, scheduled):
             assert parallel.values == serial.values, parallel.label
-        assert scheduled["components"].engine == "superstep"
-        assert scheduled["bfs"].engine == "superstep"
-        assert scheduled["triangles"].engine == "chunks"
-        assert all(result.scheduled == "pool" for result in scheduled)
+        assert [(r.engine, r.scheduled) for r in scheduled] == [
+            ("kernel", "inline"), ("kernel", "inline"), ("chunks", "pool")
+        ]  # fmt: skip
 
     def test_mixed_plan_reuses_one_pool_across_every_mode(self, families):
-        """Supersteps, chunks and concurrent tasks all ride the same pool."""
+        """Sliced sweep, sliced triangle pass and inline kernels in one plan:
+        one pool, and only the sliced nodes' consumers say ``pool``."""
         graph = families["symmetric"]["EXP"]
         report = (
             _session(2, "python").wrap(graph)
-            .analyze().components().triangles().kcore().clustering().run()
+            .analyze().components().triangles().kcore().clustering().closeness().run()
         )
         assert report.pool_starts == 1
         assert report.snapshot_writes == 1  # store-less: one tempfile
-        assert report["components"].engine == "superstep"
-        assert report["triangles"].engine == "chunks"
-        assert report["kcore"].engine == "kernel"
-        assert report["kcore"].scheduled == "pool"
-        assert report["clustering"].scheduled == "pool"
+        placed = {r.label: (r.engine, r.scheduled, r.provenance.parallelism) for r in report}
+        assert placed == {
+            "components": ("kernel", "inline", 1),
+            "triangles": ("chunks", "pool", 2),
+            "kcore": ("kernel", "inline", 1),
+            "clustering": ("chunks", "pool", 2),
+            "closeness": ("chunks", "pool", 2),
+        }
 
     def test_parallelism_1_plan_never_forks_or_writes(self, families):
         graph = families["symmetric"]["EXP"]
@@ -252,29 +245,6 @@ class TestScheduledProvenance:
             assert result.scheduled == "pool"
             assert result.provenance.parallelism == 2
             assert result.notes == ()
-
-    def test_unsampled_betweenness_stays_on_the_serial_kernel(self, families):
-        """Full betweenness ships one contribution per vertex — the chunk
-        path is reserved for sampled runs; unsampled requests run the serial
-        kernel (concurrently when the pool exists) with the fallback note."""
-        graph = families["symmetric"]["EXP"]
-        n = graph.num_vertices()
-        report = (
-            _session(2, "python").wrap(graph)
-            .analyze().betweenness().betweenness(sample_size=6)
-            .betweenness(sample_size=n + 5).run()
-        )
-        full, sampled = report["betweenness"], report["betweenness#2"]
-        oversampled = report["betweenness#3"]
-        assert full.engine == "kernel"
-        assert any("serial kernel" in note for note in full.notes)
-        assert sampled.engine == "chunks"
-        assert sampled.notes == ()
-        # sample_size >= n touches every source: per-source shipping would be
-        # unbounded, so it must stay on the serial kernel like unsampled runs
-        assert oversampled.engine == "kernel"
-        assert any("strict subset" in note for note in oversampled.notes)
-        assert oversampled.values == full.values  # all sources either way
 
     def test_summary_mentions_scheduling(self, families):
         graph = families["symmetric"]["EXP"]
@@ -318,52 +288,32 @@ class TestWrappedStoreKeys:
 
 
 # --------------------------------------------------------------------------- #
-# executor task rounds
+# caller mistakes keep their type (they never cross a pipe)
 # --------------------------------------------------------------------------- #
-class TestMapTasks:
-    def test_more_tasks_than_workers_load_balance_in_order(self, families, tmp_path):
-        """map_tasks hands queued tasks to workers as they free up and
-        returns results in argument order."""
-        from repro.session.scheduler import PlanWorker
-
-        graph = families["symmetric"]["EXP"]
-        csr = graph.snapshot()
-        path = tmp_path / "sched.csr"
-        csr.save(path)
-        pool = ParallelSuperstepExecutor(2, csr.n, PlanWorker.factory(str(path), "python"))
-        with pool:
-            payloads = [("degree", {}), ("kcore", {}), ("triangles", {}), ("clustering", {})]
-            results = pool.map_tasks("run_task", payloads)
-        assert len(results) == 4
-        from repro.algorithms import average_clustering, core_numbers, count_triangles, degrees
-
-        assert all(status == "ok" for status, _, _ in results)
-        assert results[0][2] == degrees(graph)
-        assert results[1][2] == core_numbers(graph)
-        assert results[2][2] == count_triangles(graph)
-        assert results[3][2] == average_clustering(graph)
-        assert all(seconds >= 0.0 for _, seconds, _ in results)
-
+class TestCallerMistakes:
     def test_empty_plan_is_still_a_usage_error(self, families):
         graph = families["symmetric"]["EXP"]
         with pytest.raises(UsageError, match="plan is empty"):
             _session(2, "python").wrap(graph).analyze().run()
 
     def test_caller_mistakes_keep_their_type_on_pool_dispatch(self, families):
-        """A bad BFS source discovered inside a worker must surface as the
-        same RepresentationError (one-line message) the inline path raises,
-        not a VertexCentricError wrapping a worker traceback."""
+        """A bad BFS source in a plan that does use the pool surfaces as the
+        RepresentationError (one-line message) a parallelism=1 plan raises —
+        found while compiling (the bfs rides the sliced sweep) or by the
+        inline kernel (``max_depth``), never inside a worker."""
         from repro.exceptions import RepresentationError
 
         graph = families["symmetric"]["EXP"]
-        plan = (
-            _session(2, "python").wrap(graph)
-            .analyze()
-            .bfs(source="NO_SUCH_VERTEX", max_depth=2)  # max_depth -> task mode
-            .kcore()
-        )
-        with pytest.raises(RepresentationError, match="is not in the graph"):
-            plan.run()
+        for max_depth in (None, 2):
+            plan = (
+                _session(2, "python").wrap(graph)
+                .analyze()
+                .closeness()
+                .bfs(source="NO_SUCH_VERTEX", max_depth=max_depth)
+                .triangles()
+            )
+            with pytest.raises(RepresentationError, match="is not in the graph"):
+                plan.run()
 
     def test_bad_sampling_parameters_are_usage_errors(self, families):
         graph = families["symmetric"]["EXP"]

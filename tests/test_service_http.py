@@ -5,7 +5,7 @@ port and talks to it with ``urllib`` — the same wire a curl user sees.
 Covers the route table, the error contract (4xx one-line JSON messages,
 never a traceback; 503 on admission refusal), faults (malformed or
 oversized ``Content-Length`` over a raw socket, a pool worker killed
-mid-plan), concurrent clients sharing one result cache, the mutation
+mid-plan, a coordinator killed over its workers), concurrent clients sharing one result cache, the mutation
 endpoint, bounded-lifetime shutdown (``max_requests``), and finally the CLI
 ``serve`` command end-to-end in a subprocess (the same path ``make
 serve-smoke`` drives).
@@ -261,7 +261,7 @@ class TestPoolWorkerKilledMidPlan:
             victim = manager._pool._procs[0]
             os.kill(victim.pid, signal.SIGSTOP)
 
-            request = {"algorithms": ["components", "degree"]}  # superstep programs on the pool
+            request = {"algorithms": ["closeness", "clustering"]}  # both sliced nodes
             replies = []
             clients = [
                 threading.Thread(target=lambda: replies.append(http_post(base, "/analyze", request)))
@@ -288,7 +288,7 @@ class TestPoolWorkerKilledMidPlan:
             report = decode_report(body)
             assert report.pool_starts == 1
             with GraphSession(make_db("deadserve"), backend="python") as inline:
-                expected = inline.graph(COAUTHOR_QUERY).analyze().components().degree().run()
+                expected = inline.graph(COAUTHOR_QUERY).analyze().closeness().clustering().run()
             assert [(r.label, r.values) for r in report] == [(r.label, r.values) for r in expected]
 
             stats = http_get(base, "/stats")[1]
@@ -308,6 +308,113 @@ class TestPoolWorkerKilledMidPlan:
             server.shutdown()
             server.server_close()
             session.close()
+
+
+# --------------------------------------------------------------------------- #
+# pool workers must not outlive their coordinator
+# --------------------------------------------------------------------------- #
+CHILD_ENV = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+
+POOL_THEN_SLEEP = """
+import sys, time
+from repro.graph import ExpandedGraph
+from repro.session.scheduler import PlanWorker
+from repro.vertexcentric.parallel import ParallelSuperstepExecutor
+
+graph = ExpandedGraph()
+for v in range(6):
+    graph.add_vertex(v)
+    graph.add_edge(v, (v + 1) % 6)
+csr = graph.snapshot()
+csr.save(sys.argv[1])
+first = ParallelSuperstepExecutor(2, csr.n, PlanWorker.factory(sys.argv[1], "python")).start()
+second = ParallelSuperstepExecutor(3, csr.n, PlanWorker.factory(sys.argv[1], "python")).start()
+print(*(proc.pid for pool in (first, second) for proc in pool._procs), flush=True)
+time.sleep(600)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is still executing (a zombie nobody reaped has exited)."""
+    try:
+        os.kill(pid, 0)
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    if int(stat.read().rpartition(")")[2].split()[1]) == pid:
+                        found.append(int(entry))
+            except OSError:  # exited while we looked
+                pass
+    return found
+
+
+def _assert_all_exit(pids: list[int]) -> None:
+    """The assertion is "exits", not "exits within t": the deadline only
+    keeps a regression from hanging the suite."""
+    deadline = time.monotonic() + 120
+    while any(_running(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if _running(pid)]
+    for pid in survivors:  # leave nothing behind on failure
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"pool workers {survivors} outlived their coordinator"
+
+
+class TestWorkersDoNotOutliveTheirCoordinator:
+    def test_sigkilled_coordinator_takes_its_pools_with_it(self, tmp_path):
+        """Two pools in one process, the second forked while the first
+        pool's pipes were open: every worker must still see EOF when the
+        coordinator is SIGKILLed — no handler, no ``close()`` ran."""
+        child = subprocess.Popen(
+            [sys.executable, "-c", POOL_THEN_SLEEP, str(tmp_path / "pool.csr")],
+            cwd=REPO_ROOT, env=CHILD_ENV, stdout=subprocess.PIPE, text=True,
+        )  # fmt: skip
+        try:
+            workers = [int(pid) for pid in child.stdout.readline().split()]
+            assert len(workers) == 5 and all(_running(pid) for pid in workers)
+        finally:
+            child.kill()
+            child.wait()
+        _assert_all_exit(workers)
+
+    def test_sigterm_stops_serve_and_its_warm_pool(self, tmp_path):
+        """``repro serve --parallel 2`` + SIGTERM: the process leaves
+        ``serve_forever()`` through its ``finally`` (exit 0; -15 if the
+        signal landed before the handler was installed) and no worker of its
+        warm pool survives it."""
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--dataset", "dblp",
+                "--scale", "0.1", "--port", "0", "--backend", "python", "--parallel", "2",
+            ],
+            cwd=REPO_ROOT, env=CHILD_ENV,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )  # fmt: skip
+        workers = []
+        try:
+            match = re.search(r"serving on (http://[\d.]+:\d+)", process.stdout.readline())
+            assert match
+            status, body = http_post(match.group(1), "/analyze", {"algorithm": "triangles"})
+            assert status == 200 and decode_report(body).pool_starts == 1
+            workers = _children(process.pid)
+            assert len(workers) == 2
+            process.send_signal(signal.SIGTERM)
+            _, stderr = process.communicate(timeout=120)
+            assert process.returncode in (0, -signal.SIGTERM), stderr
+        finally:
+            if process.poll() is None:  # pragma: no cover - cleanup on failure
+                process.kill()
+                process.communicate()
+        _assert_all_exit(workers)
 
 
 class TestConcurrentClients:

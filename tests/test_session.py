@@ -322,58 +322,28 @@ class TestParallelPlans:
             parallelism=2,
         )
 
-    def test_superstep_results_match_serial_kernels(self, parallel_session):
+    def test_in_memory_plans_never_leave_their_kernels(self, parallel_session):
+        """No algorithm changes engine because the session has workers: the
+        former superstep four (pagerank included, exactly), depth-limited
+        bfs, custom-convergence pagerank and a kernel-only algorithm all run
+        their kernels inline, without a note or a pool."""
         handle = parallel_session.graph(COAUTHOR_QUERY)
         graph = handle.graph
-        report = handle.analyze().degree().components().bfs(source=1).run()
-        for label in ("degree", "components", "bfs"):
-            assert report[label].engine == "superstep"
-            assert report[label].provenance.parallelism == 2
+        report = (
+            handle.analyze().degree().pagerank().components().bfs(source=1)
+            .bfs(source=1, max_depth=1).pagerank(max_iterations=3, tolerance=0.0).kcore().run()
+        )
+        for result in report:
+            assert (result.engine, result.scheduled, result.notes) == ("kernel", "inline", ())
+            assert result.provenance.parallelism == 1
+        assert report.pool_starts == 0
         assert report["degree"].values == degrees(graph)
+        assert report["pagerank"].values == pagerank(graph)
         assert report["components"].values == connected_components(graph)
         assert report["bfs"].values == bfs_distances(graph, 1)
-
-    def test_pagerank_superstep_is_annotated(self, parallel_session):
-        handle = parallel_session.graph(COAUTHOR_QUERY)
-        report = handle.analyze().pagerank().run()
-        result = report["pagerank"]
-        assert result.engine == "superstep"
-        assert any("superstep engine" in note for note in result.notes)
-        serial = pagerank(handle.graph)
-        assert result.values.keys() == serial.keys()
-        assert all(abs(result.values[v] - serial[v]) < 1e-6 for v in serial)
-
-    def test_kernel_only_algorithms_fall_back_with_note(self, parallel_session):
-        handle = parallel_session.graph(COAUTHOR_QUERY)
-        report = handle.analyze().kcore().run()
-        result = report["kcore"]
-        assert result.engine == "kernel"
-        assert result.provenance.parallelism == 1
-        assert any("no superstep program" in note for note in result.notes)
-        assert result.values == core_numbers(handle.graph)
-
-    def test_bfs_max_depth_falls_back_to_serial_kernel(self, parallel_session):
-        """The superstep program cannot honor a depth limit; the request must
-        run (correctly bounded) on the serial kernel, with a note."""
-        handle = parallel_session.graph(COAUTHOR_QUERY)
-        report = handle.analyze().bfs(source=1, max_depth=1).run()
-        result = report["bfs"]
-        assert result.engine == "kernel"
-        assert any("max_depth" in note for note in result.notes)
-        assert result.values == bfs_distances(handle.graph, 1, max_depth=1)
-
-    def test_pagerank_custom_convergence_falls_back_to_serial_kernel(
-        self, parallel_session
-    ):
-        """Non-default max_iterations/tolerance cannot run on the fixed-
-        iteration superstep engine; params in the result must be the params
-        that actually ran."""
-        handle = parallel_session.graph(COAUTHOR_QUERY)
-        report = handle.analyze().pagerank(max_iterations=3, tolerance=0.0).run()
-        result = report["pagerank"]
-        assert result.engine == "kernel"
-        assert any("serial kernel" in note for note in result.notes)
-        assert result.values == pagerank(handle.graph, max_iterations=3, tolerance=0.0)
+        assert report["bfs#2"].values == bfs_distances(graph, 1, max_depth=1)
+        assert report["pagerank#2"].values == pagerank(graph, max_iterations=3, tolerance=0.0)
+        assert report["kcore"].values == core_numbers(graph)
 
     def test_single_fallback_request_runs_inline_without_pool_or_persist(
         self, tmp_path, monkeypatch
@@ -410,36 +380,9 @@ class TestParallelPlans:
         assert report.pool_starts == 0
         assert calls == []
 
-    def test_multiple_fallback_requests_are_dispatched_concurrently(self, tmp_path):
-        """Two serial-kernel requests on a directed graph: the scheduler
-        forks one pool, persists the snapshot once, and runs both kernels
-        concurrently on workers — results identical to the free functions."""
-        db = Database("bipartite")
-        db.create_table("Person", [("id", "int"), ("name", "str")], primary_key="id")
-        db.create_table("Taught", [("iid", "int"), ("cid", "int")])
-        db.create_table("Took", [("sid", "int"), ("cid", "int")])
-        db.insert("Person", [(1, "i1"), (2, "s1"), (3, "s2")])
-        db.insert("Taught", [(1, 10)])
-        db.insert("Took", [(2, 10), (3, 10)])
-        query = """
-        Nodes(ID, Name) :- Person(ID, Name).
-        Edges(ID1, ID2) :- Taught(ID1, CourseID), Took(ID2, CourseID).
-        """
-        session = GraphSession(
-            db, snapshot_cache=str(tmp_path / "snaps"), parallelism=2, backend="python"
-        )
-        handle = session.graph(query)
-        report = handle.analyze().components().pagerank().run()
-        for result in report:
-            assert result.engine == "kernel"
-            assert result.scheduled == "pool"
-            assert result.provenance.parallelism == 1  # one worker each
-        assert report.pool_starts == 1
-        assert report.snapshot_writes <= 1
-        assert report["components"].values == connected_components(handle.graph)
-        assert report["pagerank"].values == pagerank(handle.graph)
-
-    def test_non_symmetric_graph_falls_back_with_note(self, tmp_path):
+    def test_non_symmetric_graph_runs_the_same_kernels_without_a_note(self, tmp_path):
+        """A directed graph is nothing special at parallelism 2: several
+        kernel requests run inline, fork nothing, and say nothing."""
         db = Database("bipartite")
         db.create_table("Person", [("id", "int"), ("name", "str")], primary_key="id")
         db.create_table("Taught", [("iid", "int"), ("cid", "int")])
@@ -451,13 +394,16 @@ class TestParallelPlans:
         Nodes(ID, Name) :- Person(ID, Name).
         Edges(ID1, ID2) :- Taught(ID1, CourseID), Took(ID2, CourseID).
         """
-        session = GraphSession(db, parallelism=2, backend="python")
+        session = GraphSession(
+            db, snapshot_cache=str(tmp_path / "snaps"), parallelism=2, backend="python"
+        )
         handle = session.graph(query)
-        report = handle.analyze().components().run()
-        result = report["components"]
-        assert result.engine == "kernel"
-        assert any("requires a symmetric graph" in note for note in result.notes)
-        assert result.values == connected_components(handle.graph)
+        report = handle.analyze().components().pagerank().run()
+        for result in report:
+            assert (result.engine, result.scheduled, result.notes) == ("kernel", "inline", ())
+        assert report.pool_starts == 0
+        assert report["components"].values == connected_components(handle.graph)
+        assert report["pagerank"].values == pagerank(handle.graph)
 
 
 class TestReport:

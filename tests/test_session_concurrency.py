@@ -221,7 +221,7 @@ class TestConcurrentPlanCounters:
                     parallelism=2,
                 )
                 handle = session.graph(COAUTHOR_QUERY)
-                plan = handle.analyze().pagerank().components()
+                plan = handle.analyze().closeness().triangles()  # both sliced nodes
                 reports[index] = plan.run()
             except Exception as exc:  # pragma: no cover - diagnostic path
                 errors.append(exc)

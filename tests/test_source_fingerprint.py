@@ -129,6 +129,36 @@ class TestTrustedHit:
         assert {r.algorithm: r.values for r in report} == expected
         assert warm.snapshot().content_hash == cold.snapshot().content_hash
 
+    def test_reopened_handle_stays_reopened_at_parallelism_2(self, data, cache, monkeypatch):
+        """No plan step at ``parallelism > 1`` asks for ``handle.graph``: the
+        eleven-algorithm batch on a reopened handle slices its triangle pass
+        over workers that map the cached file, parses no CSV, mirrors and
+        extracts nothing, and never materialises the graph."""
+        batch = (
+            "degree", "pagerank", "components", "bfs", "kcore", "triangles", "clustering",
+            "label_propagation", "closeness", "betweenness", "diameter",
+        )  # fmt: skip
+
+        def run(handle):
+            plan = handle.analyze()
+            for name in batch:
+                plan.add(name, **({"source": 1} if name == "bfs" else {}))
+            return plan.run()
+
+        _, cold = open_graph(data, cache)
+        expected = [(result.label, result.values) for result in run(cold)]
+
+        spies = Spies(monkeypatch)
+        with GraphSession(data, snapshot_cache=str(cache), parallelism=2) as session:
+            warm = session.graph(QUERY, key=KEY)
+            report = run(warm)
+            assert warm._graph is None
+            assert source_hits(session) == 1
+        assert spies.idle, spies.calls
+        assert report.pool_starts == 1 and report["triangles"].scheduled == "pool"
+        assert report.provenance.snapshot_source == "mmap"
+        assert [(result.label, result.values) for result in report] == expected
+
     def test_loaded_database_is_trusted_until_it_changes(self, data, cache, monkeypatch):
         open_graph(data, cache)
         db = read_database(data)
