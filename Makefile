@@ -10,7 +10,8 @@ help:
 	@echo "make test-session - session layer: lifecycle, API-compat shims,"
 	@echo "                    public-API stability, CLI, plan scheduling"
 	@echo "make test-service - service layer: JSON codec, result cache, HTTP"
-	@echo "                    front-end, session concurrency regressions"
+	@echo "                    front-end, session concurrency regressions,"
+	@echo "                    the incremental write path (repair on read)"
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + pushdown work pins (one scan, distinct rows only)"
 	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
@@ -45,7 +46,8 @@ bench-fig18:
 
 test-service:
 	$(PYTEST) -q tests/test_service.py tests/test_service_http.py \
-		tests/test_session_concurrency.py
+		tests/test_session_concurrency.py \
+		tests/test_incremental.py::TestIncrementalService
 
 smoke:
 	$(PYTEST) -q tests/test_kernel.py tests/test_representation_parity.py \

@@ -37,9 +37,13 @@ unmatchable), and entries under the superseded hash are evicted eagerly.
 :class:`~repro.graph.delta.JournaledGraph`: mutations become O(1) journal
 appends, snapshots merge the delta over the mmap'd base instead of
 rebuilding, and a mutation's cache sweep turns from evict-everything into
-patch-what-we-can — superseded entries whose algorithm has a dynamic
-maintainer (:mod:`repro.incremental`) are repaired in place and re-cached
-under the new snapshot hash; only the rest are evicted.
+carry-what-we-can — superseded entries whose algorithm has a dynamic
+maintainer (:mod:`repro.incremental`) move to the new snapshot hash in
+place, marked stale, and only the rest are evicted.  No maintainer runs on
+the write: a stale entry is repaired when it is next read, over every write
+since it was computed, and one nobody reads again is never repaired.  The
+maintained state behind those repairs lives on the handle and is bounded by
+the cache — when the cache drops a result, the handle forgets it too.
 """
 
 from __future__ import annotations
@@ -60,6 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: note attached to every result served from the cache instead of executed
 CACHE_NOTE = "note: served from the session result cache (not re-executed)"
+
+
+def _maintainable(result: AnalysisResult) -> bool:
+    """Whether a dynamic maintainer can carry ``result`` over a write."""
+    return PLAN_ALGORITHMS[result.algorithm].maintainer is not None
 
 
 def _decode_params(params: Any) -> dict[str, Any]:
@@ -146,6 +155,9 @@ class GraphService:
         self.session = session
         self.handle = handle
         self.cache = ResultCache(cache_size)
+        self.cache.on_drop = lambda result: handle._incremental_forget(
+            result.algorithm, result.params
+        )
         self._slots = threading.BoundedSemaphore(max_inflight)
         self._max_inflight = max_inflight
         self._max_queue = max_queue
@@ -286,7 +298,7 @@ class GraphService:
         ]
         cached: dict[int, AnalysisResult] = {}
         for index, key in enumerate(keys):
-            hit = self.cache.get(key)
+            hit = self.cache.get(key, self._repair)
             if hit is not None:
                 cached[index] = hit
         miss_indexes = [i for i in range(len(keys)) if i not in cached]
@@ -380,10 +392,10 @@ class GraphService:
         hashes so clients can watch the epoch move.
 
         On a plain service the sweep evicts everything.  On an incremental
-        service it patches instead: each superseded entry whose algorithm
-        has a dynamic maintainer is repaired over the delta journal and
-        re-cached under the new hash (reported as ``patched``); only
-        entries no maintainer could repair are evicted.
+        service it carries instead: each superseded entry whose algorithm
+        has a dynamic maintainer moves to the new hash, stale, to be
+        repaired when it is next read (reported as ``patched``); only the
+        rest are evicted (``invalidated``).  No maintainer runs here.
         """
         if not isinstance(payload, dict):
             raise UsageError("request body must be a JSON object")
@@ -393,7 +405,10 @@ class GraphService:
         source = decode_value(payload["source"])
         target = decode_value(payload["target"])
         graph = self.handle.graph
-        with self._mutate_lock:
+        # the handle's lock too: no snapshot build or maintainer run of a
+        # concurrent plan may see the graph half-mutated, or pair a snapshot
+        # with a journal position it does not hold
+        with self._mutate_lock, self.handle._lock:
             old_hash = self.handle.snapshot().content_hash
             created = []
             for vertex in (source, target):
@@ -406,7 +421,9 @@ class GraphService:
             patched = 0
             if new_hash != old_hash:
                 if self.incremental:
-                    patched, invalidated = self._patch_cache(old_hash, new_hash)
+                    patched, invalidated = self.cache.supersede(
+                        old_hash, new_hash, _maintainable
+                    )
                 else:
                     invalidated = self.cache.invalidate(old_hash)
         return {
@@ -419,49 +436,36 @@ class GraphService:
             "patched": patched,
         }
 
-    def _patch_cache(self, old_hash: bytes, new_hash: bytes) -> tuple[int, int]:
-        """Sweep superseded cache entries through the dynamic maintainers:
-        repaired entries re-enter under ``new_hash``, the rest are evicted.
-        Returns ``(patched, evicted)``.  Caller holds ``_mutate_lock``."""
-        entries = self.cache.take(old_hash)
-        if not entries:
-            return 0, 0
-        csr = self.handle.snapshot()
-        backend = self.session.backend
-        delta_edges = self.handle._delta_edges
-        patched = 0
-        evicted = 0
-        for key, result in entries:
-            spec = PLAN_ALGORITHMS.get(result.algorithm)
-            served = None
-            if spec is not None and spec.maintainer is not None:
-                served = self.handle._incremental_serve(
-                    result.algorithm, spec.maintainer, result.params, csr, backend
-                )
-            if served is None:
-                self.cache.record_eviction()
-                evicted += 1
-                continue
-            values, seconds, note = served
-            self.cache.put(
-                (new_hash.hex(),) + key[1:],
-                replace(
-                    result,
-                    values=values,
-                    seconds=seconds,
-                    engine="incremental",
-                    provenance=replace(
-                        result.provenance,
-                        snapshot_source="base+delta",
-                        delta_edges=delta_edges,
-                    ),
-                    notes=(note,),
-                    nodes=(),
-                ),
+    def _repair(self, key: tuple, stale: AnalysisResult) -> AnalysisResult | None:
+        """Bring a stale cache entry (carried over writes by
+        :meth:`ResultCache.supersede`) up to the snapshot its key names,
+        through its dynamic maintainer over every write since it was
+        computed.  None — a miss for the reader — when a write has moved the
+        snapshot past ``key`` meanwhile or the maintainer refuses."""
+        maintainer = PLAN_ALGORITHMS[stale.algorithm].maintainer
+        # no write may land between the hash check and the maintainer run
+        with self._mutate_lock:
+            csr = self.handle.snapshot()
+            if csr.content_hash.hex() != key[0]:
+                return None
+            served = self.handle._incremental_serve(
+                stale.algorithm, maintainer, stale.params, csr, self.session.backend
             )
-            self.cache.record_patch()
-            patched += 1
-        return patched, evicted
+            delta_edges = self.handle._delta_edges
+        if served is None:
+            return None
+        values, seconds, note = served
+        return replace(
+            stale,
+            values=values,
+            seconds=seconds,
+            engine="incremental",
+            provenance=replace(
+                stale.provenance, snapshot_source="base+delta", delta_edges=delta_edges
+            ),
+            notes=(note,),
+            nodes=(),
+        )
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

@@ -16,7 +16,8 @@ Error contract, mirroring the CLI's: caller mistakes
 :class:`~repro.exceptions.ServiceOverloadedError` and
 :class:`~repro.exceptions.WorkerDiedError` (a pool worker was killed under
 the request) become 503 so clients know to back off and retry; only a
-genuine server bug produces a 500.
+genuine server bug produces a 500.  A body that does not arrive within the
+handler's ``timeout`` is a 400 and the connection closes with it.
 
 No new dependencies: everything here is ``http.server`` + ``json``.
 """
@@ -77,6 +78,14 @@ class GraphServiceHandler(BaseHTTPRequestHandler):
 
     server: GraphServiceServer
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: a reply goes out as two writes
+    #: (head, body), and with Nagle's algorithm on, the body waits for the
+    #: client's delayed ACK of the head — ≈ 40 ms on every keep-alive answer
+    disable_nagle_algorithm = True
+    #: seconds a socket read or write may stall: a client whose declared body
+    #: never arrives, or an idle keep-alive connection, gives its handler
+    #: thread back instead of holding it forever
+    timeout = 60
 
     # -- plumbing -------------------------------------------------------- #
     def log_message(self, format: str, *args: Any) -> None:
@@ -108,7 +117,14 @@ class GraphServiceHandler(BaseHTTPRequestHandler):
             raise UsageError(
                 f"Content-Length must be an integer in [0, {MAX_BODY_BYTES}] (got {declared!r})"
             )
-        raw = self.rfile.read(length) if length else b""
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True  # a partial body may be buffered
+            raise UsageError(
+                f"request body did not arrive within {self.timeout} s "
+                f"(Content-Length: {length})"
+            ) from None
         if not raw:
             raise UsageError("request body is empty; send a JSON object")
         try:

@@ -350,6 +350,10 @@ class GraphHandle:
         if journal is None or not isinstance(values, dict):
             return
         with self._lock:
+            if self._graph.cached_snapshot() is not csr:
+                # a write superseded ``csr`` after the plan fetched it, so
+                # ``journal.total`` is not its position: remember nothing
+                return
             self._incremental[self._incremental_key(name, params)] = _IncrementalEntry(
                 algorithm=name,
                 params=dict(params),
@@ -357,6 +361,13 @@ class GraphHandle:
                 dense=encode(csr, values) if dense is None else dense,
                 generation=self.graph.generation,
             )
+
+    def _incremental_forget(self, name: str, params: dict) -> None:
+        """Drop the remembered ``name(params)`` result, if any: whoever held
+        it for re-serving (the service's result cache) let it go, and the
+        dense vector would otherwise stay for the life of the handle."""
+        with self._lock:
+            self._incremental.pop(self._incremental_key(name, params), None)
 
     def _incremental_advance(
         self, name: str, maintainer_name: str, params: dict, csr: "CSRGraph", backend
@@ -406,7 +417,14 @@ class GraphHandle:
         """
         from repro.incremental import decode
 
+        if self.journal is None:
+            return None
         with self._lock:
+            if self._graph.cached_snapshot() is not csr:
+                # a write superseded ``csr`` after the plan fetched it: the
+                # journal holds records ``csr`` does not, so maintaining up
+                # to ``journal.total`` would not describe ``csr``
+                return None
             started = time.perf_counter()
             advanced = self._incremental_advance(name, maintainer_name, params, csr, backend)
             if advanced is None:

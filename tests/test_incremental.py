@@ -22,9 +22,12 @@ The contract under test:
   shape is the parent's;
 * compaction and generation bumps invalidate stored positions (entries are
   dropped, not served stale);
-* the incremental service patches cached results of maintainable
-  algorithms in place on mutation and evicts only the rest, with counters
-  in ``/stats``;
+* the incremental service carries cached results of maintainable
+  algorithms over a mutation (evicting only the rest) and repairs each one
+  when it is next read — no maintainer per write, one per read however many
+  writes came first, none for an entry never read again — keeping LRU order
+  and the handle's maintained state within the cache, with counters in
+  ``/stats`` — also with readers racing a writer;
 * the wire codec round-trips the new provenance (``delta_edges``, report
   ``journal``) and decodes legacy payloads to defaults.
 """
@@ -32,6 +35,8 @@ The contract under test:
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -97,6 +102,14 @@ def _source_vertex(edges) -> int:
 def _linf(a: dict, b: dict) -> float:
     assert set(a) == set(b)
     return max(abs(a[k] - b[k]) for k in a) if a else 0.0
+
+
+def _partition(labels: dict) -> set[frozenset]:
+    """A vertex → label mapping as the set of its classes."""
+    classes: dict = {}
+    for vertex, label in labels.items():
+        classes.setdefault(label, set()).add(vertex)
+    return {frozenset(members) for members in classes.values()}
 
 
 # --------------------------------------------------------------------------- #
@@ -579,8 +592,10 @@ class TestIncrementalService:
         assert cold.cache == {"hits": 0, "misses": 3, "queue_depth": 0}
 
         response = service.add_edge({"source": 1, "target": 4242})
+        # carried forward (stale) vs evicted; the repairs wait for a read
         assert response["patched"] == 2
         assert response["invalidated"] == 1
+        assert service.stats()["journal"]["patched"] == 0
 
         warm = service.analyze(payload)
         assert warm.cache["hits"] == 2 and warm.cache["misses"] == 1
@@ -602,6 +617,142 @@ class TestIncrementalService:
             _linf(patched["pagerank"].values, pagerank(inner, **PAGERANK_PARAMS))
             <= 1e-9
         )
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_interleavings_agree_with_a_cold_recompute(self, backend_name, seed):
+        """Writes and reads in random order: every answer — a fresh miss, a
+        hit, or a stale entry repaired on read after any number of writes —
+        equals a cold session on the mutated graph."""
+        rng = random.Random(seed)
+        edges = _random_symmetric_edges(24, 30, seed=seed)
+        session = GraphSession(Database("lazy"), backend=backend_name)
+        service = GraphService(
+            session, session.wrap(JournaledGraph(_build(edges))), incremental=True, cache_size=6
+        )
+        reads = [
+            ("pagerank", dict(PAGERANK_PARAMS)),
+            ("pagerank", dict(PAGERANK_PARAMS, damping=0.7)),
+            ("components", {}),
+            ("bfs", {"source": _source_vertex(edges)}),
+            ("degree", {}),
+        ]
+        engines = set()
+        for _ in range(40):
+            if rng.random() < 0.4:
+                # vertices 24-27 are new; self-loops and repeats included
+                service.add_edge({"source": rng.randrange(28), "target": rng.randrange(28)})
+                continue
+            name, params = rng.choice(reads)
+            served = service.analyze({"algorithm": name, "params": params})[name]
+            engines.add(served.engine)
+            cold_session = GraphSession(Database("cold"), backend=backend_name)
+            cold = cold_session.wrap(service.handle.graph.inner).analyze().add(name, **params).run()[name]
+            if name == "pagerank":
+                assert _linf(served.values, cold.values) <= 1e-9
+            elif name == "components":
+                assert _partition(served.values) == _partition(cold.values)
+            else:
+                assert served.values == cold.values
+        assert "incremental" in engines
+
+    def test_writes_run_no_maintainer_and_a_read_repairs_once(self, monkeypatch):
+        calls = []
+        for name, maintain in list(MAINTAINERS.items()):
+
+            def spy(dense, csr, view, params, backend, name=name, maintain=maintain):
+                calls.append((name, params.get("damping")))
+                return maintain(dense, csr, view, params, backend)
+
+            monkeypatch.setitem(MAINTAINERS, name, spy)
+        service = _coauthor_service(incremental=True)
+        read = {"algorithm": "pagerank", "params": dict(PAGERANK_PARAMS, damping=0.8)}
+        unread = {"algorithm": "pagerank", "params": dict(PAGERANK_PARAMS, damping=0.6)}
+        service.analyze(read)
+        service.analyze(unread)
+        for target in (4242, 4243, 4244):
+            assert service.add_edge({"source": 1, "target": target})["patched"] == 2
+        assert calls == []
+        report = service.analyze(read)
+        assert report.cache["hits"] == 1
+        assert calls == [("pagerank", 0.8)]  # k = 3 writes, one maintainer call
+        service.analyze(read)
+        assert calls == [("pagerank", 0.8)]  # repaired once, then a plain hit
+        # the entry nobody read again was never repaired
+        assert service.cache.stats()["patched"] == 1
+
+    def test_a_write_keeps_lru_order(self):
+        service = _coauthor_service(incremental=True, cache_size=3)
+        service.analyze({"algorithm": "pagerank"})
+        service.analyze({"algorithm": "components"})
+        service.analyze({"algorithm": "pagerank"})  # components is now the LRU
+        service.add_edge({"source": 1, "target": 4242})
+        service.analyze({"algorithm": "degree"})
+        service.analyze({"algorithm": "kcore"})  # over capacity: evicts the LRU
+        assert service.analyze({"algorithm": "pagerank"}).cache["hits"] == 1
+        assert service.analyze({"algorithm": "components"}).cache["misses"] == 1
+
+    def test_maintained_state_is_bounded_by_the_cache(self):
+        service = _coauthor_service(incremental=True, cache_size=4)
+        for step in range(10):
+            service.analyze({"algorithm": "pagerank", "params": {"damping": 0.5 + step / 100}})
+            if step % 3 == 0:
+                service.add_edge({"source": 1, "target": 4242 + step})
+            assert len(service.handle._incremental) <= 4
+        service.add_edge({"source": 2, "target": 4300})
+        service.analyze({"algorithm": "degree"})
+        service.analyze({"algorithm": "kcore"})
+        assert len(service.handle._incremental) <= 2
+
+    def test_concurrent_writes_and_repairs_stay_consistent(self):
+        """Readers race a writer on a small cache: every lookup is counted
+        once, the maintained state stays within the cache, and the final
+        answers equal a cold recompute."""
+        service = _coauthor_service(incremental=True, cache_size=4)
+        readers, rounds = 4, 12
+        errors: list[BaseException] = []
+
+        def read(index: int) -> None:
+            try:
+                for step in range(rounds):
+                    damping = 0.8 + (index + step) % 6 / 100
+                    service.analyze({"algorithm": "pagerank", "params": dict(PAGERANK_PARAMS, damping=damping)})
+                    service.analyze({"algorithm": "components"})
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
+
+        def write() -> None:
+            try:
+                for target in range(5000, 5000 + rounds):
+                    service.add_edge({"source": 1 + target % 6, "target": target})
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(readers)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        stats = service.cache.stats()
+        assert stats["hits"] + stats["misses"] == readers * rounds * 2
+        assert len(service.handle._incremental) <= 4
+
+        from repro.algorithms import connected_components, pagerank
+
+        final = service.analyze(
+            {"algorithms": [{"name": "pagerank", "params": dict(PAGERANK_PARAMS, damping=0.8)}, {"name": "components"}]}
+        )
+        inner = service.handle.graph.inner
+        assert final["components"].values == connected_components(inner)
+        assert _linf(final["pagerank"].values, pagerank(inner, damping=0.8, **PAGERANK_PARAMS)) <= 1e-9
 
     def test_plain_service_still_evicts_everything(self):
         service = _coauthor_service()

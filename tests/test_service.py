@@ -191,6 +191,44 @@ class TestResultCache:
         assert cache.get(result_key(new, "degree", {}, "python")).values == "new-d"
         assert cache.invalidations == 2
 
+    def test_supersede_carries_in_place_and_get_repairs_on_read(self):
+        cache = ResultCache(capacity=8)
+        old, new = b"\x0a" * 32, b"\x0b" * 32
+        for tag in ("keep-a", "drop", "keep-b"):
+            cache.put(result_key(old, tag, {}, "python"), _result(tag))
+        dropped = []
+        cache.on_drop = dropped.append
+        carried, evicted = cache.supersede(old, new, lambda r: r.algorithm.startswith("keep"))
+        assert (carried, evicted) == (2, 1)
+        assert [r.values for r in dropped] == ["drop"]
+        assert len(cache) == 2
+        assert cache.stats()["patched"] == 0  # nothing repaired by the write
+
+        key_a, key_b = (result_key(new, tag, {}, "python") for tag in ("keep-a", "keep-b"))
+        # a stale entry without a repair function: a miss that keeps the entry
+        assert cache.get(key_a) is None and len(cache) == 2
+        repaired = cache.get(key_a, lambda key, stale: _result(stale.values + "!"))
+        assert repaired.values == "keep-a!"
+        assert cache.get(key_a).values == "keep-a!"  # fresh now: no second repair
+        assert cache.stats()["patched"] == 1
+
+        # a refused repair is a miss that drops the entry (and tells on_drop)
+        assert cache.get(key_b, lambda key, stale: None) is None
+        assert len(cache) == 1 and [r.values for r in dropped] == ["drop", "keep-b"]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["patched"]) == (2, 2, 1)
+
+    def test_on_drop_waits_for_the_last_entry_of_a_request(self):
+        cache = ResultCache(capacity=2)
+        dropped = []
+        cache.on_drop = dropped.append
+        cache.put(result_key(b"\x01" * 32, "pagerank", {}, "python"), _result("orphan"))
+        cache.put(result_key(b"\x02" * 32, "pagerank", {}, "python"), _result("live"))
+        cache.put(result_key(b"\x02" * 32, "degree", {}, "python"), _result("degree"))
+        assert dropped == []  # the same request is still answered under 0x02
+        cache.put(result_key(b"\x02" * 32, "kcore", {}, "python"), _result("kcore"))
+        assert [r.values for r in dropped] == ["live"]
+
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError, match="capacity"):
             ResultCache(capacity=0)

@@ -4,8 +4,9 @@ Boots :class:`repro.service.GraphServiceServer` in-process on a loopback
 port and talks to it with ``urllib`` — the same wire a curl user sees.
 Covers the route table, the error contract (4xx one-line JSON messages,
 never a traceback; 503 on admission refusal), faults (malformed or
-oversized ``Content-Length`` over a raw socket, a pool worker killed
-mid-plan, a coordinator killed over its workers), concurrent clients sharing one result cache, the mutation
+oversized ``Content-Length`` over a raw socket, a body that never arrives,
+a pool worker killed mid-plan, a coordinator killed over its workers),
+``TCP_NODELAY`` on accepted sockets, concurrent clients sharing one result cache, the mutation
 endpoint, bounded-lifetime shutdown (``max_requests``), and finally the CLI
 ``serve`` command end-to-end in a subprocess (the same path ``make
 serve-smoke`` drives).
@@ -29,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import GraphService, decode_report, make_server, serve_in_thread
-from repro.service.http import MAX_BODY_BYTES
+from repro.service.http import MAX_BODY_BYTES, GraphServiceHandler
 from repro.session import GraphSession
 from tests.conftest import COAUTHOR_QUERY
 from tests.test_session import make_db
@@ -232,6 +233,37 @@ class TestMalformedContentLength:
         assert reply.count(b"HTTP/1.1 ") == 1  # one request, one response, then closed
         assert b"Connection: close" in reply.partition(b"\r\n\r\n")[0]
         assert http_get(base, "/health")[0] == 200  # a fresh connection is served
+
+
+class TestSocketHandling:
+    def test_a_body_that_never_arrives_is_400_and_closes(self, served, monkeypatch):
+        base, _, server = served
+        monkeypatch.setattr(GraphServiceHandler, "timeout", 0.2)
+        # the client's deadline only bounds a regression (a handler that
+        # waits forever); the server gives up after its own timeout
+        reply = raw_exchange(
+            server,
+            b"POST /analyze HTTP/1.1\r\nHost: t\r\nContent-Length: 100\r\n\r\n",
+            timeout=30.0,
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "did not arrive" in json.loads(body)["error"]
+        assert http_get(base, "/health")[0] == 200  # a second client is served
+
+    def test_accepted_sockets_have_nagle_disabled(self, served):
+        base, _, server = served
+        seen = []
+
+        class Probe(GraphServiceHandler):
+            def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+                seen.append(self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+                super().do_GET()
+
+        server.RequestHandlerClass = Probe
+        assert http_get(base, "/health")[0] == 200
+        assert len(seen) == 1 and seen[0] != 0
 
 
 class TestPoolWorkerKilledMidPlan:
