@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service bench bench-table1 bench-fig18 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-dedup bench bench-table1 bench-fig18 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -12,6 +12,9 @@ help:
 	@echo "make test-service - service layer: JSON codec, result cache, HTTP"
 	@echo "                    front-end, session concurrency regressions,"
 	@echo "                    the incremental write path (repair on read)"
+	@echo "make test-dedup   - DEDUP-1/BITMAP/DEDUP-2 suites, the identity goldens"
+	@echo "                    (every algorithm x ordering, edge for edge), the"
+	@echo "                    probe pins, maintained-mask property, fig12 shapes"
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + pushdown work pins (one scan, distinct rows only)"
 	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
@@ -34,6 +37,11 @@ test-session:
 	$(PYTEST) -q tests/test_session.py tests/test_api_compat.py \
 		tests/test_public_api.py tests/test_cli.py tests/test_plan_scheduling.py \
 		tests/test_plan_compiler.py
+
+test-dedup:
+	$(PYTEST) -q tests/test_dedup_*.py \
+		tests/test_property_invariants.py::test_property_dedup1_and_bitmap_preserve_graph \
+		benchmarks/test_bench_fig12_dedup.py
 
 bench:
 	$(PYTEST) -q benchmarks/

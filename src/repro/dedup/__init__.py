@@ -9,6 +9,7 @@ used by the benchmark harness (Figure 12).
 from typing import Callable
 
 from repro.dedup.base import (
+    DedupCounters,
     DedupState,
     ORDERINGS,
     apply_ordering,
@@ -85,6 +86,7 @@ def deduplicate_dedup2(condensed: CondensedGraph) -> Dedup2Graph:
 
 
 __all__ = [
+    "DedupCounters",
     "DedupState",
     "ORDERINGS",
     "apply_ordering",

@@ -17,11 +17,18 @@ duplication cheaply.  The coverage map is proportional to the expanded edge
 set, which is why (as the paper observes) the DEDUP-1 algorithms do not scale
 to the Table-3-sized datasets — they are meant for the small/medium graphs of
 Section 6.1.
+
+Next to the coverage map the state keeps three families of bitmasks over
+internal real IDs, built once and updated in place by every primitive
+rewrite: each virtual node's real in- and out-neighbourhood, and for each
+real target the sources that reach it by exactly one path.  Overlap tests
+and compensation costs — the inner loops of every algorithm — are then one
+big-int AND (and a popcount) each, with no per-probe rescans.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.exceptions import DeduplicationError
 from repro.graph.condensed import CondensedGraph
@@ -75,15 +82,41 @@ def bits(mask: int) -> set[int]:
     return result
 
 
-class DedupState:
-    """A condensed graph plus its per-source coverage counters.
+class DedupCounters:
+    """Process-global instrumentation (read as deltas, like
+    ``TraversalCounters``): the clock-free work pins of the DEDUP-1
+    algorithms."""
 
-    Besides the coverage map, the state lazily caches each virtual node's
-    in/out real-neighbor sets as *integer bitmasks over internal real-node
-    IDs* (the same trick the BITMAP representation uses for traversal).
-    Overlap tests between virtual nodes — the innermost operation of every
-    deduplication algorithm — become single big-int ANDs instead of building
-    two Python sets per probe.
+    #: virtual-node pairs tested for a shared (source, target) pair
+    pair_probes = 0
+    #: compensation costs evaluated (one masked popcount each)
+    cost_evaluations = 0
+
+
+def real_mask(nodes: Iterable[int]) -> int:
+    """The real nodes among ``nodes`` as a bitmask over internal real IDs."""
+    mask = 0
+    for node in nodes:
+        if node >= 0:
+            mask |= 1 << node
+    return mask
+
+
+class DedupState:
+    """A condensed graph plus its per-source coverage counters and masks.
+
+    Three dicts of *integer bitmasks over internal real IDs* (the trick the
+    BITMAP representation uses for traversal) are built once and then kept
+    up to date in place by the primitive rewrites, never rescanned:
+
+    * ``in_masks[V]`` / ``out_masks[V]`` — I(V) / O(V) of every virtual node;
+    * ``single_path[w]`` — the real ``u`` with ``cover[u][w] == 1``.
+
+    Two virtual nodes duplicate a pair iff both their in- and their
+    out-masks intersect, and removing ``V -> w`` adds one compensating
+    direct edge per bit of ``in_masks[V] & single_path[w]``.  The
+    primitives assume no parallel edge to or from a virtual node, which
+    :meth:`normalize` guarantees.
     """
 
     def __init__(self, condensed: CondensedGraph, require_single_layer: bool = True) -> None:
@@ -96,27 +129,43 @@ class DedupState:
         self.cg = condensed
         #: cover[u][w] = number of condensed paths from u_s to w_t
         self.cover: dict[int, dict[int, int]] = {}
-        #: virtual node -> (in_mask, out_mask) over internal real IDs (lazy)
-        self._vmask: dict[int, tuple[int, int]] = {}
+        #: real target w -> mask of the real u with cover[u][w] == 1
+        self.single_path: dict[int, int] = dict.fromkeys(condensed.real_nodes(), 0)
         self._build_cover()
+        #: virtual node -> I(V) / O(V) as a mask over internal real IDs
+        self.in_masks: dict[int, int] = {}
+        self.out_masks: dict[int, int] = {}
+        for virtual in condensed.virtual_nodes():
+            self.in_masks[virtual] = real_mask(condensed.pred[virtual])
+            self.out_masks[virtual] = real_mask(condensed.succ[virtual])
 
     # ------------------------------------------------------------------ #
     # coverage map maintenance
     # ------------------------------------------------------------------ #
     def _build_cover(self) -> None:
+        single_path = self.single_path
         for u in self.cg.real_nodes():
             counts: dict[int, int] = {}
             for target in self.cg.reachable_real_targets(u):
                 counts[target] = counts.get(target, 0) + 1
             self.cover[u] = counts
+            bit = 1 << u
+            for target, count in counts.items():
+                if count == 1:
+                    single_path[target] |= bit
 
     def _inc(self, u: int, w: int, delta: int = 1) -> int:
         counts = self.cover.setdefault(u, {})
-        counts[w] = counts.get(w, 0) + delta
-        if counts[w] <= 0:
+        old = counts.get(w, 0)
+        new = old + delta
+        if new > 0:
+            counts[w] = new
+        else:
             counts.pop(w, None)
-            return 0
-        return counts[w]
+            new = 0
+        if (old == 1) != (new == 1):
+            self.single_path[w] ^= 1 << u
+        return new
 
     def count(self, u: int, w: int) -> int:
         return self.cover.get(u, {}).get(w, 0)
@@ -132,45 +181,15 @@ class DedupState:
         """O(V): real out-nodes of ``virtual``."""
         return self.cg.virtual_out_real(virtual)
 
-    # ------------------------------------------------------------------ #
-    # bitmask caches over the virtual nodes' real neighborhoods
-    # ------------------------------------------------------------------ #
-    def _masks(self, virtual: int) -> tuple[int, int]:
-        masks = self._vmask.get(virtual)
-        if masks is None:
-            in_mask = 0
-            for node in self.cg.pred[virtual]:
-                if node >= 0:
-                    in_mask |= 1 << node
-            out_mask = 0
-            for node in self.cg.succ[virtual]:
-                if node >= 0:
-                    out_mask |= 1 << node
-            masks = self._vmask[virtual] = (in_mask, out_mask)
-        return masks
-
-    def in_mask(self, virtual: int) -> int:
-        """I(V) as a bitmask over internal real IDs."""
-        return self._masks(virtual)[0]
-
-    def out_mask(self, virtual: int) -> int:
-        """O(V) as a bitmask over internal real IDs."""
-        return self._masks(virtual)[1]
-
-    def _invalidate_virtual(self, virtual: int) -> None:
-        self._vmask.pop(virtual, None)
-
     def out_overlap(self, first: int, second: int) -> set[int]:
-        return bits(self.out_mask(first) & self.out_mask(second))
-
-    def in_overlap(self, first: int, second: int) -> set[int]:
-        return bits(self.in_mask(first) & self.in_mask(second))
+        return bits(self.out_masks[first] & self.out_masks[second])
 
     def has_duplication_between(self, first: int, second: int) -> bool:
         """True if some pair (u, w) is covered through both virtual nodes."""
-        in_first, out_first = self._masks(first)
-        in_second, out_second = self._masks(second)
-        return bool(in_first & in_second) and bool(out_first & out_second)
+        DedupCounters.pair_probes += 1
+        return bool(self.in_masks[first] & self.in_masks[second]) and bool(
+            self.out_masks[first] & self.out_masks[second]
+        )
 
     # ------------------------------------------------------------------ #
     # primitive rewrites (all equivalence-preserving)
@@ -180,17 +199,21 @@ class DedupState:
 
         Returns the number of compensating direct edges added.
         """
-        if not self.cg.has_edge(virtual, target):
+        cg = self.cg
+        if not cg.has_edge(virtual, target):
             raise DeduplicationError(f"edge {virtual}->{target} not present")
         compensations = 0
-        for u in self.in_real(virtual):
-            remaining = self._inc(u, target, -1)
-            if remaining == 0:
-                self.cg.add_edge(u, target)
-                self._inc(u, target, +1)
+        for u in cg.pred[virtual]:
+            if u < 0:
+                continue
+            if self.cover[u][target] == 1:
+                # a direct edge takes over the last path: the count stays 1
+                cg.add_edge(u, target)
                 compensations += 1
-        self.cg.remove_edge(virtual, target)
-        self._invalidate_virtual(virtual)
+            else:
+                self._inc(u, target, -1)
+        cg.remove_edge(virtual, target)
+        self.out_masks[virtual] &= ~(1 << target)
         return compensations
 
     def remove_real_to_virtual_edge(self, source: int, virtual: int) -> int:
@@ -198,17 +221,21 @@ class DedupState:
 
         Returns the number of compensating direct edges added.
         """
-        if not self.cg.has_edge(source, virtual):
+        cg = self.cg
+        if not cg.has_edge(source, virtual):
             raise DeduplicationError(f"edge {source}->{virtual} not present")
         compensations = 0
-        for target in self.out_real(virtual):
-            remaining = self._inc(source, target, -1)
-            if remaining == 0:
-                self.cg.add_edge(source, target)
-                self._inc(source, target, +1)
+        counts = self.cover[source]
+        for target in cg.succ[virtual]:
+            if target < 0:
+                continue
+            if counts[target] == 1:
+                cg.add_edge(source, target)
                 compensations += 1
-        self.cg.remove_edge(source, virtual)
-        self._invalidate_virtual(virtual)
+            else:
+                self._inc(source, target, -1)
+        cg.remove_edge(source, virtual)
+        self.in_masks[virtual] &= ~(1 << source)
         return compensations
 
     def remove_direct_edge(self, source: int, target: int) -> None:
@@ -223,7 +250,8 @@ class DedupState:
 
     def compensation_cost(self, virtual: int, target: int) -> int:
         """Number of direct edges :meth:`remove_virtual_out_edge` would add."""
-        return sum(1 for u in self.in_real(virtual) if self.count(u, target) == 1)
+        DedupCounters.cost_evaluations += 1
+        return (self.in_masks[virtual] & self.single_path[target]).bit_count()
 
     # ------------------------------------------------------------------ #
     # normalisation / cleanup passes shared by all algorithms
@@ -234,8 +262,11 @@ class DedupState:
         * duplicate entries in any adjacency list are pure duplication;
         * a direct real→real edge whose pair is also covered through a virtual
           node is redundant.
+
+        Neither removal changes a neighbourhood *set*, so the masks built in
+        ``__init__`` stay exact; from here on no virtual node has a parallel
+        edge, which the primitives' single-bit updates rely on.
         """
-        self._vmask.clear()  # parallel-edge removal touches arbitrary nodes
         # parallel edges out of any node
         for node in list(self.cg.succ):
             targets = self.cg.out(node)
@@ -293,6 +324,29 @@ def remove_parallel_direct_edges(condensed: CondensedGraph) -> int:
             else:
                 seen.add(target)
     return removed
+
+
+def admit_with_candidates(
+    condensed: CondensedGraph, virtuals: Iterable[int]
+) -> Iterator[tuple[int, list[int]]]:
+    """Admit ``virtuals`` one at a time, the Virtual Nodes First loop.
+
+    Yields each virtual node with the already admitted ones that share a
+    real in-node with it — the only ones that can duplicate a pair with it —
+    in admission order; the node counts as admitted once the caller asks for
+    the next.  An index (real in-node -> admission ranks) finds them, so a
+    step costs the degrees it touches rather than a scan over every admitted
+    node.  Exact only while no edge *into* a virtual node is removed.
+    """
+    admitted: list[int] = []
+    feeds: dict[int, list[int]] = {}  # real in-node -> ranks of admitted nodes it feeds
+    for virtual in virtuals:
+        in_nodes = [u for u in condensed.pred[virtual] if u >= 0]
+        ranks = sorted({rank for u in in_nodes for rank in feeds.get(u, ())})
+        yield virtual, [admitted[rank] for rank in ranks]
+        for u in in_nodes:
+            feeds.setdefault(u, []).append(len(admitted))
+        admitted.append(virtual)
 
 
 def single_layer_virtual_nodes(condensed: CondensedGraph) -> list[int]:

@@ -74,6 +74,31 @@ class TestDedupState:
         assert not state.has_duplication_between(p1, p3)
         assert state.out_overlap(p1, p2) == {cg.internal(1), cg.internal(4)}
 
+    def test_masks_follow_the_rewrites(self, simple_state):
+        """The masks are the definitions they stand for, before and after a
+        rewrite of each kind, and a compensation cost is the primitive's."""
+        state = simple_state
+        cg = state.cg
+
+        def check() -> None:
+            for v in cg.virtual_nodes():
+                assert state.in_masks[v] == sum(1 << u for u in state.in_real(v))
+                assert state.out_masks[v] == sum(1 << w for w in state.out_real(v))
+            for w in cg.real_nodes():
+                assert state.single_path[w] == sum(
+                    1 << u for u in cg.real_nodes() if state.count(u, w) == 1
+                )
+
+        check()
+        p1 = [v for v in cg.virtual_nodes() if cg.virtual_labels[v] == ("PubID", 1)][0]
+        a1, a4 = cg.internal(1), cg.internal(4)
+        cost = state.compensation_cost(p1, a4)
+        assert cost == sum(1 for u in state.in_real(p1) if state.count(u, a4) == 1)
+        assert state.remove_virtual_out_edge(p1, a4) == cost
+        check()
+        state.remove_real_to_virtual_edge(a1, p1)
+        check()
+
     def test_normalize_removes_parallel_and_redundant_edges(self, figure1_condensed):
         cg = figure1_condensed.copy()
         a1, a2 = cg.internal(1), cg.internal(2)

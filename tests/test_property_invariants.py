@@ -28,8 +28,10 @@ These cover the pipeline-level guarantees:
 
 from __future__ import annotations
 
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -38,7 +40,13 @@ from repro.algorithms.connected_components import components_kernel
 from repro.algorithms.pagerank import pagerank_kernel
 from repro.algorithms.similarity import SCORE_NAMES
 from repro.core import ExtractionOptions, GraphGen
-from repro.dedup import deduplicate_dedup1, preprocess_bitmap
+from repro.dedup import (
+    DEDUP1_ALGORITHMS,
+    ORDERINGS,
+    DedupState,
+    deduplicate_dedup1,
+    preprocess_bitmap,
+)
 from repro.graph import (
     CDupGraph,
     CondensedGraph,
@@ -157,15 +165,38 @@ def test_property_cdup_iteration_has_no_duplicates(condensed):
         }
 
 
-@settings(max_examples=25, deadline=None)
-@given(random_condensed(), st.sampled_from(["greedy_virtual_first", "naive_real_first"]))
-def test_property_dedup1_and_bitmap_preserve_graph(condensed, algorithm):
+@settings(max_examples=40, deadline=None)
+@given(
+    random_condensed(),
+    st.sampled_from(sorted(DEDUP1_ALGORITHMS)),
+    st.sampled_from(sorted(ORDERINGS)),
+)
+def test_property_dedup1_and_bitmap_preserve_graph(condensed, algorithm, ordering):
+    """Every DEDUP-1 algorithm x ordering removes all duplication without
+    changing the graph, and the masks and counters its ``DedupState`` kept up
+    to date in place equal a fresh state's full recompute on the result."""
     reference = expanded_from_condensed(condensed)
-    dedup1 = deduplicate_dedup1(condensed, algorithm=algorithm, seed=0)
+    module = sys.modules[DEDUP1_ALGORITHMS[algorithm].__module__]
+    states: list[DedupState] = []
+
+    class RecordingState(DedupState):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            states.append(self)
+
+    with mock.patch.object(module, "DedupState", RecordingState):
+        dedup1 = deduplicate_dedup1(condensed, algorithm=algorithm, ordering=ordering, seed=0)
     bitmap = preprocess_bitmap(condensed, algorithm="bitmap2")
     assert not dedup1.condensed.has_duplication()
     assert logically_equivalent(dedup1, reference)
     assert logically_equivalent(bitmap, reference)
+
+    (maintained,) = states
+    fresh = DedupState(dedup1.condensed)
+    assert maintained.in_masks == fresh.in_masks
+    assert maintained.out_masks == fresh.out_masks
+    assert maintained.single_path == fresh.single_path
+    assert maintained.cover == fresh.cover
 
 
 @settings(max_examples=25, deadline=None)
