@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "content hash) and --parallel workers mmap the cached file; "
                 "with --data, a later run over byte-identical CSV files, query "
                 "and options reopens that file instead of parsing and "
-                "extracting (not with --shards / --memory-budget)",
+                "extracting",
             )
             sub.add_argument(
                 "--parallel",
@@ -172,27 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "triangles/clustering (split by vertex range); everything "
                 "else, and a sweep that carries full-source betweenness, "
                 "runs inline (every result identical to N=1)",
-            )
-            sub.add_argument(
-                "--shards",
-                type=int,
-                default=None,
-                metavar="N",
-                help="persist the snapshot as N per-vertex-range segment "
-                "files and run superstep algorithms out-of-core: each worker "
-                "maps only its own shard, never the whole graph (results "
-                "identical to the monolithic path; mutually exclusive with "
-                "--memory-budget)",
-            )
-            sub.add_argument(
-                "--memory-budget",
-                type=float,
-                default=None,
-                metavar="MB",
-                help="out-of-core memory budget per worker, in megabytes: "
-                "snapshots whose payload exceeds the budget are sharded so "
-                "no segment file is larger than MB, and superstep workers "
-                "map one shard each (mutually exclusive with --shards)",
             )
             sub.add_argument(
                 "--backend",
@@ -239,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of persisted CSR snapshots; defaults to a temporary "
         "directory when --parallel > 1 (workers mmap the snapshot file); "
         "with --data, a boot over unchanged CSV files reopens the persisted "
-        "snapshot instead of extracting (not with --incremental, --shards "
-        "or --memory-budget)",
+        "snapshot instead of extracting (not with --incremental)",
     )
     serve.add_argument(
         "--parallel",
@@ -249,24 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes per plan; the service keeps one warm pool "
         "shared across requests (default: 1)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serve out-of-core: shard the snapshot into N segment files "
-        "and have each plan worker map only its own shard (mutually "
-        "exclusive with --memory-budget)",
-    )
-    serve.add_argument(
-        "--memory-budget",
-        type=float,
-        default=None,
-        metavar="MB",
-        help="per-worker memory budget in megabytes for served analyses; "
-        "oversized snapshots are sharded to fit (mutually exclusive with "
-        "--shards)",
     )
     serve.add_argument(
         "--backend",
@@ -587,8 +547,6 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
         snapshot_cache=args.snapshot_cache,
         backend=args.backend,
         parallelism=args.parallel,
-        shards=args.shards,
-        memory_budget_mb=args.memory_budget,
         **_engine_overrides(args),
     )
     handle = session.graph(
@@ -654,8 +612,6 @@ def _cmd_serve(args: argparse.Namespace, out) -> int:
         backend=args.backend,
         parallelism=args.parallel,
         warm_pool=True,
-        shards=args.shards,
-        memory_budget_mb=args.memory_budget,
         **_engine_overrides(args),
     )
     try:

@@ -4,7 +4,7 @@ The snapshot's ``offsets``/``targets`` are contiguous 64-bit buffers —
 ``array('q')`` for in-memory builds, ``"q"``-cast memoryviews over a
 read-only mmap for loaded snapshot files — and both expose the buffer
 protocol, so ``np.frombuffer`` wraps them as ``np.int64`` views **without
-copying**.  A parallel superstep worker that mmaps the run's snapshot file
+copying**.  A pool worker that mmaps the run's snapshot file
 therefore runs these kernels directly over the shared page-cache copy of the
 arrays.
 

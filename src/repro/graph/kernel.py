@@ -313,8 +313,7 @@ class CSRGraph:
 
         The paper's co-occurrence extractions are symmetric; the superstep
         programs in :mod:`repro.vertexcentric.programs` gather from
-        out-neighbors and are exact only on symmetric graphs, so callers
-        routing work to them (e.g. the CLI's ``--parallel``) check this first.
+        out-neighbors and are exact only on symmetric graphs.
         """
         edges = set(self.iter_edges())
         return all((v, u) in edges for (u, v) in edges)

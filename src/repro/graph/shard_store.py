@@ -1,30 +1,17 @@
-"""Sharded CSR snapshots: per-vertex-range segment files plus a manifest.
+"""Sharded CSR snapshot files: per-vertex-range segment files plus a manifest.
 
-The monolithic format of :mod:`repro.graph.snapshot_store` maps the whole
-graph into every process that opens it.  That is the right trade until the
-snapshot no longer fits one address space — the ROADMAP's table3-scale ×100
-target — at which point the persisted form has to split along the same lines
-the execution layers already parallelise over: **contiguous vertex ranges**
-(:func:`repro.vertexcentric.parallel.partition_range` partitions, the plan
-workers' ``(lo, hi)`` chunk bounds).
+Nothing in the program reads or writes this format: the snapshot store
+persists monolithic ``.csr`` files only (:mod:`repro.graph.snapshot_store`)
+and ignores a ``.csrm`` manifest it finds.  The module stays only because
+the benchmark (``bench/layers.py``) still times this writer and reader
+(``store.shard_write_s``, ``store.shard_load_s``) and reads
+:func:`snapshot_payload_bytes`; it goes with the bench change that drops
+those metrics (ROADMAP item 6).
 
 A sharded snapshot is one **manifest** file plus ``num_shards`` **segment**
-files.  Shard ``k`` owns the vertex range ``[lo_k, hi_k)`` and stores only
-that range's CSR rows:
-
-* its offsets section holds ``hi - lo + 1`` entries rebased to 0 (entry
-  ``j`` is ``offsets[lo + j] - offsets[lo]`` of the full graph), and
-* its targets section holds those rows' edges — **global** dense vertex
-  indexes, so cross-shard edges need no translation table.
-
-A worker that loads shard ``k`` therefore maps ``O(rows_k + edges_k)`` bytes
-instead of ``O(n + m)``; the returned :class:`ShardView` pads the local
-offsets back to full length (zeros before ``lo``, the shard's edge count
-after ``hi``) so both kernel backends index it with *global* vertex numbers
-unchanged.  Rows outside ``[lo, hi)`` read as empty — shard consumers must
-only traverse the adjacency of their own range, which is exactly the
-contract the superstep gather (``segment_sums(csr, values, lo, hi)``) and
-``VertexContext.neighbors()`` already honor.
+files.  Shard ``k`` owns the contiguous vertex range ``[lo_k, hi_k)`` and
+stores only that range's CSR rows: ``hi - lo + 1`` offsets rebased to 0 and
+those rows' edges as **global** dense vertex indexes.
 
 Manifest layout (version 1; all integers little-endian)
 -------------------------------------------------------
@@ -46,38 +33,22 @@ offset  size  field
 ======  ====  =====================================================
 
 The **global content hash equals the monolithic format's**
-(``sha256(n || m || offsets || targets || codec)`` of the full graph), so a
-live graph's ``csr.content_hash`` compares against a manifest exactly as it
-does against a ``.csr`` file — the store's staleness detection is format
-agnostic.  Each shard file carries its own header (magic ``b"GGCSRSHD"``,
-mirrored range/edge counts, global ``n``) plus a per-shard hash
-``sha256(lo || hi || local offsets || targets)`` recorded in both the shard
-header and the manifest table, so a truncated, swapped or corrupted segment
-is detected without touching the other shards.
-
-Shard files hold **no codec**: workers decode the external-ID table once
-from the manifest (every superstep worker needs the full codec anyway, to
-translate global target indexes), and the mapped per-worker bytes stay the
-shard's arrays only.
-
-Determinism: shard boundaries are planned once per save (explicitly with
-``shards=N`` — :func:`partition_range`, the executor's own geometry — or
-greedily under ``max_bytes``), recorded in the manifest, and reused verbatim
-as the worker partition bounds, so the partition-order merge contract of
-:mod:`repro.vertexcentric.parallel` applies unchanged and results are
-bit-identical to the unsharded path.
+(``sha256(n || m || offsets || targets || codec)`` of the full graph).  Each
+segment file carries its own header (magic ``b"GGCSRSHD"``, mirrored
+range/edge counts, global ``n``) plus a per-shard hash
+``sha256(lo || hi || local offsets || targets)`` recorded in both the
+segment header and the manifest table, so a segment written by another save
+is refused on its header alone.  Segment files hold no codec.
 """
 
 from __future__ import annotations
 
 import hashlib
-import mmap as _mmap
 import os
 import struct
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
 
 from repro.exceptions import SnapshotFormatError
 from repro.graph.kernel import CSRGraph
@@ -85,12 +56,10 @@ from repro.graph.snapshot_store import (
     _LITTLE_ENDIAN,
     _array_bytes_le,
     _record_save,
+    compute_content_hash,
     decode_codec,
     encode_codec,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 MANIFEST_MAGIC = b"GGCSRMAN"
 SHARD_MAGIC = b"GGCSRSHD"
@@ -103,9 +72,6 @@ _SHARD_HEADER = struct.Struct("<8sHHIQQQQ32s")
 SHARD_HEADER_SIZE = _SHARD_HEADER.size  # 80 bytes, 8-aligned
 _ITEM = 8  # bytes per offsets/targets element
 
-#: conventional manifest filename suffix (the store uses it for its keys)
-MANIFEST_SUFFIX = ".csrm"
-
 
 def shard_path(manifest_path: str | os.PathLike, index: int) -> Path:
     """The segment file of shard ``index``, derived from the manifest path."""
@@ -114,81 +80,10 @@ def shard_path(manifest_path: str | os.PathLike, index: int) -> Path:
 
 
 def snapshot_payload_bytes(csr: "CSRGraph") -> int:
-    """The snapshot's array payload in bytes: ``8 * (n + 1 + m)``.
-
-    This is what sharding divides (and what workers actually map, headers
-    aside): the codec is pickled into the manifest once and heap-decoded,
-    never mapped per worker, so memory budgets are planned against the array
-    sections alone.
-    """
+    """The snapshot's array payload in bytes: ``8 * (n + 1 + m)``."""
     return (csr.n + 1 + csr.num_edges) * _ITEM
 
 
-# --------------------------------------------------------------------------- #
-# shard planning
-# --------------------------------------------------------------------------- #
-def plan_shard_ranges(
-    csr: "CSRGraph", *, shards: int | None = None, max_bytes: int | None = None
-) -> list[tuple[int, int]]:
-    """Contiguous ascending ``(lo, hi)`` shard bounds covering ``[0, n)``.
-
-    With explicit ``shards=N`` the bounds are exactly
-    :func:`~repro.vertexcentric.parallel.partition_range`'s — the superstep
-    executor's own geometry, so worker partitions and shard files align by
-    construction.  With ``max_bytes`` the split is greedy by payload bytes
-    (8 per offset entry + 8 per edge, headers included): every shard's file
-    stays ≤ ``max_bytes`` except when a single vertex's adjacency alone
-    exceeds it (rows are never split).
-    """
-    from repro.vertexcentric.parallel import partition_range
-
-    n = csr.n
-    if shards is not None:
-        if shards < 1:
-            raise SnapshotFormatError(f"shards must be at least 1 (got {shards})")
-        if n == 0:
-            return [(0, 0)] * shards
-        return partition_range(n, shards)
-    if max_bytes is None:
-        raise SnapshotFormatError("plan_shard_ranges needs shards=N or max_bytes=B")
-    if max_bytes < 1:
-        raise SnapshotFormatError(f"max_bytes must be positive (got {max_bytes})")
-    if n == 0:
-        return [(0, 0)]
-    offsets = csr.offsets
-    base = SHARD_HEADER_SIZE + _ITEM  # header plus the leading offset entry
-    ranges: list[tuple[int, int]] = []
-    lo = 0
-    used = base
-    for vertex in range(n):
-        row = _ITEM + (offsets[vertex + 1] - offsets[vertex]) * _ITEM
-        if vertex > lo and used + row > max_bytes:
-            ranges.append((lo, vertex))
-            lo = vertex
-            used = base
-        used += row
-    ranges.append((lo, n))
-    return ranges
-
-
-def _validate_ranges(ranges: Sequence[tuple[int, int]], n: int, *, source: str) -> None:
-    expected_lo = 0
-    for lo, hi in ranges:
-        if lo != expected_lo or hi < lo:
-            raise SnapshotFormatError(
-                f"{source}: shard table is not contiguous ascending over [0, {n}) "
-                f"(found range ({lo}, {hi}), expected lo {expected_lo})"
-            )
-        expected_lo = hi
-    if expected_lo != n:
-        raise SnapshotFormatError(
-            f"{source}: shard table covers [0, {expected_lo}), header says n={n}"
-        )
-
-
-# --------------------------------------------------------------------------- #
-# manifest structures
-# --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class ShardInfo:
     """One shard table record of a manifest."""
@@ -213,7 +108,6 @@ class ShardManifest:
     """Decoded header + shard table of a sharded snapshot manifest."""
 
     path: Path
-    version: int
     n: int
     m: int
     codec_length: int
@@ -221,22 +115,12 @@ class ShardManifest:
     shards: tuple[ShardInfo, ...]
 
     @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
     def codec_start(self) -> int:
-        return MANIFEST_HEADER_SIZE + self.num_shards * SHARD_TABLE_ENTRY_SIZE
+        return MANIFEST_HEADER_SIZE + len(self.shards) * SHARD_TABLE_ENTRY_SIZE
 
     @property
     def file_size(self) -> int:
         return self.codec_start + self.codec_length
-
-    def ranges(self) -> list[tuple[int, int]]:
-        return [(shard.lo, shard.hi) for shard in self.shards]
-
-    def shard_path(self, index: int) -> Path:
-        return shard_path(self.path, index)
 
 
 def _shard_hash(lo: int, hi: int, offsets_bytes: bytes, targets_bytes: bytes) -> bytes:
@@ -247,110 +131,73 @@ def _shard_hash(lo: int, hi: int, offsets_bytes: bytes, targets_bytes: bytes) ->
     return digest.digest()
 
 
+def _write_atomically(path: Path, *chunks: bytes) -> None:
+    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+    try:
+        with tmp.open("wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        if tmp.exists():  # pragma: no cover - only on a failed write
+            tmp.unlink()
+
+
 # --------------------------------------------------------------------------- #
 # save
 # --------------------------------------------------------------------------- #
 def save_sharded_snapshot(
-    csr: "CSRGraph",
-    manifest_path: str | os.PathLike,
-    *,
-    ranges: Sequence[tuple[int, int]] | None = None,
-    shards: int | None = None,
-    max_bytes: int | None = None,
+    csr: "CSRGraph", manifest_path: str | os.PathLike, *, shards: int
 ) -> Path:
-    """Write ``csr`` as a sharded snapshot rooted at ``manifest_path``.
+    """Write ``csr`` as ``shards`` contiguous vertex-range segments plus a
+    manifest at ``manifest_path``.
 
     Segment files are written first (write-to-temp + rename each), the
     manifest last — a crash mid-save leaves the previous manifest (or none)
-    in place, so readers never observe a manifest describing missing shards.
-    Counts as **one** snapshot write in the store instrumentation: it is one
-    logical persist, however many segment files it produces.
+    in place.  Segment files a previous, wider save left behind are removed.
     """
-    manifest_path = Path(manifest_path)
-    if ranges is None:
-        ranges = plan_shard_ranges(csr, shards=shards, max_bytes=max_bytes)
-    ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-    _validate_ranges(ranges, csr.n, source=str(manifest_path))
-    _record_save()
+    from repro.vertexcentric.parallel import partition_range
 
+    if shards < 1:
+        raise SnapshotFormatError(f"shards must be at least 1 (got {shards})")
+    manifest_path = Path(manifest_path)
+    _record_save()
     offsets = csr.offsets
     targets = csr.targets
-    codec_bytes = encode_codec(csr.external_ids)
-    content_hash = csr.content_hash
-
     table: list[ShardInfo] = []
-    pid = os.getpid()
-    written_tmp: list[tuple[Path, Path]] = []
-    try:
-        for index, (lo, hi) in enumerate(ranges):
-            edge_lo = offsets[lo]
-            edge_hi = offsets[hi]
-            local_offsets = array("q", [offsets[v] - edge_lo for v in range(lo, hi + 1)])
-            offsets_bytes = _array_bytes_le(local_offsets)
-            targets_bytes = _array_bytes_le(targets[edge_lo:edge_hi])
-            digest = _shard_hash(lo, hi, offsets_bytes, targets_bytes)
-            table.append(ShardInfo(index, lo, hi, edge_hi - edge_lo, digest))
-            header = _SHARD_HEADER.pack(
-                SHARD_MAGIC,
-                SHARD_FORMAT_VERSION,
-                0,
-                index,
-                lo,
-                hi,
-                edge_hi - edge_lo,
-                csr.n,
-                digest,
-            )
-            final = shard_path(manifest_path, index)
-            tmp = final.with_name(final.name + f".tmp.{pid}")
-            written_tmp.append((tmp, final))
-            with tmp.open("wb") as handle:
-                handle.write(header)
-                handle.write(offsets_bytes)
-                handle.write(targets_bytes)
-        for tmp, final in written_tmp:
-            os.replace(tmp, final)
-        written_tmp = []
-
-        header = _MANIFEST_HEADER.pack(
-            MANIFEST_MAGIC,
-            SHARD_FORMAT_VERSION,
-            0,
-            0,
-            csr.n,
-            csr.num_edges,
-            len(table),
-            len(codec_bytes),
-            content_hash,
+    for index, (lo, hi) in enumerate(partition_range(csr.n, shards)):
+        edge_lo, edge_hi = offsets[lo], offsets[hi]
+        local_offsets = array("q", [offsets[v] - edge_lo for v in range(lo, hi + 1)])
+        offsets_bytes = _array_bytes_le(local_offsets)
+        targets_bytes = _array_bytes_le(targets[edge_lo:edge_hi])
+        digest = _shard_hash(lo, hi, offsets_bytes, targets_bytes)
+        info = ShardInfo(index, lo, hi, edge_hi - edge_lo, digest)
+        table.append(info)
+        header = _SHARD_HEADER.pack(
+            SHARD_MAGIC, SHARD_FORMAT_VERSION, 0, index, lo, hi, info.edges, csr.n, digest
         )
-        tmp = manifest_path.with_name(manifest_path.name + f".tmp.{pid}")
-        try:
-            with tmp.open("wb") as handle:
-                handle.write(header)
-                for shard in table:
-                    handle.write(
-                        _SHARD_TABLE_ENTRY.pack(
-                            shard.lo, shard.hi, shard.edges, shard.shard_hash
-                        )
-                    )
-                handle.write(codec_bytes)
-            os.replace(tmp, manifest_path)
-        finally:
-            if tmp.exists():  # pragma: no cover - only on a failed write
-                tmp.unlink()
-    finally:
-        for tmp, _ in written_tmp:  # pragma: no cover - only on a failed write
-            if tmp.exists():
-                tmp.unlink()
+        _write_atomically(shard_path(manifest_path, index), header, offsets_bytes, targets_bytes)
 
-    # drop segment files a previous, wider sharding left behind — a stale
-    # .shard007 next to a 4-shard manifest would otherwise look adoptable
+    codec_bytes = encode_codec(csr.external_ids)
+    header = _MANIFEST_HEADER.pack(
+        MANIFEST_MAGIC,
+        SHARD_FORMAT_VERSION,
+        0,
+        0,
+        csr.n,
+        csr.num_edges,
+        len(table),
+        len(codec_bytes),
+        csr.content_hash,
+    )
+    entries = b"".join(
+        _SHARD_TABLE_ENTRY.pack(info.lo, info.hi, info.edges, info.shard_hash) for info in table
+    )
+    _write_atomically(manifest_path, header, entries, codec_bytes)
+
     index = len(table)
-    while True:
-        leftover = shard_path(manifest_path, index)
-        if not leftover.exists():
-            break
-        leftover.unlink()
+    while shard_path(manifest_path, index).exists():
+        shard_path(manifest_path, index).unlink()
         index += 1
     return manifest_path
 
@@ -360,7 +207,7 @@ def save_sharded_snapshot(
 # --------------------------------------------------------------------------- #
 def peek_manifest(path: str | os.PathLike) -> ShardManifest:
     """Decode and validate a manifest's header + shard table (no codec, no
-    shard files) — the cheap staleness/geometry check."""
+    segment files)."""
     path = Path(path)
     try:
         with path.open("rb") as handle:
@@ -392,23 +239,24 @@ def peek_manifest(path: str | os.PathLike) -> ShardManifest:
     if len(table_bytes) != num_shards * SHARD_TABLE_ENTRY_SIZE:
         raise SnapshotFormatError(f"{path}: truncated shard table")
     shards = tuple(
-        ShardInfo(index, *_SHARD_TABLE_ENTRY.unpack_from(table_bytes, index * SHARD_TABLE_ENTRY_SIZE))
-        for index in range(num_shards)
+        ShardInfo(index, *entry)
+        for index, entry in enumerate(_SHARD_TABLE_ENTRY.iter_unpack(table_bytes))
     )
-    manifest = ShardManifest(
-        path=path,
-        version=version,
-        n=n,
-        m=m,
-        codec_length=codec_length,
-        content_hash=content_hash,
-        shards=shards,
-    )
-    _validate_ranges(manifest.ranges(), n, source=str(path))
-    if sum(shard.edges for shard in shards) != m:
+    expected_lo = 0
+    for shard in shards:
+        if shard.lo != expected_lo or shard.hi < shard.lo:
+            raise SnapshotFormatError(
+                f"{path}: shard table is not contiguous ascending over [0, {n}) "
+                f"(found range ({shard.lo}, {shard.hi}), expected lo {expected_lo})"
+            )
+        expected_lo = shard.hi
+    if expected_lo != n:
         raise SnapshotFormatError(
-            f"{path}: shard edge counts do not sum to the header's m={m}"
+            f"{path}: shard table covers [0, {expected_lo}), header says n={n}"
         )
+    if sum(shard.edges for shard in shards) != m:
+        raise SnapshotFormatError(f"{path}: shard edge counts do not sum to the header's m={m}")
+    manifest = ShardManifest(path, n, m, codec_length, content_hash, shards)
     actual = path.stat().st_size
     if actual != manifest.file_size:
         raise SnapshotFormatError(
@@ -418,80 +266,20 @@ def peek_manifest(path: str | os.PathLike) -> ShardManifest:
     return manifest
 
 
-def read_manifest_codec(manifest: ShardManifest) -> list:
-    """The manifest's pickled external-ID table, decoded and length-checked."""
-    with manifest.path.open("rb") as handle:
-        handle.seek(manifest.codec_start)
-        codec_bytes = handle.read(manifest.codec_length)
-    if len(codec_bytes) != manifest.codec_length:
-        raise SnapshotFormatError(f"{manifest.path}: truncated codec section")
-    external_ids = decode_codec(codec_bytes)
-    if len(external_ids) != manifest.n:
-        raise SnapshotFormatError(
-            f"{manifest.path}: codec lists {len(external_ids)} vertices, "
-            f"header says {manifest.n}"
-        )
-    return external_ids
-
-
-def verify_shard_files(manifest: ShardManifest, *, deep: bool = False) -> bool:
-    """Whether every segment file exists with the expected size (and, with
-    ``deep=True``, a matching payload hash).  False means "rewrite me"."""
+def _read_segment(manifest: ShardManifest, shard: ShardInfo) -> tuple[array, array]:
+    """One segment file's local offsets and targets, its header checked
+    against the manifest entry."""
+    path = shard_path(manifest.path, shard.index)
     try:
-        for shard in manifest.shards:
-            path = manifest.shard_path(shard.index)
-            if path.stat().st_size != shard.file_size:
-                return False
-            if deep:
-                _read_shard_payload(manifest, shard, mmap=False, verify=True)
-    except (OSError, SnapshotFormatError):
-        return False
-    return True
-
-
-class ShardView(CSRGraph):
-    """One shard's rows behind the full-graph CSR interface.
-
-    ``offsets`` is a full-length padded array — global vertex indexing works
-    unchanged in both kernel backends — while ``targets`` holds only this
-    shard's edges (zero-copy over the segment file's mapping when possible).
-    Rows outside ``[shard_lo, shard_hi)`` read as empty: consumers must
-    restrict adjacency traversal to their own range, which is what the
-    superstep machinery's fixed partitions guarantee.  ``num_edges`` is the
-    *local* edge count, i.e. the bytes this process actually maps.
-    """
-
-    __slots__ = ("shard_index", "shard_lo", "shard_hi", "shard_count", "shard_file_bytes")
-
-
-def _read_shard_payload(manifest: ShardManifest, shard: ShardInfo, *, mmap: bool, verify: bool):
-    """Open one segment file, validate its header against the manifest, and
-    return ``(offsets_view, targets_view, mapping_or_None)``."""
-    path = manifest.shard_path(shard.index)
-    use_mmap = mmap and _LITTLE_ENDIAN
-    try:
-        handle = path.open("rb")
+        data = path.read_bytes()
     except OSError as exc:
         raise SnapshotFormatError(f"cannot read snapshot shard {path}: {exc}") from None
-    with handle:
-        if use_mmap:
-            try:
-                mapping = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-            except (ValueError, OSError) as exc:  # e.g. empty file
-                raise SnapshotFormatError(f"cannot mmap snapshot shard {path}: {exc}") from None
-            data: bytes | memoryview = memoryview(mapping)
-        else:
-            mapping = None
-            data = handle.read()
-
     if len(data) < SHARD_HEADER_SIZE:
         raise SnapshotFormatError(
             f"{path}: file too small for a shard header "
             f"({len(data)} < {SHARD_HEADER_SIZE} bytes)"
         )
-    magic, version, flags, index, lo, hi, edges, n, digest = _SHARD_HEADER.unpack(
-        bytes(data[:SHARD_HEADER_SIZE])
-    )
+    magic, version, flags, index, lo, hi, edges, n, digest = _SHARD_HEADER.unpack_from(data)
     if magic != SHARD_MAGIC:
         raise SnapshotFormatError(f"{path}: bad magic {magic!r}, expected {SHARD_MAGIC!r}")
     if version != SHARD_FORMAT_VERSION:
@@ -513,165 +301,43 @@ def _read_shard_payload(manifest: ShardManifest, shard: ShardInfo, *, mmap: bool
             f"{path}: truncated or oversized shard "
             f"(manifest implies {shard.file_size} bytes, file has {len(data)})"
         )
-    offsets_start = SHARD_HEADER_SIZE
-    targets_start = offsets_start + (shard.rows + 1) * _ITEM
-    offsets_view = data[offsets_start:targets_start]
-    targets_view = data[targets_start : shard.file_size]
-    if verify:
-        if _shard_hash(lo, hi, bytes(offsets_view), bytes(targets_view)) != digest:
-            raise SnapshotFormatError(
-                f"{path}: shard content hash mismatch — the segment file is corrupt"
-            )
-    return offsets_view, targets_view, mapping
-
-
-def load_shard(
-    manifest_path: str | os.PathLike,
-    shard: int | tuple[int, int],
-    *,
-    mmap: bool = True,
-    verify: bool = False,
-    manifest: ShardManifest | None = None,
-    external_ids: list | None = None,
-) -> ShardView:
-    """Load one shard as a :class:`ShardView` (see the class doc).
-
-    ``shard`` is either a shard index or an exact ``(lo, hi)`` bound — the
-    latter is what worker factories use, since their partition bounds *are*
-    the manifest's ranges.  ``manifest``/``external_ids`` may be passed to
-    skip re-reading them (same-process loops over many shards).
-    """
-    if manifest is None:
-        manifest = peek_manifest(manifest_path)
-    if external_ids is None:
-        external_ids = read_manifest_codec(manifest)
-    if isinstance(shard, tuple):
-        lo, hi = shard
-        for candidate in manifest.shards:
-            if candidate.lo == lo and candidate.hi == hi:
-                info = candidate
-                break
-        else:
-            raise SnapshotFormatError(
-                f"{manifest.path}: no shard with bounds ({lo}, {hi}); "
-                f"manifest ranges are {manifest.ranges()}"
-            )
-    else:
-        if not 0 <= shard < manifest.num_shards:
-            raise SnapshotFormatError(
-                f"{manifest.path}: shard index {shard} out of range "
-                f"(manifest has {manifest.num_shards})"
-            )
-        info = manifest.shards[shard]
-
-    offsets_view, targets_view, mapping = _read_shard_payload(
-        manifest, info, mmap=mmap, verify=verify
-    )
-
-    # pad the rebased local offsets back to full length: zeros before lo,
-    # the shard's edge count after hi — global row indexing works unchanged,
-    # and out-of-range rows read as empty
-    offsets = array("q", bytes(_ITEM * info.lo))
-    offsets.frombytes(bytes(offsets_view))
+    targets_start = SHARD_HEADER_SIZE + (shard.rows + 1) * _ITEM
+    local_offsets = array("q", data[SHARD_HEADER_SIZE:targets_start])
+    local_targets = array("q", data[targets_start:])
     if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        swapped = array("q", offsets_view.tobytes() if hasattr(offsets_view, "tobytes") else bytes(offsets_view))
-        swapped.byteswap()
-        offsets = array("q", [0] * info.lo)
-        offsets.extend(swapped)
-    offsets.extend([info.edges] * (manifest.n - info.hi))
-
-    if mapping is not None:
-        targets = memoryview(mapping)[
-            SHARD_HEADER_SIZE + (info.rows + 1) * _ITEM : info.file_size
-        ].cast("q")
-    else:
-        targets = array("q")
-        targets.frombytes(bytes(targets_view))
-        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-            targets.byteswap()
-
-    view = ShardView(offsets, targets, external_ids)
-    view._buffer_owner = mapping
-    view.shard_index = info.index
-    view.shard_lo = info.lo
-    view.shard_hi = info.hi
-    view.shard_count = manifest.num_shards
-    view.shard_file_bytes = info.file_size
-    return view
+        local_offsets.byteswap()
+        local_targets.byteswap()
+    return local_offsets, local_targets
 
 
-def load_sharded_snapshot(
-    manifest_path: str | os.PathLike, *, verify: bool = True
-) -> "CSRGraph":
-    """Reassemble the full monolithic snapshot from a sharded one.
-
-    The trusting whole-graph load (equivalence tests, non-out-of-core
-    consumers of a sharded store).  Always returns private heap arrays —
-    one contiguous array cannot be zero-copy over many mappings.  With
-    ``verify=True`` the **global** content hash is recomputed over the
-    assembled arrays + codec and compared against the manifest's, exactly
-    like the monolithic loader's corruption check.
-    """
+def load_sharded_snapshot(manifest_path: str | os.PathLike, *, verify: bool = True) -> "CSRGraph":
+    """Reassemble the full snapshot from a sharded one, as private heap
+    arrays.  With ``verify=True`` the **global** content hash is recomputed
+    over the assembled arrays + codec and compared against the manifest's,
+    like the monolithic loader's corruption check."""
     manifest = peek_manifest(manifest_path)
-    external_ids = read_manifest_codec(manifest)
+    with manifest.path.open("rb") as handle:
+        handle.seek(manifest.codec_start)
+        codec_bytes = handle.read(manifest.codec_length)
+    if len(codec_bytes) != manifest.codec_length:
+        raise SnapshotFormatError(f"{manifest.path}: truncated codec section")
+    external_ids = decode_codec(codec_bytes)
+    if len(external_ids) != manifest.n:
+        raise SnapshotFormatError(
+            f"{manifest.path}: codec lists {len(external_ids)} vertices, "
+            f"header says {manifest.n}"
+        )
     offsets = array("q", [0])
     targets = array("q")
-    edge_base = 0
     for shard in manifest.shards:
-        offsets_view, targets_view, mapping = _read_shard_payload(
-            manifest, shard, mmap=False, verify=False
-        )
-        local_offsets = array("q")
-        local_offsets.frombytes(bytes(offsets_view))
-        local_targets = array("q")
-        local_targets.frombytes(bytes(targets_view))
-        if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-            local_offsets.byteswap()
-            local_targets.byteswap()
+        local_offsets, local_targets = _read_segment(manifest, shard)
+        edge_base = len(targets)
         offsets.extend(value + edge_base for value in local_offsets[1:])
         targets.extend(local_targets)
-        edge_base += shard.edges
-    if verify:
-        from repro.graph.snapshot_store import compute_content_hash
-
-        digest = compute_content_hash(offsets, targets, encode_codec(external_ids))
-        if digest != manifest.content_hash:
-            raise SnapshotFormatError(
-                f"{manifest_path}: content hash mismatch — the sharded snapshot is corrupt"
-            )
+    if verify and compute_content_hash(offsets, targets, codec_bytes) != manifest.content_hash:
+        raise SnapshotFormatError(
+            f"{manifest_path}: content hash mismatch — the sharded snapshot is corrupt"
+        )
     snap = CSRGraph(offsets, targets, external_ids)
     snap._content_hash = manifest.content_hash
     return snap
-
-
-def ensure_saved_sharded(
-    csr: "CSRGraph",
-    manifest_path: str | os.PathLike,
-    *,
-    ranges: Sequence[tuple[int, int]] | None = None,
-    shards: int | None = None,
-    max_bytes: int | None = None,
-) -> Path:
-    """Make sure ``manifest_path`` holds exactly ``csr`` sharded along the
-    requested geometry (content-hash + per-shard checked).
-
-    A readable manifest whose global hash matches, whose ranges equal the
-    requested ones, and whose segment files all pass the cheap size/header
-    check is left untouched; anything else is atomically rewritten.
-    """
-    manifest_path = Path(manifest_path)
-    if ranges is None:
-        ranges = plan_shard_ranges(csr, shards=shards, max_bytes=max_bytes)
-    ranges = [(int(lo), int(hi)) for lo, hi in ranges]
-    if manifest_path.exists():
-        try:
-            manifest = peek_manifest(manifest_path)
-            if (
-                manifest.content_hash == csr.content_hash
-                and manifest.ranges() == ranges
-                and verify_shard_files(manifest)
-            ):
-                return manifest_path
-        except SnapshotFormatError:
-            pass
-    return save_sharded_snapshot(csr, manifest_path, ranges=ranges)

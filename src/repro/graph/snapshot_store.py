@@ -8,9 +8,9 @@ per dataset can be mapped read-only by any number of processes, so
 * a process that trusts the file (:func:`load_snapshot` /
   :meth:`SnapshotStore.load`) skips extraction entirely — the cost of
   expanding the virtual layer into CSR form is paid once per dataset, not
-  once per process (the parallel superstep workers are exactly this case:
-  they map the coordinator's snapshot file instead of rebuilding or
-  unpickling the graph), and
+  once per process (pool workers are exactly this case: they map the
+  coordinator's snapshot file instead of rebuilding or unpickling the
+  graph), and
 * every mapping process shares one physical copy of the arrays through the
   page cache.
 
@@ -130,7 +130,7 @@ def saves_in_thread() -> int:
 
 
 def _record_save() -> None:
-    """Count one logical snapshot persist (monolithic file or sharded set)."""
+    """Count one logical snapshot persist."""
     global SAVE_COUNT
     with _COUNTER_LOCK:
         SAVE_COUNT += 1
@@ -414,48 +414,20 @@ class SnapshotStore:
     the pay-once-per-dataset path used by worker processes.  ``lookup(key,
     fingerprint)`` is the *conditional* trust of a warm start: the verified
     mmap load, while the ``.src`` sidecar pins this ``.csr``'s content hash
-    and that source fingerprint (monolithic snapshots only).
+    and that source fingerprint.
 
-    Sharding policy
-    ---------------
-    A store can persist **sharded** snapshots (one ``.csrm`` manifest plus
-    per-vertex-range segment files, :mod:`repro.graph.shard_store`) instead
-    of monolithic ``.csr`` files:
-
-    * ``shards=N`` shards every snapshot into exactly ``N`` range segments
-      (the superstep executor's ``partition_range`` geometry), while
-    * ``shard_threshold_bytes=B`` shards only snapshots whose array payload
-      exceeds ``B``, splitting greedily so each segment file stays ≤ ``B`` —
-      the ``--memory-budget`` contract: no worker ever maps more than ``B``
-      bytes of snapshot.
-
-    :meth:`shard_plan` exposes the decision (``None`` means monolithic);
-    :meth:`fetch` transparently maintains whichever format the policy picks,
-    with the same hit/stale/miss accounting either way.
+    Only the monolithic ``.csr`` (plus its ``.csrd`` / ``.src`` sidecars) is
+    ever read; any other file under a key's stem — a ``.csrm`` manifest
+    included — is ignored, and the key is rebuilt as a ``.csr``.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        shards: int | None = None,
-        shard_threshold_bytes: int | None = None,
-        compact_fraction: float = 0.25,
-    ) -> None:
-        if shards is not None and shards < 1:
-            raise ValueError(f"shards must be at least 1 (got {shards})")
-        if shard_threshold_bytes is not None and shard_threshold_bytes < 1:
-            raise ValueError(
-                f"shard_threshold_bytes must be positive (got {shard_threshold_bytes})"
-            )
+    def __init__(self, directory: str | os.PathLike, *, compact_fraction: float = 0.25) -> None:
         if not 0.0 < compact_fraction:
             raise ValueError(
                 f"compact_fraction must be positive (got {compact_fraction})"
             )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.shards = shards
-        self.shard_threshold_bytes = shard_threshold_bytes
         #: journal compaction threshold: a journaled graph's pending delta
         #: records are folded into a fresh base snapshot once they exceed
         #: this fraction of the base edge count
@@ -493,40 +465,8 @@ class SnapshotStore:
         """Where the source-fingerprint sidecar of ``key``'s ``.csr`` lives."""
         return self.directory / f"{_slug(key)}.src"
 
-    def manifest_path_for(self, key: str) -> Path:
-        """Where a *sharded* snapshot's manifest for ``key`` lives."""
-        from repro.graph.shard_store import MANIFEST_SUFFIX
-
-        return self.directory / f"{_slug(key)}{MANIFEST_SUFFIX}"
-
     def contains(self, key: str) -> bool:
-        return self.path_for(key).exists() or self.manifest_path_for(key).exists()
-
-    @property
-    def sharded(self) -> bool:
-        """Whether this store's policy can ever produce sharded snapshots."""
-        return self.shards is not None or self.shard_threshold_bytes is not None
-
-    def shard_plan(self, csr: "CSRGraph") -> "list[tuple[int, int]] | None":
-        """The shard ranges this store's policy assigns ``csr``.
-
-        ``None`` means "persist monolithically": no policy configured, an
-        empty graph, or a payload under the size threshold.  Non-``None`` is
-        the exact, deterministic shard geometry — callers reuse it as the
-        worker partition bounds so shard files and executor partitions align.
-        """
-        from repro.graph import shard_store
-
-        if csr.n == 0:
-            return None
-        if self.shards is not None:
-            return shard_store.plan_shard_ranges(csr, shards=self.shards)
-        if self.shard_threshold_bytes is not None:
-            if shard_store.snapshot_payload_bytes(csr) > self.shard_threshold_bytes:
-                return shard_store.plan_shard_ranges(
-                    csr, max_bytes=self.shard_threshold_bytes
-                )
-        return None
+        return self.path_for(key).exists()
 
     def save(self, csr: "CSRGraph", key: str) -> Path:
         return save_snapshot(csr, self.path_for(key))
@@ -603,9 +543,6 @@ class SnapshotStore:
         fetch instead of this one's.
         """
         snap = graph.snapshot()
-        ranges = self.shard_plan(snap)
-        if ranges is not None:
-            return self._fetch_sharded(graph, snap, key, ranges)
         from repro.graph.delta import JournaledGraph
 
         if isinstance(graph, JournaledGraph) and graph.journal.records:
@@ -688,40 +625,6 @@ class SnapshotStore:
             graph.adopt_snapshot(loaded)
         self._record("base+delta")
         return snap, "base+delta"
-
-    def _fetch_sharded(
-        self, graph: "Graph", snap: "CSRGraph", key: str, ranges: list
-    ) -> "tuple[CSRGraph, str]":
-        """:meth:`fetch` for a policy that sharded this snapshot.
-
-        Hit/stale/miss semantics mirror the monolithic branch, with two
-        differences: staleness additionally covers a *geometry* change (same
-        content, different shard ranges — e.g. a new memory budget), and a
-        hit returns the graph's own heap snapshot rather than an mmap load.
-        The coordinator process keeps the heap arrays it already built; the
-        whole point of the format is that only *workers* map snapshot bytes,
-        each its own segment file.
-        """
-        from repro.graph import shard_store
-
-        path = self.manifest_path_for(key)
-        existed = path.exists()
-        if existed:
-            try:
-                manifest = shard_store.peek_manifest(path)
-                if (
-                    manifest.content_hash == snap.content_hash
-                    and manifest.ranges() == ranges
-                    and shard_store.verify_shard_files(manifest)
-                ):
-                    self._record("hit")
-                    return snap, "hit"
-            except SnapshotFormatError:
-                pass  # unreadable/stale manifest: fall through and rewrite
-        shard_store.save_sharded_snapshot(snap, path, ranges=ranges)
-        outcome = "stale" if existed else "miss"
-        self._record(outcome)
-        return snap, outcome
 
     def _record(self, outcome: str) -> None:
         with self._lock:

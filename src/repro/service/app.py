@@ -236,13 +236,6 @@ class GraphService:
             }
         pool_manager = self.session.pool_manager
         store = self.session.store
-        sharding = {
-            "out_of_core": self.session.out_of_core,
-            "shards": store.shards if store is not None else None,
-            "threshold_bytes": (
-                store.shard_threshold_bytes if store is not None else None
-            ),
-        }
         journal = self.handle.journal
         journal_stats = None
         if journal is not None:
@@ -260,7 +253,6 @@ class GraphService:
             # which store path answered each snapshot request: "source-hit"
             # (trusted reopen, nothing extracted), "hit", "stale", "miss", ...
             "store": dict(store.counters) if store is not None else None,
-            "sharding": sharding,
             "journal": journal_stats,
         }
 
@@ -367,7 +359,6 @@ class GraphService:
             snapshot_writes=fresh_report.snapshot_writes if fresh_report else 0,
             nodes_computed=fresh_report.nodes_computed if fresh_report else 0,
             nodes_reused=fresh_report.nodes_reused if fresh_report else 0,
-            worker_memory=fresh_report.worker_memory if fresh_report else [],
             cache={"hits": hits, "misses": misses, "queue_depth": self.queue_depth},
             journal=None
             if journal is None

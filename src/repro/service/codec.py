@@ -85,7 +85,6 @@ def encode_provenance(provenance: Provenance | None) -> dict | None:
         "backend": provenance.backend,
         "snapshot_source": provenance.snapshot_source,
         "parallelism": provenance.parallelism,
-        "shards": provenance.shards,
         "delta_edges": provenance.delta_edges,
     }
 
@@ -98,8 +97,6 @@ def decode_provenance(data: dict | None) -> Provenance | None:
         backend=data["backend"],
         snapshot_source=data["snapshot_source"],
         parallelism=data["parallelism"],
-        # absent in payloads encoded before sharding existed
-        shards=data.get("shards", 0),
         # absent in payloads encoded before the delta journal existed
         delta_edges=data.get("delta_edges", 0),
     )
@@ -163,7 +160,6 @@ def encode_report(report: AnalysisReport) -> dict:
         "nodes_reused": report.nodes_reused,
         "cache": dict(report.cache) if report.cache is not None else None,
         "journal": dict(report.journal) if report.journal is not None else None,
-        "worker_memory": [dict(entry) for entry in report.worker_memory],
     }
 
 
@@ -180,8 +176,6 @@ def decode_report(data: dict) -> AnalysisReport:
         cache=dict(data["cache"]) if data.get("cache") is not None else None,
         # absent in payloads encoded before the delta journal existed
         journal=dict(data["journal"]) if data.get("journal") is not None else None,
-        # absent in payloads encoded before out-of-core execution existed
-        worker_memory=[dict(entry) for entry in data.get("worker_memory", [])],
     )
 
 

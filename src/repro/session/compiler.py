@@ -55,10 +55,8 @@ accumulation that stays on the coordinator — and the **``triangle-counts``
 derive node**, split by vertex range (every triangle is attributed to its
 smallest vertex, so the integer partial vectors add exactly).  Everything
 else runs inline on the session's backend, and a plan holding neither node
-starts no pool.  The one other placement is forced, not chosen: an
-*out-of-core* pool's workers map one shard each and cannot see the whole
-graph, so such a plan runs shard-local superstep programs on the pool and
-the rest — sweep and triangle pass included — on the coordinator.
+starts no pool.  No vertex-centric program runs inside a plan: those
+engines are reached through ``run_*`` / ``handle.giraph()`` only.
 
 Every result gains per-node provenance
 (:class:`~repro.session.NodeProvenance`): the nodes in its dependency
@@ -126,8 +124,8 @@ class Node:
 
     key: str
     kind: str  # "snapshot" | "derive" | "sweep" | "algo"
-    #: algo: inline | sweep | incremental (| superstep, out-of-core plans);
-    #: sweep and triangle-counts: inline | chunks (sliced over the pool)
+    #: algo: inline | sweep | incremental; sweep and triangle-counts:
+    #: inline | chunks (sliced over the pool)
     mode: str = "inline"
     spec: "PlanAlgorithm | None" = None
     params: dict | None = None
@@ -184,7 +182,7 @@ class CompiledPlan:
         nodes = [*self.algo_nodes, *self.derive_nodes]
         if self.sweep is not None:
             nodes.append(self.sweep.node)
-        return any(node.mode in ("chunks", "superstep") for node in nodes)
+        return any(node.mode == "chunks" for node in nodes)
 
 
 #: algorithms whose kernels consume the symmetrised adjacency view
@@ -209,20 +207,12 @@ def compile_plan(
     requests: list[tuple["PlanAlgorithm", dict]],
     csr: "CSRGraph",
     *,
-    oc: bool = False,
     incremental: dict[str, tuple[Any, float, str]] | None = None,
 ) -> CompiledPlan:
     """Lower a request list into a deduplicated node DAG (no execution).
 
     The DAG does not depend on the session's ``parallelism``;
     :func:`place_on_pool` decides afterwards which of its nodes run sliced.
-
-    ``oc`` marks an out-of-core plan (the session store sharded this
-    snapshot): pool workers then map only their own shard, so requests with
-    a **shard-local superstep program** go to the pool as ``"superstep"``
-    nodes and everything that needs adjacency outside a worker's shard —
-    the sweep, the triangle pass, whole-graph kernels — runs inline on the
-    coordinator, which holds the full heap snapshot it built.
 
     ``incremental`` maps structural algo keys to pre-served
     ``(values, seconds, note)`` triples from the handle's dynamic
@@ -326,47 +316,10 @@ def compile_plan(
         )
 
     # -- modes: sweep-covered nodes bypass their kernels; everything else is
-    #    "inline" (its kernel on the coordinator) unless an out-of-core pool
-    #    can run it as a shard-local superstep program --------------------- #
+    #    "inline" (its kernel on the coordinator) -------------------------- #
     for node in demanding:
         node.mode = "sweep"
         node.deps = (sweep.node,)
-    if oc and n > 0:
-        symmetric: bool | None = None
-        for node in algo_nodes:
-            if node.mode != "inline":
-                continue
-            spec = node.spec
-            if spec.superstep is None:
-                node.notes = (
-                    f"note: {spec.name} needs whole-graph adjacency, which "
-                    "out-of-core workers do not map; running inline on the "
-                    "coordinator",
-                )
-                continue
-            fallback = (
-                spec.superstep_params_ok(node.params)
-                if spec.superstep_params_ok is not None
-                else None
-            )
-            if fallback is None and spec.requires_symmetric:
-                if symmetric is None:
-                    symmetric = csr.is_symmetric()
-                if not symmetric:
-                    fallback = (
-                        f"note: the {spec.name} superstep program requires a "
-                        "symmetric graph; running serial kernel"
-                    )
-            if fallback is not None:
-                node.notes = (
-                    fallback,
-                    "note: out-of-core workers map only their own shard; "
-                    "running inline on the coordinator",
-                )
-            else:
-                node.mode = "superstep"
-                node.notes = (spec.superstep_note,) if spec.superstep_note else ()
-
     # -- derive nodes: views shared by the kernels that read them ---------- #
     derive_nodes: list[Node] = []
     shared: dict[str, Node] = {}
@@ -398,7 +351,7 @@ def compile_plan(
 
 
 def place_on_pool(compiled: CompiledPlan) -> None:
-    """The one placement rule of an in-memory ``parallelism > 1`` plan: the
+    """The one placement rule of a ``parallelism > 1`` plan: the
     two nodes with an exact slice form run sliced over the pool — the fused
     sweep by source, unless it streams (one ordered float accumulation), and
     the ``triangle-counts`` pass by vertex range.  Everything else stays
@@ -509,14 +462,6 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     delta_edges = handle._delta_edges
     snapshot_notes = handle.consume_snapshot_notes()
 
-    # out-of-core: the session store's sharding policy decides once per plan;
-    # a non-None plan is the exact shard geometry, reused as the worker
-    # partitions so shard files and partitions align one-to-one
-    oc_ranges = None
-    if session.store is not None and session.store.sharded:
-        oc_ranges = session.store.shard_plan(csr)
-    oc = oc_ranges is not None
-
     # pre-serve dynamic maintainers over the delta journal before lowering:
     # served requests compile to already-done "incremental" nodes, so they
     # never pull a sweep, a derive view or a pool into existence
@@ -532,8 +477,8 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             incremental_served[key] = served
             CompilerCounters.nodes_computed += 1
 
-    compiled = compile_plan(plan._requests, csr, oc=oc, incremental=incremental_served)
-    if parallelism > 1 and not oc and csr.n > 0:
+    compiled = compile_plan(plan._requests, csr, incremental=incremental_served)
+    if parallelism > 1 and csr.n > 0:
         place_on_pool(compiled)
     CompilerCounters.plans_compiled += 1
     snapshot_node = Node(
@@ -547,7 +492,6 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
 
     pool = None
     release_pool = None
-    snapshot_path: str | None = None
     cleanup_path: str | None = None
     try:
         if compiled.wants_pool:
@@ -559,12 +503,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 cleanup_path = snapshot_path
                 csr.save(snapshot_path)
             pool, release_pool = session.acquire_pool(
-                csr.n,
-                snapshot_path,
-                csr.content_hash,
-                backend.name,
-                partitions=oc_ranges,
-                sharded=oc,
+                csr.n, snapshot_path, csr.content_hash, backend.name
             )
 
         # shared derived views, then the fused sweep, before any consumer
@@ -585,9 +524,8 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             CompilerCounters.nodes_computed += 1
         derived = {node.key: node.value for node in compiled.derive_nodes}
         if compiled.sweep is not None:
-            # the node's mode, not mere pool presence: an out-of-core pool's
-            # workers cannot grow whole-graph traversals, and a streaming
-            # sweep stays on the coordinator whatever the worker count
+            # the node's mode, not mere pool presence: a streaming sweep
+            # stays on the coordinator whatever the worker count
             sweep_pool = pool if compiled.sweep.node.mode == "chunks" else None
             _execute_sweep(compiled.sweep, csr, backend, sweep_pool)
             CompilerCounters.nodes_computed += 1
@@ -598,11 +536,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             spec, params = spec_params
             if not node.done:
                 tick = time.perf_counter()
-                if node.mode == "superstep":
-                    node.value = spec.superstep(
-                        handle.graph, parallelism, snapshot_path, backend.name, params, pool
-                    )
-                elif node.mode == "sweep":
+                if node.mode == "sweep":
                     node.value = _finalise_from_sweep(node, compiled.sweep, csr, backend)
                 elif spec.from_triangles is not None:
                     node.value = spec.from_triangles(csr, derived["triangle-counts"])
@@ -642,18 +576,9 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     )
                 )
 
-            result_source = snapshot_source
-            result_shards = 0
             engine, scheduled, result_parallelism = "kernel", "inline", 1
             if node.mode == "incremental":
                 engine = "incremental"
-            elif node.mode == "superstep":
-                # out-of-core execution: workers mapped per-shard segment
-                # files, and the worker count is the shard count
-                engine, scheduled = "superstep", "pool"
-                result_source = "shard-mmap"
-                result_parallelism = len(pool.partitions)
-                result_shards = len(oc_ranges)
             elif any(dep.mode == "chunks" for dep in node.deps):
                 # answered from a node that ran sliced over the pool
                 engine, scheduled, result_parallelism = "chunks", "pool", parallelism
@@ -678,9 +603,8 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     provenance=Provenance(
                         representation=handle.representation,
                         backend=backend.name,
-                        snapshot_source=result_source,
+                        snapshot_source=snapshot_source,
                         parallelism=result_parallelism,
-                        shards=result_shards,
                         delta_edges=delta_edges,
                     ),
                     notes=node.notes + snapshot_notes,
@@ -688,10 +612,6 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     nodes=tuple(provenance_nodes),
                 )
             )
-
-        worker_memory: list[dict[str, int]] = []
-        if pool is not None and oc:
-            worker_memory = pool.call("memory_stats", [None] * len(pool.partitions))
     finally:
         if release_pool is not None:
             release_pool()
@@ -715,9 +635,8 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
         provenance=Provenance(
             representation=handle.representation,
             backend=backend.name,
-            snapshot_source="shard-mmap" if (oc and worker_memory) else snapshot_source,
+            snapshot_source=snapshot_source,
             parallelism=parallelism,
-            shards=len(oc_ranges) if oc else 0,
             delta_edges=delta_edges,
         ),
         total_seconds=time.perf_counter() - started,
@@ -733,5 +652,4 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             "total": journal.total,
             "compactions": journal.compactions,
         },
-        worker_memory=worker_memory,
     )

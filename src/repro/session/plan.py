@@ -27,8 +27,8 @@ call the same backend kernels on the same snapshot.  Session
 fused sweep (split by source) and the ``triangle-counts`` node (split by
 vertex range) run as slices on one worker pool over one persisted snapshot
 file, and everything else runs inline exactly as at ``parallelism == 1``.
-Only an out-of-core session (``shards`` / ``memory_budget_mb``), whose
-workers cannot see the whole graph, runs the superstep programs below.
+No vertex-centric program runs inside a plan (those engines are
+:mod:`repro.vertexcentric` / :mod:`repro.giraph`, reached directly).
 Per-result ``scheduled``/engine/notes fields and the report's
 ``pool_starts`` / ``snapshot_writes`` counters record how the batch actually
 executed.
@@ -60,15 +60,9 @@ from repro.exceptions import RepresentationError, UsageError
 from repro.incremental.base import decode
 from repro.session.compiler import run_compiled
 from repro.session.report import AnalysisReport
-from repro.vertexcentric.programs import (
-    run_connected_components,
-    run_degree,
-    run_pagerank,
-    run_sssp,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.api import Graph, VertexId
+    from repro.graph.api import VertexId
     from repro.graph.backend.python_backend import KernelBackend
     from repro.graph.kernel import CSRGraph
     from repro.session.session import GraphHandle
@@ -76,24 +70,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: sentinel marking a parameter that must be supplied by the caller
 REQUIRED = object()
 
-#: superstep pagerank runs a fixed iteration count (the engine has no
-#: convergence test); the note on its results quotes this number
-SUPERSTEP_PAGERANK_ITERATIONS = 20
-
 
 def _encode_source(csr: "CSRGraph", source: "VertexId") -> int:
     if not csr.has_vertex(source):
         raise RepresentationError(f"BFS source {source!r} is not in the graph")
     return csr.index(source)
-
-
-def canonical_component_labels(labels: dict) -> dict:
-    """Relabel a component partition with 0-based integers in
-    first-appearance order.  ``run_connected_components`` returns values in
-    snapshot vertex order, so on symmetric graphs this reproduces the serial
-    kernel's numbering exactly."""
-    canonical: dict[Any, int] = {}
-    return {vertex: canonical.setdefault(label, len(canonical)) for vertex, label in labels.items()}
 
 
 # --------------------------------------------------------------------------- #
@@ -185,70 +166,6 @@ def _kernel_link_predictions(csr, backend, params):
 
 
 # --------------------------------------------------------------------------- #
-# superstep runners (out-of-core plans only):
-# (graph, parallelism, snapshot_path, backend_name, params, pool)
-# -> values canonicalised to the serial kernels' shape.  ``pool`` is the
-# plan's shared worker pool; the coordinator installs the program on it
-# instead of forking processes of its own.
-# --------------------------------------------------------------------------- #
-def _superstep_degree(graph, parallelism, path, backend, params, pool=None):
-    values, _ = run_degree(
-        graph, parallelism=parallelism, snapshot_path=path, backend=backend, pool=pool
-    )
-    return values
-
-
-def _superstep_pagerank(graph, parallelism, path, backend, params, pool=None):
-    values, _ = run_pagerank(
-        graph,
-        iterations=SUPERSTEP_PAGERANK_ITERATIONS,
-        damping=params["damping"],
-        parallelism=parallelism,
-        snapshot_path=path,
-        backend=backend,
-        pool=pool,
-    )
-    return values
-
-
-def _pagerank_superstep_params_ok(params) -> str | None:
-    """The superstep engine has fixed iterations and no convergence test, so
-    only a default-convergence request may be routed to it — anything else
-    must run the serial kernel to honor the caller's parameters."""
-    if params["max_iterations"] == 50 and params["tolerance"] == 1.0e-9:
-        return None
-    return (
-        "note: pagerank with custom max_iterations/tolerance runs on the "
-        "serial kernel (the superstep engine has fixed iterations)"
-    )
-
-
-def _bfs_superstep_params_ok(params) -> str | None:
-    if params["max_depth"] is None:
-        return None
-    return "note: bfs with a max_depth limit has no superstep program; running serial kernel"
-
-
-def _superstep_components(graph, parallelism, path, backend, params, pool=None):
-    raw, _ = run_connected_components(
-        graph, parallelism=parallelism, snapshot_path=path, backend=backend, pool=pool
-    )
-    return canonical_component_labels(raw)
-
-
-def _superstep_bfs(graph, parallelism, path, backend, params, pool=None):
-    with_unreachable, _ = run_sssp(
-        graph,
-        params["source"],
-        parallelism=parallelism,
-        snapshot_path=path,
-        backend=backend,
-        pool=pool,
-    )
-    return {v: d for v, d in with_unreachable.items() if d is not None}
-
-
-# --------------------------------------------------------------------------- #
 # validation helpers (raise UsageError: these are caller mistakes, reported
 # as one-line messages, never tracebacks)
 # --------------------------------------------------------------------------- #
@@ -296,16 +213,6 @@ class PlanAlgorithm:
     dense: Callable[["CSRGraph", "KernelBackend", dict], list] | None = None
     #: extra parameter validation (beyond unknown/missing checks)
     validate: Callable[[dict], None] | None = None
-    #: shard-local vertex-centric program — how an out-of-core pool, whose
-    #: workers map one shard each, runs this algorithm — or None
-    superstep: Callable[["Graph", int, str | None, str, dict], Any] | None = None
-    #: superstep gathers from out-neighbors: exact only on symmetric graphs
-    requires_symmetric: bool = False
-    #: note attached to results whenever the superstep path is taken
-    superstep_note: str | None = None
-    #: params -> fallback note when the superstep program cannot honor these
-    #: parameters (None = eligible); the request then runs the serial kernel
-    superstep_params_ok: Callable[[dict], str | None] | None = None
     #: ``(csr, per-vertex triangle counts) -> value`` for the algorithms a
     #: plan answers from its one shared ``triangle-counts`` pass
     from_triangles: Callable[["CSRGraph", list], Any] | None = None
@@ -324,7 +231,6 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             "degree",
             defaults={},
             kernel=_kernel_degree,
-            superstep=_superstep_degree,
         ),
         PlanAlgorithm(
             "pagerank",
@@ -332,14 +238,6 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             kernel=_decoded("pagerank", _dense_pagerank),
             dense=_dense_pagerank,
             validate=_validate_pagerank,
-            superstep=_superstep_pagerank,
-            requires_symmetric=True,
-            superstep_params_ok=_pagerank_superstep_params_ok,
-            superstep_note=(
-                "note: pagerank via the superstep engine "
-                f"({SUPERSTEP_PAGERANK_ITERATIONS} fixed iterations); "
-                "low-order digits may differ from the serial kernel"
-            ),
             maintainer="pagerank",
         ),
         PlanAlgorithm(
@@ -347,8 +245,6 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             defaults={},
             kernel=_decoded("components", _dense_components),
             dense=_dense_components,
-            superstep=_superstep_components,
-            requires_symmetric=True,
             maintainer="components",
         ),
         PlanAlgorithm(
@@ -357,9 +253,6 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             kernel=_decoded("bfs", _dense_bfs),
             dense=_dense_bfs,
             validate=_validate_bfs,
-            superstep=_superstep_bfs,
-            requires_symmetric=True,
-            superstep_params_ok=_bfs_superstep_params_ok,
             maintainer="bfs",
         ),
         PlanAlgorithm("kcore", defaults={}, kernel=_kernel_kcore),

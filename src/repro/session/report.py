@@ -4,9 +4,9 @@ An :class:`~repro.session.AnalysisPlan` run produces one
 :class:`AnalysisReport` holding an ordered list of per-algorithm
 :class:`AnalysisResult` objects.  Every result carries its decoded values,
 its wall-clock timing, the engine it ran on (an inline kernel, a node sliced
-over the worker pool, an out-of-core superstep program, a maintainer) and a
-shared :class:`Provenance` record describing the execution context: which representation the snapshot was taken from, which kernel
-backend computed it, where the snapshot's arrays live (freshly built heap
+over the worker pool, a maintainer) and a shared :class:`Provenance` record
+describing the execution context: which representation the snapshot was
+taken from, which kernel backend computed it, where the snapshot's arrays live (freshly built heap
 arrays, an mmap of a store file, or an in-process cache hit) and how many
 worker processes were used.
 
@@ -58,13 +58,11 @@ class Provenance:
     #: where the snapshot's arrays came from for this run: ``"heap"`` (built
     #: from the live graph), ``"mmap"`` (zero-copy load of a store file),
     #: ``"cache-hit"`` (the graph's still-valid in-process snapshot was
-    #: reused) or ``"shard-mmap"`` (out-of-core: each worker mapped only its
-    #: own shard's segment file)
+    #: reused) or ``"base+delta"`` (a journaled graph's base merged with its
+    #: pending deltas)
     snapshot_source: str
     #: worker processes used (1 = serial)
     parallelism: int
-    #: shard segment files behind this execution (0 = monolithic snapshot)
-    shards: int = 0
     #: pending edge-delta records merged over the base snapshot when the
     #: graph is journaled (``snapshot_source="base+delta"``); 0 otherwise
     delta_edges: int = 0
@@ -86,18 +84,17 @@ class AnalysisResult:
     seconds: float
     #: ``"kernel"`` (backend kernel on the coordinator), ``"chunks"`` (answered
     #: from a node that ran sliced over the pool — the fused sweep or the
-    #: triangle pass — merged exactly from per-worker partials),
-    #: ``"superstep"`` (shard-local vertex-centric program; out-of-core
-    #: sessions only) or ``"incremental"`` (a dynamic maintainer repaired the
-    #: previous result over the delta journal — no kernel ran)
+    #: triangle pass — merged exactly from per-worker partials) or
+    #: ``"incremental"`` (a dynamic maintainer repaired the previous result
+    #: over the delta journal — no kernel ran)
     engine: str
     provenance: Provenance
-    #: human-readable execution notes (e.g. why an out-of-core plan kept a
-    #: request on the coordinator)
+    #: human-readable execution notes (e.g. how many delta records a
+    #: maintainer absorbed)
     notes: tuple[str, ...] = ()
     #: where the work behind this request ran: ``"inline"`` (coordinator
     #: process) or ``"pool"`` (the plan's shared worker pool — exactly the
-    #: ``"chunks"`` and ``"superstep"`` engines)
+    #: ``"chunks"`` engine)
     scheduled: str = "inline"
     #: per-node provenance over this result's dependency closure, in
     #: execution order (snapshot, derived views, shared sweep, the algorithm
@@ -150,12 +147,6 @@ class AnalysisReport:
     #: "total": 17, "compactions": 1}``); None when the analyzed graph has no
     #: journal
     journal: dict[str, int] | None = None
-    #: per-worker snapshot footprints for out-of-core runs, in partition
-    #: order: ``{"lo", "hi", "mapped_bytes", "peak_rss_bytes"}`` dicts (see
-    #: :meth:`repro.session.scheduler.PlanWorker.memory_stats`).  Empty when
-    #: no sharded pool ran — this is how "no worker mapped more than its
-    #: shard" is asserted rather than eyeballed
-    worker_memory: list[dict[str, int]] = field(default_factory=list)
 
     def __iter__(self) -> Iterator[AnalysisResult]:
         return iter(self.results)
@@ -207,11 +198,10 @@ class AnalysisReport:
         lines = []
         if self.provenance is not None:
             p = self.provenance
-            sharding = f" shards={p.shards}" if p.shards else ""
             deltas = f" delta_edges={p.delta_edges}" if p.delta_edges else ""
             lines.append(
                 f"analysis of {p.representation} snapshot ({p.snapshot_source}) "
-                f"on backend={p.backend} parallelism={p.parallelism}{sharding}{deltas}: "
+                f"on backend={p.backend} parallelism={p.parallelism}{deltas}: "
                 f"{len(self.results)} algorithm(s), "
                 f"{self.snapshot_builds} snapshot build(s), "
                 f"{self.total_seconds:.3f}s total"

@@ -9,9 +9,9 @@ module holds the worker-side machinery the plan executor
 * :class:`PlanWorker` — one *generic* worker per partition, forked once per
   plan.  It is the vertex-centric framework's
   :class:`~repro.vertexcentric.parallel.SnapshotWorker` (built by the same
-  ``factory``, which mmap-loads the plan's single snapshot file — or, under
-  sharding, the worker's own segment) plus one method per sliced node, each
-  invoked by name through the pool's one wire command:
+  ``factory``, which mmap-loads the plan's single snapshot file) plus one
+  method per sliced node, each invoked by name through the pool's one wire
+  command:
 
   - ``run_sweep`` — one slice of the plan's fused source sweep, through
     :func:`sweep_products`, the same per-source product loop the coordinator
@@ -24,11 +24,7 @@ module holds the worker-side machinery the plan executor
   - ``triangle_counts`` — the ``triangle-counts`` derive node restricted to
     the worker's ``(lo, hi)`` vertex range: every triangle is attributed to
     its smallest vertex, so the integer vectors of all partitions add up to
-    the whole-graph vector exactly;
-  - ``install_program`` + ``run_superstep`` (inherited) — what an
-    *out-of-core* pool runs instead: its workers map one shard each, cannot
-    see the whole graph, and therefore serve shard-local vertex-centric
-    programs only.
+    the whole-graph vector exactly.
 
 * :class:`SharedPoolManager` — the warm pool a ``warm_pool=True`` session
   leases to one plan at a time.
@@ -70,7 +66,7 @@ def sweep_products(backend, csr, payload):
 
 class PlanWorker(SnapshotWorker):
     """One partition's generic worker for a scheduled plan (see module doc):
-    the snapshot worker's superstep protocol plus one method per sliced node."""
+    a snapshot worker plus one method per sliced node."""
 
     def triangle_counts(self, bounds):
         """This vertex range's share of the ``triangle-counts`` node: the
@@ -91,14 +87,13 @@ class SharedPoolManager:
     """One warm :class:`PlanWorker` pool shared across plans (and across
     service request threads) of a ``warm_pool=True`` session.
 
-    A pool's worker processes are stateful (installed superstep programs,
-    pipe protocol), so at most one plan may drive a pool at a time:
-    :meth:`acquire` blocks until the pool is free, then hands out the cached
-    executor when the *identity key* — snapshot path, snapshot content hash,
-    parallelism, worker geometry, backend — still matches, re-forking only on
-    a mismatch (e.g. the dataset was mutated, so the content hash moved) or
-    when a dead worker made the previous plan close the pool.
-    The returned ``release`` merely frees the lease; worker processes stay
+    A pool's worker processes talk one pipe protocol, so at most one plan
+    may drive a pool at a time: :meth:`acquire` blocks until the pool is
+    free, then hands out the cached executor when the *identity key* —
+    snapshot path, snapshot content hash, parallelism, item count, backend —
+    still matches, re-forking only on a mismatch (e.g. the dataset was
+    mutated, so the content hash moved) or when a dead worker made the
+    previous plan close the pool.  The returned ``release`` merely frees the lease; worker processes stay
     alive, keeping their mmap of the snapshot file warm for the next plan.
 
     ``os.replace`` on the snapshot file keeps the old inode alive for
@@ -121,27 +116,10 @@ class SharedPoolManager:
         snapshot_path: str,
         content_hash: bytes,
         backend_name: str | None,
-        *,
-        partitions: "list[tuple[int, int]] | None" = None,
-        sharded: bool = False,
     ):
-        """Blocks until the warm pool is free; returns ``(pool, release)``.
-
-        ``partitions``/``sharded`` carry the out-of-core geometry: workers of
-        a sharded pool mmap one segment file each, so the partition bounds
-        (which must equal the manifest's shard ranges) are part of the
-        identity key — a plan that changes the shard geometry re-forks.
-        """
+        """Blocks until the warm pool is free; returns ``(pool, release)``."""
         self._busy.acquire()
-        key = (
-            str(snapshot_path),
-            content_hash,
-            parallelism,
-            num_items,
-            backend_name,
-            tuple(partitions) if partitions is not None else None,
-            sharded,
-        )
+        key = (str(snapshot_path), content_hash, parallelism, num_items, backend_name)
         try:
             self.counters["leases"] += 1
             # a pool whose worker died closed itself mid-plan: replace it
@@ -150,10 +128,7 @@ class SharedPoolManager:
                     self._pool.close()
                     self._pool = None
                 self._pool = ParallelSuperstepExecutor(
-                    parallelism,
-                    num_items,
-                    PlanWorker.factory(snapshot_path, backend_name, sharded=sharded),
-                    partitions=partitions,
+                    parallelism, num_items, PlanWorker.factory(snapshot_path, backend_name)
                 ).start()
                 self._key = key
                 self.counters["forks"] += 1

@@ -37,8 +37,7 @@ presenting a fingerprint of everything the snapshot would be produced from
 *is* the store's verified mmap load — no CSV parsed, no sqlite mirror, no
 extraction — and ``handle.graph`` / ``handle.extraction`` /
 ``session.database`` run the ordinary load + extraction on first touch.  Any
-mismatch is an ordinary miss; sharded stores and journaled graphs never take
-this path.
+mismatch is an ordinary miss; journaled graphs never take this path.
 """
 
 from __future__ import annotations
@@ -263,11 +262,6 @@ class GraphHandle:
                     # deltas went to the .csrd sidecar, and the served
                     # snapshot is the overlay merge
                     self._snapshot_source = "base+delta"
-                elif outcome == "hit" and csr._buffer_owner is None:
-                    # sharded-store hit: the coordinator keeps its heap
-                    # arrays (only workers map segment files), so "mmap"
-                    # would misstate where these arrays live
-                    self._snapshot_source = "heap"
                 else:
                     self._snapshot_source = "mmap" if outcome == "hit" else "heap"
                 self._pin_source(store, csr)
@@ -299,25 +293,13 @@ class GraphHandle:
         returns the file path (None when the session has no store).
 
         Pool workers mmap this file instead of rebuilding or unpickling the
-        graph.  When the store's sharding policy splits this
-        snapshot, the persisted form is the sharded one and the returned path
-        is its *manifest* — each worker then maps only its own partition's
-        segment file.
+        graph.
         """
         store = self.session.store
         if store is None:
             return None
         with self._lock:
             snap = self.snapshot()
-            ranges = store.shard_plan(snap)
-            if ranges is not None:
-                from repro.graph.shard_store import ensure_saved_sharded
-
-                return str(
-                    ensure_saved_sharded(
-                        snap, store.manifest_path_for(self.store_key), ranges=ranges
-                    )
-                )
             path = ensure_saved(snap, store.path_for(self.store_key))
             self._pin_source(store, snap)
             return str(path)
@@ -515,21 +497,11 @@ class GraphSession:
         backend: str | None = None,
         parallelism: int = 1,
         warm_pool: bool = False,
-        shards: int | None = None,
-        memory_budget_mb: float | None = None,
         options: ExtractionOptions | None = None,
         **option_overrides: Any,
     ) -> None:
         if parallelism < 1:
             raise UsageError(f"parallelism must be at least 1 (got {parallelism})")
-        if shards is not None and shards < 1:
-            raise UsageError(f"shards must be at least 1 (got {shards})")
-        if memory_budget_mb is not None and memory_budget_mb <= 0:
-            raise UsageError(
-                f"memory_budget_mb must be positive (got {memory_budget_mb})"
-            )
-        if shards is not None and memory_budget_mb is not None:
-            raise UsageError("pass shards=N or memory_budget_mb=MB, not both")
         if options is not None and option_overrides:
             raise ValueError("pass either an ExtractionOptions object or keyword overrides, not both")
         self._options = options or ExtractionOptions(**option_overrides)
@@ -544,24 +516,7 @@ class GraphSession:
         else:
             self._graphgen = GraphGen(database, options=self._options)
             self._database_name = database.name
-        self._store_tmpdir = None
-        threshold = (
-            int(memory_budget_mb * 1024 * 1024) if memory_budget_mb is not None else None
-        )
-        if snapshot_cache is None and (shards is not None or threshold is not None):
-            # sharded snapshots live in store directories (manifest + segment
-            # files); an out-of-core session without an explicit cache gets a
-            # private one that lives and dies with the session
-            import tempfile
-
-            self._store_tmpdir = tempfile.TemporaryDirectory(prefix="ggshards-")
-            snapshot_cache = self._store_tmpdir.name
-        if snapshot_cache is not None:
-            self._store = SnapshotStore(
-                snapshot_cache, shards=shards, shard_threshold_bytes=threshold
-            )
-        else:
-            self._store = None
+        self._store = SnapshotStore(snapshot_cache) if snapshot_cache is not None else None
         # resolve eagerly: an unknown or unavailable backend name fails here,
         # with a UsageError message, not at the first kernel call
         self._backend = get_backend(backend)
@@ -619,13 +574,6 @@ class GraphSession:
         when constructed with ``warm_pool=True``, else None."""
         return self._pool_manager
 
-    @property
-    def out_of_core(self) -> bool:
-        """Whether this session's store can shard snapshots — i.e. whether
-        plans may run out-of-core (workers mapping per-shard segment files
-        instead of the whole snapshot)."""
-        return self._store is not None and self._store.sharded
-
     # ------------------------------------------------------------------ #
     def acquire_pool(
         self,
@@ -633,9 +581,6 @@ class GraphSession:
         snapshot_path: str,
         content_hash: bytes,
         backend_name: str,
-        *,
-        partitions: "list[tuple[int, int]] | None" = None,
-        sharded: bool = False,
     ):
         """A started :class:`~repro.vertexcentric.parallel.ParallelSuperstepExecutor`
         of :class:`~repro.session.scheduler.PlanWorker` processes over
@@ -647,43 +592,26 @@ class GraphSession:
         alive across plans: ``release`` merely returns the lease, and the
         same worker processes (and their mmap of the snapshot file) serve
         the next plan, re-forking only when the snapshot's content hash,
-        path, or the worker geometry changes — or a worker died.
+        path, or the worker count changes — or a worker died.
         """
         from repro.session.scheduler import PlanWorker
 
-        parallelism = len(partitions) if partitions is not None else self._parallelism
         if self._pool_manager is not None:
             return self._pool_manager.acquire(
-                parallelism,
-                num_items,
-                snapshot_path,
-                content_hash,
-                backend_name,
-                partitions=partitions,
-                sharded=sharded,
+                self._parallelism, num_items, snapshot_path, content_hash, backend_name
             )
         from repro.vertexcentric.parallel import ParallelSuperstepExecutor
 
         pool = ParallelSuperstepExecutor(
-            parallelism,
-            num_items,
-            PlanWorker.factory(snapshot_path, backend_name, sharded=sharded),
-            partitions=partitions,
+            self._parallelism, num_items, PlanWorker.factory(snapshot_path, backend_name)
         ).start()
         return pool, pool.close
 
     def close(self) -> None:
-        """Release session-owned process resources (the warm worker pool and
-        the auto-created shard store directory, if any).  Idempotent; a
-        closed session can still run inline plans."""
+        """Release session-owned process resources (the warm worker pool, if
+        any).  Idempotent; a closed session can still run plans."""
         if self._pool_manager is not None:
             self._pool_manager.close()
-        if self._store_tmpdir is not None:
-            # the store directory is gone with the tempdir; dropping the store
-            # keeps inline plans on a closed session working (store-less)
-            self._store = None
-            self._store_tmpdir.cleanup()
-            self._store_tmpdir = None
 
     def __enter__(self) -> "GraphSession":
         return self
@@ -801,11 +729,10 @@ class GraphSession:
         and comments do not count), requested representation, extraction
         options and keywords, package and snapshot-format version.
 
-        ``None`` when there is no store to record it in (or a sharding one),
-        or the tables are not pinned to bytes on disk — built in memory, or
+        ``None`` when there is no store to record it in, or the tables are not pinned to bytes on disk — built in memory, or
         mutated since they were read.
         """
-        if self._store is None or self._store.sharded:
+        if self._store is None:
             return None
         if self._graphgen is None:
             base = fingerprint_database(self._source_dir)

@@ -7,7 +7,6 @@ from repro.utils.memory import (
     estimate_bitmap_bytes,
     format_bytes,
 )
-from repro.utils.memstats import mapped_snapshot_bytes, peak_rss_bytes
 from repro.utils.rand import SeededRandom
 
 __all__ = [
@@ -18,7 +17,5 @@ __all__ = [
     "estimate_adjacency_bytes",
     "estimate_bitmap_bytes",
     "format_bytes",
-    "mapped_snapshot_bytes",
-    "peak_rss_bytes",
     "SeededRandom",
 ]

@@ -173,7 +173,6 @@ class VertexCentric:
         parallelism: int = 1,
         snapshot_path: str | None = None,
         backend: str | None = None,
-        pool: "Any | None" = None,
     ) -> None:
         if parallelism < 1:
             raise VertexCentricError("parallelism must be at least 1")
@@ -187,10 +186,6 @@ class VertexCentric:
         self._parallelism = parallelism
         #: where to persist the snapshot for forked workers (None = tempfile)
         self._snapshot_path = snapshot_path
-        #: an already-running shared worker pool (plan-level scheduling): the
-        #: coordinator installs its program on the pool's generic workers and
-        #: neither persists a snapshot nor starts/stops processes itself
-        self._pool = pool
 
         self.superstep = 0
         #: the merged value map: what every vertex read last superstep
@@ -219,13 +214,9 @@ class VertexCentric:
 
         One loop (:meth:`_superstep_loop`) drives whichever pool the run has:
 
-        * ``parallelism == 1`` and no shared pool (or an empty graph): an
-          in-process single-partition pool whose worker reads the
-          coordinator's own value map — no fork, no snapshot file, no pipe;
-        * a shared ``pool`` (plan-level scheduling): the executor is
-          installed on the pool's generic workers by value — it must be
-          picklable — and the pool's snapshot file and process lifetime are
-          owned by the caller;
+        * ``parallelism == 1`` (or an empty graph): an in-process
+          single-partition pool whose worker reads the coordinator's own
+          value map — no fork, no snapshot file, no pipe;
         * otherwise this run forks its own pool, whose workers inherit the
           executor through the fork (it need not be picklable) and map the
           snapshot file — ``snapshot_path``, or a tempfile for the run's
@@ -239,13 +230,10 @@ class VertexCentric:
         if not isinstance(executor, Executor):
             raise VertexCentricError("executor must implement the Executor interface")
         n = self.num_vertices
-        if n == 0 or (self._pool is None and self._parallelism == 1):
+        if n == 0 or self._parallelism == 1:
             worker = SnapshotWorker(self.csr, 0, n, self.backend)
             worker.install_program(executor, self._previous)
             return self._superstep_loop(InProcessPool(worker), max_supersteps)
-        if self._pool is not None:
-            self._pool.broadcast("install_program", executor)
-            return self._superstep_loop(self._pool, max_supersteps)
 
         cleanup_path: str | None = None
         if self._snapshot_path is None:
@@ -269,7 +257,7 @@ class VertexCentric:
                     pass
 
     def _superstep_loop(self, pool, max_supersteps: int) -> RunStatistics:
-        """Drive supersteps against a pool — in-process, owned or shared.
+        """Drive supersteps against a pool — in-process or forked.
 
         Partition outputs are merged in fixed partition order: value maps,
         halting and floating-point aggregator totals come out the same

@@ -19,8 +19,7 @@ machinery and its determinism contract:
   executor is inherited without pickling).  A :class:`SnapshotWorker` does
   not even inherit the graph: its :meth:`~SnapshotWorker.factory` maps the
   run's **snapshot file** read-only inside the fork, so every worker shares
-  one physical copy of ``offsets``/``targets`` through the page cache — or,
-  under sharding, maps only its own partition's segment file.
+  one physical copy of ``offsets``/``targets`` through the page cache.
 
 * **One wire command.**  A pool moves ``(method, argument)`` messages:
   the worker answers ``getattr(worker, method)(argument)``.  Supersteps,
@@ -204,30 +203,10 @@ class ParallelSuperstepExecutor:
         parallelism: int,
         num_items: int,
         worker_factory: Callable[[int, int], Any],
-        *,
-        partitions: Sequence[tuple[int, int]] | None = None,
     ) -> None:
         if parallelism < 1:
             raise VertexCentricError("parallelism must be at least 1")
-        if partitions is None:
-            self.partitions = partition_range(num_items, parallelism)
-        else:
-            # explicit geometry — the out-of-core path hands the sharded
-            # snapshot's manifest ranges straight in, so worker partitions
-            # and segment files align one-to-one
-            self.partitions = [(int(lo), int(hi)) for lo, hi in partitions]
-            expected_lo = 0
-            for lo, hi in self.partitions:
-                if lo != expected_lo or hi < lo:
-                    raise VertexCentricError(
-                        f"explicit partitions must be contiguous ascending over "
-                        f"[0, {num_items}), got {self.partitions}"
-                    )
-                expected_lo = hi
-            if expected_lo != num_items:
-                raise VertexCentricError(
-                    f"explicit partitions cover [0, {expected_lo}), expected [0, {num_items})"
-                )
+        self.partitions = partition_range(num_items, parallelism)
         self._worker_factory = worker_factory
         self._procs: list = []
         self._conns: list = []
@@ -428,10 +407,9 @@ class SnapshotWorker:
     """One partition's worker over a CSR snapshot.
 
     Forked pools build it with :meth:`factory`, which maps the run's snapshot
-    file read-only inside the worker process — the whole file, shared by all
-    workers through the page cache, or under sharding only the worker's own
-    segment file, so no process ever maps the full graph.  The in-process
-    pool wraps one directly around the coordinator's snapshot.
+    file read-only inside the worker process — one file, shared by all
+    workers through the page cache.  The in-process pool wraps one directly
+    around the coordinator's snapshot.
     """
 
     def __init__(self, csr: CSRGraph, lo: int, hi: int, backend) -> None:
@@ -443,25 +421,18 @@ class SnapshotWorker:
 
     @classmethod
     def factory(
-        cls, snapshot_path, backend: str | None = None, *, sharded: bool = False, program=None
+        cls, snapshot_path, backend: str | None = None, *, program=None
     ) -> Callable[[int, int], "SnapshotWorker"]:
         """The ``worker_factory(lo, hi)`` of a pool of this class over
-        ``snapshot_path`` — a shard *manifest* when ``sharded`` (the pool's
-        partitions must equal its shard ranges).  ``backend`` is the
-        coordinator's resolved backend name, so workers run the same kernels
-        regardless of their inherited environment.  ``program`` is installed
-        inside the fork: a standalone run's executor is inherited, never
-        pickled."""
-        return functools.partial(cls._open, snapshot_path, backend, sharded, program)
+        ``snapshot_path``.  ``backend`` is the coordinator's resolved backend
+        name, so workers run the same kernels regardless of their inherited
+        environment.  ``program`` is installed inside the fork: a standalone
+        run's executor is inherited, never pickled."""
+        return functools.partial(cls._open, snapshot_path, backend, program)
 
     @classmethod
-    def _open(cls, snapshot_path, backend, sharded, program, lo: int, hi: int):
-        if sharded:
-            from repro.graph.shard_store import load_shard
-
-            csr: CSRGraph = load_shard(snapshot_path, (lo, hi), mmap=True)
-        else:
-            csr = CSRGraph.load(snapshot_path, mmap=True, verify=False)
+    def _open(cls, snapshot_path, backend, program, lo: int, hi: int):
+        csr = CSRGraph.load(snapshot_path, mmap=True, verify=False)
         worker = cls(csr, lo, hi, get_backend(backend))
         if program is not None:
             worker.install_program(program)
@@ -495,23 +466,6 @@ class SnapshotWorker:
             coordinator._contributions,
             len(active),
         )
-
-    def memory_stats(self, _payload=None) -> dict:
-        """This worker's snapshot footprint — the out-of-core assertion data.
-
-        ``mapped_bytes`` is the snapshot file bytes this process keeps
-        memory-mapped (one shard's segment file under sharding, the whole
-        snapshot otherwise); ``peak_rss_bytes`` the process-lifetime peak
-        resident set size.
-        """
-        from repro.utils.memstats import mapped_snapshot_bytes, peak_rss_bytes
-
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "mapped_bytes": mapped_snapshot_bytes(self.csr),
-            "peak_rss_bytes": peak_rss_bytes(),
-        }
 
 
 class InProcessPool:

@@ -174,10 +174,10 @@ class LabelPropagationProgram(Executor):
 # --------------------------------------------------------------------------- #
 # convenience wrappers
 # --------------------------------------------------------------------------- #
-def _run(graph, program, key, max_supersteps, parallelism, snapshot_path, backend, pool):
+def _run(graph, program, key, max_supersteps, parallelism, snapshot_path, backend):
     """Run ``program`` to completion; ``(values under key, statistics)``."""
     coordinator = VertexCentric(
-        graph, parallelism=parallelism, snapshot_path=snapshot_path, backend=backend, pool=pool
+        graph, parallelism=parallelism, snapshot_path=snapshot_path, backend=backend
     )
     stats = coordinator.run(program, max_supersteps=max_supersteps)
     return coordinator.values(key), stats
@@ -188,9 +188,8 @@ def run_degree(
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
-    pool=None,
 ) -> tuple[dict[VertexId, int], RunStatistics]:
-    return _run(graph, DegreeProgram(), "degree", 2, parallelism, snapshot_path, backend, pool)
+    return _run(graph, DegreeProgram(), "degree", 2, parallelism, snapshot_path, backend)
 
 
 def run_pagerank(
@@ -200,10 +199,9 @@ def run_pagerank(
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
-    pool=None,
 ) -> tuple[dict[VertexId, float], RunStatistics]:
     program = PageRankProgram(iterations, damping)
-    return _run(graph, program, "rank", iterations + 2, parallelism, snapshot_path, backend, pool)
+    return _run(graph, program, "rank", iterations + 2, parallelism, snapshot_path, backend)
 
 
 def run_connected_components(
@@ -212,11 +210,10 @@ def run_connected_components(
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
-    pool=None,
 ) -> tuple[dict[VertexId, object], RunStatistics]:
     program = ConnectedComponentsProgram()
     return _run(
-        graph, program, "component", max_supersteps, parallelism, snapshot_path, backend, pool
+        graph, program, "component", max_supersteps, parallelism, snapshot_path, backend
     )
 
 
@@ -227,11 +224,10 @@ def run_sssp(
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
-    pool=None,
 ) -> tuple[dict[VertexId, int | None], RunStatistics]:
     program = SingleSourceShortestPathsProgram(source)
     return _run(
-        graph, program, "distance", max_supersteps, parallelism, snapshot_path, backend, pool
+        graph, program, "distance", max_supersteps, parallelism, snapshot_path, backend
     )
 
 
@@ -241,9 +237,8 @@ def run_label_propagation(
     parallelism: int = 1,
     snapshot_path: str | None = None,
     backend: str | None = None,
-    pool=None,
 ) -> tuple[dict[VertexId, object], RunStatistics]:
     program = LabelPropagationProgram()
     return _run(
-        graph, program, "community", max_supersteps, parallelism, snapshot_path, backend, pool
+        graph, program, "community", max_supersteps, parallelism, snapshot_path, backend
     )

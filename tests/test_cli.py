@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import io
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,29 @@ class TestParser:
             build_parser().parse_args(
                 ["extract", "--data", "d", "--dataset", "dblp", "--output", "x"]
             )
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["analyze", "--dataset", "univ", "--shards", "2"], "--shards"),
+            (["serve", "--dataset", "univ", "--memory-budget", "64"], "--memory-budget"),
+        ],
+    )
+    def test_removed_flags_fail_loudly(self, argv, flag):
+        """The out-of-core flags are gone: argparse refuses them with exit
+        status 2 and one stderr line naming the flag, no traceback."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 2
+        naming = [line for line in done.stderr.splitlines() if flag in line]
+        assert naming == [f"graphgen: error: unrecognized arguments: {flag} {argv[-1]}"]
+        assert "Traceback" not in done.stderr
 
 
 class TestDatasetsCommand:

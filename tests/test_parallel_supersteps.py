@@ -17,10 +17,8 @@ helpers in ``tests/conftest.py`` (DEDUP-2 is included directly: serial and
 parallel run on the *same* graph, so no self-loop projection is needed).
 """
 
-import os
 import pickle
-import tempfile
-from contextlib import contextmanager
+from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,15 +27,7 @@ from repro.algorithms import bfs_distances, connected_components, degrees
 from repro.exceptions import VertexCentricError
 from repro.giraph.runner import run_giraph
 from repro.graph import ExpandedGraph
-from repro.graph.shard_store import plan_shard_ranges, save_sharded_snapshot
-from repro.session.plan import canonical_component_labels
-from repro.session.scheduler import PlanWorker, SharedPoolManager
-from repro.vertexcentric import (
-    Executor,
-    ParallelSuperstepExecutor,
-    VertexCentric,
-    partition_range,
-)
+from repro.vertexcentric import Executor, VertexCentric, partition_range
 from repro.vertexcentric.programs import (
     PageRankProgram,
     run_connected_components,
@@ -225,35 +215,21 @@ def symmetric_graphs(draw):
     return ExpandedGraph.from_edges(sorted(edges), vertices=list(range(n)))
 
 
-@contextmanager
-def every_engine(graph):
-    """name -> ``run_*`` keywords, one entry per way of driving the loop."""
-    csr = graph.snapshot()
-    with tempfile.TemporaryDirectory() as scratch:
-        snapshot = os.path.join(scratch, "graph.csr")
-        csr.save(snapshot)
-        manager = SharedPoolManager()
-        leased, release = manager.acquire(2, csr.n, snapshot, csr.content_hash, "python")
-        manifest = os.path.join(scratch, "graph.csrm")
-        save_sharded_snapshot(csr, manifest, shards=3)
-        sharded = ParallelSuperstepExecutor(
-            3,
-            csr.n,
-            PlanWorker.factory(manifest, "python", sharded=True),
-            partitions=plan_shard_ranges(csr, shards=3),
-        ).start()
-        try:
-            yield {
-                "in-process": {},
-                "forked-2": {"parallelism": 2},
-                "forked-3": {"parallelism": 3},
-                "leased-plan-pool": {"pool": leased},
-                "sharded-pool": {"pool": sharded},
-            }
-        finally:
-            sharded.close()
-            release()
-            manager.close()
+#: name -> ``run_*`` keywords, one entry per way of driving the loop
+ENGINES = {
+    "in-process": {},
+    "forked-2": {"parallelism": 2},
+    "forked-3": {"parallelism": 3},
+}
+
+
+def canonical_component_labels(labels: dict) -> dict:
+    """Relabel a component partition with 0-based integers in
+    first-appearance order.  ``run_connected_components`` returns values in
+    snapshot vertex order, so on symmetric graphs this reproduces the serial
+    kernel's numbering exactly."""
+    canonical: dict[Any, int] = {}
+    return {vertex: canonical.setdefault(label, len(canonical)) for vertex, label in labels.items()}
 
 
 def textbook_pagerank(graph, iterations, damping=0.85):
@@ -292,11 +268,10 @@ def test_every_engine_equals_the_independent_references(graph):
             graph, backend="python", **engine
         ),
     }
-    with every_engine(graph) as engines:
-        outcomes = {
-            program: {name: run(**keywords) for name, keywords in engines.items()}
-            for program, run in programs.items()
-        }
+    outcomes = {
+        program: {name: run(**keywords) for name, keywords in ENGINES.items()}
+        for program, run in programs.items()
+    }
     for program, by_engine in outcomes.items():
         values, stats = by_engine["in-process"]
         for name, (other_values, other_stats) in by_engine.items():

@@ -11,12 +11,12 @@ plan into a deduplicated node DAG changes *scheduling*, never *values*:
 * **one DAG at every parallelism** — a Hypothesis property over request
   lists drawn from the whole registry: node keys and kinds,
   ``nodes_computed``, the ``sweep_traversals`` delta and every value are
-  equal at ``parallelism`` 1, 2 and 3 on both backends, and only a sharded
-  session ever reports ``engine == "superstep"``; the two slice forms are
+  equal at ``parallelism`` 1, 2 and 3 on both backends, and every engine
+  is ``kernel``, ``chunks`` or ``incremental``; the two slice forms are
   pinned exact (ranged triangle vectors add up, the strided source split
   covers each source once);
 * how each request was placed (engine, scheduling, notes, pool starts,
-  snapshot writes, shard provenance) is pinned by a literal table;
+  snapshot writes) is pinned by a literal table;
 * CSE is regression-tested at the node level through the compiler's
   instrumentation counters: a ``closeness + diameter + betweenness`` batch
   performs the BFS/Brandes sweep **once** (``sweep_traversals`` moves by
@@ -142,8 +142,8 @@ def test_property_one_dag_at_every_parallelism(case):
     and symmetric graphs, ``n`` from 0 so some partitions are empty): node
     keys and kinds, ``nodes_computed``, the ``sweep_traversals`` delta and
     every value — floats included, pagerank included — are ``==`` at
-    parallelism 1, 2 and 3 on both backends.  ``engine == "superstep"``
-    appears iff the result ran on shards."""
+    parallelism 1, 2 and 3 on both backends, and no result leaves the
+    ``kernel | chunks | incremental`` engines."""
     condensed, requests = case
 
     def run(backend, **options):
@@ -156,8 +156,8 @@ def test_property_one_dag_at_every_parallelism(case):
             report = plan.run()
             swept = CompilerCounters.sweep_traversals - swept_before
         for result in report:
-            assert (result.engine == "superstep") == (result.provenance.shards > 0), result.label
-            assert (result.scheduled == "pool") == (result.engine in ("chunks", "superstep"))
+            assert result.engine in {"kernel", "chunks", "incremental"}, result.label
+            assert (result.scheduled == "pool") == (result.engine == "chunks")
         return report, swept
 
     for backend in BACKENDS:
@@ -168,15 +168,7 @@ def test_property_one_dag_at_every_parallelism(case):
             placed, swept = run(backend, parallelism=parallelism)
             assert _dag(placed) == _dag(serial), f"parallelism={parallelism} on {backend}"
             assert swept == serial_swept
-            assert not any(result.provenance.shards for result in placed)
             assert placed.pool_starts == int(any(r.engine == "chunks" for r in placed))
-        sharded, swept = run(backend, shards=2)
-        assert swept == serial_swept
-        for got, want in zip(sharded, serial):
-            if got.engine == "superstep" and got.notes:
-                assert got.algorithm == "pagerank"  # the fixed-iteration program
-                continue
-            assert got.values == want.values, got.label
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -253,11 +245,6 @@ def test_strided_sweep_split_covers_each_source_once(family, backend):
 # provenance.parallelism, one substring per note)
 # --------------------------------------------------------------------------- #
 P = "the session's parallelism"
-NEEDS_SYMMETRIC = "superstep program requires a symmetric graph; running serial kernel"
-CUSTOM_CONVERGENCE = "pagerank with custom max_iterations/tolerance runs on the serial kernel"
-FIXED_ITERATIONS = "pagerank via the superstep engine (20 fixed iterations)"
-WHOLE_GRAPH = "needs whole-graph adjacency, which out-of-core workers do not map"
-OWN_SHARD = "out-of-core workers map only their own shard; running inline on the coordinator"
 
 LABELS = [
     "degree", "pagerank", "pagerank#2", "components", "bfs", "kcore", "triangles",
@@ -273,44 +260,6 @@ ROUTING_INLINE = {label: ("kernel", "inline", 1, ()) for label in LABELS}
 ROUTING_POOLED = dict(
     ROUTING_INLINE, triangles=("chunks", "pool", P, ()), clustering=("chunks", "pool", P, ())
 )
-#: ``shards=3`` sessions: only superstep programs leave the coordinator (3
-#: workers, one shard each, ``snapshot_source == "shard-mmap"``); the sweep
-#: (closeness, both betweenness, diameter — and bfs riding along) runs inline
-#: without a note; pool_starts == snapshot_writes == 1
-ROUTING_OUT_OF_CORE = {
-    "symmetric": {
-        "degree": ("superstep", "pool", 3, ()),
-        "pagerank": ("superstep", "pool", 3, (FIXED_ITERATIONS,)),
-        "pagerank#2": ("kernel", "inline", 1, (CUSTOM_CONVERGENCE, OWN_SHARD)),
-        "components": ("superstep", "pool", 3, ()),
-        "bfs": ("kernel", "inline", 1, ()),
-        "kcore": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "triangles": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "clustering": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "label_propagation": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "closeness": ("kernel", "inline", 1, ()),
-        "betweenness": ("kernel", "inline", 1, ()),
-        "betweenness#2": ("kernel", "inline", 1, ()),
-        "diameter": ("kernel", "inline", 1, ()),
-        "link_predictions": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-    },
-    "directed": {
-        "degree": ("superstep", "pool", 3, ()),
-        "pagerank": ("kernel", "inline", 1, (NEEDS_SYMMETRIC, OWN_SHARD)),
-        "pagerank#2": ("kernel", "inline", 1, (CUSTOM_CONVERGENCE, OWN_SHARD)),
-        "components": ("kernel", "inline", 1, (NEEDS_SYMMETRIC, OWN_SHARD)),
-        "bfs": ("kernel", "inline", 1, ()),
-        "kcore": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "triangles": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "clustering": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "label_propagation": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-        "closeness": ("kernel", "inline", 1, ()),
-        "betweenness": ("kernel", "inline", 1, ()),
-        "betweenness#2": ("kernel", "inline", 1, ()),
-        "diameter": ("kernel", "inline", 1, ()),
-        "link_predictions": ("kernel", "inline", 1, (WHOLE_GRAPH,)),
-    },
-}
 
 
 def _assert_routed(report, table, parallelism):
@@ -333,26 +282,7 @@ def test_routing_matches_the_literal_table(families, kind, backend, parallelism)
     pooled = parallelism > 1
     _assert_routed(report, ROUTING_POOLED if pooled else ROUTING_INLINE, parallelism)
     assert (report.pool_starts, report.snapshot_writes) == ((1, 1) if pooled else (0, 0))
-    assert all(result.provenance.shards == 0 for result in report)
     assert report.provenance.parallelism == parallelism
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("kind", ["symmetric", "directed"])
-def test_out_of_core_routing_matches_the_literal_table(families, kind, backend):
-    graph = families[kind]["C-DUP"]
-    source = sorted(graph.get_vertices(), key=repr)[0]
-    with GraphSession(Database("compiler"), backend=backend, shards=3) as session:
-        report = _full_plan(session.wrap(graph), source).run()
-    _assert_routed(report, ROUTING_OUT_OF_CORE[kind], None)
-    for result in report:
-        sharded = result.engine == "superstep"
-        assert result.provenance.shards == (3 if sharded else 0), result.label
-        assert (result.provenance.snapshot_source == "shard-mmap") == sharded, result.label
-    assert (report.pool_starts, report.snapshot_writes) == (1, 1)
-    assert report.provenance.snapshot_source == "shard-mmap"
-    assert (report.provenance.shards, report.provenance.parallelism) == (3, 1)
-    assert len(report.worker_memory) == 3
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,20 +1,15 @@
 """Tests for the sharded snapshot format (repro.graph.shard_store).
 
-The contract under test:
+Nothing in the program reads this format any more; the writer and reader
+stay because the benchmark times them.  The contract under test:
 
 * save → reassemble round-trips every representation's snapshot
-  element-wise, and per-shard :class:`ShardView` loads expose exactly their
-  own rows (rows outside the shard read as empty) over an mmap of the
-  segment file alone;
+  element-wise, and the manifest carries the monolithic content hash;
 * malformed manifests and segment files fail loudly: wrong magic,
   unsupported version, truncated shard table / codec / payload, a shard
   whose header digest disagrees with the manifest, flipped payload bytes
-  (per-shard hash verification);
-* :class:`SnapshotStore` with a sharding policy detects a stale manifest
-  after the source graph mutates *or* the shard geometry changes, rewrites
-  it atomically, and otherwise reuses the files without rewriting;
-* planning: explicit ``shards=N`` equals the superstep executor's own
-  partition geometry; ``max_bytes=B`` keeps every segment file ≤ B.
+  (content hash verification);
+* a save is one snapshot write and removes the segments a wider save left.
 """
 
 import os
@@ -22,22 +17,17 @@ import os
 import pytest
 
 from repro.exceptions import SnapshotFormatError
-from repro.graph import CSRGraph, ExpandedGraph, SnapshotStore
+from repro.graph import CSRGraph, ExpandedGraph
 from repro.graph.shard_store import (
     MANIFEST_HEADER_SIZE,
     MANIFEST_MAGIC,
     SHARD_HEADER_SIZE,
     SHARD_MAGIC,
     SHARD_TABLE_ENTRY_SIZE,
-    ensure_saved_sharded,
-    load_shard,
     load_sharded_snapshot,
     peek_manifest,
-    plan_shard_ranges,
     save_sharded_snapshot,
     shard_path,
-    snapshot_payload_bytes,
-    verify_shard_files,
 )
 from repro.graph.snapshot_store import saves_in_thread
 from repro.vertexcentric.parallel import partition_range
@@ -76,100 +66,51 @@ class TestRepresentationRoundTrip:
         manifest = peek_manifest(manifest_path)
         assert manifest.n == snap.n
         assert manifest.m == snap.num_edges
-        assert manifest.num_shards == num_shards
         # the global hash is the *monolithic* content hash: a sharded and an
         # unsharded persist of the same snapshot are the same logical object
         assert manifest.content_hash == snap.content_hash
-        assert manifest.ranges() == plan_shard_ranges(snap, shards=num_shards)
-
-
-class TestShardViews:
-    @pytest.fixture()
-    def saved(self, tmp_path):
-        snap = build_parity_family("symmetric", seed=29, num_real=24)["C-DUP"].snapshot()
-        manifest_path = tmp_path / "g.csrm"
-        save_sharded_snapshot(snap, manifest_path, shards=3)
-        return snap, manifest_path
-
-    def test_each_shard_exposes_exactly_its_rows(self, saved):
-        snap, manifest_path = saved
-        total_edges = 0
-        for index, (lo, hi) in enumerate(peek_manifest(manifest_path).ranges()):
-            view = load_shard(manifest_path, index)
-            assert (view.shard_lo, view.shard_hi) == (lo, hi)
-            assert view.n == snap.n  # full-graph indexing, local edges
-            for vertex in range(snap.n):
-                if lo <= vertex < hi:
-                    assert list(view.neighbors(vertex)) == list(snap.neighbors(vertex))
-                else:
-                    assert list(view.neighbors(vertex)) == []
-            total_edges += view.num_edges
-        assert total_edges == snap.num_edges
-
-    def test_mmap_view_maps_only_its_segment_file(self, saved):
-        snap, manifest_path = saved
-        view = load_shard(manifest_path, 0, mmap=True)
-        assert view._buffer_owner is not None
-        segment = shard_path(manifest_path, 0)
-        assert view.shard_file_bytes == segment.stat().st_size
-        # the out-of-core contract in one line: the worker's mapping is the
-        # segment file, strictly smaller than the whole payload
-        assert view.shard_file_bytes < snapshot_payload_bytes(snap)
-
-    def test_load_by_bounds_and_bad_lookups(self, saved):
-        snap, manifest_path = saved
-        lo, hi = peek_manifest(manifest_path).ranges()[1]
-        view = load_shard(manifest_path, (lo, hi))
-        assert view.shard_index == 1
-        with pytest.raises(SnapshotFormatError):
-            load_shard(manifest_path, (lo + 1, hi))  # not a manifest range
-        with pytest.raises(SnapshotFormatError):
-            load_shard(manifest_path, 99)  # index out of range
-
-    def test_external_ids_shared_across_shards(self, saved):
-        snap, manifest_path = saved
-        view = load_shard(manifest_path, 2)
-        assert view.external_ids == snap.external_ids
+        ranges = [(shard.lo, shard.hi) for shard in manifest.shards]
+        assert ranges == partition_range(snap.n, num_shards)
 
 
 # --------------------------------------------------------------------------- #
-# planning
+# saving
 # --------------------------------------------------------------------------- #
 class TestShardPlanning:
-    def test_explicit_shards_equal_executor_partitions(self):
+    def test_explicit_shards_equal_executor_partitions(self, tmp_path):
         snap = ExpandedGraph.from_edges([(i, i + 1) for i in range(40)]).snapshot()
-        assert plan_shard_ranges(snap, shards=4) == partition_range(snap.n, 4)
-
-    def test_budget_bounds_every_segment_file(self, tmp_path):
-        snap = build_parity_family("symmetric", seed=41, num_real=30)["EXP"].snapshot()
-        budget = snapshot_payload_bytes(snap) // 4
-        ranges = plan_shard_ranges(snap, max_bytes=budget)
-        assert len(ranges) >= 2
-        manifest_path = tmp_path / "b.csrm"
-        save_sharded_snapshot(snap, manifest_path, ranges=ranges)
-        for index in range(len(ranges)):
-            assert shard_path(manifest_path, index).stat().st_size <= budget
+        save_sharded_snapshot(snap, tmp_path / "p.csrm", shards=4)
+        shards = peek_manifest(tmp_path / "p.csrm").shards
+        assert [(shard.lo, shard.hi) for shard in shards] == partition_range(snap.n, 4)
 
     def test_empty_graph_plans_and_round_trips(self, tmp_path):
         snap = ExpandedGraph().snapshot()
-        assert plan_shard_ranges(snap, shards=2) == [(0, 0), (0, 0)]
         manifest_path = tmp_path / "empty.csrm"
         save_sharded_snapshot(snap, manifest_path, shards=2)
+        shards = peek_manifest(manifest_path).shards
+        assert [(shard.lo, shard.hi) for shard in shards] == [(0, 0), (0, 0)]
         _assert_snapshots_equal(snap, load_sharded_snapshot(manifest_path))
 
-    def test_invalid_plan_arguments(self):
+    def test_invalid_plan_arguments(self, tmp_path):
         snap = ExpandedGraph.from_edges([(1, 2)]).snapshot()
         with pytest.raises(SnapshotFormatError):
-            plan_shard_ranges(snap, shards=0)
-        with pytest.raises(SnapshotFormatError):
-            plan_shard_ranges(snap, max_bytes=0)
-        with pytest.raises(SnapshotFormatError):
-            plan_shard_ranges(snap)
+            save_sharded_snapshot(snap, tmp_path / "x.csrm", shards=0)
 
-    def test_non_contiguous_ranges_rejected_on_save(self, tmp_path):
-        snap = ExpandedGraph.from_edges([(1, 2), (2, 3)]).snapshot()
-        with pytest.raises(SnapshotFormatError):
-            save_sharded_snapshot(snap, tmp_path / "x.csrm", ranges=[(0, 1), (2, snap.n)])
+    def test_shrinking_geometry_unlinks_leftover_segments(self, tmp_path):
+        snap = ExpandedGraph.from_edges([(i, i + 1) for i in range(12)]).snapshot()
+        manifest_path = tmp_path / "s.csrm"
+        save_sharded_snapshot(snap, manifest_path, shards=4)
+        save_sharded_snapshot(snap, manifest_path, shards=2)
+        assert shard_path(manifest_path, 1).exists()
+        assert not shard_path(manifest_path, 2).exists()
+        assert not shard_path(manifest_path, 3).exists()
+        _assert_snapshots_equal(snap, load_sharded_snapshot(manifest_path))
+
+    def test_sharded_save_counts_as_one_write(self, tmp_path):
+        snap = ExpandedGraph.from_edges([(i, i + 1) for i in range(9)]).snapshot()
+        before = saves_in_thread()
+        save_sharded_snapshot(snap, tmp_path / "w.csrm", shards=3)  # 3 segments + manifest
+        assert saves_in_thread() - before == 1
 
 
 # --------------------------------------------------------------------------- #
@@ -223,7 +164,6 @@ class TestMalformedFiles:
     def test_missing_segment_file(self, sharded):
         _, manifest_path = sharded
         os.unlink(shard_path(manifest_path, 1))
-        assert not verify_shard_files(peek_manifest(manifest_path))
         with pytest.raises(SnapshotFormatError):
             load_sharded_snapshot(manifest_path)
 
@@ -231,142 +171,37 @@ class TestMalformedFiles:
         _, manifest_path = sharded
         segment = shard_path(manifest_path, 0)
         segment.write_bytes(segment.read_bytes()[:-8])
-        assert not verify_shard_files(peek_manifest(manifest_path))
-        with pytest.raises(SnapshotFormatError):
-            load_shard(manifest_path, 0)
+        with pytest.raises(SnapshotFormatError, match="truncated"):
+            load_sharded_snapshot(manifest_path, verify=False)
 
     def test_segment_header_digest_mismatch(self, sharded):
         _, manifest_path = sharded
         # corrupt the shard hash stored in the *segment's* header; the
         # manifest's copy no longer agrees, so the load refuses the file
         self._flip(shard_path(manifest_path, 0), SHARD_HEADER_SIZE - 1)
-        with pytest.raises(SnapshotFormatError):
-            load_shard(manifest_path, 0)
+        with pytest.raises(SnapshotFormatError, match="shard hash"):
+            load_sharded_snapshot(manifest_path, verify=False)
 
-    def test_payload_corruption_caught_by_shard_hash(self, sharded):
-        _, manifest_path = sharded
+    def test_payload_corruption_caught_by_content_hash(self, sharded):
+        snap, manifest_path = sharded
         segment = shard_path(manifest_path, 0)
         self._flip(segment, segment.stat().st_size - 1)  # last target byte
-        with pytest.raises(SnapshotFormatError):
-            load_shard(manifest_path, 0, verify=True)
-        assert verify_shard_files(peek_manifest(manifest_path))  # cheap check passes
-        assert not verify_shard_files(peek_manifest(manifest_path), deep=True)
+        with pytest.raises(SnapshotFormatError, match="content hash"):
+            load_sharded_snapshot(manifest_path)
+        # headers and sizes still agree: only the hash check sees the flip
+        assert list(load_sharded_snapshot(manifest_path, verify=False).targets) != list(
+            snap.targets
+        )
 
     def test_segment_wrong_magic(self, sharded):
         _, manifest_path = sharded
         self._flip(shard_path(manifest_path, 0), 0)
         with pytest.raises(SnapshotFormatError, match="magic"):
-            load_shard(manifest_path, 0)
+            load_sharded_snapshot(manifest_path, verify=False)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(SnapshotFormatError):
             peek_manifest(tmp_path / "absent.csrm")
-
-
-# --------------------------------------------------------------------------- #
-# store integration: staleness and atomic rebuild
-# --------------------------------------------------------------------------- #
-class TestShardedStore:
-    def test_miss_then_hit(self, tmp_path):
-        store = SnapshotStore(tmp_path / "cache", shards=2)
-        graph = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)])
-        snap, outcome = store.fetch(graph, "toy")
-        assert outcome == "miss"
-        assert store.contains("toy")
-        manifest_path = store.manifest_path_for("toy")
-        stamp = manifest_path.stat().st_mtime_ns
-        again, outcome = store.fetch(graph, "toy")
-        assert outcome == "hit"
-        assert manifest_path.stat().st_mtime_ns == stamp  # no rewrite
-        _assert_snapshots_equal(snap, again)
-
-    def test_stale_after_mutation_rebuilds(self, tmp_path):
-        store = SnapshotStore(tmp_path / "cache", shards=2)
-        graph = ExpandedGraph.from_edges([(1, 2), (2, 3)])
-        store.fetch(graph, "toy")
-        stale_hash = peek_manifest(store.manifest_path_for("toy")).content_hash
-        graph.add_edge(3, 1)
-        snap, outcome = store.fetch(graph, "toy")
-        assert outcome == "stale"
-        manifest = peek_manifest(store.manifest_path_for("toy"))
-        assert manifest.content_hash != stale_hash
-        assert manifest.content_hash == snap.content_hash
-        _assert_snapshots_equal(snap, load_sharded_snapshot(store.manifest_path_for("toy")))
-
-    def test_geometry_change_is_stale(self, tmp_path):
-        graph = ExpandedGraph.from_edges([(i, i + 1) for i in range(12)])
-        first = SnapshotStore(tmp_path / "cache", shards=2)
-        first.fetch(graph, "toy")
-        second = SnapshotStore(tmp_path / "cache", shards=3)
-        _, outcome = second.fetch(graph, "toy")
-        assert outcome == "stale"
-        assert peek_manifest(second.manifest_path_for("toy")).num_shards == 3
-
-    def test_shrinking_geometry_unlinks_leftover_segments(self, tmp_path):
-        graph = ExpandedGraph.from_edges([(i, i + 1) for i in range(12)])
-        SnapshotStore(tmp_path / "cache", shards=4).fetch(graph, "toy")
-        store = SnapshotStore(tmp_path / "cache", shards=2)
-        store.fetch(graph, "toy")
-        manifest_path = store.manifest_path_for("toy")
-        assert shard_path(manifest_path, 1).exists()
-        assert not shard_path(manifest_path, 2).exists()
-        assert not shard_path(manifest_path, 3).exists()
-
-    def test_corrupt_segment_is_stale(self, tmp_path):
-        store = SnapshotStore(tmp_path / "cache", shards=2)
-        graph = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 4)])
-        store.fetch(graph, "toy")
-        shard_path(store.manifest_path_for("toy"), 0).write_bytes(b"junk")
-        snap, outcome = store.fetch(graph, "toy")
-        assert outcome == "stale"
-        _assert_snapshots_equal(snap, load_sharded_snapshot(store.manifest_path_for("toy")))
-
-    def test_threshold_policy_monolithic_below_sharded_above(self, tmp_path):
-        graph = ExpandedGraph.from_edges([(i, i + 1) for i in range(20)])
-        snap = graph.snapshot()
-        payload = snapshot_payload_bytes(snap)
-        over = SnapshotStore(tmp_path / "over", shard_threshold_bytes=payload + 1)
-        assert over.shard_plan(snap) is None
-        over.fetch(graph, "toy")
-        assert over.path_for("toy").exists()
-        assert not over.manifest_path_for("toy").exists()
-        under = SnapshotStore(tmp_path / "under", shard_threshold_bytes=payload // 3)
-        assert under.shard_plan(snap) is not None
-        under.fetch(graph, "toy")
-        assert under.manifest_path_for("toy").exists()
-        assert not under.path_for("toy").exists()
-
-    def test_sharded_save_counts_as_one_write(self, tmp_path):
-        store = SnapshotStore(tmp_path / "cache", shards=3)
-        graph = ExpandedGraph.from_edges([(i, i + 1) for i in range(9)])
-        before = saves_in_thread()
-        store.fetch(graph, "toy")  # miss: writes 3 segments + manifest
-        assert saves_in_thread() - before == 1
-        store.fetch(graph, "toy")  # hit: no write
-        assert saves_in_thread() - before == 1
-
-
-class TestEnsureSavedSharded:
-    def test_idempotent_then_repairing(self, tmp_path):
-        snap = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)]).snapshot()
-        manifest_path = tmp_path / "s.csrm"
-        ensure_saved_sharded(snap, manifest_path, shards=2)
-        stamp = manifest_path.stat().st_mtime_ns
-        before = saves_in_thread()
-        ensure_saved_sharded(snap, manifest_path, shards=2)  # match: no rewrite
-        assert manifest_path.stat().st_mtime_ns == stamp
-        assert saves_in_thread() == before
-        manifest_path.write_bytes(b"junk")
-        ensure_saved_sharded(snap, manifest_path, shards=2)  # unreadable: rewritten
-        assert saves_in_thread() == before + 1
-        _assert_snapshots_equal(snap, load_sharded_snapshot(manifest_path))
-
-    def test_geometry_change_rewrites(self, tmp_path):
-        snap = ExpandedGraph.from_edges([(i, i + 1) for i in range(12)]).snapshot()
-        manifest_path = tmp_path / "s.csrm"
-        ensure_saved_sharded(snap, manifest_path, shards=2)
-        ensure_saved_sharded(snap, manifest_path, shards=3)
-        assert peek_manifest(manifest_path).num_shards == 3
 
 
 def test_magic_is_stable():

@@ -21,9 +21,9 @@ import pytest
 from repro.cli import main
 from repro.core.config import ExtractionOptions
 from repro.core.extractor import Extractor
-from repro.graph import snapshot_store
+from repro.graph import shard_store, snapshot_store
 from repro.graph.kernel import CSRGraph
-from repro.graph.snapshot_store import SOURCE_SIDECAR_MAX
+from repro.graph.snapshot_store import SOURCE_SIDECAR_MAX, SnapshotStore
 from repro.relational import csv_io
 from repro.relational.csv_io import fingerprint_database, read_database, write_database
 from repro.relational.database import Database
@@ -211,15 +211,6 @@ class TestTrustedHit:
         relaid = "% co-likes\n" + QUERY.replace(", ", " ,\n   ") + "  # done\n"
         session, _ = open_graph(data, cache, query=relaid, key=None)
         assert source_hits(session) == 1
-
-    def test_sharded_stores_keep_extracting(self, data, cache, monkeypatch):
-        for _ in range(2):
-            spies = Spies(monkeypatch)
-            session = GraphSession(data, snapshot_cache=str(cache), shards=2)
-            session.graph(QUERY, key=KEY).persist()
-            assert spies.calls["extract_condensed"] == 1
-            assert source_hits(session) == 0
-        assert not list(cache.glob("*.src"))
 
     def test_stats_surface_the_decision(self, data, cache):
         open_graph(data, cache)
@@ -439,6 +430,34 @@ class TestDamagedFiles:
         assert spies.calls["extract_condensed"] == 1
         assert session.store.counters["stale"] == 1
         assert answers(handle) == expected
+
+    def test_a_leftover_shard_set_is_ignored(self, data, cache, monkeypatch):
+        """A ``.csrm`` manifest and its segments under the handle's key are
+        never read: the store writes and then trusts a monolithic ``.csr``."""
+        unstored = GraphSession(read_database(data)).graph(QUERY)
+        expected = answers(unstored)
+        manifest = SnapshotStore(cache).path_for(KEY).with_suffix(".csrm")
+        shard_store.save_sharded_snapshot(unstored.snapshot(), manifest, shards=2)
+        leftover = {path: path.read_bytes() for path in cache.glob("*.csrm*")}
+        assert len(leftover) == 3
+        reads = []
+        for name in ("peek_manifest", "load_sharded_snapshot"):
+            spy = lambda *args, _name=name, **kwargs: reads.append(_name)  # noqa: E731
+            monkeypatch.setattr(shard_store, name, spy)
+
+        session, cold = open_graph(data, cache)
+        assert session.store.counters["miss"] == 1
+        assert session.store.fetch(cold.graph, KEY)[1] == "hit"
+        assert session.store.path_for(KEY).exists()
+        assert answers(cold) == expected
+
+        spies = Spies(monkeypatch)
+        session, warm = open_graph(data, cache)
+        assert source_hits(session) == 1
+        assert spies.calls["read_table_csv"] == 0
+        assert answers(warm) == expected
+        assert reads == []
+        assert {path: path.read_bytes() for path in cache.glob("*.csrm*")} == leftover
 
 
 # --------------------------------------------------------------------------- #
