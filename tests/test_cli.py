@@ -57,6 +57,8 @@ class TestParser:
         [
             (["analyze", "--dataset", "univ", "--shards", "2"], "--shards"),
             (["serve", "--dataset", "univ", "--memory-budget", "64"], "--memory-budget"),
+            (["analyze", "--dataset", "univ", "--memory-budget", "64"], "--memory-budget"),
+            (["serve", "--dataset", "univ", "--shards", "2"], "--shards"),
         ],
     )
     def test_removed_flags_fail_loudly(self, argv, flag):

@@ -141,6 +141,32 @@ class TestCodecReports:
         assert decoded.cache is None
         assert decoded["degree"].values == report["degree"].values
 
+    def test_encoded_report_carries_no_shard_fields(self, tmp_path):
+        session = GraphSession(make_db(), backend="python")
+        payload = encode_report(session.graph(COAUTHOR_QUERY).analyze().degree().run())
+        assert "worker_memory" not in payload
+        assert "shards" not in payload["provenance"]
+        assert all("shards" not in result["provenance"] for result in payload["results"])
+
+    def test_payload_with_shard_fields_still_decodes(self, tmp_path):
+        """A server from before the out-of-core tier went sends ``shards``
+        in every provenance and a ``worker_memory`` list; a client ignores
+        both."""
+        session = GraphSession(make_db(), backend="python")
+        report = session.graph(COAUTHOR_QUERY).analyze().degree().pagerank().run()
+        payload = json.loads(json.dumps(encode_report(report)))
+        payload["provenance"]["shards"] = 3
+        for result in payload["results"]:
+            result["provenance"]["shards"] = 3
+        payload["worker_memory"] = [
+            {"lo": 0, "hi": 4, "mapped_bytes": 512, "peak_rss_bytes": 4096}
+        ]
+        decoded = decode_report(payload)
+        assert decoded.provenance == report.provenance
+        for original, restored in zip(report, decoded):
+            assert restored.provenance == original.provenance
+            assert restored.values == original.values
+
 
 # --------------------------------------------------------------------------- #
 # result cache
@@ -471,6 +497,10 @@ class TestServiceIntrospection:
         assert stats["admission"]["requests"] == 2
         assert stats["admission"]["queue_depth"] == 0
         assert stats["pool"] is None  # no warm pool on a default session
+
+    def test_stats_blocks(self, tmp_path):
+        stats = make_service(tmp_path).stats()
+        assert set(stats) == {"cache", "admission", "pool", "store", "journal"}
 
     def test_warm_pool_session_exposes_pool_counters(self, tmp_path):
         session = GraphSession(

@@ -33,6 +33,7 @@ from repro.algorithms import (
     approximate_diameter,
 )
 from repro.exceptions import UsageError
+from repro.graph import ExpandedGraph, SnapshotStore
 from repro.graph.backend import numpy_available
 from repro.graph.kernel import CSRGraph
 from repro.session import (
@@ -43,6 +44,7 @@ from repro.session import (
     GraphSession,
 )
 from repro.relational.database import Database
+from repro.vertexcentric import run_pagerank
 from tests.conftest import COAUTHOR_QUERY
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -63,6 +65,10 @@ def make_db(name: str = "toy_dblp") -> Database:
         ],
     )
     return db
+
+
+def make_triangle() -> ExpandedGraph:
+    return ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)])
 
 
 @pytest.fixture
@@ -93,6 +99,29 @@ class TestSessionConstruction:
     def test_explain_delegates(self):
         session = GraphSession(make_db(), estimator="exact")
         assert "extraction plan" in session.explain(COAUTHOR_QUERY)
+
+    @pytest.mark.parametrize(
+        "construct, keyword, value",
+        [
+            (lambda tmp, **kw: GraphSession(make_db(), **kw), "shards", 2),
+            (lambda tmp, **kw: GraphSession(make_db(), **kw), "memory_budget_mb", 64),
+            (lambda tmp, **kw: SnapshotStore(tmp / "s", **kw), "shards", 2),
+            (lambda tmp, **kw: SnapshotStore(tmp / "s", **kw), "shard_threshold_bytes", 4096),
+            (lambda tmp, **kw: run_pagerank(make_triangle(), **kw), "pool", None),
+        ],
+        ids=[
+            "session-shards",
+            "session-memory_budget_mb",
+            "store-shards",
+            "store-shard_threshold_bytes",
+            "run_pagerank-pool",
+        ],
+    )
+    def test_out_of_core_keywords_are_gone(self, tmp_path, construct, keyword, value):
+        """Sessions, stores and the vertex-centric wrappers take no shard
+        geometry: the keyword is refused, not silently ignored."""
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+            construct(tmp_path, **{keyword: value})
 
 
 class TestGraphHandles:

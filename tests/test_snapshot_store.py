@@ -10,7 +10,7 @@ The contract under test:
   corrupt codec section;
 * :class:`SnapshotStore` detects a stale file after the source graph mutates
   (content hash mismatch) and rebuilds it, and otherwise reuses the file
-  without rewriting.
+  without rewriting; a sharded ``.csrm`` set left under a key is never read.
 """
 
 import os
@@ -21,6 +21,7 @@ from repro.datasets.synthetic import generate_condensed
 from repro.exceptions import SnapshotFormatError
 from repro.graph import CSRGraph, ExpandedGraph, SnapshotStore, logical_edge_set
 from repro.graph.kernel import bfs_distances_kernel
+from repro.graph.shard_store import save_sharded_snapshot
 from repro.graph.snapshot_store import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -288,6 +289,34 @@ class TestSnapshotStore:
         path.write_bytes(b"junk")
         ensure_saved(snap, path)  # unreadable: rewritten
         _assert_snapshots_equal(snap, load_snapshot(path))
+
+    def test_a_leftover_manifest_is_not_a_snapshot(self, tmp_path):
+        """A sharded set under the key is neither contained nor read: the
+        first fetch misses and writes the ``.csr``, the second hits it."""
+        store = SnapshotStore(tmp_path / "cache")
+        graph = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        manifest = store.path_for("toy").with_suffix(".csrm")
+        save_sharded_snapshot(graph.snapshot(), manifest, shards=2)
+        leftover = manifest.read_bytes()
+        assert not store.contains("toy")
+        first, outcome = store.fetch(graph, "toy")
+        assert outcome == "miss"
+        assert peek_header(store.path_for("toy")).content_hash == first.content_hash
+        again, outcome = store.fetch(graph, "toy")
+        assert outcome == "hit"
+        _assert_snapshots_equal(first, again)
+        assert manifest.read_bytes() == leftover
+
+    def test_a_leftover_manifest_never_shadows_the_csr(self, tmp_path):
+        store = SnapshotStore(tmp_path / "cache")
+        graph = ExpandedGraph.from_edges([(1, 2), (2, 3)])
+        store.fetch(graph, "toy")
+        other = ExpandedGraph.from_edges([(7, 8), (8, 9), (9, 7)]).snapshot()
+        save_sharded_snapshot(other, store.path_for("toy").with_suffix(".csrm"), shards=2)
+        snap, outcome = store.fetch(graph, "toy")
+        assert outcome == "hit"
+        assert snap.content_hash == graph.snapshot().content_hash != other.content_hash
+        assert store.load("toy").content_hash == snap.content_hash
 
 
 def test_magic_is_stable():
