@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-dedup bench bench-table1 bench-fig18 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-dedup test-planner bench bench-table1 bench-fig18 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -15,6 +15,9 @@ help:
 	@echo "make test-dedup   - DEDUP-1/BITMAP/DEDUP-2 suites, the identity goldens"
 	@echo "                    (every algorithm x ordering, edge for edge), the"
 	@echo "                    probe pins, maintained-mask property, fig12 shapes"
+	@echo "make test-planner - the condense-vs-expand rule: catalog counts, exact join"
+	@echo "                    sizes, decisions == brute force on generated chains,"
+	@echo "                    one plan per engine, no statement to the mirror"
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + pushdown work pins (one scan, distinct rows only)"
 	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
@@ -42,6 +45,11 @@ test-dedup:
 	$(PYTEST) -q tests/test_dedup_*.py \
 		tests/test_property_invariants.py::test_property_dedup1_and_bitmap_preserve_graph \
 		benchmarks/test_bench_fig12_dedup.py
+
+test-planner:
+	$(PYTEST) -q tests/test_core_planner.py tests/test_relational_catalog.py \
+		tests/test_property_invariants.py::test_property_planner_decides_on_the_exact_join_size \
+		tests/test_sqlite_mirror.py::test_a_reused_graphgen_replans_after_a_table_grew
 
 bench:
 	$(PYTEST) -q benchmarks/

@@ -151,6 +151,6 @@ def small_condensed_graphs(small_datasets):
     """name -> extracted C-DUP CondensedGraph, shared across benchmark modules."""
     graphs = {}
     for name, (db, query) in small_datasets.items():
-        gg = GraphGen(db, estimator="exact", preprocess=False)
+        gg = GraphGen(db, preprocess=False)
         graphs[name] = gg.extract_with_report(query, representation="cdup").condensed
     return graphs

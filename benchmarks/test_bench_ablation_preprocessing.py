@@ -1,8 +1,9 @@
 """Ablation — Step-6 preprocessing and the large-output-join threshold.
 
 DESIGN.md calls out two design choices of the extraction pipeline for
-ablation (they are parameters of :class:`repro.core.config.ExtractionOptions`
-rather than hard-coded constants):
+ablation (Step 6 is :class:`repro.core.config.ExtractionOptions`'
+``preprocess``; the factor is :data:`repro.relational.catalog.LARGE_OUTPUT_FACTOR`,
+patched for the sweep):
 
 * **Step 6 preprocessing** (Section 4.2): expand every virtual node ``V``
   with ``in(V) * out(V) <= in(V) + out(V) + 1``.  The ablation extracts each
@@ -10,7 +11,7 @@ rather than hard-coded constants):
   and virtual-node counts — preprocessing must never increase the number of
   stored edges.
 * **Threshold factor** (the constant ``2`` in the large-output-join test
-  ``|Ri||Rj|/d > factor * (|Ri|+|Rj|)``): sweeping the factor moves joins
+  ``|Ri ⋈ Rj| > factor * (|Ri|+|Rj|)``): sweeping the factor moves joins
   between the "hand to the database" and "virtual layer" buckets.  A very
   large factor degenerates to the fully expanded extraction (no virtual
   nodes); a very small factor keeps every join condensed.
@@ -23,6 +24,7 @@ import pytest
 from repro.core import GraphGen
 
 from benchmarks.conftest import SMALL_DATASETS, once, record_rows
+from tests.conftest import large_output_factor
 
 _STEP6_ROWS: list[dict[str, object]] = []
 _THRESHOLD_ROWS: list[dict[str, object]] = []
@@ -31,13 +33,8 @@ THRESHOLD_FACTORS = (0.01, 0.5, 2.0, 10.0, 1e9)
 
 
 def _extract_condensed(db, query, preprocess: bool, threshold_factor: float = 2.0):
-    gg = GraphGen(
-        db,
-        estimator="exact",
-        preprocess=preprocess,
-        threshold_factor=threshold_factor,
-    )
-    return gg.extract_condensed(query)
+    with large_output_factor(threshold_factor):
+        return GraphGen(db, preprocess=preprocess).extract_condensed(query)
 
 
 # --------------------------------------------------------------------------- #

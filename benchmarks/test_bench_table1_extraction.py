@@ -40,7 +40,7 @@ COUNTERS = ("real_nodes", "virtual_nodes", "condensed_edges", "skipped_edge_tupl
 
 
 def _extract(db, query, representation: str):
-    gg = GraphGen(db, estimator="exact", preprocess=False)
+    gg = GraphGen(db, preprocess=False)
     return gg.extract_with_report(query, representation=representation)
 
 
@@ -81,7 +81,7 @@ def test_engine_comparison(benchmark, small_datasets, dataset):
     def race():
         reports = {}
         for engine in ("python", "pushdown"):
-            gg = GraphGen(db, estimator="exact", preprocess=False, extract_engine=engine)
+            gg = GraphGen(db, preprocess=False, extract_engine=engine)
             _, reports[engine] = gg.extract_condensed(query)
         return reports
 
@@ -135,7 +135,7 @@ def test_pushdown_speedup_on_largest_synthetic(monkeypatch):
     distinct_pairs = len(set(db.table("R").rows()))
     assert distinct_pairs < db.table("R").num_rows / 3
     # planned by the python engine's planner: no catalog probe goes to sqlite
-    plan = GraphGen(db, estimator="exact", preprocess=False).plan(LARGE_SYNTHETIC_QUERY)
+    plan = GraphGen(db, preprocess=False).plan(LARGE_SYNTHETIC_QUERY)
     assert [len(edge_plan.segments) for edge_plan in plan.edge_plans] == [2]
     db.sqlite_backend()
 

@@ -68,7 +68,7 @@ def table3_graphs():
     graphs: dict[str, dict[str, object]] = {}
     dedup_seconds: dict[str, float] = {}
     for name, (db, query) in _build_databases().items():
-        gg = GraphGen(db, estimator="exact", preprocess=False)
+        gg = GraphGen(db, preprocess=False)
         condensed = gg.extract_with_report(query, representation="cdup").condensed
         timer = Timer().start()
         bitmap = preprocess_bitmap(condensed, algorithm="bitmap2")

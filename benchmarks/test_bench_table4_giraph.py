@@ -98,7 +98,7 @@ def giraph_graphs(small_datasets):
     # extracted here, not taken from the session-wide condensed graphs: other
     # modules preprocess those in place, and the pins below are literal
     imdb_db, coactor_query = small_datasets["IMDB"]
-    extractor = GraphGen(imdb_db, estimator="exact", preprocess=False)
+    extractor = GraphGen(imdb_db, preprocess=False)
     condensed_by_name["IMDB"] = extractor.extract_with_report(
         coactor_query, representation="cdup"
     ).condensed

@@ -40,7 +40,7 @@ _EXPANSION: dict[str, float] = {}
 
 def _condensed_counts(db, query) -> tuple[int, int, int]:
     """(nodes, condensed edges, expanded edges) of the extracted C-DUP graph."""
-    gg = GraphGen(db, estimator="exact", preprocess=False)
+    gg = GraphGen(db, preprocess=False)
     condensed, report = gg.extract_condensed(query)
     return (
         condensed.num_nodes,

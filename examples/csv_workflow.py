@@ -44,7 +44,7 @@ def main() -> None:
     print(f"  total rows: {db.total_rows()}")
 
     # 3. extract + serialize with graphgenpy -------------------------------- #
-    gpy = GraphGenPy(db, estimator="exact")
+    gpy = GraphGenPy(db)
     edge_list = workdir / "copurchase.tsv"
     serialized = gpy.execute_query(COPURCHASE_QUERY, edge_list, fmt="edgelist")
     print("\nserialized co-purchase graph:")

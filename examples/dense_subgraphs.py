@@ -26,7 +26,7 @@ from repro.datasets import COACTOR_QUERY, generate_imdb
 
 def main() -> None:
     db = generate_imdb(num_people=250, num_movies=45, mean_cast_size=8.0, seed=11)
-    session = GraphSession(db, estimator="exact")
+    session = GraphSession(db)
 
     handle = session.graph(COACTOR_QUERY, representation="bitmap")
     graph = handle.graph

@@ -33,9 +33,9 @@ def main() -> None:
     print(f"database: {db}")
 
     # 2. one session owns extraction + snapshots + backend for all analyses;
-    # "exact" join-size estimation never misses a large-output join, so the
-    # co-author self-join stays condensed
-    session = GraphSession(db, estimator="exact")
+    # the planner condenses a join whose exact output exceeds twice its
+    # inputs, so the co-author self-join stays condensed
+    session = GraphSession(db)
     print("\n--- extraction plan -------------------------------------------")
     print(session.explain(COAUTHOR_QUERY))
 

@@ -34,7 +34,7 @@ def main() -> None:
         year_range=(1990, 2016),
         seed=13,
     )
-    gg = GraphGen(db, estimator="exact")
+    gg = GraphGen(db)
     print(f"database: {db}\n")
 
     print(f"{'window':>12} {'edges':>8} {'avg deg':>8} {'largest CC':>11} {'clustering':>11}")

@@ -37,7 +37,7 @@ def main() -> None:
     db = generate_tpch(num_customers=250, num_parts=80, orders_per_customer=3.5,
                        lineitems_per_order=4.0, part_skew=1.2, seed=7)
     print(f"database: {db}")
-    gg = GraphGen(db, estimator="exact")
+    gg = GraphGen(db)
 
     print("\n--- plan for the co-purchase graph ----------------------------")
     print(gg.explain(COPURCHASE_QUERY))

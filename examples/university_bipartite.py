@@ -33,7 +33,7 @@ from repro.vertexcentric import run_connected_components, run_degree
 
 def main() -> None:
     db = generate_univ(num_students=400, num_instructors=30, num_courses=60, seed=3)
-    gg = GraphGen(db, estimator="exact")
+    gg = GraphGen(db)
     print(f"database: {db}")
 
     print("\n--- heterogeneous instructor -> student graph ------------------")

@@ -154,7 +154,7 @@ def betweenness_centrality(
 
     With ``sample_size`` set, the accumulation runs only from a random sample
     of source vertices and the result is rescaled by ``n / sample_size`` —
-    the usual unbiased estimator for large extracted graphs.
+    the usual unbiased estimate for large extracted graphs.
     """
     csr = graph.snapshot()
     return csr.decode(

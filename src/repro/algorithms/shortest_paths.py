@@ -1,7 +1,7 @@
 """Single-source shortest paths (unweighted) plus eccentricity / diameter
 estimates, executed on the CSR kernel.
 
-The sampled estimators hand their source sample to the backend's block-wise
+The sampled estimates hand their source sample to the backend's block-wise
 sweep over the shared snapshot and aggregate its integer tree stats without
 materialising per-source dictionaries.  Sampling draws from the snapshot's
 external-ID list (the canonical ``get_vertices`` order), keeping the chosen

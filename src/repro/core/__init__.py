@@ -16,7 +16,7 @@ from repro.core.planner import (
     Planner,
     SegmentPlan,
 )
-from repro.core.extractor import ExtractionReport, Extractor, QueryExecutor, maybe_auto_expand
+from repro.core.extractor import ExtractionReport, Extractor, QueryExecutor
 from repro.core.graphgen import ExtractionResult, GraphGen, REPRESENTATIONS
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ExtractionReport",
     "Extractor",
     "QueryExecutor",
-    "maybe_auto_expand",
     "ExtractionResult",
     "GraphGen",
     "REPRESENTATIONS",

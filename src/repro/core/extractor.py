@@ -6,8 +6,7 @@ Given an :class:`~repro.core.planner.ExtractionPlan`, the extractor
 2. evaluates every segment query of every Edges rule (Step 3),
 3. creates one virtual node per distinct value of every large-output join
    attribute (Step 4) and wires up the condensed edges (Step 5),
-4. optionally expands the cheap virtual nodes (Step 6 preprocessing) and
-   optionally expands the whole graph when that would grow it only slightly.
+4. optionally expands the cheap virtual nodes (Step 6 preprocessing).
 
 The result is a :class:`~repro.graph.condensed.CondensedGraph` (which is the
 C-DUP representation) plus an :class:`ExtractionReport` with the statistics
@@ -355,20 +354,3 @@ class Extractor:
                 expanded += 1
         return expanded
 
-
-def maybe_auto_expand(
-    graph: CondensedGraph, options: ExtractionOptions
-) -> tuple[CondensedGraph | ExpandedGraph, bool]:
-    """Apply the paper's "expand if the increase is small" rule (Section 6.5).
-
-    Returns ``(graph_or_expanded, expanded?)``.
-    """
-    if options.auto_expand_growth is None:
-        return graph, False
-    condensed_edges = graph.num_condensed_edges
-    if condensed_edges == 0:
-        return graph, False
-    expanded_edges = graph.expanded_edge_count()
-    if expanded_edges <= (1.0 + options.auto_expand_growth) * condensed_edges:
-        return expand(graph), True
-    return graph, False

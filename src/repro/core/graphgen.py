@@ -13,8 +13,9 @@ your choice::
     pagerank = repro.algorithms.pagerank(graph)
 
 Representations: ``"cdup"`` (default, no preprocessing), ``"exp"``,
-``"dedup1"``, ``"dedup2"``, ``"bitmap"`` or ``"auto"`` (follow the paper's
-Section 6.5 guidance).
+``"dedup1"``, ``"dedup2"``, ``"bitmap"`` or ``"auto"`` (the paper's Section
+6.5 guidance: EXP when it stores at most 20 % more edges than the condensed
+graph, C-DUP otherwise).
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from typing import Any
 
 from repro.core.config import ENGINE_AUTO, ENGINE_PUSHDOWN, ENGINE_PYTHON, ExtractionOptions
 from repro.relational.pushdown import PushdownUnsupported
-from repro.core.extractor import ExtractionReport, Extractor, maybe_auto_expand
+from repro.core.extractor import ExtractionReport, Extractor
 from repro.core.planner import ExtractionPlan, Planner
 from repro.dedup import deduplicate_dedup1, deduplicate_dedup2, preprocess_bitmap
-from repro.dedup.expand import expand
+from repro.dedup.expand import expand, expansion_ratio
 from repro.dsl.ast import GraphSpec
 from repro.dsl.parser import parse
 from repro.exceptions import ExtractionError
@@ -37,6 +38,10 @@ from repro.graph.condensed import CondensedGraph
 from repro.relational.database import Database
 
 REPRESENTATIONS = ("cdup", "exp", "dedup1", "dedup2", "bitmap", "auto")
+
+#: ``representation="auto"`` expands when EXP stores at most this many times
+#: the condensed edges — the paper's "expand if the increase is small" (20 %)
+AUTO_EXPAND_RATIO = 1.2
 
 
 @dataclass
@@ -141,16 +146,11 @@ class GraphGen:
         plan = self.plan(query)
         condensed, report = self._extractor.extract_condensed(plan)
 
-        graph: Graph
         if representation == "auto":
-            chosen, expanded = maybe_auto_expand(condensed, self._options)
-            if expanded:
-                graph = chosen  # type: ignore[assignment]
-                representation = "exp"
-            else:
-                graph = CDupGraph(condensed)
-                representation = "cdup"
-        elif representation == "cdup":
+            representation = "exp" if expansion_ratio(condensed) <= AUTO_EXPAND_RATIO else "cdup"
+
+        graph: Graph
+        if representation == "cdup":
             graph = CDupGraph(condensed)
         elif representation == "exp":
             graph = expand(condensed)

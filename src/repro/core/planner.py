@@ -6,7 +6,8 @@ The planner turns a parsed :class:`~repro.dsl.ast.GraphSpec` into an
 * every Nodes rule becomes a conjunctive query producing ``(id, prop...)``;
 * every acyclic Edges rule is linearised into a join chain
   ``R1(ID1, a1), R2(a1, a2), ..., Rn(a_{n-1}, ID2)`` and each join attribute
-  ``ai`` is classified as *large-output* or not using the catalog statistics;
+  ``ai`` is classified as *large-output* or not from the catalog's exact
+  join size (:meth:`~repro.relational.catalog.Catalog.is_large_output_join`);
 * the chain is then split at the large-output joins into *segments*; each
   segment becomes one conjunctive query (these are the queries handed to the
   database), and each large-output join attribute becomes a layer of virtual
@@ -23,7 +24,7 @@ from typing import Any, Iterator
 from repro.dsl.ast import Anonymous, Atom, Constant, GraphSpec, Rule, Variable
 from repro.dsl.validator import EdgeChain, derive_chain, is_acyclic
 from repro.exceptions import DSLValidationError, ExtractionError
-from repro.core.config import ENGINE_PYTHON, ESTIMATOR_EXACT, ExtractionOptions
+from repro.core.config import ExtractionOptions
 from repro.relational.aggregates import (
     AggregateQuery,
     AggregateSpec,
@@ -58,7 +59,9 @@ class JoinDecision:
     right_column: str
     left_rows: int
     right_rows: int
-    estimated_output: float
+    #: the join's exact output row count
+    estimated_output: int
+    #: the output size above which the join is large-output
     threshold: float
     is_large_output: bool
 
@@ -169,7 +172,7 @@ class ExtractionPlan:
                         f"    join on {decision.variable}: "
                         f"{decision.left_table}({decision.left_column}) x "
                         f"{decision.right_table}({decision.right_column}) "
-                        f"~ {decision.estimated_output:.0f} rows [{kind}]"
+                        f"= {decision.estimated_output} rows [{kind}]"
                     )
                 lines.append(
                     f"    -> {len(edge_plan.segments)} segment(s), "
@@ -232,61 +235,6 @@ class Planner:
     def __init__(self, db: Database, options: ExtractionOptions | None = None) -> None:
         self._db = db
         self._options = options or ExtractionOptions()
-        #: probe results, valid for the database state they were read at
-        self._probe_cache: dict[tuple[Any, ...], int] = {}
-        self._probe_version = db.version
-
-    # ------------------------------------------------------------------ #
-    # catalog probes
-    #
-    # When a SQLite-backed engine will run the plan, the planner probes
-    # row_count / n_distinct / exact join sizes through the database's cached
-    # SQLite mirror (one shared mirror per Database) instead of the Python
-    # catalog.  The SQL is written to return exactly the catalog's numbers
-    # (DISTINCT counts NULL as one value; joins use NULL-safe IS equality),
-    # so plans are identical across engines.
-    # ------------------------------------------------------------------ #
-    def _sqlite_probe_backend(self):
-        if self._options.extract_engine == ENGINE_PYTHON:
-            return None
-        try:
-            return self._db.sqlite_backend()
-        except Exception:
-            return None
-
-    def _probe(self, key: tuple[Any, ...], sql: str) -> int | None:
-        version = self._db.version
-        if version != self._probe_version:
-            # the tables moved since the cached counts were read: a planner
-            # that outlives an insert must not plan from the old sizes
-            self._probe_cache.clear()
-            self._probe_version = version
-        if key in self._probe_cache:
-            return self._probe_cache[key]
-        backend = self._sqlite_probe_backend()
-        if backend is None:
-            return None
-        try:
-            value = int(backend.execute_sql(sql)[0][0])
-        except Exception:
-            return None
-        self._probe_cache[key] = value
-        return value
-
-    def _row_count(self, table: str) -> int:
-        probed = self._probe(("rows", table), f"SELECT COUNT(*) FROM {table}")
-        if probed is not None:
-            return probed
-        return self._db.catalog.row_count(table)
-
-    def _n_distinct(self, table: str, column: str) -> int:
-        probed = self._probe(
-            ("distinct", table, column),
-            f"SELECT COUNT(*) FROM (SELECT DISTINCT {column} FROM {table})",
-        )
-        if probed is not None:
-            return probed
-        return self._db.catalog.column_stats(table, column).n_distinct
 
     # ------------------------------------------------------------------ #
     def plan(self, spec: GraphSpec) -> ExtractionPlan:
@@ -398,68 +346,35 @@ class Planner:
 
     # ------------------------------------------------------------------ #
     def _classify_joins(self, chain: EdgeChain) -> list[JoinDecision]:
+        """Step 2 for every join of the chain, from the catalog's exact
+        counts (no statement goes to any SQL engine)."""
+        catalog = self._db.catalog
         decisions: list[JoinDecision] = []
         for left_link, right_link in zip(chain.links, chain.links[1:]):
             variable = left_link.out_variable
             assert variable is not None  # guaranteed by derive_chain
-            left_atom, right_atom = left_link.atom, right_link.atom
-            left_column = _column_for_variable(self._db, left_atom, variable)
-            right_column = _column_for_variable(self._db, right_atom, variable)
-            left_rows = self._row_count(left_atom.predicate)
-            right_rows = self._row_count(right_atom.predicate)
-
-            if self._options.estimator == ESTIMATOR_EXACT:
-                estimate = float(self._exact_join_size(left_atom, left_column, right_atom, right_column))
-            else:
-                d = max(
-                    self._n_distinct(left_atom.predicate, left_column),
-                    self._n_distinct(right_atom.predicate, right_column),
-                )
-                estimate = 0.0 if d == 0 else left_rows * right_rows / d
-            threshold = self._options.threshold_factor * (left_rows + right_rows)
+            left_table, right_table = left_link.atom.predicate, right_link.atom.predicate
+            left_column = _column_for_variable(self._db, left_link.atom, variable)
+            right_column = _column_for_variable(self._db, right_link.atom, variable)
             decisions.append(
                 JoinDecision(
                     variable=variable,
-                    left_table=left_atom.predicate,
+                    left_table=left_table,
                     left_column=left_column,
-                    right_table=right_atom.predicate,
+                    right_table=right_table,
                     right_column=right_column,
-                    left_rows=left_rows,
-                    right_rows=right_rows,
-                    estimated_output=estimate,
-                    threshold=threshold,
-                    is_large_output=estimate > threshold,
+                    left_rows=catalog.row_count(left_table),
+                    right_rows=catalog.row_count(right_table),
+                    estimated_output=catalog.join_size(
+                        left_table, left_column, right_table, right_column
+                    ),
+                    threshold=catalog.large_output_threshold(left_table, right_table),
+                    is_large_output=catalog.is_large_output_join(
+                        left_table, left_column, right_table, right_column
+                    ),
                 )
             )
         return decisions
-
-    def _exact_join_size(
-        self, left_atom: Atom, left_column: str, right_atom: Atom, right_column: str
-    ) -> int:
-        """True equi-join output size computed from per-value counts."""
-        # sum of per-value count products: a grouped join over the (small)
-        # distinct value sets — a direct COUNT(*) over L JOIN R would nested-
-        # loop on the unindexed mirror tables (IS joins get no automatic index)
-        probed = self._probe(
-            ("join", left_atom.predicate, left_column, right_atom.predicate, right_column),
-            f"SELECT COALESCE(SUM(L.n * R.n), 0) FROM "
-            f"(SELECT {left_column} AS v, COUNT(*) AS n "
-            f"FROM {left_atom.predicate} GROUP BY {left_column}) L "
-            f"JOIN (SELECT {right_column} AS v, COUNT(*) AS n "
-            f"FROM {right_atom.predicate} GROUP BY {right_column}) R ON L.v IS R.v",
-        )
-        if probed is not None:
-            return probed
-        left_index = self._db.table(left_atom.predicate).index_on(left_column)
-        right_index = self._db.table(right_atom.predicate).index_on(right_column)
-        smaller, larger = (
-            (left_index, right_index)
-            if len(left_index) <= len(right_index)
-            else (right_index, left_index)
-        )
-        return sum(
-            len(rows) * len(larger[value]) for value, rows in smaller.items() if value in larger
-        )
 
     # ------------------------------------------------------------------ #
     def _build_segments(

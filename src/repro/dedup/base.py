@@ -88,7 +88,7 @@ class DedupCounters:
     algorithms."""
 
     #: virtual-node pairs tested for a shared (source, target) pair
-    pair_probes = 0
+    pair_tests = 0
     #: compensation costs evaluated (one masked popcount each)
     cost_evaluations = 0
 
@@ -186,7 +186,7 @@ class DedupState:
 
     def has_duplication_between(self, first: int, second: int) -> bool:
         """True if some pair (u, w) is covered through both virtual nodes."""
-        DedupCounters.pair_probes += 1
+        DedupCounters.pair_tests += 1
         return bool(self.in_masks[first] & self.in_masks[second]) and bool(
             self.out_masks[first] & self.out_masks[second]
         )

@@ -100,6 +100,6 @@ def deduplicate(
             out_virtual = out_masks[virtual]
             probes += len(duplicated)
             duplicated = [other for other in duplicated if out_virtual & out_masks[other]]
-    DedupCounters.pair_probes += probes
+    DedupCounters.pair_tests += probes
 
     return Dedup1Graph(working, trusted=True)

@@ -37,6 +37,6 @@ def deduplicate(
             for other in processed:
                 probes += _resolve_pair(state, virtual, other)
             processed.append(virtual)
-    DedupCounters.pair_probes += probes
+    DedupCounters.pair_tests += probes
 
     return Dedup1Graph(working, trusted=True)

@@ -61,6 +61,6 @@ def deduplicate(
     for virtual, candidates in admit_with_candidates(working, virtuals):
         for other in candidates:
             probes += _resolve_pair(state, virtual, other)
-    DedupCounters.pair_probes += probes
+    DedupCounters.pair_tests += probes
 
     return Dedup1Graph(working, trusted=True)

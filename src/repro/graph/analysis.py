@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable
 
+from repro.dedup.expand import expand
 from repro.graph.api import Graph, logical_edge_set
 from repro.graph.bitmap import BitmapGraph
 from repro.graph.condensed import CondensedGraph
@@ -129,14 +130,9 @@ def logically_equivalent(
 
 
 def expanded_from_condensed(condensed: CondensedGraph) -> ExpandedGraph:
-    """Materialise the expanded graph described by a condensed graph."""
-    graph = ExpandedGraph()
-    for node in condensed.real_nodes():
-        external = condensed.external(node)
-        graph.add_vertex(external, **condensed.node_properties.get(node, {}))
-    for source, target in condensed.expanded_edges():
-        graph.add_edge(source, target)
-    return graph
+    """Materialise the expanded graph described by a condensed graph, node
+    properties and edge annotations included (:func:`repro.dedup.expand.expand`)."""
+    return expand(condensed)
 
 
 def condensed_from_expanded(graph: ExpandedGraph) -> CondensedGraph:

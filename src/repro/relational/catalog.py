@@ -1,21 +1,29 @@
-"""System catalog: table and column statistics.
+"""System catalog: table and column statistics, and the large-output rule.
 
-GraphGen's planner decides whether a join is "large-output" using the number
-of distinct values of the join attribute (PostgreSQL's ``pg_stats.n_distinct``
-in the paper).  This catalog computes the statistics exactly from the stored
-tables and caches them; ``refresh()`` recomputes after data changes (the
-equivalent of ``ANALYZE``).
+GraphGen's planner decides whether a join is "large-output" (Section 4.2,
+Step 2) from the join's output size against its inputs.  The paper estimates
+that size from PostgreSQL's ``pg_stats.n_distinct``; this catalog knows it
+exactly: every column's per-value counts are one pass over the stored rows,
+and ``|L ⋈ R| = Σ_v count_L(v) · count_R(v)``.  The counts are cached for
+the database state they were read at (:attr:`Database.version`), so any
+change to any table — through the database or a table directly — is seen by
+the next question; ``refresh()`` drops them explicitly (``ANALYZE``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.database import Database
+
+#: the paper's constant: a join is large-output when its output exceeds this
+#: many times its inputs' rows (read at call time, so tests may patch it)
+LARGE_OUTPUT_FACTOR = 2
 
 
 @dataclass(frozen=True)
@@ -47,74 +55,78 @@ class Catalog:
 
     def __init__(self, database: "Database") -> None:
         self._db = database
-        self._column_stats: dict[tuple[str, str], ColumnStats] = {}
-        self._row_counts: dict[str, int] = {}
+        self._value_counts: dict[tuple[str, str], Counter[Any]] = {}
+        self._version: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------ #
     def refresh(self) -> None:
         """Drop all cached statistics (recomputed lazily on next access)."""
-        self._column_stats.clear()
-        self._row_counts.clear()
+        self._value_counts = {}
+
+    def _counts_cache(self) -> dict[tuple[str, str], Counter[Any]]:
+        version = self._db.version
+        if version != self._version:
+            self._value_counts = {}
+            self._version = version
+        return self._value_counts
 
     def row_count(self, table: str) -> int:
-        if table not in self._row_counts:
-            self._row_counts[table] = self._db.table(table).num_rows
-        return self._row_counts[table]
+        return self._db.table(table).num_rows
 
-    def column_stats(self, table: str, column: str) -> ColumnStats:
+    def value_counts(self, table: str, column: str) -> Counter[Any]:
+        """``value -> rows of table holding it in column`` (``None`` is a
+        value, as in the python join executor); one pass, cached until the
+        database changes."""
+        cache = self._counts_cache()
         key = (table, column)
-        if key not in self._column_stats:
+        counts = cache.get(key)
+        if counts is None:
             tab = self._db.table(table)
             if not tab.schema.has_column(column):
                 raise SchemaError(f"no column {column!r} in table {table!r}")
-            self._column_stats[key] = ColumnStats(
-                table=table,
-                column=column,
-                row_count=tab.num_rows,
-                n_distinct=tab.distinct_count(column),
-            )
-        return self._column_stats[key]
+            counts = cache[key] = Counter(tab.column_values(column))
+        return counts
 
     def n_distinct(self, table: str, column: str) -> int:
-        return self.column_stats(table, column).n_distinct
+        return len(self.value_counts(table, column))
+
+    def column_stats(self, table: str, column: str) -> ColumnStats:
+        return ColumnStats(
+            table=table,
+            column=column,
+            row_count=self.row_count(table),
+            n_distinct=self.n_distinct(table, column),
+        )
 
     def selectivity(self, table: str, column: str) -> float:
         return self.column_stats(table, column).selectivity
 
     # ------------------------------------------------------------------ #
-    def estimated_join_output(
+    def join_size(
         self, left_table: str, left_column: str, right_table: str, right_column: str
-    ) -> float:
-        """Estimated output cardinality of an equi-join, assuming the join
-        attribute is uniformly distributed (the paper's assumption).
+    ) -> int:
+        """Exact row count of the equi-join ``left_column = right_column``:
+        ``Σ_v count_L(v) · count_R(v)``."""
+        left = self.value_counts(left_table, left_column)
+        if (left_table, left_column) == (right_table, right_column):
+            return sum(count * count for count in left.values())
+        right = self.value_counts(right_table, right_column)
+        if len(left) > len(right):
+            left, right = right, left
+        return sum(count * right[value] for value, count in left.items())
 
-        ``|R| * |S| / max(d_R, d_S)`` — the textbook System-R estimate.
-        """
-        left = self.column_stats(left_table, left_column)
-        right = self.column_stats(right_table, right_column)
-        d = max(left.n_distinct, right.n_distinct)
-        if d == 0:
-            return 0.0
-        return left.row_count * right.row_count / d
+    def large_output_threshold(self, left_table: str, right_table: str) -> float:
+        """``LARGE_OUTPUT_FACTOR · (|L| + |R|)``: the output size a join must
+        exceed to be cut into a virtual layer."""
+        return LARGE_OUTPUT_FACTOR * (self.row_count(left_table) + self.row_count(right_table))
 
     def is_large_output_join(
-        self,
-        left_table: str,
-        left_column: str,
-        right_table: str,
-        right_column: str,
-        threshold_factor: float = 2.0,
+        self, left_table: str, left_column: str, right_table: str, right_column: str
     ) -> bool:
-        """The paper's large-output-join test (Section 4.2, Step 2).
-
-        A join is large-output when ``|Ri| * |Ri+1| / d > factor * (|Ri| +
-        |Ri+1|)``, with ``d`` the distinct count of the join attribute and
-        ``factor`` defaulting to the paper's constant 2.
-        """
-        left_rows = self.row_count(left_table)
-        right_rows = self.row_count(right_table)
-        estimate = self.estimated_join_output(left_table, left_column, right_table, right_column)
-        return estimate > threshold_factor * (left_rows + right_rows)
+        """The paper's large-output-join test (Section 4.2, Step 2) on the
+        exact output size: ``|L ⋈ R| > 2 · (|L| + |R|)``."""
+        size = self.join_size(left_table, left_column, right_table, right_column)
+        return size > self.large_output_threshold(left_table, right_table)
 
     def summary(self) -> dict[str, dict[str, int]]:
         """Row counts and per-column distinct counts for every table."""

@@ -55,7 +55,6 @@ class Database:
             raise SchemaError(f"table {table.name!r} already exists in database {self.name!r}")
         self._tables[table.name] = table
         self._structure_version += 1
-        self._catalog.refresh()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -63,7 +62,6 @@ class Database:
             raise SchemaError(f"no table {name!r} in database {self.name!r}")
         del self._tables[name]
         self._structure_version += 1
-        self._catalog.refresh()
 
     def table(self, name: str) -> Table:
         try:
@@ -87,10 +85,8 @@ class Database:
     # data loading
     # ------------------------------------------------------------------ #
     def insert(self, table: str, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk insert into ``table``; refreshes catalog statistics."""
-        count = self.table(table).insert_many(rows)
-        self._catalog.refresh()
-        return count
+        """Bulk insert into ``table``; returns the number of rows inserted."""
+        return self.table(table).insert_many(rows)
 
     # ------------------------------------------------------------------ #
     # statistics
@@ -111,7 +107,8 @@ class Database:
         """A token identifying the current data state of the database.
 
         Changes whenever a table is added, dropped or mutated; what
-        :attr:`source_fingerprint` is stamped against.
+        :attr:`source_fingerprint` is stamped against and the catalog's
+        cached counts are keyed on.
         """
         return (self._structure_version,) + tuple(
             self._tables[name].data_version for name in self.table_names()
@@ -137,8 +134,8 @@ class Database:
         every call syncs it (:meth:`SQLiteBackend.load` — untouched tables
         are skipped, a table that only grew gets its new rows appended, a
         cleared, replaced, added or dropped table is redone alone), so
-        repeated extractions and planner catalog probes share a single copy
-        and a few appended rows cost a few inserted rows.  The connection is
+        repeated extractions share a single copy and a few appended rows
+        cost a few inserted rows.  The connection is
         never replaced, so a thread still reading from the backend it was
         handed earlier is never left with a closed one; callers must not
         close it either.

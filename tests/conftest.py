@@ -3,11 +3,35 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 
 from repro.graph.condensed import CondensedGraph
+from repro.relational import catalog
 from repro.relational.database import Database
+
+
+# --------------------------------------------------------------------------- #
+# forcing the planner's condense-vs-expand rule
+# --------------------------------------------------------------------------- #
+#: a factor under which every non-empty join is large-output (condensed)
+CONDENSE_ALL = 1e-9
+#: a factor under which no join is large-output (expanded, Case 2 edges)
+CONDENSE_NONE = 1e9
+
+
+@contextmanager
+def large_output_factor(factor: float) -> Iterator[None]:
+    """Plan with ``|L ⋈ R| > factor · (|L| + |R|)`` instead of the paper's
+    ``2`` while the block runs (the catalog reads the constant per call)."""
+    saved = catalog.LARGE_OUTPUT_FACTOR
+    catalog.LARGE_OUTPUT_FACTOR = factor
+    try:
+        yield
+    finally:
+        catalog.LARGE_OUTPUT_FACTOR = saved
 
 
 # --------------------------------------------------------------------------- #

@@ -3,18 +3,26 @@
 import pytest
 
 from repro.core.config import ExtractionOptions
-from repro.core.extractor import Extractor, maybe_auto_expand
+from repro.core.extractor import Extractor
 from repro.core.planner import Planner
 from repro.dsl.parser import parse
 from repro.graph import CDupGraph, ExpandedGraph, expanded_from_condensed, logically_equivalent
 from repro.relational.database import Database
 
-from tests.conftest import BIPARTITE_QUERY, COAUTHOR_QUERY
+from tests.conftest import (
+    BIPARTITE_QUERY,
+    COAUTHOR_QUERY,
+    CONDENSE_ALL,
+    CONDENSE_NONE,
+    large_output_factor,
+)
 
 
-def extract(db, query, **options):
+def extract(db, query, factor: float = 2, **options):
+    """Plan ``query`` at large-output ``factor``, then extract it."""
     opts = ExtractionOptions(**options)
-    plan = Planner(db, opts).plan(parse(query))
+    with large_output_factor(factor):
+        plan = Planner(db, opts).plan(parse(query))
     return Extractor(db, opts).extract_condensed(plan)
 
 
@@ -34,7 +42,7 @@ class TestNodeLoading:
 class TestCondensedEdges:
     def test_coauthor_condensed_with_forced_virtual_nodes(self, toy_dblp):
         graph, report = extract(
-            toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False
+            toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=False
         )
         assert graph.num_virtual_nodes == 3  # one per paper
         assert graph.num_condensed_edges == 18
@@ -43,14 +51,14 @@ class TestCondensedEdges:
         assert set(cdup.get_neighbors(1)) == {1, 2, 3, 4, 5}
 
     def test_small_join_loads_direct_edges(self, toy_dblp):
-        graph, _ = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=1e9)
+        graph, _ = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_NONE)
         assert graph.num_virtual_nodes == 0
         expanded = expanded_from_condensed(graph)
-        reference, _ = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False)
+        reference, _ = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=False)
         assert logically_equivalent(expanded, expanded_from_condensed(reference))
 
     def test_bipartite_heterogeneous_graph(self, toy_univ):
-        graph, _ = extract(toy_univ, BIPARTITE_QUERY, threshold_factor=0.0001, preprocess=False)
+        graph, _ = extract(toy_univ, BIPARTITE_QUERY, factor=CONDENSE_ALL, preprocess=False)
         cdup = CDupGraph(graph)
         assert set(cdup.get_neighbors(100)) == {1, 2, 3}  # i1 taught both courses
         assert set(cdup.get_neighbors(101)) == {2, 3}
@@ -59,74 +67,56 @@ class TestCondensedEdges:
 
     def test_skip_unknown_endpoints(self, toy_dblp):
         toy_dblp.insert("AuthorPub", [(99, 1)])  # author 99 has no Author row
-        graph, report = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=1e9)
+        graph, report = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_NONE)
         assert not graph.has_external(99)
         assert report.skipped_edge_tuples > 0
 
     def test_unknown_endpoints_added_when_allowed(self, toy_dblp):
         toy_dblp.insert("AuthorPub", [(99, 1)])
         graph, _ = extract(
-            toy_dblp, COAUTHOR_QUERY, threshold_factor=1e9, skip_unknown_endpoints=False
+            toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_NONE, skip_unknown_endpoints=False
         )
         assert graph.has_external(99)
 
 
 class TestPreprocessing:
     def test_step6_expands_cheap_virtual_nodes(self, toy_dblp):
-        graph, report = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=True)
+        graph, report = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=True)
         # p3 has only two authors (2*2 <= 2+2+1), so it is expanded away
         assert report.preprocessing_expanded_virtual_nodes >= 1
         assert graph.num_virtual_nodes < 3
-        reference, _ = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False)
+        reference, _ = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=False)
         assert logically_equivalent(
             expanded_from_condensed(graph), expanded_from_condensed(reference)
         )
 
     def test_preprocess_disabled(self, toy_dblp):
-        _, report = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False)
+        _, report = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=False)
         assert report.preprocessing_expanded_virtual_nodes == 0
 
 
 class TestExpandedExtraction:
     def test_extract_expanded(self, toy_dblp):
-        opts = ExtractionOptions(threshold_factor=0.0001)
-        plan = Planner(toy_dblp, opts).plan(parse(COAUTHOR_QUERY))
-        expanded, report = Extractor(toy_dblp, opts).extract_expanded(plan)
+        with large_output_factor(CONDENSE_ALL):
+            plan = Planner(toy_dblp).plan(parse(COAUTHOR_QUERY))
+        expanded, report = Extractor(toy_dblp).extract_expanded(plan)
         assert isinstance(expanded, ExpandedGraph)
         assert report.expanded_edges == expanded.num_edges()
         assert report.auto_expanded
 
     def test_sqlite_backend_parity(self, toy_dblp):
-        python_graph, _ = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False)
+        python_graph, _ = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=False)
         sqlite_graph, _ = extract(
-            toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001, preprocess=False, extract_engine="sqlite"
+            toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=False, extract_engine="sqlite"
         )
         assert logically_equivalent(
             expanded_from_condensed(python_graph), expanded_from_condensed(sqlite_graph)
         )
 
 
-class TestAutoExpand:
-    def test_disabled_returns_condensed(self, figure1_condensed):
-        graph, expanded = maybe_auto_expand(figure1_condensed, ExtractionOptions())
-        assert graph is figure1_condensed
-        assert not expanded
-
-    def test_expands_when_growth_is_small(self, figure1_condensed):
-        options = ExtractionOptions(auto_expand_growth=5.0)
-        graph, expanded = maybe_auto_expand(figure1_condensed, options)
-        assert expanded
-        assert isinstance(graph, ExpandedGraph)
-
-    def test_keeps_condensed_when_growth_is_large(self, figure1_condensed):
-        options = ExtractionOptions(auto_expand_growth=0.01)
-        graph, expanded = maybe_auto_expand(figure1_condensed, options)
-        assert not expanded
-
-
 class TestReport:
     def test_report_fields(self, toy_dblp):
-        _, report = extract(toy_dblp, COAUTHOR_QUERY, threshold_factor=0.0001)
+        _, report = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL)
         data = report.as_dict()
         assert data["real_nodes"] == 6
         assert data["seconds"] >= 0

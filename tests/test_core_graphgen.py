@@ -14,19 +14,32 @@ from repro.graph import (
     logically_equivalent,
 )
 
-from tests.conftest import BIPARTITE_QUERY, COAUTHOR_QUERY
+from tests.conftest import BIPARTITE_QUERY, COAUTHOR_QUERY, CONDENSE_ALL, large_output_factor
 
 
 @pytest.fixture
 def gg(toy_dblp) -> GraphGen:
-    # a tiny threshold forces the condensed path so every representation is exercised
-    return GraphGen(toy_dblp, threshold_factor=0.0001, preprocess=False)
+    # a tiny factor forces the condensed path so every representation is exercised
+    with large_output_factor(CONDENSE_ALL):
+        yield GraphGen(toy_dblp, preprocess=False)
 
 
 class TestFacadeBasics:
     def test_options_exclusive_with_overrides(self, toy_dblp):
         with pytest.raises(ValueError):
-            GraphGen(toy_dblp, ExtractionOptions(), threshold_factor=3.0)
+            GraphGen(toy_dblp, ExtractionOptions(), preprocess=False)
+
+    @pytest.mark.parametrize("name", ["threshold_factor", "estimator", "auto_expand_growth"])
+    def test_planner_knobs_are_gone(self, toy_dblp, name):
+        """Which joins condense is the paper's rule on the exact join size,
+        and ``auto`` is the paper's 20 %: nothing to tune."""
+        with pytest.raises(TypeError):
+            GraphGen(toy_dblp, **{name: 2.0})
+        assert list(ExtractionOptions.__dataclass_fields__) == [
+            "preprocess",
+            "skip_unknown_endpoints",
+            "extract_engine",
+        ]
 
     def test_parse_passthrough(self, gg):
         spec = gg.parse(COAUTHOR_QUERY)
@@ -78,22 +91,30 @@ class TestRepresentations:
         assert result.plan.case == 1
         assert result.condensed.num_virtual_nodes == 3
 
-    def test_auto_expands_small_graph(self, toy_dblp):
-        gg = GraphGen(toy_dblp, threshold_factor=0.0001, auto_expand_growth=5.0)
-        result = gg.extract_with_report(COAUTHOR_QUERY, representation="auto")
+    def test_auto_expands_small_graph(self, toy_univ):
+        # two course nodes storing 7 edges for 5 instructor -> student pairs
+        with large_output_factor(CONDENSE_ALL):
+            gg = GraphGen(toy_univ, preprocess=False)
+            result = gg.extract_with_report(BIPARTITE_QUERY, representation="auto")
+        assert result.condensed.num_virtual_nodes == 2
+        assert (result.report.condensed_edges, result.report.expanded_edges) == (7, 5)
         assert result.representation == "exp"
         assert isinstance(result.graph, ExpandedGraph)
 
     def test_auto_keeps_condensed_for_dense_graph(self, toy_dblp):
-        gg = GraphGen(toy_dblp, threshold_factor=0.0001, auto_expand_growth=0.01)
-        result = gg.extract_with_report(COAUTHOR_QUERY, representation="auto")
+        # 24 co-author pairs against 18 stored edges: more than 20 % growth
+        with large_output_factor(CONDENSE_ALL):
+            result = GraphGen(toy_dblp).extract_with_report(COAUTHOR_QUERY, representation="auto")
+        assert result.report.condensed_edges == 18
+        assert result.condensed.expanded_edge_count() == 24
         assert result.representation == "cdup"
+        assert isinstance(result.graph, CDupGraph)
 
 
 class TestHeterogeneousGraph:
     def test_bipartite_extraction(self, toy_univ):
-        gg = GraphGen(toy_univ, threshold_factor=0.0001)
-        graph = gg.extract(BIPARTITE_QUERY)
+        with large_output_factor(CONDENSE_ALL):
+            graph = GraphGen(toy_univ).extract(BIPARTITE_QUERY)
         assert graph.num_vertices() == 5
         assert set(graph.get_neighbors(100)) == {1, 2, 3}
         assert graph.get_property(100, "Name") == "i1"
@@ -110,9 +131,10 @@ class TestSelectionPredicates:
         Nodes(ID, Name) :- Author(ID, Name).
         Edges(ID1, ID2) :- AuthorPub(ID1, P), AuthorPub(ID2, P), Publication(P, Y), Y >= 2010.
         """
-        gg = GraphGen(toy_dblp, threshold_factor=0.0001, preprocess=False)
-        recent = gg.extract(query, representation="exp")
-        full = gg.extract(COAUTHOR_QUERY, representation="exp")
+        gg = GraphGen(toy_dblp, preprocess=False)
+        with large_output_factor(CONDENSE_ALL):
+            recent = gg.extract(query, representation="exp")
+            full = gg.extract(COAUTHOR_QUERY, representation="exp")
         assert recent.num_edges() < full.num_edges()
         # the p1 clique (year 2001) must be gone: a2 and a3 only co-authored p1
         assert not recent.exists_edge(2, 3)

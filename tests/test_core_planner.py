@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.config import ExtractionOptions
 from repro.core.planner import Planner
+from repro.datasets import generate_dblp
 from repro.dsl.parser import parse
 from repro.relational.database import Database
 
@@ -74,24 +74,18 @@ class TestJoinClassification:
         assert len(edge_plan.segments) == 2
         assert plan.case == 1
 
-    def test_threshold_factor_flips_decision(self, dense_dblp):
-        options = ExtractionOptions(threshold_factor=1000.0)
-        plan = Planner(dense_dblp, options).plan(parse(COAUTHOR))
-        assert not plan.edge_plans[0].decisions[0].is_large_output
-        assert len(plan.edge_plans[0].segments) == 1
-
     def test_exact_estimator(self, dense_dblp):
-        options = ExtractionOptions(estimator="exact")
-        plan = Planner(dense_dblp, options).plan(parse(COAUTHOR))
+        plan = Planner(dense_dblp).plan(parse(COAUTHOR))
         decision = plan.edge_plans[0].decisions[0]
         table = dense_dblp.table("AuthorPub")
         true_size = sum(
             len(rows) ** 2 for rows in table.index_on("pid").values()
         )
-        assert decision.estimated_output == pytest.approx(true_size)
+        assert decision.estimated_output == true_size
+        assert decision.threshold == 2 * (decision.left_rows + decision.right_rows)
 
     def test_tpch_chain_marks_only_middle_join(self, tpch_like):
-        plan = Planner(tpch_like, ExtractionOptions(estimator="exact")).plan(parse(COPURCHASE))
+        plan = Planner(tpch_like).plan(parse(COPURCHASE))
         edge_plan = plan.edge_plans[0]
         large_flags = [d.is_large_output for d in edge_plan.decisions]
         # key-FK joins on orderkey are small, the partkey self-join explodes
@@ -101,8 +95,22 @@ class TestJoinClassification:
         assert edge_plan.segments[0].starts_at_source
         assert edge_plan.segments[1].ends_at_target
 
+    def test_dblp_at_four_authors_per_paper_condenses_on_every_seed(self):
+        """Four authors per paper sits on the uniform estimate's threshold
+        (``|AuthorPub| / papers = 4``), where the seed alone used to decide;
+        the exact size ``Σ n_p²`` also counts the spread of authors per
+        paper and is above it on every seed."""
+        cut = [
+            Planner(generate_dblp(mean_authors_per_pub=4.0, seed=seed))
+            .plan(parse(COAUTHOR))
+            .edge_plans[0]
+            .virtual_attributes
+            for seed in range(10)
+        ]
+        assert cut == [["PubID"]] * 10
+
     def test_segment_boundary_variables(self, tpch_like):
-        plan = Planner(tpch_like, ExtractionOptions(estimator="exact")).plan(parse(COPURCHASE))
+        plan = Planner(tpch_like).plan(parse(COPURCHASE))
         first, second = plan.edge_plans[0].segments
         assert first.query.head_vars == ["ID1", "PK"]
         assert second.query.head_vars == ["PK", "ID2"]
@@ -126,6 +134,8 @@ class TestPlanOutput:
         text = plan.describe()
         assert "LARGE-OUTPUT" in text
         assert "segment" in text
+        # the exact size, not an estimate: 12 papers x 25 authors each
+        assert "AuthorPub(pid) x AuthorPub(pid) = 7500 rows [LARGE-OUTPUT]" in text
 
     def test_sql_statements(self, dense_dblp):
         plan = Planner(dense_dblp).plan(parse(COAUTHOR))
@@ -135,5 +145,5 @@ class TestPlanOutput:
 
     def test_num_virtual_layers(self, dense_dblp, tpch_like):
         assert Planner(dense_dblp).plan(parse(COAUTHOR)).num_virtual_layers() == 1
-        plan = Planner(tpch_like, ExtractionOptions(estimator="exact")).plan(parse(COPURCHASE))
+        plan = Planner(tpch_like).plan(parse(COPURCHASE))
         assert plan.num_virtual_layers() == 1

@@ -82,7 +82,7 @@ class TestRelationalGenerators:
         db = generator(seed=0)
         report = validate(parse(query), db)
         assert report.case == 1
-        graph = GraphGen(db, estimator="exact").extract(query)
+        graph = GraphGen(db).extract(query)
         assert graph.num_vertices() > 0
 
 
@@ -125,22 +125,22 @@ class TestLargeDatasets:
 
     def test_layered_extraction_is_multilayer(self):
         db = generate_layered(LAYERED_SPECS["layered_1"])
-        result = GraphGen(db, estimator="exact").extract_with_report(LAYERED_QUERY)
+        result = GraphGen(db).extract_with_report(LAYERED_QUERY)
         assert result.condensed.num_layers() >= 2
 
     def test_single_selectivity_and_extraction(self):
         spec = SINGLE_SPECS["single_1"]
         db = generate_single(spec)
         assert measured_selectivity(db, "R", "p") == pytest.approx(spec.selectivity, rel=0.25)
-        result = GraphGen(db, estimator="exact").extract_with_report(SINGLE_QUERY)
+        result = GraphGen(db).extract_with_report(SINGLE_QUERY)
         assert result.condensed.is_single_layer()
         assert result.condensed.num_virtual_nodes > 0
 
     def test_single_2_denser_than_single_1(self):
         dense = generate_single(SINGLE_SPECS["single_2"])
         sparse = generate_single(SINGLE_SPECS["single_1"])
-        dense_graph = GraphGen(dense, estimator="exact").extract_with_report(SINGLE_QUERY).condensed
-        sparse_graph = GraphGen(sparse, estimator="exact").extract_with_report(SINGLE_QUERY).condensed
+        dense_graph = GraphGen(dense).extract_with_report(SINGLE_QUERY).condensed
+        sparse_graph = GraphGen(sparse).extract_with_report(SINGLE_QUERY).condensed
         dense_ratio = dense_graph.expanded_edge_count() / dense_graph.num_condensed_edges
         sparse_ratio = sparse_graph.expanded_edge_count() / sparse_graph.num_condensed_edges
         assert dense_ratio > sparse_ratio

@@ -12,7 +12,7 @@ with bounded work.
 * **Work.**  On the benchmark's DBLP shape (650 authors, 1 170 publications,
   five authors each) the two virtual-first algorithms probe only the
   processed virtual nodes that share a real in-node with the new one
-  (``DedupCounters.pair_probes``: 65 928 / 55 017, where the scan over
+  (``DedupCounters.pair_tests``: 65 928 / 55 017, where the scan over
   every processed node made 700 059 / 689 148).
 """
 
@@ -51,7 +51,7 @@ def _figure1() -> CondensedGraph:
 
 
 def _extracted(db, query: str) -> CondensedGraph:
-    gg = GraphGen(db, estimator="exact", preprocess=False)
+    gg = GraphGen(db, preprocess=False)
     return gg.extract_with_report(query, representation="cdup").condensed
 
 
@@ -249,6 +249,6 @@ def test_dedup1_builds_the_recorded_graph(name, algorithm, ordering):
 def test_virtual_first_probes_only_indexed_candidates(algorithm):
     condensed = condensed_input("dblp_bench")
     assert condensed.num_virtual_nodes > 1000
-    before = DedupCounters.pair_probes
+    before = DedupCounters.pair_tests
     deduplicate_dedup1(condensed, algorithm=algorithm, seed=7)
-    assert DedupCounters.pair_probes - before <= 80_000
+    assert DedupCounters.pair_tests - before <= 80_000

@@ -67,6 +67,26 @@ class TestConversions:
         expanded = expanded_from_condensed(condensed)
         assert expanded.get_property("a", "name") == "Alice"
 
+    def test_expansion_keeps_aggregate_edge_weights(self, toy_dblp):
+        """An aggregate rule's weights live on the condensed graph's direct
+        edges; expanding must carry them like ``dedup.expand`` does."""
+        from repro.core import GraphGen
+        from repro.dedup.expand import expand
+
+        condensed, _ = GraphGen(toy_dblp).extract_condensed(
+            "Nodes(ID, Name) :- Author(ID, Name).\n"
+            "Edges(ID1, ID2, count(P)) :- AuthorPub(ID1, P), AuthorPub(ID2, P)."
+        )
+        expanded = expanded_from_condensed(condensed)
+        assert expanded.edge_properties(1, 4) == {"count_P": 2}  # p1 and p2
+        assert expanded.edge_properties(5, 6) == {"count_P": 1}
+        reference = expand(condensed)
+        for source in reference.get_vertices():
+            for target in reference.get_neighbors(source):
+                assert expanded.edge_properties(source, target) == reference.edge_properties(
+                    source, target
+                )
+
 
 class TestProfiles:
     def test_duplication_profile(self, figure1_condensed):

@@ -40,7 +40,7 @@ class TestExecuteQuery:
             GraphGenPy(toy_dblp).execute_query(coauthor_query, tmp_path / "x", fmt="graphml")
 
     def test_options_forwarded_to_graphgen(self, toy_dblp, coauthor_query, tmp_path):
-        gpy = GraphGenPy(toy_dblp, estimator="exact", preprocess=False)
+        gpy = GraphGenPy(toy_dblp, preprocess=False)
         assert gpy.graphgen.options.preprocess is False
         result = gpy.execute_query(coauthor_query, tmp_path / "out.tsv")
         assert result.extraction_seconds >= 0.0

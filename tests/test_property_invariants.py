@@ -23,7 +23,10 @@ These cover the pipeline-level guarantees:
   generated tables (duplicate rows, ``NULL`` join values, dangling
   endpoints) for every rule shape, before and after every batch of appended
   rows and a ``clear()`` + refill, and the SQLite mirror that followed those
-  changes holds what a freshly loaded one holds.
+  changes holds what a freshly loaded one holds;
+* the planner cuts a chain exactly where the join's true output exceeds
+  twice its inputs, and plans the same under every extraction engine
+  without touching the SQLite mirror.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from repro.algorithms.bfs import distances_kernel
 from repro.algorithms.connected_components import components_kernel
 from repro.algorithms.pagerank import pagerank_kernel
 from repro.algorithms.similarity import SCORE_NAMES
-from repro.core import ExtractionOptions, GraphGen
+from repro.core import EXTRACT_ENGINES, GraphGen
 from repro.dedup import (
     DEDUP1_ALGORITHMS,
     ORDERINGS,
@@ -67,6 +70,7 @@ from repro.session import GraphSession
 from repro.session.compiler import CompilerCounters
 from repro.session.plan import PLAN_ALGORITHMS
 
+from tests.conftest import CONDENSE_ALL, CONDENSE_NONE, large_output_factor
 from tests.test_pushdown_extraction import REPORT_FIELDS, signature
 
 
@@ -139,12 +143,11 @@ Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID).
 @settings(max_examples=30, deadline=None)
 @given(author_pub_database(), st.booleans(), st.booleans())
 def test_property_condensed_extraction_equals_full_join(db, force_virtual, preprocess):
-    threshold = 0.0001 if force_virtual else 2.0
-    gg = GraphGen(db, threshold_factor=threshold, preprocess=preprocess, estimator="exact")
-    result = gg.extract_with_report(COAUTHOR, representation="cdup")
-    reference = GraphGen(
-        db, options=ExtractionOptions(threshold_factor=1e12)
-    ).extract(COAUTHOR, representation="exp")
+    with large_output_factor(CONDENSE_ALL if force_virtual else 2):
+        gg = GraphGen(db, preprocess=preprocess)
+        result = gg.extract_with_report(COAUTHOR, representation="cdup")
+    with large_output_factor(CONDENSE_NONE):
+        reference = GraphGen(db).extract(COAUTHOR, representation="exp")
     assert logically_equivalent(result.graph, reference)
     # linear-size guarantee: virtual-node encoding stores at most two edges
     # per base-table row; direct (deduplicated) materialisation stores at most
@@ -259,13 +262,14 @@ def test_property_trusted_reopen_answers_like_a_cold_session(
     db, edge_rule, representation, force_virtual
 ):
     query = "Nodes(ID, Name) :- Author(ID, Name).\n" + edge_rule
-    threshold = 0.0001 if force_virtual else 2.0
-    with tempfile.TemporaryDirectory(prefix="ggprop-") as scratch:
+    with tempfile.TemporaryDirectory(prefix="ggprop-") as scratch, large_output_factor(
+        CONDENSE_ALL if force_virtual else 2
+    ):
         data, cache = Path(scratch, "data"), Path(scratch, "snaps")
         write_database(db, data)
 
         def fresh_session() -> GraphSession:
-            return GraphSession(data, snapshot_cache=str(cache), threshold_factor=threshold)
+            return GraphSession(data, snapshot_cache=str(cache))
 
         cold_session = fresh_session()
         cold = cold_session.graph(query, representation=representation)
@@ -510,8 +514,8 @@ def growing_tables(draw):
     shapes = draw(st.lists(st.sampled_from(sorted(ENGINE_RULES)), min_size=1, max_size=2))
     rules = " ".join(ENGINE_RULES[shape][0] for shape in shapes)
     nulls = all(ENGINE_RULES[shape][1] for shape in shapes) and draw(st.booleans())
+    factor = CONDENSE_ALL if nulls else draw(st.sampled_from([CONDENSE_ALL, 2, CONDENSE_NONE]))
     options = {
-        "threshold_factor": 1e-9 if nulls else draw(st.sampled_from([1e-9, 2.0, 1e9])),
         "skip_unknown_endpoints": draw(st.booleans()),
         "preprocess": draw(st.booleans()),
     }
@@ -528,13 +532,13 @@ def growing_tables(draw):
     steps = [("append", draw(state))]
     steps += [("append", draw(state)) for _ in range(draw(st.integers(0, 3)))]
     steps.insert(draw(st.integers(1, len(steps))), ("refill", draw(state)))
-    return f"Nodes(ID) :- Node(ID). {rules}", options, num_nodes, steps
+    return f"Nodes(ID) :- Node(ID). {rules}", factor, options, num_nodes, steps
 
 
 @settings(max_examples=60, deadline=None)
 @given(growing_tables())
 def test_property_engines_agree_while_tables_grow(case):
-    query, options, num_nodes, steps = case
+    query, factor, options, num_nodes, steps = case
     db = Database("prop_grow")
     db.create_table("Node", [("id", "int")])
     db.insert("Node", [(i,) for i in range(num_nodes)])
@@ -547,10 +551,11 @@ def test_property_engines_agree_while_tables_grow(case):
                 db.table(name).clear()
             db.insert(name, rows)
 
-        extracted = {
-            engine: GraphGen(db, extract_engine=engine, **options).extract_condensed(query)
-            for engine in ("python", "sqlite", "pushdown")
-        }
+        with large_output_factor(factor):
+            extracted = {
+                engine: GraphGen(db, extract_engine=engine, **options).extract_condensed(query)
+                for engine in ("python", "sqlite", "pushdown")
+            }
         reference_graph, reference = extracted["python"]
         for engine, (graph, report) in extracted.items():
             assert report.engine == engine and report.notes == [], (engine, report.notes)
@@ -564,3 +569,61 @@ def test_property_engines_agree_while_tables_grow(case):
             for name, columns in ENGINE_TABLES.items():
                 ordered = f"SELECT * FROM {name} ORDER BY {', '.join(columns)}"
                 assert followed.execute_sql(ordered) == fresh.execute_sql(ordered), name
+
+
+# --------------------------------------------------------------------------- #
+# the planner's condense-vs-expand rule
+# --------------------------------------------------------------------------- #
+#: 2- and 3-atom chains over R, S (two nullable int columns each): self-joins
+#: on one column, joins of two columns of one table, and of two tables
+PLANNER_RULES = (
+    "Edges(A, B) :- R(A, P), R(B, P).",
+    "Edges(A, B) :- R(A, P), S(B, P).",
+    "Edges(A, B) :- R(A, P), R(P, B).",
+    "Edges(A, B) :- R(A, P), S(P, Q), R(B, Q).",
+    "Edges(A, B) :- R(A, P), S(P, Q), S(B, Q).",
+)
+
+
+@st.composite
+def planner_chains(draw):
+    """A chain rule and the rows of R and S: skewed join values (a few hot
+    keys make the exact size far from any uniform estimate), ``NULL``s,
+    duplicates and empty tables."""
+    value = st.integers(0, 2) | st.integers(0, 12) | st.none()
+    rows = st.lists(st.tuples(value, value), max_size=24)
+    return draw(st.sampled_from(PLANNER_RULES)), {"R": draw(rows), "S": draw(rows)}
+
+
+def _join_rows(db: Database, decision) -> int:
+    """Rows of the decision's equi-join, by nested loops over the tables."""
+    left, right = db.table(decision.left_table), db.table(decision.right_table)
+    i = left.schema.column_index(decision.left_column)
+    j = right.schema.column_index(decision.right_column)
+    return sum(1 for l in left.rows() for r in right.rows() if l[i] == r[j])
+
+
+@settings(max_examples=80, deadline=None)
+@given(planner_chains())
+def test_property_planner_decides_on_the_exact_join_size(case):
+    rule, tables = case
+    db = Database("prop_planner")
+    db.create_table("Node", [("id", "int")])
+    for name, rows in tables.items():
+        db.add_table(Table(TableSchema(name, [Column(c, "int", nullable=True) for c in ("x", "y")])))
+        db.insert(name, rows)
+    query = f"Nodes(ID) :- Node(ID). {rule}"
+
+    with mock.patch.object(Database, "sqlite_backend", side_effect=AssertionError("mirror")):
+        plans = {engine: GraphGen(db, extract_engine=engine).plan(query) for engine in EXTRACT_ENGINES}
+    reference = plans["python"]
+    (edge_plan,) = reference.edge_plans
+    atoms = rule.count("(") - 1  # the head is the first parenthesis
+    assert len(edge_plan.decisions) == atoms - 1
+    for decision in edge_plan.decisions:
+        rows = _join_rows(db, decision)
+        inputs = decision.left_rows + decision.right_rows
+        assert decision.estimated_output == rows
+        assert decision.is_large_output == (rows > 2 * inputs)
+    for engine, plan in plans.items():
+        assert (plan.node_plans, plan.edge_plans) == (reference.node_plans, reference.edge_plans), engine

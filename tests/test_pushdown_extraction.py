@@ -43,6 +43,8 @@ from repro.relational.pushdown import PushdownUnsupported, compile_plan
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
 
+from tests.conftest import CONDENSE_ALL, CONDENSE_NONE, large_output_factor
+
 WEIGHTED_QUERY = """
 Nodes(ID, Name) :- Author(ID, Name).
 Edges(ID1, ID2, count(PubID)) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID).
@@ -90,11 +92,12 @@ def signature(graph: CondensedGraph):
     return real, virtual, edges, annotations
 
 
-def assert_parity(db: Database, query: str, **options):
+def assert_parity(db: Database, query: str, factor: float = 2, **options):
     reference = GraphGen(db, extract_engine=ENGINE_PYTHON, **options)
     pushdown = GraphGen(db, extract_engine=ENGINE_PUSHDOWN, **options)
-    ref_graph, ref_report = reference.extract_condensed(query)
-    pd_graph, pd_report = pushdown.extract_condensed(query)
+    with large_output_factor(factor):
+        ref_graph, ref_report = reference.extract_condensed(query)
+        pd_graph, pd_report = pushdown.extract_condensed(query)
     assert ref_report.engine == ENGINE_PYTHON
     assert pd_report.engine == ENGINE_PUSHDOWN, pd_report.notes
     assert pd_report.notes == []
@@ -140,17 +143,18 @@ def test_parity_on_bundled_datasets(make_db, query):
 
 @pytest.mark.parametrize("make_db, query", DATASET_QUERIES)
 def test_parity_forced_condensed(make_db, query):
-    """A tiny threshold forces virtual nodes at every join boundary."""
+    """A tiny factor forces virtual nodes at every join boundary."""
     db = make_db()
-    graph, _ = assert_parity(db, query, threshold_factor=1e-9)
-    plan = GraphGen(db, threshold_factor=1e-9).plan(query)
+    graph, _ = assert_parity(db, query, factor=CONDENSE_ALL)
+    with large_output_factor(CONDENSE_ALL):
+        plan = GraphGen(db).plan(query)
     if any(ep.condensed and len(ep.segments) > 1 for ep in plan.edge_plans):
         assert graph.num_virtual_nodes > 0
 
 
 def test_parity_forced_full_expansion():
-    """A huge threshold keeps every rule in Case 2 (direct real-real edges)."""
-    graph, _ = assert_parity(_dblp(), COAUTHOR_QUERY, threshold_factor=1e9)
+    """A huge factor keeps every rule in Case 2 (direct real-real edges)."""
+    graph, _ = assert_parity(_dblp(), COAUTHOR_QUERY, factor=CONDENSE_NONE)
     assert graph.num_virtual_nodes == 0
 
 
@@ -161,7 +165,7 @@ def test_parity_filter_segment(toy_dblp):
     db = _dblp()
     query = RECENT_COAUTHOR_QUERY_TEMPLATE.format(year=2005)
     for preprocess in (False, True):
-        assert_parity(db, query, threshold_factor=0.01, preprocess=preprocess)
+        assert_parity(db, query, factor=0.01, preprocess=preprocess)
 
 
 def test_parity_aggregate_annotations():
@@ -196,10 +200,10 @@ def _dblp_with_dangling():
 @pytest.mark.parametrize(
     "query, options",
     [
-        pytest.param(COAUTHOR_QUERY, {"threshold_factor": 0.01}, id="condensed"),
-        pytest.param(COAUTHOR_QUERY, {"threshold_factor": 1e9}, id="full"),
+        pytest.param(COAUTHOR_QUERY, {"factor": 0.01}, id="condensed"),
+        pytest.param(COAUTHOR_QUERY, {"factor": CONDENSE_NONE}, id="full"),
         pytest.param(WEIGHTED_QUERY, {}, id="aggregate"),
-        pytest.param(SAME_CONFERENCE_QUERY, {"threshold_factor": 0.01}, id="multi-segment"),
+        pytest.param(SAME_CONFERENCE_QUERY, {"factor": 0.01}, id="multi-segment"),
     ],
 )
 def test_parity_unknown_endpoints(skip, query, options):
@@ -300,20 +304,22 @@ def test_explain_reports_unpushable_plans():
 def test_pushdown_counts_sql_statements(toy_dblp, coauthor_query):
     """One statement per Nodes rule plus one per *distinct* query of a rule:
     the co-author rule's two segments are one scan."""
-    counts = {
-        engine: GraphGen(toy_dblp, extract_engine=engine, threshold_factor=1e-9)
-        .extract_condensed(coauthor_query)[1]
-        .queries_executed
-        for engine in (ENGINE_PYTHON, ENGINE_SQLITE, ENGINE_PUSHDOWN)
-    }
+    with large_output_factor(CONDENSE_ALL):
+        counts = {
+            engine: GraphGen(toy_dblp, extract_engine=engine)
+            .extract_condensed(coauthor_query)[1]
+            .queries_executed
+            for engine in (ENGINE_PYTHON, ENGINE_SQLITE, ENGINE_PUSHDOWN)
+        }
     assert counts == {ENGINE_PYTHON: 3, ENGINE_SQLITE: 3, ENGINE_PUSHDOWN: 2}
 
 
 # --------------------------------------------------------------------------- #
 # scan sharing: only when the generated texts prove it
 # --------------------------------------------------------------------------- #
-def _scans(db, query, **options):
-    plan = GraphGen(db, threshold_factor=1e-9, **options).plan(query)
+def _scans(db, query):
+    with large_output_factor(CONDENSE_ALL):
+        plan = GraphGen(db).plan(query)
     return [
         ([scan.display for scan in rule.scans], [(s.scan, s.swapped) for s in rule.segments])
         for rule in compile_plan(db, plan).rules
@@ -324,9 +330,8 @@ def test_symmetric_rule_shares_one_scan_swapped(toy_dblp, coauthor_query):
     [(scans, segments)] = _scans(toy_dblp, coauthor_query)
     assert scans == ["SELECT DISTINCT A.aid AS c0, A.pid AS c1 FROM AuthorPub A"]
     assert segments == [(0, False), (0, True)]
-    text = GraphGen(toy_dblp, extract_engine=ENGINE_PUSHDOWN, threshold_factor=1e-9).explain(
-        coauthor_query
-    )
+    with large_output_factor(CONDENSE_ALL):
+        text = GraphGen(toy_dblp, extract_engine=ENGINE_PUSHDOWN).explain(coauthor_query)
     assert text.count("FROM AuthorPub A") == 3  # two under "sql:", one under "pushdown sql:"
     assert "segment 1 shares segment 0's scan, reading its rows as (c1, c0)" in text
 
@@ -339,7 +344,7 @@ def test_rules_that_only_look_symmetric_do_not_share(toy_dblp, toy_univ, biparti
     """
     [(scans, segments)] = _scans(toy_dblp, one_sided)
     assert len(scans) == 2 and segments == [(0, False), (1, False)]
-    assert_parity(toy_dblp, one_sided, threshold_factor=1e-9)
+    assert_parity(toy_dblp, one_sided, factor=CONDENSE_ALL)
     # two different tables
     for scans, segments in _scans(toy_univ, bipartite_query):
         assert len(scans) == len(segments)
@@ -379,14 +384,15 @@ def test_parity_null_join_values():
     db.insert("Node", [(i,) for i in range(5)])
     db.insert("R", [(0, None), (1, None), (2, None), (3, 7), (4, 7), (0, 7), (0, None)])
     query = "Nodes(ID) :- Node(ID). Edges(A, B) :- R(A, P), R(B, P)."
-    graph, report = assert_parity(db, query, threshold_factor=1e-9, preprocess=False)
+    graph, report = assert_parity(db, query, factor=CONDENSE_ALL, preprocess=False)
     assert sorted(graph.virtual_labels.values(), key=repr) == [("P", 7), ("P", None)]
     null_node = next(v for v, label in graph.virtual_labels.items() if label == ("P", None))
     assert sorted(graph.external(n) for n in graph.inn(null_node)) == [0, 1, 2]
     assert sorted(graph.external(n) for n in graph.out(null_node)) == [0, 1, 2]
-    sqlite_graph, _ = GraphGen(
-        db, extract_engine=ENGINE_SQLITE, threshold_factor=1e-9, preprocess=False
-    ).extract_condensed(query)
+    with large_output_factor(CONDENSE_ALL):
+        sqlite_graph, _ = GraphGen(
+            db, extract_engine=ENGINE_SQLITE, preprocess=False
+        ).extract_condensed(query)
     assert signature(sqlite_graph) == signature(graph)
 
 
@@ -399,7 +405,7 @@ def test_parity_cross_rule_duplicate_direct_edges(toy_dblp):
     Edges(ID1, ID2) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID), PubID >= 0.
     Edges(ID1, ID2, count(PubID)) :- AuthorPub(ID1, PubID), AuthorPub(ID2, PubID).
     """
-    graph, report = assert_parity(toy_dblp, query, threshold_factor=1e9)
+    graph, report = assert_parity(toy_dblp, query, factor=CONDENSE_NONE)
     first, second, third = report.per_rule_edges
     assert first > 0 and second == 0 and third == 0
     assert report.condensed_edges == first
@@ -410,13 +416,14 @@ def test_extraction_is_deterministic():
     """Same table content in the same row order: the same graph down to
     internal IDs and adjacency order (arrival order, as in the row engines)."""
     db = _dblp_with_dangling()
-    for options in ({"threshold_factor": 1e-9}, {"skip_unknown_endpoints": False}):
-        runs = [
-            GraphGen(db, extract_engine=ENGINE_PUSHDOWN, **options).extract_condensed(
-                SAME_CONFERENCE_QUERY
-            )[0]
-            for _ in range(2)
-        ]
+    for factor, options in ((CONDENSE_ALL, {}), (2, {"skip_unknown_endpoints": False})):
+        with large_output_factor(factor):
+            runs = [
+                GraphGen(db, extract_engine=ENGINE_PUSHDOWN, **options).extract_condensed(
+                    SAME_CONFERENCE_QUERY
+                )[0]
+                for _ in range(2)
+            ]
         first, second = runs
         assert first.succ == second.succ and first.pred == second.pred
         assert first.virtual_labels == second.virtual_labels

@@ -4,6 +4,10 @@ import pytest
 
 from repro.exceptions import SchemaError
 from repro.relational.database import Database
+from repro.relational.schema import Column, TableSchema
+from repro.relational.table import Table
+
+from tests.conftest import large_output_factor
 
 
 @pytest.fixture
@@ -41,15 +45,34 @@ class TestColumnStats:
 
 
 class TestJoinEstimates:
-    def test_estimated_join_output_uses_max_distinct(self, db):
-        # |R| * |S| / max(d_R, d_S) = 50 * 100 / 10
-        assert db.catalog.estimated_join_output("R", "k", "S", "k") == pytest.approx(500.0)
+    def test_join_size_sums_per_value_count_products(self, db):
+        # every k of R (10 rows each) meets 10 rows of S: 5 * 10 * 10
+        assert db.catalog.join_size("R", "k", "S", "k") == 500
+        # skew is counted, not averaged away: 3 * 3 + 1 * 1 rows, not 4 * 4 / 2
+        db.create_table("E", [("a", "int")])
+        db.insert("E", [(1,), (1,), (1,), (2,)])
+        assert db.catalog.join_size("E", "a", "E", "a") == 10
+        assert db.catalog.join_size("E", "a", "R", "k") == 3 * 10 + 10
+
+    def test_self_join_reads_one_counter(self, db):
+        assert db.catalog.join_size("R", "k", "R", "k") == 5 * 10 * 10
+        assert db.catalog.value_counts("R", "k") == {k: 10 for k in range(5)}
+        assert db.catalog.value_counts("R", "k") is db.catalog.value_counts("R", "k")
+
+    def test_null_joins_null(self):
+        db = Database("nulls")
+        db.add_table(Table(TableSchema("E", [Column("a", "int", nullable=True)])))
+        db.insert("E", [(None,), (None,), (1,)])
+        assert db.catalog.join_size("E", "a", "E", "a") == 2 * 2 + 1
+        assert db.catalog.n_distinct("E", "a") == 2
 
     def test_large_output_join_decision(self, db):
         # threshold = 2 * (50 + 100) = 300 < 500 -> large output
+        assert db.catalog.large_output_threshold("R", "S") == 300
         assert db.catalog.is_large_output_join("R", "k", "S", "k")
         # a very permissive factor flips the decision
-        assert not db.catalog.is_large_output_join("R", "k", "S", "k", threshold_factor=10.0)
+        with large_output_factor(10):
+            assert not db.catalog.is_large_output_join("R", "k", "S", "k")
 
     def test_key_like_join_is_small(self, db):
         # joining on R.v (all distinct) is essentially a key join
@@ -59,10 +82,21 @@ class TestJoinEstimates:
         db = Database("empty")
         db.create_table("E", [("a", "int")])
         db.create_table("F", [("a", "int")])
-        assert db.catalog.estimated_join_output("E", "a", "F", "a") == 0.0
+        assert db.catalog.join_size("E", "a", "F", "a") == 0
+        assert not db.catalog.is_large_output_join("E", "a", "F", "a")
         stats = db.catalog.column_stats("E", "a")
         assert stats.selectivity == 0.0
         assert stats.avg_rows_per_value == 0.0
+
+    def test_counts_follow_a_table_mutated_directly(self, db):
+        """Counts are keyed on the database version, so rows appended through
+        the table (no ``Database.insert``, no ``analyze()``) are seen."""
+        assert db.catalog.join_size("R", "k", "R", "k") == 500
+        db.table("R").insert_many([(0, 1000 + i) for i in range(10)])
+        assert db.catalog.row_count("R") == 60
+        assert db.catalog.join_size("R", "k", "R", "k") == 4 * 10 * 10 + 20 * 20
+        db.table("R").clear()
+        assert db.catalog.n_distinct("R", "k") == 0
 
     def test_summary_contains_all_tables(self, db):
         summary = db.catalog.summary()

@@ -97,7 +97,7 @@ class TestSessionConstruction:
         assert session.store.directory.is_dir()
 
     def test_explain_delegates(self):
-        session = GraphSession(make_db(), estimator="exact")
+        session = GraphSession(make_db())
         assert "extraction plan" in session.explain(COAUTHOR_QUERY)
 
     @pytest.mark.parametrize(

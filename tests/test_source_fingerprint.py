@@ -293,10 +293,7 @@ REQUEST_CHANGES = {
     "query": {"query": QUERY.replace("Likes(ID2, Item).", "Likes(ID2, Item), Item >= 11.")},
     "representation": {"representation": "exp"},
     "extract-kwargs": {"representation": "dedup1", "seed": 3},
-    "threshold_factor": {"options": {"threshold_factor": 3.0}},
-    "estimator": {"options": {"estimator": "exact"}},
     "preprocess": {"options": {"preprocess": False}},
-    "auto_expand_growth": {"options": {"auto_expand_growth": 0.2}},
     "skip_unknown_endpoints": {"options": {"skip_unknown_endpoints": False}},
     "extract_engine": {"options": {"extract_engine": "pushdown"}},
     "extract_engine-sqlite": {"options": {"extract_engine": "sqlite"}},

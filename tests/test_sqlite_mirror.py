@@ -24,6 +24,8 @@ from repro.exceptions import QueryError
 from repro.relational import sqlite_backend
 from repro.relational.database import Database
 
+from tests.conftest import CONDENSE_ALL, large_output_factor
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 COOCCURRENCE = """
@@ -70,7 +72,7 @@ def starting(log: list[str], prefix: str) -> list[str]:
 def test_cooccurrence_rule_is_one_nodes_statement_and_one_distinct_scan(statements, monkeypatch):
     db = make_db()
     db.sqlite_backend()
-    # planned by the python engine's planner: no catalog probe goes to sqlite
+    # no planner sends sqlite a statement
     plan = GraphGen(db).plan(COOCCURRENCE)
     fetched: list[int] = []
     execute_sql = sqlite_backend.SQLiteBackend.execute_sql
@@ -108,7 +110,8 @@ def test_extraction_writes_nothing_to_the_mirror(statements):
     db.sqlite_backend()
     del statements[:]
     for engine in ("sqlite", "pushdown", "auto"):
-        GraphGen(db, extract_engine=engine, threshold_factor=1e-9).extract_condensed(COOCCURRENCE)
+        with large_output_factor(CONDENSE_ALL):
+            GraphGen(db, extract_engine=engine).extract_condensed(COOCCURRENCE)
     assert statements and all(s.startswith("SELECT ") for s in statements), statements
     assert not [s for s in statements if "TEMP" in s.upper()]
 
@@ -185,34 +188,43 @@ def test_unmirrorable_table_is_retried_not_half_kept():
 
 
 # --------------------------------------------------------------------------- #
-# the planner's catalog probes follow the database too
+# the planner follows the database without asking the mirror
 # --------------------------------------------------------------------------- #
-def test_a_reused_graphgen_replans_after_a_table_grew_and_probes_only_then(statements):
-    """The probe cache used to live as long as the ``GraphGen``: one reused
-    after ``db.insert`` planned condense-vs-expand from the old row counts."""
-    db = Database("probes")
+GROWTH = {
+    "db.insert": lambda db, rows: db.insert("R", rows),
+    "table.insert_many": lambda db, rows: db.table("R").insert_many(rows),
+}
+
+
+@pytest.mark.parametrize("grow", sorted(GROWTH))
+@pytest.mark.parametrize("engine", ["python", "pushdown"])
+def test_a_reused_graphgen_replans_after_a_table_grew(statements, engine, grow):
+    """A reused ``GraphGen`` once planned condense-vs-expand from the row
+    counts it had read before ``db.insert``; the python planner's catalog
+    kept them even for a fresh one after ``Table.insert_many``.  Plans come
+    from the catalog's exact counts, keyed on the database version, and no
+    engine's planner sends the mirror a statement."""
+    db = Database("replan")
     db.create_table("Entity", [("id", "int"), ("name", "str")], primary_key="id")
     db.create_table("R", [("id", "int"), ("p", "int")])
     db.insert("Entity", [(i, f"e{i}") for i in range(40)])
     db.insert("R", [(i, i % 20) for i in range(40)])
-    gen = GraphGen(db, extract_engine="pushdown")
+    db.sqlite_backend()
+    del statements[:]
+    gen = GraphGen(db, extract_engine=engine)
 
     def large_output_joins(plan):
         return [decision.is_large_output for decision in plan.edge_plans[0].decisions]
 
-    # 40 * 40 / 20 distinct keys = 80 rows out, under 2 * (40 + 40)
+    # 20 keys x 2 x 2 = 80 rows out, under 2 * (40 + 40)
     assert large_output_joins(gen.plan(COOCCURRENCE)) == [False]
-    probes = starting(statements, "SELECT COUNT(")
-    assert probes  # the planner did ask the mirror
-    del statements[:]
-
     assert large_output_joins(gen.plan(COOCCURRENCE)) == [False]
-    assert statements == []  # nothing changed: no second probe, no sync
 
-    db.insert("R", [(i % 40, i % 20) for i in range(360)])
-    # 400 * 400 / 20 = 8 000 rows out, over 2 * (400 + 400): the join is cut
+    GROWTH[grow](db, [(i % 40, i % 20) for i in range(360)])
+    # 20 keys x 20 x 20 = 8 000 rows out, over 2 * (400 + 400): the join is cut
     assert large_output_joins(gen.plan(COOCCURRENCE)) == [True]
-    assert starting(statements, "SELECT COUNT(") == probes  # each probe once more
+    assert large_output_joins(GraphGen(db, extract_engine=engine).plan(COOCCURRENCE)) == [True]
+    assert statements == []
 
 
 # --------------------------------------------------------------------------- #
