@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-dedup test-planner bench bench-table1 bench-fig18 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-dedup test-planner test-extract bench bench-table1 bench-fig18 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -18,6 +18,10 @@ help:
 	@echo "make test-planner - the condense-vs-expand rule: catalog counts, exact join"
 	@echo "                    sizes, decisions == brute force on generated chains,"
 	@echo "                    one plan per engine, no statement to the mirror"
+	@echo "make test-extract - the one extraction loader: pushdown parity matrix, row"
+	@echo "                    engines, aggregates, sqlite mirror, every engine == the"
+	@echo "                    brute-force full join, engines x appended rows, the"
+	@echo "                    DEDUP-1 golden graph"
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + pushdown work pins (one scan, distinct rows only)"
 	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
@@ -50,6 +54,13 @@ test-planner:
 	$(PYTEST) -q tests/test_core_planner.py tests/test_relational_catalog.py \
 		tests/test_property_invariants.py::test_property_planner_decides_on_the_exact_join_size \
 		tests/test_sqlite_mirror.py::test_a_reused_graphgen_replans_after_a_table_grew
+
+test-extract:
+	$(PYTEST) -q tests/test_pushdown_extraction.py tests/test_core_extractor.py \
+		tests/test_core_aggregate_extraction.py tests/test_sqlite_mirror.py \
+		tests/test_property_invariants.py::test_property_every_engine_extracts_the_full_join \
+		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow \
+		tests/test_dedup_identity.py::test_dedup1_builds_the_recorded_graph
 
 bench:
 	$(PYTEST) -q benchmarks/

@@ -10,12 +10,13 @@ and compares the number of stored edges.  The paper's headline shape — the
 condensed representation stores dramatically fewer edges, with the gap widest
 for dense datasets like TPCH — must hold.
 
-The module additionally runs the ``python`` row-at-a-time reference engine
-against the one-pass SQL ``pushdown`` engine on every dataset (the Table-1
-counters must agree exactly), and pins the *work* pushdown does on a
-denormalised fact table — 120 000 rows collapsing to 34 769 distinct pairs,
-the regime where one C-level ``SELECT DISTINCT`` replaces a per-row Python
-loop: one scan of the fact table, exactly the distinct rows fetched.  No
+The module additionally runs the ``python`` reference engine (every plan
+query evaluated in-process) against the SQL ``pushdown`` engine on every
+dataset (the Table-1 counters must agree exactly), and pins the *work*
+pushdown does on a denormalised fact table — 120 000 rows collapsing to
+34 769 distinct pairs, the regime where one C-level ``SELECT DISTINCT``
+replaces a per-row Python join: one scan of the fact table, exactly the
+distinct rows fetched.  No
 assertion here reads a clock; extraction timings are ``bench/``'s
 (``extract.python_s`` / ``extract.pushdown_s`` per workload).
 """

@@ -295,10 +295,11 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
         "--extract-engine",
         choices=EXTRACT_ENGINES,
         default=None,
-        help="extraction engine: 'python' row-at-a-time reference, 'sqlite' "
-        "row-at-a-time over the sqlite mirror, 'pushdown' runs one SELECT "
-        "DISTINCT per distinct query of the plan and wires the rows in one "
-        "pass, 'auto' tries pushdown and falls back (default: python)",
+        help="where extraction rows come from (one loader wires them for "
+        "every engine): 'python' evaluates each query in-process (reference), "
+        "'sqlite' on the sqlite mirror, 'pushdown' runs one SELECT DISTINCT "
+        "per distinct query of the plan, 'auto' tries pushdown and falls back "
+        "(default: python)",
     )
 
 

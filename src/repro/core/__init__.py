@@ -16,7 +16,7 @@ from repro.core.planner import (
     Planner,
     SegmentPlan,
 )
-from repro.core.extractor import ExtractionReport, Extractor, QueryExecutor
+from repro.core.extractor import ExtractionReport, Extractor
 from repro.core.graphgen import ExtractionResult, GraphGen, REPRESENTATIONS
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "SegmentPlan",
     "ExtractionReport",
     "Extractor",
-    "QueryExecutor",
     "ExtractionResult",
     "GraphGen",
     "REPRESENTATIONS",

@@ -29,19 +29,18 @@ class ExtractionOptions:
         Edge tuples whose endpoints were not produced by any Nodes statement
         are skipped (and counted) rather than silently adding vertices.
     extract_engine:
-        Which extraction engine runs the plan.  ``"python"`` (the default and
-        the reference) evaluates each query with the built-in hash-join
-        executor and builds the graph one ``add_edge`` at a time;
-        ``"sqlite"`` is that same loop over rows the database's SQLite mirror
-        evaluated.  ``"pushdown"`` (:mod:`repro.relational.pushdown`) asks the
+        Where the plan's rows come from; every engine wires them into the
+        condensed graph through the same loader.  ``"python"`` (the default
+        and the reference) evaluates each query with the built-in hash-join
+        executor; ``"sqlite"`` has the database's SQLite mirror evaluate each
+        query.  ``"pushdown"`` (:mod:`repro.relational.pushdown`) asks the
         mirror for one ``SELECT DISTINCT`` per *distinct* query of the plan —
-        the two halves of a symmetric co-occurrence rule are one scan — and
-        wires each result into the condensed graph in one pass; it falls back
-        to the ``python`` engine with a note when the plan or data cannot be
-        pushed down.  ``"auto"`` is pushdown with the same fallback (the two
-        differ only in intent: ``pushdown`` is an explicit request, ``auto``
-        a hint).  All four produce logically equivalent graphs from the same
-        plan.
+        the two halves of a symmetric co-occurrence rule are one scan, read
+        once straight and once swapped; it falls back to the ``python``
+        engine with a note when the plan or data cannot be pushed down.
+        ``"auto"`` is pushdown with the same fallback (the two differ only in
+        intent: ``pushdown`` is an explicit request, ``auto`` a hint).  All
+        four produce the same graph from the same plan.
     """
 
     preprocess: bool = True

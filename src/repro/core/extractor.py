@@ -2,11 +2,26 @@
 
 Given an :class:`~repro.core.planner.ExtractionPlan`, the extractor
 
-1. loads the node set(s) by evaluating the Nodes queries (Step 1),
-2. evaluates every segment query of every Edges rule (Step 3),
+1. loads the node set(s) from the rows of the Nodes queries (Step 1),
+2. takes the rows of every segment query of every Edges rule (Step 3),
 3. creates one virtual node per distinct value of every large-output join
    attribute (Step 4) and wires up the condensed edges (Step 5),
 4. optionally expands the cheap virtual nodes (Step 6 preprocessing).
+
+Steps 1 and 3–5 are one loader, shared by every engine
+(:meth:`Extractor._load`, over
+:meth:`~repro.graph.condensed.CondensedGraph.bulk_add_real_nodes` and
+:meth:`~repro.graph.condensed.CondensedGraph.load_edges`).  The engines
+differ only in where the rows come from:
+
+* ``python`` — the built-in hash-join evaluator, one plan query at a time;
+* ``sqlite`` — the database's SQLite mirror, every plan query in one
+  ``read_all``;
+* ``pushdown`` — :func:`~repro.relational.pushdown.run_pushdown`, one
+  statement per *distinct* query, mirrored segments reading one scan swapped.
+
+``python`` and ``sqlite`` evaluate every plan query on its own, so they stay
+an independent check on pushdown's scan sharing.
 
 The result is a :class:`~repro.graph.condensed.CondensedGraph` (which is the
 C-DUP representation) plus an :class:`ExtractionReport` with the statistics
@@ -16,7 +31,7 @@ the Table 1 experiment reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Hashable
+from typing import Any, Iterable, Iterator
 
 from repro.core.config import (
     ENGINE_AUTO,
@@ -25,15 +40,14 @@ from repro.core.config import (
     ENGINE_SQLITE,
     ExtractionOptions,
 )
-from repro.core.planner import EdgePlan, ExtractionPlan, NodePlan, query_sql
-from repro.dedup.expand import expand, expand_virtual_node
+from repro.core.planner import ExtractionPlan, query_sql
+from repro.dedup.expand import expand_virtual_node
 from repro.exceptions import ExtractionError
 from repro.graph.condensed import CondensedGraph
-from repro.graph.expanded import ExpandedGraph
 from repro.relational.aggregates import AggregateQuery, evaluate_aggregate
 from repro.relational.database import Database
-from repro.relational.pushdown import PushdownUnsupported, run_pushdown
-from repro.relational.query import ConjunctiveQuery, evaluate
+from repro.relational.pushdown import PushdownUnsupported, SegmentRows, run_pushdown
+from repro.relational.query import evaluate
 from repro.utils.timing import Timer
 
 
@@ -45,8 +59,8 @@ class ExtractionReport:
     ``"sqlite"`` or ``"pushdown"``); ``notes`` carries provenance such as
     pushdown fallbacks.  ``queries_executed`` counts the queries the engine
     issued: one per Nodes rule and one per segment / full / aggregate query
-    for the row engines; pushdown issues one per *distinct* query of a rule,
-    so it reads lower wherever segments share a scan (a symmetric
+    for ``python`` and ``sqlite``; pushdown issues one per *distinct* query of
+    a rule, so it reads lower wherever segments share a scan (a symmetric
     co-occurrence rule: 2 instead of 3) and never higher.
     """
 
@@ -58,7 +72,6 @@ class ExtractionReport:
     preprocessing_expanded_virtual_nodes: int = 0
     seconds: float = 0.0
     queries_executed: int = 0
-    auto_expanded: bool = False
     per_rule_edges: list[int] = field(default_factory=list)
     engine: str = "python"
     notes: list[str] = field(default_factory=list)
@@ -67,56 +80,22 @@ class ExtractionReport:
         return dict(self.__dict__)
 
 
-class QueryExecutor:
-    """Evaluates a plan's queries either in Python or through SQLite.
-
-    The SQLite path evaluates every query of the plan up front, on the
-    database's one mirror (:meth:`~repro.relational.database.Database.
-    sqlite_backend`) and under one hold of its lock, so that all of them see
-    the same table state; the reference loop then runs over those rows with
-    the lock released.
-    """
-
-    def __init__(self, db: Database, plan: ExtractionPlan, use_sqlite: bool) -> None:
-        self._db = db
-        self._rows: dict[int, list[tuple[Any, ...]]] | None = None
-        if use_sqlite:
-            queries = list(plan.queries())
-            statements = []
-            for query in queries:
-                parameters: list[Any] = []
-                statements.append((query_sql(db, query, parameters), parameters))
-            rows = db.sqlite_backend().read_all(statements)
-            self._rows = {id(query): result for query, result in zip(queries, rows)}
-
-    def run(self, query: ConjunctiveQuery | AggregateQuery) -> list[tuple[Any, ...]]:
-        if self._rows is not None:
-            return self._rows[id(query)]
-        if isinstance(query, AggregateQuery):
-            return evaluate_aggregate(self._db, query)
-        return evaluate(self._db, query)
-
-
 class Extractor:
-    """Executes extraction plans and builds condensed / expanded graphs."""
+    """Executes extraction plans and builds condensed graphs."""
 
     def __init__(self, db: Database, options: ExtractionOptions | None = None) -> None:
         self._db = db
         self._options = options or ExtractionOptions()
 
-    # ------------------------------------------------------------------ #
-    # public entry points
-    # ------------------------------------------------------------------ #
     def extract_condensed(
         self, plan: ExtractionPlan
     ) -> tuple[CondensedGraph, ExtractionReport]:
         """Build the condensed (C-DUP) graph for ``plan``.
 
-        Dispatches on ``ExtractionOptions.extract_engine``: the row-at-a-time
-        engines (``python``/``sqlite``) or the one-pass SQL ``pushdown``
-        engine, which falls back to the ``python`` reference — with a note in
-        the report — whenever the plan or data cannot be pushed down.  All
-        engines produce logically equivalent graphs.
+        Dispatches on ``ExtractionOptions.extract_engine`` to pick the row
+        source; ``pushdown``/``auto`` fall back to the ``python`` one — with a
+        note in the report — whenever the plan or data cannot be pushed down.
+        Every engine's rows go through the same loader.
         """
         engine = self._options.extract_engine
         if engine in (ENGINE_PUSHDOWN, ENGINE_AUTO):
@@ -133,11 +112,12 @@ class Extractor:
     def _extract(self, plan: ExtractionPlan, engine: str) -> tuple[CondensedGraph, ExtractionReport]:
         report = ExtractionReport(engine=engine)
         timer = Timer().start()
-        graph = CondensedGraph()
         if engine == ENGINE_PUSHDOWN:
-            run_pushdown(self._db, plan, graph, report, self._options.skip_unknown_endpoints)
+            rows, report.queries_executed = run_pushdown(self._db, plan)
         else:
-            self._load_rows(plan, engine, graph, report)
+            rows, report.queries_executed = self._evaluate(plan, engine)
+        graph = CondensedGraph()
+        self._load(plan, iter(rows), graph, report)
         if self._options.preprocess:
             report.preprocessing_expanded_virtual_nodes = self._preprocess(graph)
         report.seconds = timer.stop()
@@ -151,188 +131,82 @@ class Extractor:
         )
         return graph, report
 
-    def _load_rows(
-        self, plan: ExtractionPlan, engine: str, graph: CondensedGraph, report: ExtractionReport
-    ) -> None:
-        """The row-at-a-time reference loop, over Python- or SQL-evaluated rows."""
-        executor = QueryExecutor(self._db, plan, use_sqlite=engine == ENGINE_SQLITE)
-        self._load_nodes(executor, plan.node_plans, graph, report)
-        for edge_plan in plan.edge_plans:
-            if edge_plan.condensed:
-                edges = self._load_condensed_edges(executor, edge_plan, graph, report)
-            elif edge_plan.aggregate_query is not None:
-                edges = self._load_aggregate_edges(executor, edge_plan, graph, report)
-            else:
-                edges = self._load_full_edges(executor, edge_plan, graph, report)
-            report.per_rule_edges.append(edges)
-
-    def extract_expanded(
-        self, plan: ExtractionPlan
-    ) -> tuple[ExpandedGraph, ExtractionReport]:
-        """Build the fully expanded (EXP) graph for ``plan``.
-
-        This is the baseline path: the condensed structure is built first and
-        then expanded in memory, which mirrors what a user would obtain by
-        running the full join in the database.
-        """
-        graph, report = self.extract_condensed(plan)
-        timer = Timer().start()
-        expanded = expand(graph)
-        report.seconds += timer.stop()
-        report.expanded_edges = expanded.num_edges()
-        report.auto_expanded = True
-        return expanded, report
-
-    # ------------------------------------------------------------------ #
-    # Step 1: nodes
-    # ------------------------------------------------------------------ #
-    def _load_nodes(
-        self,
-        executor: QueryExecutor,
-        node_plans: list[NodePlan],
-        graph: CondensedGraph,
-        report: ExtractionReport,
-    ) -> None:
-        for plan in node_plans:
-            rows = executor.run(plan.query)
-            report.queries_executed += 1
-            for row in rows:
-                node_id = row[0]
-                properties = dict(zip(plan.property_variables, row[1:]))
-                graph.add_real_node(node_id, **properties)
-
-    # ------------------------------------------------------------------ #
-    # Steps 3-5: condensed edges
-    # ------------------------------------------------------------------ #
-    def _load_condensed_edges(
-        self,
-        executor: QueryExecutor,
-        plan: EdgePlan,
-        graph: CondensedGraph,
-        report: ExtractionReport,
-    ) -> int:
-        # virtual nodes live on the *boundaries* between consecutive segments
-        # of the rule's chain: one node per (boundary, join value), created
-        # lazily as values appear (Step 4).  Keying by boundary index — not by
-        # join-attribute name — keeps the condensed graph a DAG even when the
-        # same variable spans several boundaries (e.g. a filter segment
-        # ``P -> P``): attribute-keyed sharing would fuse the two layers into
-        # one virtual node, producing a self-edge (an infinite traversal
-        # cycle) and unsound paths that bypass the middle segment.
-        virtual_of: dict[tuple[int, Hashable], int] = {}
-
-        def virtual_for(boundary: int, attribute: str, value: Hashable) -> int:
-            key = (boundary, value)
-            if key not in virtual_of:
-                virtual_of[key] = graph.add_virtual_node((attribute, value))
-            return virtual_of[key]
-
-        edges = 0
-        for index, segment in enumerate(plan.segments):
-            rows = executor.run(segment.query)
-            report.queries_executed += 1
-            # segment queries are DISTINCT, so edges cannot repeat within a
-            # segment; only direct real->real edges (single-segment rules) can
-            # collide with edges produced by other rules and need the check
-            allow_duplicate = not (segment.starts_at_source and segment.ends_at_target)
-            for left_value, right_value in rows:
-                # resolve the left endpoint (in-boundary of segment ``index``)
-                if segment.starts_at_source:
-                    if not graph.has_external(left_value):
-                        if self._options.skip_unknown_endpoints:
-                            report.skipped_edge_tuples += 1
-                            continue
-                        graph.add_real_node(left_value)
-                    source = graph.internal(left_value)
-                else:
-                    source = virtual_for(index - 1, segment.in_variable, left_value)
-                # resolve the right endpoint (out-boundary of segment ``index``)
-                if segment.ends_at_target:
-                    if not graph.has_external(right_value):
-                        if self._options.skip_unknown_endpoints:
-                            report.skipped_edge_tuples += 1
-                            continue
-                        graph.add_real_node(right_value)
-                    target = graph.internal(right_value)
-                else:
-                    target = virtual_for(index, segment.out_variable, right_value)
-                edges += graph.add_edge(source, target, allow_duplicate=allow_duplicate)
-        return edges
-
-    # ------------------------------------------------------------------ #
-    # Case 2: fully expanded edge rule
-    # ------------------------------------------------------------------ #
-    def _load_full_edges(
-        self,
-        executor: QueryExecutor,
-        plan: EdgePlan,
-        graph: CondensedGraph,
-        report: ExtractionReport,
-    ) -> int:
-        if plan.full_query is None:  # pragma: no cover - defensive
-            raise ExtractionError(f"edge plan for {plan.rule} has no query")
-        rows = executor.run(plan.full_query)
-        report.queries_executed += 1
-        edges = 0
-        for source_value, target_value in rows:
-            known_source = graph.has_external(source_value)
-            known_target = graph.has_external(target_value)
-            if not (known_source and known_target):
-                if self._options.skip_unknown_endpoints:
-                    report.skipped_edge_tuples += 1
-                    continue
-                graph.add_real_node(source_value)
-                graph.add_real_node(target_value)
-            edges += graph.add_edge(
-                graph.internal(source_value),
-                graph.internal(target_value),
-                allow_duplicate=False,
+    def _evaluate(self, plan: ExtractionPlan, engine: str) -> tuple[Iterable[SegmentRows], int]:
+        """The ``python`` and ``sqlite`` row sources: every query of the plan
+        evaluated on its own, in plan order, none read swapped."""
+        queries = list(plan.queries())
+        if engine == ENGINE_SQLITE:
+            statements = []
+            for query in queries:
+                parameters: list[Any] = []
+                statements.append((query_sql(self._db, query, parameters), parameters))
+            # one hold of the mirror's lock: every query sees one table state
+            results: Iterable[list[tuple[Any, ...]]] = self._db.sqlite_backend().read_all(
+                statements
             )
-        return edges
+        else:
+            results = (
+                evaluate_aggregate(self._db, query)
+                if isinstance(query, AggregateQuery)
+                else evaluate(self._db, query)
+                for query in queries
+            )
+        return ((rows, False) for rows in results), len(queries)
 
     # ------------------------------------------------------------------ #
-    # Case 2 with aggregation: grouped edge rule (weights / HAVING filters)
+    # Steps 1 and 3-5: the one loader
     # ------------------------------------------------------------------ #
-    def _load_aggregate_edges(
+    def _load(
         self,
-        executor: QueryExecutor,
-        plan: EdgePlan,
+        plan: ExtractionPlan,
+        rows: Iterator[SegmentRows],
         graph: CondensedGraph,
         report: ExtractionReport,
-    ) -> int:
-        """Load an aggregated Edges rule as direct, annotated real→real edges.
-
-        Grouped rules run through the executor like every other rule: the
-        SQLite path executes the generated ``GROUP BY``/``HAVING`` SQL, the
-        Python path the built-in grouped evaluator — both counted once in
-        ``queries_executed``.  Either way this is the paper's Case-2 fallback
-        of materialising the full edge list.
-        """
-        aggregate_query = plan.aggregate_query
-        if aggregate_query is None:  # pragma: no cover - defensive
-            raise ExtractionError(f"edge plan for {plan.rule} has no aggregate query")
-        rows = executor.run(aggregate_query)
-        report.queries_executed += 1
-        property_names = [spec.output_name for spec in aggregate_query.aggregates]
-        edges = 0
-        for row in rows:
-            source_value, target_value = row[0], row[1]
-            known_source = graph.has_external(source_value)
-            known_target = graph.has_external(target_value)
-            if not (known_source and known_target):
-                if self._options.skip_unknown_endpoints:
-                    report.skipped_edge_tuples += 1
-                    continue
-                graph.add_real_node(source_value)
-                graph.add_real_node(target_value)
-            source = graph.internal(source_value)
-            target = graph.internal(target_value)
-            edges += graph.add_edge(source, target, allow_duplicate=False)
-            if property_names:
-                graph.annotate_edge(
-                    source, target, **dict(zip(property_names, row[2:]))
+    ) -> None:
+        """Wire ``rows`` — one ``(rows, swapped)`` per query of
+        :meth:`~repro.core.planner.ExtractionPlan.queries`, in that order —
+        into ``graph``, counting edges per rule and skipped tuples."""
+        skip_unknown = self._options.skip_unknown_endpoints
+        for node_plan in plan.node_plans:
+            graph.bulk_add_real_nodes(next(rows)[0], node_plan.property_variables)
+        for edge_plan in plan.edge_plans:
+            property_names: list[str] = []
+            if edge_plan.condensed:
+                if not edge_plan.segments:
+                    raise ExtractionError(f"condensed edge plan for {edge_plan.rule} has no segments")
+                # virtual nodes live on the *boundaries* between consecutive
+                # segments of the rule's chain: one node per (boundary, join
+                # value), created as values appear (Step 4).  Keying by
+                # boundary — not by join-attribute name — keeps the condensed
+                # graph a DAG even when the same variable spans several
+                # boundaries (e.g. a filter segment ``P -> P``): attribute-keyed
+                # sharing would fuse the two layers into one virtual node,
+                # producing a self-edge (an infinite traversal cycle) and
+                # unsound paths that bypass the middle segment.
+                boundaries = [(segment.out_variable, {}) for segment in edge_plan.segments[:-1]]
+                sides = [
+                    (
+                        None if segment.starts_at_source else boundaries[index - 1],
+                        None if segment.ends_at_target else boundaries[index],
+                    )
+                    for index, segment in enumerate(edge_plan.segments)
+                ]
+            elif edge_plan.aggregate_query is not None:
+                property_names = [spec.output_name for spec in edge_plan.aggregate_query.aggregates]
+                sides = [(None, None)]
+            elif edge_plan.full_query is not None:
+                sides = [(None, None)]
+            else:
+                raise ExtractionError(f"edge plan for {edge_plan.rule} has no query")
+            edges = 0
+            for left, right in sides:
+                segment_rows, swapped = next(rows)
+                added, skipped = graph.load_edges(
+                    segment_rows, swapped, left, right, skip_unknown, property_names
                 )
-        return edges
+                edges += added
+                report.skipped_edge_tuples += skipped
+            report.per_rule_edges.append(edges)
 
     # ------------------------------------------------------------------ #
     # Step 6: preprocessing
@@ -353,4 +227,3 @@ class Extractor:
                 expand_virtual_node(graph, virtual)
                 expanded += 1
         return expanded
-

@@ -125,23 +125,24 @@ class CondensedGraph:
     ) -> tuple[int, int]:
         """Wire the rows of one segment / full / aggregate query into the graph.
 
-        One pass: every row's two endpoint values (``row[0], row[1]``, or the
-        other way round when ``swapped``) are dictionary-encoded and the edge
-        is appended to both adjacency lists.  A side given as ``None`` is a
-        real endpoint, encoded by the graph's own external → internal map; a
-        side given as ``(attribute, nodes)`` is a chain boundary whose
+        The extractor's one loader calls this for every engine, once per
+        segment (or once for a full or aggregate rule).  One pass: every
+        row's two endpoint values (``row[0], row[1]``, or the other way round
+        when ``swapped``) are dictionary-encoded and the edge is appended to
+        both adjacency lists, in arrival order.  A side given as ``None`` is
+        a real endpoint, encoded by the graph's own external → internal map;
+        a side given as ``(attribute, nodes)`` is a chain boundary whose
         virtual nodes are created on first sight of a join value (``None``
-        included — a NULL joins NULL here, like any other key) and remembered
-        in ``nodes``, which the caller shares between the two segments that
-        meet at the boundary.
+        included — a NULL joins NULL here, like any other key) and
+        remembered in ``nodes``, which the caller shares between the two
+        segments that meet at the boundary.
 
-        Row for row this does what the extractor's reference loop does: the
-        left endpoint is resolved first; an unknown real endpoint drops the
-        row and counts it (``skip_unknown``) or becomes a new real node; a
-        virtual left endpoint exists before the right one is looked at; and
-        direct real→real edges — the only ones another rule can have produced
-        already — are added once.  ``property_names`` label ``row[2:]`` as
-        annotations of those direct edges.
+        The left endpoint is resolved first; an unknown real endpoint drops
+        the row and counts it (``skip_unknown``) or becomes a new real node;
+        a virtual left endpoint exists before the right one is looked at;
+        and direct real→real edges — the only ones another rule can have
+        produced already — are added once.  ``property_names`` label
+        ``row[2:]`` as annotations of those direct edges.
 
         Returns ``(edges added, rows skipped)``.
         """
@@ -250,20 +251,13 @@ class CondensedGraph:
     # ------------------------------------------------------------------ #
     # edge management
     # ------------------------------------------------------------------ #
-    def add_edge(self, source: int, target: int, allow_duplicate: bool = True) -> bool:
-        """Add a condensed edge ``source -> target``.
-
-        Returns False (and does nothing) when ``allow_duplicate`` is False and
-        the edge is already present.
-        """
+    def add_edge(self, source: int, target: int) -> None:
+        """Add a condensed edge ``source -> target``."""
         if source not in self.succ or target not in self.pred:
             raise RepresentationError(f"cannot add edge {source}->{target}: unknown endpoint")
-        if not allow_duplicate and target in self.succ[source]:
-            return False
         self.succ[source].append(target)
         self.pred[target].append(source)
         self.version += 1
-        return True
 
     def remove_edge(self, source: int, target: int) -> None:
         try:
@@ -281,22 +275,6 @@ class CondensedGraph:
     # ------------------------------------------------------------------ #
     # edge annotations (properties of direct real->real edges)
     # ------------------------------------------------------------------ #
-    def annotate_edge(self, source: int, target: int, **properties: Any) -> None:
-        """Attach properties to the direct edge ``source -> target``.
-
-        Only direct real→real edges can carry annotations (they are produced
-        by Case-2 / aggregate extraction, which never goes through virtual
-        nodes).
-        """
-        if not (self.is_real(source) and self.is_real(target)):
-            raise RepresentationError("only direct real->real edges can be annotated")
-        if not self.has_edge(source, target):
-            raise RepresentationError(
-                f"cannot annotate missing edge {source}->{target}"
-            )
-        if properties:
-            self.edge_annotations.setdefault((source, target), {}).update(properties)
-
     def edge_annotation(self, source: int, target: int) -> dict[str, Any]:
         """Properties attached to the direct edge ``source -> target`` (may be empty)."""
         return dict(self.edge_annotations.get((source, target), {}))

@@ -1,5 +1,6 @@
-"""One-pass SQL extraction: the database evaluates the small-output queries,
-one pass over their rows wires the condensed graph (paper §4.2, Table 1).
+"""One-pass SQL extraction: the database evaluates the small-output queries
+once each, and the extractor's one loader wires their rows (paper §4.2,
+Table 1).
 
 An :class:`~repro.core.planner.ExtractionPlan` lowers to a flat list of
 ``SELECT`` statements — one per Nodes rule and, per Edges rule, one per
@@ -16,14 +17,13 @@ An :class:`~repro.core.planner.ExtractionPlan` lowers to a flat list of
   (:meth:`~repro.relational.sqlite_backend.SQLiteBackend.read_all`), so the
   graph is an extraction of one table state, and nothing is written to the
   mirror — no temp table, no index, nothing to clean up;
-* each result is handed to the graph once:
-  :meth:`~repro.graph.condensed.CondensedGraph.bulk_add_real_nodes` for Nodes
-  rows, :meth:`~repro.graph.condensed.CondensedGraph.load_edges` for edge
-  rows, which dictionary-encodes both endpoints (real: the graph's external →
-  internal map; virtual: one dict per chain boundary, keyed by join value)
-  and appends to the adjacency lists with the reference loop's semantics.
-  Endpoint identity is therefore Python equality, exactly as in the reference
-  engine — a ``NULL`` join value is the key ``None``.
+* :func:`run_pushdown` is a row source and nothing more: per plan query it
+  hands back the scan's rows and whether they are read swapped.  The
+  extractor's loader (:meth:`repro.core.extractor.Extractor._load`) wires
+  them the same way it wires the ``python`` and ``sqlite`` engines' rows,
+  taking chain boundaries, endpoint sides and edge-property names from the
+  plan.  Endpoint identity is therefore Python equality on every engine — a
+  ``NULL`` join value is the key ``None``.
 
 Numbering IDs inside SQL instead (an ID-map temp table, a window-function
 rank per boundary, three-way joins back to both, sorted output) lost to this
@@ -31,13 +31,13 @@ at every size measured: each extra statement re-reads rows that two dict
 lookups encode while they are being loaded anyway.
 
 Anything that cannot be lowered or executed raises
-:class:`PushdownUnsupported`; the caller falls back to the reference engine
+:class:`PushdownUnsupported`; the caller falls back to the ``python`` engine
 and records a note, never a wrong graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import QueryError
@@ -48,10 +48,12 @@ from repro.relational.sql import to_sql
 
 if TYPE_CHECKING:  # pragma: no cover - core imports us; type-only back-ref
     from repro.core.planner import EdgePlan, ExtractionPlan
-    from repro.graph.condensed import CondensedGraph
 
 #: output aliases of every edge query: what makes two texts comparable
 EDGE_COLUMNS = ("c0", "c1")
+
+#: one plan query's rows, and whether its two endpoint columns are swapped
+SegmentRows = tuple[list[tuple[Any, ...]], bool]
 
 
 class PushdownUnsupported(Exception):
@@ -75,15 +77,12 @@ class Statement:
 
 @dataclass
 class CompiledSegment:
-    """Where one segment's rows come from and what its endpoints are."""
+    """Where one segment's rows come from."""
 
     #: index into the rule's ``scans``
     scan: int
     #: the rows are the scan's with the two columns swapped
     swapped: bool
-    #: chain-boundary index of a virtual endpoint, ``None`` for a real one
-    left: int | None = None
-    right: int | None = None
 
 
 @dataclass
@@ -94,10 +93,6 @@ class CompiledEdgeRule:
     label: str
     scans: list[Statement]
     segments: list[CompiledSegment]
-    #: per chain boundary: the join attribute labelling its virtual nodes
-    boundary_attributes: list[str] = field(default_factory=list)
-    #: aggregate rules: names of the edge-property columns after ``c0, c1``
-    property_names: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -153,7 +148,7 @@ def _compile_edge_rule(db: Database, rule_index: int, edge_plan: "EdgePlan") -> 
             scans: list[Statement] = []
             scan_of: dict[tuple[str, tuple[Any, ...]], int] = {}
             segments: list[CompiledSegment] = []
-            for index, segment in enumerate(edge_plan.segments):
+            for segment in edge_plan.segments:
                 query = segment.query
                 straight = _edge_select(db, query)
                 # the same conjunctive query read from its other end: head
@@ -170,20 +165,8 @@ def _compile_edge_rule(db: Database, rule_index: int, edge_plan: "EdgePlan") -> 
                         scan_of[straight.key] = len(scans)
                         scans.append(straight)
                     scan = scan_of[straight.key]
-                segments.append(
-                    CompiledSegment(
-                        scan=scan,
-                        swapped=swapped,
-                        left=None if segment.starts_at_source else index - 1,
-                        right=None if segment.ends_at_target else index,
-                    )
-                )
-            return CompiledEdgeRule(
-                label=label,
-                scans=scans,
-                segments=segments,
-                boundary_attributes=[s.out_variable for s in edge_plan.segments[:-1]],
-            )
+                segments.append(CompiledSegment(scan=scan, swapped=swapped))
+            return CompiledEdgeRule(label=label, scans=scans, segments=segments)
 
         if edge_plan.aggregate_query is not None:
             aggregate_query = edge_plan.aggregate_query
@@ -191,7 +174,6 @@ def _compile_edge_rule(db: Database, rule_index: int, edge_plan: "EdgePlan") -> 
                 label=label,
                 scans=[_lower(lambda p: aggregate_to_sql(db, aggregate_query, parameters=p))],
                 segments=[CompiledSegment(scan=0, swapped=False)],
-                property_names=[spec.output_name for spec in aggregate_query.aggregates],
             )
 
         full_query = edge_plan.full_query
@@ -229,20 +211,14 @@ def compile_plan(db: Database, plan: "ExtractionPlan") -> PushdownProgram:
 # --------------------------------------------------------------------------- #
 # execution
 # --------------------------------------------------------------------------- #
-def run_pushdown(
-    db: Database,
-    plan: "ExtractionPlan",
-    graph: "CondensedGraph",
-    report: Any,
-    skip_unknown_endpoints: bool = True,
-) -> None:
-    """Fill ``graph`` (a fresh condensed graph) from ``plan``'s statements.
+def run_pushdown(db: Database, plan: "ExtractionPlan") -> tuple[list[SegmentRows], int]:
+    """Fetch ``plan``'s rows with one ``read_all`` of its distinct statements.
 
-    Also fills the per-rule counters of ``report`` (an
-    :class:`~repro.core.extractor.ExtractionReport`): ``skipped_edge_tuples``,
-    ``per_rule_edges`` and ``queries_executed`` — the number of statements
-    issued, at most the row engines' count and lower wherever segments
-    share a scan.
+    Returns one ``(rows, swapped)`` per query of
+    :meth:`~repro.core.planner.ExtractionPlan.queries`, in that order —
+    segments that share a scan share its row list — and the number of
+    statements issued: at most the ``python`` engine's query count, lower
+    wherever segments share a scan.
     """
     program = compile_plan(db, plan)
     statements = program.statements()
@@ -252,23 +228,8 @@ def run_pushdown(
         )
     except QueryError as exc:
         raise PushdownUnsupported(f"sqlite cannot run the plan: {exc}") from exc
-    report.queries_executed += len(statements)
-
-    for node_plan in plan.node_plans:
-        graph.bulk_add_real_nodes(next(fetched), node_plan.property_variables)
+    rows = [(next(fetched), False) for _ in program.node_statements]
     for rule in program.rules:
         scans = [next(fetched) for _ in rule.scans]
-        boundaries = [(attribute, {}) for attribute in rule.boundary_attributes]
-        edges = 0
-        for segment in rule.segments:
-            added, skipped = graph.load_edges(
-                scans[segment.scan],
-                swapped=segment.swapped,
-                left=None if segment.left is None else boundaries[segment.left],
-                right=None if segment.right is None else boundaries[segment.right],
-                skip_unknown=skip_unknown_endpoints,
-                property_names=rule.property_names,
-            )
-            edges += added
-            report.skipped_edge_tuples += skipped
-        report.per_rule_edges.append(edges)
+        rows.extend((scans[segment.scan], segment.swapped) for segment in rule.segments)
+    return rows, len(statements)

@@ -6,7 +6,7 @@ from repro.core.config import ExtractionOptions
 from repro.core.extractor import Extractor
 from repro.core.planner import Planner
 from repro.dsl.parser import parse
-from repro.graph import CDupGraph, ExpandedGraph, expanded_from_condensed, logically_equivalent
+from repro.graph import CDupGraph, expanded_from_condensed, logically_equivalent
 from repro.relational.database import Database
 
 from tests.conftest import (
@@ -96,14 +96,6 @@ class TestPreprocessing:
 
 
 class TestExpandedExtraction:
-    def test_extract_expanded(self, toy_dblp):
-        with large_output_factor(CONDENSE_ALL):
-            plan = Planner(toy_dblp).plan(parse(COAUTHOR_QUERY))
-        expanded, report = Extractor(toy_dblp).extract_expanded(plan)
-        assert isinstance(expanded, ExpandedGraph)
-        assert report.expanded_edges == expanded.num_edges()
-        assert report.auto_expanded
-
     def test_sqlite_backend_parity(self, toy_dblp):
         python_graph, _ = extract(toy_dblp, COAUTHOR_QUERY, factor=CONDENSE_ALL, preprocess=False)
         sqlite_graph, _ = extract(

@@ -66,18 +66,10 @@ class TestEdges:
         graph = CondensedGraph()
         a = graph.add_real_node("a")
         b = graph.add_real_node("b")
-        assert graph.add_edge(a, b)
+        graph.add_edge(a, b)
         assert graph.has_edge(a, b)
         graph.remove_edge(a, b)
         assert not graph.has_edge(a, b)
-
-    def test_duplicate_edge_suppressed_when_requested(self):
-        graph = CondensedGraph()
-        a = graph.add_real_node("a")
-        b = graph.add_real_node("b")
-        graph.add_edge(a, b)
-        assert not graph.add_edge(a, b, allow_duplicate=False)
-        assert graph.num_condensed_edges == 1
 
     def test_add_edge_unknown_endpoint_raises(self):
         graph = CondensedGraph()

@@ -24,6 +24,9 @@ These cover the pipeline-level guarantees:
   endpoints) for every rule shape, before and after every batch of appended
   rows and a ``clear()`` + refill, and the SQLite mirror that followed those
   changes holds what a freshly loaded one holds;
+* every engine's expanded graph is the rule's full join, evaluated by brute
+  force (restricted to the Nodes ids when unknown endpoints are skipped), and
+  every engine skips the same tuples — the one loader's oracle;
 * the planner cuts a chain exactly where the join's true output exceeds
   twice its inputs, and plans the same under every extraction engine
   without touching the SQLite mirror.
@@ -63,6 +66,7 @@ from repro.graph.delta import JournaledGraph
 from repro.incremental import MAINTAINERS, build_delta_view
 from repro.relational.csv_io import write_database
 from repro.relational.database import Database
+from repro.relational.query import Comparison, ConjunctiveQuery, QueryAtom, evaluate_bruteforce
 from repro.relational.schema import Column, TableSchema
 from repro.relational.sqlite_backend import SQLiteBackend
 from repro.relational.table import Table
@@ -569,6 +573,92 @@ def test_property_engines_agree_while_tables_grow(case):
             for name, columns in ENGINE_TABLES.items():
                 ordered = f"SELECT * FROM {name} ORDER BY {', '.join(columns)}"
                 assert followed.execute_sql(ordered) == fresh.execute_sql(ordered), name
+
+
+# --------------------------------------------------------------------------- #
+# the one loader against the full join
+# --------------------------------------------------------------------------- #
+def _full_join(*atoms: tuple[str, str, str], comparisons=()) -> ConjunctiveQuery:
+    return ConjunctiveQuery(
+        ["A", "B"], [QueryAtom(table, (x, y)) for table, x, y in atoms], list(comparisons)
+    )
+
+
+#: rule shape -> (extraction query, its Edges rule as one conjunctive query)
+ORACLE_RULES = {
+    "coauthor": (
+        "Nodes(ID) :- Node(ID). Edges(A, B) :- R(A, P), R(B, P).",
+        _full_join(("R", "A", "P"), ("R", "B", "P")),
+    ),
+    # RECENT_COAUTHOR's shape: the middle segment projects P -> P
+    "filter-segment": (
+        "Nodes(ID) :- Node(ID). Edges(A, B) :- R(A, P), R(B, P), S(P, Y), Y >= 1.",
+        _full_join(
+            ("R", "A", "P"), ("R", "B", "P"), ("S", "P", "Y"),
+            comparisons=[Comparison("Y", ">=", 1)],
+        ),
+    ),
+    "bipartite": (
+        "Nodes(ID) :- Node(ID). Nodes(ID) :- Inst(ID). Edges(A, B) :- T(A, P), R(B, P).",
+        _full_join(("T", "A", "P"), ("R", "B", "P")),
+    ),
+}
+ORACLE_TABLES = {"Node": ("id",), "Inst": ("id",), "R": ("a", "p"), "S": ("p", "y"), "T": ("b", "p")}
+
+
+@st.composite
+def oracle_tables(draw):
+    """A rule shape, a condense-all or condense-none plan, options, and
+    small tables with duplicate rows and ids that no Nodes row produces.
+
+    ``NULL`` join values only come with the condense-all plan, where every
+    join that matches anything is a chain boundary the loader joins on
+    Python equality (as the brute force does); inside one query SQL's ``=``
+    never matches ``NULL`` and the python evaluator does.  ``S.y`` is only
+    compared, so it is ``NULL`` under either plan."""
+    shape = draw(st.sampled_from(sorted(ORACLE_RULES)))
+    factor = draw(st.sampled_from([CONDENSE_ALL, CONDENSE_NONE]))
+    options = {
+        "skip_unknown_endpoints": draw(st.booleans()),
+        "preprocess": draw(st.booleans()),
+    }
+    # Nodes produce 0-3 and 10-13; 4, 5, 14 and 15 dangle
+    person, instructor = st.integers(0, 5), st.integers(10, 15)
+    join = st.integers(0, 2) | st.none() if factor == CONDENSE_ALL else st.integers(0, 2)
+    rows = {
+        "Node": st.lists(st.tuples(st.integers(0, 3)), max_size=6),
+        "Inst": st.lists(st.tuples(st.integers(10, 13)), max_size=4),
+        "R": st.lists(st.tuples(person, join), max_size=10),
+        "S": st.lists(st.tuples(join, st.integers(0, 2) | st.none()), max_size=6),
+        "T": st.lists(st.tuples(instructor, join), max_size=6),
+    }
+    return shape, factor, options, draw(st.fixed_dictionaries(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_tables())
+def test_property_every_engine_extracts_the_full_join(case):
+    shape, factor, options, tables = case
+    query, full_join = ORACLE_RULES[shape]
+    db = Database("prop_oracle")
+    for name, columns in ORACLE_TABLES.items():
+        db.add_table(Table(TableSchema(name, [Column(c, "int", nullable=True) for c in columns])))
+        db.insert(name, tables[name])
+
+    expected = evaluate_bruteforce(db, full_join)
+    if options["skip_unknown_endpoints"]:
+        known = {node for name in ("Node", "Inst") for (node,) in tables[name]}
+        expected = {(a, b) for a, b in expected if a in known and b in known}
+    with large_output_factor(factor):
+        extracted = {
+            engine: GraphGen(db, extract_engine=engine, **options).extract_condensed(query)
+            for engine in ("python", "sqlite", "pushdown")
+        }
+    for engine, (graph, report) in extracted.items():
+        assert report.engine == engine and report.notes == [], (engine, report.notes)
+        assert set(graph.expanded_edges()) == expected, engine
+    skipped = {engine: report.skipped_edge_tuples for engine, (_, report) in extracted.items()}
+    assert len(set(skipped.values())) == 1, skipped
 
 
 # --------------------------------------------------------------------------- #

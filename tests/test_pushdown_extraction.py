@@ -8,8 +8,9 @@ external IDs, so internal numbering is free to differ), same edge
 annotations, and the same Table-1 counters.  ``queries_executed`` and
 ``seconds`` are engine-specific by design and excluded.
 
-Malformed plans and non-SQL-bindable data must *fall back* to a row engine
-with a note on the report — never raise, never emit a wrong graph.
+Non-SQL-bindable data must *fall back* to the python engine with a note on
+the report — never raise, never emit a wrong graph.  A malformed plan is an
+``ExtractionError`` on every engine.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from collections import Counter
 
 import pytest
 
-from repro.core import ENGINE_PUSHDOWN, ENGINE_PYTHON, ENGINE_SQLITE, ExtractionOptions
+from repro.core import (
+    ENGINE_PUSHDOWN,
+    ENGINE_PYTHON,
+    ENGINE_SQLITE,
+    EXTRACT_ENGINES,
+    ExtractionOptions,
+)
+from repro.core.extractor import Extractor
 from repro.core.graphgen import GraphGen
 from repro.core.planner import EdgePlan
 from repro.datasets import (
@@ -36,7 +44,7 @@ from repro.datasets.dblp import (
     RECENT_COAUTHOR_QUERY_TEMPLATE,
     SAME_CONFERENCE_QUERY,
 )
-from repro.exceptions import GraphGenError
+from repro.exceptions import ExtractionError, GraphGenError
 from repro.graph.condensed import CondensedGraph
 from repro.relational.database import Database
 from repro.relational.pushdown import PushdownUnsupported, compile_plan
@@ -263,6 +271,25 @@ def test_malformed_plan_is_not_pushable(toy_dblp):
         compile_plan(toy_dblp, plan)
 
 
+@pytest.mark.parametrize("engine", EXTRACT_ENGINES)
+@pytest.mark.parametrize(
+    "malformed, message",
+    [
+        pytest.param({"condensed": True, "segments": []}, "no segments", id="no-segments"),
+        pytest.param({"condensed": False}, "no query", id="no-query"),
+    ],
+)
+def test_malformed_rule_raises_on_every_engine(toy_dblp, engine, malformed, message):
+    """A rule the loader cannot wire is an error, never an empty rule: the
+    row engines reach the one loader directly, pushdown through its
+    fallback."""
+    options = ExtractionOptions(extract_engine=engine)
+    plan = GraphGen(toy_dblp, options).plan(COAUTHOR_QUERY)
+    plan.edge_plans = [EdgePlan(rule=ep.rule, **malformed) for ep in plan.edge_plans]
+    with pytest.raises(ExtractionError, match=message):
+        Extractor(toy_dblp, options).extract_condensed(plan)
+
+
 def test_auto_engine_runs_pushdown(toy_dblp, coauthor_query):
     gg = GraphGen(toy_dblp, extract_engine="auto")
     _, report = gg.extract_condensed(coauthor_query)
@@ -371,7 +398,7 @@ def test_multi_atom_mirror_segments_share():
 
 
 # --------------------------------------------------------------------------- #
-# semantics the one-pass loader must share with the reference loop
+# semantics of the one loader, on every engine's rows
 # --------------------------------------------------------------------------- #
 def test_parity_null_join_values():
     """A NULL join value at a chain boundary is one virtual node, keyed
