@@ -40,7 +40,12 @@ class ExtractionOptions:
         engine with a note when the plan or data cannot be pushed down.
         ``"auto"`` is pushdown with the same fallback (the two differ only in
         intent: ``pushdown`` is an explicit request, ``auto`` a hint).  All
-        four produce the same graph from the same plan.
+        four produce logically equivalent graphs from the same plan (internal
+        IDs follow each source's row order), with one exception: a ``NULL``
+        join value inside one query.  The ``python`` evaluator joins ``None``
+        to ``None``; SQL's ``=`` never matches ``NULL``.  Across a chain
+        boundary the loader joins, and ``None`` is a key like any other on
+        every engine.
     """
 
     preprocess: bool = True

@@ -42,12 +42,11 @@ from repro.core.config import (
 )
 from repro.core.planner import ExtractionPlan, query_sql
 from repro.dedup.expand import expand_virtual_node
-from repro.exceptions import ExtractionError
 from repro.graph.condensed import CondensedGraph
 from repro.relational.aggregates import AggregateQuery, evaluate_aggregate
 from repro.relational.database import Database
 from repro.relational.pushdown import PushdownUnsupported, SegmentRows, run_pushdown
-from repro.relational.query import evaluate
+from repro.relational.query import ConjunctiveQuery, evaluate
 from repro.utils.timing import Timer
 
 
@@ -112,12 +111,16 @@ class Extractor:
     def _extract(self, plan: ExtractionPlan, engine: str) -> tuple[CondensedGraph, ExtractionReport]:
         report = ExtractionReport(engine=engine)
         timer = Timer().start()
+        # a malformed rule raises ExtractionError here, before any row source runs
+        queries = plan.queries()
         if engine == ENGINE_PUSHDOWN:
             rows, report.queries_executed = run_pushdown(self._db, plan)
         else:
-            rows, report.queries_executed = self._evaluate(plan, engine)
+            rows, report.queries_executed = self._evaluate(queries, engine)
         graph = CondensedGraph()
-        self._load(plan, iter(rows), graph, report)
+        # strict: a row source out of step with the plan's queries fails
+        # loudly instead of wiring one query's rows as another's
+        self._load(plan, zip(queries, rows, strict=True), graph, report)
         if self._options.preprocess:
             report.preprocessing_expanded_virtual_nodes = self._preprocess(graph)
         report.seconds = timer.stop()
@@ -131,10 +134,11 @@ class Extractor:
         )
         return graph, report
 
-    def _evaluate(self, plan: ExtractionPlan, engine: str) -> tuple[Iterable[SegmentRows], int]:
+    def _evaluate(
+        self, queries: list[ConjunctiveQuery | AggregateQuery], engine: str
+    ) -> tuple[Iterable[SegmentRows], int]:
         """The ``python`` and ``sqlite`` row sources: every query of the plan
         evaluated on its own, in plan order, none read swapped."""
-        queries = list(plan.queries())
         if engine == ENGINE_SQLITE:
             statements = []
             for query in queries:
@@ -159,21 +163,20 @@ class Extractor:
     def _load(
         self,
         plan: ExtractionPlan,
-        rows: Iterator[SegmentRows],
+        fed: Iterator[tuple[ConjunctiveQuery | AggregateQuery, SegmentRows]],
         graph: CondensedGraph,
         report: ExtractionReport,
     ) -> None:
-        """Wire ``rows`` — one ``(rows, swapped)`` per query of
-        :meth:`~repro.core.planner.ExtractionPlan.queries`, in that order —
-        into ``graph``, counting edges per rule and skipped tuples."""
+        """Wire ``fed`` — each query of
+        :meth:`~repro.core.planner.ExtractionPlan.queries` with its
+        ``(rows, swapped)``, in that order — into ``graph``, counting edges
+        per rule and skipped tuples."""
         skip_unknown = self._options.skip_unknown_endpoints
         for node_plan in plan.node_plans:
-            graph.bulk_add_real_nodes(next(rows)[0], node_plan.property_variables)
+            _, (node_rows, _) = next(fed)
+            graph.bulk_add_real_nodes(node_rows, node_plan.property_variables)
         for edge_plan in plan.edge_plans:
-            property_names: list[str] = []
             if edge_plan.condensed:
-                if not edge_plan.segments:
-                    raise ExtractionError(f"condensed edge plan for {edge_plan.rule} has no segments")
                 # virtual nodes live on the *boundaries* between consecutive
                 # segments of the rule's chain: one node per (boundary, join
                 # value), created as values appear (Step 4).  Keying by
@@ -191,22 +194,24 @@ class Extractor:
                     )
                     for index, segment in enumerate(edge_plan.segments)
                 ]
-            elif edge_plan.aggregate_query is not None:
-                property_names = [spec.output_name for spec in edge_plan.aggregate_query.aggregates]
-                sides = [(None, None)]
-            elif edge_plan.full_query is not None:
-                sides = [(None, None)]
             else:
-                raise ExtractionError(f"edge plan for {edge_plan.rule} has no query")
+                sides = [(None, None)]
             edges = 0
             for left, right in sides:
-                segment_rows, swapped = next(rows)
+                query, (query_rows, swapped) = next(fed)
+                property_names = (
+                    [spec.output_name for spec in query.aggregates]
+                    if isinstance(query, AggregateQuery)
+                    else []
+                )
                 added, skipped = graph.load_edges(
-                    segment_rows, swapped, left, right, skip_unknown, property_names
+                    query_rows, swapped, left, right, skip_unknown, property_names
                 )
                 edges += added
                 report.skipped_edge_tuples += skipped
             report.per_rule_edges.append(edges)
+        # strict: raises if the row source has results left over
+        next(fed, None)
 
     # ------------------------------------------------------------------ #
     # Step 6: preprocessing

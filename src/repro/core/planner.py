@@ -19,7 +19,7 @@ The planner turns a parsed :class:`~repro.dsl.ast.GraphSpec` into an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 from repro.dsl.ast import Anonymous, Atom, Constant, GraphSpec, Rule, Variable
 from repro.dsl.validator import EdgeChain, derive_chain, is_acyclic
@@ -97,6 +97,24 @@ class EdgePlan:
     #: constructs; produces (ID1, ID2, aggregates...) rows
     aggregate_query: AggregateQuery | None = None
 
+    def queries(self) -> list[ConjunctiveQuery | AggregateQuery]:
+        """The queries this rule hands to the database, in order: one per
+        segment of a condensed rule, else its one aggregate or full query.
+
+        Every engine and the extractor's loader read a rule's queries from
+        here.  A rule with none — only a hand-built plan has one — raises
+        :class:`~repro.exceptions.ExtractionError`.
+        """
+        if self.condensed:
+            if not self.segments:
+                raise ExtractionError(f"malformed plan: condensed rule {self.rule} has no segments")
+            return [segment.query for segment in self.segments]
+        if self.aggregate_query is not None:
+            return [self.aggregate_query]
+        if self.full_query is not None:
+            return [self.full_query]
+        raise ExtractionError(f"malformed plan: rule {self.rule} has no query")
+
 
 @dataclass
 class NodePlan:
@@ -129,17 +147,13 @@ class ExtractionPlan:
     def num_virtual_layers(self) -> int:
         return max((len(p.virtual_attributes) for p in self.edge_plans), default=0)
 
-    def queries(self) -> Iterator[ConjunctiveQuery | AggregateQuery]:
-        """Every query this plan hands to the database, in execution order."""
-        for node_plan in self.node_plans:
-            yield node_plan.query
-        for plan in self.edge_plans:
-            if plan.condensed:
-                yield from (segment.query for segment in plan.segments)
-            elif plan.aggregate_query is not None:
-                yield plan.aggregate_query
-            elif plan.full_query is not None:
-                yield plan.full_query
+    def queries(self) -> list[ConjunctiveQuery | AggregateQuery]:
+        """Every query this plan hands to the database, in execution order:
+        the Nodes queries, then each Edges rule's :meth:`EdgePlan.queries`
+        (so a malformed rule raises before any query runs)."""
+        return [node_plan.query for node_plan in self.node_plans] + [
+            query for plan in self.edge_plans for query in plan.queries()
+        ]
 
     def sql(self, db: Database) -> list[str]:
         """The SQL statements this plan would issue, in execution order."""
@@ -152,7 +166,8 @@ class ExtractionPlan:
 
         Lowers the plan through :mod:`repro.relational.pushdown`; raises
         :class:`~repro.relational.pushdown.PushdownUnsupported` when the plan
-        cannot be pushed down (callers show the fallback instead).
+        cannot be pushed down (callers show the fallback instead), and
+        :class:`~repro.exceptions.ExtractionError` when it is malformed.
         """
         from repro.relational.pushdown import compile_plan
 

@@ -32,7 +32,9 @@ lookups encode while they are being loaded anyway.
 
 Anything that cannot be lowered or executed raises
 :class:`PushdownUnsupported`; the caller falls back to the ``python`` engine
-and records a note, never a wrong graph.
+and records a note, never a wrong graph.  A malformed plan is not one of
+those: :meth:`~repro.core.planner.EdgePlan.queries` raises
+:class:`~repro.exceptions.ExtractionError` for it on every engine.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import QueryError
-from repro.relational.aggregates import aggregate_to_sql
+from repro.relational.aggregates import AggregateQuery, aggregate_to_sql
 from repro.relational.database import Database
 from repro.relational.query import ConjunctiveQuery
 from repro.relational.sql import to_sql
@@ -139,17 +141,16 @@ def _edge_select(db: Database, query: ConjunctiveQuery) -> Statement:
 
 def _compile_edge_rule(db: Database, rule_index: int, edge_plan: "EdgePlan") -> CompiledEdgeRule:
     label = str(edge_plan.rule.head) if edge_plan.rule is not None else f"rule {rule_index}"
-    try:
-        if edge_plan.condensed:
-            if not edge_plan.segments:
-                raise PushdownUnsupported(
-                    f"malformed plan: condensed rule {label} has no segments"
-                )
-            scans: list[Statement] = []
-            scan_of: dict[tuple[str, tuple[Any, ...]], int] = {}
-            segments: list[CompiledSegment] = []
-            for segment in edge_plan.segments:
-                query = segment.query
+    scans: list[Statement] = []
+    scan_of: dict[tuple[str, tuple[Any, ...]], int] = {}
+    segments: list[CompiledSegment] = []
+    # a malformed rule raises ExtractionError here, before any lowering
+    for query in edge_plan.queries():
+        try:
+            if isinstance(query, AggregateQuery):
+                straight = _lower(lambda p, q=query: aggregate_to_sql(db, q, parameters=p))
+                flipped = None
+            else:
                 straight = _edge_select(db, query)
                 # the same conjunctive query read from its other end: head
                 # swapped, atoms in reverse — the text the mirror-image
@@ -157,42 +158,25 @@ def _compile_edge_rule(db: Database, rule_index: int, edge_plan: "EdgePlan") -> 
                 flipped = _edge_select(
                     db, replace(query, head_vars=query.head_vars[::-1], atoms=query.atoms[::-1])
                 )
-                swapped = straight.key not in scan_of and flipped.key in scan_of
-                if swapped:
-                    scan = scan_of[flipped.key]
-                else:
-                    if straight.key not in scan_of:
-                        scan_of[straight.key] = len(scans)
-                        scans.append(straight)
-                    scan = scan_of[straight.key]
-                segments.append(CompiledSegment(scan=scan, swapped=swapped))
-            return CompiledEdgeRule(label=label, scans=scans, segments=segments)
-
-        if edge_plan.aggregate_query is not None:
-            aggregate_query = edge_plan.aggregate_query
-            return CompiledEdgeRule(
-                label=label,
-                scans=[_lower(lambda p: aggregate_to_sql(db, aggregate_query, parameters=p))],
-                segments=[CompiledSegment(scan=0, swapped=False)],
-            )
-
-        full_query = edge_plan.full_query
-        if full_query is None:
-            raise PushdownUnsupported(f"malformed plan: rule {label} has no query")
-        return CompiledEdgeRule(
-            label=label,
-            scans=[_edge_select(db, full_query)],
-            segments=[CompiledSegment(scan=0, swapped=False)],
-        )
-    except QueryError as exc:
-        raise PushdownUnsupported(f"cannot lower rule {label} to SQL: {exc}") from exc
+        except QueryError as exc:
+            raise PushdownUnsupported(f"cannot lower rule {label} to SQL: {exc}") from exc
+        if flipped is not None and straight.key not in scan_of and flipped.key in scan_of:
+            segments.append(CompiledSegment(scan=scan_of[flipped.key], swapped=True))
+            continue
+        if straight.key not in scan_of:
+            scan_of[straight.key] = len(scans)
+            scans.append(straight)
+        segments.append(CompiledSegment(scan=scan_of[straight.key], swapped=False))
+    return CompiledEdgeRule(label=label, scans=scans, segments=segments)
 
 
 def compile_plan(db: Database, plan: "ExtractionPlan") -> PushdownProgram:
     """Lower an extraction plan into its ``SELECT`` statements.
 
     Raises :class:`PushdownUnsupported` when any rule cannot be expressed
-    (malformed plans, non-scalar constants, arity mismatches ...).
+    (non-scalar constants, arity mismatches ...), and
+    :class:`~repro.exceptions.ExtractionError` for a malformed plan, which no
+    engine can run.
     """
     try:
         node_statements = [

@@ -16,6 +16,7 @@ the report — never raise, never emit a wrong graph.  A malformed plan is an
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -47,7 +48,8 @@ from repro.datasets.dblp import (
 from repro.exceptions import ExtractionError, GraphGenError
 from repro.graph.condensed import CondensedGraph
 from repro.relational.database import Database
-from repro.relational.pushdown import PushdownUnsupported, compile_plan
+from repro.relational.pushdown import PushdownUnsupported, compile_plan, run_pushdown
+from repro.relational.query import Comparison
 from repro.relational.schema import Column, TableSchema
 from repro.relational.table import Table
 
@@ -261,13 +263,15 @@ def test_explicit_sqlite_engine_does_not_fall_back():
 
 
 def test_malformed_plan_is_not_pushable(toy_dblp):
-    """compile_plan rejects a condensed rule with no segments outright."""
+    """compile_plan rejects a condensed rule with no segments outright, with
+    the error every engine gives — not as an unpushable plan to fall back
+    from."""
     gg = GraphGen(toy_dblp, extract_engine=ENGINE_PUSHDOWN)
     plan = gg.plan(COAUTHOR_QUERY)
     plan.edge_plans = [
         EdgePlan(rule=ep.rule, condensed=True, segments=[]) for ep in plan.edge_plans
     ]
-    with pytest.raises(PushdownUnsupported):
+    with pytest.raises(ExtractionError, match="no segments"):
         compile_plan(toy_dblp, plan)
 
 
@@ -279,15 +283,38 @@ def test_malformed_plan_is_not_pushable(toy_dblp):
         pytest.param({"condensed": False}, "no query", id="no-query"),
     ],
 )
-def test_malformed_rule_raises_on_every_engine(toy_dblp, engine, malformed, message):
-    """A rule the loader cannot wire is an error, never an empty rule: the
-    row engines reach the one loader directly, pushdown through its
-    fallback."""
+def test_malformed_rule_raises_on_every_engine(toy_dblp, engine, malformed, message, monkeypatch):
+    """A rule the loader cannot wire is an error, never an empty rule and
+    never a pushdown fallback — raised before any row source runs."""
     options = ExtractionOptions(extract_engine=engine)
     plan = GraphGen(toy_dblp, options).plan(COAUTHOR_QUERY)
     plan.edge_plans = [EdgePlan(rule=ep.rule, **malformed) for ep in plan.edge_plans]
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a row source ran for a malformed plan")
+
+    monkeypatch.setattr("repro.core.extractor.evaluate", no_rows)
+    monkeypatch.setattr(Database, "sqlite_backend", no_rows)
     with pytest.raises(ExtractionError, match=message):
         Extractor(toy_dblp, options).extract_condensed(plan)
+
+
+@pytest.mark.parametrize(
+    "misalign",
+    [
+        pytest.param(lambda rows: rows[:-1], id="one-short"),
+        pytest.param(lambda rows: rows + rows[-1:], id="one-over"),
+    ],
+)
+def test_a_row_source_out_of_step_with_the_plan_fails(toy_dblp, misalign, monkeypatch):
+    """The loader pairs every plan query with its rows strictly: a row source
+    that returns one result too few or too many is an error, not a graph."""
+    monkeypatch.setattr(
+        "repro.core.extractor.run_pushdown",
+        lambda db, plan: (misalign(run_pushdown(db, plan)[0]), 0),
+    )
+    with large_output_factor(CONDENSE_ALL), pytest.raises(ValueError, match="zip"):
+        GraphGen(toy_dblp, extract_engine=ENGINE_PUSHDOWN).extract_condensed(COAUTHOR_QUERY)
 
 
 def test_auto_engine_runs_pushdown(toy_dblp, coauthor_query):
@@ -321,10 +348,19 @@ def test_explain_reports_unpushable_plans():
     db.create_table("Node", [("id", "int")])
     gg = GraphGen(db, extract_engine=ENGINE_PUSHDOWN)
     plan = gg.plan("Nodes(ID) :- Node(ID). Edges(A, B) :- Node(A), Node(B).")
-    # sabotage one rule so pushdown_sql raises
-    plan.edge_plans[0].condensed = False
-    plan.edge_plans[0].full_query = None
-    with pytest.raises(PushdownUnsupported):
+    [edge_plan] = plan.edge_plans
+    full_query = edge_plan.full_query
+    # a value sqlite cannot bind: unpushable, so extraction falls back
+    edge_plan.full_query = replace(full_query, comparisons=[Comparison("A", ">=", (1, 2))])
+    with pytest.raises(PushdownUnsupported, match="cannot lower"):
+        plan.pushdown_sql(db)
+    _, report = Extractor(db, ExtractionOptions(extract_engine=ENGINE_PUSHDOWN)).extract_condensed(
+        plan
+    )
+    assert report.engine == ENGINE_PYTHON and "pushdown unavailable" in report.notes[0]
+    # a rule with no query is malformed, not unpushable: no engine runs it
+    edge_plan.full_query = None
+    with pytest.raises(ExtractionError, match="no query"):
         plan.pushdown_sql(db)
 
 
