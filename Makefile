@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-dedup test-planner test-extract bench bench-table1 bench-fig18 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract bench bench-table1 bench-fig18 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -12,6 +12,9 @@ help:
 	@echo "make test-service - service layer: JSON codec, result cache, HTTP"
 	@echo "                    front-end, session concurrency regressions,"
 	@echo "                    the incremental write path (repair on read)"
+	@echo "make test-incremental - the maintainers: maintained == a cold recompute on"
+	@echo "                    generated journal windows (both backends), BFS removal"
+	@echo "                    repairs, the ring schedule's tally and work pins"
 	@echo "make test-dedup   - DEDUP-1/BITMAP/DEDUP-2 suites, the identity goldens"
 	@echo "                    (every algorithm x ordering, edge for edge), the"
 	@echo "                    probe pins, maintained-mask property, fig12 shapes"
@@ -44,6 +47,10 @@ test-session:
 	$(PYTEST) -q tests/test_session.py tests/test_api_compat.py \
 		tests/test_public_api.py tests/test_cli.py tests/test_plan_scheduling.py \
 		tests/test_plan_compiler.py
+
+test-incremental:
+	$(PYTEST) -q tests/test_incremental.py \
+		tests/test_property_invariants.py::test_property_maintained_results_equal_a_cold_recompute
 
 test-dedup:
 	$(PYTEST) -q tests/test_dedup_*.py \

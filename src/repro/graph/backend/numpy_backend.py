@@ -726,6 +726,15 @@ class NumpyBackend(KernelBackend):
     def warm_undirected(self, csr: "CSRGraph") -> None:
         _undirected_csr(csr)
 
+    def _build_reverse_csr(self, csr: "CSRGraph") -> tuple[array, array]:
+        """One stable argsort of ``targets``: edges regrouped by target, each
+        group's tails still ascending (CSR order)."""
+        _, targets = _views(csr)
+        order = np.argsort(targets, kind="stable")
+        in_offsets = np.zeros(csr.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(targets, minlength=csr.n), out=in_offsets[1:])
+        return array("q", in_offsets.tobytes()), array("q", _edge_sources(csr)[order].tobytes())
+
     # ------------------------------------------------------------------ #
     # neighborhood similarity (sorted-array intersections)
     # ------------------------------------------------------------------ #

@@ -15,7 +15,8 @@ and decoding stays in the :mod:`repro.algorithms` modules.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from array import array
+from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Sequence
 
 from repro.graph.kernel import (
@@ -201,6 +202,38 @@ class KernelBackend:
         derivation cost is attributable to one plan node instead of hiding
         inside the first consuming kernel."""
         csr.undirected_sets()
+
+    def reverse_csr(self, csr: "CSRGraph") -> tuple[array, array]:
+        """In-edges as a CSR: ``(offsets, sources)``, where
+        ``sources[offsets[v] : offsets[v + 1]]`` lists the tail of every edge
+        into ``v`` in ascending order (once per parallel edge).
+
+        Cached on the snapshot under the one backend-neutral key
+        ``"rev_csr"`` as ``array('q')`` pairs, so whichever backend derives
+        it first serves the other; only the build differs per backend."""
+        cache = csr._backend_cache
+        reverse = cache.get("rev_csr")
+        if reverse is None:
+            reverse = cache["rev_csr"] = self._build_reverse_csr(csr)
+        return reverse
+
+    def _build_reverse_csr(self, csr: "CSRGraph") -> tuple[array, array]:
+        """A counting pass: in-degree prefix sums, then every edge dropped
+        into its target's next free slot in CSR order."""
+        n = csr.n
+        offsets, targets = csr.offsets, csr.targets
+        counts = array("q", bytes(8 * (n + 1)))
+        for v in targets:
+            counts[v + 1] += 1
+        in_offsets = array("q", accumulate(counts))
+        free = array("q", in_offsets)
+        sources = array("q", bytes(8 * len(targets)))
+        for u in range(n):
+            for e in range(offsets[u], offsets[u + 1]):
+                v = targets[e]
+                sources[free[v]] = u
+                free[v] += 1
+        return in_offsets, sources
 
     # ------------------------------------------------------------------ #
     # snapshot maintenance

@@ -1,20 +1,33 @@
 """Delta-BFS: repair a distance map from the changed frontiers.
 
-With insertions only, exact previous distances are an *over*-estimate
-nowhere and an under-estimate nowhere — a new edge ``u -> v`` can only
-shorten paths through ``v``.  Nearest-first relaxation seeded from the
-added edges' improved endpoints therefore converges to the exact new
-distance map while visiting only the region the delta actually improved:
-the previous dense vector is copied (appended vertices start unreached) and
-never re-keyed, so the cost is that one copy plus the improved region.
+The previous distances are exact, so a window moves them in two directions
+only.  A new edge ``u -> v`` can only *shorten* paths through ``v``; a
+removed edge can only *lengthen* paths, and only below a shortest-path-tree
+edge (``dist(v) == dist(u) + 1``) — a removal off every shortest path is
+ignored.  Both directions are repaired exactly (decremental unit-weight
+SSSP in the style of Ramalingam and Reps, then the insertions):
+
+1. removals: from the heads of the removed tight edges, nearest-first by
+   previous distance, a vertex is *affected* iff no unaffected in-neighbour
+   sits one level closer — for a pure removal window exactly the vertices
+   whose distance grows.  Only an affected vertex's tight children are
+   examined next.  Each affected vertex is reset and seeded from its best
+   unaffected in-neighbour (:attr:`RepairCounters.bfs_resets` counts them);
+2. insertions: an added edge's head is seeded where the edge improves it;
+3. nearest-first relaxation from the seeds converges to the exact new map.
+
+The previous dense vector is copied (appended vertices start unreached) and
+never re-keyed, so the cost is that one copy plus the region the window
+changed.  In-neighbours come from the snapshot's reverse CSR
+(``backend.reverse_csr``, one derivation per snapshot), built only when some
+removal is tight: an add-only window never derives it.
 
 Fallbacks (return ``None``):
 
-* any net removal whose endpoints look like a shortest-path tree edge
-  (``dist(v) == dist(u) + 1``) — the removal may lengthen or disconnect;
-  removals provably off every shortest path are ignored instead;
 * a depth-limited previous result (``max_depth``): repaired frontiers could
-  not distinguish "beyond the horizon" from "unreached".
+  not distinguish "beyond the horizon" from "unreached";
+* a source outside the previous prefix (or not at distance zero in it): the
+  previous result is not a full-depth map from that source.
 """
 
 from __future__ import annotations
@@ -26,6 +39,15 @@ from repro.incremental.base import DeltaView
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
     from repro.graph.kernel import CSRGraph
+
+
+class RepairCounters:
+    """Process-global instrumentation (read as deltas, like
+    ``TraversalCounters``): the clock-free work pin of the BFS repair."""
+
+    #: vertices the removal repair reset (on a pure removal window: the
+    #: vertices whose distance grew)
+    bfs_resets = 0
 
 
 def maintain_bfs(
@@ -43,22 +65,21 @@ def maintain_bfs(
     if source is None or source >= known or prev[source] != 0:
         return None  # previous result is not a full-depth map from source
 
-    def prior(vertex) -> int:
-        dense = index[vertex]
-        return prev[dense] if dense < known else -1
-
-    for u, v in delta.removed:
-        du = prior(u)
-        if du >= 0 and prior(v) == du + 1:
-            return None  # possibly a tree edge: repair is not monotone
-        # otherwise the removed edge lay on no shortest path; ignore it
-
     # the previous vector is exact on its prefix; appended vertices start
-    # unreached.  Relaxation touches only the region the delta improved.
+    # unreached.  Relaxation touches only the region the delta changed.
     distances = prev + [-1] * (csr.n - known)
+    seeds: dict[int, list[int]] = {}  # tentative distance -> vertices to expand
+    heads = []
+    for u, v in delta.removed:
+        iu, iv = index[u], index[v]
+        if distances[iu] >= 0 and distances[iv] == distances[iu] + 1:
+            heads.append(iv)
+        # otherwise the removed edge lay on no shortest path; ignore it
+    if heads:
+        _reset_lengthened(distances, heads, csr, backend, seeds)
+
     offsets = csr.offsets
     targets = csr.targets
-    seeds: dict[int, list[int]] = {}  # improved distance -> endpoints
     for u, v in delta.added:
         iu, iv = index[u], index[v]
         du = distances[iu]
@@ -66,7 +87,7 @@ def maintain_bfs(
             distances[iv] = du + 1
             seeds.setdefault(du + 1, []).append(iv)
     # level by level, nearest first: a vertex is expanded once, at its final
-    # distance, however many added edges improve the same region
+    # distance, however many seeds improve the same region
     frontier: list[int] = []
     depth = 0
     while frontier or seeds:
@@ -84,3 +105,59 @@ def maintain_bfs(
         frontier = reached
         depth += 1
     return distances
+
+
+def _reset_lengthened(
+    distances: list[int],
+    heads: list[int],
+    csr: "CSRGraph",
+    backend: "KernelBackend",
+    seeds: dict[int, list[int]],
+) -> None:
+    """Reset (to ``-1``) every vertex the removals may have lengthened and
+    seed each from its best unaffected in-neighbour.
+
+    ``distances`` holds the previous map; ``heads`` are the heads of the
+    removed tight edges.  Levels are decided nearest first, so when a level
+    is examined every vertex one level closer is final: still at its previous
+    distance if unaffected, already reset if not.
+    """
+    in_offsets, in_sources = backend.reverse_csr(csr)
+    offsets, targets = csr.offsets, csr.targets
+    pending: dict[int, list[int]] = {}  # previous distance -> candidates
+    for v in heads:
+        pending.setdefault(distances[v], []).append(v)
+    affected: list[int] = []
+    while pending:
+        level = min(pending)
+        children: list[int] = []
+        for v in pending.pop(level):
+            if distances[v] != level:
+                continue  # reset already, through another removed edge or parent
+            if any(
+                distances[w] == level - 1
+                for w in in_sources[in_offsets[v] : in_offsets[v + 1]]
+            ):
+                continue  # an unaffected vertex one level closer still holds it
+            distances[v] = -1
+            affected.append(v)
+            children.extend(
+                w for w in targets[offsets[v] : offsets[v + 1]] if distances[w] == level + 1
+            )
+        if children:
+            pending.setdefault(level + 1, []).extend(children)
+    RepairCounters.bfs_resets += len(affected)
+    # every affected vertex is reset before any is seeded, so each seed is one
+    # hop past an unaffected vertex's (still achievable) distance
+    reseeds: list[tuple[int, int]] = []
+    for v in affected:
+        reached = [
+            distances[w]
+            for w in in_sources[in_offsets[v] : in_offsets[v + 1]]
+            if distances[w] >= 0
+        ]
+        if reached:
+            reseeds.append((min(reached) + 1, v))
+    for depth, v in reseeds:
+        distances[v] = depth
+        seeds.setdefault(depth, []).append(v)

@@ -11,15 +11,17 @@ The contract under test:
 * the maintainers are dense in, dense out (``repro.incremental.encode`` /
   ``decode`` are the only places external IDs appear), and each falls back
   (returns ``None``) exactly where its repair is not provably exact:
-  components on any net removal, delta-BFS on a possible shortest-path-tree
-  edge removal or a depth-limited previous result — and the session then
-  recomputes cold and resumes maintaining;
+  components on any net removal, delta-BFS on a depth-limited previous
+  result only — a removed shortest-path-tree edge is repaired — and the
+  session then recomputes cold and resumes maintaining;
 * what the retired fig20 stopwatch module asserted besides its ratio
   (provenance, bit-identical components, PageRank L∞) plus *work* pins that
   need no clock: an intra-component delta returns the previous labelling
   itself, a bulk delta is repaired in one pass of at most ``terms × m`` edge
-  touches, and the maintained / fallback tally on the ``bench/`` schedule
-  shape is the parent's;
+  touches, a BFS removal repair resets only the vertices whose distance grew
+  (``RepairCounters.bfs_resets``), no removal cycle of the ``bench/``
+  schedule shape runs a cold BFS and no add-only cycle derives the reverse
+  CSR, and that schedule's maintained / fallback tally is pinned;
 * compaction and generation bumps invalidate stored positions (entries are
   dropped, not served stale);
 * the incremental service carries cached results of maintainable
@@ -44,6 +46,7 @@ from repro.graph import ExpandedGraph
 from repro.graph.backend import get_backend, numpy_available
 from repro.graph.delta import JournaledGraph
 from repro.incremental import MAINTAINERS, build_delta_view, decode, encode
+from repro.incremental.bfs import RepairCounters
 from repro.relational.database import Database
 from repro.service import GraphService, decode_report, encode_report
 from repro.service.codec import dumps, loads
@@ -171,7 +174,7 @@ class TestMaintainers:
             MAINTAINERS["components"](prev, graph.snapshot(), delta, {}, backend) is None
         )
 
-    def test_bfs_falls_back_where_repair_is_not_exact(self):
+    def test_bfs_repairs_a_tree_edge_removal_but_not_a_depth_limited_result(self):
         backend = get_backend("python")
         # path 0-1-2-3: every edge is a tree edge from source 0
         graph = JournaledGraph(
@@ -182,24 +185,29 @@ class TestMaintainers:
         graph.snapshot()
         prev = [0, 1, 2, 3]
         position = graph.journal.total
-        graph.delete_edge(1, 2)  # dist(2) == dist(1) + 1: possible tree edge
+        graph.delete_edge(1, 2)  # dist(2) == dist(1) + 1: a tree edge
         delta = build_delta_view(graph.journal.records_since(position))
         params = {"source": 0, "max_depth": None}
-        assert MAINTAINERS["bfs"](prev, graph.snapshot(), delta, params, backend) is None
+        csr = graph.snapshot()
+        resets = RepairCounters.bfs_resets
+        maintained = MAINTAINERS["bfs"](prev, csr, delta, params, backend)
+        # 2 and 3 are cut off: both reset, neither reseeded
+        assert maintained == [0, 1, -1, -1]
+        assert RepairCounters.bfs_resets - resets == 2
+        from repro.algorithms import bfs_distances
+
+        assert decode("bfs", csr, maintained) == bfs_distances(graph.inner, 0)
         # a depth-limited previous result can never be repaired
         assert (
-            MAINTAINERS["bfs"](
-                prev, graph.snapshot(), delta, {"source": 0, "max_depth": 2}, backend
-            )
+            MAINTAINERS["bfs"](prev, csr, delta, {"source": 0, "max_depth": 2}, backend)
             is None
         )
 
     def test_bfs_ignores_non_tight_removals(self):
         backend = get_backend("python")
-        # triangle 0-1-2 plus chord 0-2: the direct edge 0->2 makes the
-        # two-hop path 0->1->2 non-tight... actually dist(2)=1 via the
-        # chord, so removing 1->2 (dist(1)=1, dist(2)=1 != 2) is provably
-        # off every shortest path
+        # triangle 0-1-2 from source 0: dist(1) == dist(2) == 1 over the
+        # direct edges, so the edge 1-2 (dist(2) != dist(1) + 1, and back)
+        # lies on no shortest path and removing it changes no distance
         graph = JournaledGraph(
             ExpandedGraph.from_edges(
                 [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)]
@@ -217,6 +225,21 @@ class TestMaintainers:
         from repro.algorithms import bfs_distances
 
         assert decode("bfs", csr, maintained) == bfs_distances(graph.inner, 0)
+        assert "rev_csr" not in csr._backend_cache  # no in-neighbour was needed
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_reverse_csr_lists_every_in_edge_in_tail_order(self, backend_name):
+        edges = _random_symmetric_edges(30, 40, seed=2) | {(3, 3), (4, 9)}
+        csr = _build(edges).snapshot()
+        offsets, sources = get_backend(backend_name).reverse_csr(csr)
+        assert offsets.typecode == sources.typecode == "q"
+        tails: dict[int, list[int]] = {}
+        for u, v in csr.iter_edges():
+            tails.setdefault(v, []).append(u)
+        assert [list(sources[offsets[v] : offsets[v + 1]]) for v in range(csr.n)] == [
+            tails.get(v, []) for v in range(csr.n)
+        ]
+        assert get_backend(backend_name).reverse_csr(csr) is csr._backend_cache["rev_csr"]
 
 
 # --------------------------------------------------------------------------- #
@@ -397,6 +420,32 @@ def _ring_plan(handle):
     return handle.analyze().components().pagerank(**RING_PAGERANK).bfs(source=0)
 
 
+#: bench/'s mutate_refresh ring at 1/20 size
+BENCH_RING = 2000
+
+
+def _bench_schedule(graph, handle):
+    """bench/'s mutate_refresh schedule shape at 1/20 size, on a ring planned
+    once already: small cycles (8 local adds), removals of an earlier small
+    add, bulk cycles last.  Yields each cycle's kind and the report of the
+    plan re-run after the cycle's refresh."""
+    n = BENCH_RING
+    rng = random.Random(11)
+    m = handle.snapshot().num_edges
+    removable: list[tuple[int, int]] = []
+    for kind in ["small", "small", "removal", "small", "removal", "small", "removal", "bulk", "bulk"]:
+        if kind == "small":
+            removable += _add_undirected(graph, rng, 8, _local(n, rng.randrange(n)))
+        elif kind == "removal":
+            u, v = removable.pop(rng.randrange(len(removable)))
+            graph.delete_edge(u, v)
+            graph.delete_edge(v, u)
+        else:
+            _add_undirected(graph, rng, m // 60, _anywhere(n))
+        handle.refresh()
+        yield kind, _ring_plan(handle).run()
+
+
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestRingRefresh:
     def test_refresh_reports_and_equals_a_cold_rebuild(self, backend_name):
@@ -503,35 +552,80 @@ class TestRingRefresh:
         assert _linf(warm["pagerank"].values, cold["pagerank"].values) <= 1e-9
 
     def test_bench_schedule_tally_is_the_parents(self, backend_name):
-        # bench/'s mutate_refresh schedule shape at 1/20 size: small cycles
-        # (8 local adds), removals of an earlier small add, bulk cycles last
-        n = 2000
-        rng = random.Random(11)
-        graph = JournaledGraph(_ring(n, seed=11))
+        graph = JournaledGraph(_ring(BENCH_RING, seed=11))
         handle = GraphSession(Database("tally"), backend=backend_name).wrap(graph)
         _ring_plan(handle).run()
-        m = handle.snapshot().num_edges
-        removable: list[tuple[int, int]] = []
         engines: dict[str, list[tuple[str, ...]]] = {"small": [], "removal": [], "bulk": []}
-        for kind in ["small", "small", "removal", "small", "removal", "small", "removal", "bulk", "bulk"]:
-            if kind == "small":
-                removable += _add_undirected(graph, rng, 8, _local(n, rng.randrange(n)))
-            elif kind == "removal":
-                u, v = removable.pop(rng.randrange(len(removable)))
-                graph.delete_edge(u, v)
-                graph.delete_edge(v, u)
-            else:
-                _add_undirected(graph, rng, m // 60, _anywhere(n))
-            handle.refresh()
-            report = _ring_plan(handle).run()
+        for kind, report in _bench_schedule(graph, handle):
             engines[kind].append(tuple(r.engine for r in report))
         # every add-only cycle is maintained whole, bulk ones included ...
         assert set(engines["small"]) == set(engines["bulk"]) == {("incremental",) * 3}
-        # ... a removal is never "repaired" by components, always by
-        # PageRank, and not by BFS (these chords are shortest-path edges):
-        # the refusals — 21 maintained, 6 fallbacks — are what the parent
-        # commit's dict-keyed, work-budgeted maintainers made on this schedule
-        assert engines["removal"] == [("kernel", "incremental", "kernel")] * 3
+        # ... a removal is never "repaired" by components, always by PageRank
+        # and BFS (these chords are shortest-path edges, repaired in place):
+        # 24 maintained, 3 fallbacks
+        assert engines["removal"] == [("kernel", "incremental", "incremental")] * 3
+
+    def test_removal_cycles_run_no_cold_bfs_and_add_only_cycles_no_reverse_csr(
+        self, backend_name, monkeypatch
+    ):
+        graph = JournaledGraph(_ring(BENCH_RING, seed=11))
+        session = GraphSession(Database("spy"), backend=backend_name)
+        handle = session.wrap(graph)
+        _ring_plan(handle).run()  # the one cold BFS
+        calls = {"bfs_distances": 0, "sweep": 0, "reverse_csr": 0}
+        # spied on the class: an instance attribute would outlive the test on
+        # the shared backend object
+        backend_class = type(session.backend)
+        for name in calls:
+            kernel = getattr(backend_class, name)
+
+            def counted(self, *args, name=name, kernel=kernel, **kwargs):
+                calls[name] += 1
+                return kernel(self, *args, **kwargs)
+
+            monkeypatch.setattr(backend_class, name, counted)
+        per_cycle = []
+        for kind, report in _bench_schedule(graph, handle):
+            assert report["bfs"].engine == "incremental"
+            per_cycle.append((kind, dict(calls)))
+            calls.update(dict.fromkeys(calls, 0))
+        assert {kind for kind, _ in per_cycle} == {"small", "removal", "bulk"}
+        for kind, counts in per_cycle:
+            assert counts["bfs_distances"] == counts["sweep"] == 0, kind
+            # a reverse CSR is derived for the removals' tight edges only
+            assert counts["reverse_csr"] == (kind == "removal"), kind
+
+    def test_a_tight_chord_no_distance_depends_on_resets_nothing(self, backend_name):
+        backend = get_backend(backend_name)
+        graph = JournaledGraph(_ring(BENCH_RING, seed=5))
+        csr = graph.snapshot()
+        prev = backend.bfs_distances(csr, csr.index(0))
+        offsets, sources = backend.reverse_csr(csr)
+
+        def spare(u: int, v: int) -> bool:
+            """``u -> v`` is tight, and ``v`` keeps another tight in-edge."""
+            return prev[v] == prev[u] + 1 and any(
+                w != u and prev[w] == prev[u] for w in sources[offsets[v] : offsets[v + 1]]
+            )
+
+        # a chord, not a ring edge, whose head has a second parent
+        ids = csr.external_ids
+        u, v = next(
+            (ids[u], ids[v])
+            for u, v in csr.iter_edges()
+            if (ids[v] - ids[u]) % BENCH_RING not in (1, BENCH_RING - 1) and spare(u, v)
+        )
+        position = graph.journal.total
+        graph.delete_edge(u, v)
+        graph.delete_edge(v, u)
+        after = graph.snapshot()
+        delta = build_delta_view(graph.journal.records_since(position))
+        resets = RepairCounters.bfs_resets
+        params = {"source": 0, "max_depth": None}
+        maintained = MAINTAINERS["bfs"](prev, after, delta, params, backend)
+        assert RepairCounters.bfs_resets == resets
+        assert maintained == prev
+        assert maintained == backend.bfs_distances(after, after.index(0))
 
     def test_cold_inline_results_are_recorded_without_being_re_encoded(self, backend_name, monkeypatch):
         """The kernel runner hands the record the dense vector it decoded its
@@ -545,14 +639,14 @@ class TestRingRefresh:
         graph = JournaledGraph(_ring(n, seed=7))
         handle = GraphSession(Database("dense"), backend=backend_name).wrap(graph)
         assert [r.engine for r in _ring_plan(handle).run()] == ["kernel"] * 3
-        # a removal: components and bfs go cold again and are re-recorded
+        # a removal: components goes cold again and is re-recorded
         removable = _add_undirected(graph, random.Random(3), 8, _local(n, 40))
         handle.refresh()
         assert [r.engine for r in _ring_plan(handle).run()] == ["incremental"] * 3
         graph.delete_edge(*removable[0])
         graph.delete_edge(*removable[0][::-1])
         handle.refresh()
-        assert [r.engine for r in _ring_plan(handle).run()] == ["kernel", "incremental", "kernel"]
+        assert [r.engine for r in _ring_plan(handle).run()] == ["kernel", "incremental", "incremental"]
         # ... and what was recorded is a vector the maintainers can carry on
         _add_undirected(graph, random.Random(4), 8, _local(n, 300))
         handle.refresh()

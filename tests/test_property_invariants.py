@@ -64,6 +64,7 @@ from repro.graph import (
 from repro.graph.backend import get_backend, numpy_available
 from repro.graph.delta import JournaledGraph
 from repro.incremental import MAINTAINERS, build_delta_view
+from repro.incremental.bfs import RepairCounters
 from repro.relational.csv_io import write_database
 from repro.relational.database import Database
 from repro.relational.query import Comparison, ConjunctiveQuery, QueryAtom, evaluate_bruteforce
@@ -381,21 +382,22 @@ def test_property_maintained_results_equal_a_cold_recompute(case):
         delta = build_delta_view(graph.journal.records_since(position))
         cold = _cold(csr)
 
-        # the refusals the parent commit made, stated on the previous results
-        def reached(vertex):
-            dense = csr._index[vertex]
-            return prev["bfs"][dense] if dense < len(prev["bfs"]) else -1
-
-        refused = {
-            "components": bool(delta.removed),
-            "bfs": any(reached(u) >= 0 and reached(v) == reached(u) + 1 for u, v in delta.removed),
-            "pagerank": False,
-        }
+        # the refusals, stated on the window: components refuses any removal;
+        # BFS repairs every window (it refuses depth-limited results only)
+        refused = {"components": bool(delta.removed), "bfs": False, "pagerank": False}
+        # a pure removal window resets exactly the vertices whose distance grew
+        grew = sum(
+            old >= 0 and (new < 0 or new > old) for old, new in zip(prev["bfs"], cold["bfs"])
+        )
         maintained = {}
         for backend in map(get_backend, MAINTAINER_BACKENDS):
+            csr._backend_cache.pop("rev_csr", None)  # each backend derives its own
             for name, maintain in MAINTAINERS.items():
+                resets = RepairCounters.bfs_resets
                 dense = maintain(prev[name], csr, delta, params[name], backend)
                 assert (dense is None) == refused[name], (name, backend.name)
+                if name == "bfs" and not delta.added:
+                    assert RepairCounters.bfs_resets - resets == grew
                 if dense is not None:
                     # == cold, and so numpy == python
                     _assert_same_answers(dict(enumerate(dense)), dict(enumerate(cold[name])))
