@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract bench bench-table1 bench-fig18 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms bench bench-table1 bench-fig18 smoke serve-smoke all help
 
 help:
 	@echo "make test         - fast unit/integration suite (tests/)"
@@ -25,6 +25,10 @@ help:
 	@echo "                    engines, aggregates, sqlite mirror, every engine == the"
 	@echo "                    brute-force full join, engines x appended rows, the"
 	@echo "                    DEDUP-1 golden graph"
+	@echo "make test-algorithms - one runner per algorithm: plan == runner == free"
+	@echo "                    function on both backends (generated plans), the"
+	@echo "                    free functions' checks, backend and representation"
+	@echo "                    parity, the block-sweep digests, the API shims"
 	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
 	@echo "make bench-table1 - condensed vs full extraction + pushdown work pins (one scan, distinct rows only)"
 	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
@@ -68,6 +72,12 @@ test-extract:
 		tests/test_property_invariants.py::test_property_every_engine_extracts_the_full_join \
 		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow \
 		tests/test_dedup_identity.py::test_dedup1_builds_the_recorded_graph
+
+test-algorithms:
+	$(PYTEST) -q tests/test_algorithms*.py tests/test_backend_parity.py \
+		tests/test_representation_parity.py tests/test_sweep_kernel.py \
+		tests/test_api_compat.py \
+		tests/test_property_invariants.py::test_property_plan_results_equal_their_kernel_runners
 
 bench:
 	$(PYTEST) -q benchmarks/

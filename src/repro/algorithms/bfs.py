@@ -14,17 +14,18 @@ implementation exactly on every backend (the ``numpy`` frontier kernels
 preserve first-occurrence discovery order, see
 :mod:`repro.graph.backend.numpy_backend`).
 
-:func:`distances_kernel` / :func:`order_kernel` / :func:`parents_kernel` are
-the kernel-level entry points (dense source index in, dense lists out) that
-the session layer's :class:`~repro.session.AnalysisPlan` calls over a shared
-snapshot; the free functions are thin encode/decode delegations around them.
+:func:`bfs_runner` is the registry's ``(csr, backend, params)`` runner and
+:func:`check_bfs` its parameter check: together they are
+:func:`bfs_distances` and a session :class:`~repro.session.AnalysisPlan`'s
+``bfs`` request.  :func:`bfs_vector` is the runner before decoding, the
+per-index form the incremental maintainer carries.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.exceptions import RepresentationError
+from repro.exceptions import RepresentationError, UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
 
@@ -33,57 +34,48 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def distances_kernel(
-    csr: "CSRGraph",
-    source: int,
-    max_depth: int | None = None,
-    backend: "KernelBackend | None" = None,
-) -> list[int]:
-    """Kernel-level entry point: hop distance per dense index (-1 unreachable)."""
-    return (backend or get_backend()).bfs_distances(csr, source, max_depth=max_depth)
+def check_bfs(params: dict) -> None:
+    # a plan catches a missing source before any check runs; only an
+    # explicit None reaches this
+    if params["source"] is None:
+        raise UsageError("bfs requires a source vertex (pass source=...)")
 
 
-def order_kernel(
-    csr: "CSRGraph", source: int, backend: "KernelBackend | None" = None
-) -> list[int]:
-    """Kernel-level entry point: dense indexes in BFS visit order."""
-    return (backend or get_backend()).bfs_order(csr, source)
-
-
-def parents_kernel(
-    csr: "CSRGraph", source: int, backend: "KernelBackend | None" = None
-) -> list[int]:
-    """Kernel-level entry point: BFS-tree parent per dense index
-    (``-1`` root, ``-2`` unreached)."""
-    return (backend or get_backend()).bfs_parents(csr, source)
-
-
-def _encode_source(graph: Graph, source: VertexId) -> tuple:
-    csr = graph.snapshot()
+def encode_source(csr: "CSRGraph", source: VertexId) -> int:
     if not csr.has_vertex(source):
         raise RepresentationError(f"BFS source {source!r} is not in the graph")
-    return csr, csr.index(source)
+    return csr.index(source)
+
+
+def bfs_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> list[int]:
+    """Hop distance per dense index (-1 unreachable)."""
+    source = encode_source(csr, params["source"])
+    return backend.bfs_distances(csr, source, max_depth=params["max_depth"])
+
+
+def bfs_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    ids = csr.external_ids
+    return {ids[v]: d for v, d in enumerate(bfs_vector(csr, backend, params)) if d >= 0}
 
 
 def bfs_distances(graph: Graph, source: VertexId, max_depth: int | None = None) -> dict[VertexId, int]:
     """Hop distance from ``source`` to every reachable vertex (including itself)."""
-    csr, src = _encode_source(graph, source)
-    distances = distances_kernel(csr, src, max_depth=max_depth)
-    ids = csr.external_ids
-    return {ids[v]: d for v, d in enumerate(distances) if d >= 0}
+    params = {"source": source, "max_depth": max_depth}
+    check_bfs(params)
+    return bfs_runner(graph.snapshot(), get_backend(), params)
 
 
 def bfs_order(graph: Graph, source: VertexId) -> list[VertexId]:
     """Vertices in BFS visit order starting from ``source``."""
-    csr, src = _encode_source(graph, source)
+    csr = graph.snapshot()
     ids = csr.external_ids
-    return [ids[v] for v in order_kernel(csr, src)]
+    return [ids[v] for v in get_backend().bfs_order(csr, encode_source(csr, source))]
 
 
 def bfs_tree(graph: Graph, source: VertexId) -> dict[VertexId, VertexId | None]:
     """Parent pointers of a BFS tree rooted at ``source`` (root maps to None)."""
-    csr, src = _encode_source(graph, source)
-    parents = parents_kernel(csr, src)
+    csr = graph.snapshot()
+    parents = get_backend().bfs_parents(csr, encode_source(csr, source))
     ids = csr.external_ids
     return {
         ids[v]: (None if p == -1 else ids[p])
@@ -99,10 +91,11 @@ def reachable_set(graph: Graph, source: VertexId) -> set[VertexId]:
 
 def shortest_path(graph: Graph, source: VertexId, target: VertexId) -> list[VertexId] | None:
     """A shortest (unweighted) path from ``source`` to ``target``; None if unreachable."""
-    csr, src = _encode_source(graph, source)
+    csr = graph.snapshot()
+    src = encode_source(csr, source)
     if not csr.has_vertex(target):
         return None
-    parents = parents_kernel(csr, src)
+    parents = get_backend().bfs_parents(csr, src)
     dst = csr.index(target)
     if parents[dst] == -2:
         return None

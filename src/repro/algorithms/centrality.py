@@ -19,10 +19,13 @@ delta accumulation is re-associated by the ``numpy`` backend's per-level
 ``bincount`` reduction, so betweenness matches the reference within 1e-9
 L-infinity (closeness is a pure function of integer tree stats: equal).
 
-:func:`closeness_kernel` / :func:`betweenness_kernel` are the kernel-level
-entry points (sampling and normalisation included) the session layer's
-:class:`~repro.session.AnalysisPlan` calls over a shared snapshot; the free
-functions are thin delegations around them.
+:func:`closeness_runner` / :func:`betweenness_runner` are the registry's
+``(csr, backend, params)`` runners (sampling and normalisation included) and
+:func:`check_betweenness` the one ``sample_size`` check: together they are
+the free functions and a session :class:`~repro.session.AnalysisPlan`'s
+requests.  Both runners shape the sweep's products with the finaliser
+arithmetic the plan compiler applies to its fused sweep
+(:func:`closeness_value`, :func:`apply_betweenness_scale`).
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING
 
-from repro.algorithms.degree import degrees_kernel
 from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
@@ -38,11 +40,6 @@ from repro.graph.backend import get_backend
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
     from repro.graph.kernel import CSRGraph
-
-
-def closeness_kernel(csr: "CSRGraph", backend: "KernelBackend | None" = None) -> list[float]:
-    """Kernel-level entry point: Wasserman–Faust closeness per dense index."""
-    return (backend or get_backend()).closeness_centrality(csr)
 
 
 def closeness_value(n: int, reachable: int, total: int) -> float:
@@ -64,9 +61,8 @@ def is_positive_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def check_sample_size(sample_size) -> None:
-    """The one ``sample_size`` check: eager in ``plan.add()``, and again in
-    :func:`betweenness_sources` for callers of the free functions."""
+def check_betweenness(params: dict) -> None:
+    sample_size = params["sample_size"]
     if sample_size is not None and not is_positive_int(sample_size):
         raise UsageError(
             f"betweenness: sample_size must be a positive integer or None "
@@ -82,10 +78,9 @@ def betweenness_sources(
 
     Sampling draws from the snapshot's external-ID list with the same seeded
     generator the free function always used, so sampled sources are identical
-    for a given seed — shared by the serial kernel and the plan scheduler's
-    chunk-parallel path, which partitions this exact list across workers.
+    for a given seed — shared by the runner and the plan compiler's fused
+    sweep, which partitions this exact list across workers.
     """
-    check_sample_size(sample_size)
     n = csr.n
     if sample_size is not None and sample_size < n:
         rng = random.Random(seed)
@@ -96,8 +91,8 @@ def betweenness_sources(
 def apply_betweenness_scale(
     values: list[float], n: int, normalized: bool, scale_sources: float
 ) -> list[float]:
-    """Final normalisation/sampling rescale, shared by the serial kernel and
-    the chunk-parallel merge (identical arithmetic keeps them bit-identical)."""
+    """Final normalisation/sampling rescale, shared by the runner and the
+    plan compiler's finaliser (identical arithmetic keeps them bit-identical)."""
     scale = scale_sources
     if normalized:
         scale /= (n - 1) * (n - 2)
@@ -106,20 +101,26 @@ def apply_betweenness_scale(
     return values
 
 
-def betweenness_kernel(
-    csr: "CSRGraph",
-    normalized: bool = True,
-    sample_size: int | None = None,
-    seed: int = 0,
-    backend: "KernelBackend | None" = None,
-) -> list[float]:
-    """Kernel-level entry point: Brandes betweenness per dense index."""
+def closeness_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    """Wasserman–Faust closeness of every vertex, one sweep tree each."""
+    n = csr.n
+    stats = (backend.tree_stats(tree) for tree, _ in backend.sweep(csr, range(n)))
+    return csr.decode([closeness_value(n, reachable, total) for reachable, total, _ in stats])
+
+
+def betweenness_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    """Brandes betweenness of every vertex: the sweep's per-source
+    dependencies summed in source order (``backend.add_delta``), then scaled."""
     n = csr.n
     if n <= 2:
-        return [0.0] * n
-    sources, scale_sources = betweenness_sources(csr, sample_size, seed)
-    betweenness = (backend or get_backend()).betweenness(csr, sources)
-    return apply_betweenness_scale(betweenness, n, normalized, scale_sources)
+        return csr.decode([0.0] * n)
+    sources, scale = betweenness_sources(csr, params["sample_size"], params["seed"])
+    total = None
+    for _, delta in backend.sweep(csr, sources, frozenset(sources)):
+        total = backend.add_delta(total, delta)
+    return csr.decode(
+        apply_betweenness_scale(backend.tree_delta(total), n, params["normalized"], scale)
+    )
 
 
 def degree_centrality(graph: Graph) -> dict[VertexId, float]:
@@ -129,7 +130,7 @@ def degree_centrality(graph: Graph) -> dict[VertexId, float]:
     if n <= 1:
         return csr.decode([0.0] * n)
     scale = 1.0 / (n - 1)
-    return csr.decode([degree * scale for degree in degrees_kernel(csr)])
+    return csr.decode([degree * scale for degree in get_backend().degrees(csr)])
 
 
 def closeness_centrality(graph: Graph) -> dict[VertexId, float]:
@@ -140,8 +141,7 @@ def closeness_centrality(graph: Graph) -> dict[VertexId, float]:
     that remains comparable across components.  Vertices reaching nothing get
     0.0.
     """
-    csr = graph.snapshot()
-    return csr.decode(closeness_kernel(csr))
+    return closeness_runner(graph.snapshot(), get_backend(), {})
 
 
 def betweenness_centrality(
@@ -156,10 +156,9 @@ def betweenness_centrality(
     of source vertices and the result is rescaled by ``n / sample_size`` —
     the usual unbiased estimate for large extracted graphs.
     """
-    csr = graph.snapshot()
-    return csr.decode(
-        betweenness_kernel(csr, normalized=normalized, sample_size=sample_size, seed=seed)
-    )
+    params = {"normalized": normalized, "sample_size": sample_size, "seed": seed}
+    check_betweenness(params)
+    return betweenness_runner(graph.snapshot(), get_backend(), params)
 
 
 def top_k_central(centrality: dict[VertexId, float], k: int = 10) -> list[tuple[VertexId, float]]:

@@ -6,13 +6,15 @@ speed-up (Section 6.4).
 
 The kernel comes from the selected backend
 (:func:`repro.graph.backend.get_backend`): an integer union-find (path
-halving + union by size) on ``python``, vectorised BFS sweeps on ``numpy``.
-Both assign component labels in first-vertex order, so the results are
-identical across backends and to the pre-backend implementation.
+halving + union by size) on ``python``, hooking + pointer jumping on
+``numpy``.  Both assign component labels in first-vertex order, so the
+results are identical across backends and to the pre-backend implementation.
 
-:func:`components_kernel` is the kernel-level entry point the session
-layer's :class:`~repro.session.AnalysisPlan` calls over a shared snapshot;
-the free functions are thin delegations around it.
+:func:`components_runner` is the registry's ``(csr, backend, params)``
+runner — :func:`connected_components` and a session
+:class:`~repro.session.AnalysisPlan`'s ``components`` request alike;
+:func:`components_vector` is it before decoding, the per-index form the
+incremental maintainer carries.
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def components_kernel(csr: "CSRGraph", backend: "KernelBackend | None" = None) -> list[int]:
-    """Kernel-level entry point: component label (0-based, first-vertex
-    order) per dense index; edges are treated as undirected."""
-    return (backend or get_backend()).connected_components(csr)
+def components_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> list[int]:
+    """Component label (0-based, first-vertex order) per dense index; edges
+    are treated as undirected."""
+    return backend.connected_components(csr)
+
+
+def components_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    return csr.decode(components_vector(csr, backend, params))
 
 
 def connected_components(graph: Graph) -> dict[VertexId, int]:
@@ -38,27 +44,25 @@ def connected_components(graph: Graph) -> dict[VertexId, int]:
 
     Edges are treated as undirected (weak connectivity).
     """
-    csr = graph.snapshot()
-    return csr.decode(components_kernel(csr))
+    return components_runner(graph.snapshot(), get_backend(), {})
 
 
 def component_sizes(graph: Graph) -> list[int]:
     """Sizes of all components, largest first."""
-    labels = components_kernel(graph.snapshot())
     counts: dict[int, int] = {}
-    for label in labels:
+    for label in get_backend().connected_components(graph.snapshot()):
         counts[label] = counts.get(label, 0) + 1
     return sorted(counts.values(), reverse=True)
 
 
 def num_components(graph: Graph) -> int:
-    return len(set(components_kernel(graph.snapshot())))
+    return len(set(get_backend().connected_components(graph.snapshot())))
 
 
 def largest_component(graph: Graph) -> set[VertexId]:
     """The vertex set of the largest component (empty set for empty graphs)."""
     csr = graph.snapshot()
-    labels = components_kernel(csr)
+    labels = get_backend().connected_components(csr)
     if not labels:
         return set()
     counts: dict[int, int] = {}

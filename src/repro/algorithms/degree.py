@@ -10,10 +10,9 @@ an ``np.diff`` over the zero-copy offset view on ``numpy``);
 :func:`degree_of` keeps the single-vertex Graph-API path so that one lookup
 never forces a full snapshot of a cold graph.
 
-:func:`degrees_kernel` is the kernel-level entry point: it takes an already
-built snapshot plus a resolved backend, so a session
-:class:`~repro.session.AnalysisPlan` can run it over one shared snapshot
-without re-encoding; the free functions are thin delegations around it.
+:func:`degree_runner` is the registry's ``(csr, backend, params)`` runner —
+the one code that computes ``degree``, in a session
+:class:`~repro.session.AnalysisPlan` and in :func:`degrees` alike.
 """
 
 from __future__ import annotations
@@ -28,15 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def degrees_kernel(csr: "CSRGraph", backend: "KernelBackend | None" = None) -> list[int]:
-    """Kernel-level entry point: out-degree per dense index."""
-    return (backend or get_backend()).degrees(csr)
+def degree_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    """Out-degree of every vertex."""
+    return csr.decode(backend.degrees(csr))
 
 
 def degrees(graph: Graph) -> dict[VertexId, int]:
     """Out-degree of every vertex (logical, duplicates removed)."""
-    csr = graph.snapshot()
-    return csr.decode(degrees_kernel(csr))
+    return degree_runner(graph.snapshot(), get_backend(), {})
 
 
 def degree_of(graph: Graph, vertex: VertexId) -> int:
@@ -59,7 +57,7 @@ def max_degree_vertex(graph: Graph) -> tuple[VertexId, int] | None:
     """The vertex with the largest out-degree, or ``None`` for an empty graph."""
     csr = graph.snapshot()
     best: tuple[VertexId, int] | None = None
-    for index, degree in enumerate(degrees_kernel(csr)):
+    for index, degree in enumerate(get_backend().degrees(csr)):
         if best is None or degree > best[1]:
             best = (csr.external_ids[index], degree)
     return best

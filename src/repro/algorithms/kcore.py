@@ -13,9 +13,9 @@ Batagelj–Zaveršnik bucket peeling over symmetrised dense-index sets on
 ``python``, masked bulk peeling over the sorted symmetrised CSR on
 ``numpy`` — core numbers are graph-determined, so both are exactly equal.
 
-:func:`core_numbers_kernel` is the kernel-level entry point the session
-layer's :class:`~repro.session.AnalysisPlan` calls over a shared snapshot;
-the free functions are thin delegations around it.
+:func:`kcore_runner` is the registry's ``(csr, backend, params)`` runner —
+:func:`core_numbers` and a session :class:`~repro.session.AnalysisPlan`'s
+``kcore`` request alike.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def core_numbers_kernel(csr: "CSRGraph", backend: "KernelBackend | None" = None) -> list[int]:
-    """Kernel-level entry point: core number per dense index."""
-    return (backend or get_backend()).core_numbers(csr)
+def kcore_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    """Core number of every vertex."""
+    return csr.decode(backend.core_numbers(csr))
 
 
 def core_numbers(graph: Graph) -> dict[VertexId, int]:
@@ -40,8 +40,7 @@ def core_numbers(graph: Graph) -> dict[VertexId, int]:
 
     Runs in ``O(V + E)`` after the adjacency has been symmetrised.
     """
-    csr = graph.snapshot()
-    return csr.decode(core_numbers_kernel(csr))
+    return kcore_runner(graph.snapshot(), get_backend(), {})
 
 
 def k_core(graph: Graph, k: int) -> set[VertexId]:
@@ -49,14 +48,14 @@ def k_core(graph: Graph, k: int) -> set[VertexId]:
     if k < 0:
         raise ValueError("k must be non-negative")
     csr = graph.snapshot()
-    cores = core_numbers_kernel(csr)
+    cores = get_backend().core_numbers(csr)
     ids = csr.external_ids
     return {ids[v] for v, core in enumerate(cores) if core >= k}
 
 
 def degeneracy(graph: Graph) -> int:
     """The graph's degeneracy (the largest k with a non-empty k-core)."""
-    return max(core_numbers_kernel(graph.snapshot()), default=0)
+    return max(get_backend().core_numbers(graph.snapshot()), default=0)
 
 
 def degeneracy_ordering(graph: Graph) -> list[VertexId]:
@@ -66,7 +65,7 @@ def degeneracy_ordering(graph: Graph) -> list[VertexId]:
     enumeration and greedy colouring on the extracted graphs.
     """
     csr = graph.snapshot()
-    cores = core_numbers_kernel(csr)
+    cores = get_backend().core_numbers(csr)
     ids = csr.external_ids
     return sorted(ids, key=lambda vertex: (cores[csr.index(vertex)], repr(vertex)))
 
@@ -77,7 +76,7 @@ def densest_core(graph: Graph) -> tuple[int, set[VertexId]]:
     Returns ``(0, set of all vertices)`` for an edgeless graph.
     """
     csr = graph.snapshot()
-    cores = core_numbers_kernel(csr)
+    cores = get_backend().core_numbers(csr)
     if not cores:
         return 0, set()
     k = max(cores)

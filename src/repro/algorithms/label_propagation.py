@@ -13,9 +13,9 @@ shares the reference kernel: in-round updates are sequential by definition
 so there is no vectorised variant — see
 :meth:`repro.graph.backend.python_backend.KernelBackend.label_propagation`.
 
-:func:`label_propagation_kernel` is the kernel-level entry point the session
-layer's :class:`~repro.session.AnalysisPlan` calls over a shared snapshot;
-the free functions are thin delegations around it.
+:func:`label_propagation_runner` is the registry's ``(csr, backend,
+params)`` runner — :func:`label_propagation` and a session
+:class:`~repro.session.AnalysisPlan`'s ``label_propagation`` request alike.
 """
 
 from __future__ import annotations
@@ -30,15 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def label_propagation_kernel(
-    csr: "CSRGraph",
-    max_iterations: int = 20,
-    seed: int = 0,
-    backend: "KernelBackend | None" = None,
-) -> list[int]:
-    """Kernel-level entry point: community label (a dense vertex index) per
-    dense index."""
-    return (backend or get_backend()).label_propagation(csr, max_iterations, seed)
+def label_propagation_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    """Community label (a vertex) of every vertex."""
+    labels = backend.label_propagation(csr, params["max_iterations"], params["seed"])
+    ids = csr.external_ids
+    return {ids[v]: ids[label] for v, label in enumerate(labels)}
 
 
 def label_propagation(
@@ -53,10 +49,8 @@ def label_propagation(
     with deterministic tie-breaking.  Stops when no label changes or after
     ``max_iterations`` rounds.
     """
-    csr = graph.snapshot()
-    labels = label_propagation_kernel(csr, max_iterations, seed)
-    ids = csr.external_ids
-    return {ids[v]: ids[label] for v, label in enumerate(labels)}
+    params = {"max_iterations": max_iterations, "seed": seed}
+    return label_propagation_runner(graph.snapshot(), get_backend(), params)
 
 
 def communities(graph: Graph, max_iterations: int = 20, seed: int = 0) -> list[set[VertexId]]:

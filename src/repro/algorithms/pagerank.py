@@ -13,15 +13,18 @@ external vertex IDs.  The ``python`` backend mirrors the summation order of
 the pre-kernel Graph-API implementation bit-for-bit; the ``numpy`` backend
 re-associates sums and matches it within 1e-9 L-infinity.
 
-:func:`pagerank_kernel` is the kernel-level entry point the session layer's
-:class:`~repro.session.AnalysisPlan` calls over a shared snapshot; the free
-functions are thin delegations around it.
+:func:`pagerank_runner` is the registry's ``(csr, backend, params)`` runner
+and :func:`check_pagerank` its parameter check: together they are
+:func:`pagerank` and a session :class:`~repro.session.AnalysisPlan`'s
+``pagerank`` request.  :func:`pagerank_vector` is the runner before
+decoding, the per-index form the incremental maintainer carries.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
 
@@ -30,27 +33,21 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def pagerank_kernel(
-    csr: "CSRGraph",
-    damping: float = 0.85,
-    max_iterations: int = 50,
-    tolerance: float = 1.0e-9,
-    backend: "KernelBackend | None" = None,
-    initial: list[float] | None = None,
-) -> list[float]:
-    """Kernel-level entry point: per-index PageRank over a built snapshot.
+def check_pagerank(params: dict) -> None:
+    damping = params["damping"]
+    if not isinstance(damping, (int, float)) or not 0.0 < damping < 1.0:
+        raise UsageError(f"pagerank: damping must be in (0, 1) (got {damping!r})")
 
-    ``initial`` warm-starts the power iteration from a previous rank vector
-    (the incremental-maintenance path); termination semantics are identical
-    to the cold run.
-    """
-    if not 0.0 < damping < 1.0:
-        raise ValueError("damping must be in (0, 1)")
+
+def pagerank_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> list[float]:
+    """Rank per dense index."""
     if csr.n == 0:
         return []
-    return (backend or get_backend()).pagerank(
-        csr, damping, max_iterations, tolerance, initial=initial
-    )
+    return backend.pagerank(csr, params["damping"], params["max_iterations"], params["tolerance"])
+
+
+def pagerank_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
+    return csr.decode(pagerank_vector(csr, backend, params))
 
 
 def pagerank(
@@ -65,8 +62,9 @@ def pagerank(
     standard correction.  Iteration stops when the L1 change drops below
     ``tolerance`` or after ``max_iterations``.
     """
-    csr = graph.snapshot()
-    return csr.decode(pagerank_kernel(csr, damping, max_iterations, tolerance))
+    params = {"damping": damping, "max_iterations": max_iterations, "tolerance": tolerance}
+    check_pagerank(params)
+    return pagerank_runner(graph.snapshot(), get_backend(), params)
 
 
 def top_k_pagerank(graph: Graph, k: int = 10, **kwargs: float) -> list[tuple[VertexId, float]]:

@@ -13,11 +13,11 @@ on ``numpy``.  Counts and set results are exact across backends; the
 Adamic–Adar sum iterates the shared neighbors in a backend-specific order
 and matches within 1e-9.  External IDs only appear at the decode boundary.
 
-:func:`pair_score_kernel` / :func:`link_predictions_kernel` are the
-kernel-level entry points (dense indexes in, dense results out; tie-breaks
-read the snapshot codec's reprs) the session layer's
-:class:`~repro.session.AnalysisPlan` calls over a shared snapshot; the free
-functions are thin delegations around them.
+:func:`link_predictions_runner` is the registry's ``(csr, backend,
+params)`` runner and :func:`check_link_predictions` its parameter check:
+together they are :func:`link_predictions` and a session
+:class:`~repro.session.AnalysisPlan`'s ``link_predictions`` request (tie-breaks
+read the snapshot codec's reprs).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import TYPE_CHECKING
 
+from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
 from repro.graph.kernel import CSRGraph
@@ -32,27 +33,29 @@ from repro.graph.kernel import CSRGraph
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
 
-#: similarity score names accepted by the kernel entry points and the
-#: link-prediction / similarity-matrix free functions
-SCORE_NAMES = ("adamic_adar", "common_neighbors", "jaccard", "preferential_attachment")
+#: similarity score name -> its backend kernel over a dense pair; the names
+#: are what link prediction and the similarity matrix accept
+_PAIR_SCORES = {
+    "adamic_adar": lambda backend, csr, iu, iv: backend.adamic_adar(csr, iu, iv),
+    "common_neighbors": lambda backend, csr, iu, iv: len(backend.common_neighbors(csr, iu, iv)),
+    "jaccard": lambda backend, csr, iu, iv: backend.jaccard(csr, iu, iv),
+    "preferential_attachment": lambda backend, csr, iu, iv: (
+        backend.preferential_attachment(csr, iu, iv)
+    ),
+}
+SCORE_NAMES = tuple(_PAIR_SCORES)
 
 
-def pair_score_kernel(
-    csr: CSRGraph, score: str, iu: int, iv: int, backend: "KernelBackend | None" = None
-) -> float:
-    """Kernel-level entry point: one similarity score for a dense pair."""
-    backend = backend or get_backend()
-    if score == "jaccard":
-        return float(backend.jaccard(csr, iu, iv))
-    if score == "adamic_adar":
-        return float(backend.adamic_adar(csr, iu, iv))
-    if score == "common_neighbors":
-        return float(len(backend.common_neighbors(csr, iu, iv)))
-    if score == "preferential_attachment":
-        return float(backend.preferential_attachment(csr, iu, iv))
-    raise ValueError(
-        f"unknown link-prediction score {score!r}; expected one of {sorted(SCORE_NAMES)}"
-    )
+def _pair_score(backend: "KernelBackend", csr: CSRGraph, score: str, iu: int, iv: int) -> float:
+    return float(_PAIR_SCORES[score](backend, csr, iu, iv))
+
+
+def check_link_predictions(params: dict) -> None:
+    if params["score"] not in SCORE_NAMES:
+        raise UsageError(
+            f"link_predictions: unknown score {params['score']!r}; "
+            f"expected one of {', '.join(sorted(SCORE_NAMES))}"
+        )
 
 
 def _neighborhood_index(csr: CSRGraph, index: int) -> set[int]:
@@ -84,33 +87,21 @@ def _candidate_pairs(csr: CSRGraph) -> list[tuple[int, int]]:
     return candidates
 
 
-def link_predictions_kernel(
-    csr: CSRGraph,
-    k: int = 10,
-    score: str = "adamic_adar",
-    candidates: list[tuple[int, int]] | None = None,
-    backend: "KernelBackend | None" = None,
-) -> list[tuple[int, int, float]]:
-    """Kernel-level entry point: the ``k`` highest-scoring dense pairs.
-
-    ``candidates`` restricts scoring to specific dense pairs; otherwise every
-    unordered pair at distance exactly two is considered.  Sorting descends by
-    score with ties broken on the external IDs' reprs, exactly like
-    :func:`link_predictions`.
-    """
-    if score not in SCORE_NAMES:
-        raise ValueError(
-            f"unknown link-prediction score {score!r}; expected one of {sorted(SCORE_NAMES)}"
-        )
-    if candidates is None:
-        candidates = _candidate_pairs(csr)
+def _top_pairs(
+    csr: CSRGraph, backend: "KernelBackend", params: dict, candidates: list[tuple[int, int]]
+) -> list[tuple[VertexId, VertexId, float]]:
+    """The ``k`` highest-scoring of the dense ``candidates``, decoded;
+    sorting descends by score with ties broken on the external IDs' reprs."""
     ids = csr.external_ids
-    scored = [
-        (iu, iv, pair_score_kernel(csr, score, iu, iv, backend=backend))
-        for iu, iv in candidates
-    ]
+    score = params["score"]
+    scored = [(iu, iv, _pair_score(backend, csr, score, iu, iv)) for iu, iv in candidates]
     scored.sort(key=lambda item: (-item[2], repr(ids[item[0]]), repr(ids[item[1]])))
-    return scored[:k]
+    return [(ids[iu], ids[iv], value) for iu, iv, value in scored[: params["k"]]]
+
+
+def link_predictions_runner(csr: CSRGraph, backend: "KernelBackend", params: dict) -> list:
+    """The ``k`` highest-scoring pairs at distance exactly two."""
+    return _top_pairs(csr, backend, params, _candidate_pairs(csr))
 
 
 def common_neighbors(graph: Graph, u: VertexId, v: VertexId) -> set[VertexId]:
@@ -124,7 +115,7 @@ def common_neighbors(graph: Graph, u: VertexId, v: VertexId) -> set[VertexId]:
 def jaccard_coefficient(graph: Graph, u: VertexId, v: VertexId) -> float:
     """``|N(u) ∩ N(v)| / |N(u) ∪ N(v)|`` (0.0 when both neighborhoods are empty)."""
     csr = graph.snapshot()
-    return pair_score_kernel(csr, "jaccard", csr.index(u), csr.index(v))
+    return _pair_score(get_backend(), csr, "jaccard", csr.index(u), csr.index(v))
 
 
 def adamic_adar(graph: Graph, u: VertexId, v: VertexId) -> float:
@@ -133,21 +124,13 @@ def adamic_adar(graph: Graph, u: VertexId, v: VertexId) -> float:
     Common neighbors of degree <= 1 contribute nothing (their log is 0).
     """
     csr = graph.snapshot()
-    return pair_score_kernel(csr, "adamic_adar", csr.index(u), csr.index(v))
+    return _pair_score(get_backend(), csr, "adamic_adar", csr.index(u), csr.index(v))
 
 
 def preferential_attachment(graph: Graph, u: VertexId, v: VertexId) -> int:
     """``|N(u)| * |N(v)|`` — the preferential-attachment link-prediction score."""
     csr = graph.snapshot()
     return get_backend().preferential_attachment(csr, csr.index(u), csr.index(v))
-
-
-SCORES = {
-    "jaccard": jaccard_coefficient,
-    "adamic_adar": adamic_adar,
-    "common_neighbors": lambda graph, u, v: len(common_neighbors(graph, u, v)),
-    "preferential_attachment": preferential_attachment,
-}
 
 
 def link_predictions(
@@ -162,33 +145,28 @@ def link_predictions(
     unordered pair of vertices at distance exactly two is considered (pairs
     further apart score zero under all supported measures).
     """
-    if score not in SCORES:
-        raise ValueError(
-            f"unknown link-prediction score {score!r}; expected one of {sorted(SCORES)}"
-        )
+    params = {"k": k, "score": score}
+    check_link_predictions(params)
     csr = graph.snapshot()
-    dense = None
-    if candidates is not None:
-        dense = [(csr.index(u), csr.index(v)) for u, v in candidates]
-    ids = csr.external_ids
-    return [
-        (ids[iu], ids[iv], value)
-        for iu, iv, value in link_predictions_kernel(csr, k=k, score=score, candidates=dense)
-    ]
+    if candidates is None:
+        return link_predictions_runner(csr, get_backend(), params)
+    dense = [(csr.index(u), csr.index(v)) for u, v in candidates]
+    return _top_pairs(csr, get_backend(), params, dense)
 
 
 def similarity_matrix(
     graph: Graph, vertices: list[VertexId], score: str = "jaccard"
 ) -> dict[tuple[VertexId, VertexId], float]:
     """Pairwise similarity over an explicit vertex list (small sets only)."""
-    if score not in SCORES:
+    if score not in SCORE_NAMES:
         raise ValueError(
-            f"unknown similarity score {score!r}; expected one of {sorted(SCORES)}"
+            f"unknown similarity score {score!r}; expected one of {sorted(SCORE_NAMES)}"
         )
     csr = graph.snapshot()
+    backend = get_backend()
     result: dict[tuple[VertexId, VertexId], float] = {}
     for u, v in combinations(vertices, 2):
-        value = pair_score_kernel(csr, score, csr.index(u), csr.index(v))
+        value = _pair_score(backend, csr, score, csr.index(u), csr.index(v))
         result[(u, v)] = value
         result[(v, u)] = value
     return result

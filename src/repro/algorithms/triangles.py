@@ -13,12 +13,14 @@ the vertex rank), so triangle counts are exactly equal across backends; the
 derived clustering coefficients share every arithmetic step and are
 bit-identical too.
 
-:func:`count_triangles_kernel` / :func:`triangles_per_vertex_kernel` /
-:func:`average_clustering_kernel` are the kernel-level entry points the
-session layer's :class:`~repro.session.AnalysisPlan` calls over a shared
-snapshot; the free functions are thin delegations around them.  A plan that
-asks for both the count and the clustering coefficient runs one per-vertex
-pass and shapes both answers from it (:func:`clustering_from_counts`).
+Both answers are shaped from the one per-vertex pass,
+``backend.triangles_per_vertex``: the count is its sum over three
+(:func:`triangles_from_counts`), the mean coefficient
+:func:`clustering_from_counts`.  :func:`triangles_runner` /
+:func:`clustering_runner` are the registry's ``(csr, backend, params)``
+runners — :func:`count_triangles` / :func:`average_clustering` and a session
+:class:`~repro.session.AnalysisPlan`'s requests alike; a plan that asks for
+both runs the pass once and hands it to both shapers.
 """
 
 from __future__ import annotations
@@ -33,34 +35,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 
-def count_triangles_kernel(csr: "CSRGraph", backend: "KernelBackend | None" = None) -> int:
-    """Kernel-level entry point: number of distinct triangles."""
-    return (backend or get_backend()).count_triangles(csr)
-
-
-def triangles_per_vertex_kernel(
-    csr: "CSRGraph", backend: "KernelBackend | None" = None
-) -> list[int]:
-    """Kernel-level entry point: triangle participation count per dense index."""
-    return (backend or get_backend()).triangles_per_vertex(csr)
-
-
-def average_clustering_kernel(
-    csr: "CSRGraph", backend: "KernelBackend | None" = None
-) -> float:
-    """Kernel-level entry point: mean local clustering coefficient
-    (0.0 for an empty snapshot)."""
-    if csr.n == 0:
-        return 0.0
-    return (backend or get_backend()).average_clustering(csr)
+def triangles_from_counts(csr: "CSRGraph", per_vertex: list[int]) -> int:
+    """Number of distinct triangles: each is counted at its three corners."""
+    return sum(per_vertex) // 3
 
 
 def clustering_from_counts(csr: "CSRGraph", per_vertex: list[int]) -> float:
     """Mean local clustering coefficient from the per-vertex triangle counts.
 
-    A vertex's triangles are exactly the links among its neighbourhood, so
-    this is the backends' ``average_clustering`` arithmetic term for term,
-    in the same vertex order — the same float, bit for bit.
+    A vertex's triangles are exactly the links among its neighbourhood;
+    the coefficients are summed in vertex order from integers, so every
+    backend's counts give the same float, bit for bit.
     """
     if csr.n == 0:
         return 0.0
@@ -73,15 +58,23 @@ def clustering_from_counts(csr: "CSRGraph", per_vertex: list[int]) -> float:
     return total / csr.n
 
 
+def triangles_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> int:
+    return triangles_from_counts(csr, backend.triangles_per_vertex(csr))
+
+
+def clustering_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> float:
+    return clustering_from_counts(csr, backend.triangles_per_vertex(csr))
+
+
 def count_triangles(graph: Graph) -> int:
     """Number of distinct triangles (each counted once)."""
-    return count_triangles_kernel(graph.snapshot())
+    return triangles_runner(graph.snapshot(), get_backend(), {})
 
 
 def triangles_per_vertex(graph: Graph) -> dict[VertexId, int]:
     """Number of triangles each vertex participates in."""
     csr = graph.snapshot()
-    return csr.decode(triangles_per_vertex_kernel(csr))
+    return csr.decode(get_backend().triangles_per_vertex(csr))
 
 
 def clustering_coefficient(graph: Graph, vertex: VertexId) -> float:
@@ -94,4 +87,4 @@ def clustering_coefficient(graph: Graph, vertex: VertexId) -> float:
 
 def average_clustering(graph: Graph) -> float:
     """Mean local clustering coefficient over all vertices."""
-    return average_clustering_kernel(graph.snapshot())
+    return clustering_runner(graph.snapshot(), get_backend(), {})

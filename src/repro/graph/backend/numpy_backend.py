@@ -612,12 +612,6 @@ class NumpyBackend(KernelBackend):
             return 0.0
         return 2.0 * links / (degree * (degree - 1))
 
-    def average_clustering(self, csr: "CSRGraph") -> float:
-        # local import: repro.algorithms.triangles imports the backend layer
-        from repro.algorithms.triangles import clustering_from_counts
-
-        return clustering_from_counts(csr, self.triangles_per_vertex(csr))
-
     # ------------------------------------------------------------------ #
     # the block-wise source sweep: closeness, betweenness, diameter and the
     # plan compiler's fused sweep all run through it.  Native form is a
@@ -696,14 +690,6 @@ class NumpyBackend(KernelBackend):
             delta += np.bincount(v, weights=(sigma[v] / sigma[t]) * (1.0 + delta[t]), minlength=n)
         delta[source] = 0.0
         return delta
-
-    def bfs_tree(self, csr: "CSRGraph", source: int) -> np.ndarray:
-        return next(self.sweep(csr, (source,)))[0]
-
-    def brandes_tree(
-        self, csr: "CSRGraph", source: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return next(self.sweep(csr, (source,), (source,)))
 
     def tree_stats(self, tree: np.ndarray) -> tuple[int, int, int]:
         positive = tree > 0

@@ -9,7 +9,8 @@ every other backend is validated against (``tests/test_backend_parity.py``).
 
 All kernels take a :class:`~repro.graph.kernel.CSRGraph` plus dense integer
 indexes and return flat per-index lists (or scalars); external-ID encoding
-and decoding stays in the :mod:`repro.algorithms` modules.
+and decoding, sampling, scaling and the shaping of sweep products into
+answers stay with the algorithms' runners, which call these kernels.
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ class KernelBackend:
     so a backend is never incomplete.  Integer-valued kernels must match the
     reference exactly; float-valued kernels within 1e-9 L-infinity (see
     :mod:`repro.graph.backend`).
+
+    The protocol holds kernels only.  Each registry algorithm has one runner
+    that calls them — closeness, betweenness and diameter go through
+    :meth:`sweep` plus the ``tree_*`` accessors, triangles and clustering
+    through :meth:`triangles_per_vertex` — so a backend speeds an algorithm
+    up by overriding a kernel, never by re-implementing its orchestration.
     """
 
     #: resolved name, stable across processes (workers re-resolve by it)
@@ -113,23 +120,17 @@ class KernelBackend:
         """
         for source in sources:
             if source in brandes:
-                yield self.brandes_tree(csr, source)
+                yield self._brandes_tree(csr, source)
             else:
-                yield self.bfs_tree(csr, source), None
+                yield bfs_distances_kernel(csr, source), None
 
-    def bfs_tree(self, csr: "CSRGraph", source: int):
-        """Full-depth hop-distance array from ``source`` in this backend's
-        native form (``-1`` marks unreachable); feed to ``tree_*``."""
-        return bfs_distances_kernel(csr, source)
+    def _brandes_tree(self, csr: "CSRGraph", source: int):
+        """``(tree, delta)``: the Brandes traversal's distance array plus the
+        source's dependency vector (source entry zeroed).
 
-    def brandes_tree(self, csr: "CSRGraph", source: int):
-        """``(tree, delta)``: the Brandes traversal's native distance array
-        plus the source's dependency vector (source entry zeroed).
-
-        The tree equals :meth:`bfs_tree` element-for-element, which is what
-        lets one Brandes traversal serve closeness/diameter/bfs demands of
-        the same source; the delta is what :meth:`betweenness_contribution`
-        returns.
+        The tree equals the plain BFS distances element-for-element, which
+        is what lets one Brandes traversal serve closeness/diameter/bfs
+        demands of the same source.
         """
         n = csr.n
         offsets = csr.offsets_list
@@ -500,10 +501,6 @@ class KernelBackend:
                         counts[w] += 1
         return counts
 
-    def count_triangles(self, csr: "CSRGraph") -> int:
-        """Number of distinct triangles: each is counted at its three corners."""
-        return sum(self.triangles_per_vertex(csr)) // 3
-
     def clustering_coefficient(self, csr: "CSRGraph", index: int) -> float:
         """Local clustering coefficient of one dense index."""
         adjacency = csr.undirected_sets()
@@ -513,67 +510,6 @@ class KernelBackend:
             return 0.0
         links = sum(1 for a, b in combinations(neighbors, 2) if b in adjacency[a])
         return 2.0 * links / (degree * (degree - 1))
-
-    def average_clustering(self, csr: "CSRGraph") -> float:
-        """Mean local clustering coefficient over all vertices."""
-        adjacency = csr.undirected_sets()
-        if not adjacency:
-            return 0.0
-        total = 0.0
-        for neighbors in adjacency:
-            degree = len(neighbors)
-            if degree < 2:
-                continue
-            links = sum(1 for a, b in combinations(neighbors, 2) if b in adjacency[a])
-            total += 2.0 * links / (degree * (degree - 1))
-        return total / len(adjacency)
-
-    # ------------------------------------------------------------------ #
-    # centrality
-    # ------------------------------------------------------------------ #
-    def closeness_centrality(
-        self, csr: "CSRGraph", lo: int = 0, hi: int | None = None
-    ) -> list[float]:
-        """Wasserman–Faust closeness for dense indexes ``[lo, hi)`` (one BFS
-        tree per vertex off :meth:`sweep`; the default range covers the
-        whole graph).
-
-        Per-vertex values are independent, so concatenating partition slices
-        in partition order reproduces the whole-graph call bit-for-bit.
-        """
-        # local import: repro.algorithms.centrality imports the backend layer
-        from repro.algorithms.centrality import closeness_value
-
-        n = csr.n
-        result: list[float] = []
-        for tree, _ in self.sweep(csr, range(lo, n if hi is None else hi)):
-            reachable, total, _ = self.tree_stats(tree)
-            result.append(closeness_value(n, reachable, total))
-        return result
-
-    def betweenness_contribution(self, csr: "CSRGraph", source: int) -> list[float]:
-        """One source's Brandes dependency (delta) per dense index, with the
-        source's own entry zeroed.
-
-        :meth:`betweenness` is the flat left-to-right sum of these over the
-        source list, so shipping per-source contributions and re-summing in
-        global source order (the chunk-parallel merge) is bit-identical to
-        the serial accumulation.
-        """
-        return self.tree_delta(self.brandes_tree(csr, source)[1])
-
-    def betweenness(self, csr: "CSRGraph", sources: list[int]) -> list[float]:
-        """Brandes accumulation from ``sources`` over dense indexes.
-
-        Sums the sweep's per-source contributions in source order
-        (:meth:`add_delta`); unreached vertices contribute an exact
-        ``+ 0.0``, so this equals the historical accumulate-in-place loop
-        bit-for-bit.
-        """
-        total = None
-        for _, delta in self.sweep(csr, sources, frozenset(sources)):
-            total = self.add_delta(total, delta)
-        return [0.0] * csr.n if total is None else self.tree_delta(total)
 
     # ------------------------------------------------------------------ #
     # neighborhood similarity

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.algorithms.pagerank import pagerank_kernel
 from repro.incremental.base import DeltaView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,12 +78,11 @@ def maintain_pagerank(
     total = sum(initial)
     if total <= 0.0:
         return None
-    return pagerank_kernel(
+    return backend.pagerank(
         csr,
-        damping=damping,
-        max_iterations=params["max_iterations"],
-        tolerance=params["tolerance"],
-        backend=backend,
+        damping,
+        params["max_iterations"],
+        params["tolerance"],
         initial=[rank / total for rank in initial],
     )
 

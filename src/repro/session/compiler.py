@@ -35,14 +35,15 @@ algorithm and identical effective parameters resolve to one node (the
 second result reports ``reused``), and ``closeness + diameter +
 sampled-betweenness`` in one plan perform the BFS/Brandes sweeps once.
 
-**Bit-identity.**  Every result equals its per-request kernel runner
+**Bit-identity.**  Every result equals its per-request runner
 (``PLAN_ALGORITHMS[name].kernel(csr, backend, params)``) exactly, floats
-included: closeness values are the pure-integer-stat expression every
-backend computes (:func:`repro.algorithms.centrality.closeness_value`),
-diameter is a max of integer eccentricities, and betweenness re-sums ordered
+included: a sweep-covered request is shaped by the finaliser arithmetic its
+runner applies to its own ``backend.sweep`` — closeness is
+:func:`repro.algorithms.centrality.closeness_value` of integer tree stats,
+diameter a max of integer eccentricities, and betweenness re-sums ordered
 per-source contributions (``backend.add_delta``, elementwise) in each
-request's own global source order — exactly the serial kernels' accumulation
-sequence.
+request's own global source order before
+:func:`~repro.algorithms.centrality.apply_betweenness_scale`.
 
 **One DAG, then placement.**  :func:`compile_plan` never sees the session's
 ``parallelism``: node keys, ``nodes_computed``, ``sweep_traversals`` and
@@ -74,6 +75,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.algorithms.bfs import encode_source
 from repro.algorithms.centrality import (
     apply_betweenness_scale,
     betweenness_sources,
@@ -221,8 +223,6 @@ def compile_plan(
     sweep, the derive views or the pool — a plan whose every request was
     maintained forks no pool and writes no snapshot file.
     """
-    from repro.session.plan import _encode_source
-
     n = csr.n
 
     # -- CSE: one algo node per structural key --------------------------- #
@@ -271,7 +271,7 @@ def compile_plan(
             if sources:
                 node.demand = {"kind": "diameter", "sources": sources}
                 demanding.append(node)
-        elif name == "betweenness" and n > 2:  # n <= 2 is the kernel's early exit
+        elif name == "betweenness" and n > 2:  # n <= 2 is the runner's early exit
             sources, scale = betweenness_sources(csr, params["sample_size"], params["seed"])
             strict_subset = len(sources) < n
             node.demand = {
@@ -295,7 +295,7 @@ def compile_plan(
             and sweep.covers_all
             and node.params["max_depth"] is None
         ):
-            source = _encode_source(csr, node.params["source"])
+            source = encode_source(csr, node.params["source"])
             node.demand = {"kind": "bfs", "source": source}
             sweep.dist_sources.add(source)
             demanding.append(node)

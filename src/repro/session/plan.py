@@ -19,10 +19,12 @@ so a batch of heterogeneous analyses pays for extraction, snapshot encoding,
 backend scratch and source traversals a single time.  Results come back as
 an :class:`~repro.session.AnalysisReport`.
 
-Every value equals what this registry's per-request kernel runner
+Every value equals what this registry's per-request runner
 ``PLAN_ALGORITHMS[name].kernel(csr, backend, params)`` returns — exactly,
-float kernels included; the matching :mod:`repro.algorithms` free functions
-call the same backend kernels on the same snapshot.  Session
+float kernels included.  The registry only points at runners: each lives in
+its algorithm's :mod:`repro.algorithms` module beside its parameter check,
+and the matching free function is ``graph.snapshot()`` + that check + that
+runner.  Session
 ``parallelism`` never changes the DAG or a value: at ``parallelism > 1`` the
 fused sweep (split by source) and the ``triangle-counts`` node (split by
 vertex range) run as slices on one worker pool over one persisted snapshot
@@ -42,22 +44,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.algorithms.bfs import distances_kernel
-from repro.algorithms.centrality import betweenness_kernel, check_sample_size, closeness_kernel
-from repro.algorithms.connected_components import components_kernel
-from repro.algorithms.degree import degrees_kernel
-from repro.algorithms.kcore import core_numbers_kernel
-from repro.algorithms.label_propagation import label_propagation_kernel
-from repro.algorithms.pagerank import pagerank_kernel
-from repro.algorithms.shortest_paths import check_samples, diameter_kernel
-from repro.algorithms.similarity import SCORE_NAMES, link_predictions_kernel
+from repro.algorithms.bfs import bfs_runner, bfs_vector, check_bfs
+from repro.algorithms.centrality import betweenness_runner, check_betweenness, closeness_runner
+from repro.algorithms.connected_components import components_runner, components_vector
+from repro.algorithms.degree import degree_runner
+from repro.algorithms.kcore import kcore_runner
+from repro.algorithms.label_propagation import label_propagation_runner
+from repro.algorithms.pagerank import check_pagerank, pagerank_runner, pagerank_vector
+from repro.algorithms.shortest_paths import check_diameter, diameter_runner
+from repro.algorithms.similarity import check_link_predictions, link_predictions_runner
 from repro.algorithms.triangles import (
-    average_clustering_kernel,
     clustering_from_counts,
-    count_triangles_kernel,
+    clustering_runner,
+    triangles_from_counts,
+    triangles_runner,
 )
-from repro.exceptions import RepresentationError, UsageError
-from repro.incremental.base import decode
+from repro.exceptions import UsageError
 from repro.session.compiler import run_compiled
 from repro.session.report import AnalysisReport
 
@@ -71,133 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 REQUIRED = object()
 
 
-def _encode_source(csr: "CSRGraph", source: "VertexId") -> int:
-    if not csr.has_vertex(source):
-        raise RepresentationError(f"BFS source {source!r} is not in the graph")
-    return csr.index(source)
-
-
-# --------------------------------------------------------------------------- #
-# kernel runners: (csr, backend, params) -> decoded values, shaped exactly
-# like the matching repro.algorithms free function's return value
-# --------------------------------------------------------------------------- #
-def _kernel_degree(csr, backend, params):
-    return csr.decode(degrees_kernel(csr, backend=backend))
-
-
-# maintainable algorithms run in two steps: ``_dense_*`` is the kernel's
-# per-dense-index vector — the form the dynamic maintainers carry, which an
-# inline plan node hands to the handle's incremental record as it is — and
-# the kernel runner is that vector decoded
-def _dense_pagerank(csr, backend, params):
-    return pagerank_kernel(
-        csr,
-        damping=params["damping"],
-        max_iterations=params["max_iterations"],
-        tolerance=params["tolerance"],
-        backend=backend,
-    )
-
-
-def _dense_components(csr, backend, params):
-    return components_kernel(csr, backend=backend)
-
-
-def _dense_bfs(csr, backend, params):
-    src = _encode_source(csr, params["source"])
-    return distances_kernel(csr, src, max_depth=params["max_depth"], backend=backend)
-
-
-def _decoded(maintainer, dense):
-    def kernel(csr, backend, params):
-        return decode(maintainer, csr, dense(csr, backend, params))
-
-    return kernel
-
-
-def _kernel_kcore(csr, backend, params):
-    return csr.decode(core_numbers_kernel(csr, backend=backend))
-
-
-def _kernel_triangles(csr, backend, params):
-    return count_triangles_kernel(csr, backend=backend)
-
-
-def _kernel_clustering(csr, backend, params):
-    return average_clustering_kernel(csr, backend=backend)
-
-
-def _kernel_label_propagation(csr, backend, params):
-    labels = label_propagation_kernel(
-        csr, max_iterations=params["max_iterations"], seed=params["seed"], backend=backend
-    )
-    ids = csr.external_ids
-    return {ids[v]: ids[label] for v, label in enumerate(labels)}
-
-
-def _kernel_closeness(csr, backend, params):
-    return csr.decode(closeness_kernel(csr, backend=backend))
-
-
-def _kernel_betweenness(csr, backend, params):
-    return csr.decode(
-        betweenness_kernel(
-            csr,
-            normalized=params["normalized"],
-            sample_size=params["sample_size"],
-            seed=params["seed"],
-            backend=backend,
-        )
-    )
-
-
-def _kernel_diameter(csr, backend, params):
-    return diameter_kernel(csr, samples=params["samples"], seed=params["seed"], backend=backend)
-
-
-def _kernel_link_predictions(csr, backend, params):
-    ids = csr.external_ids
-    return [
-        (ids[iu], ids[iv], value)
-        for iu, iv, value in link_predictions_kernel(
-            csr, k=params["k"], score=params["score"], backend=backend
-        )
-    ]
-
-
-# --------------------------------------------------------------------------- #
-# validation helpers (raise UsageError: these are caller mistakes, reported
-# as one-line messages, never tracebacks)
-# --------------------------------------------------------------------------- #
-def _validate_pagerank(params):
-    damping = params["damping"]
-    if not isinstance(damping, (int, float)) or not 0.0 < damping < 1.0:
-        raise UsageError(f"pagerank: damping must be in (0, 1) (got {damping!r})")
-
-
-def _validate_bfs(params):
-    # a still-REQUIRED source is caught by add()'s missing-argument check
-    # before any validator runs; only an explicit None reaches this
-    if params["source"] is None:
-        raise UsageError("bfs requires a source vertex (pass source=...)")
-
-
-def _validate_betweenness(params):
-    check_sample_size(params["sample_size"])
-
-
-def _validate_diameter(params):
-    check_samples(params["samples"])
-
-
-def _validate_link_predictions(params):
-    if params["score"] not in SCORE_NAMES:
-        raise UsageError(
-            f"link_predictions: unknown score {params['score']!r}; "
-            f"expected one of {', '.join(sorted(SCORE_NAMES))}"
-        )
-
-
 @dataclass(frozen=True)
 class PlanAlgorithm:
     """Registry entry: how one algorithm name executes inside a plan."""
@@ -205,13 +80,14 @@ class PlanAlgorithm:
     name: str
     #: allowed parameter names -> default values (REQUIRED = must be given)
     defaults: dict[str, Any]
-    #: serial path over the shared snapshot
+    #: the algorithm's runner in its :mod:`repro.algorithms` module — the
+    #: one code computing it, for plans and the free function alike
     kernel: Callable[["CSRGraph", "KernelBackend", dict], Any]
-    #: maintainable algorithms: the serial path's result still as the
-    #: per-dense-index vector its maintainer carries — ``kernel`` is
-    #: ``repro.incremental.decode`` of it
+    #: maintainable algorithms: the runner before decoding, the
+    #: per-dense-index vector its maintainer carries
     dense: Callable[["CSRGraph", "KernelBackend", dict], list] | None = None
-    #: extra parameter validation (beyond unknown/missing checks)
+    #: the module's parameter check (beyond unknown/missing), run once by
+    #: ``add()``; runners trust it
     validate: Callable[[dict], None] | None = None
     #: ``(csr, per-vertex triangle counts) -> value`` for the algorithms a
     #: plan answers from its one shared ``triangle-counts`` pass
@@ -227,71 +103,66 @@ class PlanAlgorithm:
 PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
     spec.name: spec
     for spec in (
-        PlanAlgorithm(
-            "degree",
-            defaults={},
-            kernel=_kernel_degree,
-        ),
+        PlanAlgorithm("degree", defaults={}, kernel=degree_runner),
         PlanAlgorithm(
             "pagerank",
             defaults={"damping": 0.85, "max_iterations": 50, "tolerance": 1.0e-9},
-            kernel=_decoded("pagerank", _dense_pagerank),
-            dense=_dense_pagerank,
-            validate=_validate_pagerank,
+            kernel=pagerank_runner,
+            dense=pagerank_vector,
+            validate=check_pagerank,
             maintainer="pagerank",
         ),
         PlanAlgorithm(
             "components",
             defaults={},
-            kernel=_decoded("components", _dense_components),
-            dense=_dense_components,
+            kernel=components_runner,
+            dense=components_vector,
             maintainer="components",
         ),
         PlanAlgorithm(
             "bfs",
             defaults={"source": REQUIRED, "max_depth": None},
-            kernel=_decoded("bfs", _dense_bfs),
-            dense=_dense_bfs,
-            validate=_validate_bfs,
+            kernel=bfs_runner,
+            dense=bfs_vector,
+            validate=check_bfs,
             maintainer="bfs",
         ),
-        PlanAlgorithm("kcore", defaults={}, kernel=_kernel_kcore),
+        PlanAlgorithm("kcore", defaults={}, kernel=kcore_runner),
         PlanAlgorithm(
             "triangles",
             defaults={},
-            kernel=_kernel_triangles,
-            # every triangle is counted at each of its three corners
-            from_triangles=lambda csr, counts: sum(counts) // 3,
+            kernel=triangles_runner,
+            from_triangles=triangles_from_counts,
         ),
         PlanAlgorithm(
             "clustering",
             defaults={},
-            kernel=_kernel_clustering,
+            kernel=clustering_runner,
             from_triangles=clustering_from_counts,
         ),
         PlanAlgorithm(
             "label_propagation",
             defaults={"max_iterations": 20, "seed": 0},
-            kernel=_kernel_label_propagation,
+            kernel=label_propagation_runner,
         ),
-        PlanAlgorithm("closeness", defaults={}, kernel=_kernel_closeness),
+        PlanAlgorithm("closeness", defaults={}, kernel=closeness_runner),
         PlanAlgorithm(
             "betweenness",
             defaults={"normalized": True, "sample_size": None, "seed": 0},
-            kernel=_kernel_betweenness,
-            validate=_validate_betweenness,
+            kernel=betweenness_runner,
+            validate=check_betweenness,
         ),
         PlanAlgorithm(
             "diameter",
             defaults={"samples": 10, "seed": 0},
-            kernel=_kernel_diameter,
-            validate=_validate_diameter,
+            kernel=diameter_runner,
+            validate=check_diameter,
         ),
         PlanAlgorithm(
             "link_predictions",
             defaults={"k": 10, "score": "adamic_adar"},
-            kernel=_kernel_link_predictions,
-            validate=_validate_link_predictions,
+            kernel=link_predictions_runner,
+            validate=check_link_predictions,
         ),
     )
 }

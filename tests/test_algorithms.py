@@ -28,11 +28,15 @@ from repro.algorithms import (
     triangles_per_vertex,
 )
 from repro.algorithms.centrality import betweenness_centrality
+from repro.algorithms.similarity import link_predictions
 from repro.exceptions import RepresentationError, UsageError
 from repro.graph import CDupGraph, ExpandedGraph, expanded_from_condensed
 from repro.io import to_networkx
 
 from tests.conftest import build_symmetric_condensed
+
+
+TWO_VERTICES = ExpandedGraph.from_edges([(1, 2), (2, 1)])
 
 
 @pytest.fixture(scope="module")
@@ -128,10 +132,6 @@ class TestPageRank:
         assert len(top) == 5
         assert top == sorted(top, key=lambda item: -item[1])
 
-    def test_invalid_damping(self, sample_graph):
-        with pytest.raises(ValueError):
-            pagerank(sample_graph, damping=1.5)
-
     def test_empty_graph(self):
         assert pagerank(ExpandedGraph()) == {}
 
@@ -217,14 +217,34 @@ class TestCommunitiesAndPaths:
         [
             (lambda g: betweenness_centrality(g, sample_size=0), lambda p: p.betweenness(sample_size=0)),
             (lambda g: betweenness_centrality(g, sample_size=-2), lambda p: p.betweenness(sample_size=-2)),
+            (
+                # n <= 2 answers without a sweep, but the check comes first
+                lambda g: betweenness_centrality(TWO_VERTICES, sample_size=0),
+                lambda p: p.betweenness(sample_size=0),
+            ),
             (lambda g: approximate_diameter(g, samples=0), lambda p: p.diameter(samples=0)),
             (lambda g: approximate_diameter(g, samples=-1), lambda p: p.diameter(samples=-1)),
             (lambda g: average_path_length(g, samples=-1), lambda p: p.diameter(samples=-1)),
+            (lambda g: pagerank(g, damping="x"), lambda p: p.pagerank(damping="x")),
+            (lambda g: pagerank(g, damping=1.5), lambda p: p.pagerank(damping=1.5)),
+            (lambda g: link_predictions(g, score="nope"), lambda p: p.link_predictions(score="nope")),
         ],
-        ids=["betweenness-0", "betweenness--2", "diameter-0", "diameter--1", "path-length--1"],
+        ids=[
+            "betweenness-0",
+            "betweenness--2",
+            "betweenness-0-two-vertices",
+            "diameter-0",
+            "diameter--1",
+            "path-length--1",
+            "pagerank-damping-str",
+            "pagerank-damping-1.5",
+            "link-predictions-score",
+        ],
     )
     def test_bad_sample_counts_fail_like_the_plan_does(self, sample_graph, free, planned):
-        """Was: ZeroDivisionError, random.sample's ValueError, or a silent 0."""
+        """Every free function runs its plan request's check, with its message.
+        Was: ZeroDivisionError, random.sample's ValueError, a silent answer, a
+        bare TypeError, or a ValueError worded apart from the plan's."""
         from repro.relational.database import Database
         from repro.session import GraphSession
 

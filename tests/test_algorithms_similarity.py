@@ -13,6 +13,7 @@ from repro.algorithms.similarity import (
     preferential_attachment,
     similarity_matrix,
 )
+from repro.exceptions import UsageError
 from repro.graph.cdup import CDupGraph
 from repro.graph.expanded import ExpandedGraph
 
@@ -97,7 +98,7 @@ class TestLinkPrediction:
         assert predictions[0][2] == pytest.approx(1.0)
 
     def test_unknown_score_rejected(self, square_with_diagonal):
-        with pytest.raises(ValueError):
+        with pytest.raises(UsageError, match="link_predictions: unknown score 'cosine'"):
             link_predictions(square_with_diagonal, score="cosine")
 
     def test_scores_descending(self):

@@ -113,7 +113,8 @@ def _run_all(graph):
         "count_triangles": ("int", algo.count_triangles(graph)),
         "triangles_per_vertex": ("int", algo.triangles_per_vertex(graph)),
         "clustering_coefficient": ("float", algo.clustering_coefficient(graph, source)),
-        "average_clustering": ("float", algo.average_clustering(graph)),
+        # exact: one shaping of integer triangle counts on every backend
+        "average_clustering": ("int", algo.average_clustering(graph)),
         # 7. shortest paths / diameter estimates
         "eccentricity": ("int", algo.eccentricity(graph, source)),
         "average_path_length": ("float", algo.average_path_length(graph, samples=5)),
@@ -122,7 +123,8 @@ def _run_all(graph):
         "degeneracy_ordering": ("int", algo.degeneracy_ordering(graph)),
         # 9. centrality
         "degree_centrality": ("float", algo.degree_centrality(graph)),
-        "closeness_centrality": ("float", algo.closeness_centrality(graph)),
+        # exact: one shaping of integer tree stats on every backend
+        "closeness_centrality": ("int", algo.closeness_centrality(graph)),
         "betweenness_centrality": ("float", algo.betweenness_centrality(graph)),
         # 10. similarity
         "jaccard": ("float", algo.jaccard_coefficient(graph, source, other)),

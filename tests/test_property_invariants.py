@@ -41,9 +41,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.bfs import distances_kernel
-from repro.algorithms.connected_components import components_kernel
-from repro.algorithms.pagerank import pagerank_kernel
+from repro import algorithms
 from repro.algorithms.similarity import SCORE_NAMES
 from repro.core import EXTRACT_ENGINES, GraphGen
 from repro.dedup import (
@@ -61,7 +59,7 @@ from repro.graph import (
     logical_edge_set,
     logically_equivalent,
 )
-from repro.graph.backend import get_backend, numpy_available
+from repro.graph.backend import get_backend, numpy_available, set_default_backend
 from repro.graph.delta import JournaledGraph
 from repro.incremental import MAINTAINERS, build_delta_view
 from repro.incremental.bfs import RepairCounters
@@ -345,12 +343,19 @@ def _apply(graph: JournaledGraph, symmetric: bool, op: tuple) -> None:
                 both(graph.add_edge, u, v)
 
 
+#: each maintainer's request, as the plan would hold it
+MAINTAINED_PARAMS = {
+    "components": {},
+    "bfs": {"source": BFS_SOURCE, "max_depth": None},
+    "pagerank": MAINTAINED_PAGERANK,
+}
+
+
 def _cold(csr) -> dict[str, list]:
     reference = get_backend("python")
     return {
-        "components": components_kernel(csr, backend=reference),
-        "bfs": distances_kernel(csr, csr.index(BFS_SOURCE), backend=reference),
-        "pagerank": pagerank_kernel(csr, backend=reference, **MAINTAINED_PAGERANK),
+        name: PLAN_ALGORITHMS[name].dense(csr, reference, params)
+        for name, params in MAINTAINED_PARAMS.items()
     }
 
 
@@ -364,11 +369,7 @@ def test_property_maintained_results_equal_a_cold_recompute(case):
     graph = JournaledGraph(inner)
     for u, v in sorted(edges):
         _apply(graph, symmetric, ("add", u, v))
-    params = {
-        "components": {},
-        "bfs": {"source": BFS_SOURCE, "max_depth": None},
-        "pagerank": MAINTAINED_PAGERANK,
-    }
+    params = MAINTAINED_PARAMS
     before = graph.snapshot()
     prev = _cold(before)
     for compact, ops in windows:
@@ -410,8 +411,27 @@ def test_property_maintained_results_equal_a_cold_recompute(case):
 
 
 # --------------------------------------------------------------------------- #
-# analysis plans: every request == its kernel runner alone, numpy == python
+# analysis plans: every request == its runner alone == its free function,
+# numpy == python
 # --------------------------------------------------------------------------- #
+#: registry name -> the free function that is ``graph.snapshot()`` + the
+#: algorithm's check + its runner (the plan params are its keyword arguments)
+FREE_FUNCTIONS = {
+    "degree": algorithms.degrees,
+    "pagerank": algorithms.pagerank,
+    "components": algorithms.connected_components,
+    "bfs": algorithms.bfs_distances,
+    "kcore": algorithms.core_numbers,
+    "triangles": algorithms.count_triangles,
+    "clustering": algorithms.average_clustering,
+    "label_propagation": algorithms.label_propagation,
+    "closeness": algorithms.closeness_centrality,
+    "betweenness": algorithms.betweenness_centrality,
+    "diameter": algorithms.approximate_diameter,
+    "link_predictions": algorithms.link_predictions,
+}
+
+
 @st.composite
 def plans_over_condensed(draw):
     """A condensed graph (directed or symmetric; ``n`` from 0 up) and a
@@ -460,6 +480,9 @@ def plans_over_condensed(draw):
 @settings(max_examples=60, deadline=None)
 @given(plans_over_condensed())
 def test_property_plan_results_equal_their_kernel_runners(case):
+    """All three paths to a registry algorithm agree with ``==`` on each
+    backend: the plan result, its runner alone, and its free function under
+    the same backend."""
     condensed, requests = case
     graph = CDupGraph(condensed)
     values = {}
@@ -473,12 +496,18 @@ def test_property_plan_results_equal_their_kernel_runners(case):
         report = plan.run()
         assert CompilerCounters.sweep_traversals - swept_before <= csr.n
         seen = set()
-        for result in report:
-            runner = PLAN_ALGORITHMS[result.algorithm].kernel
-            assert result.values == runner(csr, get_backend(name), result.params), result.label
-            key = (result.algorithm, repr(sorted(result.params.items())))
-            assert result.reused == (key in seen), result.label
-            seen.add(key)
+        previous = set_default_backend(name)
+        try:
+            for result in report:
+                runner = PLAN_ALGORITHMS[result.algorithm].kernel
+                assert result.values == runner(csr, get_backend(name), result.params), result.label
+                free = FREE_FUNCTIONS[result.algorithm](graph, **result.params)
+                assert result.values == free, result.label
+                key = (result.algorithm, repr(sorted(result.params.items())))
+                assert result.reused == (key in seen), result.label
+                seen.add(key)
+        finally:
+            set_default_backend(previous)
         values[name] = [
             # near-tied float scores may rank differently: compare the scores
             sorted(score for _, _, score in result.values)

@@ -8,9 +8,10 @@ distance row.  Three independent witnesses pin it:
   within the backends' 1e-9 contract — together with *block-composition
   invariance*: a source's products are bitwise what a block of one returns,
   whichever block and lane it rode in;
-* literal digests of numpy ``betweenness`` / ``closeness`` on two bundled
-  datasets, **computed at the parent commit** (the per-source kernel this
-  one replaced): same floats as before, not merely close ones;
+* literal digests of numpy ``betweenness`` / ``closeness`` (their registry
+  runners) on two bundled datasets, **computed at the parent commit** (the
+  per-source kernel this one replaced): same floats as before, not merely
+  close ones;
 * a clock-free work pin: all-source closeness issues one gather per block
   per level, not one per source per level.
 """
@@ -99,8 +100,8 @@ def test_distance_rows_stay_exact_where_the_narrow_int_changes_width(n):
     csr = _csr(n, [(v, v + 1) for v in range(n - 1)])
     python, numpy = get_backend("python"), get_backend("numpy")
     for source in (0, n // 2):
-        tree, delta = numpy.brandes_tree(csr, source)
-        want_tree, want_delta = python.brandes_tree(csr, source)
+        tree, delta = next(numpy.sweep(csr, [source], {source}))
+        want_tree, want_delta = next(python.sweep(csr, [source], {source}))
         assert numpy.tree_distances(tree) == want_tree
         assert numpy.tree_delta(delta) == want_delta  # one path each: exact
 
@@ -135,18 +136,22 @@ PARENT_DIGESTS = {
 
 @pytest.mark.parametrize("dataset", sorted(PARENT_DIGESTS))
 def test_numpy_centrality_floats_equal_the_parent_commits(dataset):
-    from repro.algorithms.centrality import betweenness_kernel, closeness_kernel
-    from repro.session import GraphSession
+    from repro.session import PLAN_ALGORITHMS, GraphSession
 
     build, n, m, want = PARENT_DIGESTS[dataset]
     database, query = build()
     csr = GraphSession(database).graph(query).snapshot()
     assert (csr.n, csr.num_edges) == (n, m)
     numpy = get_backend("numpy")
+
+    def digest(name, **params):
+        values = PLAN_ALGORITHMS[name].kernel(csr, numpy, params)
+        return _digest(list(values.values()))  # decoded in dense-index order
+
     got = (
-        _digest(betweenness_kernel(csr, backend=numpy)),
-        _digest(betweenness_kernel(csr, sample_size=32, seed=5, backend=numpy)),
-        _digest(closeness_kernel(csr, backend=numpy)),
+        digest("betweenness", normalized=True, sample_size=None, seed=0),
+        digest("betweenness", normalized=True, sample_size=32, seed=5),
+        digest("closeness"),
     )
     assert got == want
 
@@ -156,6 +161,7 @@ def test_numpy_centrality_floats_equal_the_parent_commits(dataset):
 # --------------------------------------------------------------------------- #
 def test_all_source_closeness_gathers_once_per_block_per_level(monkeypatch):
     from repro.graph.backend import numpy_backend
+    from repro.session import PLAN_ALGORITHMS
 
     # 20 layers of 10 vertices, consecutive layers fully connected both ways
     layers, width = 20, 10
@@ -168,7 +174,7 @@ def test_all_source_closeness_gathers_once_per_block_per_level(monkeypatch):
     ]
     csr = _csr(n, edges + [(v, u) for u, v in edges])
     python, numpy = get_backend("python"), get_backend("numpy")
-    depth = max(python.tree_stats(python.bfs_tree(csr, v))[2] for v in range(n))
+    depth = max(python.tree_stats(tree)[2] for tree, _ in python.sweep(csr, range(n)))
     assert (n, depth) == (200, layers - 1)
 
     gathers = []
@@ -176,6 +182,7 @@ def test_all_source_closeness_gathers_once_per_block_per_level(monkeypatch):
     monkeypatch.setattr(
         numpy_backend, "_gather", lambda *args: gathers.append(1) or real(*args)
     )
-    assert numpy.closeness_centrality(csr) == python.closeness_centrality(csr)
+    closeness = PLAN_ALGORITHMS["closeness"].kernel
+    assert closeness(csr, numpy, {}) == closeness(csr, python, {})
     blocks = -(-n // 64)
     assert 0 < len(gathers) <= blocks * (depth + 1)  # 80; per source it was n * depth = 3800
