@@ -17,8 +17,9 @@ preserve first-occurrence discovery order, see
 :func:`bfs_runner` is the registry's ``(csr, backend, params)`` runner and
 :func:`check_bfs` its parameter check: together they are
 :func:`bfs_distances` and a session :class:`~repro.session.AnalysisPlan`'s
-``bfs`` request.  :func:`bfs_vector` is the runner before decoding, the
-per-index form the incremental maintainer carries.
+``bfs`` request.  The runner is :func:`bfs_vector`, the per-index form the
+incremental maintainer carries, decoded by
+:func:`repro.incremental.base.decode`, the one decoder plans use too.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import TYPE_CHECKING
 from repro.exceptions import RepresentationError, UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
+from repro.incremental.base import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
@@ -54,8 +56,7 @@ def bfs_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> list[
 
 
 def bfs_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
-    ids = csr.external_ids
-    return {ids[v]: d for v, d in enumerate(bfs_vector(csr, backend, params)) if d >= 0}
+    return decode("bfs", csr, bfs_vector(csr, backend, params))
 
 
 def bfs_distances(graph: Graph, source: VertexId, max_depth: int | None = None) -> dict[VertexId, int]:

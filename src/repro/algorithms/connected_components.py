@@ -13,8 +13,9 @@ results are identical across backends and to the pre-backend implementation.
 :func:`components_runner` is the registry's ``(csr, backend, params)``
 runner — :func:`connected_components` and a session
 :class:`~repro.session.AnalysisPlan`'s ``components`` request alike;
-:func:`components_vector` is it before decoding, the per-index form the
-incremental maintainer carries.
+it is :func:`components_vector`, the per-index form the incremental
+maintainer carries, decoded by :func:`repro.incremental.base.decode`, the
+one decoder plans use too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
+from repro.incremental.base import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
@@ -36,7 +38,7 @@ def components_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -
 
 
 def components_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
-    return csr.decode(components_vector(csr, backend, params))
+    return decode("components", csr, components_vector(csr, backend, params))
 
 
 def connected_components(graph: Graph) -> dict[VertexId, int]:

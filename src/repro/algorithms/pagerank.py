@@ -16,8 +16,9 @@ re-associates sums and matches it within 1e-9 L-infinity.
 :func:`pagerank_runner` is the registry's ``(csr, backend, params)`` runner
 and :func:`check_pagerank` its parameter check: together they are
 :func:`pagerank` and a session :class:`~repro.session.AnalysisPlan`'s
-``pagerank`` request.  :func:`pagerank_vector` is the runner before
-decoding, the per-index form the incremental maintainer carries.
+``pagerank`` request.  The runner is :func:`pagerank_vector`, the
+per-index form the incremental maintainer carries, decoded by
+:func:`repro.incremental.base.decode`, the one decoder plans use too.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING
 from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
+from repro.incremental.base import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
@@ -47,7 +49,7 @@ def pagerank_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> 
 
 
 def pagerank_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
-    return csr.decode(pagerank_vector(csr, backend, params))
+    return decode("pagerank", csr, pagerank_vector(csr, backend, params))
 
 
 def pagerank(

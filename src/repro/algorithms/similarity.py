@@ -50,12 +50,16 @@ def _pair_score(backend: "KernelBackend", csr: CSRGraph, score: str, iu: int, iv
     return float(_PAIR_SCORES[score](backend, csr, iu, iv))
 
 
-def check_link_predictions(params: dict) -> None:
-    if params["score"] not in SCORE_NAMES:
+def _check_score(caller: str, score: str) -> None:
+    if score not in SCORE_NAMES:
         raise UsageError(
-            f"link_predictions: unknown score {params['score']!r}; "
+            f"{caller}: unknown score {score!r}; "
             f"expected one of {', '.join(sorted(SCORE_NAMES))}"
         )
+
+
+def check_link_predictions(params: dict) -> None:
+    _check_score("link_predictions", params["score"])
 
 
 def _neighborhood_index(csr: CSRGraph, index: int) -> set[int]:
@@ -158,10 +162,7 @@ def similarity_matrix(
     graph: Graph, vertices: list[VertexId], score: str = "jaccard"
 ) -> dict[tuple[VertexId, VertexId], float]:
     """Pairwise similarity over an explicit vertex list (small sets only)."""
-    if score not in SCORE_NAMES:
-        raise ValueError(
-            f"unknown similarity score {score!r}; expected one of {sorted(SCORE_NAMES)}"
-        )
+    _check_score("similarity_matrix", score)
     csr = graph.snapshot()
     backend = get_backend()
     result: dict[tuple[VertexId, VertexId], float] = {}

@@ -74,8 +74,10 @@ def encode(csr: "CSRGraph", values: dict) -> list:
 
 
 def decode(maintainer: str, csr: "CSRGraph", dense: list) -> dict:
-    """A maintained dense vector as the fresh external-ID keyed dict the cold
-    kernel reports — for BFS, unreached vertices (``-1``) have no entry."""
+    """A dense vector as the fresh external-ID keyed dict a result reports —
+    for BFS, unreached vertices (``-1``) have no entry.  The one decoder of
+    the maintainable algorithms: their runners, a plan's inline and sweep
+    paths and an incremental serve all decode here."""
     if maintainer == "bfs":
         return {v: d for v, d in zip(csr.external_ids, dense) if d >= 0}
     return csr.decode(dense)

@@ -407,7 +407,7 @@ def _finalise_from_sweep(
     node: Node, sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend"
 ) -> Any:
     """Shape one sweep-covered request's values from the shared products —
-    bit-identical to the matching kernel runner (see module docstring)."""
+    bit-identical to the matching runner (see module docstring)."""
     demand = node.demand
     kind = demand["kind"]
     n = csr.n
@@ -432,9 +432,7 @@ def _finalise_from_sweep(
             )
         )
     if kind == "bfs":
-        distances = sweep.dists[demand["source"]]
-        ids = csr.external_ids
-        return {ids[v]: d for v, d in enumerate(distances) if d >= 0}
+        return decode("bfs", csr, sweep.dists[demand["source"]])
     raise AssertionError(f"unknown sweep demand {kind!r}")  # pragma: no cover
 
 
@@ -541,7 +539,8 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 elif spec.from_triangles is not None:
                     node.value = spec.from_triangles(csr, derived["triangle-counts"])
                 elif spec.dense is not None:
-                    # the kernel runner, keeping the vector it decodes
+                    # the runner's two steps, keeping its vector to seed
+                    # the maintainer store
                     node.dense = spec.dense(csr, backend, params)
                     node.value = decode(spec.maintainer, csr, node.dense)
                 else:

@@ -83,8 +83,9 @@ class PlanAlgorithm:
     #: the algorithm's runner in its :mod:`repro.algorithms` module — the
     #: one code computing it, for plans and the free function alike
     kernel: Callable[["CSRGraph", "KernelBackend", dict], Any]
-    #: maintainable algorithms: the runner before decoding, the
-    #: per-dense-index vector its maintainer carries
+    #: maintainable algorithms: the per-dense-index vector its maintainer
+    #: carries; the runner is this, decoded by
+    #: :func:`repro.incremental.base.decode`
     dense: Callable[["CSRGraph", "KernelBackend", dict], list] | None = None
     #: the module's parameter check (beyond unknown/missing), run once by
     #: ``add()``; runners trust it

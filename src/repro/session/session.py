@@ -322,7 +322,7 @@ class GraphHandle:
         self, name: str, params: dict, values: Any, csr: "CSRGraph", dense: list | None = None
     ) -> None:
         """Remember a result freshly computed on ``csr`` — as its dense
-        vector: ``dense`` when the kernel runner still held it, else encoded
+        vector: ``dense`` when the plan computed it inline, else encoded
         from the dict here, once — so the dynamic maintainers can carry it
         over future deltas.  No-op for non-journaled graphs and for non-dict
         result shapes."""

@@ -228,6 +228,8 @@ class TestCommunitiesAndPaths:
             (lambda g: pagerank(g, damping="x"), lambda p: p.pagerank(damping="x")),
             (lambda g: pagerank(g, damping=1.5), lambda p: p.pagerank(damping=1.5)),
             (lambda g: link_predictions(g, score="nope"), lambda p: p.link_predictions(score="nope")),
+            (lambda g: bfs_distances(g, None), lambda p: p.bfs(source=None)),
+            (lambda g: reachable_set(g, None), lambda p: p.bfs(source=None)),
         ],
         ids=[
             "betweenness-0",
@@ -239,12 +241,18 @@ class TestCommunitiesAndPaths:
             "pagerank-damping-str",
             "pagerank-damping-1.5",
             "link-predictions-score",
+            "bfs-source-none",
+            "reachable-set-source-none",
         ],
     )
     def test_bad_sample_counts_fail_like_the_plan_does(self, sample_graph, free, planned):
         """Every free function runs its plan request's check, with its message.
         Was: ZeroDivisionError, random.sample's ValueError, a silent answer, a
-        bare TypeError, or a ValueError worded apart from the plan's."""
+        bare TypeError, a ValueError worded apart from the plan's, or (BFS
+        from ``None``) a RepresentationError where the plan raised UsageError.
+        The BFS helpers outside the registry (``bfs_order``, ``bfs_tree``,
+        ``shortest_path``) keep their RepresentationError for any source not
+        in the graph, ``None`` included."""
         from repro.relational.database import Database
         from repro.session import GraphSession
 

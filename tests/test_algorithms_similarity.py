@@ -122,5 +122,6 @@ class TestSimilarityMatrix:
         assert len(matrix) == 6
 
     def test_unknown_score_rejected(self, square_with_diagonal):
-        with pytest.raises(ValueError):
+        """The same score check and message as link prediction's."""
+        with pytest.raises(UsageError, match="similarity_matrix: unknown score 'nope'; expected"):
             similarity_matrix(square_with_diagonal, [0, 1], score="nope")
