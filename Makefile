@@ -1,17 +1,19 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms bench bench-table1 bench-fig18 smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms smoke serve-smoke all help
 
 help:
-	@echo "make test         - fast unit/integration suite (tests/)"
-	@echo "make test-fast    - same, minus slow-marked stress tests, once per"
-	@echo "                    kernel backend (python reference leg + numpy leg)"
+	@echo "make test | all   - the whole suite (tests/, tier-1 equivalent), the"
+	@echo "                    paper-figure pins (tests/test_paper_*) included"
+	@echo "make test-fast    - same, minus slow-marked stress tests and heavy paper"
+	@echo "                    tables, once per kernel backend (python + numpy leg)"
 	@echo "make test-session - session layer: lifecycle, API-compat shims,"
 	@echo "                    public-API stability, CLI, plan scheduling"
 	@echo "make test-service - service layer: JSON codec, result cache, HTTP"
 	@echo "                    front-end, session concurrency regressions,"
-	@echo "                    the incremental write path (repair on read)"
+	@echo "                    the incremental write path (repair on read), fig18:"
+	@echo "                    a cache hit executes no plan, responses bit-identical"
 	@echo "make test-incremental - the maintainers: maintained == a cold recompute on"
 	@echo "                    generated journal windows (both backends), BFS removal"
 	@echo "                    repairs, the ring schedule's tally and work pins"
@@ -24,24 +26,21 @@ help:
 	@echo "make test-extract - the one extraction loader: pushdown parity matrix, row"
 	@echo "                    engines, aggregates, sqlite mirror, every engine == the"
 	@echo "                    brute-force full join, engines x appended rows, the"
-	@echo "                    DEDUP-1 golden graph"
+	@echo "                    DEDUP-1 golden graph, Table 1 (condensed vs full +"
+	@echo "                    pushdown work pins: one scan, distinct rows only)"
 	@echo "make test-algorithms - one runner per algorithm: plan == runner == free"
 	@echo "                    function on both backends (generated plans), the"
 	@echo "                    free functions' checks, backend and representation"
 	@echo "                    parity, the block-sweep digests, the API shims"
-	@echo "make bench        - paper benchmark reproductions (benchmarks/, slow)"
-	@echo "make bench-table1 - condensed vs full extraction + pushdown work pins (one scan, distinct rows only)"
-	@echo "make bench-fig18  - service result cache: a hit executes no plan, responses bit-identical"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
 	@echo "                    hook-and-jump components + frontier-adaptive BFS,"
 	@echo "                    extraction engines x appended rows, one plan DAG at"
 	@echo "                    every parallelism + exact sweep/triangle slices)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
-	@echo "make all          - everything (tier-1 equivalent)"
 
-test:
-	$(PYTEST) -q tests/
+test all:
+	$(PYTEST) -q
 
 test-fast:
 	REPRO_KERNEL_BACKEND=python $(PYTEST) -q tests/ -m "not slow"
@@ -59,7 +58,7 @@ test-incremental:
 test-dedup:
 	$(PYTEST) -q tests/test_dedup_*.py \
 		tests/test_property_invariants.py::test_property_dedup1_and_bitmap_preserve_graph \
-		benchmarks/test_bench_fig12_dedup.py
+		tests/test_paper_fig12_dedup.py
 
 test-planner:
 	$(PYTEST) -q tests/test_core_planner.py tests/test_relational_catalog.py \
@@ -71,7 +70,8 @@ test-extract:
 		tests/test_core_aggregate_extraction.py tests/test_sqlite_mirror.py \
 		tests/test_property_invariants.py::test_property_every_engine_extracts_the_full_join \
 		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow \
-		tests/test_dedup_identity.py::test_dedup1_builds_the_recorded_graph
+		tests/test_dedup_identity.py::test_dedup1_builds_the_recorded_graph \
+		tests/test_paper_table1_extraction.py
 
 test-algorithms:
 	$(PYTEST) -q tests/test_algorithms*.py tests/test_backend_parity.py \
@@ -79,19 +79,11 @@ test-algorithms:
 		tests/test_api_compat.py \
 		tests/test_property_invariants.py::test_property_plan_results_equal_their_kernel_runners
 
-bench:
-	$(PYTEST) -q benchmarks/
-
-bench-table1:
-	$(PYTEST) -q -rA benchmarks/test_bench_table1_extraction.py
-
-bench-fig18:
-	$(PYTEST) -q -rA benchmarks/test_bench_fig18_service.py
-
 test-service:
 	$(PYTEST) -q tests/test_service.py tests/test_service_http.py \
 		tests/test_session_concurrency.py \
-		tests/test_incremental.py::TestIncrementalService
+		tests/test_incremental.py::TestIncrementalService \
+		tests/test_paper_fig18_service.py
 
 smoke:
 	$(PYTEST) -q tests/test_kernel.py tests/test_representation_parity.py \
@@ -106,6 +98,3 @@ smoke:
 serve-smoke:
 	$(PYTEST) -q tests/test_service_http.py::TestServeCommand \
 		tests/test_service_http.py::TestConcurrentClients
-
-all:
-	$(PYTEST) -q

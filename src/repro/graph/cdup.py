@@ -61,10 +61,7 @@ class CDupGraph(CondensedBackedGraph):
 
     # ------------------------------------------------------------------ #
     def duplication_ratio(self) -> float:
-        """Average number of redundant paths per logical edge (0.0 = clean).
-
-        Used by the benchmarks to characterise datasets.
-        """
+        """Average number of redundant paths per logical edge (0.0 = clean)."""
         logical = 0
         redundant = 0
         for node in self._cg.real_nodes():

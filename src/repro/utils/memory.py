@@ -10,7 +10,7 @@ not meaningful in Python, so this module provides two complementary tools:
   estimates using the cost model of the paper (a node costs one object plus
   two adjacency arrays, an edge costs one slot in each endpoint's array, a
   bitmap costs one bit per out-edge plus an index entry).  These scale to
-  graphs of any size and are what the Table 3 / Table 4 benchmarks report.
+  graphs of any size and are what the Table 3 / Table 4 tests pin.
 """
 
 from __future__ import annotations

@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.exceptions import VertexCentricError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
-from repro.graph.snapshot_store import ensure_saved
 from repro.vertexcentric.parallel import (
     InProcessPool,
     ParallelSuperstepExecutor,
@@ -171,7 +170,6 @@ class VertexCentric:
         self,
         graph: Graph,
         parallelism: int = 1,
-        snapshot_path: str | None = None,
         backend: str | None = None,
     ) -> None:
         if parallelism < 1:
@@ -184,8 +182,6 @@ class VertexCentric:
         self.num_vertices = self.csr.n
         #: number of worker processes (1 = in-process, the default)
         self._parallelism = parallelism
-        #: where to persist the snapshot for forked workers (None = tempfile)
-        self._snapshot_path = snapshot_path
 
         self.superstep = 0
         #: the merged value map: what every vertex read last superstep
@@ -218,9 +214,8 @@ class VertexCentric:
           single-partition pool whose worker reads the coordinator's own
           value map — no fork, no snapshot file, no pipe;
         * otherwise this run forks its own pool, whose workers inherit the
-          executor through the fork (it need not be picklable) and map the
-          snapshot file — ``snapshot_path``, or a tempfile for the run's
-          duration.
+          executor through the fork (it need not be picklable) and map a
+          snapshot tempfile that lives for the run's duration.
 
         Workers only hold the snapshot: compute functions read topology
         through the context (``neighbors`` / ``degree``) and must not rely on
@@ -235,14 +230,9 @@ class VertexCentric:
             worker.install_program(executor, self._previous)
             return self._superstep_loop(InProcessPool(worker), max_supersteps)
 
-        cleanup_path: str | None = None
-        if self._snapshot_path is None:
-            handle, path = tempfile.mkstemp(suffix=".csr", prefix="ggsnapshot-")
-            os.close(handle)
-            cleanup_path = path
-            self.csr.save(path)
-        else:
-            path = str(ensure_saved(self.csr, self._snapshot_path))
+        handle, path = tempfile.mkstemp(suffix=".csr", prefix="ggsnapshot-")
+        os.close(handle)
+        self.csr.save(path)
         factory = SnapshotWorker.factory(path, self.backend.name, program=executor)
         pool = ParallelSuperstepExecutor(self._parallelism, n, factory)
         try:
@@ -250,11 +240,10 @@ class VertexCentric:
             return self._superstep_loop(pool, max_supersteps)
         finally:
             pool.close()
-            if cleanup_path is not None:
-                try:
-                    os.unlink(cleanup_path)
-                except OSError:  # pragma: no cover - best-effort cleanup
-                    pass
+            try:
+                os.unlink(path)
+            except OSError:  # pragma: no cover - best-effort cleanup
+                pass
 
     def _superstep_loop(self, pool, max_supersteps: int) -> RunStatistics:
         """Drive supersteps against a pool — in-process or forked.

@@ -421,18 +421,18 @@ class SnapshotWorker:
 
     @classmethod
     def factory(
-        cls, snapshot_path, backend: str | None = None, *, program=None
+        cls, path, backend: str | None = None, *, program=None
     ) -> Callable[[int, int], "SnapshotWorker"]:
-        """The ``worker_factory(lo, hi)`` of a pool of this class over
-        ``snapshot_path``.  ``backend`` is the coordinator's resolved backend
-        name, so workers run the same kernels regardless of their inherited
-        environment.  ``program`` is installed inside the fork: a standalone
-        run's executor is inherited, never pickled."""
-        return functools.partial(cls._open, snapshot_path, backend, program)
+        """The ``worker_factory(lo, hi)`` of a pool of this class over the
+        snapshot file at ``path``.  ``backend`` is the coordinator's resolved
+        backend name, so workers run the same kernels regardless of their
+        inherited environment.  ``program`` is installed inside the fork: a
+        standalone run's executor is inherited, never pickled."""
+        return functools.partial(cls._open, path, backend, program)
 
     @classmethod
-    def _open(cls, snapshot_path, backend, program, lo: int, hi: int):
-        csr = CSRGraph.load(snapshot_path, mmap=True, verify=False)
+    def _open(cls, path, backend, program, lo: int, hi: int):
+        csr = CSRGraph.load(path, mmap=True, verify=False)
         worker = cls(csr, lo, hi, get_backend(backend))
         if program is not None:
             worker.install_program(program)

@@ -1,7 +1,7 @@
 """Built-in vertex-centric programs.
 
 Degree, PageRank and Connected Components are the three algorithms the paper
-benchmarks on its vertex-centric framework (Figure 11) and on the Giraph port
+runs on its vertex-centric framework (Figure 11) and on the Giraph port
 (Table 4).  Single-Source Shortest Paths and Label Propagation are additional
 programs in the same style, provided so that users have ready-made building
 blocks for path and community analyses on extracted graphs.
@@ -174,11 +174,9 @@ class LabelPropagationProgram(Executor):
 # --------------------------------------------------------------------------- #
 # convenience wrappers
 # --------------------------------------------------------------------------- #
-def _run(graph, program, key, max_supersteps, parallelism, snapshot_path, backend):
+def _run(graph, program, key, max_supersteps, parallelism, backend):
     """Run ``program`` to completion; ``(values under key, statistics)``."""
-    coordinator = VertexCentric(
-        graph, parallelism=parallelism, snapshot_path=snapshot_path, backend=backend
-    )
+    coordinator = VertexCentric(graph, parallelism=parallelism, backend=backend)
     stats = coordinator.run(program, max_supersteps=max_supersteps)
     return coordinator.values(key), stats
 
@@ -186,10 +184,9 @@ def _run(graph, program, key, max_supersteps, parallelism, snapshot_path, backen
 def run_degree(
     graph: Graph,
     parallelism: int = 1,
-    snapshot_path: str | None = None,
     backend: str | None = None,
 ) -> tuple[dict[VertexId, int], RunStatistics]:
-    return _run(graph, DegreeProgram(), "degree", 2, parallelism, snapshot_path, backend)
+    return _run(graph, DegreeProgram(), "degree", 2, parallelism, backend)
 
 
 def run_pagerank(
@@ -197,24 +194,20 @@ def run_pagerank(
     iterations: int = 20,
     damping: float = 0.85,
     parallelism: int = 1,
-    snapshot_path: str | None = None,
     backend: str | None = None,
 ) -> tuple[dict[VertexId, float], RunStatistics]:
     program = PageRankProgram(iterations, damping)
-    return _run(graph, program, "rank", iterations + 2, parallelism, snapshot_path, backend)
+    return _run(graph, program, "rank", iterations + 2, parallelism, backend)
 
 
 def run_connected_components(
     graph: Graph,
     max_supersteps: int = 200,
     parallelism: int = 1,
-    snapshot_path: str | None = None,
     backend: str | None = None,
 ) -> tuple[dict[VertexId, object], RunStatistics]:
     program = ConnectedComponentsProgram()
-    return _run(
-        graph, program, "component", max_supersteps, parallelism, snapshot_path, backend
-    )
+    return _run(graph, program, "component", max_supersteps, parallelism, backend)
 
 
 def run_sssp(
@@ -222,23 +215,17 @@ def run_sssp(
     source: VertexId,
     max_supersteps: int = 200,
     parallelism: int = 1,
-    snapshot_path: str | None = None,
     backend: str | None = None,
 ) -> tuple[dict[VertexId, int | None], RunStatistics]:
     program = SingleSourceShortestPathsProgram(source)
-    return _run(
-        graph, program, "distance", max_supersteps, parallelism, snapshot_path, backend
-    )
+    return _run(graph, program, "distance", max_supersteps, parallelism, backend)
 
 
 def run_label_propagation(
     graph: Graph,
     max_supersteps: int = 50,
     parallelism: int = 1,
-    snapshot_path: str | None = None,
     backend: str | None = None,
 ) -> tuple[dict[VertexId, object], RunStatistics]:
     program = LabelPropagationProgram()
-    return _run(
-        graph, program, "community", max_supersteps, parallelism, snapshot_path, backend
-    )
+    return _run(graph, program, "community", max_supersteps, parallelism, backend)

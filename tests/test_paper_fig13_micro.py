@@ -1,6 +1,6 @@
 """Figure 13 — microbenchmarks of the basic Graph API operations.
 
-For each of the four small datasets and every in-memory representation, time
+For each of the four small datasets and every in-memory representation, run
 the three operations the paper's microbenchmarks highlight, each over the same
 fixed sample of vertices (the paper uses 3000 repetitions on a fixed random
 vertex set; we scale the sample to the dataset):
@@ -9,17 +9,14 @@ vertex set; we scale the sample to the dataset):
 * ``existsEdge(v, u)`` — logical edge membership checks;
 * ``deleteVertex(v)``  — vertex removal (run last: it mutates the graphs).
 
-Results are normalised against EXP per (dataset, operation), as in the figure.
-
-Shape assertions (counts, not clocks — the timings are only reported):
+Shape assertions (counts, not clocks — the timings are ``bench/``'s):
 
 * EXP does the least physical work for ``getNeighbors``: iterating a
   materialised adjacency list reads one entry per neighbour, while every
   condensed representation walks through virtual nodes and reads at least
   as many adjacency entries for the same vertices, on every dataset;
-* vertex removal on the condensed representations never has to touch more
-  physical edges than EXP does, so it is not dramatically slower (the paper
-  finds it *faster*; we only assert it is within a small factor).
+* every sampled vertex is gone after ``deleteVertex``, on every
+  representation.
 """
 
 from __future__ import annotations
@@ -33,10 +30,6 @@ from repro.graph import CDupGraph, CondensedGraph
 from repro.graph.condensed_base import CondensedBackedGraph
 from repro.graph.dedup2 import Dedup2Graph
 from repro.utils.rand import SeededRandom
-
-from benchmarks.conftest import once, record_rows
-
-_ROWS: list[dict[str, object]] = []
 
 DATASET_NAMES = ("DBLP", "IMDB", "Synthetic_1", "Synthetic_2")
 REPRESENTATIONS = ("EXP", "C-DUP", "DEDUP-1", "DEDUP-2", "BITMAP")
@@ -71,21 +64,7 @@ def _sample_vertices(graph, count: int, seed: int = 41) -> list:
     return rng.sample(vertices, min(count, len(vertices)))
 
 
-def _record(
-    dataset: str, operation: str, representation: str, seconds: float, elements: object = "-"
-) -> None:
-    _ROWS.append(
-        {
-            "dataset": dataset,
-            "operation": operation,
-            "representation": representation,
-            "seconds": round(seconds, 6),
-            "elements": elements,  # adjacency entries read (getNeighbors rows)
-        }
-    )
-
-
-def _elements_touched(graph, sample, monkeypatch) -> int:
+def _elements_touched(graph, sample) -> int:
     """Adjacency entries the sample's ``getNeighbors`` walks read — the
     physical work behind the figure's first panel, as a count.
 
@@ -104,7 +83,7 @@ def _elements_touched(graph, sample, monkeypatch) -> int:
             touched += len(row)
             return row
 
-        with monkeypatch.context() as patch:
+        with pytest.MonkeyPatch.context() as patch:
             patch.setattr(CondensedGraph, "out", counted)
             for vertex in sample:
                 for _ in graph.get_neighbors(vertex):
@@ -123,29 +102,31 @@ def _elements_touched(graph, sample, monkeypatch) -> int:
     return sum(1 for vertex in sample for _ in graph.get_neighbors(vertex))
 
 
+@pytest.fixture(scope="module")
+def neighbor_walks(micro_graphs):
+    """(dataset, representation) -> adjacency entries the sample's
+    ``getNeighbors`` walk reads, counted on the graphs as built."""
+    return {
+        (dataset, representation): _elements_touched(
+            graph, _sample_vertices(graph, SAMPLE_SIZE)
+        )
+        for dataset, graphs in micro_graphs.items()
+        for representation, graph in graphs.items()
+    }
+
+
 # --------------------------------------------------------------------------- #
 # getNeighbors
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_get_neighbors(benchmark, micro_graphs, dataset, representation, monkeypatch):
+def test_get_neighbors(micro_graphs, neighbor_walks, dataset, representation):
     graph = micro_graphs[dataset].get(representation)
     if graph is None:
         pytest.skip(f"{representation} not available for {dataset}")
     sample = _sample_vertices(graph, SAMPLE_SIZE)
-
-    def iterate_all():
-        total = 0
-        for vertex in sample:
-            for _ in graph.get_neighbors(vertex):
-                total += 1
-        return total
-
-    total = once(benchmark, iterate_all)
-    elements = _elements_touched(graph, sample, monkeypatch)
-    _record(
-        dataset, "getNeighbors", representation, benchmark.stats.stats.mean, elements=elements
-    )
+    total = sum(1 for vertex in sample for _ in graph.get_neighbors(vertex))
+    elements = neighbor_walks[(dataset, representation)]
     assert elements >= total >= 0  # every neighbour yielded was read somewhere
 
 
@@ -154,19 +135,14 @@ def test_get_neighbors(benchmark, micro_graphs, dataset, representation, monkeyp
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_exists_edge(benchmark, micro_graphs, dataset, representation):
+def test_exists_edge(micro_graphs, dataset, representation):
     graph = micro_graphs[dataset].get(representation)
     if graph is None:
         pytest.skip(f"{representation} not available for {dataset}")
     sample = _sample_vertices(graph, SAMPLE_SIZE)
     rng = SeededRandom(59)
     pairs = [(rng.choice(sample), rng.choice(sample)) for _ in range(SAMPLE_SIZE)]
-
-    def check_all():
-        return sum(1 for u, v in pairs if graph.exists_edge(u, v))
-
-    hits = once(benchmark, check_all)
-    _record(dataset, "existsEdge", representation, benchmark.stats.stats.mean)
+    hits = sum(1 for u, v in pairs if graph.exists_edge(u, v))
     assert 0 <= hits <= len(pairs)
 
 
@@ -175,22 +151,19 @@ def test_exists_edge(benchmark, micro_graphs, dataset, representation):
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_delete_vertex(benchmark, micro_graphs, dataset, representation):
+def test_delete_vertex(micro_graphs, neighbor_walks, dataset, representation):
+    # ``neighbor_walks`` is requested so the walks are counted before any
+    # vertex goes, whichever tests are selected
     graph = micro_graphs[dataset].get(representation)
     if graph is None:
         pytest.skip(f"{representation} not available for {dataset}")
     victims = _sample_vertices(graph, 50, seed=73)
 
-    def remove_all():
-        removed = 0
-        for vertex in victims:
-            if graph.has_vertex(vertex):
-                graph.delete_vertex(vertex)
-                removed += 1
-        return removed
-
-    removed = once(benchmark, remove_all)
-    _record(dataset, "deleteVertex", representation, benchmark.stats.stats.mean)
+    removed = 0
+    for vertex in victims:
+        if graph.has_vertex(vertex):
+            graph.delete_vertex(vertex)
+            removed += 1
     assert removed > 0
     for vertex in victims:
         assert not graph.has_vertex(vertex)
@@ -199,32 +172,12 @@ def test_delete_vertex(benchmark, micro_graphs, dataset, representation):
 # --------------------------------------------------------------------------- #
 # summary
 # --------------------------------------------------------------------------- #
-def test_figure13_summary(benchmark):
-    def normalise():
-        baseline: dict[tuple[str, str], float] = {}
-        for row in _ROWS:
-            if row["representation"] == "EXP":
-                baseline[(str(row["dataset"]), str(row["operation"]))] = float(row["seconds"])
-        for row in _ROWS:
-            base = baseline.get((str(row["dataset"]), str(row["operation"])))
-            row["normalized_to_exp"] = (
-                round(float(row["seconds"]) / base, 2) if base else "n/a"
-            )
-        return baseline
-
-    baseline = once(benchmark, normalise)
-    record_rows("fig13_microbenchmarks", "Figure 13: Graph API microbenchmarks", _ROWS)
-
+def test_figure13_summary(neighbor_walks):
     # EXP touches the fewest adjacency entries per neighbour list on every
     # dataset: a condensed walk reads the same neighbours through virtual nodes
-    walks = {
-        (row["dataset"], row["representation"]): row["elements"]
-        for row in _ROWS
-        if row["operation"] == "getNeighbors"
-    }
-    assert len(walks) > len(DATASET_NAMES), "the getNeighbors rows did not run"
-    for (dataset, representation), elements in walks.items():
-        assert elements >= walks[(dataset, "EXP")] > 0, (
+    assert len(neighbor_walks) > len(DATASET_NAMES), "the getNeighbors walks did not run"
+    for (dataset, representation), elements in neighbor_walks.items():
+        assert elements >= neighbor_walks[(dataset, "EXP")] > 0, (
             f"{dataset}/{representation}: neighbour iteration touched {elements} "
-            f"adjacency entries, fewer than EXP's {walks[(dataset, 'EXP')]}"
+            f"adjacency entries, fewer than EXP's {neighbor_walks[(dataset, 'EXP')]}"
         )

@@ -1,7 +1,7 @@
 """Table 1 — condensed (C-DUP) vs full (EXP) extraction, per engine.
 
 For each of the four small datasets (DBLP co-authors, IMDB co-actors, TPCH
-co-purchasers, UNIV co-enrolment) this benchmark extracts the graph twice:
+co-purchasers, UNIV co-enrolment) this module extracts the graph twice:
 
 * the condensed representation (the paper's C-DUP column), and
 * the fully expanded graph (the paper's "Full Graph" column),
@@ -23,6 +23,8 @@ assertion here reads a clock; extraction timings are ``bench/``'s
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core import ExtractionOptions, GraphGen
@@ -31,74 +33,52 @@ from repro.relational.database import Database
 from repro.relational.sqlite_backend import SQLiteBackend
 from repro.utils.rand import SeededRandom
 
-from benchmarks.conftest import SMALL_DATASETS, once
-
-#: collected rows, checked by the final summary benchmark
-_ROWS: list[dict[str, object]] = []
+from tests.conftest import SMALL_DATASETS
 
 #: the Table-1 counters every engine must agree on
 COUNTERS = ("real_nodes", "virtual_nodes", "condensed_edges", "skipped_edge_tuples", "per_rule_edges")
 
 
-def _extract(db, query, representation: str):
-    gg = GraphGen(db, preprocess=False)
-    return gg.extract_with_report(query, representation=representation)
+@pytest.fixture(scope="module")
+def extract(small_datasets):
+    """``extract(dataset, representation)``, each extraction run once per
+    module."""
+
+    @functools.cache
+    def run(dataset: str, representation: str):
+        db, query = small_datasets[dataset]
+        gg = GraphGen(db, preprocess=False)
+        return gg.extract_with_report(query, representation=representation)
+
+    return run
 
 
-@pytest.mark.parametrize("dataset", list(SMALL_DATASETS))
-def test_condensed_extraction(benchmark, small_datasets, dataset):
-    db, query = small_datasets[dataset]
-    result = once(benchmark, _extract, db, query, "cdup")
-    _ROWS.append(
-        {
-            "dataset": dataset,
-            "representation": "Condensed (C-DUP)",
-            "edges": result.report.condensed_edges,
-        }
-    )
+@pytest.mark.parametrize("dataset", SMALL_DATASETS)
+def test_condensed_extraction(extract, dataset):
+    result = extract(dataset, "cdup")
     assert result.report.real_nodes > 0
     assert result.report.condensed_edges > 0
 
 
-@pytest.mark.parametrize("dataset", list(SMALL_DATASETS))
-def test_full_extraction(benchmark, small_datasets, dataset):
-    db, query = small_datasets[dataset]
-    result = once(benchmark, _extract, db, query, "exp")
-    _ROWS.append(
-        {
-            "dataset": dataset,
-            "representation": "Full Graph (EXP)",
-            "edges": result.graph.num_edges(),
-        }
-    )
+@pytest.mark.parametrize("dataset", SMALL_DATASETS)
+def test_full_extraction(extract, dataset):
+    result = extract(dataset, "exp")
     assert result.graph.num_edges() > 0
 
 
-@pytest.mark.parametrize("dataset", list(SMALL_DATASETS))
-def test_engine_comparison(benchmark, small_datasets, dataset):
+@pytest.mark.parametrize("dataset", SMALL_DATASETS)
+def test_engine_comparison(small_datasets, dataset):
     """python vs pushdown on each Table-1 dataset: identical counters."""
     db, query = small_datasets[dataset]
-
-    def race():
-        reports = {}
-        for engine in ("python", "pushdown"):
-            gg = GraphGen(db, preprocess=False, extract_engine=engine)
-            _, reports[engine] = gg.extract_condensed(query)
-        return reports
-
-    reports = once(benchmark, race)
+    reports = {}
+    for engine in ("python", "pushdown"):
+        gg = GraphGen(db, preprocess=False, extract_engine=engine)
+        _, reports[engine] = gg.extract_condensed(query)
     python, pushdown = reports["python"], reports["pushdown"]
     assert pushdown.engine == "pushdown" and pushdown.notes == []
     # the pushdown graph is pinned to the reference engine's counters
     for field in COUNTERS:
         assert getattr(pushdown, field) == getattr(python, field), field
-    _ROWS.append(
-        {
-            "dataset": dataset,
-            "representation": "engine race (C-DUP)",
-            "edges": pushdown.condensed_edges,
-        }
-    )
 
 
 def _denormalized_fact_db(num_entities: int, num_keys: int, rows: int, seed: int = 7) -> Database:
@@ -163,35 +143,14 @@ def test_pushdown_speedup_on_largest_synthetic(monkeypatch):
     for field in COUNTERS:
         assert getattr(pushdown, field) == getattr(python, field), field
     assert pushdown.condensed_edges == 2 * distinct_pairs
-    _ROWS.append(
-        {
-            "dataset": "DENORM_FACT (largest synthetic)",
-            "representation": "engine race (C-DUP)",
-            "edges": pushdown.condensed_edges,
-        }
-    )
 
 
-def test_table1_summary(benchmark, small_datasets):
+def test_table1_summary(extract):
     """Check the Table 1 shape."""
-
-    def summarise():
-        by_dataset: dict[str, dict[str, int]] = {}
-        for row in _ROWS:
-            by_dataset.setdefault(str(row["dataset"]), {})[str(row["representation"])] = int(
-                row["edges"]
-            )
-        return by_dataset
-
-    by_dataset = once(benchmark, summarise)
-    for dataset, representations in by_dataset.items():
-        condensed = representations.get("Condensed (C-DUP)")
-        full = representations.get("Full Graph (EXP)")
-        if condensed is None or full is None:
-            continue
+    for dataset in SMALL_DATASETS:
+        condensed = extract(dataset, "cdup").report.condensed_edges
+        full = extract(dataset, "exp").graph.num_edges()
         assert condensed <= full, f"{dataset}: condensed stores more edges than EXP"
-    # the dense datasets must show a substantial explosion factor
-    for dense in ("TPCH", "IMDB"):
-        representations = by_dataset.get(dense, {})
-        if representations:
-            assert representations["Full Graph (EXP)"] >= 2 * representations["Condensed (C-DUP)"]
+        # the dense datasets must show a substantial explosion factor
+        if dataset in ("TPCH", "IMDB"):
+            assert full >= 2 * condensed

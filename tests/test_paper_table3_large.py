@@ -11,8 +11,8 @@ the BITMAP deduplication time.
 The datasets here are scaled-down versions generated with the same join
 selectivities (Appendix C.2); the shape that must hold is that EXP pays a
 much larger memory footprint on the dense datasets while C-DUP/BITMAP stay
-close to the size of the relational input, and BITMAP sits between C-DUP and
-EXP in iteration speed.
+close to the size of the relational input, and that all three expose the
+same logical graph.  Running times are ``bench/``'s.
 """
 
 from __future__ import annotations
@@ -34,13 +34,9 @@ from repro.datasets import (
 from repro.dedup import preprocess_bitmap
 from repro.dedup.expand import expand
 from repro.graph import CDupGraph, representation_stats
-from repro.utils import Timer
 from repro.vertexcentric import run_degree, run_pagerank
 
-from benchmarks.conftest import once, record_rows
-
-_ROWS: list[dict[str, object]] = []
-_DEDUP_ROWS: list[dict[str, object]] = []
+pytestmark = pytest.mark.slow
 
 DATASET_NAMES = ("Layered_1", "Layered_2", "Single_1", "Single_2", "TPCH")
 REPRESENTATIONS = ("C-DUP", "BITMAP", "EXP")
@@ -64,98 +60,59 @@ def _build_databases():
 
 @pytest.fixture(scope="module")
 def table3_graphs():
-    """dataset -> {representation -> graph} plus BITMAP preprocessing time."""
+    """dataset -> {representation -> graph}."""
     graphs: dict[str, dict[str, object]] = {}
-    dedup_seconds: dict[str, float] = {}
     for name, (db, query) in _build_databases().items():
         gg = GraphGen(db, preprocess=False)
         condensed = gg.extract_with_report(query, representation="cdup").condensed
-        timer = Timer().start()
-        bitmap = preprocess_bitmap(condensed, algorithm="bitmap2")
-        dedup_seconds[name] = timer.stop()
         graphs[name] = {
             "C-DUP": CDupGraph(condensed),
-            "BITMAP": bitmap,
+            "BITMAP": preprocess_bitmap(condensed, algorithm="bitmap2"),
             "EXP": expand(condensed),
         }
-    return graphs, dedup_seconds
-
-
-def _record(dataset: str, representation: str, algorithm: str, seconds: float,
-            memory_bytes: int) -> None:
-    _ROWS.append(
-        {
-            "dataset": dataset,
-            "representation": representation,
-            "algorithm": algorithm,
-            "seconds": round(seconds, 5),
-            "estimated_memory_bytes": memory_bytes,
-        }
-    )
+    return graphs
 
 
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_degree(benchmark, table3_graphs, dataset, representation):
-    graphs, _ = table3_graphs
-    graph = graphs[dataset][representation]
-    values, _ = once(benchmark, run_degree, graph)
-    _record(dataset, representation, "Degree", benchmark.stats.stats.mean,
-            representation_stats(graph).estimated_bytes)
+def test_degree(table3_graphs, dataset, representation):
+    graph = table3_graphs[dataset][representation]
+    values, _ = run_degree(graph)
     assert len(values) == graph.num_vertices()
 
 
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_pagerank(benchmark, table3_graphs, dataset, representation):
-    graphs, _ = table3_graphs
-    graph = graphs[dataset][representation]
-    values, _ = once(benchmark, run_pagerank, graph, 10)
-    _record(dataset, representation, "PageRank", benchmark.stats.stats.mean,
-            representation_stats(graph).estimated_bytes)
+def test_pagerank(table3_graphs, dataset, representation):
+    graph = table3_graphs[dataset][representation]
+    values, _ = run_pagerank(graph, 10)
     assert len(values) == graph.num_vertices()
 
 
 @pytest.mark.parametrize("dataset", DATASET_NAMES)
 @pytest.mark.parametrize("representation", REPRESENTATIONS)
-def test_bfs(benchmark, table3_graphs, dataset, representation):
-    graphs, _ = table3_graphs
-    graph = graphs[dataset][representation]
+def test_bfs(table3_graphs, dataset, representation):
+    graph = table3_graphs[dataset][representation]
     source = min(graph.get_vertices(), key=repr)
-    distances = once(benchmark, bfs_distances, graph, source)
-    _record(dataset, representation, "BFS", benchmark.stats.stats.mean,
-            representation_stats(graph).estimated_bytes)
+    distances = bfs_distances(graph, source)
     assert distances[source] == 0
 
 
-def test_bitmap_dedup_time(benchmark, table3_graphs):
-    """The 'Dedup Time' column of Table 3 (BITMAP-2 preprocessing cost)."""
-    _, dedup_seconds = table3_graphs
-
-    def collect():
-        for name, seconds in dedup_seconds.items():
-            _DEDUP_ROWS.append(
-                {"dataset": name, "bitmap2_preprocessing_seconds": round(seconds, 4)}
-            )
-        return len(_DEDUP_ROWS)
-
-    count = once(benchmark, collect)
-    assert count == len(DATASET_NAMES)
+def test_bitmap_dedup_time(table3_graphs):
+    """The 'Dedup Time' column of Table 3: BITMAP-2 preprocessing ran on
+    every dataset and kept its vertices (its cost is ``bench/``'s
+    ``dedup.bitmap_s``)."""
+    assert set(table3_graphs) == set(DATASET_NAMES)
+    for dataset, reps in table3_graphs.items():
+        assert reps["BITMAP"].num_vertices() == reps["EXP"].num_vertices(), dataset
 
 
-def test_table3_summary(benchmark, table3_graphs):
-    graphs, _ = table3_graphs
-
-    def collect_memory():
-        memory: dict[tuple[str, str], int] = {}
-        for dataset, reps in graphs.items():
-            for representation, graph in reps.items():
-                memory[(dataset, representation)] = representation_stats(graph).estimated_bytes
-        return memory
-
-    memory = once(benchmark, collect_memory)
-    record_rows("table3_large", "Table 3: large datasets (time + memory)", _ROWS)
-    record_rows("table3_large", "Table 3: BITMAP deduplication time", _DEDUP_ROWS)
+def test_table3_summary(table3_graphs):
+    memory = {
+        (dataset, representation): representation_stats(graph).estimated_bytes
+        for dataset, reps in table3_graphs.items()
+        for representation, graph in reps.items()
+    }
 
     # the dense datasets explode when expanded: EXP pays a much larger
     # footprint than the condensed representations
@@ -166,7 +123,7 @@ def test_table3_summary(benchmark, table3_graphs):
         assert memory[(dense, "BITMAP")] < memory[(dense, "EXP")]
 
     # all three representations expose the same logical degree distribution
-    for dataset, reps in graphs.items():
+    for dataset, reps in table3_graphs.items():
         reference, _ = run_degree(reps["EXP"])
         for name in ("C-DUP", "BITMAP"):
             values, _ = run_degree(reps[name])

@@ -34,6 +34,8 @@ from repro.datasets import generate_giraph_dataset
 from repro.giraph import run_giraph
 from repro.graph import representation_stats
 
+pytestmark = pytest.mark.slow
+
 DATASET_NAMES = ("S1", "S2", "N1", "N2", "IMDB")
 REPRESENTATIONS = ("EXP", "DEDUP-1", "BITMAP")
 ALGORITHMS = ("degree", "connected_components", "pagerank")

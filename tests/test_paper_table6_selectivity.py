@@ -3,9 +3,9 @@
 The paper characterises its large synthetic datasets (Layered_1/2, Single_1/2
 and the Giraph datasets S1/S2/N1/N2) by the join selectivities used to
 generate them, where the selectivity of attribute ``a`` of table ``A`` is
-``distinct(a) / |A|``.  This benchmark regenerates each dataset, measures the
-selectivities from the data (not from the generator parameters), and reports
-the C-DUP node / edge counts alongside them — the same columns as Table 6.
+``distinct(a) / |A|``.  This module regenerates each dataset, measures the
+selectivities from the data (not from the generator parameters), and counts
+the C-DUP nodes / edges alongside them — the same columns as Table 6.
 
 Shape assertions:
 
@@ -16,6 +16,8 @@ Shape assertions:
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
@@ -32,10 +34,7 @@ from repro.datasets import (
     measured_selectivity,
 )
 
-from benchmarks.conftest import once, record_rows
-
-_ROWS: list[dict[str, object]] = []
-_EXPANSION: dict[str, float] = {}
+pytestmark = pytest.mark.slow
 
 
 def _condensed_counts(db, query) -> tuple[int, int, int]:
@@ -49,47 +48,40 @@ def _condensed_counts(db, query) -> tuple[int, int, int]:
     )
 
 
+@pytest.fixture(scope="module")
+def single():
+    """``single(name) -> (database, C-DUP counts)`` of a Single_* dataset,
+    each generated and extracted once per module."""
+
+    @functools.cache
+    def build(name: str):
+        db = generate_single(SINGLE_SPECS[name])
+        return db, _condensed_counts(db, SINGLE_QUERY)
+
+    return build
+
+
 # --------------------------------------------------------------------------- #
 # relational datasets: Layered_* and Single_*
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", sorted(LAYERED_SPECS))
-def test_layered_selectivity(benchmark, name):
+def test_layered_selectivity(name):
     spec = LAYERED_SPECS[name]
-    db = once(benchmark, generate_layered, spec)
+    db = generate_layered(spec)
     outer = measured_selectivity(db, "A", "k")
     inner = measured_selectivity(db, "B", "p")
     nodes, condensed_edges, expanded_edges = _condensed_counts(db, LAYERED_QUERY)
-    _ROWS.append(
-        {
-            "dataset": spec.name,
-            "join_selectivities": f"{outer:.3f} -> {inner:.3f} -> {outer:.3f}",
-            "target": f"{spec.selectivity_outer} -> {spec.selectivity_inner} -> {spec.selectivity_outer}",
-            "cdup_nodes": nodes,
-            "cdup_edges": condensed_edges,
-            "expanded_edges": expanded_edges,
-        }
-    )
+    assert nodes > 0
+    assert expanded_edges > condensed_edges > 0  # the layers duplicate
     assert outer == pytest.approx(spec.selectivity_outer, rel=0.25)
     assert inner == pytest.approx(spec.selectivity_inner, rel=0.25)
 
 
 @pytest.mark.parametrize("name", sorted(SINGLE_SPECS))
-def test_single_selectivity(benchmark, name):
+def test_single_selectivity(single, name):
     spec = SINGLE_SPECS[name]
-    db = once(benchmark, generate_single, spec)
+    db, _ = single(name)
     selectivity = measured_selectivity(db, "R", "p")
-    nodes, condensed_edges, expanded_edges = _condensed_counts(db, SINGLE_QUERY)
-    _ROWS.append(
-        {
-            "dataset": spec.name,
-            "join_selectivities": f"{selectivity:.4f}",
-            "target": f"{spec.selectivity}",
-            "cdup_nodes": nodes,
-            "cdup_edges": condensed_edges,
-            "expanded_edges": expanded_edges,
-        }
-    )
-    _EXPANSION[spec.name] = expanded_edges / max(1, condensed_edges)
     assert selectivity == pytest.approx(spec.selectivity, rel=0.25)
 
 
@@ -97,23 +89,9 @@ def test_single_selectivity(benchmark, name):
 # condensed datasets: the Giraph S / N series
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name", sorted(GIRAPH_SPECS))
-def test_giraph_dataset_shape(benchmark, name):
-    condensed = once(benchmark, generate_giraph_dataset, name)
+def test_giraph_dataset_shape(name):
+    condensed = generate_giraph_dataset(name)
     spec = GIRAPH_SPECS[name]
-    # implied selectivity of the membership relation: one distinct virtual
-    # node value per (mean_size) membership rows
-    memberships = condensed.num_condensed_edges // 2 or 1
-    implied = condensed.num_virtual_nodes / memberships
-    _ROWS.append(
-        {
-            "dataset": name,
-            "join_selectivities": f"{implied:.5f}",
-            "target": f"~{spec.num_virtual / (spec.num_virtual * spec.mean_size):.5f}",
-            "cdup_nodes": condensed.num_nodes,
-            "cdup_edges": condensed.num_condensed_edges,
-            "expanded_edges": condensed.expanded_edge_count(),
-        }
-    )
     assert condensed.num_real_nodes == spec.num_real
     assert condensed.num_virtual_nodes <= spec.num_virtual
 
@@ -121,15 +99,12 @@ def test_giraph_dataset_shape(benchmark, name):
 # --------------------------------------------------------------------------- #
 # summary / shape checks
 # --------------------------------------------------------------------------- #
-def test_table6_summary(benchmark):
-    def collect():
-        return {str(row["dataset"]): row for row in _ROWS}
-
-    by_dataset = once(benchmark, collect)
-    record_rows("table6_selectivity", "Table 6: dataset join selectivities", _ROWS)
-    assert set(LAYERED_SPECS) | set(SINGLE_SPECS) <= set(by_dataset)
+def test_table6_summary(single):
     # lower selectivity (bigger shared join values) => larger expansion ratio
-    if "single_1" in _EXPANSION and "single_2" in _EXPANSION:
-        assert _EXPANSION["single_2"] > _EXPANSION["single_1"], (
-            "the low-selectivity dataset must show the larger space explosion"
-        )
+    expansion = {}
+    for name in SINGLE_SPECS:
+        _, (_, condensed_edges, expanded_edges) = single(name)
+        expansion[name] = expanded_edges / max(1, condensed_edges)
+    assert expansion["single_2"] > expansion["single_1"], (
+        "the low-selectivity dataset must show the larger space explosion"
+    )

@@ -146,17 +146,6 @@ class TestVertexCentricEdgeCases:
         with pytest.raises(VertexCentricError):
             VertexCentric(ExpandedGraph.from_edges([(1, 2)]), parallelism=0)
 
-    def test_explicit_snapshot_path_is_reused(self, tmp_path):
-        graph = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)])
-        path = tmp_path / "run.csr"
-        serial, _ = run_pagerank(graph, iterations=5)
-        first, _ = run_pagerank(graph, iterations=5, parallelism=2, snapshot_path=str(path))
-        assert path.exists()
-        stamp = path.stat().st_mtime_ns
-        second, _ = run_pagerank(graph, iterations=5, parallelism=2, snapshot_path=str(path))
-        assert path.stat().st_mtime_ns == stamp  # hash matched: not rewritten
-        assert first == serial and second == serial
-
     def test_standalone_pool_inherits_an_unpicklable_executor(self):
         """A standalone run's executor reaches its workers through the fork,
         never through a pickle: a class defined inside a function (which
