@@ -17,7 +17,9 @@ helpers in ``tests/conftest.py`` (DEDUP-2 is included directly: serial and
 parallel run on the *same* graph, so no self-loop projection is needed).
 """
 
+import os
 import pickle
+import tempfile
 from typing import Any
 
 import pytest
@@ -176,6 +178,44 @@ class TestVertexCentricEdgeCases:
         coordinator = VertexCentric(graph, parallelism=2)
         with pytest.raises(VertexCentricError, match="boom at superstep 1"):
             coordinator.run(Exploding(), max_supersteps=5)
+
+    @pytest.fixture
+    def snapshot_tempfiles(self, tmp_path, monkeypatch):
+        """Send a run's tempfiles to ``tmp_path``; the list of paths made."""
+        made = []
+        mkstemp = tempfile.mkstemp
+
+        def recording_mkstemp(*args, **kwargs):
+            handle, path = mkstemp(*args, **kwargs)
+            made.append(path)
+            return handle, path
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(tempfile, "mkstemp", recording_mkstemp)
+        return made
+
+    def test_forked_run_removes_its_snapshot_tempfile(self, tmp_path, snapshot_tempfiles):
+        graph = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        serial, _ = run_pagerank(graph, iterations=5)
+        assert snapshot_tempfiles == []  # an in-process run writes no snapshot
+        parallel, _ = run_pagerank(graph, iterations=5, parallelism=2)
+        assert parallel == serial
+        [path] = snapshot_tempfiles
+        assert os.path.basename(path).startswith("ggsnapshot-")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_forked_run_removes_its_snapshot_tempfile(
+        self, tmp_path, snapshot_tempfiles
+    ):
+        class Exploding(Executor):
+            def compute(self, ctx):
+                raise ValueError("boom")
+
+        graph = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)])
+        with pytest.raises(VertexCentricError, match="boom"):
+            VertexCentric(graph, parallelism=2).run(Exploding(), max_supersteps=3)
+        assert len(snapshot_tempfiles) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_partition_range_properties():
