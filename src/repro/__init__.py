@@ -27,27 +27,7 @@ or, for batch analytics over one shared snapshot, through the session layer::
     scores = report["pagerank"].values
 """
 
-from repro.core import ExtractionOptions, ExtractionResult, GraphGen
-from repro.relational import Database
-from repro.dsl import parse as parse_query
-from repro.graph import (
-    BitmapGraph,
-    CDupGraph,
-    CondensedGraph,
-    Dedup1Graph,
-    Dedup2Graph,
-    ExpandedGraph,
-    Graph,
-)
-from repro.graphgenpy import GraphGenPy, extract_to_networkx, load_networkx
-from repro.session import (
-    AnalysisPlan,
-    AnalysisReport,
-    AnalysisResult,
-    GraphHandle,
-    GraphSession,
-)
-from repro.temporal import extract_snapshots, snapshot_diff, temporal_metrics
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -77,3 +57,25 @@ __all__ = [
     "temporal_metrics",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.config": ("ExtractionOptions",),
+        "repro.core.graphgen": ("ExtractionResult", "GraphGen"),
+        "repro.relational.database": ("Database",),
+        "repro.dsl.parser": (("parse_query", "parse"),),
+        "repro.graph.api": ("Graph",),
+        "repro.graph.bitmap": ("BitmapGraph",),
+        "repro.graph.cdup": ("CDupGraph",),
+        "repro.graph.condensed": ("CondensedGraph",),
+        "repro.graph.dedup1": ("Dedup1Graph",),
+        "repro.graph.dedup2": ("Dedup2Graph",),
+        "repro.graph.expanded": ("ExpandedGraph",),
+        "repro.graphgenpy": ("GraphGenPy", "extract_to_networkx", "load_networkx"),
+        "repro.session.plan": ("AnalysisPlan",),
+        "repro.session.report": ("AnalysisReport", "AnalysisResult"),
+        "repro.session.session": ("GraphHandle", "GraphSession"),
+        "repro.temporal": ("extract_snapshots", "snapshot_diff", "temporal_metrics"),
+    },
+)

@@ -30,68 +30,83 @@ import argparse
 import signal
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.core.config import EXTRACT_ENGINES
-from repro.core.graphgen import GraphGen, REPRESENTATIONS
-from repro.graph.backend import BACKEND_ENV_VAR, get_backend
-from repro.dsl import parse as parse_query
-from repro.datasets import (
-    COACTOR_QUERY,
-    COAUTHOR_QUERY,
-    COENROLLMENT_QUERY,
-    COPURCHASE_QUERY,
-    generate_dblp,
-    generate_imdb,
-    generate_tpch,
-    generate_univ,
-)
+from repro.core.config import EXTRACT_ENGINES, FORMATS, REPRESENTATIONS
+from repro.dsl.parser import parse as parse_query
 from repro.exceptions import GraphGenError, UsageError
-from repro.graphgenpy import FORMATS, GraphGenPy
-from repro.session import GraphSession
+from repro.graph.backend import BACKEND_ENV_VAR, get_backend
 from repro.session.plan import PLAN_ALGORITHMS
 from repro.session.report import AnalysisResult
-from repro.relational.csv_io import read_database
-from repro.relational.database import Database
+from repro.session.session import GraphSession
 
-#: name -> (generator(scale, seed) -> Database, default extraction query)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.relational.database import Database
+
+# Imports follow use: a warm `analyze` reopens a snapshot and runs its plan,
+# so the extraction stack (GraphGen, the CSV reader, the dataset generators)
+# is imported inside the commands and helpers that run it.
+
+
+def _dblp(scale: float, seed: int) -> Database:
+    from repro.datasets.dblp import generate_dblp
+
+    return generate_dblp(
+        num_authors=int(300 * scale),
+        num_publications=int(500 * scale),
+        mean_authors_per_pub=4.0,
+        seed=seed,
+    )
+
+
+def _imdb(scale: float, seed: int) -> Database:
+    from repro.datasets.imdb import generate_imdb
+
+    return generate_imdb(
+        num_people=int(250 * scale), num_movies=int(40 * scale), mean_cast_size=10.0, seed=seed
+    )
+
+
+def _tpch(scale: float, seed: int) -> Database:
+    from repro.datasets.tpch import generate_tpch
+
+    return generate_tpch(
+        num_customers=int(200 * scale),
+        num_parts=int(60 * scale),
+        orders_per_customer=3.0,
+        lineitems_per_order=4.0,
+        part_skew=1.0,
+        seed=seed,
+    )
+
+
+def _univ(scale: float, seed: int) -> Database:
+    from repro.datasets.univ import generate_univ
+
+    return generate_univ(
+        num_students=int(250 * scale),
+        num_instructors=int(20 * scale),
+        num_courses=int(40 * scale),
+        seed=seed,
+    )
+
+
+#: name -> (generator(scale, seed) -> Database, name of its default
+#: extraction query in :mod:`repro.datasets`)
 BUILTIN_DATASETS: dict[str, tuple[Callable[[float, int], Database], str]] = {
-    "dblp": (
-        lambda scale, seed: generate_dblp(
-            num_authors=int(300 * scale),
-            num_publications=int(500 * scale),
-            mean_authors_per_pub=4.0,
-            seed=seed,
-        ),
-        COAUTHOR_QUERY,
-    ),
-    "imdb": (
-        lambda scale, seed: generate_imdb(
-            num_people=int(250 * scale), num_movies=int(40 * scale), mean_cast_size=10.0, seed=seed
-        ),
-        COACTOR_QUERY,
-    ),
-    "tpch": (
-        lambda scale, seed: generate_tpch(
-            num_customers=int(200 * scale),
-            num_parts=int(60 * scale),
-            orders_per_customer=3.0,
-            lineitems_per_order=4.0,
-            part_skew=1.0,
-            seed=seed,
-        ),
-        COPURCHASE_QUERY,
-    ),
-    "univ": (
-        lambda scale, seed: generate_univ(
-            num_students=int(250 * scale),
-            num_instructors=int(20 * scale),
-            num_courses=int(40 * scale),
-            seed=seed,
-        ),
-        COENROLLMENT_QUERY,
-    ),
+    "dblp": (_dblp, "COAUTHOR_QUERY"),
+    "imdb": (_imdb, "COACTOR_QUERY"),
+    "tpch": (_tpch, "COPURCHASE_QUERY"),
+    "univ": (_univ, "COENROLLMENT_QUERY"),
 }
+
+
+def _default_query(dataset: str) -> str:
+    """The built-in ``dataset``'s default extraction query."""
+    import repro.datasets
+
+    return getattr(repro.datasets, BUILTIN_DATASETS[dataset][1])
+
 
 #: choices of the legacy single --algorithm flag (kept stable); the
 #: repeatable --algo flag accepts every repro.session plan algorithm
@@ -308,6 +323,8 @@ def _add_query_arguments(parser: argparse.ArgumentParser) -> None:
 # --------------------------------------------------------------------------- #
 def _resolve_database(args: argparse.Namespace) -> Database:
     if args.data:
+        from repro.relational.csv_io import read_database
+
         return read_database(args.data)
     generator, _ = BUILTIN_DATASETS[args.dataset]
     return generator(args.scale, args.seed)
@@ -333,7 +350,7 @@ def _resolve_query(args: argparse.Namespace) -> str:
     if args.query_file:
         return Path(args.query_file).read_text(encoding="utf-8")
     if args.dataset:
-        return BUILTIN_DATASETS[args.dataset][1]
+        return _default_query(args.dataset)
     raise GraphGenError(
         "no query given: pass --query / --query-file, or use --dataset for its default query"
     )
@@ -351,7 +368,7 @@ def _print_rows(rows: Sequence[tuple[Any, Any]], header: tuple[str, str], out) -
 # --------------------------------------------------------------------------- #
 def _cmd_datasets(_: argparse.Namespace, out) -> int:
     for name in sorted(BUILTIN_DATASETS):
-        _, query = BUILTIN_DATASETS[name]
+        query = _default_query(name)
         first_edges_line = next(
             line.strip() for line in query.strip().splitlines() if line.strip().startswith("Edges")
         )
@@ -360,6 +377,8 @@ def _cmd_datasets(_: argparse.Namespace, out) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace, out) -> int:
+    from repro.graphgenpy import GraphGenPy
+
     db = _resolve_database(args)
     query = _resolve_query(args)
     result = GraphGenPy(db, **_engine_overrides(args)).execute_query(
@@ -371,6 +390,8 @@ def _cmd_extract(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace, out) -> int:
+    from repro.core.graphgen import GraphGen
+
     db = _resolve_database(args)
     query = _resolve_query(args)
     print(GraphGen(db, **_engine_overrides(args)).explain(query), file=out)
@@ -587,6 +608,11 @@ def _cmd_analyze(args: argparse.Namespace, out) -> int:
 def _cmd_serve(args: argparse.Namespace, out) -> int:
     import tempfile
 
+    # a request imports nothing: the service's modules load here, and with
+    # them the extraction stack, which the first write to a graph reopened
+    # from the snapshot cache runs
+    import repro.core.graphgen  # noqa: F401
+    import repro.relational.sqlite_backend  # noqa: F401
     from repro.service import GraphService, make_server
 
     _parallelism(args)

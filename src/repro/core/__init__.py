@@ -1,23 +1,6 @@
 """GraphGen's core: planning, extraction and the user-facing facade."""
 
-from repro.core.config import (
-    ENGINE_AUTO,
-    ENGINE_PUSHDOWN,
-    ENGINE_PYTHON,
-    ENGINE_SQLITE,
-    EXTRACT_ENGINES,
-    ExtractionOptions,
-)
-from repro.core.planner import (
-    EdgePlan,
-    ExtractionPlan,
-    JoinDecision,
-    NodePlan,
-    Planner,
-    SegmentPlan,
-)
-from repro.core.extractor import ExtractionReport, Extractor
-from repro.core.graphgen import ExtractionResult, GraphGen, REPRESENTATIONS
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ENGINE_AUTO",
@@ -38,3 +21,28 @@ __all__ = [
     "GraphGen",
     "REPRESENTATIONS",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.core.config": (
+            "ENGINE_AUTO",
+            "ENGINE_PUSHDOWN",
+            "ENGINE_PYTHON",
+            "ENGINE_SQLITE",
+            "EXTRACT_ENGINES",
+            "ExtractionOptions",
+            "REPRESENTATIONS",
+        ),
+        "repro.core.planner": (
+            "EdgePlan",
+            "ExtractionPlan",
+            "JoinDecision",
+            "NodePlan",
+            "Planner",
+            "SegmentPlan",
+        ),
+        "repro.core.extractor": ("ExtractionReport", "Extractor"),
+        "repro.core.graphgen": ("ExtractionResult", "GraphGen"),
+    },
+)

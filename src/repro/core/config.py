@@ -1,4 +1,9 @@
-"""Configuration options for the extraction pipeline."""
+"""Configuration options for the extraction pipeline, and the names its
+callers choose from.
+
+This module imports nothing else of the package, so the CLI builds its
+argument parser from these tuples without loading the extraction stack.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +15,13 @@ ENGINE_SQLITE = "sqlite"
 ENGINE_PUSHDOWN = "pushdown"
 ENGINE_AUTO = "auto"
 EXTRACT_ENGINES = (ENGINE_PYTHON, ENGINE_SQLITE, ENGINE_PUSHDOWN, ENGINE_AUTO)
+
+#: in-memory representations :meth:`repro.core.graphgen.GraphGen.extract`
+#: builds (``"auto"``: EXP or C-DUP by the expansion ratio)
+REPRESENTATIONS = ("cdup", "exp", "dedup1", "dedup2", "bitmap", "auto")
+
+#: serialization formats of :meth:`repro.graphgenpy.GraphGenPy.execute_query`
+FORMATS = ("edgelist", "adjacency", "condensed")
 
 
 @dataclass

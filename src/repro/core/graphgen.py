@@ -23,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.config import ENGINE_AUTO, ENGINE_PUSHDOWN, ENGINE_PYTHON, ExtractionOptions
+from repro.core.config import (
+    ENGINE_AUTO,
+    ENGINE_PUSHDOWN,
+    ENGINE_PYTHON,
+    REPRESENTATIONS,
+    ExtractionOptions,
+)
 from repro.relational.pushdown import PushdownUnsupported
 from repro.core.extractor import ExtractionReport, Extractor
 from repro.core.planner import ExtractionPlan, Planner
@@ -36,8 +42,6 @@ from repro.graph.api import Graph
 from repro.graph.cdup import CDupGraph
 from repro.graph.condensed import CondensedGraph
 from repro.relational.database import Database
-
-REPRESENTATIONS = ("cdup", "exp", "dedup1", "dedup2", "bitmap", "auto")
 
 #: ``representation="auto"`` expands when EXP stores at most this many times
 #: the condensed edges — the paper's "expand if the increase is small" (20 %)

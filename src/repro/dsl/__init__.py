@@ -11,30 +11,7 @@ Typical usage::
     report = validate(spec, db)
 """
 
-from repro.dsl.ast import (
-    AGGREGATE_FUNCTION_NAMES,
-    AggregateConstraint,
-    AggregateTerm,
-    Anonymous,
-    Atom,
-    ComparisonPredicate,
-    Constant,
-    GraphSpec,
-    Rule,
-    Term,
-    Variable,
-    make_variables,
-)
-from repro.dsl.lexer import Lexer, Token, tokenize
-from repro.dsl.parser import Parser, parse
-from repro.dsl.validator import (
-    ChainLink,
-    EdgeChain,
-    ValidationReport,
-    derive_chain,
-    is_acyclic,
-    validate,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AGGREGATE_FUNCTION_NAMES",
@@ -61,3 +38,33 @@ __all__ = [
     "is_acyclic",
     "validate",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.dsl.ast": (
+            "AGGREGATE_FUNCTION_NAMES",
+            "AggregateConstraint",
+            "AggregateTerm",
+            "Anonymous",
+            "Atom",
+            "ComparisonPredicate",
+            "Constant",
+            "GraphSpec",
+            "Rule",
+            "Term",
+            "Variable",
+            "make_variables",
+        ),
+        "repro.dsl.lexer": ("Lexer", "Token", "tokenize"),
+        "repro.dsl.parser": ("Parser", "parse"),
+        "repro.dsl.validator": (
+            "ChainLink",
+            "EdgeChain",
+            "ValidationReport",
+            "derive_chain",
+            "is_acyclic",
+            "validate",
+        ),
+    },
+)

@@ -1,20 +1,6 @@
 """Simulated Apache Giraph port of the representations (Section 6.4)."""
 
-from repro.giraph.engine import (
-    GiraphContext,
-    GiraphEngine,
-    GiraphMetrics,
-    GiraphProgram,
-    GiraphVertex,
-)
-from repro.giraph.adapters import from_condensed, from_expanded
-from repro.giraph.programs import (
-    GiraphConnectedComponents,
-    GiraphDegree,
-    GiraphPageRank,
-    is_virtual_id,
-)
-from repro.giraph.runner import ALGORITHMS, GiraphRunResult, build_vertices, run_giraph
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GiraphContext",
@@ -33,3 +19,24 @@ __all__ = [
     "build_vertices",
     "run_giraph",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.giraph.engine": (
+            "GiraphContext",
+            "GiraphEngine",
+            "GiraphMetrics",
+            "GiraphProgram",
+            "GiraphVertex",
+        ),
+        "repro.giraph.adapters": ("from_condensed", "from_expanded"),
+        "repro.giraph.programs": (
+            "GiraphConnectedComponents",
+            "GiraphDegree",
+            "GiraphPageRank",
+            "is_virtual_id",
+        ),
+        "repro.giraph.runner": ("ALGORITHMS", "GiraphRunResult", "build_vertices", "run_giraph"),
+    },
+)

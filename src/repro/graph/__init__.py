@@ -9,26 +9,7 @@
 * :class:`BitmapGraph` (BITMAP) — condensed plus traversal bitmaps.
 """
 
-from repro.graph.api import Graph, PropertyStore, VertexId, logical_edge_set, check_same_vertex_set
-from repro.graph.backend import get_backend, set_default_backend
-from repro.graph.kernel import CSRGraph
-from repro.graph.snapshot_store import SnapshotHeader, SnapshotStore, load_snapshot, save_snapshot
-from repro.graph.condensed import CondensedGraph, condensed_from_edges
-from repro.graph.condensed_base import CondensedBackedGraph
-from repro.graph.expanded import ExpandedGraph
-from repro.graph.cdup import CDupGraph
-from repro.graph.dedup1 import Dedup1Graph
-from repro.graph.dedup2 import Dedup2Graph
-from repro.graph.bitmap import BitmapGraph
-from repro.graph.analysis import (
-    RepresentationStats,
-    condensed_from_expanded,
-    degree_histogram,
-    duplication_profile,
-    expanded_from_condensed,
-    logically_equivalent,
-    representation_stats,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Graph",
@@ -59,3 +40,40 @@ __all__ = [
     "logically_equivalent",
     "representation_stats",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.graph.api": (
+            "Graph",
+            "PropertyStore",
+            "VertexId",
+            "logical_edge_set",
+            "check_same_vertex_set",
+        ),
+        "repro.graph.backend": ("get_backend", "set_default_backend"),
+        "repro.graph.kernel": ("CSRGraph",),
+        "repro.graph.snapshot_store": (
+            "SnapshotHeader",
+            "SnapshotStore",
+            "load_snapshot",
+            "save_snapshot",
+        ),
+        "repro.graph.condensed": ("CondensedGraph", "condensed_from_edges"),
+        "repro.graph.condensed_base": ("CondensedBackedGraph",),
+        "repro.graph.expanded": ("ExpandedGraph",),
+        "repro.graph.cdup": ("CDupGraph",),
+        "repro.graph.dedup1": ("Dedup1Graph",),
+        "repro.graph.dedup2": ("Dedup2Graph",),
+        "repro.graph.bitmap": ("BitmapGraph",),
+        "repro.graph.analysis": (
+            "RepresentationStats",
+            "condensed_from_expanded",
+            "degree_histogram",
+            "duplication_profile",
+            "expanded_from_condensed",
+            "logically_equivalent",
+            "representation_stats",
+        ),
+    },
+)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.core.config import FORMATS
 from repro.core.graphgen import GraphGen
 from repro.exceptions import GraphGenError
 from repro.graph.api import Graph
@@ -30,9 +31,6 @@ from repro.io.serialize import (
     write_edge_list,
 )
 from repro.relational.database import Database
-
-#: serialization formats supported by :meth:`GraphGenPy.execute_query`
-FORMATS = ("edgelist", "adjacency", "condensed")
 
 
 @dataclass

@@ -5,42 +5,7 @@ row-store tables, a statistics catalog, physical operators, a conjunctive-
 query executor, SQL generation, and an optional ``sqlite3`` execution backend.
 """
 
-from repro.relational.schema import Column, ForeignKey, TableSchema, make_schema
-from repro.relational.table import Table, table_from_dicts
-from repro.relational.catalog import Catalog, ColumnStats
-from repro.relational.database import Database
-from repro.relational.query import (
-    Comparison,
-    ConjunctiveQuery,
-    Const,
-    QueryAtom,
-    evaluate,
-    evaluate_bruteforce,
-)
-from repro.relational.sql import render_value, to_sql, create_table_sql
-from repro.relational.sqlite_backend import SQLiteBackend
-from repro.relational.pushdown import (
-    CompiledEdgeRule,
-    PushdownProgram,
-    PushdownUnsupported,
-    compile_plan,
-    run_pushdown,
-)
-from repro.relational.aggregates import (
-    AGGREGATE_FUNCTIONS,
-    AggregateQuery,
-    AggregateSpec,
-    HavingClause,
-    aggregate_to_sql,
-    evaluate_aggregate,
-    group_by,
-)
-from repro.relational.csv_io import (
-    read_database,
-    read_table_csv,
-    write_database,
-    write_table_csv,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Column",
@@ -79,3 +44,45 @@ __all__ = [
     "write_database",
     "write_table_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.relational.schema": ("Column", "ForeignKey", "TableSchema", "make_schema"),
+        "repro.relational.table": ("Table", "table_from_dicts"),
+        "repro.relational.catalog": ("Catalog", "ColumnStats"),
+        "repro.relational.database": ("Database",),
+        "repro.relational.query": (
+            "Comparison",
+            "ConjunctiveQuery",
+            "Const",
+            "QueryAtom",
+            "evaluate",
+            "evaluate_bruteforce",
+        ),
+        "repro.relational.sql": ("render_value", "to_sql", "create_table_sql"),
+        "repro.relational.sqlite_backend": ("SQLiteBackend",),
+        "repro.relational.pushdown": (
+            "CompiledEdgeRule",
+            "PushdownProgram",
+            "PushdownUnsupported",
+            "compile_plan",
+            "run_pushdown",
+        ),
+        "repro.relational.aggregates": (
+            "AGGREGATE_FUNCTIONS",
+            "AggregateQuery",
+            "AggregateSpec",
+            "HavingClause",
+            "aggregate_to_sql",
+            "evaluate_aggregate",
+            "group_by",
+        ),
+        "repro.relational.csv_io": (
+            "read_database",
+            "read_table_csv",
+            "write_database",
+            "write_table_csv",
+        ),
+    },
+)

@@ -19,17 +19,7 @@ Typical embedding (the CLI's ``serve`` command does exactly this)::
     server.serve_forever()
 """
 
-from repro.service.app import GraphService
-from repro.service.cache import ResultCache, canonical_params, result_key
-from repro.service.codec import (
-    decode_report,
-    decode_result,
-    decode_value,
-    encode_report,
-    encode_result,
-    encode_value,
-)
-from repro.service.http import GraphServiceServer, make_server, serve_in_thread
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GraphService",
@@ -46,3 +36,20 @@ __all__ = [
     "result_key",
     "serve_in_thread",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.service.app": ("GraphService",),
+        "repro.service.cache": ("ResultCache", "canonical_params", "result_key"),
+        "repro.service.codec": (
+            "decode_report",
+            "decode_result",
+            "decode_value",
+            "encode_report",
+            "encode_result",
+            "encode_value",
+        ),
+        "repro.service.http": ("GraphServiceServer", "make_server", "serve_in_thread"),
+    },
+)

@@ -11,14 +11,7 @@ records for compiled runs (see :mod:`repro.session.compiler`).  See
 :mod:`repro.session.session` for the object model and a usage example.
 """
 
-from repro.session.plan import PLAN_ALGORITHMS, AnalysisPlan
-from repro.session.report import (
-    AnalysisReport,
-    AnalysisResult,
-    NodeProvenance,
-    Provenance,
-)
-from repro.session.session import GraphHandle, GraphSession
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GraphSession",
@@ -30,3 +23,17 @@ __all__ = [
     "NodeProvenance",
     "PLAN_ALGORITHMS",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.session.plan": ("PLAN_ALGORITHMS", "AnalysisPlan"),
+        "repro.session.report": (
+            "AnalysisReport",
+            "AnalysisResult",
+            "NodeProvenance",
+            "Provenance",
+        ),
+        "repro.session.session": ("GraphHandle", "GraphSession"),
+    },
+)

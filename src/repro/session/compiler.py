@@ -23,10 +23,9 @@ worker machinery (one pool, one snapshot file per plan):
   closeness stats, diameter eccentricities, bfs distance maps *and*
   betweenness dependency vectors at once, and a Brandes traversal's internal
   distance array doubles as the BFS tree.  The source list goes to the
-  backend's block-wise ``sweep`` whole (through
-  :func:`repro.session.scheduler.sweep_products`, the same loop a pool
-  worker runs on its slice), and Brandes products stay in the backend's
-  native vector form until a finaliser needs a list;
+  backend's block-wise ``sweep`` whole (through :func:`sweep_products`,
+  the same loop a pool worker runs on its slice), and Brandes products stay
+  in the backend's native vector form until a finaliser needs a list;
 * ``algo`` nodes — per-request execution or (for sweep-covered requests) a
   cheap finaliser over the sweep's products.
 
@@ -70,6 +69,7 @@ assert against.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
@@ -84,14 +84,12 @@ from repro.algorithms.centrality import (
 from repro.algorithms.shortest_paths import diameter_sample_indexes
 from repro.graph import snapshot_store
 from repro.incremental.base import decode
-from repro.session.scheduler import sweep_products
 from repro.session.report import (
     AnalysisReport,
     AnalysisResult,
     NodeProvenance,
     Provenance,
 )
-from repro.vertexcentric.parallel import pool_starts_in_thread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
@@ -366,6 +364,31 @@ def place_on_pool(compiled: CompiledPlan) -> None:
 # --------------------------------------------------------------------------- #
 # sweep execution
 # --------------------------------------------------------------------------- #
+def sweep_products(backend, csr, payload):
+    """The fused sweep's per-source product loop — the one place it exists,
+    for the coordinator's inline sweep and for
+    :meth:`~repro.session.scheduler.PlanWorker.run_sweep`.
+
+    ``payload`` is a list of ``(source, want_delta, want_dists)`` tuples;
+    the backend's block-wise :meth:`~KernelBackend.sweep` grows a Brandes
+    traversal where a betweenness demand needs the dependency vector and a
+    plain BFS tree otherwise, and each source yields ``(stats, delta | None,
+    dists | None)`` in payload order: integer-exact stats, the delta still
+    in the backend's native form, distances as a plain list.
+    """
+    trees = backend.sweep(
+        csr,
+        [source for source, _, _ in payload],
+        {source for source, want_delta, _ in payload if want_delta},
+    )
+    for (_, _, want_dists), (tree, delta) in zip(payload, trees):
+        yield (
+            backend.tree_stats(tree),
+            delta,
+            backend.tree_distances(tree) if want_dists else None,
+        )
+
+
 def _execute_sweep(sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend", pool) -> None:
     """Grow one traversal per swept source — in blocks, on the session's
     backend — and keep every demanded product (stats always; distances and
@@ -439,6 +462,15 @@ def _finalise_from_sweep(
 # --------------------------------------------------------------------------- #
 # execution (the AnalysisPlan.run() body)
 # --------------------------------------------------------------------------- #
+def _pool_starts() -> int:
+    """Pools started by the current thread so far.  The pool module (and
+    ``multiprocessing`` with it) is imported where a pool starts; a process
+    that has not imported it has started none, and a plan that needs no
+    pool leaves it unimported."""
+    parallel = sys.modules.get("repro.vertexcentric.parallel")
+    return 0 if parallel is None else parallel.pool_starts_in_thread()
+
+
 def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     """Compile and execute ``plan``, returning its report (see module doc)."""
     handle = plan._handle
@@ -450,7 +482,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     builds_before = handle.builds
     # thread-local deltas: concurrent plans in one process (the graph
     # service) must each report only their own forks and writes
-    pool_starts_before = pool_starts_in_thread()
+    pool_starts_before = _pool_starts()
     writes_before = snapshot_store.saves_in_thread()
 
     tick = time.perf_counter()
@@ -640,7 +672,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
         ),
         total_seconds=time.perf_counter() - started,
         snapshot_builds=handle.builds - builds_before,
-        pool_starts=pool_starts_in_thread() - pool_starts_before,
+        pool_starts=_pool_starts() - pool_starts_before,
         snapshot_writes=snapshot_store.saves_in_thread() - writes_before,
         nodes_computed=computed_total,
         nodes_reused=reused_total,

@@ -14,13 +14,13 @@ module holds the worker-side machinery the plan executor
   command:
 
   - ``run_sweep`` — one slice of the plan's fused source sweep, through
-    :func:`sweep_products`, the same per-source product loop the coordinator
-    runs for an inline sweep.  Products are independent per source: integer
-    stats are exact, and float products are shipped as *per-source
-    contribution vectors* (the backend's native form) that the master
-    re-sums in each request's own global source order — exactly the serial
-    kernels' accumulation order, so floats are bit-identical, not merely
-    close;
+    :func:`~repro.session.compiler.sweep_products`, the same per-source
+    product loop the coordinator runs for an inline sweep.  Products are
+    independent per source: integer stats are exact, and float products
+    are shipped as *per-source contribution vectors* (the backend's native
+    form) that the master re-sums in each request's own global source
+    order — exactly the serial kernels' accumulation order, so floats are
+    bit-identical, not merely close;
   - ``triangle_counts`` — the ``triangle-counts`` derive node restricted to
     the worker's ``(lo, hi)`` vertex range: every triangle is attributed to
     its smallest vertex, so the integer vectors of all partitions add up to
@@ -30,38 +30,19 @@ module holds the worker-side machinery the plan executor
   leases to one plan at a time.
 
 The master half (placement, pool lifecycle, merges) lives in
-:mod:`repro.session.compiler`.
+:mod:`repro.session.compiler`.  This module and the pool it drives
+(:mod:`repro.vertexcentric.parallel`, which imports ``multiprocessing``) are
+imported only where a pool starts — :meth:`GraphSession.acquire_pool
+<repro.session.session.GraphSession.acquire_pool>` and a ``warm_pool``
+session — so a plan that needs no pool loads neither.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.session.compiler import sweep_products
 from repro.vertexcentric.parallel import ParallelSuperstepExecutor, SnapshotWorker
-
-
-def sweep_products(backend, csr, payload):
-    """The fused sweep's per-source product loop — the one place it exists,
-    for the coordinator's inline sweep and for :meth:`PlanWorker.run_sweep`.
-
-    ``payload`` is a list of ``(source, want_delta, want_dists)`` tuples;
-    the backend's block-wise :meth:`~KernelBackend.sweep` grows a Brandes
-    traversal where a betweenness demand needs the dependency vector and a
-    plain BFS tree otherwise, and each source yields ``(stats, delta | None,
-    dists | None)`` in payload order: integer-exact stats, the delta still
-    in the backend's native form, distances as a plain list.
-    """
-    trees = backend.sweep(
-        csr,
-        [source for source, _, _ in payload],
-        {source for source, want_delta, _ in payload if want_delta},
-    )
-    for (_, _, want_dists), (tree, delta) in zip(payload, trees):
-        yield (
-            backend.tree_stats(tree),
-            delta,
-            backend.tree_distances(tree) if want_dists else None,
-        )
 
 
 class PlanWorker(SnapshotWorker):

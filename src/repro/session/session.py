@@ -50,15 +50,15 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.config import ExtractionOptions
-from repro.core.graphgen import ExtractionResult, GraphGen
 from repro.dsl.parser import parse
 from repro.exceptions import UsageError
 from repro.graph.backend import get_backend
 from repro.graph.snapshot_store import FORMAT_VERSION, SnapshotStore, ensure_saved
-from repro.relational.csv_io import database_name, fingerprint_database, read_database
+from repro.relational.csv_io import database_name, fingerprint_database
 from repro.session.plan import PLAN_ALGORITHMS, AnalysisPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.graphgen import ExtractionResult, GraphGen
     from repro.dsl.ast import GraphSpec
     from repro.giraph.runner import GiraphRunResult
     from repro.graph.api import Graph
@@ -514,6 +514,8 @@ class GraphSession:
             self._source_dir = os.fspath(database)
             self._database_name = database_name(database)
         else:
+            from repro.core.graphgen import GraphGen
+
             self._graphgen = GraphGen(database, options=self._options)
             self._database_name = database.name
         self._store = SnapshotStore(snapshot_cache) if snapshot_cache is not None else None
@@ -547,6 +549,10 @@ class GraphSession:
         """The underlying extractor (for plan/explain and advanced options).
         A session opened on a CSV directory loads the tables here, once."""
         if self._graphgen is None:
+            # a warm reopen never gets here, so it never imports extraction
+            from repro.core.graphgen import GraphGen
+            from repro.relational.csv_io import read_database
+
             with self._load_lock:
                 if self._graphgen is None:
                     self._graphgen = GraphGen(

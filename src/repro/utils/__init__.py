@@ -1,13 +1,6 @@
 """Small shared utilities: timing, memory estimation, seeded randomness."""
 
-from repro.utils.timing import Timer, timed, time_call
-from repro.utils.memory import (
-    deep_size_of,
-    estimate_adjacency_bytes,
-    estimate_bitmap_bytes,
-    format_bytes,
-)
-from repro.utils.rand import SeededRandom
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Timer",
@@ -19,3 +12,17 @@ __all__ = [
     "format_bytes",
     "SeededRandom",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.utils.timing": ("Timer", "timed", "time_call"),
+        "repro.utils.memory": (
+            "deep_size_of",
+            "estimate_adjacency_bytes",
+            "estimate_bitmap_bytes",
+            "format_bytes",
+        ),
+        "repro.utils.rand": ("SeededRandom",),
+    },
+)

@@ -1,24 +1,6 @@
 """Vertex-centric execution framework and built-in programs."""
 
-from repro.vertexcentric.framework import (
-    Executor,
-    RunStatistics,
-    VertexCentric,
-    VertexContext,
-)
-from repro.vertexcentric.parallel import ParallelSuperstepExecutor, partition_range
-from repro.vertexcentric.programs import (
-    ConnectedComponentsProgram,
-    DegreeProgram,
-    LabelPropagationProgram,
-    PageRankProgram,
-    SingleSourceShortestPathsProgram,
-    run_connected_components,
-    run_degree,
-    run_label_propagation,
-    run_pagerank,
-    run_sssp,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Executor",
@@ -38,3 +20,28 @@ __all__ = [
     "run_pagerank",
     "run_sssp",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    globals(),
+    {
+        "repro.vertexcentric.framework": (
+            "Executor",
+            "RunStatistics",
+            "VertexCentric",
+            "VertexContext",
+        ),
+        "repro.vertexcentric.parallel": ("ParallelSuperstepExecutor", "partition_range"),
+        "repro.vertexcentric.programs": (
+            "ConnectedComponentsProgram",
+            "DegreeProgram",
+            "LabelPropagationProgram",
+            "PageRankProgram",
+            "SingleSourceShortestPathsProgram",
+            "run_connected_components",
+            "run_degree",
+            "run_label_propagation",
+            "run_pagerank",
+            "run_sssp",
+        ),
+    },
+)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -22,6 +24,26 @@ def pytest_collection_modifyitems(items):
     they are freed (table3 alone: ≈ 250 MB of RSS), and every later test
     that forks worker processes would fork that heap."""
     items.sort(key=lambda item: item.path.name.startswith("test_paper_"))
+
+
+# --------------------------------------------------------------------------- #
+# child processes
+# --------------------------------------------------------------------------- #
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: the bytecode settings a child inherits, so that a run under
+#: ``PYTHONDONTWRITEBYTECODE=1`` (or a private ``PYTHONPYCACHEPREFIX``)
+#: leaves no ``__pycache__`` directory in ``src/``
+BYTECODE_VARIABLES = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+
+
+def child_env() -> dict[str, str]:
+    """A minimal environment for a ``python`` child that imports ``repro``
+    from ``src/``: ``PYTHONPATH`` and ``PATH``, plus the bytecode settings
+    of this run — nothing else leaks in (no ``REPRO_KERNEL_BACKEND``)."""
+    env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+    env.update({name: os.environ[name] for name in BYTECODE_VARIABLES if name in os.environ})
+    return env
 
 
 # --------------------------------------------------------------------------- #

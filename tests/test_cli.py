@@ -3,13 +3,13 @@
 import io
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from repro.cli import BUILTIN_DATASETS, build_parser, main
 from repro.relational.csv_io import write_database
 from repro.relational.database import Database
+from tests.conftest import child_env
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -64,10 +64,9 @@ class TestParser:
     def test_removed_flags_fail_loudly(self, argv, flag):
         """The out-of-core flags are gone: argparse refuses them with exit
         status 2 and one stderr line naming the flag, no traceback."""
-        src = Path(__file__).resolve().parents[1] / "src"
         done = subprocess.run(
             [sys.executable, "-m", "repro.cli", *argv],
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=60,

@@ -13,6 +13,7 @@ import pytest
 import repro
 import repro.algorithms
 import repro.session
+from tests.conftest import child_env
 
 REPRO_ALL = [
     "ExtractionOptions",
@@ -148,9 +149,7 @@ def test_import_and_analyze_do_not_import_networkx():
     ``repro analyze`` run must leave it unimported."""
     import subprocess
     import sys
-    from pathlib import Path
 
-    root = Path(__file__).resolve().parent.parent
     script = (
         "import io, sys\n"
         "import repro\n"
@@ -164,7 +163,7 @@ def test_import_and_analyze_do_not_import_networkx():
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
-        env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=120,

@@ -32,7 +32,7 @@ import pytest
 from repro.service import GraphService, decode_report, make_server, serve_in_thread
 from repro.service.http import MAX_BODY_BYTES, GraphServiceHandler
 from repro.session import GraphSession
-from tests.conftest import COAUTHOR_QUERY
+from tests.conftest import COAUTHOR_QUERY, child_env
 from tests.test_session import make_db
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -345,7 +345,7 @@ class TestPoolWorkerKilledMidPlan:
 # --------------------------------------------------------------------------- #
 # pool workers must not outlive their coordinator
 # --------------------------------------------------------------------------- #
-CHILD_ENV = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"}
+CHILD_ENV = child_env()
 
 POOL_THEN_SLEEP = """
 import sys, time
@@ -551,7 +551,7 @@ class TestServeCommand:
                 str(tmp_path / "snaps"),
             ],
             cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env=CHILD_ENV,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
