@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms test-representations smoke serve-smoke all help
 
 help:
 	@echo "make test | all   - the whole suite (tests/, tier-1 equivalent), the"
@@ -32,6 +32,10 @@ help:
 	@echo "                    function on both backends (generated plans), the"
 	@echo "                    free functions' checks, backend and representation"
 	@echo "                    parity, the block-sweep digests, the API shims"
+	@echo "make test-representations - the condensed representations' one walk:"
+	@echo "                    graph and kernel suites, representation parity,"
+	@echo "                    BITMAP, fig13 walk counts, every walk == a brute-force"
+	@echo "                    Section 4.1 reachability, mutations == EXP"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
 	@echo "                    hook-and-jump components + frontier-adaptive BFS,"
@@ -78,6 +82,13 @@ test-algorithms:
 		tests/test_representation_parity.py tests/test_sweep_kernel.py \
 		tests/test_api_compat.py \
 		tests/test_property_invariants.py::test_property_plan_results_equal_their_kernel_runners
+
+test-representations:
+	$(PYTEST) -q tests/test_graph_*.py tests/test_representation_parity.py \
+		tests/test_kernel.py tests/test_dedup_bitmap.py \
+		tests/test_paper_fig13_micro.py \
+		tests/test_property_invariants.py::test_property_every_walk_matches_brute_force_reachability \
+		tests/test_property_invariants.py::test_property_mutations_keep_every_representation_equal_to_exp
 
 test-service:
 	$(PYTEST) -q tests/test_service.py tests/test_service_http.py \

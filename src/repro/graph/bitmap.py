@@ -8,12 +8,22 @@ bitmaps are initialised by the preprocessing algorithms BITMAP-1 and BITMAP-2
 (:mod:`repro.dedup.bitmap1`, :mod:`repro.dedup.bitmap2`) so that every real
 neighbor of ``u`` is produced exactly once — removing the need for the
 per-call hash set C-DUP pays (Section 4.3, "BITMAP").
+
+The filtered walk is the only copy of the virtual-layer walk besides
+:meth:`~repro.graph.condensed.CondensedGraph.reachable_real_targets`.
+
+Invariant the mutators keep: a bitmap is *positional* — bit ``i`` of
+``V``'s bitmap for ``u`` steers the ``i``-th entry of ``condensed.out(V)``
+— and it exists only for a live source.  Logical edge addition and deletion
+touch only real nodes' rows (direct edges, the source's edge into ``V``),
+so no position moves; :meth:`BitmapGraph.delete_vertex` removes entries
+from virtual rows, so it drops their bits from every bitmap of ``V``,
+shifts the higher bits down, and drops the deleted vertex's own bitmaps.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
+from repro.graph.api import VertexId
 from repro.graph.condensed import CondensedGraph
 from repro.graph.condensed_base import CondensedBackedGraph
 
@@ -80,28 +90,8 @@ class BitmapGraph(CondensedBackedGraph):
     # ------------------------------------------------------------------ #
     # traversal
     # ------------------------------------------------------------------ #
-    def _internal_neighbors(self, node: int) -> Iterator[int]:
-        visited_virtual: set[int] = set()
-        stack = list(self._cg.out(node))
-        while stack:
-            current = stack.pop()
-            if CondensedGraph.is_real(current):
-                yield current
-                continue
-            if current in visited_virtual:
-                continue
-            visited_virtual.add(current)
-            targets = self._cg.out(current)
-            bitmap = self.get_bitmap(current, node)
-            if bitmap is None:
-                stack.extend(targets)
-            else:
-                for position, target in enumerate(targets):
-                    if bitmap & (1 << position):
-                        stack.append(target)
-
     def _internal_neighbors_list(self, node: int) -> list[int]:
-        # snapshot fast path: bitmap-guided walk without generator overhead
+        # the plain walk, filtered by ``node``'s bitmap at each virtual node
         succ = self._cg.succ
         bitmaps = self._bitmaps
         visited_virtual: set[int] = set()
@@ -125,6 +115,30 @@ class BitmapGraph(CondensedBackedGraph):
                     if bitmap >> position & 1:
                         stack.append(target)
         return result
+
+    # ------------------------------------------------------------------ #
+    # mutation
+    # ------------------------------------------------------------------ #
+    def delete_vertex(self, vertex: VertexId) -> None:
+        """Remove ``vertex``; the bitmaps it was a source of go with it, and
+        every bitmap of a virtual node that pointed to it loses the bits of
+        the removed out-edges, the higher bits moving down to match."""
+        if not self._cg.has_external(vertex):
+            raise self._missing_vertex(vertex)
+        node = self._cg.internal(vertex)
+        for virtual in set(self._cg.inn(node)):
+            per_source = self._bitmaps.get(virtual)
+            if not per_source:
+                continue
+            positions = [i for i, t in enumerate(self._cg.out(virtual)) if t == node]
+            for source, bitmask in per_source.items():
+                for position in reversed(positions):
+                    low = bitmask & ((1 << position) - 1)
+                    bitmask = low | (bitmask >> (position + 1) << position)
+                per_source[source] = bitmask
+        for per_source in self._bitmaps.values():
+            per_source.pop(node, None)
+        super().delete_vertex(vertex)
 
     def num_edges(self) -> int:
         return sum(self.degree(v) for v in self.get_vertices())

@@ -381,19 +381,29 @@ class CondensedGraph:
     # ------------------------------------------------------------------ #
     # traversal (the heart of every condensed representation)
     # ------------------------------------------------------------------ #
-    def reachable_real_targets(self, node: int) -> Iterator[int]:
-        """All real targets reachable from real node ``node``'s source copy,
-        *with duplicates* (one occurrence per distinct path).
+    def reachable_real_targets(self, node: int) -> list[int]:
+        """All real targets reachable from ``node``'s source copy through
+        virtual nodes only, *with duplicates* (one occurrence per distinct
+        path), in stack-pop order.
 
-        Direct real→real edges contribute one occurrence each.
+        The one plain walk of the virtual layer (Section 4.1): C-DUP
+        de-duplicates it, DEDUP-1 is it, and only BITMAP's bitmap-filtered
+        walk is written separately.  Direct real→real edges contribute one
+        occurrence each.  Reads the ``succ`` rows directly — the snapshot
+        build calls it once per vertex.
         """
-        stack = list(self.succ.get(node, ()))
+        succ = self.succ
+        result: list[int] = []
+        push = result.append
+        stack = list(succ.get(node, ()))
+        extend = stack.extend
         while stack:
             current = stack.pop()
-            if self.is_real(current):
-                yield current
+            if current >= 0:
+                push(current)
             else:
-                stack.extend(self.succ[current])
+                extend(succ[current])
+        return result
 
     def neighbor_set(self, node: int) -> set[int]:
         """De-duplicated logical out-neighbors of real node ``node``."""
@@ -401,14 +411,8 @@ class CondensedGraph:
 
     def duplication_count(self, node: int) -> int:
         """Number of redundant paths out of ``node`` (0 means no duplication)."""
-        total = 0
-        seen: set[int] = set()
-        for target in self.reachable_real_targets(node):
-            if target in seen:
-                total += 1
-            else:
-                seen.add(target)
-        return total
+        walk = self.reachable_real_targets(node)
+        return len(walk) - len(set(walk))
 
     def has_duplication(self) -> bool:
         """True if any real node can reach some target by more than one path."""

@@ -1,9 +1,16 @@
 """Shared behaviour of the representations backed by a condensed graph.
 
 C-DUP, DEDUP-1 and BITMAP all wrap a :class:`~repro.graph.condensed.
-CondensedGraph`; they differ only in how :meth:`get_neighbors` traverses the
-virtual nodes.  Everything else — vertex management, properties, logical edge
-addition/deletion — is identical and lives here.
+CondensedGraph`; they differ only in one hook, ``_internal_neighbors_list(
+node)``: the logical out-neighbours of internal real node ``node`` as a list
+of internal IDs, each once, in ``get_neighbors`` order.  C-DUP de-duplicates
+the one plain virtual-layer walk (:meth:`~repro.graph.condensed.
+CondensedGraph.reachable_real_targets`), DEDUP-1 returns it as is, BITMAP
+filters it by bitmap.  Everything else — vertex management, properties,
+logical edge addition/deletion, the CSR snapshot build
+(:meth:`repro.graph.kernel.CSRGraph._from_condensed`) — reads that hook or
+the plain walk and lives here, so readers and mutators see one neighbour
+set.
 """
 
 from __future__ import annotations
@@ -48,51 +55,27 @@ class CondensedBackedGraph(Graph):
             raise self._missing_vertex(vertex)
         self._cg.remove_real_node(self._cg.internal(vertex))
 
-    # ------------------------------------------------------------------ #
-    # neighbor iteration: subclasses implement the internal traversal
-    # ------------------------------------------------------------------ #
-    def _internal_neighbors(self, node: int) -> Iterator[int]:
-        """Yield internal IDs of logical out-neighbors of internal node
-        ``node`` with duplicates removed.  Subclasses override."""
-        raise NotImplementedError
-
-    def _internal_neighbors_list(self, node: int) -> list[int]:
-        """Logical out-neighbors of ``node`` as a list of internal IDs.
-
-        Semantically ``list(self._internal_neighbors(node))``; subclasses
-        override it with non-generator traversals for the CSR snapshot fast
-        path (one call per vertex, no per-edge generator resumption).
-        """
-        return list(self._internal_neighbors(node))
-
-    # ------------------------------------------------------------------ #
-    # bulk snapshot fast path: expand the virtual layer in internal space
-    # ------------------------------------------------------------------ #
-    def snapshot_edges(self) -> Iterator[tuple[VertexId, list[VertexId]]]:
-        external = self._cg.external
-        for node in self._cg.real_nodes():
-            yield external(node), [
-                external(t) for t in self._internal_neighbors_list(node)
-            ]
-
     def _snapshot_token(self):
         # the wrapper's own version covers bitmap/auxiliary mutations; the
         # condensed version covers direct mutation of the shared structure
         return (self._graph_version, self._cg.version)
 
+    # ------------------------------------------------------------------ #
+    # logical neighbours: every reader goes through the subclass's
+    # ``_internal_neighbors_list`` hook
+    # ------------------------------------------------------------------ #
     def get_neighbors(self, vertex: VertexId) -> Iterator[VertexId]:
         if not self._cg.has_external(vertex):
             raise self._missing_vertex(vertex)
-        node = self._cg.internal(vertex)
-        for neighbor in self._internal_neighbors(node):
-            yield self._cg.external(neighbor)
+        external = self._cg.external
+        for neighbor in self._internal_neighbors_list(self._cg.internal(vertex)):
+            yield external(neighbor)
 
     def exists_edge(self, source: VertexId, target: VertexId) -> bool:
         if not self._cg.has_external(source) or not self._cg.has_external(target):
             return False
         src = self._cg.internal(source)
-        dst = self._cg.internal(target)
-        return any(neighbor == dst for neighbor in self._internal_neighbors(src))
+        return self._cg.internal(target) in self._internal_neighbors_list(src)
 
     # ------------------------------------------------------------------ #
     # logical edge mutation
@@ -108,63 +91,40 @@ class CondensedBackedGraph(Graph):
         if self.exists_edge(source, target):
             return
         self._cg.add_edge(self._cg.internal(source), self._cg.internal(target))
-        self._invalidate_cache()
 
     def delete_edge(self, source: VertexId, target: VertexId) -> None:
         """Remove a logical edge.
 
         If a direct real→real edge exists it is removed; otherwise every
         virtual path carrying the edge is *materialised*: the source's edge
-        into the virtual node is dropped and direct edges to the remaining
-        reachable targets are added.  This mirrors the paper's observation
+        into the virtual node is dropped and direct edges are added to the
+        remaining targets of that virtual node that the source no longer
+        reaches through its own walk.  This mirrors the paper's observation
         that ``deleteEdge`` on condensed representations is an involved
         operation.
         """
-        if not self._cg.has_external(source) or not self._cg.has_external(target):
+        if not self.exists_edge(source, target):
             raise RepresentationError(f"edge {source!r}->{target!r} does not exist")
         src = self._cg.internal(source)
         dst = self._cg.internal(target)
-        if not self.exists_edge(source, target):
-            raise RepresentationError(f"edge {source!r}->{target!r} does not exist")
-
-        changed = False
         if self._cg.has_edge(src, dst):
             self._cg.remove_edge(src, dst)
-            changed = True
 
         # remove the edge through every virtual node that still carries it
         for virtual in list(self._cg.out(src)):
             if not self._cg.is_virtual(virtual):
                 continue
-            reachable = self._virtual_reachable_real(virtual)
+            reachable = set(self._cg.reachable_real_targets(virtual))
             if dst not in reachable:
                 continue
             self._cg.remove_edge(src, virtual)
-            existing = self._cg.neighbor_set(src)
+            # the representation's own walk: a BITMAP source may be masked
+            # off a target at some other virtual node
+            existing = set(self._internal_neighbors_list(src))
             for other in reachable:
                 if other != dst and other not in existing:
                     self._cg.add_edge(src, other)
                     existing.add(other)
-            changed = True
-        if changed:
-            self._invalidate_cache()
-
-    def _virtual_reachable_real(self, virtual: int) -> set[int]:
-        """All real targets reachable from a virtual node (any depth)."""
-        result: set[int] = set()
-        stack = [virtual]
-        seen: set[int] = set()
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for nxt in self._cg.out(current):
-                if self._cg.is_real(nxt):
-                    result.add(nxt)
-                else:
-                    stack.append(nxt)
-        return result
 
     # ------------------------------------------------------------------ #
     # properties
@@ -194,12 +154,6 @@ class CondensedBackedGraph(Graph):
             raise self._missing_vertex(vertex)
         node = self._cg.internal(vertex)
         self._cg.node_properties.setdefault(node, {})[key] = value
-
-    # ------------------------------------------------------------------ #
-    # bookkeeping hooks
-    # ------------------------------------------------------------------ #
-    def _invalidate_cache(self) -> None:
-        """Called after structural mutation; subclasses with caches override."""
 
     # ------------------------------------------------------------------ #
     # statistics shared by all condensed-backed representations

@@ -13,8 +13,6 @@ guarantee the invariant).
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.exceptions import RepresentationError
 from repro.graph.condensed import CondensedGraph
 from repro.graph.condensed_base import CondensedBackedGraph
@@ -33,31 +31,10 @@ class Dedup1Graph(CondensedBackedGraph):
                 "deduplication algorithm (repro.dedup) before wrapping it in Dedup1Graph"
             )
 
-    def _internal_neighbors(self, node: int) -> Iterator[int]:
+    def _internal_neighbors_list(self, node: int) -> list[int]:
         # no hash set required: the deduplication invariant guarantees each
         # real target is reached by exactly one path
-        stack = list(self._cg.out(node))
-        while stack:
-            current = stack.pop()
-            if CondensedGraph.is_real(current):
-                yield current
-            else:
-                stack.extend(self._cg.out(current))
-
-    def _internal_neighbors_list(self, node: int) -> list[int]:
-        # snapshot fast path: the invariant makes this a plain DFS flatten
-        succ = self._cg.succ
-        result: list[int] = []
-        push = result.append
-        stack = list(succ[node])
-        extend = stack.extend
-        while stack:
-            current = stack.pop()
-            if current >= 0:
-                push(current)
-            else:
-                extend(succ[current])
-        return result
+        return self._cg.reachable_real_targets(node)
 
     def num_edges(self) -> int:
         return sum(self.degree(v) for v in self.get_vertices())

@@ -21,10 +21,15 @@ vertex-centric framework and the Giraph adapters schedule over the same
 snapshot, so all three execution layers share one physical core.
 
 Construction goes through the :meth:`repro.graph.api.Graph.snapshot_edges`
-bulk-iteration hook, with fast paths for the condensed representations
-(direct virtual-layer expansion in internal-integer space, skipping the
-per-vertex ``get_neighbors`` generators and all external-ID hashing) and for
-:class:`~repro.graph.expanded.ExpandedGraph` (adjacency-dict flattening).
+bulk-iteration hook (:class:`~repro.graph.expanded.ExpandedGraph` overrides
+it with adjacency-dict flattening), except for the condensed
+representations: C-DUP, DEDUP-1 and BITMAP each expose one neighbour hook,
+``_internal_neighbors_list`` — the one virtual-layer walk
+(:meth:`~repro.graph.condensed.CondensedGraph.reachable_real_targets`),
+de-duplicated by C-DUP, as is for DEDUP-1, bitmap-filtered for BITMAP —
+which :meth:`CSRGraph._from_condensed` calls once per real node in
+internal-integer space, skipping the per-vertex ``get_neighbors`` generators
+and all external-ID hashing.
 
 Snapshots are immutable; :meth:`repro.graph.api.Graph.snapshot` caches one
 per graph and invalidates it through the representations' version counters,
@@ -165,9 +170,9 @@ class CSRGraph:
 
         Expands the virtual layer directly in internal-integer space: real
         nodes are renumbered densely, neighbor targets are produced by the
-        representation's internal traversal (hash-set, invariant or
-        bitmap-guided), and external IDs are materialised once per vertex
-        instead of once per edge.
+        representation's ``_internal_neighbors_list`` hook (the shared walk,
+        de-duplicated, as is or bitmap-filtered), and external IDs are
+        materialised once per vertex instead of once per edge.
         """
         cg = graph.condensed
         internal_nodes = list(cg.real_nodes())

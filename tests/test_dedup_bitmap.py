@@ -1,4 +1,5 @@
-"""Tests for the BITMAP-1 / BITMAP-2 preprocessing algorithms."""
+"""Tests for the BITMAP-1 / BITMAP-2 preprocessing algorithms and the
+BITMAP representation's mutators."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.dedup import BITMAP_ALGORITHMS, preprocess_bitmap
 from repro.dedup.bitmap1 import preprocess as bitmap1
 from repro.dedup.bitmap2 import preprocess as bitmap2
-from repro.graph import CondensedGraph, expanded_from_condensed, logically_equivalent
+from repro.graph import (
+    BitmapGraph,
+    CondensedGraph,
+    condensed_from_edges,
+    expanded_from_condensed,
+    logically_equivalent,
+)
 
 from tests.conftest import (
     build_directed_condensed,
@@ -86,6 +93,37 @@ class TestBitmap2Specifics:
         assert preprocess_bitmap(figure1_condensed, algorithm="bitmap1").bitmap_count() > 0
         with pytest.raises(ValueError):
             preprocess_bitmap(figure1_condensed, algorithm="bitmap3")
+
+
+class TestMutatorsKeepBitmapsHonest:
+    """Mutations on a BITMAP graph whose bitmaps mask a duplicate path."""
+
+    @staticmethod
+    def _masked(*memberships):
+        condensed = condensed_from_edges(range(4), memberships)
+        return BitmapGraph(condensed), condensed
+
+    def test_delete_edge_keeps_a_target_masked_elsewhere(self):
+        # 0 reaches itself through V1 and V2; V2's bitmap for 0 follows only
+        # its second out-edge (to 2), so V1 carries the self-pair alone
+        graph, condensed = self._masked(("V1", [0], [0, 1]), ("V2", [0], [0, 2]))
+        v2 = condensed.out(0)[1]
+        graph.set_bitmap(v2, 0, 0b10)
+        assert sorted(graph.get_neighbors(0)) == [0, 1, 2]
+        graph.delete_edge(0, 1)
+        assert sorted(graph.get_neighbors(0)) == [0, 2]
+
+    def test_delete_vertex_compacts_the_bits_of_the_removed_edges(self):
+        # V's bitmap for 0 follows 1 and 2 and masks 3, which W also reaches
+        graph, condensed = self._masked(("V", [0], [1, 2, 3]), ("W", [0], [3]))
+        v = condensed.out(0)[0]
+        graph.set_bitmap(v, 0, 0b011)
+        graph.delete_vertex(1)
+        assert condensed.out(v) == [condensed.internal(2), condensed.internal(3)]
+        assert graph.get_bitmap(v, 0) == 0b01
+        assert list(graph.get_neighbors(0)) == [3, 2]
+        graph.delete_vertex(0)
+        assert graph.bitmap_count() == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -26,7 +26,7 @@ import pytest
 from repro.datasets import SMALL_SPECS, generate_from_spec
 from repro.dedup import deduplicate_dedup1, deduplicate_dedup2, preprocess_bitmap
 from repro.dedup.expand import expand
-from repro.graph import CDupGraph, CondensedGraph
+from repro.graph import CDupGraph
 from repro.graph.condensed_base import CondensedBackedGraph
 from repro.graph.dedup2 import Dedup2Graph
 from repro.utils.rand import SeededRandom
@@ -64,31 +64,41 @@ def _sample_vertices(graph, count: int, seed: int = 41) -> list:
     return rng.sample(vertices, min(count, len(vertices)))
 
 
+class _CountingRows(dict):
+    """A ``succ`` adjacency dict that counts the entries of every row it
+    hands out, through ``[]`` or ``get``."""
+
+    touched = 0
+
+    def __getitem__(self, node):
+        row = dict.__getitem__(self, node)
+        self.touched += len(row)
+        return row
+
+    def get(self, node, default=None):
+        row = dict.get(self, node, default)
+        self.touched += len(row or ())
+        return row
+
+
 def _elements_touched(graph, sample) -> int:
     """Adjacency entries the sample's ``getNeighbors`` walks read — the
     physical work behind the figure's first panel, as a count.
 
-    A condensed-backed walk reads nothing but ``CondensedGraph.out`` rows
-    (the vertex's own, then one per virtual node it descends into), so those
-    are counted as they are handed out; DEDUP-2 reads the vertex's virtual
+    A condensed-backed walk reads nothing but ``succ`` rows (the vertex's
+    own, then one per virtual node it descends into), so those are counted
+    as they are handed out; DEDUP-2 reads the vertex's virtual
     nodes, their member lists, their adjacent virtual nodes and those
     members; EXP reads one materialised entry per neighbour."""
     if isinstance(graph, CondensedBackedGraph):
-        touched = 0
-        rows = CondensedGraph.out
-
-        def counted(self, node):
-            nonlocal touched
-            row = rows(self, node)
-            touched += len(row)
-            return row
-
+        condensed = graph.condensed
+        rows = _CountingRows(condensed.succ)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CondensedGraph, "out", counted)
+            patch.setattr(condensed, "succ", rows)
             for vertex in sample:
                 for _ in graph.get_neighbors(vertex):
                     pass
-        return touched
+        return rows.touched
     if isinstance(graph, Dedup2Graph):
         touched = 0
         for vertex in sample:

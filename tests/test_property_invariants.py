@@ -9,6 +9,11 @@ These cover the pipeline-level guarantees:
 * DEDUP-1 output is duplication-free and equivalent, with the Graph API
   contract (degree == len(neighbors), exists_edge consistent with neighbors)
   holding on every representation;
+* on multi-layer condensed graphs with self-pairs, one-sided virtual nodes
+  and vertices reachable only through virtual nodes, every condensed
+  representation's neighbours are a brute-force Section 4.1 reachability
+  (each once, in snapshot row order), and stay equal to EXP's through any
+  sequence of edge and vertex mutations;
 * a session that reopens a persisted snapshot on its source fingerprint
   (no tables loaded, nothing extracted) answers exactly like the cold
   session that extracted it;
@@ -51,6 +56,7 @@ from repro.dedup import (
     deduplicate_dedup1,
     preprocess_bitmap,
 )
+from repro.exceptions import DeduplicationError
 from repro.graph import (
     CDupGraph,
     CondensedGraph,
@@ -219,6 +225,163 @@ def test_property_graph_api_contract(condensed):
             for neighbor in neighbors:
                 assert graph.exists_edge(vertex, neighbor)
         assert graph.num_edges() == total == len(edge_set)
+
+
+# --------------------------------------------------------------------------- #
+# the virtual-layer walk: an independent reference and a mutation oracle
+# --------------------------------------------------------------------------- #
+@st.composite
+def virtual_layer_graphs(draw):
+    """A random condensed graph with one to three virtual layers.
+
+    Always present: a chain ``0 -> V_0 -> ... -> V_k`` that leaves to ``0``
+    (a self-pair) and to the last real node, which no direct edge enters (it
+    is reachable only through virtual nodes); and a virtual node with an
+    empty in- or out-side.  Around them: random virtual nodes on random
+    layers, virtual->virtual edges from lower to higher layers (so the graph
+    stays a DAG) and direct real->real edges.  Returns ``(graph, reals,
+    edges)``: the condensed edges as added, for the brute-force reference.
+    """
+    num_real = draw(st.integers(3, 8))
+    layers = draw(st.integers(1, 3))
+    reals = st.integers(0, num_real - 1)
+    graph = CondensedGraph()
+    for node in range(num_real):
+        graph.add_real_node(node)
+    hidden = num_real - 1
+
+    chain = [graph.add_virtual_node(("chain", layer)) for layer in range(layers)]
+    edges = [(0, chain[0]), *zip(chain, chain[1:]), (chain[-1], 0), (chain[-1], hidden)]
+    empty = graph.add_virtual_node(("empty", 0))
+    side = draw(st.lists(reals, min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        edges += [(node, empty) for node in side]
+    else:
+        edges += [(empty, node) for node in side]
+
+    leveled = list(enumerate(chain))
+    for label in range(draw(st.integers(0, 4))):
+        virtual = graph.add_virtual_node(("v", label))
+        leveled.append((draw(st.integers(0, layers - 1)), virtual))
+        edges += [(node, virtual) for node in draw(st.lists(reals, max_size=4, unique=True))]
+        edges += [(virtual, node) for node in draw(st.lists(reals, max_size=4, unique=True))]
+    downward = [(a, b) for la, a in leveled for lb, b in leveled if la < lb and (a, b) not in edges]
+    if downward:
+        edges += draw(st.lists(st.sampled_from(downward), max_size=4, unique=True))
+    edges += draw(
+        st.lists(st.tuples(reals, st.integers(0, num_real - 2)), max_size=6, unique=True)
+    )
+    for source, target in edges:
+        graph.add_edge(source, target)
+    return graph, set(range(num_real)), edges
+
+
+def _brute_force_edges(reals: set, edges: list) -> set:
+    """Section 4.1 by brute force: ``u -> v`` iff some condensed path from
+    ``u`` to ``v`` has only virtual (non-real) interior nodes."""
+    out: dict = {}
+    for source, target in edges:
+        out.setdefault(source, []).append(target)
+    logical = set()
+    for u in reals:
+        seen: set = set()
+        frontier = list(out.get(u, ()))
+        while frontier:
+            node = frontier.pop()
+            if node in reals:
+                logical.add((u, node))
+            elif node not in seen:
+                seen.add(node)
+                frontier.extend(out.get(node, ()))
+    return logical
+
+
+def _condensed_representations(graph: CondensedGraph, algorithm: str) -> dict:
+    """C-DUP, BITMAP-1, BITMAP-2 and — where its builder accepts the graph —
+    DEDUP-1, each over its own copy."""
+    representations = {
+        "C-DUP": CDupGraph(graph.copy()),
+        "BITMAP-1": preprocess_bitmap(graph, algorithm="bitmap1"),
+        "BITMAP-2": preprocess_bitmap(graph, algorithm="bitmap2"),
+    }
+    try:
+        representations["DEDUP-1"] = deduplicate_dedup1(graph.copy(), algorithm=algorithm)
+    except DeduplicationError:
+        assert not graph.is_single_layer(), "DEDUP-1 refused a single-layer graph"
+    return representations
+
+
+def _adjacency(graph) -> dict:
+    return {vertex: list(graph.get_neighbors(vertex)) for vertex in graph.get_vertices()}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(virtual_layer_graphs(), st.sampled_from(sorted(DEDUP1_ALGORITHMS)))
+def test_property_every_walk_matches_brute_force_reachability(case, algorithm):
+    """Every condensed representation's neighbours are the brute-force
+    logical edges, each once; ``exists_edge`` agrees on every pair; and
+    ``get_neighbors`` lists them in the snapshot's row order."""
+    graph, reals, edges = case
+    expected = _brute_force_edges(reals, edges)
+    assert any(graph.is_virtual(t) for t in graph.out(0))  # the chain is there
+    for name, representation in _condensed_representations(graph, algorithm).items():
+        adjacency = _adjacency(representation)
+        for vertex, neighbors in adjacency.items():
+            assert len(neighbors) == len(set(neighbors)), (name, vertex, neighbors)
+        assert {(u, v) for u, vs in adjacency.items() for v in vs} == expected, name
+        for u in reals:
+            for v in reals:
+                assert representation.exists_edge(u, v) == ((u, v) in expected), (name, u, v)
+        csr = representation.snapshot()
+        assert [csr.external(i) for i in range(csr.n)] == list(adjacency), name
+        for i in range(csr.n):
+            rows = [csr.external(t) for t in csr.neighbors(i)]
+            assert rows == adjacency[csr.external(i)], (name, csr.external(i))
+
+
+@st.composite
+def mutation_sequences(draw):
+    """A :func:`virtual_layer_graphs` graph and up to eight ``add_edge`` /
+    ``delete_edge`` / ``delete_vertex`` operations on its vertex ids (a
+    ``delete_edge`` picks among the logical edges present when it runs)."""
+    graph, reals, _ = draw(virtual_layer_graphs())
+    vertex = st.integers(0, len(reals) - 1)
+    op = st.sampled_from(("add_edge", "delete_edge", "delete_vertex"))
+    ops = draw(st.lists(st.tuples(op, vertex, vertex), min_size=1, max_size=8))
+    return graph, ops
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(mutation_sequences(), st.sampled_from(sorted(DEDUP1_ALGORITHMS)))
+def test_property_mutations_keep_every_representation_equal_to_exp(case, algorithm):
+    """After every operation of a mutation sequence, each condensed
+    representation holds EXP's logical edge set, with no repeated neighbour.
+    BITMAP is the sharp case: ``delete_edge`` must decide with its own
+    filtered walk, and ``delete_vertex`` must keep the bitmaps positional."""
+    graph, ops = case
+    exp = expanded_from_condensed(graph)
+    representations = _condensed_representations(graph, algorithm)
+    for op, a, b in ops:
+        if op == "delete_edge":
+            present = sorted(logical_edge_set(exp))
+            if not present:
+                continue
+            args = present[a % len(present)]
+        elif op == "delete_vertex":
+            if not exp.has_vertex(a):
+                continue
+            args = (a,)
+        else:
+            args = (a, b)
+        for mutated in (exp, *representations.values()):
+            getattr(mutated, op)(*args)
+        expected = logical_edge_set(exp)
+        for name, representation in representations.items():
+            adjacency = _adjacency(representation)
+            for vertex, neighbors in adjacency.items():
+                assert len(neighbors) == len(set(neighbors)), (name, op, args, vertex)
+            assert set(adjacency) == set(exp.get_vertices()), (name, op, args)
+            assert logical_edge_set(representation) == expected, (name, op, args)
 
 
 # --------------------------------------------------------------------------- #
