@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms test-representations smoke serve-smoke all help
+.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms test-representations smoke serve-smoke loc all help
 
 help:
 	@echo "make test | all   - the whole suite (tests/, tier-1 equivalent), the"
@@ -30,8 +30,9 @@ help:
 	@echo "                    pushdown work pins: one scan, distinct rows only)"
 	@echo "make test-algorithms - one runner per algorithm: plan == runner == free"
 	@echo "                    function on both backends (generated plans), the"
-	@echo "                    free functions' checks, backend and representation"
-	@echo "                    parity, the block-sweep digests, the API shims"
+	@echo "                    free functions' checks (a bad parameter is a 400"
+	@echo "                    over HTTP), backend and representation parity"
+	@echo "                    (similarity ==), the block-sweep digests, the API shims"
 	@echo "make test-representations - the condensed representations' one walk:"
 	@echo "                    graph and kernel suites, representation parity,"
 	@echo "                    BITMAP, fig13 walk counts, every walk == a brute-force"
@@ -42,6 +43,7 @@ help:
 	@echo "                    extraction engines x appended rows, one plan DAG at"
 	@echo "                    every parallelism + exact sweep/triangle slices)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
+	@echo "make loc          - wc -l totals of the .py files under src/, tests/, bench/"
 
 test all:
 	$(PYTEST) -q
@@ -81,7 +83,8 @@ test-algorithms:
 	$(PYTEST) -q tests/test_algorithms*.py tests/test_backend_parity.py \
 		tests/test_representation_parity.py tests/test_sweep_kernel.py \
 		tests/test_api_compat.py \
-		tests/test_property_invariants.py::test_property_plan_results_equal_their_kernel_runners
+		tests/test_property_invariants.py::test_property_plan_results_equal_their_kernel_runners \
+		tests/test_service_http.py::TestErrorContract::test_mistyped_params_are_400_not_500
 
 test-representations:
 	$(PYTEST) -q tests/test_graph_*.py tests/test_representation_parity.py \
@@ -109,3 +112,8 @@ smoke:
 serve-smoke:
 	$(PYTEST) -q tests/test_service_http.py::TestServeCommand \
 		tests/test_service_http.py::TestConcurrentClients
+
+loc:
+	@for dir in src tests bench; do \
+		printf '%-7s%s\n' "$$dir/" "$$(find $$dir -name '*.py' -print0 | xargs -0 cat | wc -l)"; \
+	done

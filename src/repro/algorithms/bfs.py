@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.algorithms.centrality import is_nonnegative_int
 from repro.exceptions import RepresentationError, UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
@@ -41,6 +42,11 @@ def check_bfs(params: dict) -> None:
     # explicit None reaches this
     if params["source"] is None:
         raise UsageError("bfs requires a source vertex (pass source=...)")
+    max_depth = params["max_depth"]
+    if max_depth is not None and not is_nonnegative_int(max_depth):
+        raise UsageError(
+            f"bfs: max_depth must be a non-negative integer or None (got {max_depth!r})"
+        )
 
 
 def encode_source(csr: "CSRGraph", source: VertexId) -> int:

@@ -55,10 +55,14 @@ def closeness_value(n: int, reachable: int, total: int) -> float:
     return (reachable / (n - 1)) * (reachable / total)
 
 
-def is_positive_int(value) -> bool:
+def is_nonnegative_int(value) -> bool:
     # bool is an int subclass; reject it explicitly (True would silently
     # mean "1 sample")
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def is_positive_int(value) -> bool:
+    return is_nonnegative_int(value) and value >= 1
 
 
 def check_betweenness(params: dict) -> None:

@@ -14,20 +14,31 @@ so there is no vectorised variant — see
 :meth:`repro.graph.backend.python_backend.KernelBackend.label_propagation`.
 
 :func:`label_propagation_runner` is the registry's ``(csr, backend,
-params)`` runner — :func:`label_propagation` and a session
-:class:`~repro.session.AnalysisPlan`'s ``label_propagation`` request alike.
+params)`` runner and :func:`check_label_propagation` its parameter check:
+together they are :func:`label_propagation` and a session
+:class:`~repro.session.AnalysisPlan`'s ``label_propagation`` request.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.algorithms.centrality import is_nonnegative_int
+from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
     from repro.graph.kernel import CSRGraph
+
+
+def check_label_propagation(params: dict) -> None:
+    if not is_nonnegative_int(params["max_iterations"]):
+        raise UsageError(
+            f"label_propagation: max_iterations must be a non-negative integer "
+            f"(got {params['max_iterations']!r})"
+        )
 
 
 def label_propagation_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
@@ -50,6 +61,7 @@ def label_propagation(
     ``max_iterations`` rounds.
     """
     params = {"max_iterations": max_iterations, "seed": seed}
+    check_label_propagation(params)
     return label_propagation_runner(graph.snapshot(), get_backend(), params)
 
 

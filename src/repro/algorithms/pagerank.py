@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.algorithms.centrality import is_nonnegative_int
 from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
@@ -39,6 +40,17 @@ def check_pagerank(params: dict) -> None:
     damping = params["damping"]
     if not isinstance(damping, (int, float)) or not 0.0 < damping < 1.0:
         raise UsageError(f"pagerank: damping must be in (0, 1) (got {damping!r})")
+    if not is_nonnegative_int(params["max_iterations"]):
+        raise UsageError(
+            f"pagerank: max_iterations must be a non-negative integer "
+            f"(got {params['max_iterations']!r})"
+        )
+    tolerance = params["tolerance"]
+    # bool is an int subclass; NaN fails the comparison
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not tolerance >= 0:
+        raise UsageError(
+            f"pagerank: tolerance must be a non-negative number (got {tolerance!r})"
+        )
 
 
 def pagerank_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> list[float]:

@@ -8,7 +8,6 @@ between representations, and memory estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable
 
 from repro.dedup.expand import expand
 from repro.graph.api import Graph, logical_edge_set
@@ -181,8 +180,3 @@ def degree_histogram(graph: Graph, bins: int = 10) -> dict[str, list[float]]:
         index = min(bins - 1, int((degree - low) / width))
         counts[index] += 1
     return {"bin_edges": edges, "counts": counts}
-
-
-def connected_real_pairs(condensed: CondensedGraph) -> set[tuple[Hashable, Hashable]]:
-    """The logical edge set of a condensed graph, as external-ID pairs."""
-    return set(condensed.expanded_edges())

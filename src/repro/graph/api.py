@@ -184,9 +184,6 @@ class Graph(ABC):
         """
         return sum(self.degree(v) for v in self.get_vertices())
 
-    def vertices_list(self) -> list[VertexId]:
-        return list(self.get_vertices())
-
     def edges(self) -> Iterator[tuple[VertexId, VertexId]]:
         """Iterate over all logical directed edges."""
         for vertex in self.get_vertices():
@@ -225,9 +222,6 @@ class PropertyStore:
 
     def drop_vertex(self, vertex: VertexId) -> None:
         self._properties.pop(vertex, None)
-
-    def all_for(self, vertex: VertexId) -> dict[str, Any]:
-        return dict(self._properties.get(vertex, {}))
 
 
 def check_same_vertex_set(a: Graph, b: Graph) -> bool:

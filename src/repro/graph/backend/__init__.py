@@ -18,11 +18,13 @@ this package makes the *execution strategy over those arrays* pluggable:
 Tolerance contract
 ------------------
 Integer-valued kernels (degrees, BFS, components, k-core, triangles, label
-propagation, discrete similarity scores) must return results **exactly
-equal** to the reference backend.  Float-valued kernels (PageRank,
-closeness, betweenness, Adamic–Adar, clustering) may differ from the
-reference by at most ``1e-9`` L-infinity: vectorised reductions re-associate
-floating-point sums, which perturbs low-order bits only.
+propagation) must return results **exactly equal** to the reference
+backend.  Float-valued kernels (PageRank, closeness, betweenness,
+clustering) may differ from the reference by at most ``1e-9`` L-infinity:
+vectorised reductions re-associate floating-point sums, which perturbs
+low-order bits only.  Neighborhood-similarity scores (common neighbors,
+Jaccard, Adamic–Adar, preferential attachment) are not backend kernels:
+:mod:`repro.algorithms.similarity` computes them one way on every backend.
 
 Selection
 ---------

@@ -32,7 +32,7 @@ Kernel strategies (see ``tests/test_backend_parity.py`` for the contract):
   edge-centrically from its distance row with per-level ``bincount``s over
   edges kept in CSR order — so a source's floats are a function of the
   source alone, not of the block it rides in.
-* **Triangles / similarity / k-core** — a symmetrised, deduplicated,
+* **Triangles / k-core** — a symmetrised, deduplicated,
   *sorted* adjacency CSR (built once per snapshot and cached on it) makes
   neighbor intersection a ``searchsorted`` probe and peeling a masked
   degree-decrement loop.
@@ -46,7 +46,6 @@ definition and do not vectorise.
 
 from __future__ import annotations
 
-import math
 from array import array
 from itertools import chain
 from typing import TYPE_CHECKING, Sequence
@@ -720,42 +719,3 @@ class NumpyBackend(KernelBackend):
         in_offsets = np.zeros(csr.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(targets, minlength=csr.n), out=in_offsets[1:])
         return array("q", in_offsets.tobytes()), array("q", _edge_sources(csr)[order].tobytes())
-
-    # ------------------------------------------------------------------ #
-    # neighborhood similarity (sorted-array intersections)
-    # ------------------------------------------------------------------ #
-    def _neighborhood_array(self, csr: "CSRGraph", index: int) -> np.ndarray:
-        """Sorted out-neighborhood of a dense index, excluding itself."""
-        offsets, targets = _views(csr)
-        row = np.unique(targets[offsets[index] : offsets[index + 1]])
-        return row[row != index]
-
-    def common_neighbors(self, csr: "CSRGraph", iu: int, iv: int) -> set[int]:
-        shared = np.intersect1d(
-            self._neighborhood_array(csr, iu),
-            self._neighborhood_array(csr, iv),
-            assume_unique=True,
-        )
-        return set(shared[(shared != iu) & (shared != iv)].tolist())
-
-    def jaccard(self, csr: "CSRGraph", iu: int, iv: int) -> float:
-        nu = self._neighborhood_array(csr, iu)
-        nv = self._neighborhood_array(csr, iv)
-        intersection = np.intersect1d(nu, nv, assume_unique=True).size
-        union = nu.size + nv.size - intersection
-        if not union:
-            return 0.0
-        return intersection / union
-
-    def adamic_adar(self, csr: "CSRGraph", iu: int, iv: int) -> float:
-        score = 0.0
-        for index in sorted(self.common_neighbors(csr, iu, iv)):
-            degree = self._neighborhood_array(csr, index).size
-            if degree > 1:
-                score += 1.0 / math.log(degree)
-        return score
-
-    def preferential_attachment(self, csr: "CSRGraph", iu: int, iv: int) -> int:
-        return self._neighborhood_array(csr, iu).size * self._neighborhood_array(
-            csr, iv
-        ).size

@@ -15,7 +15,6 @@ answers stay with the algorithms' runners, which call these kernels.
 
 from __future__ import annotations
 
-import math
 from array import array
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Sequence
@@ -45,6 +44,9 @@ class KernelBackend:
     :meth:`sweep` plus the ``tree_*`` accessors, triangles and clustering
     through :meth:`triangles_per_vertex` — so a backend speeds an algorithm
     up by overriding a kernel, never by re-implementing its orchestration.
+    Neighborhood-similarity scores are not kernels: they are functions over
+    ``csr.neighbor_set`` in :mod:`repro.algorithms.similarity`, the same on
+    every backend.
     """
 
     #: resolved name, stable across processes (workers re-resolve by it)
@@ -510,41 +512,6 @@ class KernelBackend:
             return 0.0
         links = sum(1 for a, b in combinations(neighbors, 2) if b in adjacency[a])
         return 2.0 * links / (degree * (degree - 1))
-
-    # ------------------------------------------------------------------ #
-    # neighborhood similarity
-    # ------------------------------------------------------------------ #
-    def _neighborhood(self, csr: "CSRGraph", index: int) -> set[int]:
-        """Out-neighborhood of a dense index, excluding the vertex itself."""
-        neighborhood = csr.neighbor_set(index)
-        neighborhood.discard(index)
-        return neighborhood
-
-    def common_neighbors(self, csr: "CSRGraph", iu: int, iv: int) -> set[int]:
-        """Dense indexes adjacent to both, excluding the endpoints."""
-        shared = self._neighborhood(csr, iu) & self._neighborhood(csr, iv)
-        shared.discard(iu)
-        shared.discard(iv)
-        return shared
-
-    def jaccard(self, csr: "CSRGraph", iu: int, iv: int) -> float:
-        nu = self._neighborhood(csr, iu)
-        nv = self._neighborhood(csr, iv)
-        union = len(nu | nv)
-        if not union:
-            return 0.0
-        return len(nu & nv) / union
-
-    def adamic_adar(self, csr: "CSRGraph", iu: int, iv: int) -> float:
-        score = 0.0
-        for index in self.common_neighbors(csr, iu, iv):
-            degree = len(self._neighborhood(csr, index))
-            if degree > 1:
-                score += 1.0 / math.log(degree)
-        return score
-
-    def preferential_attachment(self, csr: "CSRGraph", iu: int, iv: int) -> int:
-        return len(self._neighborhood(csr, iu)) * len(self._neighborhood(csr, iv))
 
 
 class PythonBackend(KernelBackend):

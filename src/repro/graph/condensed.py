@@ -272,13 +272,6 @@ class CondensedGraph:
     def has_edge(self, source: int, target: int) -> bool:
         return target in self.succ.get(source, ())
 
-    # ------------------------------------------------------------------ #
-    # edge annotations (properties of direct real->real edges)
-    # ------------------------------------------------------------------ #
-    def edge_annotation(self, source: int, target: int) -> dict[str, Any]:
-        """Properties attached to the direct edge ``source -> target`` (may be empty)."""
-        return dict(self.edge_annotations.get((source, target), {}))
-
     def out(self, node: int) -> list[int]:
         """Out-adjacency of ``node`` (source side for real nodes)."""
         return self.succ.get(node, [])

@@ -160,10 +160,3 @@ class CondensedBackedGraph(Graph):
     # ------------------------------------------------------------------ #
     def condensed_edge_count(self) -> int:
         return self._cg.num_condensed_edges
-
-    def virtual_node_count(self) -> int:
-        return self._cg.num_virtual_nodes
-
-    def total_node_count(self) -> int:
-        """Real plus virtual nodes (what Figure 10 plots as 'nodes')."""
-        return self._cg.num_nodes

@@ -1,8 +1,9 @@
 """The relational substrate GraphGen extracts graphs from.
 
 This package is a small, self-contained in-memory relational engine: schemas,
-row-store tables, a statistics catalog, physical operators, a conjunctive-
-query executor, SQL generation, and an optional ``sqlite3`` execution backend.
+row-store tables, a statistics catalog, a conjunctive-query executor (hash
+joins and ``DISTINCT``, the basic SQL the paper asks of the database), SQL
+generation, and an optional ``sqlite3`` execution backend.
 """
 
 from repro._lazy import lazy_exports

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.exceptions import QueryError
 from repro.relational.database import Database
-from repro.relational.operators import distinct as distinct_op
 
 Row = tuple[Any, ...]
 
@@ -250,7 +249,8 @@ def evaluate(db: Database, query: ConjunctiveQuery, use_distinct: bool = True) -
     head_idx = [current_vars.index(v) for v in query.head_vars]
     projected = (tuple(row[i] for i in head_idx) for row in current_rows)
     if use_distinct:
-        return list(distinct_op(projected))
+        # dict keys keep first-seen order
+        return list(dict.fromkeys(projected))
     return list(projected)
 
 

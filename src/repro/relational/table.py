@@ -1,8 +1,9 @@
 """In-memory table storage.
 
 Rows are stored as tuples in a list (row store).  Tables support bulk insert,
-iteration, per-column value access, and on-demand hash indexes that the join
-operators use.  Indexes are invalidated automatically on mutation.
+iteration, per-column value access, and on-demand hash indexes for point
+lookups (:meth:`Table.lookup`).  Indexes are invalidated automatically on
+mutation.
 """
 
 from __future__ import annotations

@@ -49,7 +49,10 @@ from repro.algorithms.centrality import betweenness_runner, check_betweenness, c
 from repro.algorithms.connected_components import components_runner, components_vector
 from repro.algorithms.degree import degree_runner
 from repro.algorithms.kcore import kcore_runner
-from repro.algorithms.label_propagation import label_propagation_runner
+from repro.algorithms.label_propagation import (
+    check_label_propagation,
+    label_propagation_runner,
+)
 from repro.algorithms.pagerank import check_pagerank, pagerank_runner, pagerank_vector
 from repro.algorithms.shortest_paths import check_diameter, diameter_runner
 from repro.algorithms.similarity import check_link_predictions, link_predictions_runner
@@ -145,6 +148,7 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             "label_propagation",
             defaults={"max_iterations": 20, "seed": 0},
             kernel=label_propagation_runner,
+            validate=check_label_propagation,
         ),
         PlanAlgorithm("closeness", defaults={}, kernel=closeness_runner),
         PlanAlgorithm(

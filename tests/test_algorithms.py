@@ -230,6 +230,28 @@ class TestCommunitiesAndPaths:
             (lambda g: link_predictions(g, score="nope"), lambda p: p.link_predictions(score="nope")),
             (lambda g: bfs_distances(g, None), lambda p: p.bfs(source=None)),
             (lambda g: reachable_set(g, None), lambda p: p.bfs(source=None)),
+            (lambda g: link_predictions(g, k=-1), lambda p: p.link_predictions(k=-1)),
+            (lambda g: link_predictions(g, k="2"), lambda p: p.link_predictions(k="2")),
+            (lambda g: link_predictions(g, k=1.5), lambda p: p.link_predictions(k=1.5)),
+            (lambda g: link_predictions(g, k=True), lambda p: p.link_predictions(k=True)),
+            (lambda g: pagerank(g, max_iterations="x"), lambda p: p.pagerank(max_iterations="x")),
+            (lambda g: pagerank(g, max_iterations=-1), lambda p: p.pagerank(max_iterations=-1)),
+            (lambda g: pagerank(g, tolerance="x"), lambda p: p.pagerank(tolerance="x")),
+            (lambda g: pagerank(g, tolerance=-1e-9), lambda p: p.pagerank(tolerance=-1e-9)),
+            (lambda g: pagerank(g, tolerance=True), lambda p: p.pagerank(tolerance=True)),
+            (
+                lambda g: label_propagation(g, max_iterations="x"),
+                lambda p: p.label_propagation(max_iterations="x"),
+            ),
+            (
+                lambda g: communities(g, max_iterations=-1),
+                lambda p: p.label_propagation(max_iterations=-1),
+            ),
+            (
+                lambda g: bfs_distances(g, 0, max_depth="x"),
+                lambda p: p.bfs(source=0, max_depth="x"),
+            ),
+            (lambda g: bfs_distances(g, 0, max_depth=-1), lambda p: p.bfs(source=0, max_depth=-1)),
         ],
         ids=[
             "betweenness-0",
@@ -243,6 +265,19 @@ class TestCommunitiesAndPaths:
             "link-predictions-score",
             "bfs-source-none",
             "reachable-set-source-none",
+            "link-predictions-k--1",
+            "link-predictions-k-str",
+            "link-predictions-k-float",
+            "link-predictions-k-bool",
+            "pagerank-max-iterations-str",
+            "pagerank-max-iterations--1",
+            "pagerank-tolerance-str",
+            "pagerank-tolerance-negative",
+            "pagerank-tolerance-bool",
+            "label-propagation-max-iterations-str",
+            "communities-max-iterations--1",
+            "bfs-max-depth-str",
+            "bfs-max-depth--1",
         ],
     )
     def test_bad_sample_counts_fail_like_the_plan_does(self, sample_graph, free, planned):
@@ -250,6 +285,9 @@ class TestCommunitiesAndPaths:
         Was: ZeroDivisionError, random.sample's ValueError, a silent answer, a
         bare TypeError, a ValueError worded apart from the plan's, or (BFS
         from ``None``) a RepresentationError where the plan raised UsageError.
+        A bad ``k``, ``max_iterations``, ``tolerance`` or ``max_depth`` was a
+        bare TypeError or a silently wrong answer (all-but-last predictions,
+        an unbounded BFS, the starting state).
         The BFS helpers outside the registry (``bfs_order``, ``bfs_tree``,
         ``shortest_path``) keep their RepresentationError for any source not
         in the graph, ``None`` included."""

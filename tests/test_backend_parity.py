@@ -4,7 +4,8 @@ The contract (see ``repro.graph.backend``): the ``python`` backend is the
 bit-exact reference; the ``numpy`` backend must return **exactly equal**
 results for integer/discrete kernels and match within ``1e-9`` L-infinity
 for float kernels — on every representation, including a snapshot loaded
-zero-copy from an mmap'd file.
+zero-copy from an mmap'd file.  Neighborhood similarity is not a backend
+kernel, so its answers are compared with ``==``.
 
 Backend selection is exercised through the real dispatch point (the
 ``REPRO_KERNEL_BACKEND`` environment variable read by
@@ -17,6 +18,7 @@ import random
 import pytest
 
 from repro import algorithms as algo
+from repro.algorithms.similarity import SCORE_NAMES
 from repro.exceptions import UsageError
 from repro.graph import CSRGraph, ExpandedGraph
 from repro.graph.backend import (
@@ -93,6 +95,7 @@ def _two_vertices(graph):
 def _run_all(graph):
     """name -> (kind, result) for every algorithm module's kernels."""
     source, other = _two_vertices(graph)
+    sample = sorted(graph.get_vertices(), key=repr)[:6]
     return {
         # 1. degree
         "degrees": ("int", algo.degrees(graph)),
@@ -126,13 +129,22 @@ def _run_all(graph):
         # exact: one shaping of integer tree stats on every backend
         "closeness_centrality": ("int", algo.closeness_centrality(graph)),
         "betweenness_centrality": ("float", algo.betweenness_centrality(graph)),
-        # 10. similarity
-        "jaccard": ("float", algo.jaccard_coefficient(graph, source, other)),
-        "adamic_adar": ("float", algo.adamic_adar(graph, source, other)),
+        # 10. similarity — exact: one implementation on every backend, so
+        # floats to the bit and link predictions' tie order included
+        "jaccard": ("int", algo.jaccard_coefficient(graph, source, other)),
+        "adamic_adar": ("int", algo.adamic_adar(graph, source, other)),
         "common_neighbors": ("int", algo.common_neighbors(graph, source, other)),
         "preferential_attachment": (
             "int",
             algo.preferential_attachment(graph, source, other),
+        ),
+        "similarity_matrix": (
+            "int",
+            {score: algo.similarity_matrix(graph, sample, score) for score in SCORE_NAMES},
+        ),
+        "link_predictions": (
+            "int",
+            {score: algo.link_predictions(graph, k=1000, score=score) for score in SCORE_NAMES},
         ),
     }
 

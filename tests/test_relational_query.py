@@ -65,6 +65,14 @@ class TestEvaluation:
         assert sorted(evaluate(db, query)) == [(10,), (20,)]
         assert len(evaluate(db, query, use_distinct=False)) == 4
 
+    def test_distinct_keeps_first_seen_order(self):
+        db = Database("order")
+        db.create_table("T", [("k", "int"), ("v", "int")])
+        db.insert("T", [(1, 30), (2, 10), (3, 30), (4, 20), (5, 10)])
+        query = ConjunctiveQuery(["V"], [QueryAtom("T", ("K", "V"))])
+        assert evaluate(db, query, use_distinct=False) == [(30,), (10,), (30,), (20,), (10,)]
+        assert evaluate(db, query) == [(30,), (10,), (20,)]
+
     def test_constant_selection(self, db):
         query = ConjunctiveQuery(["X"], [QueryAtom("R", ("X", Const(10)))])
         assert sorted(evaluate(db, query)) == [(1,), (2,)]
@@ -91,6 +99,14 @@ class TestEvaluation:
         result = set(evaluate(db, query))
         assert (1, 2) in result and (2, 1) in result and (1, 1) in result
         assert (1, 3) not in result
+
+    def test_join_on_two_shared_variables(self, db):
+        db.create_table("T", [("a", "int"), ("b", "int"), ("tag", "str")])
+        db.insert("T", [(1, 10, "hit"), (1, 20, "miss"), (3, 20, "hit")])
+        query = ConjunctiveQuery(
+            ["X", "G"], [QueryAtom("R", ("X", "Y")), QueryAtom("T", ("X", "Y", "G"))]
+        )
+        assert sorted(evaluate(db, query)) == [(1, "hit"), (3, "hit")]
 
     def test_arity_mismatch_raises(self, db):
         query = ConjunctiveQuery(["X"], [QueryAtom("R", ("X", "Y", "Z"))])

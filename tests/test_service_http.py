@@ -146,6 +146,16 @@ class TestErrorContract:
         assert status == 400
         assert "damping must be in" in body["error"]
 
+    def test_mistyped_params_are_400_not_500(self, served):
+        """A JSON string where a count belongs is the caller's mistake: a
+        400 from the registry check, not a TypeError inside the plan."""
+        base, _, _ = served
+        status, body = http_post(
+            base, "/analyze", {"algorithm": "link_predictions", "params": {"k": "2"}}
+        )
+        assert status == 400
+        assert "k must be a non-negative integer" in body["error"]
+
     def test_invalid_json_body_is_400(self, served):
         base, _, _ = served
         status, body = http_post(base, "/analyze", b"{not json")
