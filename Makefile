@@ -16,7 +16,10 @@ help:
 	@echo "                    a cache hit executes no plan, responses bit-identical"
 	@echo "make test-incremental - the maintainers: maintained == a cold recompute on"
 	@echo "                    generated journal windows (both backends), BFS removal"
-	@echo "                    repairs, the ring schedule's tally and work pins"
+	@echo "                    repairs, the ring schedule's tally and work pins; the"
+	@echo "                    delta journal + overlay suite (an extended overlay =="
+	@echo "                    a one-shot one); PageRank's parent digests, stop"
+	@echo "                    decision and dense/sparse push counts"
 	@echo "make test-dedup   - DEDUP-1/BITMAP/DEDUP-2 suites, the identity goldens"
 	@echo "                    (every algorithm x ordering, edge for edge), the"
 	@echo "                    probe pins, maintained-mask property, fig12 shapes"
@@ -58,7 +61,8 @@ test-session:
 		tests/test_plan_compiler.py
 
 test-incremental:
-	$(PYTEST) -q tests/test_incremental.py \
+	$(PYTEST) -q tests/test_incremental.py tests/test_graph_delta.py \
+		tests/test_pagerank_kernel.py \
 		tests/test_property_invariants.py::test_property_maintained_results_equal_a_cold_recompute
 
 test-dedup:

@@ -12,7 +12,14 @@ Kernel strategies (see ``tests/test_backend_parity.py`` for the contract):
 
 * **PageRank / gather** — scatter-gather with ``np.bincount`` weights over
   the flat edge array (accumulation in global edge order, the same order the
-  reference kernel adds shares in) and ``np.add.reduceat`` segment sums.
+  reference kernel adds shares in; per-edge shares are one ``np.take`` of
+  the per-vertex shares by edge source) and ``np.add.reduceat`` segment
+  sums.  The stop test reads numpy's pairwise sum and falls back to the
+  reference's left-to-right sum only when its error bound straddles the
+  tolerance (:func:`_below_tolerance`).  The incremental correction series
+  pushes a narrow frontier by gathering its out-edges and a frontier
+  reaching at least ``1 / DENSE_PUSH_SHARE`` of the edges by one sweep of
+  the edge arrays; both pushes add the same floats in the same order.
 * **Single-source BFS** — one frontier-adaptive level step
   (:func:`_bfs_levels`): a frontier of at most :data:`SCALAR_FRONTIER`
   vertices is expanded by a scalar loop over the snapshot's own buffers, a
@@ -188,12 +195,45 @@ class TraversalCounters:
 
     #: hook-and-jump rounds run by :meth:`NumpyBackend.connected_components`
     hook_rounds = 0
+    #: :meth:`NumpyBackend.pagerank_correction` terms pushed over the whole
+    #: edge array / over the frontier's gathered out-edges
+    dense_pushes = 0
+    sparse_pushes = 0
 
 
 #: a BFS frontier of at most this many vertices is expanded by a scalar loop,
 #: a wider one by one flat gather.  A fixed constant, not an option: 16 / 64 /
 #: 256 time the same on both ring and small-world inputs.
 SCALAR_FRONTIER = 64
+
+#: a PageRank correction term whose frontier reaches at least ``1 /
+#: DENSE_PUSH_SHARE`` of the edges pushes over the whole edge array instead
+#: of gathering the frontier's out-edges: past that volume the gather's
+#: index arithmetic costs more than one sweep.  A fixed constant, not an
+#: option.
+DENSE_PUSH_SHARE = 4
+
+_EPSILON = float(np.finfo(np.float64).eps)
+
+
+def _below_tolerance(moved: np.ndarray, tolerance: float) -> bool:
+    """``sum(moved.tolist()) < tolerance`` for non-negative ``moved``.
+
+    The left-to-right sum is the reference kernel's stop test, and reading
+    it costs a list of ``n`` floats.  Any summation order of ``n``
+    non-negative terms lands within ``γ(n-1) ≈ (n - 1)·ε/2`` relative of
+    the exact sum, so numpy's pairwise sum and the left-to-right one (or
+    Python 3.12's compensated one) differ by less than ``4·n·ε`` of the
+    pairwise sum; only when that interval straddles ``tolerance`` is the
+    left-to-right sum read.
+    """
+    total = float(moved.sum())
+    slack = 4.0 * moved.size * _EPSILON * total
+    if total + slack < tolerance:
+        return True
+    if total - slack >= tolerance:
+        return False
+    return sum(moved.tolist()) < tolerance
 
 
 def _bfs_levels(
@@ -404,15 +444,17 @@ class NumpyBackend(KernelBackend):
         its weights in one sequential pass over the index array, so scoring
         a static ``[0..n) ++ targets`` index array against
         ``[base]*n ++ shares-per-edge`` weights reproduces that exact
-        addition sequence per vertex; the dangling mass and the convergence
-        change are summed sequentially in index order like the reference.
-        The stopping decision therefore flips at the same iteration, leaving
-        no float divergence at all (the documented contract is still the
-        conservative <= 1e-9).
+        addition sequence per vertex; the dangling mass is summed
+        sequentially in index order like the reference, and the convergence
+        change is decided as the reference's sequential sum decides it
+        (:func:`_below_tolerance`).  The stopping decision therefore flips at
+        the same iteration, leaving no float divergence at all (the
+        documented contract is still the conservative <= 1e-9).
         """
         n = csr.n
         _, targets = _views(csr)
         degrees = _out_degrees(csr)
+        sources = _edge_sources(csr)
         spreading = degrees > 0
         dangling = np.flatnonzero(~spreading)
         scatter_index = np.concatenate((np.arange(n, dtype=np.int64), targets))
@@ -423,17 +465,17 @@ class NumpyBackend(KernelBackend):
         else:
             ranks = np.array(initial, dtype=np.float64)
         for _ in range(max_iterations):
-            # sequential left-to-right sums in index order, like the
+            # sequential left-to-right sum in index order, like the
             # reference (the dangling set is typically tiny)
             dangling_mass = sum(ranks[dangling].tolist())
             base = (1.0 - damping) / n + damping * dangling_mass / n
             np.divide(damping * ranks, degrees, out=shares, where=spreading)
             weights[:n] = base
-            weights[n:] = np.repeat(shares, degrees)
+            np.take(shares, sources, out=weights[n:], mode="clip")
             next_ranks = np.bincount(scatter_index, weights=weights, minlength=n)
-            change = sum(np.abs(next_ranks - ranks).tolist())
+            moved = np.abs(next_ranks - ranks)
             ranks = next_ranks
-            if change < tolerance:
+            if _below_tolerance(moved, tolerance):
                 break
         return ranks.tolist()
 
@@ -448,12 +490,15 @@ class NumpyBackend(KernelBackend):
     ) -> list[float] | None:
         """The reference series with the frontier held as an index array.
 
-        A term gathers the frontier's out-edges and scatters them with
+        A term whose frontier reaches under ``1 / DENSE_PUSH_SHARE`` of the
+        edges gathers the frontier's out-edges and scatters them with
         ``np.bincount`` over the index window they land in, so it costs the
         frontier's edge volume plus that window — not ``n`` — while the
-        delta's neighbourhood is small; once the frontier is every vertex
-        the edge arrays *are* the gather, and a term is one sweep over them:
-        what a dense power-iteration step costs.
+        delta's neighbourhood is small.  A wider term is one sweep of the
+        edge arrays, what a dense power-iteration step costs: every edge
+        carries its source's share, ``0.0`` outside the frontier.  Adding
+        ``0.0`` leaves every bin's value and its summation order as the
+        gather would, so both pushes give the same floats.
         """
         n = csr.n
         offsets, targets = _views(csr)
@@ -462,24 +507,45 @@ class NumpyBackend(KernelBackend):
             return None
         repaired = np.array(ranks, dtype=np.float64)
         # the frontier stays in ascending index order (flatnonzero keeps it
-        # so), which is what lets a full frontier read the edge arrays as-is
+        # so): its gathered out-edges are the edge arrays' order restricted
+        # to it, the order the dense push adds them in
         seeds = sorted(residual)
         frontier = np.array(seeds, dtype=np.int64)
         values = np.array([residual[v] for v in seeds], dtype=np.float64)
+        per_edge = None  # the dense push's per-edge shares, one buffer reused
         for _ in range(max_iterations):
-            repaired[frontier] += values
+            # a frontier of n distinct ascending indices is every vertex in
+            # order, so indexing by it is the identity and is skipped
+            full = frontier.size == n
+            if full:
+                repaired += values
+            else:
+                repaired[frontier] += values
             if not frontier.size or np.abs(values).sum() < tolerance:
                 break
-            counts = degrees[frontier]
-            shares = np.repeat(damping * values / counts, counts)
-            if frontier.size == n:
-                low, spread = 0, np.bincount(targets, weights=shares)
+            counts = degrees if full else degrees[frontier]
+            shares = damping * values / counts
+            if full or int(counts.sum()) * DENSE_PUSH_SHARE >= targets.size:
+                TraversalCounters.dense_pushes += 1
+                if not full:
+                    shares, compact = np.zeros(n, dtype=np.float64), shares
+                    shares[frontier] = compact
+                if per_edge is None:
+                    per_edge = np.empty(targets.size, dtype=np.float64)
+                np.take(shares, _edge_sources(csr), out=per_edge, mode="clip")
+                low, spread = 0, np.bincount(targets, weights=per_edge, minlength=n)
             else:
+                TraversalCounters.sparse_pushes += 1
                 reached = _gather_targets(offsets, targets, frontier)
                 low = reached.min()
-                spread = np.bincount(reached - low, weights=shares)
-            support = np.flatnonzero(spread)
-            frontier, values = support + low, spread[support]
+                spread = np.bincount(reached - low, weights=np.repeat(shares, counts))
+            if np.count_nonzero(spread) == n:
+                if not full:
+                    frontier = np.arange(n, dtype=np.int64)
+                values = spread
+            else:
+                support = np.flatnonzero(spread)
+                frontier, values = support + low, spread[support]
         return repaired.tolist()
 
     # ------------------------------------------------------------------ #

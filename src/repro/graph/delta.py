@@ -47,6 +47,7 @@ from __future__ import annotations
 import os
 import struct
 from array import array
+from bisect import insort
 from pathlib import Path
 from pickle import dumps as _pickle_dumps
 from pickle import loads as _pickle_loads
@@ -194,6 +195,7 @@ class DeltaJournal:
         self.total = 0
         #: completed journal compactions (rebase onto a merged base)
         self.compactions = 0
+        self._edge_records = 0
         # (path, records synced, file size) of the last sync target, so
         # repeated syncs append O(new records) instead of rewriting
         self._synced: tuple[str, int, int] | None = None
@@ -203,19 +205,23 @@ class DeltaJournal:
 
     @property
     def edge_records(self) -> int:
-        """Pending edge records (``V`` vertex records excluded)."""
-        return sum(1 for op, _ in self.records if op != "V")
+        """Pending edge records (``V`` vertex records excluded), kept as a
+        running count by :meth:`append` and :meth:`rebase`."""
+        return self._edge_records
 
     def append(self, op: str, payload: Any) -> None:
         if op not in ("+", "-", "V"):
             raise ValueError(f"unknown delta op {op!r}")
         self.records.append((op, payload))
         self.total += 1
+        if op != "V":
+            self._edge_records += 1
 
     def rebase(self, new_base_hash: bytes, *, compacted: bool = False) -> None:
         """Drop the pending records: they are merged into a new base."""
         self.base_total = self.total
         self.records = []
+        self._edge_records = 0
         self.base_hash = new_base_hash
         self._synced = None
         if compacted:
@@ -308,45 +314,95 @@ class DeltaOverlay:
       (the sorted adjacency patch both backends consume).
 
     Two overlays decoded from the same records over the same base produce
-    element-wise identical snapshots on every backend.
+    element-wise identical snapshots on every backend, however the records
+    were split between the constructor and :meth:`extend` calls.
     """
 
-    def __init__(self, records: list[tuple[str, Any]]) -> None:
-        last: dict[tuple[VertexId, VertexId], str] = {}
-        vertices: list[VertexId] = []
-        seen: set[VertexId] = set()
-        edge_records = 0
+    def __init__(self, records: list[tuple[str, Any]] = ()) -> None:
+        #: each touched directed pair's last op, in first-touch order
+        self._last: dict[tuple[VertexId, VertexId], str] = {}
+        self._seen: set[VertexId] = set()
+        #: vertices the stream may have introduced, first-appearance order
+        #: (filtered against the base at materialisation time)
+        self.vertex_candidates: list[VertexId] = []
+        #: number of edge records decoded (the provenance ``delta_edges`` K)
+        self.delta_edges = 0
+        # (base, index, new_vertices, strip, additions) of the last base
+        # planned, kept current by extend()
+        self._planned: tuple | None = None
+        self.extend(records)
+
+    def extend(self, records: list[tuple[str, Any]]) -> None:
+        """Fold the stream's next ``records`` into the patch.  A plan
+        already resolved against a base is updated for the pairs they touch
+        only, so the cost is the new records', not the whole stream's."""
+        last = self._last
+        seen = self._seen
+        vertices = self.vertex_candidates
+        fresh = len(vertices)
+        before: dict[tuple[VertexId, VertexId], str | None] = {}
         for op, payload in records:
             if op == "V":
-                if payload not in seen:
-                    seen.add(payload)
-                    vertices.append(payload)
-                continue
-            edge_records += 1
-            u, v = payload
-            last[(u, v)] = op
-            for endpoint in (u, v):
+                endpoints = (payload,)
+            else:
+                self.delta_edges += 1
+                if payload not in before:
+                    before[payload] = last.get(payload)
+                last[payload] = op
+                endpoints = payload
+            for endpoint in endpoints:
                 if endpoint not in seen:
                     seen.add(endpoint)
                     vertices.append(endpoint)
-        #: every directed pair the stream touched (stripped from base rows)
-        self.touched: set[tuple[VertexId, VertexId]] = set(last)
-        #: net-present pairs, in first-touch order
-        self.added: list[tuple[VertexId, VertexId]] = [
-            pair for pair, op in last.items() if op == "+"
-        ]
-        #: net-absent pairs
-        self.removed: list[tuple[VertexId, VertexId]] = [
-            pair for pair, op in last.items() if op == "-"
-        ]
-        #: vertices the stream may have introduced, first-appearance order
-        #: (filtered against the base at materialisation time)
-        self.vertex_candidates: list[VertexId] = vertices
-        #: number of edge records decoded (the provenance ``delta_edges`` K)
-        self.delta_edges = edge_records
+        if self._planned is not None:
+            self._replan(vertices[fresh:], before)
+
+    def _replan(
+        self, candidates: list[VertexId], before: dict[tuple[VertexId, VertexId], str | None]
+    ) -> None:
+        """Carry the kept plan over new vertex candidates and the touched
+        pairs' previous net ops (``None``: not in the plan yet)."""
+        base, index, new_vertices, strip, additions = self._planned
+        fresh = [v for v in candidates if v not in base._index]
+        if fresh:
+            # snapshots merged so far hold the old codec: extend a copy
+            index = dict(index)
+            for vertex in fresh:
+                index[vertex] = len(index)
+            new_vertices = new_vertices + fresh
+        last = self._last
+        for pair, old in before.items():
+            row, target = index[pair[0]], index[pair[1]]
+            strip.setdefault(row, set()).add(target)
+            op = last[pair]
+            if op == old:
+                continue
+            if op == "+":
+                insort(additions.setdefault(row, []), target)
+            elif old == "+":
+                kept = additions[row]
+                kept.remove(target)
+                if not kept:
+                    del additions[row]
+        self._planned = (base, index, new_vertices, strip, additions)
+
+    @property
+    def touched(self) -> set[tuple[VertexId, VertexId]]:
+        """Every directed pair the stream touched (stripped from base rows)."""
+        return set(self._last)
+
+    @property
+    def added(self) -> list[tuple[VertexId, VertexId]]:
+        """Net-present pairs, in first-touch order."""
+        return [pair for pair, op in self._last.items() if op == "+"]
+
+    @property
+    def removed(self) -> list[tuple[VertexId, VertexId]]:
+        """Net-absent pairs, in first-touch order."""
+        return [pair for pair, op in self._last.items() if op == "-"]
 
     def __bool__(self) -> bool:
-        return bool(self.touched or self.vertex_candidates)
+        return bool(self._last or self.vertex_candidates)
 
     def plan(
         self, base: "CSRGraph"
@@ -354,22 +410,16 @@ class DeltaOverlay:
         """Resolve the patch against ``base``'s codec: the merged snapshot's
         ``external ID -> dense`` index (``base``'s own when no vertex is
         new), the appended new vertices, plus per-dense-row strip sets and
-        sorted addition lists (rows indexed in the *merged* vertex order)."""
-        index = base._index
-        new_vertices = [v for v in self.vertex_candidates if v not in index]
-        if new_vertices:
-            index = dict(index)
-            for vertex in new_vertices:
-                index[vertex] = len(index)
-        strip: dict[int, set[int]] = {}
-        additions: dict[int, list[int]] = {}
-        for u, v in self.touched:
-            strip.setdefault(index[u], set()).add(index[v])
-        for u, v in self.added:
-            additions.setdefault(index[u], []).append(index[v])
-        for row in additions.values():
-            row.sort()
-        return index, new_vertices, strip, additions
+        sorted addition lists (rows indexed in the *merged* vertex order).
+
+        The plan is kept for ``base`` and carried forward by :meth:`extend`;
+        the returned containers are the overlay's own, to read, not change.
+        """
+        if self._planned is None or self._planned[0] is not base:
+            # a new base: every pending pair is new to the plan
+            self._planned = (base, base._index, [], {}, {})
+            self._replan(self.vertex_candidates, dict.fromkeys(self._last))
+        return self._planned[1:]
 
     def materialize(
         self,
@@ -441,6 +491,10 @@ class JournaledGraph(Graph):
         self.representation_name = inner.representation_name
         self.journal = DeltaJournal()
         self._base_csr: "CSRGraph | None" = None
+        # the pending records netted so far, and how many of them: a
+        # snapshot folds in only the records appended since the last one
+        self._overlay: DeltaOverlay | None = None
+        self._folded = 0
         #: bumped whenever the journal could not express a change (vertex
         #: deletion, out-of-band mutation): previous results keyed to the
         #: delta stream are then unmaintainable
@@ -605,8 +659,7 @@ class JournaledGraph(Graph):
             self._generation += 1
 
     def _set_baseline(self, snap: "CSRGraph") -> None:
-        self._base_csr = snap
-        self.journal.rebase(snap.content_hash)
+        self._rebase(snap, compacted=False)
         self._needs_rebaseline = False
         self._note_inner_token()
 
@@ -615,9 +668,13 @@ class JournaledGraph(Graph):
         journal compaction (or, with ``compacted=False``, a plain recovery
         rebase).  Previous-result positions stay valid: nothing about the
         delta stream changed, only where the base sits in it."""
+        self._rebase(snap, compacted=compacted)
+        self._csr_cache = (self._snapshot_token(), snap)
+
+    def _rebase(self, snap: "CSRGraph", *, compacted: bool) -> None:
         self._base_csr = snap
         self.journal.rebase(snap.content_hash, compacted=compacted)
-        self._csr_cache = (self._snapshot_token(), snap)
+        self._overlay = None  # its records are folded into the new base
 
     def snapshot(self) -> "CSRGraph":
         self._ensure_baseline()
@@ -625,13 +682,18 @@ class JournaledGraph(Graph):
         cached = self._csr_cache
         if cached is not None and cached[0] == token:
             return cached[1]
-        if not self.journal.records:
+        records = self.journal.records
+        if not records:
             snap = self._base_csr
         else:
             from repro.graph.backend import get_backend
 
-            overlay = DeltaOverlay(self.journal.records)
-            snap = overlay.materialize(
+            if self._overlay is None:
+                self._overlay = DeltaOverlay(records)
+            else:
+                self._overlay.extend(records[self._folded :])
+            self._folded = len(records)
+            snap = self._overlay.materialize(
                 self._base_csr, source=self, backend=get_backend()
             )
         self._csr_cache = (token, snap)

@@ -21,9 +21,10 @@ This module computes ``rho`` (python work proportional to the changed
 sources' out-degrees) and hands the series to the kernel backend
 (``backend.pagerank_correction``).  There is **no work budget**: the numpy
 kernel keeps the frontier as an index array, so a term costs the frontier's
-edge volume while the frontier is small and one sweep of the edge arrays —
-what a dense power-iteration step costs — once it covers the graph; a wide
-delta is never tried sparsely and then redone densely.  Termination mirrors
+edge volume while the frontier reaches under a quarter of the edges, and
+one sweep of the edge arrays — what a dense power-iteration step costs —
+once it reaches more (a *dense push*, same floats); a wide delta is never
+tried sparsely and then redone densely.  Termination mirrors
 the kernels' contract: the series is truncated once its per-term L1 mass
 drops below the same ``tolerance``, capped at the same ``max_iterations``,
 so a converged maintained result sits within the same distance of the true

@@ -427,13 +427,14 @@ class GraphHandle:
         maintainer (components / PageRank / BFS).
 
         The snapshot is one array merge (``O(n + m)`` copying, no
-        traversal).  Each maintained result then costs one copy of its dense
-        vector plus work in the delta's neighbourhood — nothing for
-        components when no added pair joins two labels, the region whose
-        distance improved for BFS, the correction frontier's edge volume for
-        PageRank, which a delta spread over the whole graph grows to one
-        sweep of the edge arrays per term, never more; nothing is decoded
-        until a plan asks.  Entries no maintainer can repair (e.g. a
+        traversal) of an overlay that nets only the records appended since
+        the last snapshot.  Each maintained result then costs one copy of
+        its dense vector plus work in the delta's neighbourhood — nothing
+        for components when no added pair joins two labels, the region
+        whose distance improved for BFS, the correction frontier's edge
+        volume for PageRank while it reaches under a quarter of the edges
+        and one sweep of the edge arrays per term once it reaches more,
+        never more; nothing is decoded until a plan asks.  Entries no maintainer can repair (e.g. a
         component split) are dropped and recompute cold on their next
         request.
         """

@@ -30,6 +30,7 @@ from __future__ import annotations
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SnapshotFormatError
 from repro.graph import CSRGraph, ExpandedGraph, SnapshotStore
@@ -188,6 +189,33 @@ class TestDeltaJournal:
         journal.append("+", (9, 10))
         assert journal.records_since(4) == [("+", (9, 10))]
 
+    def test_edge_records_is_a_running_count(self):
+        graph = JournaledGraph(_base_graph())
+        graph.snapshot()
+        journal = graph.journal
+
+        def counted() -> int:
+            recount = sum(op != "V" for op, _ in journal.records)
+            assert journal.edge_records == graph.delta_edges == recount
+            return recount
+
+        graph.add_edge(1, 3)
+        graph.add_edge(4, 77)  # a V record, then the edge
+        graph.add_vertex(90)
+        graph.delete_edge(1, 2)
+        assert counted() == 3
+        graph.rebase_onto(graph.snapshot())  # a compaction
+        assert counted() == 0 and journal.compactions == 1
+        graph.add_edge(2, 4)
+        graph.add_vertex(91)
+        assert counted() == 1
+        graph.delete_vertex(77)  # the next snapshot rebaselines
+        graph.snapshot()
+        assert counted() == 0
+        graph.add_edge(3, 1)
+        journal.rebase(b"\x07" * 32)
+        assert counted() == 0
+
     def test_sync_appends_instead_of_rewriting(self, tmp_path):
         path = tmp_path / "g.csrd"
         journal = DeltaJournal(b"\x03" * 32)
@@ -319,6 +347,74 @@ class TestDeltaOverlay:
         assert applied._index == reference._index
         assert type(applied.offsets) is type(reference.offsets)
         assert applied.offsets.typecode == applied.targets.typecode == "q"
+
+
+#: base vertices are 1..4 (``_base_graph``); 0 and 5..8 arrive as new ones.
+#: Edges stay among 0..5, so pairs are touched again across chunks.
+_ENDPOINT = st.integers(0, 5)
+_STEP = st.one_of(
+    st.tuples(st.sampled_from(["add", "delete", "readd"]), _ENDPOINT, _ENDPOINT),
+    st.tuples(st.just("vertex"), st.integers(0, 8)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(steps=st.lists(_STEP, min_size=6, max_size=40), doomed=st.sampled_from([2, 5]), data=st.data())
+def test_property_an_extended_overlay_equals_a_one_shot_one(steps, doomed, data):
+    """Split a journaled stream at arbitrary points and fold the chunks
+    through ``extend``: after every chunk the overlay plans and merges as
+    one decoded from all pending records at once, and the graph's own kept
+    overlay serves the same snapshot, across a compaction and a
+    ``delete_vertex`` rebaseline."""
+    steps = list(steps)
+    steps.insert(data.draw(st.integers(0, len(steps))), ("compact",))
+    steps.insert(data.draw(st.integers(0, len(steps))), ("delete_vertex", doomed))
+    cuts = data.draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    graph = JournaledGraph(_base_graph())
+    graph.snapshot()
+    overlay, folded, origin = DeltaOverlay(), 0, graph.journal.base_total
+    served = []
+
+    def check() -> None:
+        nonlocal overlay, folded, origin
+        snap = graph.snapshot()
+        served.append(snap)
+        # snapshots share the merged codec: a later new vertex must not leak
+        # into an earlier snapshot's index
+        assert all(len(earlier._index) == earlier.n for earlier in served)
+        base, journal = graph.base_snapshot, graph.journal
+        if journal.base_total != origin:  # the pending records restarted
+            overlay, folded, origin = DeltaOverlay(), 0, journal.base_total
+        overlay.extend(journal.records[folded:])
+        folded = len(journal.records)
+        one_shot = DeltaOverlay(journal.records)
+        assert overlay.plan(base) == one_shot.plan(base)
+        for name in BACKENDS:
+            backend = get_backend(name)
+            _assert_snapshots_equal(
+                overlay.materialize(base, backend=backend),
+                one_shot.materialize(base, backend=backend),
+            )
+        assert snap.content_hash == one_shot.materialize(base).content_hash
+
+    for step, cut in zip(steps, cuts):
+        op, *args = step
+        if op == "add":
+            graph.add_edge(*args)
+        elif op in ("delete", "readd"):
+            if graph.exists_edge(*args):
+                graph.delete_edge(*args)
+                if op == "readd":  # removed, then re-added: nets to present
+                    graph.add_edge(*args)
+        elif op == "vertex":
+            graph.add_vertex(*args)
+        elif op == "compact":
+            graph.rebase_onto(graph.snapshot())
+        elif graph.has_vertex(*args):
+            graph.delete_vertex(*args)
+        if cut:
+            check()
+    check()
 
 
 # --------------------------------------------------------------------------- #
