@@ -28,7 +28,11 @@ help:
 	@echo "                    one plan per engine, no statement to the mirror"
 	@echo "make test-extract - the one extraction loader: pushdown parity matrix, row"
 	@echo "                    engines, aggregates, sqlite mirror, every engine == the"
-	@echo "                    brute-force full join, engines x appended rows, the"
+	@echo "                    brute-force full join, engines x appended rows (Node"
+	@echo "                    too), an extended extraction == a cold one after every"
+	@echo "                    append (spliced snapshot == full build), the delta"
+	@echo "                    path's work pins (no statement, no build, re-walks =="
+	@echo "                    brute force) and one cold-path note per condition, the"
 	@echo "                    DEDUP-1 golden graph, Table 1 (condensed vs full +"
 	@echo "                    pushdown work pins: one scan, distinct rows only)"
 	@echo "make test-algorithms - one runner per algorithm: plan == runner == free"
@@ -43,8 +47,10 @@ help:
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
 	@echo "                    hook-and-jump components + frontier-adaptive BFS,"
-	@echo "                    extraction engines x appended rows, one plan DAG at"
-	@echo "                    every parallelism + exact sweep/triangle slices)"
+	@echo "                    extraction engines x appended rows, an extended"
+	@echo "                    extraction == a cold one + the delta path's pins, one"
+	@echo "                    plan DAG at every parallelism + exact sweep/triangle"
+	@echo "                    slices)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
 	@echo "make loc          - wc -l totals of the .py files under src/, tests/, bench/"
 
@@ -80,6 +86,7 @@ test-extract:
 		tests/test_core_aggregate_extraction.py tests/test_sqlite_mirror.py \
 		tests/test_property_invariants.py::test_property_every_engine_extracts_the_full_join \
 		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow \
+		tests/test_property_invariants.py::test_property_an_extended_extraction_equals_a_cold_one \
 		tests/test_dedup_identity.py::test_dedup1_builds_the_recorded_graph \
 		tests/test_paper_table1_extraction.py
 
@@ -109,6 +116,10 @@ smoke:
 		tests/test_incremental.py tests/test_sweep_kernel.py \
 		tests/test_traversal_kernels.py \
 		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow \
+		tests/test_property_invariants.py::test_property_an_extended_extraction_equals_a_cold_one \
+		tests/test_sqlite_mirror.py::test_a_new_session_extends_the_last_extraction \
+		tests/test_sqlite_mirror.py::test_a_graph_handed_out_never_changes_under_a_later_delta \
+		tests/test_sqlite_mirror.py::test_each_condition_the_delta_path_needs_sends_it_cold \
 		tests/test_plan_compiler.py::test_property_one_dag_at_every_parallelism \
 		tests/test_plan_compiler.py::test_ranged_triangle_vectors_add_up_under_every_split \
 		tests/test_plan_compiler.py::test_strided_sweep_split_covers_each_source_once

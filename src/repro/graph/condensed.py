@@ -122,6 +122,7 @@ class CondensedGraph:
         right: tuple[str, dict[Hashable, int]] | None = None,
         skip_unknown: bool = True,
         property_names: Sequence[str] = (),
+        unknown: set | None = None,
     ) -> tuple[int, int]:
         """Wire the rows of one segment / full / aggregate query into the graph.
 
@@ -142,7 +143,8 @@ class CondensedGraph:
         a virtual left endpoint exists before the right one is looked at;
         and direct real→real edges — the only ones another rule can have
         produced already — are added once.  ``property_names`` label
-        ``row[2:]`` as annotations of those direct edges.
+        ``row[2:]`` as annotations of those direct edges.  ``unknown``, when
+        given, collects the endpoint value each skipped row was dropped for.
 
         Returns ``(edges added, rows skipped)``.
         """
@@ -168,6 +170,8 @@ class CondensedGraph:
                 source = unseen(value, left)
                 if source is None:
                     skipped += 1
+                    if unknown is not None:
+                        unknown.add(value)
                     continue
             value = row[second]
             target = right_of.get(value)
@@ -175,6 +179,8 @@ class CondensedGraph:
                 target = unseen(value, right)
                 if target is None:
                     skipped += 1
+                    if unknown is not None:
+                        unknown.add(value)
                     continue
             if direct:
                 if property_names:
@@ -206,6 +212,29 @@ class CondensedGraph:
         self.succ.pop(virtual, None)
         self.pred.pop(virtual, None)
         self.virtual_labels.pop(virtual, None)
+
+    def restore_virtual_node(
+        self,
+        virtual: int,
+        label: tuple[str, Any] | None,
+        in_nodes: Iterable[int],
+        out_nodes: Iterable[int],
+    ) -> None:
+        """Bring back virtual node ``virtual``, removed earlier, under its old
+        ID and label, with an edge from each of ``in_nodes`` and to each of
+        ``out_nodes`` (all present)."""
+        if virtual in self.succ or not self.is_virtual(virtual):
+            raise RepresentationError(f"{virtual} is not a removed virtual node")
+        self.version += 1
+        self.virtual_labels[virtual] = label
+        self.succ[virtual] = []
+        self.pred[virtual] = []
+        for source in in_nodes:
+            self.succ[source].append(virtual)
+            self.pred[virtual].append(source)
+        for target in out_nodes:
+            self.succ[virtual].append(target)
+            self.pred[target].append(virtual)
 
     def remove_real_node(self, node: int) -> None:
         """Remove a real node and all edges incident to either of its copies."""

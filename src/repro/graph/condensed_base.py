@@ -25,6 +25,10 @@ from repro.graph.condensed import CondensedGraph
 class CondensedBackedGraph(Graph):
     """Base class for representations that keep the condensed structure."""
 
+    #: vertex-property writes through this API (not structural, so they do
+    #: not move the snapshot token; :meth:`write_token` counts them)
+    _property_writes = 0
+
     def __init__(self, condensed: CondensedGraph) -> None:
         self._cg = condensed
 
@@ -48,6 +52,8 @@ class CondensedBackedGraph(Graph):
         return self._cg.num_real_nodes
 
     def add_vertex(self, vertex: VertexId, **properties: Any) -> None:
+        if properties:
+            self._property_writes += 1
         self._cg.add_real_node(vertex, **properties)
 
     def delete_vertex(self, vertex: VertexId) -> None:
@@ -59,6 +65,11 @@ class CondensedBackedGraph(Graph):
         # the wrapper's own version covers bitmap/auxiliary mutations; the
         # condensed version covers direct mutation of the shared structure
         return (self._graph_version, self._cg.version)
+
+    def write_token(self) -> tuple:
+        """Changes whenever anything is written through this API: the
+        structure (the snapshot token) or a vertex property."""
+        return (self._snapshot_token(), self._property_writes)
 
     # ------------------------------------------------------------------ #
     # logical neighbours: every reader goes through the subclass's
@@ -154,6 +165,7 @@ class CondensedBackedGraph(Graph):
             raise self._missing_vertex(vertex)
         node = self._cg.internal(vertex)
         self._cg.node_properties.setdefault(node, {})[key] = value
+        self._property_writes += 1
 
     # ------------------------------------------------------------------ #
     # statistics shared by all condensed-backed representations

@@ -49,7 +49,8 @@ implementations (same summation order).
 from __future__ import annotations
 
 from array import array
-from typing import TYPE_CHECKING, Any, Iterator
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.exceptions import RepresentationError
 from repro.graph.api import VertexId
@@ -67,6 +68,9 @@ class CSRGraph:
     #: multi-algorithm :meth:`repro.session.AnalysisPlan.run` moves this
     #: counter by exactly one.
     build_count = 0
+    #: process-wide count of vertices :meth:`splice` walked afresh (the
+    #: rest of a spliced snapshot is copied rows, and no build)
+    rewalk_count = 0
 
     __slots__ = (
         "offsets",
@@ -189,6 +193,52 @@ class CSRGraph:
         external = cg.external
         external_ids = [external(node) for node in internal_nodes]
         return cls(offsets, array("q", targets_list), external_ids, source=graph)
+
+    @classmethod
+    def splice(cls, base: "CSRGraph", graph: Any, rewalk: Iterable[int]) -> "CSRGraph":
+        """The snapshot :meth:`_from_condensed` would build of ``graph``, made
+        from ``base`` — a snapshot of an earlier state of ``graph`` — by
+        walking afresh only the internal real nodes in ``rewalk`` and the
+        real nodes added since; every other row is ``base``'s, copied.
+
+        The caller vouches for two things: the earlier state's real nodes
+        are a prefix, in the same order, of ``graph``'s (nodes were only
+        added), and the walk of every vertex outside ``rewalk`` reads only
+        adjacency lists the change left as they were.  Then the result is
+        element-wise the full build's.  Not a build: ``build_count`` stays.
+        """
+        cg = graph.condensed
+        internal_nodes = list(cg.real_nodes())
+        dense_of = {node: i for i, node in enumerate(internal_nodes)}
+        expand = graph._internal_neighbors_list
+        old_offsets, old_targets = base.offsets_list, base.targets
+        sizes = list(base.degrees())
+        targets = array("q")
+        done = 0
+        stale = sorted(dense_of[node] for node in rewalk)
+        for position in stale:
+            # base's rows up to this one, as they are, then this one afresh
+            targets.extend(old_targets[old_offsets[done] : old_offsets[position]])
+            row = [dense_of[t] for t in expand(internal_nodes[position])]
+            targets.extend(row)
+            sizes[position] = len(row)
+            done = position + 1
+        targets.extend(old_targets[old_offsets[done] : old_offsets[base.n]])
+        grown = len(internal_nodes)
+        for node in internal_nodes[base.n :]:
+            row = [dense_of[t] for t in expand(node)]
+            targets.extend(row)
+            sizes.append(len(row))
+        offsets = array("q", accumulate(sizes, initial=0))
+        CSRGraph.rewalk_count += len(stale) + grown - base.n
+
+        if grown == base.n:
+            return cls(offsets, targets, base.external_ids, source=graph, index=base._index)
+        external = cg.external
+        added = [external(node) for node in internal_nodes[base.n :]]
+        index = dict(base._index)
+        index.update((vertex, base.n + i) for i, vertex in enumerate(added))
+        return cls(offsets, targets, base.external_ids + added, source=graph, index=index)
 
     # ------------------------------------------------------------------ #
     # persistence (see repro.graph.snapshot_store for the file format)

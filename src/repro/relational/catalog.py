@@ -4,10 +4,12 @@ GraphGen's planner decides whether a join is "large-output" (Section 4.2,
 Step 2) from the join's output size against its inputs.  The paper estimates
 that size from PostgreSQL's ``pg_stats.n_distinct``; this catalog knows it
 exactly: every column's per-value counts are one pass over the stored rows,
-and ``|L ⋈ R| = Σ_v count_L(v) · count_R(v)``.  The counts are cached for
-the database state they were read at (:attr:`Database.version`), so any
-change to any table — through the database or a table directly — is seen by
-the next question; ``refresh()`` drops them explicitly (``ANALYZE``).
+and ``|L ⋈ R| = Σ_v count_L(v) · count_R(v)``.  The counts are cached with
+the watermark they were read at — the ``Table`` object, its epoch and its
+row count, the SQLite mirror's catch-up rule — so a table that only grew
+since (through the database or directly) costs a pass over its new rows, a
+cleared or replaced one a fresh pass; ``refresh()`` drops them explicitly
+(``ANALYZE``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.exceptions import SchemaError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.database import Database
+    from repro.relational.table import Table
 
 #: the paper's constant: a join is large-output when its output exceeds this
 #: many times its inputs' rows (read at call time, so tests may patch it)
@@ -55,36 +58,38 @@ class Catalog:
 
     def __init__(self, database: "Database") -> None:
         self._db = database
-        self._value_counts: dict[tuple[str, str], Counter[Any]] = {}
-        self._version: tuple[int, ...] | None = None
+        #: (table, column) -> (the Table, its epoch, rows counted, counts)
+        self._value_counts: dict[tuple[str, str], tuple["Table", int, int, Counter[Any]]] = {}
 
     # ------------------------------------------------------------------ #
     def refresh(self) -> None:
         """Drop all cached statistics (recomputed lazily on next access)."""
         self._value_counts = {}
 
-    def _counts_cache(self) -> dict[tuple[str, str], Counter[Any]]:
-        version = self._db.version
-        if version != self._version:
-            self._value_counts = {}
-            self._version = version
-        return self._value_counts
-
     def row_count(self, table: str) -> int:
         return self._db.table(table).num_rows
 
     def value_counts(self, table: str, column: str) -> Counter[Any]:
         """``value -> rows of table holding it in column`` (``None`` is a
-        value, as in the python join executor); one pass, cached until the
-        database changes."""
-        cache = self._counts_cache()
+        value, as in the python join executor); one pass, then a pass over
+        the rows appended since for as long as the table only grows.  An
+        extended count is a new ``Counter``: one handed out never changes."""
+        tab = self._db.table(table)
+        if not tab.schema.has_column(column):
+            raise SchemaError(f"no column {column!r} in table {table!r}")
         key = (table, column)
-        counts = cache.get(key)
-        if counts is None:
-            tab = self._db.table(table)
-            if not tab.schema.has_column(column):
-                raise SchemaError(f"no column {column!r} in table {table!r}")
-            counts = cache[key] = Counter(tab.column_values(column))
+        epoch, rows = tab.epoch, tab.num_rows
+        cached = self._value_counts.get(key)
+        if cached is not None and cached[0] is tab and cached[1] == epoch and cached[2] <= rows:
+            done, counts = cached[2], cached[3]
+            if done == rows:
+                return counts
+            counts = Counter(counts)
+        else:
+            done, counts = 0, Counter()
+        index = tab.schema.column_index(column)
+        counts.update([row[index] for row in tab.rows()[done:rows]])
+        self._value_counts[key] = (tab, epoch, rows, counts)
         return counts
 
     def n_distinct(self, table: str, column: str) -> int:

@@ -22,7 +22,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Database:
-    """A named collection of :class:`~repro.relational.table.Table` objects."""
+    """A named collection of :class:`~repro.relational.table.Table` objects.
+
+    Beside its tables the database keeps, under one lock, two things
+    extraction reuses for as long as it lives: the one SQLite mirror
+    (:meth:`sqlite_backend`) and an *extraction memo* per (parsed spec,
+    extraction options) key (:meth:`recall_extraction` /
+    :meth:`keep_extraction`).  The memo entry is what the last extraction
+    of that key left for the next one to extend when the tables it read
+    only grew (:meth:`repro.core.graphgen.GraphGen.extract_with_report`);
+    it holds the last graph handed out for that key, so that graph stays
+    alive until a newer extraction of the key replaces it or the database
+    goes.  The database never looks inside an entry.
+    """
 
     def __init__(self, name: str = "db") -> None:
         self.name = name
@@ -32,7 +44,10 @@ class Database:
         # with the per-table data versions it identifies the database state
         self._structure_version = 0
         self._sqlite_cache: "SQLiteBackend | None" = None
-        self._sqlite_guard = threading.Lock()
+        #: extraction memo: (spec, options) key -> what extended it last
+        self._extractions: dict[Any, Any] = {}
+        # guards the mirror's creation and the extraction memo
+        self._guard = threading.Lock()
         # (version, fingerprint) stamped by csv_io.read_database
         self._source_stamp: tuple[tuple[int, ...], str] | None = None
 
@@ -142,10 +157,23 @@ class Database:
         """
         from repro.relational.sqlite_backend import SQLiteBackend
 
-        with self._sqlite_guard:
+        with self._guard:
             if self._sqlite_cache is None:
                 self._sqlite_cache = SQLiteBackend(self)
         return self._sqlite_cache.load()
+
+    # ------------------------------------------------------------------ #
+    # extraction memo
+    # ------------------------------------------------------------------ #
+    def recall_extraction(self, key: Any) -> Any:
+        """The memo entry kept under ``key``, or ``None``."""
+        with self._guard:
+            return self._extractions.get(key)
+
+    def keep_extraction(self, key: Any, entry: Any) -> None:
+        """Keep ``entry`` under ``key``, replacing what was there."""
+        with self._guard:
+            self._extractions[key] = entry
 
     # ------------------------------------------------------------------ #
     def total_rows(self) -> int:

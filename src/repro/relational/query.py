@@ -119,11 +119,14 @@ class ConjunctiveQuery:
 # --------------------------------------------------------------------------- #
 # evaluation
 # --------------------------------------------------------------------------- #
-def _atom_rows(db: Database, atom: QueryAtom, comparisons: Sequence[Comparison]) -> tuple[list[str], list[Row]]:
+def _atom_rows(
+    db: Database, atom: QueryAtom, comparisons: Sequence[Comparison], since: int = 0
+) -> tuple[list[str], list[Row]]:
     """Evaluate a single atom: returns (variable order, rows of bound values).
 
     Constants and repeated variables inside the atom act as selections;
     comparisons whose variable is bound by this atom are applied immediately.
+    Only the table's rows from position ``since`` on are read.
     """
     table = db.table(atom.table)
     if len(atom.arguments) != table.schema.arity:
@@ -136,7 +139,7 @@ def _atom_rows(db: Database, atom: QueryAtom, comparisons: Sequence[Comparison])
     local_comparisons = [c for c in comparisons if c.variable in var_positions]
 
     rows: list[Row] = []
-    for row in table:
+    for row in table.rows()[since:] if since else table:
         ok = True
         for i, arg in enumerate(atom.arguments):
             if isinstance(arg, Const) and row[i] != arg.value:
@@ -216,13 +219,20 @@ def _greedy_join_order(query: ConjunctiveQuery) -> list[QueryAtom]:
     return ordered
 
 
-def evaluate(db: Database, query: ConjunctiveQuery, use_distinct: bool = True) -> list[Row]:
+def evaluate(
+    db: Database, query: ConjunctiveQuery, use_distinct: bool = True, *, since: int = 0
+) -> list[Row]:
     """Evaluate ``query`` against ``db`` and return the projected rows.
 
     Set semantics (``DISTINCT``) by default, matching the SQL GraphGen
     generates.  Comparisons whose variable is only bound after a join are
     applied as soon as the variable becomes available.
+
+    ``since`` restricts a one-atom query to its table's rows from that
+    position on — the rows appended after a reader's watermark.
     """
+    if since and len(query.atoms) != 1:
+        raise QueryError(f"query {query.name!r} reads {len(query.atoms)} atoms; since= needs one")
     ordered = _greedy_join_order(query)
 
     current_vars: list[str] = []
@@ -230,7 +240,7 @@ def evaluate(db: Database, query: ConjunctiveQuery, use_distinct: bool = True) -
     pending = list(query.comparisons)
 
     for atom in ordered:
-        atom_vars, atom_rows = _atom_rows(db, atom, query.comparisons)
+        atom_vars, atom_rows = _atom_rows(db, atom, query.comparisons, since)
         if not current_vars:
             current_vars, current_rows = atom_vars, atom_rows
         else:

@@ -644,7 +644,15 @@ class GraphSession:
 
         Extraction is memoised per ``(query, representation, options)``:
         asking the session for the same graph twice returns the same handle,
-        so the relational joins run once per session.  ``key`` overrides the
+        so the relational joins run once per session — also after
+        ``db.insert``: the handle keeps the graph it was given.  A *new*
+        session's C-DUP request after rows were appended is what extends:
+        the database's extraction memo wires only the appended rows into a
+        copy of the last graph and splices its snapshot
+        (:meth:`repro.core.graphgen.GraphGen.extract_with_report` has the
+        conditions; a cold fallback says why in the report).
+
+        ``key`` overrides the
         snapshot-store cache key (callers who know more about the database's
         identity than ``database.name`` — e.g. the CLI with its dataset
         arguments — pass a fully qualified one; collisions are never unsafe,

@@ -44,7 +44,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import algorithms
 from repro.algorithms.similarity import SCORE_NAMES
@@ -67,6 +67,7 @@ from repro.graph import (
 )
 from repro.graph.backend import get_backend, numpy_available, set_default_backend
 from repro.graph.delta import JournaledGraph
+from repro.graph.kernel import CSRGraph
 from repro.incremental import MAINTAINERS, build_delta_view
 from repro.incremental.bfs import RepairCounters
 from repro.relational.csv_io import write_database
@@ -698,10 +699,17 @@ ENGINE_TABLES = {"R": ("a", "p"), "S": ("p", "y"), "T": ("b", "p")}
 
 
 @st.composite
-def growing_tables(draw):
-    """One or two rule shapes, extraction options, and a history of the three
-    tables they read: initial rows, then 0-3 append batches with one ``clear()`` +
-    refill somewhere among them.
+def growing_tables(
+    draw,
+    shapes=tuple(sorted(ENGINE_RULES)),
+    factors=(CONDENSE_ALL, 2, CONDENSE_NONE),
+    appends=st.integers(0, 3),
+):
+    """One or two rule shapes, extraction options, and a history of the four
+    tables they read: initial rows, then ``appends`` (0-3) append batches with
+    one ``clear()`` + refill of the edge tables somewhere among them.  Some
+    appends grow ``Node`` instead, by ids that earlier edge rows named while
+    no Nodes row had them.
 
     A ``NULL`` join value only meets the engines where the join is a chain
     boundary (a forced-condensed plan): inside one query the python evaluator
@@ -709,10 +717,10 @@ def growing_tables(draw):
     difference between the python and SQL engines that is older than, and
     not the subject of, this property."""
     # two rules can produce the same direct edge: added once, by every engine
-    shapes = draw(st.lists(st.sampled_from(sorted(ENGINE_RULES)), min_size=1, max_size=2))
+    shapes = draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=2))
     rules = " ".join(ENGINE_RULES[shape][0] for shape in shapes)
     nulls = all(ENGINE_RULES[shape][1] for shape in shapes) and draw(st.booleans())
-    factor = CONDENSE_ALL if nulls else draw(st.sampled_from([CONDENSE_ALL, 2, CONDENSE_NONE]))
+    factor = CONDENSE_ALL if nulls else draw(st.sampled_from(factors))
     options = {
         "skip_unknown_endpoints": draw(st.booleans()),
         "preprocess": draw(st.booleans()),
@@ -727,8 +735,12 @@ def growing_tables(draw):
         "T": st.lists(st.tuples(endpoint, join_value), max_size=6),
     }
     state = st.fixed_dictionaries(rows)
-    steps = [("append", draw(state))]
-    steps += [("append", draw(state)) for _ in range(draw(st.integers(0, 3)))]
+    # an append either adds edge rows or grows Node alone, so the rows
+    # skipped for the new ids are not simply read again
+    unknown = st.tuples(st.integers(num_nodes, num_nodes + 1))
+    grown = state | st.fixed_dictionaries({"Node": st.lists(unknown, min_size=1, max_size=2)})
+    steps = [("append", draw(grown))]
+    steps += [("append", draw(grown)) for _ in range(draw(appends))]
     steps.insert(draw(st.integers(1, len(steps))), ("refill", draw(state)))
     return f"Nodes(ID) :- Node(ID). {rules}", factor, options, num_nodes, steps
 
@@ -767,6 +779,92 @@ def test_property_engines_agree_while_tables_grow(case):
             for name, columns in ENGINE_TABLES.items():
                 ordered = f"SELECT * FROM {name} ORDER BY {', '.join(columns)}"
                 assert followed.execute_sql(ordered) == fresh.execute_sql(ordered), name
+
+
+def _partition(labels: dict) -> set[frozenset]:
+    members: dict = {}
+    for vertex, label in labels.items():
+        members.setdefault(label, set()).add(vertex)
+    return {frozenset(group) for group in members.values()}
+
+
+#: the rule shapes whose plans read one atom per query once their joins are
+#: cut: the ones a later extraction can extend
+CHAIN_SHAPES = ("asymmetric", "filter-segment", "symmetric", "two-layer")
+SYMMETRIC = "Nodes(ID) :- Node(ID). " + ENGINE_RULES["symmetric"][0]
+#: a row skipped for id 2, then a Nodes row for 2: the delta cannot re-wire it
+NODE_AFTER_A_SKIP = (
+    SYMMETRIC,
+    CONDENSE_ALL,
+    {"skip_unknown_endpoints": True, "preprocess": True},
+    2,
+    [("append", {"R": [(0, 1), (2, 1), (1, 1)]}), ("append", {"Node": [(2,)]})],
+)
+#: (2, 1) joins key 1: 0 and 1 reach the new row through its virtual node
+ROW_ON_A_KEPT_KEY = (
+    SYMMETRIC,
+    CONDENSE_ALL,
+    {"skip_unknown_endpoints": True, "preprocess": False},
+    3,
+    [("append", {"R": [(0, 1), (1, 1)]}), ("append", {"R": [(2, 1)]})],
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(NODE_AFTER_A_SKIP, "python")
+@example(ROW_ON_A_KEPT_KEY, "pushdown")
+@given(
+    st.one_of(
+        growing_tables(shapes=CHAIN_SHAPES, factors=(CONDENSE_ALL,), appends=st.integers(3, 5)),
+        growing_tables(),
+    ),
+    st.sampled_from(["python", "pushdown"]),
+)
+def test_property_an_extended_extraction_equals_a_cold_one(case, engine):
+    """After every step, a new session's C-DUP graph — the last one extended
+    by the appended rows wherever the memo allows, cold elsewhere — is the
+    cold python extraction of the tables: vertices, neighbour sets, node
+    properties, degree and components on both backends.  Its snapshot,
+    spliced whenever the memo extended a graph whose snapshot was built, is
+    element-wise the full build of the graph it came with.  Mostly chains
+    that can be extended; the rest of the shapes as well."""
+    query, factor, options, num_nodes, steps = case
+    db = Database("prop_extend")
+    db.create_table("Node", [("id", "int")])
+    db.insert("Node", [(i,) for i in range(num_nodes)])
+    for name, columns in ENGINE_TABLES.items():
+        db.add_table(Table(TableSchema(name, [Column(c, "int", nullable=True) for c in columns])))
+
+    for kind, batch in steps:
+        for name, rows in batch.items():
+            if kind == "refill":
+                db.table(name).clear()
+            db.insert(name, rows)
+
+        with large_output_factor(factor):
+            handle = GraphSession(db, extract_engine=engine, **options).graph(query)
+            csr = handle.snapshot()
+            cold, _ = GraphGen(db, extract_engine="python", **options).extract_condensed(query)
+        graph, reference = handle.graph, CDupGraph(cold)
+        assert csr.content_hash == CSRGraph.from_graph(graph).content_hash
+        report, condensed = handle.extraction.report, handle.extraction.condensed
+        assert (report.real_nodes, report.virtual_nodes, report.condensed_edges) == (
+            condensed.num_real_nodes,
+            condensed.num_virtual_nodes,
+            condensed.num_condensed_edges,
+        )
+        vertices = set(reference.get_vertices())
+        assert set(graph.get_vertices()) == vertices
+        for vertex in vertices:
+            assert set(graph.get_neighbors(vertex)) == set(reference.get_neighbors(vertex)), vertex
+        assert signature(handle.extraction.condensed)[0] == signature(cold)[0]
+        expected = CSRGraph.from_graph(reference)
+        kernels = {name: PLAN_ALGORITHMS[name].kernel for name in ("degree", "components")}
+        for backend in MAINTAINER_BACKENDS:
+            ours = {name: run(csr, get_backend(backend), {}) for name, run in kernels.items()}
+            theirs = {name: run(expected, get_backend(backend), {}) for name, run in kernels.items()}
+            assert ours["degree"] == theirs["degree"], backend
+            assert _partition(ours["components"]) == _partition(theirs["components"]), backend
 
 
 # --------------------------------------------------------------------------- #

@@ -5,6 +5,11 @@ them (``Connection.set_trace_callback`` on every connection the backend
 opens), none reads a clock — plus the regression test for the process crash
 the rebuilt-on-every-change mirror had: it runs in a subprocess, so a crash
 fails one test instead of killing pytest.
+
+A new session after ``db.insert`` extends the last extraction instead of
+reading the tables again: no statement, no snapshot build, and a re-walk of
+exactly the vertices whose walk reads a changed adjacency list; each
+condition that forces the cold path says so in the report.
 """
 
 from __future__ import annotations
@@ -21,10 +26,13 @@ import pytest
 from repro.core import ExtractionOptions, GraphGen
 from repro.core.extractor import Extractor
 from repro.exceptions import QueryError
+from repro.graph import CDupGraph, logical_edge_set
+from repro.graph.kernel import CSRGraph
 from repro.relational import sqlite_backend
 from repro.relational.database import Database
+from repro.session import GraphSession
 
-from tests.conftest import CONDENSE_ALL, large_output_factor
+from tests.conftest import CONDENSE_ALL, CONDENSE_NONE, large_output_factor
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -225,6 +233,157 @@ def test_a_reused_graphgen_replans_after_a_table_grew(statements, engine, grow):
     assert large_output_joins(gen.plan(COOCCURRENCE)) == [True]
     assert large_output_joins(GraphGen(db, extract_engine=engine).plan(COOCCURRENCE)) == [True]
     assert statements == []
+
+
+# --------------------------------------------------------------------------- #
+# a table that only grew extends the last extraction
+# --------------------------------------------------------------------------- #
+def new_pairs(count: int) -> list[tuple[int, int]]:
+    """``count`` (id, p) pairs R does not hold yet: entity 1 joins key 0
+    (whose members are 0, 10 and 20), entities 0-9 share new keys 20-39."""
+    return [(1, 0)] + [(i % 10, 20 + i // 10) for i in range(count - 1)]
+
+
+def walk_reads(graph, node: int) -> set[int]:
+    """The nodes whose out-list the walk from real ``node`` reads: itself
+    and every virtual node it reaches through virtual nodes."""
+    seen, stack = {node}, [node]
+    while stack:
+        for target in graph.succ[stack.pop()]:
+            if target < 0 and target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return seen
+
+
+def touched_vertices(old, new) -> int:
+    """Brute force: the vertices of ``new`` whose walk reads an out-list that
+    differs from ``old``'s, plus the vertices ``old`` did not have."""
+    changed = {
+        node for node in set(old.succ) | set(new.succ) if old.succ.get(node) != new.succ.get(node)
+    }
+    return sum(
+        1
+        for node in new.real_nodes()
+        if node not in old.succ or walk_reads(new, node) & changed
+    )
+
+
+def cold_edges(db: Database, query: str, **options) -> set:
+    graph, _ = GraphGen(db, extract_engine="python", **options).extract_condensed(query)
+    return logical_edge_set(CDupGraph(graph))
+
+
+def test_a_new_session_extends_the_last_extraction(statements):
+    db = make_db()
+    first = GraphSession(db, extract_engine="pushdown").graph(COOCCURRENCE)
+    first.snapshot()
+    assert first.extraction.report.queries_executed == 2
+    db.insert("R", new_pairs(200))
+    del statements[:]
+    builds, rewalks = CSRGraph.build_count, CSRGraph.rewalk_count
+
+    second = GraphSession(db, extract_engine="pushdown").graph(COOCCURRENCE)
+    csr = second.snapshot()
+
+    assert statements == []  # the mirror was not even brought up to date
+    report = second.extraction.report
+    assert report.queries_executed == 0
+    assert report.notes and report.notes[0].startswith("extended the last extraction")
+    assert CSRGraph.build_count == builds
+    walked = CSRGraph.rewalk_count - rewalks
+    assert walked == touched_vertices(first.extraction.condensed, second.extraction.condensed)
+    assert walked == len({0, 10, 20} | set(range(10)))
+    assert csr.content_hash == CSRGraph.from_graph(second.graph).content_hash
+    assert logical_edge_set(second.graph) == cold_edges(db, COOCCURRENCE)
+    assert report.condensed_edges == second.extraction.condensed.num_condensed_edges
+
+
+def test_a_graph_handed_out_never_changes_under_a_later_delta():
+    db = make_db()
+    handle = GraphSession(db).graph(COOCCURRENCE)
+    graph = handle.graph
+    rows = {vertex: list(graph.get_neighbors(vertex)) for vertex in graph.get_vertices()}
+    digest = handle.snapshot().content_hash
+    db.insert("R", new_pairs(200))
+
+    later = GraphSession(db).graph(COOCCURRENCE)
+    assert later.graph is not graph
+    assert later.extraction.report.queries_executed == 0
+    assert {vertex: list(graph.get_neighbors(vertex)) for vertex in graph.get_vertices()} == rows
+    assert graph.snapshot() is handle.snapshot() and handle.snapshot().content_hash == digest
+
+    # the memo now holds ``later``; writing through its API sends the next cold
+    later.graph.add_edge(0, 1000)
+    again = GraphSession(db).graph(COOCCURRENCE)
+    assert again.extraction.report.queries_executed == 3
+    assert again.extraction.report.notes == [
+        "extracted cold: the graph handed out last was written to since"
+    ]
+
+
+def _clear_and_refill(db, first):
+    rows = db.table("R").rows()[:]
+    db.table("R").clear()
+    db.insert("R", rows + [(0, 99)])
+
+
+def _write_through_the_api(db, first):
+    first.graph.set_property(0, "Name", "renamed")
+    db.insert("R", [(0, 99)])
+
+
+def _grow_the_node_a_row_was_skipped_for(db, first):
+    db.insert("Entity", [(30, "e30")])
+
+
+#: case -> (setup before the first extraction, change after it, query, the note)
+COLD_CASES = {
+    "clear + refill": (None, _clear_and_refill, COOCCURRENCE, "table 'R' was cleared since"),
+    "flipped condense choice": (
+        None,
+        lambda db, first: db.insert("R", [(0, 99)]),
+        COOCCURRENCE,
+        "the plan's condense-vs-expand choice changed",
+    ),
+    "aggregate rule": (
+        None,
+        lambda db, first: db.insert("R", [(0, 99), (1, 99)]),
+        "Nodes(ID, Name) :- Entity(ID, Name). Edges(A, B, count(P)) :- R(A, P), R(B, P).",
+        "query 'edges_aggregate' is not a one-atom selection",
+    ),
+    "graph written through its API": (
+        None,
+        _write_through_the_api,
+        COOCCURRENCE,
+        "the graph handed out last was written to since",
+    ),
+    "node growth after a skipped row": (
+        lambda db: db.insert("R", [(30, 0)]),
+        _grow_the_node_a_row_was_skipped_for,
+        COOCCURRENCE,
+        "an edge row was skipped for node 30, which is now in the Nodes rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLD_CASES))
+def test_each_condition_the_delta_path_needs_sends_it_cold(case):
+    setup, change, query, note = COLD_CASES[case]
+    db = make_db()
+    if setup is not None:
+        setup(db)
+    first = GraphSession(db).graph(query)
+    change(db, first)
+    flipped = large_output_factor(CONDENSE_NONE if case == "flipped condense choice" else 2)
+    with flipped:
+        handle = GraphSession(db).graph(query)
+        expected = cold_edges(db, query)
+    report = handle.extraction.report
+    assert report.notes == [f"extracted cold: {note}"]
+    assert report.queries_executed > 0
+    assert logical_edge_set(handle.graph) == expected
+    assert handle.graph.get_property(0, "Name") == "e0"
 
 
 # --------------------------------------------------------------------------- #
