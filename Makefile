@@ -19,7 +19,9 @@ help:
 	@echo "                    repairs, the ring schedule's tally and work pins; the"
 	@echo "                    delta journal + overlay suite (an extended overlay =="
 	@echo "                    a one-shot one); PageRank's parent digests, stop"
-	@echo "                    decision and dense/sparse push counts"
+	@echo "                    decision and dense/sparse push counts; the pin that"
+	@echo "                    only repro.incremental.MaintainedResults touches the"
+	@echo "                    maintained state (no _incremental* name elsewhere)"
 	@echo "make test-dedup   - DEDUP-1/BITMAP/DEDUP-2 suites, the identity goldens"
 	@echo "                    (every algorithm x ordering, edge for edge), the"
 	@echo "                    probe pins, maintained-mask property, fig12 shapes"
@@ -68,7 +70,7 @@ test-session:
 
 test-incremental:
 	$(PYTEST) -q tests/test_incremental.py tests/test_graph_delta.py \
-		tests/test_pagerank_kernel.py \
+		tests/test_pagerank_kernel.py tests/test_maintained_owner.py \
 		tests/test_property_invariants.py::test_property_maintained_results_equal_a_cold_recompute
 
 test-dedup:

@@ -32,19 +32,30 @@ caller falls back to the cold kernel; it is never a verdict on the delta's
 *width* — a wide delta costs the maintainers one dense pass, not a refusal.
 
 Registered maintainers (:data:`MAINTAINERS`) are wired into
-``PLAN_ALGORITHMS`` routing via ``PlanAlgorithm.maintainer``, so both the
-scheduled and compiled plan paths serve incremental nodes whenever a
-previous result plus a replayable journal window are available.
+``PLAN_ALGORITHMS`` routing via ``PlanAlgorithm.maintainer``.  A handle's
+previous results live in its :class:`MaintainedResults` (``handle.maintained``),
+which the compiler records to and serves incremental nodes from, ``refresh()``
+advances, and the graph service repairs stale entries through.
 """
 
 from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.incremental.base import DeltaView, build_delta_view, decode, encode
 from repro.incremental.bfs import maintain_bfs
 from repro.incremental.components import maintain_components
 from repro.incremental.pagerank import maintain_pagerank
+from repro.session.report import canonical_params
 
-#: maintainer name (``PlanAlgorithm.maintainer``) -> maintain callable
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.kernel import CSRGraph
+    from repro.session.session import GraphHandle
+
+#: maintainer name (``PlanAlgorithm.maintainer``) -> maintain callable;
+#: looked up on every run, so an entry swapped in place takes effect
 MAINTAINERS = {
     "components": maintain_components,
     "pagerank": maintain_pagerank,
@@ -57,7 +68,141 @@ __all__ = [
     "encode",
     "decode",
     "MAINTAINERS",
+    "MaintainedResults",
     "maintain_components",
     "maintain_pagerank",
     "maintain_bfs",
 ]
+
+
+@dataclass
+class _Entry:
+    """A previous result a dynamic maintainer can carry over deltas."""
+
+    #: algorithm registry name, and its maintainer's name in MAINTAINERS
+    algorithm: str
+    maintainer: str
+    #: effective parameters of the remembered run
+    params: dict[str, Any]
+    #: journal position (``journal.total``) the values are exact at
+    position: int
+    #: the result as a per-dense-index vector (``encode``), exact on the
+    #: prefix ``[0, len(dense))`` of every later snapshot of the same
+    #: generation — merges only ever append vertices.  Replaced, never
+    #: mutated, and never handed out: reports get a fresh decode
+    dense: list
+    #: journal generation the position is valid for (a rebaseline that could
+    #: not be expressed as edge records bumps it, invalidating the entry)
+    generation: int
+
+
+class MaintainedResults:
+    """A handle's previous results, one per (algorithm, canonical params),
+    carried over its delta journal; no other code touches them.  Every method
+    runs under the handle's own lock, so a snapshot build, a service write and
+    a maintainer run stay exclusive.  Non-journaled handles remember nothing."""
+
+    def __init__(self, handle: "GraphHandle", lock) -> None:
+        self._handle = handle
+        self._lock = lock
+        self._entries: dict[tuple[str, str], _Entry] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _superseded(self, csr: "CSRGraph") -> bool:
+        """Whether a write superseded ``csr`` after the caller fetched it, so
+        ``journal.total`` is not its position.  Caller holds the lock."""
+        return self._handle.graph.cached_snapshot() is not csr
+
+    def record(
+        self, name: str, maintainer: str, params: dict, values: Any, csr: "CSRGraph", dense=None
+    ) -> None:
+        """Remember ``name(params)``, freshly computed on ``csr``, for
+        ``maintainer`` to carry over future deltas — as its dense vector:
+        ``dense`` when the plan computed it inline, else encoded from the
+        dict here, once.  No-op for non-dict result shapes."""
+        journal = self._handle.journal
+        if journal is None or not isinstance(values, dict):
+            return
+        with self._lock:
+            if self._superseded(csr):
+                return
+            self._entries[(name, canonical_params(params))] = _Entry(
+                algorithm=name,
+                maintainer=maintainer,
+                params=dict(params),
+                position=journal.total,
+                dense=encode(csr, values) if dense is None else dense,
+                generation=self._handle.graph.generation,
+            )
+
+    def forget(self, name: str, params: dict) -> None:
+        """Drop the remembered ``name(params)`` result, if any: whoever held
+        it for re-serving (the service's result cache) let it go."""
+        with self._lock:
+            self._entries.pop((name, canonical_params(params)), None)
+
+    def _advance(
+        self, key: tuple[str, str], entry: _Entry, journal, csr: "CSRGraph", backend
+    ) -> int | None:
+        """Bring ``entry`` up to ``csr``, the current snapshot, through its
+        maintainer: the delta records absorbed, or None (and the entry
+        dropped, so it does not retry on every plan) when it cannot be
+        maintained.  Caller holds the lock."""
+        records = None
+        if entry.generation == self._handle.graph.generation:
+            # (else a rebaseline — vertex deletion, out-of-band mutation —
+            # broke the delta stream the entry is keyed to.)  None here: the
+            # entry predates the current base, compacted away before it
+            # could be maintained
+            records = journal.records_since(entry.position)
+        dense = entry.dense
+        if records:
+            delta = build_delta_view(records)
+            dense = MAINTAINERS[entry.maintainer](dense, csr, delta, entry.params, backend)
+        if records is None or dense is None:
+            del self._entries[key]
+            return None
+        entry.dense = dense
+        entry.position = journal.total
+        return len(records)
+
+    def serve(
+        self, name: str, params: dict, csr: "CSRGraph", backend
+    ) -> "tuple[Any, float, str] | None":
+        """``name(params)`` on ``csr`` as ``(values, seconds, note)``, by
+        maintaining the remembered result over the journal window — values
+        decoded here, a fresh dict per call — or None to fall back cold."""
+        journal = self._handle.journal
+        if journal is None:
+            return None
+        with self._lock:
+            if self._superseded(csr):
+                return None
+            started = time.perf_counter()
+            key = (name, canonical_params(params))
+            entry = self._entries.get(key)
+            absorbed = None if entry is None else self._advance(key, entry, journal, csr, backend)
+            if absorbed is None:
+                return None
+            return (
+                decode(entry.maintainer, csr, entry.dense),
+                time.perf_counter() - started,
+                f"incremental: maintained over {absorbed} delta record(s)"
+                if absorbed
+                else "incremental: no new deltas since the previous result",
+            )
+
+    def advance_all(self, csr: "CSRGraph", backend) -> tuple[list[str], list[str]]:
+        """Carry every entry forward to ``csr``, just fetched under the lock:
+        the algorithm names maintained, and those dropped (no maintainer
+        could repair them; they recompute cold on their next request)."""
+        maintained: list[str] = []
+        dropped: list[str] = []
+        with self._lock:
+            journal = self._handle.journal  # entries exist only when it does
+            for key, entry in list(self._entries.items()):
+                advanced = self._advance(key, entry, journal, csr, backend)
+                (maintained if advanced is not None else dropped).append(entry.algorithm)
+        return maintained, dropped

@@ -41,9 +41,10 @@ carry-what-we-can — superseded entries whose algorithm has a dynamic
 maintainer (:mod:`repro.incremental`) move to the new snapshot hash in
 place, marked stale, and only the rest are evicted.  No maintainer runs on
 the write: a stale entry is repaired when it is next read, over every write
-since it was computed, and one nobody reads again is never repaired.  The
-maintained state behind those repairs lives on the handle and is bounded by
-the cache — when the cache drops a result, the handle forgets it too.
+since it was computed (``MaintainedResults.serve``), and one nobody reads
+again is never repaired.  The state behind those repairs is the handle's
+:class:`~repro.incremental.MaintainedResults`, bounded by the cache — when
+the cache drops a result, ``MaintainedResults.forget`` drops it too.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class GraphService:
         self.session = session
         self.handle = handle
         self.cache = ResultCache(cache_size)
-        self.cache.on_drop = lambda result: handle._incremental_forget(
+        self.cache.on_drop = lambda result: handle.maintained.forget(
             result.algorithm, result.params
         )
         self._slots = threading.BoundedSemaphore(max_inflight)
@@ -433,16 +434,15 @@ class GraphService:
         through its dynamic maintainer over every write since it was
         computed.  None — a miss for the reader — when a write has moved the
         snapshot past ``key`` meanwhile or the maintainer refuses."""
-        maintainer = PLAN_ALGORITHMS[stale.algorithm].maintainer
         # no write may land between the hash check and the maintainer run
         with self._mutate_lock:
             csr = self.handle.snapshot()
             if csr.content_hash.hex() != key[0]:
                 return None
-            served = self.handle._incremental_serve(
-                stale.algorithm, maintainer, stale.params, csr, self.session.backend
+            served = self.handle.maintained.serve(
+                stale.algorithm, stale.params, csr, self.session.backend
             )
-            delta_edges = self.handle._delta_edges
+            delta_edges = self.handle.delta_edges
         if served is None:
             return None
         values, seconds, note = served

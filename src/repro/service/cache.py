@@ -23,14 +23,17 @@ is read again: :meth:`ResultCache.get` hands it to the caller's ``repair``
 the entry was computed), and ``patched`` counts the repairs actually made.
 **Canonicalized parameters** (sorted ``key=repr(value)`` pairs over the
 *effective* params, defaults filled in) make ``pagerank()`` and
-``pagerank(damping=0.85)`` the same entry — the same normalisation the plan
-compiler uses for its structural node keys.
+``pagerank(damping=0.85)`` the same entry — one rendering,
+:func:`repro.session.report.canonical_params`, which the plan compiler's
+structural node keys use too.
 
 Capacity is bounded LRU; all operations are lock-guarded because the
 service's HTTP front-end drives this from many request threads at once.
-Whatever else remembers a result per request (the session's maintained
-state) is bounded by the cache too: ``on_drop`` hears of every result the
-cache lets go while no live entry still answers the same request.
+Whatever else remembers a result per request (the handle's
+:class:`~repro.incremental.MaintainedResults`) is bounded by the cache too:
+``on_drop`` hears of every result the cache lets go while no live entry
+still answers the same request, and the service hands it to
+``MaintainedResults.forget``.
 """
 
 from __future__ import annotations
@@ -39,13 +42,7 @@ import threading
 from collections import OrderedDict
 from typing import Any, Callable
 
-from repro.session.report import AnalysisResult
-
-
-def canonical_params(params: dict[str, Any]) -> str:
-    """Order-insensitive token for an effective parameter dict, e.g.
-    ``"damping=0.85, max_iterations=50, tolerance=1e-09"``."""
-    return ", ".join(f"{key}={value!r}" for key, value in sorted(params.items()))
+from repro.session.report import AnalysisResult, canonical_params
 
 
 def result_key(

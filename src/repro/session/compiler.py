@@ -89,6 +89,7 @@ from repro.session.report import (
     AnalysisResult,
     NodeProvenance,
     Provenance,
+    canonical_params,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -136,7 +137,7 @@ class Node:
     done: bool = False
     value: Any = None
     #: a maintainable inline node's value before decoding (see
-    #: ``PlanAlgorithm.dense``): what the incremental record keeps
+    #: ``PlanAlgorithm.dense``): what ``MaintainedResults.record`` keeps
     dense: list | None = None
     seconds: float = 0.0
     attributed: bool = False
@@ -189,15 +190,8 @@ class CompiledPlan:
 _UND_CONSUMERS = {"kcore", "triangles", "clustering"}
 
 
-def _params_signature(params: dict) -> tuple:
-    return tuple(sorted(params.items(), key=lambda item: item[0]))
-
-
 def _algo_key(name: str, params: dict) -> str:
-    if not params:
-        return f"algo:{name}"
-    rendered = ", ".join(f"{key}={value!r}" for key, value in _params_signature(params))
-    return f"algo:{name}({rendered})"
+    return f"algo:{name}({canonical_params(params)})" if params else f"algo:{name}"
 
 
 # --------------------------------------------------------------------------- #
@@ -489,7 +483,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     csr = handle.snapshot()
     snapshot_seconds = time.perf_counter() - tick
     snapshot_source = handle.snapshot_source
-    delta_edges = handle._delta_edges
+    delta_edges = handle.delta_edges
     snapshot_notes = handle.consume_snapshot_notes()
 
     # pre-serve dynamic maintainers over the delta journal before lowering:
@@ -497,12 +491,10 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     # never pull a sweep, a derive view or a pool into existence
     incremental_served: dict[str, tuple[Any, float, str]] = {}
     for spec, params in plan._requests:
-        if spec.maintainer is None:
-            continue
         key = _algo_key(spec.name, params)
-        if key in incremental_served:
+        if spec.maintainer is None or key in incremental_served:
             continue
-        served = handle._incremental_serve(spec.name, spec.maintainer, params, csr, backend)
+        served = handle.maintained.serve(spec.name, params, csr, backend)
         if served is not None:
             incremental_served[key] = served
             CompilerCounters.nodes_computed += 1
@@ -572,7 +564,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     node.value = spec.from_triangles(csr, derived["triangle-counts"])
                 elif spec.dense is not None:
                     # the runner's two steps, keeping its vector to seed
-                    # the maintainer store
+                    # the maintained results
                     node.dense = spec.dense(csr, backend, params)
                     node.value = decode(spec.maintainer, csr, node.dense)
                 else:
@@ -615,10 +607,12 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 engine, scheduled, result_parallelism = "chunks", "pool", parallelism
 
             # a freshly computed maintainable result seeds the handle's
-            # incremental store so the *next* run after mutations can serve
+            # maintained results so the *next* run after mutations can serve
             # it from the journal (idempotent for duplicate bindings)
             if spec.maintainer is not None and node.mode != "incremental":
-                handle._incremental_record(spec.name, params, node.value, csr, node.dense)
+                handle.maintained.record(
+                    spec.name, spec.maintainer, params, node.value, csr, node.dense
+                )
 
             count = seen_labels.get(spec.name, 0) + 1
             seen_labels[spec.name] = count

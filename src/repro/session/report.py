@@ -21,6 +21,13 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 
+def canonical_params(params: dict[str, Any]) -> str:
+    """Order-insensitive token for an effective parameter dict, e.g.
+    ``"damping=0.85, max_iterations=50, tolerance=1e-09"``: the one request
+    key of compiler nodes, result-cache entries and maintained results."""
+    return ", ".join(f"{key}={value!r}" for key, value in sorted(params.items()))
+
+
 @dataclass(frozen=True)
 class NodeProvenance:
     """One primitive DAG node's contribution to a result (plan compiler).

@@ -54,8 +54,9 @@ from repro.dsl.parser import parse
 from repro.exceptions import UsageError
 from repro.graph.backend import get_backend
 from repro.graph.snapshot_store import FORMAT_VERSION, SnapshotStore, ensure_saved
+from repro.incremental import MaintainedResults
 from repro.relational.csv_io import database_name, fingerprint_database
-from repro.session.plan import PLAN_ALGORITHMS, AnalysisPlan
+from repro.session.plan import AnalysisPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.graphgen import ExtractionResult, GraphGen
@@ -89,26 +90,6 @@ class RefreshReport:
     dropped: list[str] = field(default_factory=list)
     #: wall-clock seconds for the whole refresh
     seconds: float = 0.0
-
-
-@dataclass
-class _IncrementalEntry:
-    """A previous result a dynamic maintainer can carry over deltas."""
-
-    #: algorithm registry name
-    algorithm: str
-    #: effective parameters of the remembered run
-    params: dict[str, Any]
-    #: journal position (``journal.total``) the values are exact at
-    position: int
-    #: the result as a per-dense-index vector (``repro.incremental.encode``),
-    #: exact on the prefix ``[0, len(dense))`` of every later snapshot of the
-    #: same generation — merges only ever append vertices.  Replaced, never
-    #: mutated, and never handed out: reports get a fresh decode
-    dense: list
-    #: journal generation the position is valid for (a rebaseline that could
-    #: not be expressed as edge records bumps it, invalidating the entry)
-    generation: int
 
 
 class GraphHandle:
@@ -154,16 +135,14 @@ class GraphHandle:
         self._extraction = extraction
         self._builds = 0
         self._snapshot_source: str | None = None
-        #: pending edge-delta records behind the most recent snapshot (0 for
-        #: non-journaled graphs) — surfaced as ``Provenance.delta_edges``
         self._delta_edges = 0
-        # previous results the dynamic maintainers can carry over deltas,
-        # keyed (algorithm, canonical params); journaled graphs only
-        self._incremental: dict[tuple[str, str], _IncrementalEntry] = {}
         # serialises snapshot builds/persists across service request threads:
         # concurrent analyses of one dataset share one build instead of
         # racing to produce two (RLock: persist() calls snapshot())
         self._lock = threading.RLock()
+        #: previous results the dynamic maintainers carry over deltas
+        #: (journaled graphs only), under this handle's lock
+        self.maintained = MaintainedResults(self, self._lock)
 
     # ------------------------------------------------------------------ #
     @property
@@ -227,6 +206,12 @@ class GraphHandle:
         source fingerprint without one) or ``"cache-hit"`` (None before the
         first call)."""
         return self._snapshot_source
+
+    @property
+    def delta_edges(self) -> int:
+        """Pending edge-delta records behind the most recent :meth:`snapshot`
+        (0 for non-journaled graphs) — surfaced as ``Provenance.delta_edges``."""
+        return self._delta_edges
 
     def snapshot(self) -> "CSRGraph":
         """The graph's current CSR snapshot — built lazily, store-backed,
@@ -314,149 +299,20 @@ class GraphHandle:
         consume = getattr(self._graph, "consume_notes", None)
         return consume() if consume is not None else ()
 
-    @staticmethod
-    def _incremental_key(name: str, params: dict) -> tuple[str, str]:
-        return name, repr(sorted(params.items(), key=lambda item: item[0]))
-
-    def _incremental_record(
-        self, name: str, params: dict, values: Any, csr: "CSRGraph", dense: list | None = None
-    ) -> None:
-        """Remember a result freshly computed on ``csr`` — as its dense
-        vector: ``dense`` when the plan computed it inline, else encoded
-        from the dict here, once — so the dynamic maintainers can carry it
-        over future deltas.  No-op for non-journaled graphs and for non-dict
-        result shapes."""
-        from repro.incremental import encode
-
-        journal = self.journal
-        if journal is None or not isinstance(values, dict):
-            return
-        with self._lock:
-            if self._graph.cached_snapshot() is not csr:
-                # a write superseded ``csr`` after the plan fetched it, so
-                # ``journal.total`` is not its position: remember nothing
-                return
-            self._incremental[self._incremental_key(name, params)] = _IncrementalEntry(
-                algorithm=name,
-                params=dict(params),
-                position=journal.total,
-                dense=encode(csr, values) if dense is None else dense,
-                generation=self.graph.generation,
-            )
-
-    def _incremental_forget(self, name: str, params: dict) -> None:
-        """Drop the remembered ``name(params)`` result, if any: whoever held
-        it for re-serving (the service's result cache) let it go, and the
-        dense vector would otherwise stay for the life of the handle."""
-        with self._lock:
-            self._incremental.pop(self._incremental_key(name, params), None)
-
-    def _incremental_advance(
-        self, name: str, maintainer_name: str, params: dict, csr: "CSRGraph", backend
-    ) -> "tuple[_IncrementalEntry, int] | None":
-        """Bring the remembered ``name(params)`` entry up to ``csr`` — the
-        handle's *current* snapshot (the caller just fetched it, pinning
-        ``journal.total``) — through its maintainer.  Returns the entry and
-        how many delta records it absorbed; ``None`` (and the entry dropped,
-        so it does not retry on every plan) when there is none or it cannot
-        be maintained.  Caller holds ``_lock``."""
-        from repro.incremental import MAINTAINERS, build_delta_view
-
-        journal = self.journal
-        if journal is None:
-            return None
-        key = self._incremental_key(name, params)
-        entry = self._incremental.get(key)
-        if entry is None:
-            return None
-        records = None
-        if entry.generation == self.graph.generation:
-            # (else a rebaseline — vertex deletion, out-of-band mutation —
-            # broke the delta stream the entry is keyed to.)  None here: the
-            # entry predates the current base, compacted away before it
-            # could be maintained
-            records = journal.records_since(entry.position)
-        dense = entry.dense
-        if records:
-            dense = MAINTAINERS[maintainer_name](
-                dense, csr, build_delta_view(records), params, backend
-            )
-        if records is None or dense is None:
-            del self._incremental[key]
-            return None
-        entry.dense = dense
-        entry.position = journal.total
-        return entry, len(records)
-
-    def _incremental_serve(
-        self, name: str, maintainer_name: str, params: dict, csr: "CSRGraph", backend
-    ) -> "tuple[Any, float, str] | None":
-        """Serve ``name(params)`` by maintaining the remembered previous
-        result over the journal window (:meth:`_incremental_advance`), or
-        ``None`` to fall back cold.  The values are decoded from the
-        remembered dense vector here, once — a fresh dict per call, returned
-        with the maintenance seconds and a provenance note.
-        """
-        from repro.incremental import decode
-
-        if self.journal is None:
-            return None
-        with self._lock:
-            if self._graph.cached_snapshot() is not csr:
-                # a write superseded ``csr`` after the plan fetched it: the
-                # journal holds records ``csr`` does not, so maintaining up
-                # to ``journal.total`` would not describe ``csr``
-                return None
-            started = time.perf_counter()
-            advanced = self._incremental_advance(name, maintainer_name, params, csr, backend)
-            if advanced is None:
-                return None
-            entry, absorbed = advanced
-            values = decode(maintainer_name, csr, entry.dense)
-            return (
-                values,
-                time.perf_counter() - started,
-                f"incremental: maintained over {absorbed} delta record(s)"
-                if absorbed
-                else "incremental: no new deltas since the previous result",
-            )
-
     def refresh(self) -> RefreshReport:
         """Apply the pending journal: rebuild the snapshot as base ⊕ deltas
-        and carry every remembered result forward through its dynamic
-        maintainer (components / PageRank / BFS).
-
-        The snapshot is one array merge (``O(n + m)`` copying, no
-        traversal) of an overlay that nets only the records appended since
-        the last snapshot.  Each maintained result then costs one copy of
-        its dense vector plus work in the delta's neighbourhood — nothing
-        for components when no added pair joins two labels, the region
-        whose distance improved for BFS, the correction frontier's edge
-        volume for PageRank while it reaches under a quarter of the edges
-        and one sweep of the edge arrays per term once it reaches more,
-        never more; nothing is decoded until a plan asks.  Entries no maintainer can repair (e.g. a
-        component split) are dropped and recompute cold on their next
+        (one array merge of an overlay that nets only the records appended
+        since the last snapshot) and carry every remembered result forward
+        through its dynamic maintainer (:meth:`MaintainedResults.advance_all`:
+        one copy of each dense vector plus work in the delta's neighbourhood,
+        nothing decoded until a plan asks).  Entries no maintainer can repair
+        (e.g. a component split) are dropped and recompute cold on their next
         request.
         """
         started = time.perf_counter()
         with self._lock:
             csr = self.snapshot()
-            backend = self.session.backend
-            maintained: list[str] = []
-            dropped: list[str] = []
-            for key in list(self._incremental):
-                entry = self._incremental.get(key)
-                if entry is None:  # pragma: no cover - defensive
-                    continue
-                spec = PLAN_ALGORITHMS.get(entry.algorithm)
-                if spec is None or spec.maintainer is None:
-                    del self._incremental[key]
-                    dropped.append(entry.algorithm)
-                    continue
-                advanced = self._incremental_advance(
-                    entry.algorithm, spec.maintainer, entry.params, csr, backend
-                )
-                (maintained if advanced is not None else dropped).append(entry.algorithm)
+            maintained, dropped = self.maintained.advance_all(csr, self.session.backend)
             return RefreshReport(
                 delta_edges=self._delta_edges,
                 snapshot_source=self._snapshot_source,

@@ -792,11 +792,11 @@ class TestIncrementalService:
             service.analyze({"algorithm": "pagerank", "params": {"damping": 0.5 + step / 100}})
             if step % 3 == 0:
                 service.add_edge({"source": 1, "target": 4242 + step})
-            assert len(service.handle._incremental) <= 4
+            assert len(service.handle.maintained) <= 4
         service.add_edge({"source": 2, "target": 4300})
         service.analyze({"algorithm": "degree"})
         service.analyze({"algorithm": "kcore"})
-        assert len(service.handle._incremental) <= 2
+        assert len(service.handle.maintained) <= 2
 
     def test_concurrent_writes_and_repairs_stay_consistent(self):
         """Readers race a writer on a small cache: every lookup is counted
@@ -837,7 +837,7 @@ class TestIncrementalService:
         assert not errors
         stats = service.cache.stats()
         assert stats["hits"] + stats["misses"] == readers * rounds * 2
-        assert len(service.handle._incremental) <= 4
+        assert len(service.handle.maintained) <= 4
 
         from repro.algorithms import connected_components, pagerank
 
