@@ -34,9 +34,12 @@ help:
 	@echo "                    too), an extended extraction == a cold one after every"
 	@echo "                    append (spliced snapshot == full build), the delta"
 	@echo "                    path's work pins (no statement, no build, re-walks =="
-	@echo "                    brute force) and one cold-path note per condition, the"
-	@echo "                    DEDUP-1 golden graph, Table 1 (condensed vs full +"
-	@echo "                    pushdown work pins: one scan, distinct rows only)"
+	@echo "                    brute force, row copies == the rows it writes) and one"
+	@echo "                    cold-path note per condition, every handle of a chain"
+	@echo "                    of extensions intact, a copy never sees its source's"
+	@echo "                    writes (copy-on-write property), the DEDUP-1 golden"
+	@echo "                    graph, Table 1 (condensed vs full + pushdown work"
+	@echo "                    pins: one scan, distinct rows only)"
 	@echo "make test-algorithms - one runner per algorithm: plan == runner == free"
 	@echo "                    function on both backends (generated plans), the"
 	@echo "                    free functions' checks (a bad parameter is a 400"
@@ -45,14 +48,18 @@ help:
 	@echo "make test-representations - the condensed representations' one walk:"
 	@echo "                    graph and kernel suites, representation parity,"
 	@echo "                    BITMAP, fig13 walk counts, every walk == a brute-force"
-	@echo "                    Section 4.1 reachability, mutations == EXP"
+	@echo "                    Section 4.1 reachability, mutations == EXP; copy-on-write"
+	@echo "                    rows: a copy never sees its source's writes, old"
+	@echo "                    handles intact, row copies == the rows written; an"
+	@echo "                    edge annotation goes with its edge"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
 	@echo "                    hook-and-jump components + frontier-adaptive BFS,"
 	@echo "                    extraction engines x appended rows, an extended"
-	@echo "                    extraction == a cold one + the delta path's pins, one"
-	@echo "                    plan DAG at every parallelism + exact sweep/triangle"
-	@echo "                    slices)"
+	@echo "                    extraction == a cold one + the delta path's pins (row"
+	@echo "                    copies included), old handles intact, copy-on-write"
+	@echo "                    isolation, one plan DAG at every parallelism + exact"
+	@echo "                    sweep/triangle slices)"
 	@echo "make serve-smoke  - boot 'repro serve' + concurrent HTTP clients end-to-end"
 	@echo "make loc          - wc -l totals of the .py files under src/, tests/, bench/"
 
@@ -89,6 +96,7 @@ test-extract:
 		tests/test_property_invariants.py::test_property_every_engine_extracts_the_full_join \
 		tests/test_property_invariants.py::test_property_engines_agree_while_tables_grow \
 		tests/test_property_invariants.py::test_property_an_extended_extraction_equals_a_cold_one \
+		tests/test_property_invariants.py::test_property_a_copy_and_its_source_never_see_each_others_writes \
 		tests/test_dedup_identity.py::test_dedup1_builds_the_recorded_graph \
 		tests/test_paper_table1_extraction.py
 
@@ -104,7 +112,10 @@ test-representations:
 		tests/test_kernel.py tests/test_dedup_bitmap.py \
 		tests/test_paper_fig13_micro.py \
 		tests/test_property_invariants.py::test_property_every_walk_matches_brute_force_reachability \
-		tests/test_property_invariants.py::test_property_mutations_keep_every_representation_equal_to_exp
+		tests/test_property_invariants.py::test_property_mutations_keep_every_representation_equal_to_exp \
+		tests/test_property_invariants.py::test_property_a_copy_and_its_source_never_see_each_others_writes \
+		tests/test_sqlite_mirror.py::test_every_handle_of_a_chain_of_extensions_stays_intact \
+		tests/test_sqlite_mirror.py::test_an_extension_copies_only_the_rows_it_writes
 
 test-service:
 	$(PYTEST) -q tests/test_service.py tests/test_service_http.py \
@@ -122,6 +133,9 @@ smoke:
 		tests/test_sqlite_mirror.py::test_a_new_session_extends_the_last_extraction \
 		tests/test_sqlite_mirror.py::test_a_graph_handed_out_never_changes_under_a_later_delta \
 		tests/test_sqlite_mirror.py::test_each_condition_the_delta_path_needs_sends_it_cold \
+		tests/test_sqlite_mirror.py::test_every_handle_of_a_chain_of_extensions_stays_intact \
+		tests/test_sqlite_mirror.py::test_an_extension_copies_only_the_rows_it_writes \
+		tests/test_property_invariants.py::test_property_a_copy_and_its_source_never_see_each_others_writes \
 		tests/test_plan_compiler.py::test_property_one_dag_at_every_parallelism \
 		tests/test_plan_compiler.py::test_ranged_triangle_vectors_add_up_under_every_split \
 		tests/test_plan_compiler.py::test_strided_sweep_split_covers_each_source_once

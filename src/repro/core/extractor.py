@@ -210,11 +210,13 @@ class Extractor:
         reference evaluator; rows the graph already holds — an edge present,
         or recorded among the members of a virtual node Step 6 expanded —
         are dropped, and the rest are wired by :meth:`_load` into a copy of
-        ``memo.condensed`` with the kept boundary dicts.  A row on a join
-        value whose virtual node Step 6 expanded first brings that node back
-        from its recorded members (the direct edges its expansion left stay:
-        C-DUP de-duplicates the walk).  Step 6 then re-decides the virtual
-        nodes the rows touched, in creation order.
+        ``memo.condensed`` that shares every row it does not write
+        (:meth:`~repro.graph.condensed.CondensedGraph.copy`), with the kept
+        boundary dicts.  A row on a join value whose virtual node Step 6
+        expanded first brings that node back from its recorded members (the
+        direct edges its expansion left stay: C-DUP de-duplicates the walk).
+        Step 6 then re-decides the virtual nodes the rows touched, in
+        creation order.
 
         Returns the graph, its report, the memo for the next call, and the
         internal real nodes whose walk reads an adjacency list that changed

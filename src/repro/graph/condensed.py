@@ -20,7 +20,8 @@ Real nodes are mapped to dense non-negative integers (``0, 1, 2, ...``);
 virtual nodes get negative integers (``-1, -2, ...``).  ``succ[n]`` holds the
 out-adjacency of ``n``'s source side, ``pred[n]`` the in-adjacency of its
 target side.  External (database) node IDs are preserved and exposed through
-:meth:`external` / :meth:`internal`.
+:meth:`external` / :meth:`internal`.  :meth:`CondensedGraph.copy` shares
+every row and property dict until one side writes it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,29 @@ from typing import Any, Hashable, Iterable, Iterator, Sequence
 from repro.exceptions import RepresentationError
 
 
+class CondensedCounters:
+    """Process-global instrumentation (read as deltas, like
+    ``CSRGraph.rewalk_count``): the clock-free work pin of copy-on-write.
+    A class of its own: a write to a ``CondensedGraph`` class attribute
+    would invalidate the attribute caches of every graph's lookups."""
+
+    #: adjacency rows copied on their first write after a
+    #: :meth:`CondensedGraph.copy`
+    row_copies = 0
+
+
 class CondensedGraph:
-    """Condensed representation of an extracted graph (possibly duplicated)."""
+    """Condensed representation of an extracted graph (possibly duplicated).
+
+    The row mutators (``add_real_node``, ``add_virtual_node``,
+    ``bulk_add_real_nodes``, ``load_edges``, ``remove_virtual_node``,
+    ``restore_virtual_node``, ``remove_real_node``, ``add_edge``,
+    ``remove_edge``) are the only writers of ``succ`` / ``pred`` rows; each
+    copies a row it may share with a copy before writing it (see
+    :meth:`copy`).  Code outside this class reads rows and never writes
+    them.  Copying a graph while another thread writes to it is
+    unsupported.
+    """
 
     def __init__(self) -> None:
         #: structural version; bumped by every mutation so Graph wrappers can
@@ -56,6 +78,11 @@ class CondensedGraph:
         self.succ: dict[int, list[int]] = {}
         #: adjacency: in-edges of each node's target side
         self.pred: dict[int, list[int]] = {}
+        #: the ``succ`` / ``pred`` rows only this graph holds (copied or
+        #: created since it last shared its rows); ``None`` while it never
+        #: shared any
+        self._own_succ: set[int] | None = None
+        self._own_pred: set[int] | None = None
 
     # ------------------------------------------------------------------ #
     # node management
@@ -65,7 +92,7 @@ class CondensedGraph:
         if external_id in self._internal_of:
             node = self._internal_of[external_id]
             if properties:
-                self.node_properties.setdefault(node, {}).update(properties)
+                self.node_properties[node] = {**self.node_properties.get(node, {}), **properties}
             return node
         node = self._next_real
         self._next_real += 1
@@ -74,6 +101,9 @@ class CondensedGraph:
         self._external_of[node] = external_id
         self.succ[node] = []
         self.pred[node] = []
+        if self._own_succ is not None:
+            self._own_succ.add(node)
+            self._own_pred.add(node)
         if properties:
             self.node_properties[node] = dict(properties)
         return node
@@ -86,6 +116,9 @@ class CondensedGraph:
         self.virtual_labels[node] = label
         self.succ[node] = []
         self.pred[node] = []
+        if self._own_succ is not None:
+            self._own_succ.add(node)
+            self._own_pred.add(node)
         return node
 
     def bulk_add_real_nodes(
@@ -96,6 +129,7 @@ class CondensedGraph:
         Returns the number of nodes actually created."""
         internal_of, external_of = self._internal_of, self._external_of
         succ, pred, node_properties = self.succ, self.pred, self.node_properties
+        own_succ, own_pred = self._own_succ, self._own_pred
         created = 0
         for row in rows:
             external_id = row[0]
@@ -107,9 +141,14 @@ class CondensedGraph:
                 external_of[node] = external_id
                 succ[node] = []
                 pred[node] = []
+                if own_succ is not None:
+                    own_succ.add(node)
+                    own_pred.add(node)
                 created += 1
             if property_names:
-                node_properties.setdefault(node, {}).update(zip(property_names, row[1:]))
+                values = dict(zip(property_names, row[1:]))
+                properties = node_properties.get(node)
+                node_properties[node] = values if properties is None else {**properties, **values}
         if created:
             self.version += 1
         return created
@@ -155,6 +194,7 @@ class CondensedGraph:
         direct = left is None and right is None
         targets_of: dict[int, set[int]] = {}
         annotations = self.edge_annotations
+        own_succ, own_pred = self._own_succ, self._own_pred
 
         def unseen(value: Hashable, side: tuple[str, dict[Hashable, int]] | None) -> int | None:
             if side is not None:
@@ -162,7 +202,7 @@ class CondensedGraph:
                 return node
             return None if skip_unknown else self.add_real_node(value)
 
-        added = skipped = 0
+        added = skipped = copies = 0
         for row in rows:
             value = row[first]
             source = left_of.get(value)
@@ -184,18 +224,29 @@ class CondensedGraph:
                     continue
             if direct:
                 if property_names:
-                    annotations.setdefault((source, target), {}).update(
-                        zip(property_names, row[2:])
-                    )
+                    pair = (source, target)
+                    values = dict(zip(property_names, row[2:]))
+                    known = annotations.get(pair)
+                    annotations[pair] = values if known is None else {**known, **values}
                 targets = targets_of.get(source)
                 if targets is None:
                     targets = targets_of[source] = set(succ[source])
                 if target in targets:
                     continue
                 targets.add(target)
+            if own_succ is not None:
+                if source not in own_succ:
+                    succ[source] = list(succ[source])
+                    own_succ.add(source)
+                    copies += 1
+                if target not in own_pred:
+                    pred[target] = list(pred[target])
+                    own_pred.add(target)
+                    copies += 1
             succ[source].append(target)
             pred[target].append(source)
             added += 1
+        CondensedCounters.row_copies += copies
         if added:
             self.version += 1
         return added, skipped
@@ -205,12 +256,21 @@ class CondensedGraph:
         if not self.is_virtual(virtual):
             raise RepresentationError(f"{virtual} is not a virtual node")
         self.version += 1
-        for target in list(self.succ.get(virtual, [])):
-            self.pred[target].remove(virtual)
-        for source in list(self.pred.get(virtual, [])):
-            self.succ[source].remove(virtual)
-        self.succ.pop(virtual, None)
-        self.pred.pop(virtual, None)
+        succ, pred, own_succ, own_pred = self.succ, self.pred, self._own_succ, self._own_pred
+        for target in list(succ.get(virtual, [])):
+            if own_pred is not None and target not in own_pred:
+                pred[target] = list(pred[target])
+                own_pred.add(target)
+                CondensedCounters.row_copies += 1
+            pred[target].remove(virtual)
+        for source in list(pred.get(virtual, [])):
+            if own_succ is not None and source not in own_succ:
+                succ[source] = list(succ[source])
+                own_succ.add(source)
+                CondensedCounters.row_copies += 1
+            succ[source].remove(virtual)
+        succ.pop(virtual, None)
+        pred.pop(virtual, None)
         self.virtual_labels.pop(virtual, None)
 
     def restore_virtual_node(
@@ -229,26 +289,42 @@ class CondensedGraph:
         self.virtual_labels[virtual] = label
         self.succ[virtual] = []
         self.pred[virtual] = []
+        if self._own_succ is not None:
+            self._own_succ.add(virtual)
+            self._own_pred.add(virtual)
         for source in in_nodes:
-            self.succ[source].append(virtual)
-            self.pred[virtual].append(source)
+            self.add_edge(source, virtual)
         for target in out_nodes:
-            self.succ[virtual].append(target)
-            self.pred[target].append(virtual)
+            self.add_edge(virtual, target)
 
     def remove_real_node(self, node: int) -> None:
-        """Remove a real node and all edges incident to either of its copies."""
+        """Remove a real node, all edges incident to either of its copies and
+        the annotations of its direct edges."""
         if self.is_virtual(node) or node not in self._external_of:
             raise RepresentationError(f"{node} is not a real node of this graph")
         self.version += 1
-        for target in list(self.succ.get(node, [])):
-            self.pred[target].remove(node)
-        for source in list(self.pred.get(node, [])):
-            self.succ[source].remove(node)
+        succ, pred, own_succ, own_pred = self.succ, self.pred, self._own_succ, self._own_pred
+        annotations = self.edge_annotations
+        for target in list(succ.get(node, [])):
+            if annotations and target >= 0:
+                annotations.pop((node, target), None)
+            if own_pred is not None and target not in own_pred:
+                pred[target] = list(pred[target])
+                own_pred.add(target)
+                CondensedCounters.row_copies += 1
+            pred[target].remove(node)
+        for source in list(pred.get(node, [])):
+            if annotations and source >= 0:
+                annotations.pop((source, node), None)
+            if own_succ is not None and source not in own_succ:
+                succ[source] = list(succ[source])
+                own_succ.add(source)
+                CondensedCounters.row_copies += 1
+            succ[source].remove(node)
         external = self._external_of.pop(node)
         self._internal_of.pop(external, None)
-        self.succ.pop(node, None)
-        self.pred.pop(node, None)
+        succ.pop(node, None)
+        pred.pop(node, None)
         self.node_properties.pop(node, None)
 
     # ------------------------------------------------------------------ #
@@ -282,21 +358,59 @@ class CondensedGraph:
     # ------------------------------------------------------------------ #
     def add_edge(self, source: int, target: int) -> None:
         """Add a condensed edge ``source -> target``."""
-        if source not in self.succ or target not in self.pred:
-            raise RepresentationError(f"cannot add edge {source}->{target}: unknown endpoint")
-        self.succ[source].append(target)
-        self.pred[target].append(source)
+        succ, pred = self.succ, self.pred
+        try:
+            out, into = succ[source], pred[target]
+        except KeyError:
+            raise RepresentationError(
+                f"cannot add edge {source}->{target}: unknown endpoint"
+            ) from None
+        own = self._own_succ
+        if own is not None:
+            if source not in own:
+                out = succ[source] = list(out)
+                own.add(source)
+                CondensedCounters.row_copies += 1
+            own = self._own_pred
+            if target not in own:
+                into = pred[target] = list(into)
+                own.add(target)
+                CondensedCounters.row_copies += 1
+        out.append(target)
+        into.append(source)
         self.version += 1
 
     def remove_edge(self, source: int, target: int) -> None:
+        """Remove one condensed edge ``source -> target``.  A direct edge's
+        annotation goes with the last path from ``source`` to ``target``."""
+        succ, pred = self.succ, self.pred
         try:
-            self.succ[source].remove(target)
-            self.pred[target].remove(source)
+            out, into = succ[source], pred[target]
+            own = self._own_succ
+            if own is not None:
+                if source not in own:
+                    out = succ[source] = list(out)
+                    own.add(source)
+                    CondensedCounters.row_copies += 1
+                own = self._own_pred
+                if target not in own:
+                    into = pred[target] = list(into)
+                    own.add(target)
+                    CondensedCounters.row_copies += 1
+            out.remove(target)
+            into.remove(source)
             self.version += 1
         except (KeyError, ValueError):
             raise RepresentationError(
                 f"edge {source}->{target} is not in the condensed graph"
             ) from None
+        annotations = self.edge_annotations
+        if (
+            annotations
+            and (source, target) in annotations
+            and target not in self.reachable_real_targets(source)
+        ):
+            del annotations[source, target]
 
     def has_edge(self, source: int, target: int) -> bool:
         return target in self.succ.get(source, ())
@@ -464,16 +578,30 @@ class CondensedGraph:
     # copying
     # ------------------------------------------------------------------ #
     def copy(self) -> "CondensedGraph":
+        """An independent graph that shares every row until one side writes it.
+
+        Shallow: the clone's dicts point at this graph's ``succ`` / ``pred``
+        row lists and property / annotation dicts.  Both graphs then start
+        an empty set of owned rows, so the first write on either side to a
+        row copies it (:attr:`CondensedCounters.row_copies` counts those)
+        and a write through one never reaches the other; a graph kept
+        beside its copy holds alive only the rows the copy no longer
+        shares.  Property and annotation dicts are replaced on write, never
+        updated.  Copying a graph while another thread writes to it is
+        unsupported.
+        """
         clone = CondensedGraph()
         clone._internal_of = dict(self._internal_of)
         clone._external_of = dict(self._external_of)
         clone._next_real = self._next_real
         clone._next_virtual = self._next_virtual
         clone.virtual_labels = dict(self.virtual_labels)
-        clone.node_properties = {n: dict(p) for n, p in self.node_properties.items()}
-        clone.edge_annotations = {e: dict(p) for e, p in self.edge_annotations.items()}
-        clone.succ = {n: list(t) for n, t in self.succ.items()}
-        clone.pred = {n: list(t) for n, t in self.pred.items()}
+        clone.node_properties = dict(self.node_properties)
+        clone.edge_annotations = dict(self.edge_annotations)
+        clone.succ = dict(self.succ)
+        clone.pred = dict(self.pred)
+        self._own_succ, self._own_pred = set(), set()
+        clone._own_succ, clone._own_pred = set(), set()
         return clone
 
     # ------------------------------------------------------------------ #

@@ -136,6 +136,8 @@ class CondensedBackedGraph(Graph):
                 if other != dst and other not in existing:
                     self._cg.add_edge(src, other)
                     existing.add(other)
+        # the logical edge is gone, and its aggregate weight with it
+        self._cg.edge_annotations.pop((src, dst), None)
 
     # ------------------------------------------------------------------ #
     # properties
@@ -164,7 +166,9 @@ class CondensedBackedGraph(Graph):
         if not self._cg.has_external(vertex):
             raise self._missing_vertex(vertex)
         node = self._cg.internal(vertex)
-        self._cg.node_properties.setdefault(node, {})[key] = value
+        properties = self._cg.node_properties
+        # replaced, not updated: a copy of the graph may share the old dict
+        properties[node] = {**properties.get(node, {}), key: value}
         self._property_writes += 1
 
     # ------------------------------------------------------------------ #

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import RepresentationError
-from repro.graph.condensed import CondensedGraph, condensed_from_edges
+from repro.graph.condensed import CondensedCounters, CondensedGraph, condensed_from_edges
 
 
 class TestNodeManagement:
@@ -145,3 +145,91 @@ class TestCondensedFromEdges:
         assert graph.num_virtual_nodes == 1
         a = graph.internal("a")
         assert graph.neighbor_set(a) == {graph.internal("b"), graph.internal("c")}
+
+
+def weighted_path() -> CondensedGraph:
+    """``a -> b`` weighing 3 and ``b -> c`` weighing 5, as an aggregate
+    rule loads them: direct edges with annotations."""
+    graph = CondensedGraph()
+    graph.bulk_add_real_nodes([("a",), ("b",), ("c",)])
+    graph.load_edges([("a", "b", 3), ("b", "c", 5)], property_names=["w"])
+    return graph
+
+
+class TestRemovedEdgeAnnotations:
+    """An edge annotation lives exactly as long as its logical edge."""
+
+    def test_removing_a_node_drops_the_annotations_of_its_edges(self):
+        from repro.dedup import expand
+
+        graph = weighted_path()
+        graph.remove_real_node(graph.internal("c"))
+        assert graph.edge_annotations == {(0, 1): {"w": 3}}
+        assert expand(graph).get_edge_property("a", "b", "w") == 3
+
+    def test_removing_the_last_path_drops_the_annotation(self):
+        from repro.dedup import expand
+
+        graph = weighted_path()
+        graph.remove_edge(0, 1)
+        assert graph.edge_annotations == {(1, 2): {"w": 5}}
+        assert expand(graph).get_edge_property("b", "c", "w") == 5
+
+    def test_an_annotation_stays_while_a_virtual_path_carries_the_edge(self):
+        graph = weighted_path()
+        virtual = graph.add_virtual_node()
+        graph.add_edge(0, virtual)
+        graph.add_edge(virtual, 1)
+        graph.remove_edge(0, 1)  # a redundant direct edge, as DEDUP-1 removes it
+        assert graph.edge_annotations[0, 1] == {"w": 3}
+        graph.remove_edge(virtual, 1)
+        graph.remove_edge(0, virtual)  # the walk stops at virtual, not at b
+        assert (0, 1) in graph.edge_annotations  # only a direct-edge removal drops it
+
+    def test_a_deleted_logical_edge_loses_its_weight(self):
+        from repro.graph import CDupGraph, ExpandedGraph
+
+        graph = CDupGraph(weighted_path())
+        exp = ExpandedGraph()
+        for vertex in "abc":
+            exp.add_vertex(vertex)
+        exp.add_edge("a", "b")
+        exp.set_edge_property("a", "b", "w", 3)
+        for mutated in (graph, exp):
+            mutated.delete_edge("a", "b")
+            assert mutated.get_edge_property("a", "b", "w", "none") == "none"
+            mutated.add_edge("a", "b")
+            assert mutated.get_edge_property("a", "b", "w", "none") == "none"
+
+    def test_a_deleted_edge_carried_by_a_virtual_node_loses_its_weight(self):
+        from repro.graph import CDupGraph
+
+        condensed = weighted_path()
+        virtual = condensed.add_virtual_node()
+        condensed.add_edge(0, virtual)
+        condensed.add_edge(virtual, 1)
+        graph = CDupGraph(condensed)
+        graph.delete_edge("a", "b")
+        assert not graph.exists_edge("a", "b")
+        assert graph.get_edge_property("a", "b", "w") is None
+
+
+class TestCopyOnWrite:
+    def test_a_copy_shares_every_row_until_one_side_writes_it(self, figure1_condensed):
+        graph = figure1_condensed
+        clone = graph.copy()
+        assert all(clone.succ[n] is row for n, row in graph.succ.items())
+        assert all(clone.pred[n] is row for n, row in graph.pred.items())
+        before = CondensedCounters.row_copies
+        a1, virtual = clone.internal(1), next(iter(clone.virtual_nodes()))
+        clone.add_edge(a1, virtual)
+        clone.add_edge(a1, virtual)  # a row is copied once
+        assert CondensedCounters.row_copies - before == 2
+        assert [n for n in graph.succ if clone.succ[n] is not graph.succ[n]] == [a1]
+        assert [n for n in graph.pred if clone.pred[n] is not graph.pred[n]] == [virtual]
+
+    def test_a_graph_never_copied_copies_no_row(self, figure1_condensed):
+        before = CondensedCounters.row_copies
+        figure1_condensed.add_edge(0, 1)
+        figure1_condensed.remove_real_node(1)
+        assert CondensedCounters.row_copies == before

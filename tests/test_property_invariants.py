@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from copy import deepcopy
 from pathlib import Path
 from unittest import mock
 
@@ -383,6 +384,144 @@ def test_property_mutations_keep_every_representation_equal_to_exp(case, algorit
                 assert len(neighbors) == len(set(neighbors)), (name, op, args, vertex)
             assert set(adjacency) == set(exp.get_vertices()), (name, op, args)
             assert logical_edge_set(representation) == expected, (name, op, args)
+
+
+# --------------------------------------------------------------------------- #
+# copy-on-write: a copy and its source never see each other's writes
+# --------------------------------------------------------------------------- #
+COPY_MUTATORS = (
+    "add_edge",
+    "remove_edge",
+    "load_edges",
+    "bulk_add_real_nodes",
+    "add_real_node",
+    "set_property",
+    "remove_virtual_node",
+    "restore_virtual_node",
+    "remove_real_node",
+    "copy",
+)
+
+
+def _cow_rows(graph: CondensedGraph) -> tuple:
+    return graph.succ, graph.pred, graph.node_properties, graph.edge_annotations
+
+
+def _mutate(graph: CondensedGraph, removed: list, op: str, a: int, b: int) -> tuple:
+    """One concrete call of mutator ``op`` on ``graph``, its arguments
+    picked by ``a`` / ``b`` from the graph's state (so a graph with the same
+    rows gets the same call); ``removed`` holds the virtual nodes removed so
+    far, for ``restore_virtual_node``.  Returns ``(method, args, kwargs)``,
+    or ``None`` when the graph offers no such call."""
+    reals, virtuals = sorted(graph.real_nodes()), sorted(graph.virtual_nodes())
+    externals = sorted(graph.external_ids()) + [100 + a]
+    nodes = reals + virtuals
+    if op == "add_edge" and nodes and reals:
+        source = nodes[a % len(nodes)]
+        # into a real node, or real -> virtual: the virtual layer stays a DAG
+        pool = virtuals + reals if source >= 0 else reals
+        return "add_edge", (source, pool[b % len(pool)]), {}
+    if op == "remove_edge":
+        edges = [(s, t) for s in sorted(graph.succ) for t in graph.succ[s]]
+        return ("remove_edge", edges[a % len(edges)], {}) if edges else None
+    if op == "load_edges":
+        count = len(externals)
+        rows = [(externals[(a + i) % count], externals[(b + 2 * i) % count], i) for i in range(3)]
+        return "load_edges", (rows,), {"skip_unknown": False, "property_names": ["w"]}
+    if op == "bulk_add_real_nodes":
+        rows = [(externals[(a + i) % len(externals)], f"p{b}") for i in range(2)]
+        return "bulk_add_real_nodes", (rows,), {"property_names": ["p"]}
+    if op == "add_real_node":
+        return "add_real_node", (externals[a % len(externals)],), {f"k{b % 2}": b}
+    if op == "set_property" and reals:
+        return "set_property", (externals[a % (len(externals) - 1)], f"k{b % 2}", a), {}
+    if op == "remove_virtual_node" and virtuals:
+        virtual = virtuals[a % len(virtuals)]
+        label = graph.virtual_labels[virtual]
+        removed.append((virtual, label, list(graph.inn(virtual)), list(graph.out(virtual))))
+        return "remove_virtual_node", (virtual,), {}
+    if op == "restore_virtual_node" and removed:
+        virtual, label, ins, outs = removed.pop(a % len(removed))
+        present = graph.succ
+        ins, outs = [n for n in ins if n in present], [n for n in outs if n in present]
+        return "restore_virtual_node", (virtual, label, ins, outs), {}
+    if op == "remove_real_node" and reals:
+        return "remove_real_node", (reals[a % len(reals)],), {}
+    return None
+
+
+def _call(graph: CondensedGraph, call: tuple) -> None:
+    method, args, kwargs = call
+    if method == "set_property":
+        CDupGraph(graph).set_property(*args)
+    else:
+        getattr(graph, method)(*args, **kwargs)
+
+
+@st.composite
+def copy_scenarios(draw):
+    """A :func:`random_condensed` or :func:`virtual_layer_graphs` graph and
+    up to twelve ``(graph index, mutator, a, b)`` steps over it and its
+    copies; ``copy`` appends a copy of the graph at that index."""
+    if draw(st.booleans()):
+        graph = draw(random_condensed(min_real=1))
+    else:
+        graph = draw(virtual_layer_graphs())[0]
+    small = st.integers(0, 40)
+    steps = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.sampled_from(COPY_MUTATORS), small, small),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    return graph, steps
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(copy_scenarios())
+def test_property_a_copy_and_its_source_never_see_each_others_writes(case):
+    """Two copies of one source and a copy of a copy, then random mutator
+    calls on any of them: each graph's ``succ`` / ``pred`` /
+    ``node_properties`` / ``edge_annotations`` equal a ``deepcopy`` taken
+    when it was last written, and the written graph equals a deep-copied
+    twin that shares nothing and got the same calls."""
+    source, steps = case
+    # shared before the copies: a property dict per real node, annotated
+    # direct edges, and a removed virtual node whose neighbours' rows a
+    # restore writes
+    externals = sorted(source.external_ids())
+    source.bulk_add_real_nodes([(e, f"p{e}") for e in externals], property_names=["p"])
+    pairs = [(e, externals[-1 - i], i) for i, e in enumerate(externals)]
+    source.load_edges(pairs, property_names=["w"])
+    removed_first: list = []
+    call = _mutate(source, removed_first, "remove_virtual_node", 0, 0)
+    if call is not None:
+        _call(source, call)
+    graphs = [source]
+    for index in (0, 0, 1):  # two copies of the source, one of its copy
+        graphs.append(graphs[index].copy())
+    twins = [deepcopy(graph) for graph in graphs]
+    expected = [deepcopy(_cow_rows(graph)) for graph in graphs]
+    removed = [list(removed_first) for _ in graphs]
+    for index, op, a, b in steps:
+        index %= len(graphs)
+        graph = graphs[index]
+        if op == "copy":
+            graphs.append(graph.copy())
+            twins.append(deepcopy(twins[index]))
+            expected.append(deepcopy(_cow_rows(graph)))
+            removed.append(list(removed[index]))
+            continue
+        call = _mutate(graph, removed[index], op, a, b)
+        if call is None:
+            continue
+        _call(graph, call)
+        _call(twins[index], call)
+        assert _cow_rows(graph) == _cow_rows(twins[index]), call
+        expected[index] = deepcopy(_cow_rows(graph))
+        for other, rows in zip(graphs, expected):
+            assert _cow_rows(other) == rows, (index, call)
 
 
 # --------------------------------------------------------------------------- #

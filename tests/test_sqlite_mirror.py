@@ -7,14 +7,17 @@ the rebuilt-on-every-change mirror had: it runs in a subprocess, so a crash
 fails one test instead of killing pytest.
 
 A new session after ``db.insert`` extends the last extraction instead of
-reading the tables again: no statement, no snapshot build, and a re-walk of
-exactly the vertices whose walk reads a changed adjacency list; each
-condition that forces the cold path says so in the report.
+reading the tables again: no statement, no snapshot build, a re-walk of
+exactly the vertices whose walk reads a changed adjacency list, and a copy
+of exactly the adjacency rows it writes (every other row stays shared with
+the graph handed out before, which never changes); each condition that
+forces the cold path says so in the report.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import sqlite3
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from repro.core import ExtractionOptions, GraphGen
 from repro.core.extractor import Extractor
 from repro.exceptions import QueryError
 from repro.graph import CDupGraph, logical_edge_set
+from repro.graph.condensed import CondensedCounters
 from repro.graph.kernel import CSRGraph
 from repro.relational import sqlite_backend
 from repro.relational.database import Database
@@ -320,6 +324,89 @@ def test_a_graph_handed_out_never_changes_under_a_later_delta():
     assert again.extraction.report.notes == [
         "extracted cold: the graph handed out last was written to since"
     ]
+
+
+def test_every_handle_of_a_chain_of_extensions_stays_intact():
+    """Graphs extended from one another share every row neither wrote: each
+    keeps the snapshot it had when handed out, and a write through an old
+    one's API never reaches a newer one."""
+    db = make_db()
+    handles = [GraphSession(db).graph(COOCCURRENCE)]
+    digests = [handles[0].snapshot().content_hash]
+    for batch in range(1, 4):
+        # entity ``batch`` joins every old key; three entities share a new one
+        rows = [(batch, p) for p in range(20)]
+        db.insert("R", rows + [((batch + i) % 30, 40 + batch) for i in range(3)])
+        handle = GraphSession(db).graph(COOCCURRENCE)
+        assert handle.extraction.report.notes[0].startswith("extended the last extraction")
+        handles.append(handle)
+        digests.append(handle.snapshot().content_hash)
+        for old, digest in zip(handles, digests):
+            assert CSRGraph.from_graph(old.graph).content_hash == digest
+
+    for old in (handles[0], handles[2]):
+        graph = old.graph
+        graph.add_edge(0, 29)
+        graph.delete_edge(3, next(iter(graph.get_neighbors(3))))
+        graph.delete_vertex(1)
+        graph.set_property(2, "Name", "renamed")
+    for index in (1, 3):
+        assert CSRGraph.from_graph(handles[index].graph).content_hash == digests[index]
+    newest = handles[-1].graph
+    assert newest.has_vertex(1) and newest.get_property(2, "Name") == "e2"
+
+    # the newest graph was not written, so the next session extends it
+    db.insert("R", [(1, 44), (2, 44)])
+    latest = GraphSession(db).graph(COOCCURRENCE)
+    assert latest.extraction.report.queries_executed == 0
+    assert logical_edge_set(latest.graph) == cold_edges(db, COOCCURRENCE)
+
+
+def dup_database(entities: int, pairs: int, keys: int, seed: int = 11) -> tuple[Database, list]:
+    """``extract_dup``'s shape at ``entities`` entities: distinct random
+    (id, p) pairs, each written five times, and a 200-row batch of new pairs."""
+    rng = random.Random(seed)
+    seen: set[tuple[int, int]] = set()
+    while len(seen) < pairs:
+        seen.add((rng.randrange(entities), rng.randrange(keys)))
+    batch: list[tuple[int, int]] = []
+    while len(batch) < 200:
+        pair = (rng.randrange(entities), rng.randrange(keys))
+        if pair not in seen:
+            seen.add(pair)
+            batch.append(pair)
+    db = Database("dup")
+    db.create_table("Entity", [("id", "int"), ("name", "str")], primary_key="id")
+    db.create_table("R", [("id", "int"), ("p", "int")])
+    db.insert("Entity", [(i, f"e{i}") for i in range(entities)])
+    db.insert("R", sorted(seen - set(batch)) * 5)
+    return db, batch
+
+
+def test_an_extension_copies_only_the_rows_it_writes():
+    """The extended graph starts as a copy sharing every row of the last
+    one: one 200-row batch copies exactly the adjacency rows it writes
+    (``CondensedCounters.row_copies``), a few percent of them."""
+    db, batch = dup_database(entities=5_000, pairs=10_500, keys=3_500)
+    old = GraphSession(db).graph(COOCCURRENCE).extraction.condensed
+    db.insert("R", batch)
+    copies = CondensedCounters.row_copies
+    handle = GraphSession(db).graph(COOCCURRENCE)
+    copies = CondensedCounters.row_copies - copies
+    assert handle.extraction.report.notes[0].startswith("extended the last extraction")
+
+    # a row is written when it is no longer the old graph's list; a revived
+    # virtual node that Step 6 expands again leaves its members' rows
+    # written with their old contents
+    new = handle.extraction.condensed
+    written = changed = 0
+    for rows, old_rows in ((new.succ, old.succ), (new.pred, old.pred)):
+        for node, row in rows.items():
+            if node in old_rows:
+                written += row is not old_rows[node]
+                changed += row != old_rows[node]
+    assert copies == written >= changed > 0
+    assert copies <= 0.1 * (len(new.succ) + len(new.pred))
 
 
 def _clear_and_refill(db, first):
