@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms test-representations smoke serve-smoke loc all help
+.PHONY: test test-fast test-session test-service test-incremental test-dedup test-planner test-extract test-algorithms test-representations test-store smoke serve-smoke loc all help
 
 help:
 	@echo "make test | all   - the whole suite (tests/, tier-1 equivalent), the"
@@ -52,6 +52,12 @@ help:
 	@echo "                    rows: a copy never sees its source's writes, old"
 	@echo "                    handles intact, row copies == the rows written; an"
 	@echo "                    edge annotation goes with its edge"
+	@echo "make test-store   - the snapshot store: .csr / .src / .csrd formats and"
+	@echo "                    their errors, the delta journal, fingerprinted"
+	@echo "                    reopens, shard files, fig14; the one writer: two"
+	@echo "                    threads writing one path both install a whole file,"
+	@echo "                    os.replace in one function, a write cut after any"
+	@echo "                    byte leaves the old file or none and no temp file"
 	@echo "make smoke        - seconds-fast sanity subset (kernel, parity, algorithms,"
 	@echo "                    python-vs-numpy maintainer parity, block-sweep kernel,"
 	@echo "                    hook-and-jump components + frontier-adaptive BFS,"
@@ -116,6 +122,11 @@ test-representations:
 		tests/test_property_invariants.py::test_property_a_copy_and_its_source_never_see_each_others_writes \
 		tests/test_sqlite_mirror.py::test_every_handle_of_a_chain_of_extensions_stays_intact \
 		tests/test_sqlite_mirror.py::test_an_extension_copies_only_the_rows_it_writes
+
+test-store:
+	$(PYTEST) -q tests/test_snapshot_store.py tests/test_graph_delta.py \
+		tests/test_source_fingerprint.py tests/test_shard_store.py \
+		tests/test_paper_fig14_persistence.py tests/test_store_writer.py
 
 test-service:
 	$(PYTEST) -q tests/test_service.py tests/test_service_http.py \

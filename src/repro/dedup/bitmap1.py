@@ -20,9 +20,9 @@ from repro.graph.bitmap import BitmapGraph
 from repro.graph.condensed import CondensedGraph
 
 
-def preprocess(condensed: CondensedGraph, in_place: bool = False) -> BitmapGraph:
+def preprocess(condensed: CondensedGraph) -> BitmapGraph:
     """Run BITMAP-1 and return a ready-to-query :class:`BitmapGraph`."""
-    working = condensed if in_place else condensed.copy()
+    working = condensed.copy()
     remove_parallel_direct_edges(working)
     graph = BitmapGraph(working)
 

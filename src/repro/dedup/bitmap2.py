@@ -86,14 +86,14 @@ def _cover_subtree(
     return contributed
 
 
-def preprocess(condensed: CondensedGraph, in_place: bool = False) -> BitmapGraph:
+def preprocess(condensed: CondensedGraph) -> BitmapGraph:
     """Run BITMAP-2 and return a ready-to-query :class:`BitmapGraph`.
 
     Edges from a real node to a virtual node that contributes no new coverage
     for that real node are deleted (paper: "the edges from us to those nodes
     are simply deleted since there is no reason to traverse those").
     """
-    working = condensed if in_place else condensed.copy()
+    working = condensed.copy()
     remove_parallel_direct_edges(working)
     graph = BitmapGraph(working)
     reach_cache: dict[int, set[int]] = {}

@@ -117,13 +117,12 @@ def _grow_groups(
     return groups
 
 
-def deduplicate(condensed: CondensedGraph, in_place: bool = False) -> Dedup2Graph:
+def deduplicate(condensed: CondensedGraph) -> Dedup2Graph:
     """Build a DEDUP-2 representation equivalent to ``condensed``.
 
     The logical edge sets are compared *ignoring self-loops* (DEDUP-2 cannot
     represent them; see :mod:`repro.graph.dedup2`).
     """
-    del in_place  # the input is never mutated; kept for interface symmetry
     check_symmetric_single_layer(condensed)
 
     builder = _Builder()

@@ -89,10 +89,9 @@ def deduplicate(
     condensed: CondensedGraph,
     ordering: str | OrderingFn = "random",
     seed: int = 0,
-    in_place: bool = False,
 ) -> Dedup1Graph:
     """Run the Greedy Real Nodes First algorithm and return a DEDUP-1 graph."""
-    working = condensed if in_place else condensed.copy()
+    working = condensed.copy()
     state = DedupState(working)
     state.normalize()
 

@@ -55,14 +55,18 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.exceptions import SnapshotFormatError
 from repro.graph.api import Graph, VertexId
+from repro.graph.snapshot_store import FixedHeader, atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
 
 DELTA_MAGIC = b"GGCSRDLT"
 DELTA_FORMAT_VERSION = 1
-_DELTA_HEADER = struct.Struct("<8sHHIQ32s")  # magic, version, flags, reserved, count, base hash
-DELTA_HEADER_SIZE = _DELTA_HEADER.size  # 56 bytes
+_DELTA_HEADER = FixedHeader(  # magic, version, flags, reserved, count, base hash
+    struct.Struct("<8sHHIQ32s"), DELTA_MAGIC, DELTA_FORMAT_VERSION,
+    "delta journal header", "delta journal version",
+)
+DELTA_HEADER_SIZE = _DELTA_HEADER.layout.size  # 56 bytes
 _RECORD_PREFIX = struct.Struct("<cI")  # op byte, payload length
 
 #: valid record op bytes -> op strings
@@ -81,25 +85,14 @@ def _encode_records(records: list[tuple[str, Any]]) -> bytes:
     return b"".join(_encode_record(op, payload) for op, payload in records)
 
 
-def _pack_header(count: int, base_hash: bytes) -> bytes:
-    return _DELTA_HEADER.pack(DELTA_MAGIC, DELTA_FORMAT_VERSION, 0, 0, count, base_hash)
-
-
 def write_journal(
     path: str | os.PathLike, base_hash: bytes, records: list[tuple[str, Any]]
 ) -> Path:
-    """Write a complete delta journal atomically (write-to-temp + rename)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(_pack_header(len(records), base_hash))
-            handle.write(_encode_records(records))
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
-    return path
+    """Write a complete delta journal atomically (:func:`~repro.graph.
+    snapshot_store.atomic_write`)."""
+    return atomic_write(
+        path, _DELTA_HEADER.pack(len(records), base_hash), _encode_records(records)
+    )
 
 
 def read_journal(path: str | os.PathLike) -> tuple[bytes, list[tuple[str, Any]]]:
@@ -115,26 +108,7 @@ def read_journal(path: str | os.PathLike) -> tuple[bytes, list[tuple[str, Any]]]
         data = path.read_bytes()
     except OSError as exc:
         raise SnapshotFormatError(f"cannot read delta journal {path}: {exc}") from None
-    if len(data) < DELTA_HEADER_SIZE:
-        raise SnapshotFormatError(
-            f"{path}: file too small for a delta journal header "
-            f"({len(data)} < {DELTA_HEADER_SIZE} bytes)"
-        )
-    magic, version, flags, reserved, count, base_hash = _DELTA_HEADER.unpack(
-        data[:DELTA_HEADER_SIZE]
-    )
-    if magic != DELTA_MAGIC:
-        raise SnapshotFormatError(
-            f"{path}: bad magic {magic!r}, expected {DELTA_MAGIC!r}"
-        )
-    if version != DELTA_FORMAT_VERSION:
-        raise SnapshotFormatError(
-            f"{path}: unsupported delta journal version {version} "
-            f"(this build reads version {DELTA_FORMAT_VERSION})"
-        )
-    if flags or reserved:
-        raise SnapshotFormatError(f"{path}: reserved header fields are non-zero")
-
+    count, base_hash = _DELTA_HEADER.unpack(data, str(path))
     records: list[tuple[str, Any]] = []
     position = DELTA_HEADER_SIZE
     for _ in range(count):
@@ -292,7 +266,7 @@ class DeltaJournal:
             handle.seek(at_size)
             handle.write(payload)
             handle.seek(0)
-            handle.write(_pack_header(len(self.records), self.base_hash))
+            handle.write(_DELTA_HEADER.pack(len(self.records), self.base_hash))
         self._synced = (str(path), len(self.records), at_size + len(payload))
 
 

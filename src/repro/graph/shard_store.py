@@ -54,8 +54,10 @@ from repro.exceptions import SnapshotFormatError
 from repro.graph.kernel import CSRGraph
 from repro.graph.snapshot_store import (
     _LITTLE_ENDIAN,
+    FixedHeader,
     _array_bytes_le,
     _record_save,
+    atomic_write,
     compute_content_hash,
     decode_codec,
     encode_codec,
@@ -64,8 +66,11 @@ from repro.graph.snapshot_store import (
 MANIFEST_MAGIC = b"GGCSRMAN"
 SHARD_MAGIC = b"GGCSRSHD"
 SHARD_FORMAT_VERSION = 1
-_MANIFEST_HEADER = struct.Struct("<8sHHIQQQQ32s")
-MANIFEST_HEADER_SIZE = _MANIFEST_HEADER.size  # 80 bytes, 8-aligned
+_MANIFEST_HEADER = FixedHeader(
+    struct.Struct("<8sHHIQQQQ32s"), MANIFEST_MAGIC, SHARD_FORMAT_VERSION,
+    "shard manifest header", "shard manifest version",
+)
+MANIFEST_HEADER_SIZE = _MANIFEST_HEADER.layout.size  # 80 bytes, 8-aligned
 _SHARD_TABLE_ENTRY = struct.Struct("<QQQ32s")
 SHARD_TABLE_ENTRY_SIZE = _SHARD_TABLE_ENTRY.size  # 56 bytes
 _SHARD_HEADER = struct.Struct("<8sHHIQQQQ32s")
@@ -131,18 +136,6 @@ def _shard_hash(lo: int, hi: int, offsets_bytes: bytes, targets_bytes: bytes) ->
     return digest.digest()
 
 
-def _write_atomically(path: Path, *chunks: bytes) -> None:
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        with tmp.open("wb") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
-
-
 # --------------------------------------------------------------------------- #
 # save
 # --------------------------------------------------------------------------- #
@@ -152,9 +145,10 @@ def save_sharded_snapshot(
     """Write ``csr`` as ``shards`` contiguous vertex-range segments plus a
     manifest at ``manifest_path``.
 
-    Segment files are written first (write-to-temp + rename each), the
-    manifest last — a crash mid-save leaves the previous manifest (or none)
-    in place.  Segment files a previous, wider save left behind are removed.
+    Segment files are written first, the manifest last, each by
+    :func:`~repro.graph.snapshot_store.atomic_write` — a crash mid-save
+    leaves the previous manifest (or none) in place.  Segment files a
+    previous, wider save left behind are removed.
     """
     from repro.vertexcentric.parallel import partition_range
 
@@ -176,24 +170,16 @@ def save_sharded_snapshot(
         header = _SHARD_HEADER.pack(
             SHARD_MAGIC, SHARD_FORMAT_VERSION, 0, index, lo, hi, info.edges, csr.n, digest
         )
-        _write_atomically(shard_path(manifest_path, index), header, offsets_bytes, targets_bytes)
+        atomic_write(shard_path(manifest_path, index), header, offsets_bytes, targets_bytes)
 
     codec_bytes = encode_codec(csr.external_ids)
     header = _MANIFEST_HEADER.pack(
-        MANIFEST_MAGIC,
-        SHARD_FORMAT_VERSION,
-        0,
-        0,
-        csr.n,
-        csr.num_edges,
-        len(table),
-        len(codec_bytes),
-        csr.content_hash,
+        csr.n, csr.num_edges, len(table), len(codec_bytes), csr.content_hash
     )
     entries = b"".join(
         _SHARD_TABLE_ENTRY.pack(info.lo, info.hi, info.edges, info.shard_hash) for info in table
     )
-    _write_atomically(manifest_path, header, entries, codec_bytes)
+    atomic_write(manifest_path, header, entries, codec_bytes)
 
     index = len(table)
     while shard_path(manifest_path, index).exists():
@@ -212,25 +198,7 @@ def peek_manifest(path: str | os.PathLike) -> ShardManifest:
     try:
         with path.open("rb") as handle:
             head = handle.read(MANIFEST_HEADER_SIZE)
-            if len(head) < MANIFEST_HEADER_SIZE:
-                raise SnapshotFormatError(
-                    f"{path}: file too small for a shard manifest header "
-                    f"({len(head)} < {MANIFEST_HEADER_SIZE} bytes)"
-                )
-            magic, version, flags, reserved, n, m, num_shards, codec_length, content_hash = (
-                _MANIFEST_HEADER.unpack(head)
-            )
-            if magic != MANIFEST_MAGIC:
-                raise SnapshotFormatError(
-                    f"{path}: bad magic {magic!r}, expected {MANIFEST_MAGIC!r}"
-                )
-            if version != SHARD_FORMAT_VERSION:
-                raise SnapshotFormatError(
-                    f"{path}: unsupported shard manifest version {version} "
-                    f"(this build reads version {SHARD_FORMAT_VERSION})"
-                )
-            if flags or reserved:
-                raise SnapshotFormatError(f"{path}: reserved header fields are non-zero")
+            n, m, num_shards, codec_length, content_hash = _MANIFEST_HEADER.unpack(head, str(path))
             if num_shards < 1 or num_shards > 1_000_000:
                 raise SnapshotFormatError(f"{path}: implausible shard count {num_shards}")
             table_bytes = handle.read(num_shards * SHARD_TABLE_ENTRY_SIZE)

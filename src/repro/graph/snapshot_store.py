@@ -15,7 +15,7 @@ per dataset can be mapped read-only by any number of processes, so
   page cache.
 
 A process that *holds the live graph* and wants correctness rather than
-trust uses :meth:`SnapshotStore.load_or_build`, which hashes the graph's own
+trust uses :meth:`SnapshotStore.fetch`, which hashes the graph's own
 snapshot against the file header — that validates/refreshes the cache (and
 is what keeps it fresh for the trusting readers above), but builds the
 in-memory snapshot first.
@@ -56,8 +56,8 @@ The **content hash** is ``sha256(n || m || offsets || targets || codec)``
 (header integers in little-endian ``u64``).  It identifies the *logical
 content* of the snapshot, so a file written for a graph that has since been
 mutated no longer matches the graph's current hash —
-:meth:`SnapshotStore.load_or_build` uses this to detect stale cache entries
-and rebuild them.
+:meth:`SnapshotStore.fetch` uses this to detect stale cache entries and
+rebuild them.
 
 Loading
 -------
@@ -74,6 +74,10 @@ re-hash the payload to detect bit corruption.
 Big-endian hosts are supported by byte-swapping on save/load; the zero-copy
 mmap path silently degrades to a verified copy there (the file stays
 little-endian so snapshots are portable).
+
+Every store file (``.csr``, ``.src``, a rewritten ``.csrd``, shard files)
+is installed by one writer, :func:`atomic_write`; only the journal append
+(:meth:`~repro.graph.delta.DeltaJournal.sync`) grows a file in place.
 """
 
 from __future__ import annotations
@@ -100,8 +104,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 MAGIC = b"GGCSRSNP"
 FORMAT_VERSION = 1
-_HEADER_STRUCT = struct.Struct("<8sHHIQQQ32s")
-HEADER_SIZE = _HEADER_STRUCT.size  # 72 bytes, 8-aligned
 _ITEM = 8  # bytes per offsets/targets element
 #: upper bound on a ``.src`` source-fingerprint sidecar (two sha256 hex
 #: digests and a short label); anything larger is not ours
@@ -138,6 +140,50 @@ def _record_save() -> None:
 
 
 @dataclass(frozen=True)
+class FixedHeader:
+    """The fixed-size header of a store file format: ``layout`` opens with
+    magic, version, flags and a reserved field (both must be 0), then the
+    format's own fields.  ``header_name`` / ``version_name`` are what its
+    errors call the header and the version."""
+
+    layout: struct.Struct
+    magic: bytes
+    version: int
+    header_name: str
+    version_name: str
+
+    def pack(self, *fields) -> bytes:
+        return self.layout.pack(self.magic, self.version, 0, 0, *fields)
+
+    def unpack(self, data: bytes | memoryview, source: str) -> list:
+        """The format's own fields of the header at the start of ``data``,
+        once its size, magic, version and reserved fields check out."""
+        size = self.layout.size
+        if len(data) < size:
+            raise SnapshotFormatError(
+                f"{source}: file too small for a {self.header_name} ({len(data)} < {size} bytes)"
+            )
+        magic, version, flags, reserved, *fields = self.layout.unpack(bytes(data[:size]))
+        if magic != self.magic:
+            raise SnapshotFormatError(f"{source}: bad magic {magic!r}, expected {self.magic!r}")
+        if version != self.version:
+            raise SnapshotFormatError(
+                f"{source}: unsupported {self.version_name} {version} "
+                f"(this build reads version {self.version})"
+            )
+        if flags or reserved:
+            raise SnapshotFormatError(f"{source}: reserved header fields are non-zero")
+        return fields
+
+
+_SNAPSHOT_HEADER = FixedHeader(
+    struct.Struct("<8sHHIQQQ32s"), MAGIC, FORMAT_VERSION,
+    "snapshot header", "snapshot format version",
+)
+HEADER_SIZE = _SNAPSHOT_HEADER.layout.size  # 72 bytes, 8-aligned
+
+
+@dataclass(frozen=True)
 class SnapshotHeader:
     """Decoded header of a persisted snapshot file."""
 
@@ -167,17 +213,16 @@ class SnapshotHeader:
 # --------------------------------------------------------------------------- #
 # content hashing
 # --------------------------------------------------------------------------- #
-def _array_bytes_le(values: array) -> bytes:
-    """The raw little-endian bytes of an ``array('q')`` (or compatible view)."""
-    if isinstance(values, array):
-        if _LITTLE_ENDIAN:
-            return values.tobytes()
-        swapped = array("q", values)
-        swapped.byteswap()
-        return swapped.tobytes()
-    # memoryview over an mmap-backed snapshot: already little-endian on disk
-    view = memoryview(values)
-    return view.tobytes() if _LITTLE_ENDIAN else array("q", view.tolist()).tobytes()
+def _array_bytes_le(values: array) -> bytes | array | memoryview:
+    """The little-endian bytes of an ``array('q')`` (or compatible view), as
+    a buffer: the array itself on a little-endian host (no copy)."""
+    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
+        if not isinstance(values, array):
+            # memoryview over an mmap-backed snapshot: already little-endian
+            return memoryview(values).cast("B")
+        values = array("q", values)
+        values.byteswap()
+    return values
 
 
 def encode_codec(external_ids: list) -> bytes:
@@ -212,61 +257,62 @@ def compute_content_hash(offsets, targets, codec_bytes: bytes) -> bytes:
 # --------------------------------------------------------------------------- #
 # save / load
 # --------------------------------------------------------------------------- #
+def atomic_write(path: str | os.PathLike, *chunks) -> Path:
+    """Install ``chunks`` as the whole content of ``path``: write them to a
+    temp file beside it, then ``os.replace`` it over ``path``.
+
+    The one writer of every store file.  The temp file is named per writer,
+    ``<name>.tmp.<pid>.<thread id>``, so concurrent writers of one path —
+    threads of one process included — never share one: each installs a
+    complete file and the last rename wins.  On any failure the temp file is
+    removed and the error propagates; ``path`` keeps its previous content
+    (or stays absent).  Returns ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
 def save_snapshot(csr: "CSRGraph", path: str | os.PathLike) -> Path:
-    """Write ``csr`` to ``path`` atomically (write-to-temp + rename).
+    """Write ``csr`` to ``path`` atomically (:func:`atomic_write`).
 
     Returns the final path.  The written file's content hash equals
-    ``csr.content_hash``, so a later :meth:`SnapshotStore.load_or_build` can
-    cheaply decide whether the file still matches the live graph.
+    ``csr.content_hash``, so a later :meth:`SnapshotStore.fetch` can cheaply
+    decide whether the file still matches the live graph.
     """
     _record_save()
-    path = Path(path)
     codec_bytes = encode_codec(csr.external_ids)
-    content_hash = csr.content_hash
-    header = _HEADER_STRUCT.pack(
-        MAGIC,
-        FORMAT_VERSION,
-        0,
-        0,
-        csr.n,
-        csr.num_edges,
-        len(codec_bytes),
-        content_hash,
+    if csr._content_hash is None:  # hash the codec just pickled, not a second one
+        csr._content_hash = compute_content_hash(csr.offsets, csr.targets, codec_bytes)
+    header = _SNAPSHOT_HEADER.pack(csr.n, csr.num_edges, len(codec_bytes), csr._content_hash)
+    return atomic_write(
+        path, header, _array_bytes_le(csr.offsets), _array_bytes_le(csr.targets), codec_bytes
     )
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    try:
-        with tmp.open("wb") as handle:
-            handle.write(header)
-            handle.write(_array_bytes_le(csr.offsets))
-            handle.write(_array_bytes_le(csr.targets))
-            handle.write(codec_bytes)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
-    return path
 
 
 def read_header(data: bytes | memoryview, *, source: str = "snapshot") -> SnapshotHeader:
     """Decode and validate the fixed-size header from ``data``."""
-    if len(data) < HEADER_SIZE:
+    return SnapshotHeader(FORMAT_VERSION, *_SNAPSHOT_HEADER.unpack(data, source))
+
+
+def _sized_header(data: bytes | memoryview, actual: int, path: Path) -> SnapshotHeader:
+    """The header at the start of ``data``, checked against the file's
+    ``actual`` size."""
+    header = read_header(data, source=str(path))
+    if actual != header.file_size:
         raise SnapshotFormatError(
-            f"{source}: file too small for a snapshot header "
-            f"({len(data)} < {HEADER_SIZE} bytes)"
+            f"{path}: truncated or oversized snapshot "
+            f"(header implies {header.file_size} bytes, file has {actual})"
         )
-    magic, version, flags, reserved, n, m, codec_length, content_hash = _HEADER_STRUCT.unpack(
-        bytes(data[:HEADER_SIZE])
-    )
-    if magic != MAGIC:
-        raise SnapshotFormatError(f"{source}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise SnapshotFormatError(
-            f"{source}: unsupported snapshot format version {version} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    if flags or reserved:
-        raise SnapshotFormatError(f"{source}: reserved header fields are non-zero")
-    return SnapshotHeader(version, n, m, codec_length, content_hash)
+    return header
 
 
 def peek_header(path: str | os.PathLike) -> SnapshotHeader:
@@ -277,14 +323,7 @@ def peek_header(path: str | os.PathLike) -> SnapshotHeader:
             head = handle.read(HEADER_SIZE)
     except OSError as exc:
         raise SnapshotFormatError(f"cannot read snapshot {path}: {exc}") from None
-    header = read_header(head, source=str(path))
-    actual = path.stat().st_size
-    if actual != header.file_size:
-        raise SnapshotFormatError(
-            f"{path}: truncated or oversized snapshot "
-            f"(header implies {header.file_size} bytes, file has {actual})"
-        )
-    return header
+    return _sized_header(head, path.stat().st_size, path)
 
 
 def load_snapshot(
@@ -321,27 +360,13 @@ def load_snapshot(
             mapping = None
             data = handle.read()
 
-    header = read_header(data, source=str(path))
-    if len(data) != header.file_size:
-        raise SnapshotFormatError(
-            f"{path}: truncated or oversized snapshot "
-            f"(header implies {header.file_size} bytes, file has {len(data)})"
-        )
-
-    offsets_view = data[header.offsets_start : header.targets_start]
-    targets_view = data[header.targets_start : header.codec_start]
+    header = _sized_header(data, len(data), path)
+    data = memoryview(data)
+    offsets = data[header.offsets_start : header.targets_start].cast("q")
+    targets = data[header.targets_start : header.codec_start].cast("q")
     codec_bytes = bytes(data[header.codec_start : header.file_size])
-
-    if verify:
-        digest = hashlib.sha256()
-        digest.update(struct.pack("<QQ", header.n, header.m))
-        digest.update(bytes(offsets_view))
-        digest.update(bytes(targets_view))
-        digest.update(codec_bytes)
-        if digest.digest() != header.content_hash:
-            raise SnapshotFormatError(
-                f"{path}: content hash mismatch — the snapshot file is corrupt"
-            )
+    if verify and compute_content_hash(offsets, targets, codec_bytes) != header.content_hash:
+        raise SnapshotFormatError(f"{path}: content hash mismatch — the snapshot file is corrupt")
 
     external_ids = decode_codec(codec_bytes)
     if len(external_ids) != header.n:
@@ -349,22 +374,25 @@ def load_snapshot(
             f"{path}: codec lists {len(external_ids)} vertices, header says {header.n}"
         )
 
-    if use_mmap:
-        offsets = offsets_view.cast("q")
-        targets = targets_view.cast("q")
-        snap = CSRGraph(offsets, targets, external_ids, source=source)
-        snap._buffer_owner = mapping  # keep the mapping alive with the arrays
-    else:
-        offsets = array("q")
-        offsets.frombytes(bytes(offsets_view))
-        targets = array("q")
-        targets.frombytes(bytes(targets_view))
+    if not use_mmap:  # private copies
+        offsets, targets = array("q", offsets.tobytes()), array("q", targets.tobytes())
         if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
             offsets.byteswap()
             targets.byteswap()
-        snap = CSRGraph(offsets, targets, external_ids, source=source)
+    snap = CSRGraph(offsets, targets, external_ids, source=source)
+    snap._buffer_owner = mapping  # keep the mapping (if any) alive with the arrays
     snap._content_hash = header.content_hash
     return snap
+
+
+def holds(path: str | os.PathLike, content_hash: bytes) -> bool:
+    """Whether the snapshot file at ``path`` already holds ``content_hash``:
+    its header says so and its size fits the header.  A missing or
+    unreadable file does not."""
+    try:
+        return peek_header(path).content_hash == content_hash
+    except (OSError, SnapshotFormatError):
+        return False
 
 
 def ensure_saved(csr: "CSRGraph", path: str | os.PathLike) -> Path:
@@ -373,13 +401,8 @@ def ensure_saved(csr: "CSRGraph", path: str | os.PathLike) -> Path:
     A readable file whose stored hash matches is left untouched; anything
     else (missing, unreadable, stale) is atomically rewritten.
     """
-    path = Path(path)
-    if path.exists():
-        try:
-            if peek_header(path).content_hash == csr.content_hash:
-                return path
-        except SnapshotFormatError:
-            pass
+    if holds(path, csr.content_hash):
+        return Path(path)
     return save_snapshot(csr, path)
 
 
@@ -401,9 +424,9 @@ def _slug(key: str) -> str:
 class SnapshotStore:
     """A directory of persisted CSR snapshots, keyed by dataset identity.
 
-    ``load_or_build(graph, key)`` is the cache entry point: it takes the
-    graph's (in-process cached) snapshot, compares its content hash with the
-    stored file's header, and
+    ``fetch(graph, key)`` is the cache entry point for a live graph: it takes
+    the graph's (in-process cached) snapshot, compares its content hash with
+    the stored file's header, and
 
     * on a match, returns the **mmap-backed** load of the file — all callers
       in all processes share one physical copy through the page cache;
@@ -432,18 +455,14 @@ class SnapshotStore:
         #: records are folded into a fresh base snapshot once they exceed
         #: this fraction of the base edge count
         self.compact_fraction = compact_fraction
-        #: outcome of the most recent :meth:`fetch` / successful :meth:`lookup`
-        #: in *any* thread — ``"source-hit"`` (trusted reopen), ``"hit"``
+        #: cumulative outcome counts of :meth:`fetch` and successful
+        #: :meth:`lookup` calls — ``"source-hit"`` (trusted reopen), ``"hit"``
         #: (file matched; the mmap load was returned), ``"stale"`` (file
         #: existed but was unreadable or its hash no longer matched;
-        #: rewritten) or ``"miss"`` (no file; written).  ``None`` before the
-        #: first call.  Kept for observability; concurrent callers must use
-        #: the outcome :meth:`fetch` *returns* instead of reading this back
-        #: (a second thread's fetch may land in between)
-        self.last_outcome: str | None = None
-        #: cumulative :meth:`fetch` outcome counts — the provenance
-        #: instrumentation the session layer and its tests read; mutated under
-        #: a lock, so totals stay exact under concurrent plans
+        #: rewritten), ``"miss"`` (no file; written), and the journaled
+        #: ``"base+delta"`` / ``"compact"``.  Mutated under a lock, so totals
+        #: stay exact under concurrent plans; one call's own outcome is what
+        #: :meth:`fetch` returns
         self.counters: dict[str, int] = {
             "source-hit": 0,
             "hit": 0,
@@ -511,14 +530,7 @@ class SnapshotStore:
                 return
         except OSError:
             pass
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-
-    def load_or_build(self, graph: "Graph", key: str, *, mmap: bool = True) -> "CSRGraph":
-        """The current snapshot of ``graph``, backed by the store (see
-        :meth:`fetch`, which additionally returns the per-call outcome)."""
-        return self.fetch(graph, key, mmap=mmap)[0]
+        atomic_write(path, payload)
 
     def fetch(
         self, graph: "Graph", key: str, *, mmap: bool = True
@@ -536,11 +548,6 @@ class SnapshotStore:
         on a hash match the mmap-backed load is adopted as the graph's cached
         snapshot (shared physical memory, and the heap copy can be freed).
         The returned snapshot keeps ``graph`` as its property source.
-
-        The outcome is *returned* rather than left in shared store state:
-        with concurrent plans in one process (the graph service), a
-        read-back of :attr:`last_outcome` could observe another thread's
-        fetch instead of this one's.
         """
         snap = graph.snapshot()
         from repro.graph.delta import JournaledGraph
@@ -553,17 +560,15 @@ class SnapshotStore:
             # monolithic logic below applies and any delta sidecar is spent
             self.delta_path_for(key).unlink(missing_ok=True)
         existed = path.exists()
-        if existed:
+        if holds(path, snap.content_hash):
             try:
-                header = peek_header(path)
-                if header.content_hash == snap.content_hash:
-                    # verified: a payload that no longer hashes to its own
-                    # header is rewritten below, not adopted
-                    loaded = load_snapshot(path, mmap=mmap, verify=True, source=graph)
-                    self._record("hit")
-                    return graph.adopt_snapshot(loaded), "hit"
+                # verified: a payload that no longer hashes to its own
+                # header is rewritten below, not adopted
+                loaded = load_snapshot(path, mmap=mmap, verify=True, source=graph)
+                self._record("hit")
+                return graph.adopt_snapshot(loaded), "hit"
             except SnapshotFormatError:
-                pass  # unreadable/stale file: fall through and rewrite it
+                pass  # corrupt payload: fall through and rewrite it
         save_snapshot(snap, path)
         outcome = "stale" if existed else "miss"
         self._record(outcome)
@@ -599,13 +604,8 @@ class SnapshotStore:
             self._record("compact")
             return snap, "compact"
 
-        base_on_disk = False
-        if path.exists():
-            try:
-                base_on_disk = peek_header(path).content_hash == base.content_hash
-            except SnapshotFormatError:
-                pass  # unreadable base: rewrite it below
-        if not base_on_disk:
+        base_on_disk = holds(path, base.content_hash)
+        if not base_on_disk:  # missing, unreadable or stale base: rewrite it
             save_snapshot(base, path)
         try:
             journal.sync(delta_path)
@@ -628,5 +628,4 @@ class SnapshotStore:
 
     def _record(self, outcome: str) -> None:
         with self._lock:
-            self.last_outcome = outcome
             self.counters[outcome] += 1

@@ -122,8 +122,8 @@ class Database:
         """A token identifying the current data state of the database.
 
         Changes whenever a table is added, dropped or mutated; what
-        :attr:`source_fingerprint` is stamped against and the catalog's
-        cached counts are keyed on.
+        :attr:`source_fingerprint` is stamped against.  (The catalog keys
+        its cached counts per table, on ``(Table, epoch, rows counted)``.)
         """
         return (self._structure_version,) + tuple(
             self._tables[name].data_version for name in self.table_names()

@@ -473,18 +473,15 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     parallelism = session.parallelism
 
     started = time.perf_counter()
-    builds_before = handle.builds
     # thread-local deltas: concurrent plans in one process (the graph
     # service) must each report only their own forks and writes
     pool_starts_before = _pool_starts()
     writes_before = snapshot_store.saves_in_thread()
 
     tick = time.perf_counter()
-    csr = handle.snapshot()
+    taken = handle.take_snapshot()
     snapshot_seconds = time.perf_counter() - tick
-    snapshot_source = handle.snapshot_source
-    delta_edges = handle.delta_edges
-    snapshot_notes = handle.consume_snapshot_notes()
+    csr = taken.csr
 
     # pre-serve dynamic maintainers over the delta journal before lowering:
     # served requests compile to already-done "incremental" nodes, so they
@@ -508,7 +505,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
     )
     # a heap snapshot was computed by this run; cache hits and store mmaps
     # reuse work a previous run (or plan) already paid for
-    snapshot_fresh = snapshot_source == "heap"
+    snapshot_fresh = taken.source == "heap"
     if snapshot_fresh:
         CompilerCounters.nodes_computed += 1
 
@@ -628,11 +625,11 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                     provenance=Provenance(
                         representation=handle.representation,
                         backend=backend.name,
-                        snapshot_source=snapshot_source,
+                        snapshot_source=taken.source,
                         parallelism=result_parallelism,
-                        delta_edges=delta_edges,
+                        delta_edges=taken.delta_edges,
                     ),
-                    notes=node.notes + snapshot_notes,
+                    notes=node.notes + taken.notes,
                     scheduled=scheduled,
                     nodes=tuple(provenance_nodes),
                 )
@@ -660,12 +657,12 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
         provenance=Provenance(
             representation=handle.representation,
             backend=backend.name,
-            snapshot_source=snapshot_source,
+            snapshot_source=taken.source,
             parallelism=parallelism,
-            delta_edges=delta_edges,
+            delta_edges=taken.delta_edges,
         ),
         total_seconds=time.perf_counter() - started,
-        snapshot_builds=handle.builds - builds_before,
+        snapshot_builds=taken.builds,
         pool_starts=_pool_starts() - pool_starts_before,
         snapshot_writes=snapshot_store.saves_in_thread() - writes_before,
         nodes_computed=computed_total,

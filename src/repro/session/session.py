@@ -47,7 +47,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from repro.core.config import ExtractionOptions
 from repro.dsl.parser import parse
@@ -90,6 +90,19 @@ class RefreshReport:
     dropped: list[str] = field(default_factory=list)
     #: wall-clock seconds for the whole refresh
     seconds: float = 0.0
+
+
+class TakenSnapshot(NamedTuple):
+    """One :meth:`GraphHandle.take_snapshot` call: the snapshot, how it got
+    it (a :attr:`~GraphHandle.snapshot_source`), the pending edge-delta
+    records behind it, the builds/loads it performed (0 = cache hit) and the
+    provenance notes it drained."""
+
+    csr: "CSRGraph"
+    source: str
+    delta_edges: int
+    builds: int
+    notes: tuple[str, ...]
 
 
 class GraphHandle:
@@ -259,6 +272,19 @@ class GraphHandle:
             self._delta_edges = getattr(graph, "delta_edges", 0)
             self._builds += 1
             return csr
+
+    def take_snapshot(self) -> TakenSnapshot:
+        """:meth:`snapshot` plus this call's own provenance and the queued
+        notes, read under the handle's lock — the handle properties are
+        shared state another thread's :meth:`snapshot` may overwrite before
+        a later read-back (a plan reports what *its* snapshot call did)."""
+        with self._lock:
+            before = self._builds
+            csr = self.snapshot()
+            builds = self._builds - before
+            return TakenSnapshot(
+                csr, self._snapshot_source, self._delta_edges, builds, self.consume_snapshot_notes()
+            )
 
     def _pin_source(self, store: SnapshotStore, csr: "CSRGraph") -> None:
         """``store`` now holds ``csr`` under this handle's key: record the

@@ -31,11 +31,6 @@ class TestOnFigure1:
         assert figure1_condensed.num_condensed_edges == edges_before
         assert figure1_condensed.has_duplication()
 
-    def test_in_place_mutates_input(self, figure1_condensed, algorithm):
-        result = DEDUP1_ALGORITHMS[algorithm](figure1_condensed, in_place=True)
-        assert result.condensed is figure1_condensed
-        assert not figure1_condensed.has_duplication()
-
 
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
 @pytest.mark.parametrize("seed", range(4))

@@ -9,13 +9,16 @@ of one process, which exposed three latent bugs in the session layer:
   of *process-global* instrumentation, so two plans running concurrently
   each appeared to fork the other's pool and write the other's snapshot
   (breaking the "at most one per plan" contract exactly when it matters),
-  and ``SnapshotStore.last_outcome`` was a shared-state read-back with the
-  same interleaving hazard, and
+  and the store's last fetch outcome was a shared-state read-back with the
+  same interleaving hazard (``SnapshotStore.fetch`` now returns it), and
 * ``GraphSession.wrap()`` minted a fresh handle per call, resetting build
   provenance and per-dataset sharing on every re-wrap.
 
 A fourth, found later: a warm pool whose worker died was handed out again
 on every lease — raw ``OSError``s (HTTP 500s) until the content hash moved.
+A fifth: a plan read its snapshot's provenance (source, builds, delta
+count) back from the handle after ``snapshot()`` returned, so another
+thread's ``snapshot()`` in between rewrote the plan's report.
 
 Each test here fails on the pre-fix behaviour: the counter test inserts a
 barrier into ``ParallelSuperstepExecutor.start`` so both plans are provably
@@ -32,6 +35,7 @@ import threading
 import pytest
 
 from repro.exceptions import VertexCentricError
+from repro.graph import ExpandedGraph
 from repro.graph.snapshot_store import SnapshotStore
 from repro.session import GraphSession
 from repro.session.report import AnalysisReport, AnalysisResult, Provenance
@@ -141,16 +145,9 @@ class TestStoreFetchOutcomes:
         assert outcome == "stale"
         assert store.counters == {"source-hit": 0, "hit": 1, "stale": 1, "miss": 1, "base+delta": 0, "compact": 0}
 
-    def test_load_or_build_still_returns_just_the_snapshot(self, tmp_path):
-        store = SnapshotStore(tmp_path / "snaps")
-        session = GraphSession(make_db(), backend="python")
-        graph = session.graph(COAUTHOR_QUERY).graph
-        snap = store.load_or_build(graph, "k")
-        assert snap.content_hash == graph.snapshot().content_hash
-
     def test_concurrent_fetches_see_their_own_outcome(self, tmp_path):
         """Interleaved fetches on one store: every thread's *returned*
-        outcome is correct (a ``last_outcome`` read-back would observe
+        outcome is correct (a read-back of shared store state would observe
         whichever thread recorded last), and the shared totals stay exact."""
         store = SnapshotStore(tmp_path / "snaps")
         workers = 4
@@ -184,6 +181,44 @@ class TestStoreFetchOutcomes:
             assert outcomes[(index, 0)] == "miss"
             assert outcomes[(index, 1)] == "hit"
         assert store.counters == {"source-hit": 0, "hit": workers, "stale": 0, "miss": workers, "base+delta": 0, "compact": 0}
+
+
+# --------------------------------------------------------------------------- #
+# a plan's snapshot provenance is its own snapshot call's
+# --------------------------------------------------------------------------- #
+class TestPlanSnapshotProvenance:
+    def test_a_snapshot_on_another_thread_does_not_rewrite_the_report(self, monkeypatch):
+        """Thread B calls ``handle.snapshot()`` right after thread A's plan
+        got its snapshot.  A built that snapshot, so its report must say
+        ``heap`` with one build — not B's ``cache-hit``, as it did while the
+        plan read the handle's shared provenance back after the call."""
+        session = GraphSession(make_db(), backend="python")
+        handle = session.wrap(ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4)]))
+        real_snapshot = handle.snapshot
+        others: list[threading.Thread] = []
+
+        def snapshot_then_another_thread():
+            csr = real_snapshot()
+            other = threading.Thread(target=real_snapshot)
+            others.append(other)
+            other.start()
+            # before the fix B finishes here; with the provenance read under
+            # the handle's lock, B waits for the plan to have read it
+            other.join(timeout=0.5)
+            return csr
+
+        monkeypatch.setattr(handle, "snapshot", snapshot_then_another_thread)
+        report = handle.analyze().degree().run()
+        for other in others:
+            other.join(timeout=30)
+        monkeypatch.undo()
+        assert len(others) == 1 and not others[0].is_alive()
+
+        assert report.provenance.snapshot_source == "heap"
+        assert report.snapshot_builds == 1
+        assert handle.snapshot_source == "cache-hit"  # B's call, after A's read
+        fresh = session.wrap(ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1), (3, 4)]))
+        assert report.nodes_computed == fresh.analyze().degree().run().nodes_computed
 
 
 # --------------------------------------------------------------------------- #

@@ -229,13 +229,13 @@ class TestSnapshotStore:
     def test_build_then_reuse(self, tmp_path):
         store = SnapshotStore(tmp_path / "cache")
         graph = ExpandedGraph.from_edges([(1, 2), (2, 3), (3, 1)])
-        first = store.load_or_build(graph, "toy")
+        first = store.fetch(graph, "toy")[0]
         assert store.contains("toy")
         path = store.path_for("toy")
         stamp = path.stat().st_mtime_ns
         # unchanged graph: file untouched, mmap-backed load comes back and is
         # adopted as the graph's cached snapshot
-        second = store.load_or_build(graph, "toy")
+        second = store.fetch(graph, "toy")[0]
         assert path.stat().st_mtime_ns == stamp
         _assert_snapshots_equal(first, second)
         assert second._buffer_owner is not None
@@ -244,10 +244,10 @@ class TestSnapshotStore:
     def test_stale_hash_rebuild_after_mutation(self, tmp_path):
         store = SnapshotStore(tmp_path / "cache")
         graph = ExpandedGraph.from_edges([(1, 2), (2, 3)])
-        store.load_or_build(graph, "toy")
+        store.fetch(graph, "toy")[0]
         stale_hash = peek_header(store.path_for("toy")).content_hash
         graph.add_edge(3, 1)  # structural mutation: the file is now stale
-        rebuilt = store.load_or_build(graph, "toy")
+        rebuilt = store.fetch(graph, "toy")[0]
         fresh_hash = peek_header(store.path_for("toy")).content_hash
         assert fresh_hash != stale_hash
         assert fresh_hash == rebuilt.content_hash
@@ -258,9 +258,9 @@ class TestSnapshotStore:
     def test_corrupt_cache_file_is_rewritten(self, tmp_path):
         store = SnapshotStore(tmp_path / "cache")
         graph = ExpandedGraph.from_edges([(1, 2)])
-        store.load_or_build(graph, "toy")
+        store.fetch(graph, "toy")[0]
         store.path_for("toy").write_bytes(b"garbage")
-        snap = store.load_or_build(graph, "toy")
+        snap = store.fetch(graph, "toy")[0]
         assert peek_header(store.path_for("toy")).content_hash == snap.content_hash
 
     def test_keys_are_slugged_safely(self, tmp_path):
