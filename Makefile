@@ -16,12 +16,16 @@ help:
 	@echo "                    a cache hit executes no plan, responses bit-identical"
 	@echo "make test-incremental - the maintainers: maintained == a cold recompute on"
 	@echo "                    generated journal windows (both backends), BFS removal"
-	@echo "                    repairs, the ring schedule's tally and work pins; the"
-	@echo "                    delta journal + overlay suite (an extended overlay =="
-	@echo "                    a one-shot one); PageRank's parent digests, stop"
-	@echo "                    decision and dense/sparse push counts; the pin that"
-	@echo "                    only repro.incremental.MaintainedResults touches the"
-	@echo "                    maintained state (no _incremental* name elsewhere)"
+	@echo "                    repairs, the ring schedule's tally and work pins, one"
+	@echo "                    netting per window for every entry at its position;"
+	@echo "                    the delta journal + overlay suite (an extended overlay"
+	@echo "                    == a one-shot one; added / removed / prior_present =="
+	@echo "                    a brute-force netting of any split stream: the one"
+	@echo "                    netting the maintainers read); PageRank's parent"
+	@echo "                    digests, stop decision and dense/sparse push counts;"
+	@echo "                    the pin that only repro.incremental.MaintainedResults"
+	@echo "                    touches the maintained state (no _incremental* name"
+	@echo "                    elsewhere)"
 	@echo "make test-dedup   - DEDUP-1/BITMAP/DEDUP-2 suites, the identity goldens"
 	@echo "                    (every algorithm x ordering, edge for edge), the"
 	@echo "                    probe pins, maintained-mask property, fig12 shapes"

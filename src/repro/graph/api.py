@@ -165,10 +165,6 @@ class Graph(ABC):
         """True if ``vertex`` is present (default: linear scan; overridden)."""
         return any(v == vertex for v in self.get_vertices())
 
-    def neighbors_list(self, vertex: VertexId) -> list[VertexId]:
-        """``getNeighbors(v).toList`` from the paper."""
-        return list(self.get_neighbors(vertex))
-
     def degree(self, vertex: VertexId) -> int:
         """Out-degree of ``vertex`` in the logical graph (duplicates removed)."""
         return sum(1 for _ in self.get_neighbors(vertex))

@@ -201,6 +201,11 @@ class DeltaJournal:
         if compacted:
             self.compactions += 1
 
+    def summary(self) -> dict[str, int]:
+        """Pending records, records ever appended and compactions: the
+        journal block of a plan report, a service answer and ``/stats``."""
+        return {"pending": len(self.records), "total": self.total, "compactions": self.compactions}
+
     def records_since(self, position: int) -> list[tuple[str, Any]] | None:
         """Records appended after absolute ``position``, or ``None`` when the
         requested range predates the current base (no longer replayable)."""
@@ -290,17 +295,21 @@ class DeltaOverlay:
     Two overlays decoded from the same records over the same base produce
     element-wise identical snapshots on every backend, however the records
     were split between the constructor and :meth:`extend` calls.
+
+    The one netting of journal records: the maintainers of
+    :mod:`repro.incremental` read an overlay of their window, read-only.
     """
 
     def __init__(self, records: list[tuple[str, Any]] = ()) -> None:
         #: each touched directed pair's last op, in first-touch order
         self._last: dict[tuple[VertexId, VertexId], str] = {}
         self._seen: set[VertexId] = set()
+        #: touched pairs whose first op was ``-``, so present before the
+        #: stream (the journal records only effective deltas)
+        self.prior_present: set[tuple[VertexId, VertexId]] = set()
         #: vertices the stream may have introduced, first-appearance order
         #: (filtered against the base at materialisation time)
         self.vertex_candidates: list[VertexId] = []
-        #: number of edge records decoded (the provenance ``delta_edges`` K)
-        self.delta_edges = 0
         # (base, index, new_vertices, strip, additions) of the last base
         # planned, kept current by extend()
         self._planned: tuple | None = None
@@ -312,6 +321,7 @@ class DeltaOverlay:
         only, so the cost is the new records', not the whole stream's."""
         last = self._last
         seen = self._seen
+        prior = self.prior_present
         vertices = self.vertex_candidates
         fresh = len(vertices)
         before: dict[tuple[VertexId, VertexId], str | None] = {}
@@ -319,9 +329,10 @@ class DeltaOverlay:
             if op == "V":
                 endpoints = (payload,)
             else:
-                self.delta_edges += 1
                 if payload not in before:
-                    before[payload] = last.get(payload)
+                    old = before[payload] = last.get(payload)
+                    if old is None and op == "-":
+                        prior.add(payload)
                 last[payload] = op
                 endpoints = payload
             for endpoint in endpoints:
@@ -361,11 +372,6 @@ class DeltaOverlay:
         self._planned = (base, index, new_vertices, strip, additions)
 
     @property
-    def touched(self) -> set[tuple[VertexId, VertexId]]:
-        """Every directed pair the stream touched (stripped from base rows)."""
-        return set(self._last)
-
-    @property
     def added(self) -> list[tuple[VertexId, VertexId]]:
         """Net-present pairs, in first-touch order."""
         return [pair for pair, op in self._last.items() if op == "+"]
@@ -374,9 +380,6 @@ class DeltaOverlay:
     def removed(self) -> list[tuple[VertexId, VertexId]]:
         """Net-absent pairs, in first-touch order."""
         return [pair for pair, op in self._last.items() if op == "-"]
-
-    def __bool__(self) -> bool:
-        return bool(self._last or self.vertex_candidates)
 
     def plan(
         self, base: "CSRGraph"
@@ -656,22 +659,30 @@ class JournaledGraph(Graph):
         cached = self._csr_cache
         if cached is not None and cached[0] == token:
             return cached[1]
-        records = self.journal.records
-        if not records:
+        if not self.journal.records:
             snap = self._base_csr
         else:
             from repro.graph.backend import get_backend
 
-            if self._overlay is None:
-                self._overlay = DeltaOverlay(records)
-            else:
-                self._overlay.extend(records[self._folded :])
-            self._folded = len(records)
-            snap = self._overlay.materialize(
-                self._base_csr, source=self, backend=get_backend()
-            )
+            overlay = self.overlay_since(self.journal.base_total)
+            snap = overlay.materialize(self._base_csr, source=self, backend=get_backend())
         self._csr_cache = (token, snap)
         return snap
+
+    def overlay_since(self, position: int) -> DeltaOverlay:
+        """``journal.records_since(position)`` netted.  For the pending
+        records (``position == journal.base_total``) that is the graph's own
+        overlay, shared by the merge and the maintainers, into which only
+        the records appended since it was last asked for are folded."""
+        journal = self.journal
+        if position != journal.base_total:
+            return DeltaOverlay(journal.records_since(position))
+        if self._overlay is None:
+            self._overlay = DeltaOverlay(journal.records)
+        else:
+            self._overlay.extend(journal.records[self._folded :])
+        self._folded = len(journal.records)
+        return self._overlay
 
     def adopt_snapshot(self, csr: "CSRGraph") -> "CSRGraph":
         """Adopt a store-loaded (mmap-backed) snapshot.

@@ -92,9 +92,10 @@ import struct
 import sys
 import threading
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from repro.exceptions import SnapshotFormatError
 
@@ -230,6 +231,32 @@ def encode_codec(external_ids: list) -> bytes:
     return pickle.dumps(list(external_ids), protocol=4)
 
 
+def snapshot_codec(csr: "CSRGraph") -> bytes:
+    """``csr``'s codec section: inside a :func:`kept_codec` block the first
+    pickle is kept and handed to every later caller, else a fresh one."""
+    kept = csr._kept_codec
+    if kept:
+        return kept[0]
+    codec = encode_codec(csr.external_ids)
+    if kept is not None:
+        kept.append(codec)
+    return codec
+
+
+@contextmanager
+def kept_codec(csr: "CSRGraph") -> Iterator[None]:
+    """Pickle ``csr``'s codec at most once inside the block: its content hash
+    (a wrapped graph's store key) and its save share one.  The pickle is
+    dropped when the block ends, so a snapshot that was not saved holds none."""
+    kept = csr._kept_codec = []
+    try:
+        yield
+    finally:
+        kept.clear()
+        if csr._kept_codec is kept:
+            csr._kept_codec = None
+
+
 def decode_codec(payload: bytes) -> list:
     try:
         external_ids = pickle.loads(payload)
@@ -289,7 +316,7 @@ def save_snapshot(csr: "CSRGraph", path: str | os.PathLike) -> Path:
     decide whether the file still matches the live graph.
     """
     _record_save()
-    codec_bytes = encode_codec(csr.external_ids)
+    codec_bytes = snapshot_codec(csr)
     if csr._content_hash is None:  # hash the codec just pickled, not a second one
         csr._content_hash = compute_content_hash(csr.offsets, csr.targets, codec_bytes)
     header = _SNAPSHOT_HEADER.pack(csr.n, csr.num_edges, len(codec_bytes), csr._content_hash)
@@ -444,17 +471,14 @@ class SnapshotStore:
     included — is ignored, and the key is rebuilt as a ``.csr``.
     """
 
-    def __init__(self, directory: str | os.PathLike, *, compact_fraction: float = 0.25) -> None:
-        if not 0.0 < compact_fraction:
-            raise ValueError(
-                f"compact_fraction must be positive (got {compact_fraction})"
-            )
+    #: journal compaction threshold: a journaled graph's pending delta
+    #: records are folded into a fresh base snapshot once they exceed this
+    #: fraction of the base edge count (read at every journaled fetch)
+    compact_fraction = 0.25
+
+    def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: journal compaction threshold: a journaled graph's pending delta
-        #: records are folded into a fresh base snapshot once they exceed
-        #: this fraction of the base edge count
-        self.compact_fraction = compact_fraction
         #: cumulative outcome counts of :meth:`fetch` and successful
         #: :meth:`lookup` calls — ``"source-hit"`` (trusted reopen), ``"hit"``
         #: (file matched; the mmap load was returned), ``"stale"`` (file
@@ -532,9 +556,7 @@ class SnapshotStore:
             pass
         atomic_write(path, payload)
 
-    def fetch(
-        self, graph: "Graph", key: str, *, mmap: bool = True
-    ) -> "tuple[CSRGraph, str]":
+    def fetch(self, graph: "Graph", key: str) -> "tuple[CSRGraph, str]":
         """The current snapshot of ``graph``, backed by the store, plus this
         call's outcome: ``(snapshot, "hit" | "stale" | "miss")`` — or, for a
         :class:`~repro.graph.delta.JournaledGraph` with pending deltas,
@@ -553,7 +575,7 @@ class SnapshotStore:
         from repro.graph.delta import JournaledGraph
 
         if isinstance(graph, JournaledGraph) and graph.journal.records:
-            return self._fetch_journaled(graph, snap, key, mmap=mmap)
+            return self._fetch_journaled(graph, snap, key)
         path = self.path_for(key)
         if isinstance(graph, JournaledGraph):
             # no pending deltas: the merged snapshot *is* the base, so the
@@ -564,7 +586,7 @@ class SnapshotStore:
             try:
                 # verified: a payload that no longer hashes to its own
                 # header is rewritten below, not adopted
-                loaded = load_snapshot(path, mmap=mmap, verify=True, source=graph)
+                loaded = load_snapshot(path, verify=True, source=graph)
                 self._record("hit")
                 return graph.adopt_snapshot(loaded), "hit"
             except SnapshotFormatError:
@@ -574,9 +596,7 @@ class SnapshotStore:
         self._record(outcome)
         return snap, outcome
 
-    def _fetch_journaled(
-        self, graph, snap: "CSRGraph", key: str, *, mmap: bool = True
-    ) -> "tuple[CSRGraph, str]":
+    def _fetch_journaled(self, graph, snap: "CSRGraph", key: str) -> "tuple[CSRGraph, str]":
         """:meth:`fetch` for a :class:`~repro.graph.delta.JournaledGraph`
         with pending delta records.
 
@@ -620,8 +640,8 @@ class SnapshotStore:
             )
             self._record("stale")
             return snap, "stale"
-        if base_on_disk and mmap and base._buffer_owner is None:
-            loaded = load_snapshot(path, mmap=True, verify=False, source=graph)
+        if base_on_disk and base._buffer_owner is None:
+            loaded = load_snapshot(path, verify=False, source=graph)
             graph.adopt_snapshot(loaded)
         self._record("base+delta")
         return snap, "base+delta"

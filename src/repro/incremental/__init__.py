@@ -13,17 +13,19 @@ Each maintainer follows one contract — dense in, dense out::
 ``prev`` is the algorithm's previous result as a per-dense-index list (the
 form every kernel returns; ``-1`` where a vertex has no value — BFS:
 unreached), ``csr`` the *current* merged snapshot, ``delta`` a
-:class:`~repro.incremental.base.DeltaView` of the records the previous
-result has not absorbed, ``params`` the request's effective parameters and
+:class:`~repro.graph.delta.DeltaOverlay` of the records the previous result
+has not absorbed (``JournaledGraph.overlay_since``; entries at one journal
+position share one), ``params`` the request's effective parameters and
 ``backend`` the resolved kernel backend.  ``prev`` is exact for the prefix
 ``[0, len(prev))`` of ``csr``'s vertices: within one journal generation the
 overlay merges only ever *append* vertices, so a dense index never changes
-meaning and nothing is re-keyed; a maintainer treats ``prev`` as read-only
-(it may return it unchanged).  External IDs exist only at the boundary:
-:func:`~repro.incremental.base.encode` when a cold result is first
-remembered, :func:`~repro.incremental.base.decode` when a plan asks for the
-values.  The returned vector (length ``csr.n``) must satisfy the same
-equivalence contract the backends do: integer-valued results (components,
+meaning and nothing is re-keyed; a maintainer reads only the overlay's
+``added``, ``removed`` and ``prior_present`` and treats it, like ``prev``,
+as read-only (it may return ``prev`` unchanged).  External IDs exist only
+at the boundary: :func:`~repro.incremental.base.encode` when a cold result
+is first remembered, :func:`~repro.incremental.base.decode` when a plan
+asks for the values.  The returned vector (length ``csr.n``) must satisfy
+the same equivalence contract the backends do: integer-valued results (components,
 BFS) **equal** a cold recompute on the current snapshot bit-for-bit;
 float-valued results (PageRank) match within the documented tolerance under
 the same termination contract.  ``None`` means "this delta cannot be
@@ -44,7 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.incremental.base import DeltaView, build_delta_view, decode, encode
+from repro.incremental.base import decode, encode
 from repro.incremental.bfs import maintain_bfs
 from repro.incremental.components import maintain_components
 from repro.incremental.pagerank import maintain_pagerank
@@ -63,8 +65,6 @@ MAINTAINERS = {
 }
 
 __all__ = [
-    "DeltaView",
-    "build_delta_view",
     "encode",
     "decode",
     "MAINTAINERS",
@@ -144,12 +144,14 @@ class MaintainedResults:
             self._entries.pop((name, canonical_params(params)), None)
 
     def _advance(
-        self, key: tuple[str, str], entry: _Entry, journal, csr: "CSRGraph", backend
+        self, key: tuple[str, str], entry: _Entry, csr: "CSRGraph", backend, windows: dict
     ) -> int | None:
         """Bring ``entry`` up to ``csr``, the current snapshot, through its
         maintainer: the delta records absorbed, or None (and the entry
         dropped, so it does not retry on every plan) when it cannot be
-        maintained.  Caller holds the lock."""
+        maintained.  ``windows``: journal position -> overlay of its window,
+        netted once for the entries there.  Caller holds the lock."""
+        journal = self._handle.journal  # entries exist only when it does
         records = None
         if entry.generation == self._handle.graph.generation:
             # (else a rebaseline — vertex deletion, out-of-band mutation —
@@ -159,7 +161,9 @@ class MaintainedResults:
             records = journal.records_since(entry.position)
         dense = entry.dense
         if records:
-            delta = build_delta_view(records)
+            if entry.position not in windows:
+                windows[entry.position] = self._handle.graph.overlay_since(entry.position)
+            delta = windows[entry.position]
             dense = MAINTAINERS[entry.maintainer](dense, csr, delta, entry.params, backend)
         if records is None or dense is None:
             del self._entries[key]
@@ -174,8 +178,7 @@ class MaintainedResults:
         """``name(params)`` on ``csr`` as ``(values, seconds, note)``, by
         maintaining the remembered result over the journal window — values
         decoded here, a fresh dict per call — or None to fall back cold."""
-        journal = self._handle.journal
-        if journal is None:
+        if self._handle.journal is None:
             return None
         with self._lock:
             if self._superseded(csr):
@@ -183,7 +186,7 @@ class MaintainedResults:
             started = time.perf_counter()
             key = (name, canonical_params(params))
             entry = self._entries.get(key)
-            absorbed = None if entry is None else self._advance(key, entry, journal, csr, backend)
+            absorbed = None if entry is None else self._advance(key, entry, csr, backend, {})
             if absorbed is None:
                 return None
             return (
@@ -200,9 +203,9 @@ class MaintainedResults:
         could repair them; they recompute cold on their next request)."""
         maintained: list[str] = []
         dropped: list[str] = []
+        windows: dict = {}
         with self._lock:
-            journal = self._handle.journal  # entries exist only when it does
             for key, entry in list(self._entries.items()):
-                advanced = self._advance(key, entry, journal, csr, backend)
+                advanced = self._advance(key, entry, csr, backend, windows)
                 (maintained if advanced is not None else dropped).append(entry.algorithm)
         return maintained, dropped

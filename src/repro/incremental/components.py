@@ -24,17 +24,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.incremental.base import DeltaView
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
+    from repro.graph.delta import DeltaOverlay
     from repro.graph.kernel import CSRGraph
 
 
 def maintain_components(
     prev: list[int],
     csr: "CSRGraph",
-    delta: DeltaView,
+    delta: "DeltaOverlay",
     params: dict,
     backend: "KernelBackend",
 ) -> list[int] | None:

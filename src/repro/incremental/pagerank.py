@@ -33,7 +33,7 @@ fixed point as a converged cold run (L∞ within the backends' documented
 
 The correction is *exact about structure*: it distinguishes a genuinely new
 edge from a removed-then-re-added one via
-:attr:`~repro.incremental.base.DeltaView.prior_present`.  It is refused
+:attr:`~repro.graph.delta.DeltaOverlay.prior_present`.  It is refused
 only where its structure does not hold — the vertex set changed (``(1-d)/n``
 shifted at every vertex), a vertex dangles (its redistributed mass couples
 every vertex, so the correction is dense from the first term), or a changed
@@ -46,17 +46,16 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.incremental.base import DeltaView
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
+    from repro.graph.delta import DeltaOverlay
     from repro.graph.kernel import CSRGraph
 
 
 def maintain_pagerank(
     prev: list[float],
     csr: "CSRGraph",
-    delta: DeltaView,
+    delta: "DeltaOverlay",
     params: dict,
     backend: "KernelBackend",
 ) -> list[float] | None:
@@ -89,7 +88,7 @@ def maintain_pagerank(
 
 
 def _residual(
-    prev: list[float], csr: "CSRGraph", delta: DeltaView, damping: float
+    prev: list[float], csr: "CSRGraph", delta: "DeltaOverlay", damping: float
 ) -> dict[int, float] | None:
     """``rho = d (P - P0)^T r_prev`` by dense index, supported on the changed
     out-neighborhoods; ``None`` when a changed source dangles before or after

@@ -241,9 +241,7 @@ class GraphService:
         journal_stats = None
         if journal is not None:
             journal_stats = {
-                "pending": len(journal.records),
-                "total": journal.total,
-                "compactions": journal.compactions,
+                **journal.summary(),
                 "patched": self.cache.stats()["patched"],
                 "evicted": self.cache.stats()["invalidations"],
             }
@@ -361,13 +359,7 @@ class GraphService:
             nodes_computed=fresh_report.nodes_computed if fresh_report else 0,
             nodes_reused=fresh_report.nodes_reused if fresh_report else 0,
             cache={"hits": hits, "misses": misses, "queue_depth": self.queue_depth},
-            journal=None
-            if journal is None
-            else {
-                "pending": len(journal.records),
-                "total": journal.total,
-                "compactions": journal.compactions,
-            },
+            journal=None if journal is None else journal.summary(),
         )
 
     # ------------------------------------------------------------------ #

@@ -667,11 +667,5 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
         snapshot_writes=snapshot_store.saves_in_thread() - writes_before,
         nodes_computed=computed_total,
         nodes_reused=reused_total,
-        journal=None
-        if journal is None
-        else {
-            "pending": len(journal.records),
-            "total": journal.total,
-            "compactions": journal.compactions,
-        },
+        journal=None if journal is None else journal.summary(),
     )

@@ -266,8 +266,7 @@ class TestDeltaOverlay:
         # removed-then-re-added nets to present
         assert (1, 3) not in overlay.added and (1, 3) in set(overlay.removed)
         assert (2, 3) in set(overlay.added) and (2, 3) not in set(overlay.removed)
-        assert set(overlay.touched) == {(1, 3), (2, 3)}
-        assert overlay.delta_edges == 4
+        assert set(overlay.added) | set(overlay.removed) == {(1, 3), (2, 3)}
         # endpoints appear as vertex candidates in first-appearance order
         assert overlay.vertex_candidates == [1, 3, 2, 9]
 
@@ -417,6 +416,32 @@ def test_property_an_extended_overlay_equals_a_one_shot_one(steps, doomed, data)
     check()
 
 
+_RECORD = st.one_of(
+    st.tuples(st.sampled_from(["+", "-"]), st.tuples(_ENDPOINT, _ENDPOINT)),
+    st.tuples(st.just("V"), st.integers(0, 8)),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(records=st.lists(_RECORD, max_size=40), data=st.data())
+def test_property_overlay_netting_equals_brute_force(records, data):
+    """``added`` / ``removed`` / ``prior_present`` of an overlay fed any
+    ``+`` / ``-`` / ``V`` stream, split anywhere between the constructor and
+    ``extend`` calls, equal a brute-force netting: each pair's last op in
+    first-touch order, and the pairs whose first op is ``-``."""
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    chunks = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
+    overlay = DeltaOverlay(chunks[0])
+    for chunk in chunks[1:]:
+        overlay.extend(chunk)
+
+    touched = list(dict.fromkeys(pair for op, pair in records if op != "V"))
+    ops = {pair: [op for op, other in records if other == pair and op != "V"] for pair in touched}
+    assert overlay.added == [pair for pair in touched if ops[pair][-1] == "+"]
+    assert overlay.removed == [pair for pair in touched if ops[pair][-1] == "-"]
+    assert overlay.prior_present == {pair for pair in touched if ops[pair][0] == "-"}
+
+
 # --------------------------------------------------------------------------- #
 # JournaledGraph: effective-delta journaling
 # --------------------------------------------------------------------------- #
@@ -492,7 +517,8 @@ class TestJournaledGraph:
 # --------------------------------------------------------------------------- #
 class TestStoreJournaledFetch:
     def test_base_delta_then_compaction(self, tmp_path):
-        store = SnapshotStore(tmp_path / "cache", compact_fraction=0.5)
+        store = SnapshotStore(tmp_path / "cache")
+        store.compact_fraction = 0.5
         graph = JournaledGraph(_base_graph())
         snap, outcome = store.fetch(graph, "g")
         assert outcome == "miss"
@@ -568,10 +594,6 @@ class TestStoreJournaledFetch:
         snap, outcome = store.fetch(graph, "g")
         assert outcome == "stale"  # new merged base replaces the file
         assert not store.delta_path_for("g").exists()
-
-    def test_compact_fraction_validated(self, tmp_path):
-        with pytest.raises(Exception, match="compact_fraction"):
-            SnapshotStore(tmp_path / "cache", compact_fraction=0.0)
 
 
 # --------------------------------------------------------------------------- #

@@ -44,8 +44,8 @@ import pytest
 
 from repro.graph import ExpandedGraph
 from repro.graph.backend import get_backend, numpy_available
-from repro.graph.delta import JournaledGraph
-from repro.incremental import MAINTAINERS, build_delta_view, decode, encode
+from repro.graph.delta import DeltaOverlay, JournaledGraph
+from repro.incremental import MAINTAINERS, decode, encode
 from repro.incremental.bfs import RepairCounters
 from repro.relational.database import Database
 from repro.service import GraphService, decode_report, encode_report
@@ -138,7 +138,7 @@ class TestMaintainers:
         position = graph.journal.total
         _mutate(graph, 12, 46, seed=17)
         csr = graph.snapshot()
-        delta = build_delta_view(graph.journal.records_since(position))
+        delta = DeltaOverlay(graph.journal.records_since(position))
 
         cold = {
             "components": connected_components(graph.inner),
@@ -169,7 +169,7 @@ class TestMaintainers:
         position = graph.journal.total
         u, v = next(iter(_random_symmetric_edges(20, 30, seed=5)))
         graph.delete_edge(u, v)
-        delta = build_delta_view(graph.journal.records_since(position))
+        delta = DeltaOverlay(graph.journal.records_since(position))
         assert (
             MAINTAINERS["components"](prev, graph.snapshot(), delta, {}, backend) is None
         )
@@ -186,7 +186,7 @@ class TestMaintainers:
         prev = [0, 1, 2, 3]
         position = graph.journal.total
         graph.delete_edge(1, 2)  # dist(2) == dist(1) + 1: a tree edge
-        delta = build_delta_view(graph.journal.records_since(position))
+        delta = DeltaOverlay(graph.journal.records_since(position))
         params = {"source": 0, "max_depth": None}
         csr = graph.snapshot()
         resets = RepairCounters.bfs_resets
@@ -218,7 +218,7 @@ class TestMaintainers:
         position = graph.journal.total
         graph.delete_edge(1, 2)
         graph.delete_edge(2, 1)
-        delta = build_delta_view(graph.journal.records_since(position))
+        delta = DeltaOverlay(graph.journal.records_since(position))
         params = {"source": 0, "max_depth": None}
         csr = graph.snapshot()
         maintained = MAINTAINERS["bfs"](prev, csr, delta, params, backend)
@@ -482,7 +482,7 @@ class TestRingRefresh:
         prev = encode(graph.snapshot(), connected_components(graph))
         position = graph.journal.total
         _add_undirected(graph, random.Random(1), 8, _local(n, 50))
-        delta = build_delta_view(graph.journal.records_since(position))
+        delta = DeltaOverlay(graph.journal.records_since(position))
         monkeypatch.setattr(
             backend, "relabel_components", lambda *args: pytest.fail("relabel pass ran")
         )
@@ -619,13 +619,37 @@ class TestRingRefresh:
         graph.delete_edge(u, v)
         graph.delete_edge(v, u)
         after = graph.snapshot()
-        delta = build_delta_view(graph.journal.records_since(position))
+        delta = DeltaOverlay(graph.journal.records_since(position))
         resets = RepairCounters.bfs_resets
         params = {"source": 0, "max_depth": None}
         maintained = MAINTAINERS["bfs"](prev, after, delta, params, backend)
         assert RepairCounters.bfs_resets == resets
         assert maintained == prev
         assert maintained == backend.bfs_distances(after, after.index(0))
+
+    def test_refresh_nets_one_window_once_for_its_entries(self, backend_name, monkeypatch):
+        """Three maintained entries at one journal position: ``refresh()``
+        nets their window into one overlay and hands every maintainer that
+        overlay, instead of netting the same records once per entry — here
+        every pending record, so it is the overlay the merge folded."""
+        deltas = []
+        for name, maintain in list(MAINTAINERS.items()):
+
+            def recording(prev, csr, delta, params, backend, maintain=maintain):
+                deltas.append(delta)
+                return maintain(prev, csr, delta, params, backend)
+
+            monkeypatch.setitem(MAINTAINERS, name, recording)
+        n = 600
+        graph = JournaledGraph(_ring(n, seed=7))
+        handle = GraphSession(Database("one-netting"), backend=backend_name).wrap(graph)
+        _ring_plan(handle).run()
+        _add_undirected(graph, random.Random(3), 8, _local(n, 40))
+        report = handle.refresh()
+        assert sorted(report.maintained) == ["bfs", "components", "pagerank"]
+        assert len(deltas) == 3
+        assert len({id(delta) for delta in deltas}) == 1
+        assert deltas[0] is graph.overlay_since(graph.journal.base_total)
 
     def test_cold_inline_results_are_recorded_without_being_re_encoded(self, backend_name, monkeypatch):
         """The kernel runner hands the record the dense vector it decoded its

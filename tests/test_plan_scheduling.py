@@ -280,6 +280,39 @@ class TestWrappedStoreKeys:
         assert twin.store_key == handle.store_key
         assert len(list((tmp_path / "snaps").glob("*.csr"))) == 1
 
+    def test_first_plan_on_a_store_pickles_the_codec_once(self, tmp_path, monkeypatch):
+        """The wrapped key's content hash and the save of the missing file
+        share one pickle of the codec, and no snapshot keeps it afterwards —
+        neither the one served nor a later mmap hit's discarded heap build."""
+        from repro.graph import ExpandedGraph
+
+        pickled: list[int] = []
+        hashed = []
+        encode = snapshot_store.encode_codec
+        codec_of = getattr(snapshot_store, "snapshot_codec", None)
+        monkeypatch.setattr(
+            snapshot_store, "encode_codec", lambda ids: pickled.append(len(ids)) or encode(ids)
+        )
+        monkeypatch.setattr(
+            snapshot_store,
+            "snapshot_codec",
+            lambda csr: hashed.append(csr) or codec_of(csr),
+            raising=False,
+        )
+        cache = str(tmp_path / "snaps")
+
+        def first_plan():
+            pickled.clear()
+            graph = ExpandedGraph.from_edges([(i, i + 1) for i in range(1000)])
+            handle = GraphSession(Database("wrapdb"), snapshot_cache=cache).wrap(graph)
+            handle.analyze().degree().run()
+            assert pickled == [1001]
+            assert hashed and all(csr._kept_codec is None for csr in hashed)
+            return handle
+
+        assert first_plan().snapshot_source == "heap"  # the key's file is written
+        assert first_plan().snapshot_source == "mmap"  # an equal graph: it is there
+
     def test_explicit_key_still_wins(self, tmp_path):
         session = GraphSession(Database("wrapdb"), snapshot_cache=str(tmp_path / "s"))
         graph = build_parity_family("symmetric", seed=31, num_real=10, num_virtual=4)["EXP"]

@@ -67,9 +67,9 @@ from repro.graph import (
     logically_equivalent,
 )
 from repro.graph.backend import get_backend, numpy_available, set_default_backend
-from repro.graph.delta import JournaledGraph
+from repro.graph.delta import DeltaOverlay, JournaledGraph
 from repro.graph.kernel import CSRGraph
-from repro.incremental import MAINTAINERS, build_delta_view
+from repro.incremental import MAINTAINERS
 from repro.incremental.bfs import RepairCounters
 from repro.relational.csv_io import write_database
 from repro.relational.database import Database
@@ -683,7 +683,7 @@ def test_property_maintained_results_equal_a_cold_recompute(case):
             _apply(graph, symmetric, op)
         csr = graph.snapshot()
         assert csr.external_ids[: before.n] == before.external_ids  # prefix stability
-        delta = build_delta_view(graph.journal.records_since(position))
+        delta = DeltaOverlay(graph.journal.records_since(position))
         cold = _cold(csr)
 
         # the refusals, stated on the window: components refuses any removal;
