@@ -44,14 +44,16 @@ invalidated (see :mod:`repro.incremental`).
 
 from __future__ import annotations
 
+import heapq
 import os
 import struct
 from array import array
 from bisect import insort
+from operator import itemgetter
 from pathlib import Path
 from pickle import dumps as _pickle_dumps
 from pickle import loads as _pickle_loads
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.exceptions import SnapshotFormatError
 from repro.graph.api import Graph, VertexId
@@ -303,13 +305,13 @@ class DeltaOverlay:
     def __init__(self, records: list[tuple[str, Any]] = ()) -> None:
         #: each touched directed pair's last op, in first-touch order
         self._last: dict[tuple[VertexId, VertexId], str] = {}
-        self._seen: set[VertexId] = set()
         #: touched pairs whose first op was ``-``, so present before the
         #: stream (the journal records only effective deltas)
         self.prior_present: set[tuple[VertexId, VertexId]] = set()
-        #: vertices the stream may have introduced, first-appearance order
-        #: (filtered against the base at materialisation time)
-        self.vertex_candidates: list[VertexId] = []
+        # each ``V`` record's vertex, after how many pairs were touched first
+        self._vertex_records: list[tuple[int, VertexId]] = []
+        #: number of edge records decoded (the provenance ``delta_edges`` K)
+        self.delta_edges = 0
         # (base, index, new_vertices, strip, additions) of the last base
         # planned, kept current by extend()
         self._planned: tuple | None = None
@@ -320,35 +322,30 @@ class DeltaOverlay:
         already resolved against a base is updated for the pairs they touch
         only, so the cost is the new records', not the whole stream's."""
         last = self._last
-        seen = self._seen
         prior = self.prior_present
-        vertices = self.vertex_candidates
-        fresh = len(vertices)
         before: dict[tuple[VertexId, VertexId], str | None] = {}
         for op, payload in records:
             if op == "V":
-                endpoints = (payload,)
-            else:
-                if payload not in before:
-                    old = before[payload] = last.get(payload)
-                    if old is None and op == "-":
-                        prior.add(payload)
-                last[payload] = op
-                endpoints = payload
-            for endpoint in endpoints:
-                if endpoint not in seen:
-                    seen.add(endpoint)
-                    vertices.append(endpoint)
+                self._vertex_records.append((len(last), payload))
+                continue
+            self.delta_edges += 1
+            if payload not in before:
+                old = before[payload] = last.get(payload)
+                if old is None and op == "-":
+                    prior.add(payload)
+            last[payload] = op
         if self._planned is not None:
-            self._replan(vertices[fresh:], before)
+            named = (v for op, payload in records for v in ((payload,) if op == "V" else payload))
+            self._replan(named, before)
 
     def _replan(
-        self, candidates: list[VertexId], before: dict[tuple[VertexId, VertexId], str | None]
+        self, candidates: Iterable[VertexId], before: dict[tuple[VertexId, VertexId], str | None]
     ) -> None:
-        """Carry the kept plan over new vertex candidates and the touched
-        pairs' previous net ops (``None``: not in the plan yet)."""
+        """Carry the kept plan over vertex candidates (first-appearance
+        order; those already planned are skipped) and the touched pairs'
+        previous net ops (``None``: not in the plan yet)."""
         base, index, new_vertices, strip, additions = self._planned
-        fresh = [v for v in candidates if v not in base._index]
+        fresh = [v for v in dict.fromkeys(candidates) if v not in index]
         if fresh:
             # snapshots merged so far hold the old codec: extend a copy
             index = dict(index)
@@ -372,6 +369,24 @@ class DeltaOverlay:
         self._planned = (base, index, new_vertices, strip, additions)
 
     @property
+    def vertex_candidates(self) -> list[VertexId]:
+        """Vertices the stream may have introduced, in first-appearance order
+        (filtered against the base at materialisation time).  A vertex first
+        appears in a ``V`` record or in the first touch of a pair: the ``V``
+        records slot in before the pairs first touched after them."""
+        named = heapq.merge(
+            ((at, (vertex,)) for at, vertex in self._vertex_records),
+            enumerate(self._last),
+            key=itemgetter(0),
+        )
+        return list(dict.fromkeys(v for _, vertices in named for v in vertices))
+
+    @property
+    def touched(self) -> set[tuple[VertexId, VertexId]]:
+        """Every directed pair the stream touched (stripped from base rows)."""
+        return set(self._last)
+
+    @property
     def added(self) -> list[tuple[VertexId, VertexId]]:
         """Net-present pairs, in first-touch order."""
         return [pair for pair, op in self._last.items() if op == "+"]
@@ -380,6 +395,9 @@ class DeltaOverlay:
     def removed(self) -> list[tuple[VertexId, VertexId]]:
         """Net-absent pairs, in first-touch order."""
         return [pair for pair, op in self._last.items() if op == "-"]
+
+    def __bool__(self) -> bool:
+        return bool(self._last or self._vertex_records)
 
     def plan(
         self, base: "CSRGraph"
@@ -659,30 +677,22 @@ class JournaledGraph(Graph):
         cached = self._csr_cache
         if cached is not None and cached[0] == token:
             return cached[1]
-        if not self.journal.records:
+        records = self.journal.records
+        if not records:
             snap = self._base_csr
         else:
             from repro.graph.backend import get_backend
 
-            overlay = self.overlay_since(self.journal.base_total)
-            snap = overlay.materialize(self._base_csr, source=self, backend=get_backend())
+            if self._overlay is None:
+                self._overlay = DeltaOverlay(records)
+            else:
+                self._overlay.extend(records[self._folded :])
+            self._folded = len(records)
+            snap = self._overlay.materialize(
+                self._base_csr, source=self, backend=get_backend()
+            )
         self._csr_cache = (token, snap)
         return snap
-
-    def overlay_since(self, position: int) -> DeltaOverlay:
-        """``journal.records_since(position)`` netted.  For the pending
-        records (``position == journal.base_total``) that is the graph's own
-        overlay, shared by the merge and the maintainers, into which only
-        the records appended since it was last asked for are folded."""
-        journal = self.journal
-        if position != journal.base_total:
-            return DeltaOverlay(journal.records_since(position))
-        if self._overlay is None:
-            self._overlay = DeltaOverlay(journal.records)
-        else:
-            self._overlay.extend(journal.records[self._folded :])
-        self._folded = len(journal.records)
-        return self._overlay
 
     def adopt_snapshot(self, csr: "CSRGraph") -> "CSRGraph":
         """Adopt a store-loaded (mmap-backed) snapshot.

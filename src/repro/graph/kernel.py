@@ -85,7 +85,6 @@ class CSRGraph:
         "_backend_cache",
         "_buffer_owner",
         "_content_hash",
-        "_kept_codec",
     )
 
     def __init__(
@@ -136,8 +135,6 @@ class CSRGraph:
         #: keeps an mmap (or other buffer provider) alive for zero-copy loads
         self._buffer_owner: Any = None
         self._content_hash: bytes | None = None
-        #: the codec pickle shared inside a ``snapshot_store.kept_codec`` block
-        self._kept_codec: list[bytes] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -255,11 +252,9 @@ class CSRGraph:
         snapshot files are checked for staleness.
         """
         if self._content_hash is None:
-            from repro.graph.snapshot_store import compute_content_hash, snapshot_codec
+            from repro.graph.snapshot_store import hashed_codec
 
-            self._content_hash = compute_content_hash(
-                self.offsets, self.targets, snapshot_codec(self)
-            )
+            hashed_codec(self)
         return self._content_hash
 
     def save(self, path) -> "Any":

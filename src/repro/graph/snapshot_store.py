@@ -92,10 +92,9 @@ import struct
 import sys
 import threading
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.exceptions import SnapshotFormatError
 
@@ -231,30 +230,14 @@ def encode_codec(external_ids: list) -> bytes:
     return pickle.dumps(list(external_ids), protocol=4)
 
 
-def snapshot_codec(csr: "CSRGraph") -> bytes:
-    """``csr``'s codec section: inside a :func:`kept_codec` block the first
-    pickle is kept and handed to every later caller, else a fresh one."""
-    kept = csr._kept_codec
-    if kept:
-        return kept[0]
+def hashed_codec(csr: "CSRGraph") -> bytes:
+    """Pickle ``csr``'s codec and, unless its content hash is already known,
+    derive the hash from that pickle.  The bytes are returned so that a save
+    which follows writes them instead of pickling the codec again."""
     codec = encode_codec(csr.external_ids)
-    if kept is not None:
-        kept.append(codec)
+    if csr._content_hash is None:
+        csr._content_hash = compute_content_hash(csr.offsets, csr.targets, codec)
     return codec
-
-
-@contextmanager
-def kept_codec(csr: "CSRGraph") -> Iterator[None]:
-    """Pickle ``csr``'s codec at most once inside the block: its content hash
-    (a wrapped graph's store key) and its save share one.  The pickle is
-    dropped when the block ends, so a snapshot that was not saved holds none."""
-    kept = csr._kept_codec = []
-    try:
-        yield
-    finally:
-        kept.clear()
-        if csr._kept_codec is kept:
-            csr._kept_codec = None
 
 
 def decode_codec(payload: bytes) -> list:
@@ -308,17 +291,16 @@ def atomic_write(path: str | os.PathLike, *chunks) -> Path:
     return path
 
 
-def save_snapshot(csr: "CSRGraph", path: str | os.PathLike) -> Path:
+def save_snapshot(csr: "CSRGraph", path: str | os.PathLike, codec: bytes | None = None) -> Path:
     """Write ``csr`` to ``path`` atomically (:func:`atomic_write`).
 
     Returns the final path.  The written file's content hash equals
     ``csr.content_hash``, so a later :meth:`SnapshotStore.fetch` can cheaply
-    decide whether the file still matches the live graph.
+    decide whether the file still matches the live graph.  ``codec``: the
+    :func:`hashed_codec` pickle of ``csr``, when the caller already made it.
     """
     _record_save()
-    codec_bytes = snapshot_codec(csr)
-    if csr._content_hash is None:  # hash the codec just pickled, not a second one
-        csr._content_hash = compute_content_hash(csr.offsets, csr.targets, codec_bytes)
+    codec_bytes = hashed_codec(csr) if codec is None else codec
     header = _SNAPSHOT_HEADER.pack(csr.n, csr.num_edges, len(codec_bytes), csr._content_hash)
     return atomic_write(
         path, header, _array_bytes_le(csr.offsets), _array_bytes_le(csr.targets), codec_bytes
@@ -556,7 +538,9 @@ class SnapshotStore:
             pass
         atomic_write(path, payload)
 
-    def fetch(self, graph: "Graph", key: str) -> "tuple[CSRGraph, str]":
+    def fetch(
+        self, graph: "Graph", key: str, codec: bytes | None = None
+    ) -> "tuple[CSRGraph, str]":
         """The current snapshot of ``graph``, backed by the store, plus this
         call's outcome: ``(snapshot, "hit" | "stale" | "miss")`` — or, for a
         :class:`~repro.graph.delta.JournaledGraph` with pending deltas,
@@ -570,18 +554,22 @@ class SnapshotStore:
         on a hash match the mmap-backed load is adopted as the graph's cached
         snapshot (shared physical memory, and the heap copy can be freed).
         The returned snapshot keeps ``graph`` as its property source.
+        ``codec``: the :func:`hashed_codec` pickle of ``graph.snapshot()``,
+        when the caller already made one; a save writes it.
         """
         snap = graph.snapshot()
         from repro.graph.delta import JournaledGraph
 
         if isinstance(graph, JournaledGraph) and graph.journal.records:
-            return self._fetch_journaled(graph, snap, key)
+            return self._fetch_journaled(graph, snap, key, codec)
         path = self.path_for(key)
         if isinstance(graph, JournaledGraph):
             # no pending deltas: the merged snapshot *is* the base, so the
             # monolithic logic below applies and any delta sidecar is spent
             self.delta_path_for(key).unlink(missing_ok=True)
         existed = path.exists()
+        if codec is None and snap._content_hash is None:
+            codec = hashed_codec(snap)  # the hash below and a save share it
         if holds(path, snap.content_hash):
             try:
                 # verified: a payload that no longer hashes to its own
@@ -591,12 +579,12 @@ class SnapshotStore:
                 return graph.adopt_snapshot(loaded), "hit"
             except SnapshotFormatError:
                 pass  # corrupt payload: fall through and rewrite it
-        save_snapshot(snap, path)
+        save_snapshot(snap, path, codec)
         outcome = "stale" if existed else "miss"
         self._record(outcome)
         return snap, outcome
 
-    def _fetch_journaled(self, graph, snap: "CSRGraph", key: str) -> "tuple[CSRGraph, str]":
+    def _fetch_journaled(self, graph, snap: "CSRGraph", key: str, codec) -> "tuple[CSRGraph, str]":
         """:meth:`fetch` for a :class:`~repro.graph.delta.JournaledGraph`
         with pending delta records.
 
@@ -618,7 +606,7 @@ class SnapshotStore:
 
         threshold = max(1, int(self.compact_fraction * base.num_edges))
         if len(journal.records) > threshold:
-            save_snapshot(snap, path)
+            save_snapshot(snap, path, codec)
             delta_path.unlink(missing_ok=True)
             graph.rebase_onto(snap)
             self._record("compact")
@@ -633,7 +621,7 @@ class SnapshotStore:
             # corrupt sidecar: fall back to a clean full rebuild — persist
             # the merged snapshot as the new base and rebase onto it
             delta_path.unlink(missing_ok=True)
-            save_snapshot(snap, path)
+            save_snapshot(snap, path, codec)
             graph.rebase_onto(snap, compacted=False)
             graph.add_note(
                 "note: delta journal file was corrupt; rebuilt the base snapshot"

@@ -14,7 +14,7 @@ Each maintainer follows one contract — dense in, dense out::
 form every kernel returns; ``-1`` where a vertex has no value — BFS:
 unreached), ``csr`` the *current* merged snapshot, ``delta`` a
 :class:`~repro.graph.delta.DeltaOverlay` of the records the previous result
-has not absorbed (``JournaledGraph.overlay_since``; entries at one journal
+has not absorbed (netted once per journal position: entries at one
 position share one), ``params`` the request's effective parameters and
 ``backend`` the resolved kernel backend.  ``prev`` is exact for the prefix
 ``[0, len(prev))`` of ``csr``'s vertices: within one journal generation the
@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.graph.delta import DeltaOverlay
 from repro.incremental.base import decode, encode
 from repro.incremental.bfs import maintain_bfs
 from repro.incremental.components import maintain_components
@@ -144,14 +145,13 @@ class MaintainedResults:
             self._entries.pop((name, canonical_params(params)), None)
 
     def _advance(
-        self, key: tuple[str, str], entry: _Entry, csr: "CSRGraph", backend, windows: dict
+        self, key: tuple[str, str], entry: _Entry, journal, csr: "CSRGraph", backend, windows: dict
     ) -> int | None:
         """Bring ``entry`` up to ``csr``, the current snapshot, through its
         maintainer: the delta records absorbed, or None (and the entry
         dropped, so it does not retry on every plan) when it cannot be
         maintained.  ``windows``: journal position -> overlay of its window,
         netted once for the entries there.  Caller holds the lock."""
-        journal = self._handle.journal  # entries exist only when it does
         records = None
         if entry.generation == self._handle.graph.generation:
             # (else a rebaseline — vertex deletion, out-of-band mutation —
@@ -161,9 +161,9 @@ class MaintainedResults:
             records = journal.records_since(entry.position)
         dense = entry.dense
         if records:
-            if entry.position not in windows:
-                windows[entry.position] = self._handle.graph.overlay_since(entry.position)
-            delta = windows[entry.position]
+            delta = windows.get(entry.position)
+            if delta is None:
+                delta = windows[entry.position] = DeltaOverlay(records)
             dense = MAINTAINERS[entry.maintainer](dense, csr, delta, entry.params, backend)
         if records is None or dense is None:
             del self._entries[key]
@@ -178,7 +178,8 @@ class MaintainedResults:
         """``name(params)`` on ``csr`` as ``(values, seconds, note)``, by
         maintaining the remembered result over the journal window — values
         decoded here, a fresh dict per call — or None to fall back cold."""
-        if self._handle.journal is None:
+        journal = self._handle.journal
+        if journal is None:
             return None
         with self._lock:
             if self._superseded(csr):
@@ -186,7 +187,9 @@ class MaintainedResults:
             started = time.perf_counter()
             key = (name, canonical_params(params))
             entry = self._entries.get(key)
-            absorbed = None if entry is None else self._advance(key, entry, csr, backend, {})
+            if entry is None:
+                return None
+            absorbed = self._advance(key, entry, journal, csr, backend, {})
             if absorbed is None:
                 return None
             return (
@@ -205,7 +208,8 @@ class MaintainedResults:
         dropped: list[str] = []
         windows: dict = {}
         with self._lock:
+            journal = self._handle.journal  # entries exist only when it does
             for key, entry in list(self._entries.items()):
-                advanced = self._advance(key, entry, csr, backend, windows)
+                advanced = self._advance(key, entry, journal, csr, backend, windows)
                 (maintained if advanced is not None else dropped).append(entry.algorithm)
         return maintained, dropped

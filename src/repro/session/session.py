@@ -53,7 +53,7 @@ from repro.core.config import ExtractionOptions
 from repro.dsl.parser import parse
 from repro.exceptions import UsageError
 from repro.graph.backend import get_backend
-from repro.graph.snapshot_store import FORMAT_VERSION, SnapshotStore, ensure_saved, kept_codec
+from repro.graph.snapshot_store import FORMAT_VERSION, SnapshotStore, ensure_saved, hashed_codec
 from repro.incremental import MaintainedResults
 from repro.relational.csv_io import database_name, fingerprint_database
 from repro.session.plan import AnalysisPlan
@@ -254,9 +254,9 @@ class GraphHandle:
                 # the per-call outcome, not a read-back of shared store state:
                 # another thread's fetch on the same store could land between
                 # the two (see SnapshotStore.fetch)
-                # one codec pickle between a wrapped graph's key and the save
-                with kept_codec(graph.snapshot()):
-                    csr, outcome = store.fetch(graph, self.store_key)
+                # a wrapped graph's key hashes the codec: a save writes that pickle
+                codec = hashed_codec(graph.snapshot()) if self._store_key is None else None
+                csr, outcome = store.fetch(graph, self.store_key, codec)
                 if outcome == "base+delta":
                     # journaled graph: the base file stayed put, pending
                     # deltas went to the .csrd sidecar, and the served

@@ -266,7 +266,8 @@ class TestDeltaOverlay:
         # removed-then-re-added nets to present
         assert (1, 3) not in overlay.added and (1, 3) in set(overlay.removed)
         assert (2, 3) in set(overlay.added) and (2, 3) not in set(overlay.removed)
-        assert set(overlay.added) | set(overlay.removed) == {(1, 3), (2, 3)}
+        assert set(overlay.touched) == {(1, 3), (2, 3)}
+        assert overlay.delta_edges == 4
         # endpoints appear as vertex candidates in first-appearance order
         assert overlay.vertex_candidates == [1, 3, 2, 9]
 
@@ -428,7 +429,8 @@ def test_property_overlay_netting_equals_brute_force(records, data):
     """``added`` / ``removed`` / ``prior_present`` of an overlay fed any
     ``+`` / ``-`` / ``V`` stream, split anywhere between the constructor and
     ``extend`` calls, equal a brute-force netting: each pair's last op in
-    first-touch order, and the pairs whose first op is ``-``."""
+    first-touch order, and the pairs whose first op is ``-``; its vertex
+    candidates are every named vertex in first-appearance order."""
     cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
     chunks = [records[a:b] for a, b in zip([0, *cuts], [*cuts, len(records)])]
     overlay = DeltaOverlay(chunks[0])
@@ -440,6 +442,8 @@ def test_property_overlay_netting_equals_brute_force(records, data):
     assert overlay.added == [pair for pair in touched if ops[pair][-1] == "+"]
     assert overlay.removed == [pair for pair in touched if ops[pair][-1] == "-"]
     assert overlay.prior_present == {pair for pair in touched if ops[pair][0] == "-"}
+    named = [v for op, payload in records for v in ((payload,) if op == "V" else payload)]
+    assert overlay.vertex_candidates == list(dict.fromkeys(named))
 
 
 # --------------------------------------------------------------------------- #
