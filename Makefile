@@ -9,7 +9,9 @@ help:
 	@echo "make test-fast    - same, minus slow-marked stress tests and heavy paper"
 	@echo "                    tables, once per kernel backend (python + numpy leg)"
 	@echo "make test-session - session layer: lifecycle, API-compat shims,"
-	@echo "                    public-API stability, CLI, plan scheduling"
+	@echo "                    public-API stability, CLI, plan scheduling, the lazy"
+	@echo "                    packages (one export table each, a warm analyze"
+	@echo "                    imports only what it runs)"
 	@echo "make test-service - service layer: JSON codec, result cache, HTTP"
 	@echo "                    front-end, session concurrency regressions,"
 	@echo "                    the incremental write path (repair on read), fig18:"
@@ -83,7 +85,7 @@ test-fast:
 test-session:
 	$(PYTEST) -q tests/test_session.py tests/test_api_compat.py \
 		tests/test_public_api.py tests/test_cli.py tests/test_plan_scheduling.py \
-		tests/test_plan_compiler.py
+		tests/test_plan_compiler.py tests/test_lazy_imports.py
 
 test-incremental:
 	$(PYTEST) -q tests/test_incremental.py tests/test_graph_delta.py \

@@ -31,51 +31,32 @@ from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "ExtractionOptions",
-    "ExtractionResult",
-    "GraphGen",
-    "GraphSession",
-    "GraphHandle",
-    "AnalysisPlan",
-    "AnalysisReport",
-    "AnalysisResult",
-    "Database",
-    "parse_query",
-    "BitmapGraph",
-    "CDupGraph",
-    "CondensedGraph",
-    "Dedup1Graph",
-    "Dedup2Graph",
-    "ExpandedGraph",
-    "Graph",
-    "GraphGenPy",
-    "extract_to_networkx",
-    "load_networkx",
-    "extract_snapshots",
-    "snapshot_diff",
-    "temporal_metrics",
-    "__version__",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.core.config": ("ExtractionOptions",),
-        "repro.core.graphgen": ("ExtractionResult", "GraphGen"),
-        "repro.relational.database": ("Database",),
-        "repro.dsl.parser": (("parse_query", "parse"),),
-        "repro.graph.api": ("Graph",),
-        "repro.graph.bitmap": ("BitmapGraph",),
-        "repro.graph.cdup": ("CDupGraph",),
-        "repro.graph.condensed": ("CondensedGraph",),
-        "repro.graph.dedup1": ("Dedup1Graph",),
-        "repro.graph.dedup2": ("Dedup2Graph",),
-        "repro.graph.expanded": ("ExpandedGraph",),
-        "repro.graphgenpy": ("GraphGenPy", "extract_to_networkx", "load_networkx"),
-        "repro.session.plan": ("AnalysisPlan",),
-        "repro.session.report": ("AnalysisReport", "AnalysisResult"),
-        "repro.session.session": ("GraphHandle", "GraphSession"),
-        "repro.temporal": ("extract_snapshots", "snapshot_diff", "temporal_metrics"),
+        "ExtractionOptions": "repro.core.config",
+        "ExtractionResult": "repro.core.graphgen",
+        "GraphGen": "repro.core.graphgen",
+        "GraphSession": "repro.session.session",
+        "GraphHandle": "repro.session.session",
+        "AnalysisPlan": "repro.session.plan",
+        "AnalysisReport": "repro.session.report",
+        "AnalysisResult": "repro.session.report",
+        "Database": "repro.relational.database",
+        "parse_query": ("repro.dsl.parser", "parse"),
+        "BitmapGraph": "repro.graph.bitmap",
+        "CDupGraph": "repro.graph.cdup",
+        "CondensedGraph": "repro.graph.condensed",
+        "Dedup1Graph": "repro.graph.dedup1",
+        "Dedup2Graph": "repro.graph.dedup2",
+        "ExpandedGraph": "repro.graph.expanded",
+        "Graph": "repro.graph.api",
+        "GraphGenPy": "repro.graphgenpy",
+        "extract_to_networkx": "repro.graphgenpy",
+        "load_networkx": "repro.graphgenpy",
+        "extract_snapshots": "repro.temporal",
+        "snapshot_diff": "repro.temporal",
+        "temporal_metrics": "repro.temporal",
     },
 )
+__all__.append("__version__")

@@ -13,58 +13,31 @@ Typical usage::
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATE_FUNCTION_NAMES",
-    "AggregateConstraint",
-    "AggregateTerm",
-    "Anonymous",
-    "Atom",
-    "ComparisonPredicate",
-    "Constant",
-    "GraphSpec",
-    "Rule",
-    "Term",
-    "Variable",
-    "make_variables",
-    "Lexer",
-    "Token",
-    "tokenize",
-    "Parser",
-    "parse",
-    "ChainLink",
-    "EdgeChain",
-    "ValidationReport",
-    "derive_chain",
-    "is_acyclic",
-    "validate",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.dsl.ast": (
-            "AGGREGATE_FUNCTION_NAMES",
-            "AggregateConstraint",
-            "AggregateTerm",
-            "Anonymous",
-            "Atom",
-            "ComparisonPredicate",
-            "Constant",
-            "GraphSpec",
-            "Rule",
-            "Term",
-            "Variable",
-            "make_variables",
-        ),
-        "repro.dsl.lexer": ("Lexer", "Token", "tokenize"),
-        "repro.dsl.parser": ("Parser", "parse"),
-        "repro.dsl.validator": (
-            "ChainLink",
-            "EdgeChain",
-            "ValidationReport",
-            "derive_chain",
-            "is_acyclic",
-            "validate",
-        ),
+        "AGGREGATE_FUNCTION_NAMES": "repro.dsl.ast",
+        "AggregateConstraint": "repro.dsl.ast",
+        "AggregateTerm": "repro.dsl.ast",
+        "Anonymous": "repro.dsl.ast",
+        "Atom": "repro.dsl.ast",
+        "ComparisonPredicate": "repro.dsl.ast",
+        "Constant": "repro.dsl.ast",
+        "GraphSpec": "repro.dsl.ast",
+        "Rule": "repro.dsl.ast",
+        "Term": "repro.dsl.ast",
+        "Variable": "repro.dsl.ast",
+        "make_variables": "repro.dsl.ast",
+        "Lexer": "repro.dsl.lexer",
+        "Token": "repro.dsl.lexer",
+        "tokenize": "repro.dsl.lexer",
+        "Parser": "repro.dsl.parser",
+        "parse": "repro.dsl.parser",
+        "ChainLink": "repro.dsl.validator",
+        "EdgeChain": "repro.dsl.validator",
+        "ValidationReport": "repro.dsl.validator",
+        "derive_chain": "repro.dsl.validator",
+        "is_acyclic": "repro.dsl.validator",
+        "validate": "repro.dsl.validator",
     },
 )

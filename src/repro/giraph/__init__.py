@@ -2,41 +2,23 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "GiraphContext",
-    "GiraphEngine",
-    "GiraphMetrics",
-    "GiraphProgram",
-    "GiraphVertex",
-    "from_condensed",
-    "from_expanded",
-    "GiraphConnectedComponents",
-    "GiraphDegree",
-    "GiraphPageRank",
-    "is_virtual_id",
-    "ALGORITHMS",
-    "GiraphRunResult",
-    "build_vertices",
-    "run_giraph",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.giraph.engine": (
-            "GiraphContext",
-            "GiraphEngine",
-            "GiraphMetrics",
-            "GiraphProgram",
-            "GiraphVertex",
-        ),
-        "repro.giraph.adapters": ("from_condensed", "from_expanded"),
-        "repro.giraph.programs": (
-            "GiraphConnectedComponents",
-            "GiraphDegree",
-            "GiraphPageRank",
-            "is_virtual_id",
-        ),
-        "repro.giraph.runner": ("ALGORITHMS", "GiraphRunResult", "build_vertices", "run_giraph"),
+        "GiraphContext": "repro.giraph.engine",
+        "GiraphEngine": "repro.giraph.engine",
+        "GiraphMetrics": "repro.giraph.engine",
+        "GiraphProgram": "repro.giraph.engine",
+        "GiraphVertex": "repro.giraph.engine",
+        "from_condensed": "repro.giraph.adapters",
+        "from_expanded": "repro.giraph.adapters",
+        "GiraphConnectedComponents": "repro.giraph.programs",
+        "GiraphDegree": "repro.giraph.programs",
+        "GiraphPageRank": "repro.giraph.programs",
+        "is_virtual_id": "repro.giraph.programs",
+        "ALGORITHMS": "repro.giraph.runner",
+        "GiraphRunResult": "repro.giraph.runner",
+        "build_vertices": "repro.giraph.runner",
+        "run_giraph": "repro.giraph.runner",
     },
 )

@@ -11,69 +11,35 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "PropertyStore",
-    "VertexId",
-    "logical_edge_set",
-    "check_same_vertex_set",
-    "CSRGraph",
-    "get_backend",
-    "set_default_backend",
-    "SnapshotHeader",
-    "SnapshotStore",
-    "load_snapshot",
-    "save_snapshot",
-    "CondensedGraph",
-    "condensed_from_edges",
-    "CondensedBackedGraph",
-    "ExpandedGraph",
-    "CDupGraph",
-    "Dedup1Graph",
-    "Dedup2Graph",
-    "BitmapGraph",
-    "RepresentationStats",
-    "condensed_from_expanded",
-    "degree_histogram",
-    "duplication_profile",
-    "expanded_from_condensed",
-    "logically_equivalent",
-    "representation_stats",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.graph.api": (
-            "Graph",
-            "PropertyStore",
-            "VertexId",
-            "logical_edge_set",
-            "check_same_vertex_set",
-        ),
-        "repro.graph.backend": ("get_backend", "set_default_backend"),
-        "repro.graph.kernel": ("CSRGraph",),
-        "repro.graph.snapshot_store": (
-            "SnapshotHeader",
-            "SnapshotStore",
-            "load_snapshot",
-            "save_snapshot",
-        ),
-        "repro.graph.condensed": ("CondensedGraph", "condensed_from_edges"),
-        "repro.graph.condensed_base": ("CondensedBackedGraph",),
-        "repro.graph.expanded": ("ExpandedGraph",),
-        "repro.graph.cdup": ("CDupGraph",),
-        "repro.graph.dedup1": ("Dedup1Graph",),
-        "repro.graph.dedup2": ("Dedup2Graph",),
-        "repro.graph.bitmap": ("BitmapGraph",),
-        "repro.graph.analysis": (
-            "RepresentationStats",
-            "condensed_from_expanded",
-            "degree_histogram",
-            "duplication_profile",
-            "expanded_from_condensed",
-            "logically_equivalent",
-            "representation_stats",
-        ),
+        "Graph": "repro.graph.api",
+        "PropertyStore": "repro.graph.api",
+        "VertexId": "repro.graph.api",
+        "logical_edge_set": "repro.graph.api",
+        "check_same_vertex_set": "repro.graph.api",
+        "CSRGraph": "repro.graph.kernel",
+        "get_backend": "repro.graph.backend",
+        "set_default_backend": "repro.graph.backend",
+        "SnapshotHeader": "repro.graph.snapshot_store",
+        "SnapshotStore": "repro.graph.snapshot_store",
+        "load_snapshot": "repro.graph.snapshot_store",
+        "save_snapshot": "repro.graph.snapshot_store",
+        "CondensedGraph": "repro.graph.condensed",
+        "condensed_from_edges": "repro.graph.condensed",
+        "CondensedBackedGraph": "repro.graph.condensed_base",
+        "ExpandedGraph": "repro.graph.expanded",
+        "CDupGraph": "repro.graph.cdup",
+        "Dedup1Graph": "repro.graph.dedup1",
+        "Dedup2Graph": "repro.graph.dedup2",
+        "BitmapGraph": "repro.graph.bitmap",
+        "RepresentationStats": "repro.graph.analysis",
+        "condensed_from_expanded": "repro.graph.analysis",
+        "degree_histogram": "repro.graph.analysis",
+        "duplication_profile": "repro.graph.analysis",
+        "expanded_from_condensed": "repro.graph.analysis",
+        "logically_equivalent": "repro.graph.analysis",
+        "representation_stats": "repro.graph.analysis",
     },
 )

@@ -658,25 +658,6 @@ class NumpyBackend(KernelBackend):
             counts += np.bincount(np.concatenate(hits), minlength=n)
         return counts.tolist()
 
-    def _links_among_neighbors(self, csr: "CSRGraph", index: int) -> tuple[int, int]:
-        """``(degree, edge count among the neighborhood)`` of one vertex."""
-        offsets, targets = _undirected_csr(csr)
-        row = _sorted_row(offsets, targets, index)
-        if row.size < 2:
-            return int(row.size), 0
-        candidates, _ = _gather(offsets, targets, row)
-        position = np.searchsorted(row, candidates)
-        position[position == row.size] = 0
-        # each neighborhood edge is seen from both endpoints
-        links = int(np.count_nonzero(row[position] == candidates)) // 2
-        return int(row.size), links
-
-    def clustering_coefficient(self, csr: "CSRGraph", index: int) -> float:
-        degree, links = self._links_among_neighbors(csr, index)
-        if degree < 2:
-            return 0.0
-        return 2.0 * links / (degree * (degree - 1))
-
     # ------------------------------------------------------------------ #
     # the block-wise source sweep: closeness, betweenness, diameter and the
     # plan compiler's fused sweep all run through it.  Native form is a

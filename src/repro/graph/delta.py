@@ -425,11 +425,11 @@ class DeltaOverlay:
     ) -> "CSRGraph":
         """The merged snapshot ``base ⊕ overlay`` (see class docstring).
 
-        ``backend`` may supply a vectorised ``apply_overlay`` entry point
-        (the numpy backend does); results are element-wise identical either
+        ``backend``: the kernel backend whose ``apply_overlay`` merges (the
+        numpy one is vectorised); results are element-wise identical either
         way.
         """
-        if backend is not None and hasattr(backend, "apply_overlay"):
+        if backend is not None:
             return backend.apply_overlay(base, self, source=source)
         return merge_overlay(base, self, source=source)
 

@@ -75,9 +75,10 @@ Big-endian hosts are supported by byte-swapping on save/load; the zero-copy
 mmap path silently degrades to a verified copy there (the file stays
 little-endian so snapshots are portable).
 
-Every store file (``.csr``, ``.src``, a rewritten ``.csrd``, shard files)
-is installed by one writer, :func:`atomic_write`; only the journal append
-(:meth:`~repro.graph.delta.DeltaJournal.sync`) grows a file in place.
+Every store file (``.csr``, ``.src``, ``.csrj``, a rewritten ``.csrd``,
+shard files) is installed by one writer, :func:`atomic_write`; only the
+journal append (:meth:`~repro.graph.delta.DeltaJournal.sync`) grows a file in
+place.
 """
 
 from __future__ import annotations
@@ -486,6 +487,11 @@ class SnapshotStore:
         """Where a journaled graph's delta sidecar for ``key`` lives."""
         return self.directory / f"{_slug(key)}.csrd"
 
+    def merged_path_for(self, key: str) -> Path:
+        """Where pool workers read a journaled ``key``'s merged snapshot
+        (base plus ``.csrd``): the ``.csr`` stays the journal's base."""
+        return self.directory / f"{_slug(key)}.csrj"
+
     def source_path_for(self, key: str) -> Path:
         """Where the source-fingerprint sidecar of ``key``'s ``.csr`` lives."""
         return self.directory / f"{_slug(key)}.src"
@@ -608,6 +614,7 @@ class SnapshotStore:
         if len(journal.records) > threshold:
             save_snapshot(snap, path, codec)
             delta_path.unlink(missing_ok=True)
+            self.merged_path_for(key).unlink(missing_ok=True)
             graph.rebase_onto(snap)
             self._record("compact")
             return snap, "compact"
@@ -621,6 +628,7 @@ class SnapshotStore:
             # corrupt sidecar: fall back to a clean full rebuild — persist
             # the merged snapshot as the new base and rebase onto it
             delta_path.unlink(missing_ok=True)
+            self.merged_path_for(key).unlink(missing_ok=True)
             save_snapshot(snap, path, codec)
             graph.rebase_onto(snap, compacted=False)
             graph.add_note(

@@ -2,27 +2,16 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "read_condensed_json",
-    "read_edge_list",
-    "write_adjacency_json",
-    "write_condensed_json",
-    "write_edge_list",
-    "from_networkx",
-    "neighbors_match",
-    "to_networkx",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.io.serialize": (
-            "read_condensed_json",
-            "read_edge_list",
-            "write_adjacency_json",
-            "write_condensed_json",
-            "write_edge_list",
-        ),
-        "repro.io.networkx_adapter": ("from_networkx", "neighbors_match", "to_networkx"),
+        "read_condensed_json": "repro.io.serialize",
+        "read_edge_list": "repro.io.serialize",
+        "write_adjacency_json": "repro.io.serialize",
+        "write_condensed_json": "repro.io.serialize",
+        "write_edge_list": "repro.io.serialize",
+        "from_networkx": "repro.io.networkx_adapter",
+        "neighbors_match": "repro.io.networkx_adapter",
+        "to_networkx": "repro.io.networkx_adapter",
     },
 )

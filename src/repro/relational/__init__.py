@@ -8,82 +8,43 @@ generation, and an optional ``sqlite3`` execution backend.
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Column",
-    "ForeignKey",
-    "TableSchema",
-    "make_schema",
-    "Table",
-    "table_from_dicts",
-    "Catalog",
-    "ColumnStats",
-    "Database",
-    "Comparison",
-    "ConjunctiveQuery",
-    "Const",
-    "QueryAtom",
-    "evaluate",
-    "evaluate_bruteforce",
-    "render_value",
-    "to_sql",
-    "create_table_sql",
-    "SQLiteBackend",
-    "CompiledEdgeRule",
-    "PushdownProgram",
-    "PushdownUnsupported",
-    "compile_plan",
-    "run_pushdown",
-    "AGGREGATE_FUNCTIONS",
-    "AggregateQuery",
-    "AggregateSpec",
-    "HavingClause",
-    "aggregate_to_sql",
-    "evaluate_aggregate",
-    "group_by",
-    "read_database",
-    "read_table_csv",
-    "write_database",
-    "write_table_csv",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.relational.schema": ("Column", "ForeignKey", "TableSchema", "make_schema"),
-        "repro.relational.table": ("Table", "table_from_dicts"),
-        "repro.relational.catalog": ("Catalog", "ColumnStats"),
-        "repro.relational.database": ("Database",),
-        "repro.relational.query": (
-            "Comparison",
-            "ConjunctiveQuery",
-            "Const",
-            "QueryAtom",
-            "evaluate",
-            "evaluate_bruteforce",
-        ),
-        "repro.relational.sql": ("render_value", "to_sql", "create_table_sql"),
-        "repro.relational.sqlite_backend": ("SQLiteBackend",),
-        "repro.relational.pushdown": (
-            "CompiledEdgeRule",
-            "PushdownProgram",
-            "PushdownUnsupported",
-            "compile_plan",
-            "run_pushdown",
-        ),
-        "repro.relational.aggregates": (
-            "AGGREGATE_FUNCTIONS",
-            "AggregateQuery",
-            "AggregateSpec",
-            "HavingClause",
-            "aggregate_to_sql",
-            "evaluate_aggregate",
-            "group_by",
-        ),
-        "repro.relational.csv_io": (
-            "read_database",
-            "read_table_csv",
-            "write_database",
-            "write_table_csv",
-        ),
+        "Column": "repro.relational.schema",
+        "ForeignKey": "repro.relational.schema",
+        "TableSchema": "repro.relational.schema",
+        "make_schema": "repro.relational.schema",
+        "Table": "repro.relational.table",
+        "table_from_dicts": "repro.relational.table",
+        "Catalog": "repro.relational.catalog",
+        "ColumnStats": "repro.relational.catalog",
+        "Database": "repro.relational.database",
+        "Comparison": "repro.relational.query",
+        "ConjunctiveQuery": "repro.relational.query",
+        "Const": "repro.relational.query",
+        "QueryAtom": "repro.relational.query",
+        "evaluate": "repro.relational.query",
+        "evaluate_bruteforce": "repro.relational.query",
+        "render_value": "repro.relational.sql",
+        "to_sql": "repro.relational.sql",
+        "create_table_sql": "repro.relational.sql",
+        "SQLiteBackend": "repro.relational.sqlite_backend",
+        "CompiledEdgeRule": "repro.relational.pushdown",
+        "PushdownProgram": "repro.relational.pushdown",
+        "PushdownUnsupported": "repro.relational.pushdown",
+        "compile_plan": "repro.relational.pushdown",
+        "run_pushdown": "repro.relational.pushdown",
+        "AGGREGATE_FUNCTIONS": "repro.relational.aggregates",
+        "AggregateQuery": "repro.relational.aggregates",
+        "AggregateSpec": "repro.relational.aggregates",
+        "HavingClause": "repro.relational.aggregates",
+        "aggregate_to_sql": "repro.relational.aggregates",
+        "evaluate_aggregate": "repro.relational.aggregates",
+        "group_by": "repro.relational.aggregates",
+        "read_database": "repro.relational.csv_io",
+        "read_table_csv": "repro.relational.csv_io",
+        "write_database": "repro.relational.csv_io",
+        "write_table_csv": "repro.relational.csv_io",
     },
 )

@@ -21,35 +21,21 @@ Typical embedding (the CLI's ``serve`` command does exactly this)::
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "GraphService",
-    "GraphServiceServer",
-    "ResultCache",
-    "canonical_params",
-    "decode_report",
-    "decode_result",
-    "decode_value",
-    "encode_report",
-    "encode_result",
-    "encode_value",
-    "make_server",
-    "result_key",
-    "serve_in_thread",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.service.app": ("GraphService",),
-        "repro.service.cache": ("ResultCache", "canonical_params", "result_key"),
-        "repro.service.codec": (
-            "decode_report",
-            "decode_result",
-            "decode_value",
-            "encode_report",
-            "encode_result",
-            "encode_value",
-        ),
-        "repro.service.http": ("GraphServiceServer", "make_server", "serve_in_thread"),
+        "GraphService": "repro.service.app",
+        "GraphServiceServer": "repro.service.http",
+        "ResultCache": "repro.service.cache",
+        "canonical_params": "repro.service.cache",
+        "decode_report": "repro.service.codec",
+        "decode_result": "repro.service.codec",
+        "decode_value": "repro.service.codec",
+        "encode_report": "repro.service.codec",
+        "encode_result": "repro.service.codec",
+        "encode_value": "repro.service.codec",
+        "make_server": "repro.service.http",
+        "result_key": "repro.service.cache",
+        "serve_in_thread": "repro.service.http",
     },
 )

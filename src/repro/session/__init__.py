@@ -13,27 +13,16 @@ records for compiled runs (see :mod:`repro.session.compiler`).  See
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "GraphSession",
-    "GraphHandle",
-    "AnalysisPlan",
-    "AnalysisReport",
-    "AnalysisResult",
-    "Provenance",
-    "NodeProvenance",
-    "PLAN_ALGORITHMS",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.session.plan": ("PLAN_ALGORITHMS", "AnalysisPlan"),
-        "repro.session.report": (
-            "AnalysisReport",
-            "AnalysisResult",
-            "NodeProvenance",
-            "Provenance",
-        ),
-        "repro.session.session": ("GraphHandle", "GraphSession"),
+        "GraphSession": "repro.session.session",
+        "GraphHandle": "repro.session.session",
+        "AnalysisPlan": "repro.session.plan",
+        "AnalysisReport": "repro.session.report",
+        "AnalysisResult": "repro.session.report",
+        "Provenance": "repro.session.report",
+        "NodeProvenance": "repro.session.report",
+        "PLAN_ALGORITHMS": "repro.session.plan",
     },
 )

@@ -306,14 +306,19 @@ class GraphHandle:
         returns the file path (None when the session has no store).
 
         Pool workers mmap this file instead of rebuilding or unpickling the
-        graph.
+        graph.  A journaled graph with pending records is saved beside its
+        ``.csr``, which stays the base the journal's ``.csrd`` extends.
         """
         store = self.session.store
         if store is None:
             return None
         with self._lock:
             snap = self.snapshot()
-            path = ensure_saved(snap, store.path_for(self.store_key))
+            path = store.path_for(self.store_key)
+            journal = self.journal
+            if journal is not None and journal.records:
+                path = store.merged_path_for(self.store_key)
+            ensure_saved(snap, path)
             self._pin_source(store, snap)
             return str(path)
 

@@ -2,27 +2,16 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Timer",
-    "timed",
-    "time_call",
-    "deep_size_of",
-    "estimate_adjacency_bytes",
-    "estimate_bitmap_bytes",
-    "format_bytes",
-    "SeededRandom",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.utils.timing": ("Timer", "timed", "time_call"),
-        "repro.utils.memory": (
-            "deep_size_of",
-            "estimate_adjacency_bytes",
-            "estimate_bitmap_bytes",
-            "format_bytes",
-        ),
-        "repro.utils.rand": ("SeededRandom",),
+        "Timer": "repro.utils.timing",
+        "timed": "repro.utils.timing",
+        "time_call": "repro.utils.timing",
+        "deep_size_of": "repro.utils.memory",
+        "estimate_adjacency_bytes": "repro.utils.memory",
+        "estimate_bitmap_bytes": "repro.utils.memory",
+        "format_bytes": "repro.utils.memory",
+        "SeededRandom": "repro.utils.rand",
     },
 )

@@ -2,46 +2,24 @@
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "Executor",
-    "RunStatistics",
-    "VertexCentric",
-    "VertexContext",
-    "ParallelSuperstepExecutor",
-    "partition_range",
-    "ConnectedComponentsProgram",
-    "DegreeProgram",
-    "LabelPropagationProgram",
-    "PageRankProgram",
-    "SingleSourceShortestPathsProgram",
-    "run_connected_components",
-    "run_degree",
-    "run_label_propagation",
-    "run_pagerank",
-    "run_sssp",
-]
-
-__getattr__, __dir__ = lazy_exports(
+__all__, __getattr__, __dir__ = lazy_exports(
     globals(),
     {
-        "repro.vertexcentric.framework": (
-            "Executor",
-            "RunStatistics",
-            "VertexCentric",
-            "VertexContext",
-        ),
-        "repro.vertexcentric.parallel": ("ParallelSuperstepExecutor", "partition_range"),
-        "repro.vertexcentric.programs": (
-            "ConnectedComponentsProgram",
-            "DegreeProgram",
-            "LabelPropagationProgram",
-            "PageRankProgram",
-            "SingleSourceShortestPathsProgram",
-            "run_connected_components",
-            "run_degree",
-            "run_label_propagation",
-            "run_pagerank",
-            "run_sssp",
-        ),
+        "Executor": "repro.vertexcentric.framework",
+        "RunStatistics": "repro.vertexcentric.framework",
+        "VertexCentric": "repro.vertexcentric.framework",
+        "VertexContext": "repro.vertexcentric.framework",
+        "ParallelSuperstepExecutor": "repro.vertexcentric.parallel",
+        "partition_range": "repro.vertexcentric.parallel",
+        "ConnectedComponentsProgram": "repro.vertexcentric.programs",
+        "DegreeProgram": "repro.vertexcentric.programs",
+        "LabelPropagationProgram": "repro.vertexcentric.programs",
+        "PageRankProgram": "repro.vertexcentric.programs",
+        "SingleSourceShortestPathsProgram": "repro.vertexcentric.programs",
+        "run_connected_components": "repro.vertexcentric.programs",
+        "run_degree": "repro.vertexcentric.programs",
+        "run_label_propagation": "repro.vertexcentric.programs",
+        "run_pagerank": "repro.vertexcentric.programs",
+        "run_sssp": "repro.vertexcentric.programs",
     },
 )

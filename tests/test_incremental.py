@@ -45,6 +45,7 @@ import pytest
 from repro.graph import ExpandedGraph
 from repro.graph.backend import get_backend, numpy_available
 from repro.graph.delta import DeltaOverlay, JournaledGraph
+from repro.graph.snapshot_store import peek_header, saves_in_thread
 from repro.incremental import MAINTAINERS, decode, encode
 from repro.incremental.bfs import RepairCounters
 from repro.relational.database import Database
@@ -373,6 +374,42 @@ class TestFallbackAndInvalidation:
         report = handle.refresh()
         assert graph.journal.compactions == 1
         assert report.maintained == [] and "components" in report.dropped
+
+    def test_a_pooled_plan_writes_the_merged_snapshot_once_and_keeps_the_journal(
+        self, tmp_path
+    ):
+        """A pooled plan hands its workers a file of the merged snapshot.
+        For a journaled graph with records pending, ``persist()`` writes it
+        beside the ``.csr``, which stays the base the ``.csrd`` extends: one
+        full write per write-then-plan cycle (two when ``persist()``
+        overwrote the base and the next fetch rewrote it), none when nothing
+        changed, and maintained results keep their journal window."""
+        graph = JournaledGraph(_ring(400, seed=7))
+        rng = random.Random(13)
+        with GraphSession(
+            Database("inc-pool"),
+            backend="python",
+            snapshot_cache=str(tmp_path / "snaps"),
+            parallelism=2,
+        ) as session:
+            handle = session.wrap(graph)
+            handle.analyze().pagerank(**RING_PAGERANK).closeness().run()
+            writes = []
+            for u in [rng.randrange(400) for _ in range(3)] + [None]:
+                if u is not None:
+                    graph.add_edge(u, (u + 200) % 400)
+                before = saves_in_thread()
+                report = handle.analyze().closeness().run()
+                writes.append(saves_in_thread() - before)
+                assert report["closeness"].scheduled == "pool"
+            assert writes == [1, 1, 1, 0]
+            store, key = session.store, handle.store_key
+            assert peek_header(store.path_for(key)).content_hash == graph.journal.base_hash
+            assert store.delta_path_for(key).exists()
+            merged = peek_header(store.merged_path_for(key)).content_hash
+            assert merged == handle.snapshot().content_hash
+            again = handle.analyze().pagerank(**RING_PAGERANK).run()
+            assert again["pagerank"].engine == "incremental"
 
     def test_generation_bump_drops_entries(self):
         edges = _random_symmetric_edges(12, 14, seed=21)

@@ -7,19 +7,25 @@ reopens the mmap'd CSR by source fingerprint — loads neither the DSL
 validator, the relational engine, the planner and extractor, ``repro.dedup``,
 the dataset generators nor the worker pool.  These tests pin that clock-free
 (by ``sys.modules``), and pin the lazy packages' contract: every exported
-name is the defining module's object, never a shadowing submodule.
+name is the defining module's object, never a shadowing submodule, and is
+written once — a key of the package's one ``lazy_exports`` table, which
+also yields its ``__all__``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import pkgutil
 import subprocess
 import sys
+import types
+from collections import Counter
 from importlib import import_module
 
 import pytest
 
+from repro._lazy import lazy_exports
 from repro.datasets.dblp import COAUTHOR_QUERY, generate_dblp
 from repro.relational.csv_io import write_database
 from tests.conftest import child_env
@@ -149,6 +155,40 @@ def test_a_lazy_package_lists_and_refuses_names_like_an_eager_one(package):
         getattr(module, "no_such_name")
     with pytest.raises(ImportError):
         exec(f"from {package} import no_such_name", {})
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_a_lazy_package_writes_each_export_once(package):
+    """``__all__`` is the export table's keys, not a second list: every
+    exported name is one string literal in the package ``__init__``."""
+    module = import_module(package)
+    with open(module.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    literals = Counter(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+    assert {name: literals[name] for name in module.__all__} == dict.fromkeys(module.__all__, 1)
+
+
+def test_lazy_exports_resolves_one_table(monkeypatch):
+    package = types.ModuleType("scratch_package")
+    namespace = vars(package)
+    names, package.__getattr__, package.__dir__ = lazy_exports(
+        namespace, {"sqrt": "math", "loads": "json", "encode": ("json", "dumps")}
+    )
+    monkeypatch.setitem(sys.modules, "scratch_package", package)
+
+    assert names == ["sqrt", "loads", "encode"]  # table order, not sorted
+    assert {"sqrt", "loads", "encode"} <= set(dir(package))
+    assert "encode" not in namespace
+    assert package.encode is json.dumps
+    assert namespace["encode"] is json.dumps  # stored: resolved once
+    with pytest.raises(AttributeError, match="'scratch_package' has no attribute 'dumps'"):
+        package.dumps
+    with pytest.raises(ImportError):
+        exec("from scratch_package import dumps", {})
 
 
 #: exports that are submodules on purpose: the DEDUP-1 / BITMAP / DEDUP-2
