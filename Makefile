@@ -17,9 +17,14 @@ help:
 	@echo "                    the incremental write path (repair on read), fig18:"
 	@echo "                    a cache hit executes no plan, responses bit-identical"
 	@echo "make test-incremental - the maintainers: maintained == a cold recompute on"
-	@echo "                    generated journal windows (both backends), BFS removal"
-	@echo "                    repairs, the ring schedule's tally and work pins, one"
-	@echo "                    netting per window for every entry at its position;"
+	@echo "                    generated journal windows (both backends; triangle"
+	@echo "                    counts exactly, clustering shaped from them bit for"
+	@echo "                    bit, triangle_pairs == the pairs whose adjacency"
+	@echo "                    changed), BFS removal repairs, the ring schedule's"
+	@echo "                    tally and work pins, one netting per window for every"
+	@echo "                    entry at its position; the service pin: a write"
+	@echo "                    carries triangles + clustering and the next read"
+	@echo "                    repairs both with no triangle pass;"
 	@echo "                    the delta journal + overlay suite (an extended overlay"
 	@echo "                    == a one-shot one; added / removed / prior_present =="
 	@echo "                    a brute-force netting of any split stream: the one"

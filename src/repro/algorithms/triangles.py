@@ -21,6 +21,13 @@ Both answers are shaped from the one per-vertex pass,
 runners — :func:`count_triangles` / :func:`average_clustering` and a session
 :class:`~repro.session.AnalysisPlan`'s requests alike; a plan that asks for
 both runs the pass once and hands it to both shapers.
+
+On a journaled graph the per-vertex vector is what the session remembers:
+both algorithms name the ``triangle-counts`` maintainer
+(:mod:`repro.incremental.triangles`), which repairs it over a window of
+edge deltas from the changed pairs' common neighbours, and an incremental
+serve shapes it with the same two functions — so a maintained
+``clustering`` is a cold plan's float, bit for bit.
 """
 
 from __future__ import annotations

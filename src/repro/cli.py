@@ -285,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal mutations instead of rebuilding: POST /edges appends "
         "to a delta journal, snapshots merge the delta over the mmap'd "
         "base, and cached results of maintainable algorithms (pagerank, "
-        "components, bfs) are kept instead of evicted, and repaired when "
-        "they are next read",
+        "components, bfs, triangles, clustering) are kept instead of "
+        "evicted, and repaired when they are next read",
     )
 
     return parser

@@ -127,8 +127,14 @@ def _undirected_csr(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
         u = np.concatenate([sources[keep], targets[keep]])
         v = np.concatenate([targets[keep], sources[keep]])
         if u.size:
-            codes = np.unique(u * np.int64(n) + v)
-            uu, vv = np.divmod(codes, np.int64(n))
+            # sorted, then adjacent duplicates dropped: the values of
+            # np.unique, whose hash-based integer path costs ~20x the sort
+            # here (numpy 2.4 on a 2-vCPU host, 48 000 codes: 3.8 vs 0.17 ms)
+            codes = np.sort(u * np.int64(n) + v)
+            first = np.empty(codes.size, dtype=bool)
+            first[0] = True
+            np.not_equal(codes[1:], codes[:-1], out=first[1:])
+            uu, vv = np.divmod(codes[first], np.int64(n))
         else:
             uu = vv = np.empty(0, dtype=np.int64)
         und_offsets = np.zeros(n + 1, dtype=np.int64)

@@ -26,7 +26,7 @@ at the boundary: :func:`~repro.incremental.base.encode` when a cold result
 is first remembered, :func:`~repro.incremental.base.decode` when a plan
 asks for the values.  The returned vector (length ``csr.n``) must satisfy
 the same equivalence contract the backends do: integer-valued results (components,
-BFS) **equal** a cold recompute on the current snapshot bit-for-bit;
+BFS, triangle counts) **equal** a cold recompute on the current snapshot bit-for-bit;
 float-valued results (PageRank) match within the documented tolerance under
 the same termination contract.  ``None`` means "this delta cannot be
 repaired exactly" (e.g. a deletion that may split a component) and the
@@ -34,10 +34,16 @@ caller falls back to the cold kernel; it is never a verdict on the delta's
 *width* — a wide delta costs the maintainers one dense pass, not a refusal.
 
 Registered maintainers (:data:`MAINTAINERS`) are wired into
-``PLAN_ALGORITHMS`` routing via ``PlanAlgorithm.maintainer``.  A handle's
-previous results live in its :class:`MaintainedResults` (``handle.maintained``),
-which the compiler records to and serves incremental nodes from, ``refresh()``
-advances, and the graph service repairs stale entries through.
+``PLAN_ALGORITHMS`` routing via ``PlanAlgorithm.maintainer``: ``components``
+(label union-find; refuses net removals), ``pagerank`` (a correction series,
+warm-started power iteration where it cannot hold), ``bfs`` (nearest-first
+delta-BFS; refuses depth-limited results) and ``triangle-counts`` — the
+per-vertex triangle vector both ``triangles`` and ``clustering`` name and
+are shaped from on decode (pair-by-pair common-neighbour repair; never
+refuses).  A handle's previous results live in its
+:class:`MaintainedResults` (``handle.maintained``), which the compiler
+records to and serves incremental nodes from, ``refresh()`` advances, and
+the graph service repairs stale entries through.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from repro.incremental.base import decode, encode
 from repro.incremental.bfs import maintain_bfs
 from repro.incremental.components import maintain_components
 from repro.incremental.pagerank import maintain_pagerank
+from repro.incremental.triangles import maintain_triangles
 from repro.session.report import canonical_params
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,6 +70,7 @@ MAINTAINERS = {
     "components": maintain_components,
     "pagerank": maintain_pagerank,
     "bfs": maintain_bfs,
+    "triangle-counts": maintain_triangles,
 }
 
 __all__ = [
@@ -73,6 +81,7 @@ __all__ = [
     "maintain_components",
     "maintain_pagerank",
     "maintain_bfs",
+    "maintain_triangles",
 ]
 
 
@@ -121,10 +130,12 @@ class MaintainedResults:
     ) -> None:
         """Remember ``name(params)``, freshly computed on ``csr``, for
         ``maintainer`` to carry over future deltas — as its dense vector:
-        ``dense`` when the plan computed it inline, else encoded from the
-        dict here, once.  No-op for non-dict result shapes."""
+        ``dense`` when the plan computed it (inline, or the shared
+        ``triangle-counts`` pass a count or coefficient was shaped from),
+        else encoded from the dict ``values`` here, once.  No-op when
+        neither is given (a result shape no vector can be read back from)."""
         journal = self._handle.journal
-        if journal is None or not isinstance(values, dict):
+        if journal is None or (dense is None and not isinstance(values, dict)):
             return
         with self._lock:
             if self._superseded(csr):
@@ -193,7 +204,7 @@ class MaintainedResults:
             if absorbed is None:
                 return None
             return (
-                decode(entry.maintainer, csr, entry.dense),
+                decode(entry.maintainer, csr, entry.dense, entry.algorithm),
                 time.perf_counter() - started,
                 f"incremental: maintained over {absorbed} delta record(s)"
                 if absorbed

@@ -34,19 +34,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.incremental.base import RepairCounters
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
     from repro.graph.delta import DeltaOverlay
     from repro.graph.kernel import CSRGraph
-
-
-class RepairCounters:
-    """Process-global instrumentation (read as deltas, like
-    ``TraversalCounters``): the clock-free work pin of the BFS repair."""
-
-    #: vertices the removal repair reset (on a pure removal window: the
-    #: vertices whose distance grew)
-    bfs_resets = 0
 
 
 def maintain_bfs(

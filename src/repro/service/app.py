@@ -38,11 +38,14 @@ unmatchable), and entries under the superseded hash are evicted eagerly.
 appends, snapshots merge the delta over the mmap'd base instead of
 rebuilding, and a mutation's cache sweep turns from evict-everything into
 carry-what-we-can — superseded entries whose algorithm has a dynamic
-maintainer (:mod:`repro.incremental`) move to the new snapshot hash in
-place, marked stale, and only the rest are evicted.  No maintainer runs on
-the write: a stale entry is repaired when it is next read, over every write
-since it was computed (``MaintainedResults.serve``), and one nobody reads
-again is never repaired.  The state behind those repairs is the handle's
+maintainer (:mod:`repro.incremental`: ``pagerank``, ``components``,
+``bfs``, and ``triangles`` / ``clustering`` through their shared
+``triangle-counts`` vector) move to the new snapshot hash in place, marked
+stale, and only the rest (``degree``, ``kcore``, the sweeps, ...) are
+evicted.  No maintainer runs on the write: a stale entry is repaired when
+it is next read, over every write since it was computed
+(``MaintainedResults.serve``), and one nobody reads again is never
+repaired.  The state behind those repairs is the handle's
 :class:`~repro.incremental.MaintainedResults`, bounded by the cache — when
 the cache drops a result, ``MaintainedResults.forget`` drops it too.
 """

@@ -137,7 +137,8 @@ class Node:
     done: bool = False
     value: Any = None
     #: a maintainable inline node's value before decoding (see
-    #: ``PlanAlgorithm.dense``): what ``MaintainedResults.record`` keeps
+    #: ``PlanAlgorithm.dense``), or the ``triangle-counts`` vector its value
+    #: was shaped from: what ``MaintainedResults.record`` keeps
     dense: list | None = None
     seconds: float = 0.0
     attributed: bool = False
@@ -558,7 +559,9 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 if node.mode == "sweep":
                     node.value = _finalise_from_sweep(node, compiled.sweep, csr, backend)
                 elif spec.from_triangles is not None:
-                    node.value = spec.from_triangles(csr, derived["triangle-counts"])
+                    # the shared pass seeds the maintained results too
+                    node.dense = derived["triangle-counts"]
+                    node.value = spec.from_triangles(csr, node.dense)
                 elif spec.dense is not None:
                     # the runner's two steps, keeping its vector to seed
                     # the maintained results

@@ -94,7 +94,8 @@ class PlanAlgorithm:
     #: ``add()``; runners trust it
     validate: Callable[[dict], None] | None = None
     #: ``(csr, per-vertex triangle counts) -> value`` for the algorithms a
-    #: plan answers from its one shared ``triangle-counts`` pass
+    #: plan answers from its one shared ``triangle-counts`` pass — and an
+    #: incremental serve from the maintained vector of the same name
     from_triangles: Callable[["CSRGraph", list], Any] | None = None
     #: name of this algorithm's dynamic maintainer in
     #: :data:`repro.incremental.MAINTAINERS`, or None when no incremental
@@ -137,12 +138,14 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             defaults={},
             kernel=triangles_runner,
             from_triangles=triangles_from_counts,
+            maintainer="triangle-counts",
         ),
         PlanAlgorithm(
             "clustering",
             defaults={},
             kernel=clustering_runner,
             from_triangles=clustering_from_counts,
+            maintainer="triangle-counts",
         ),
         PlanAlgorithm(
             "label_propagation",

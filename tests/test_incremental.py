@@ -19,7 +19,9 @@ The contract under test:
   need no clock: an intra-component delta returns the previous labelling
   itself, a bulk delta is repaired in one pass of at most ``terms × m`` edge
   touches, a BFS removal repair resets only the vertices whose distance grew
-  (``RepairCounters.bfs_resets``), no removal cycle of the ``bench/``
+  (``RepairCounters.bfs_resets``), the triangle repair processes only the
+  pairs whose undirected adjacency changed
+  (``RepairCounters.triangle_pairs``), no removal cycle of the ``bench/``
   schedule shape runs a cold BFS and no add-only cycle derives the reverse
   CSR, and that schedule's maintained / fallback tally is pinned;
 * compaction and generation bumps invalidate stored positions (entries are
@@ -29,7 +31,9 @@ The contract under test:
   when it is next read — no maintainer per write, one per read however many
   writes came first, none for an entry never read again — keeping LRU order
   and the handle's maintained state within the cache, with counters in
-  ``/stats`` — also with readers racing a writer;
+  ``/stats`` — also with readers racing a writer; ``triangles`` and
+  ``clustering`` ride one ``triangle-counts`` vector and repair with no
+  triangle pass;
 * the wire codec round-trips the new provenance (``delta_edges``, report
   ``journal``) and decodes legacy payloads to defaults.
 """
@@ -47,7 +51,7 @@ from repro.graph.backend import get_backend, numpy_available
 from repro.graph.delta import DeltaOverlay, JournaledGraph
 from repro.graph.snapshot_store import peek_header, saves_in_thread
 from repro.incremental import MAINTAINERS, decode, encode
-from repro.incremental.bfs import RepairCounters
+from repro.incremental.base import RepairCounters
 from repro.relational.database import Database
 from repro.service import GraphService, decode_report, encode_report
 from repro.service.codec import dumps, loads
@@ -174,6 +178,39 @@ class TestMaintainers:
         assert (
             MAINTAINERS["components"](prev, graph.snapshot(), delta, {}, backend) is None
         )
+
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_triangle_repair_processes_only_the_pairs_whose_adjacency_changed(self, backend_name):
+        """``RepairCounters.triangle_pairs`` counts the netted undirected
+        pairs: a removed-then-re-added edge, a one-directional add beside
+        its reverse and a self-loop change no pair, so only the two real
+        flips are processed."""
+        backend = get_backend(backend_name)
+        edges = {(u, v) for u in range(6) for v in range(6) if u != v and (u + v) % 3}
+        graph = JournaledGraph(_build((edges - {(4, 3)}) | {(3, 4)}))
+        before = graph.snapshot()
+        prev = backend.triangles_per_vertex(before)
+        position = graph.journal.total
+        graph.delete_edge(0, 1)  # removed, then re-added
+        graph.add_edge(0, 1)
+        graph.add_edge(4, 3)  # beside 3 -> 4: {3, 4} stays adjacent
+        graph.add_edge(2, 2)  # a self-loop is never a pair
+        graph.add_edge(0, 3)  # flips {0, 3} on
+        graph.delete_edge(1, 4)  # flips {1, 4} off
+        graph.delete_edge(4, 1)
+        after = graph.snapshot()
+        delta = DeltaOverlay(graph.journal.records_since(position))
+
+        def pairs(csr) -> set[frozenset]:
+            ids = csr.external_ids
+            return {frozenset((ids[u], ids[v])) for u, v in csr.iter_edges() if u != v}
+
+        flipped = pairs(before) ^ pairs(after)
+        assert flipped == {frozenset((0, 3)), frozenset((1, 4))}
+        processed = RepairCounters.triangle_pairs
+        maintained = MAINTAINERS["triangle-counts"](prev, after, delta, {}, backend)
+        assert RepairCounters.triangle_pairs - processed == len(flipped)
+        assert maintained == get_backend("python").triangles_per_vertex(after)
 
     def test_bfs_repairs_a_tree_edge_removal_but_not_a_depth_limited_result(self):
         backend = get_backend("python")
@@ -770,6 +807,36 @@ class TestIncrementalService:
             _linf(patched["pagerank"].values, pagerank(inner, **PAGERANK_PARAMS))
             <= 1e-9
         )
+
+    def test_a_write_carries_triangle_counts_and_a_read_repairs_them(self, monkeypatch):
+        """``triangles`` and ``clustering`` share the ``triangle-counts``
+        maintainer: a write carries both, and the next read repairs them
+        without a per-vertex triangle pass."""
+        service = _coauthor_service(incremental=True)
+        payload = {"algorithms": [{"name": "triangles"}, {"name": "clustering"}, {"name": "degree"}]}
+        assert service.analyze(payload)["triangles"].values == 5
+
+        # 6 -> 1 closes the triangle 1-5-6 (author 5 shares a paper with both)
+        response = service.add_edge({"source": 6, "target": 1})
+        assert response["patched"] == 2
+        assert response["invalidated"] == 1
+
+        monkeypatch.setattr(
+            type(service.session.backend),
+            "triangles_per_vertex",
+            lambda *args: pytest.fail("a cold triangle pass ran"),
+        )
+        warm = service.analyze(payload)
+        monkeypatch.undo()
+        assert warm.cache["hits"] == 2 and warm.cache["misses"] == 1
+        assert {r.algorithm: r.engine for r in warm if r.algorithm != "degree"} == {
+            "triangles": "incremental",
+            "clustering": "incremental",
+        }
+        cold_session = GraphSession(Database("cold-triangles"), backend="python")
+        cold = cold_session.wrap(service.handle.graph.inner).analyze().triangles().clustering().run()
+        assert warm["triangles"].values == cold["triangles"].values == 6
+        assert warm["clustering"].values == cold["clustering"].values
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("seed", range(3))

@@ -49,6 +49,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro import algorithms
 from repro.algorithms.similarity import SCORE_NAMES
+from repro.algorithms.triangles import clustering_from_counts
 from repro.core import EXTRACT_ENGINES, GraphGen
 from repro.dedup import (
     DEDUP1_ALGORITHMS,
@@ -70,7 +71,7 @@ from repro.graph.backend import get_backend, numpy_available, set_default_backen
 from repro.graph.delta import DeltaOverlay, JournaledGraph
 from repro.graph.kernel import CSRGraph
 from repro.incremental import MAINTAINERS
-from repro.incremental.bfs import RepairCounters
+from repro.incremental.base import RepairCounters
 from repro.relational.csv_io import write_database
 from repro.relational.database import Database
 from repro.relational.query import Comparison, ConjunctiveQuery, QueryAtom, evaluate_bruteforce
@@ -651,18 +652,34 @@ MAINTAINED_PARAMS = {
     "components": {},
     "bfs": {"source": BFS_SOURCE, "max_depth": None},
     "pagerank": MAINTAINED_PAGERANK,
+    "triangle-counts": {},
 }
 
 
 def _cold(csr) -> dict[str, list]:
     reference = get_backend("python")
-    return {
+    cold = {
         name: PLAN_ALGORITHMS[name].dense(csr, reference, params)
         for name, params in MAINTAINED_PARAMS.items()
+        if name != "triangle-counts"
     }
+    cold["triangle-counts"] = reference.triangles_per_vertex(csr)
+    return cold
+
+
+def _undirected_pairs(csr) -> set[frozenset]:
+    """The snapshot's undirected adjacency as external-ID pairs, no loops."""
+    ids = csr.external_ids
+    return {frozenset((ids[u], ids[v])) for u, v in csr.iter_edges() if u != v}
+
+
+#: a triangle losing two sides in one window: each removal's common
+#: neighbours must be read off the old graph, the other removal undone
+TWO_SIDES_OF_A_TRIANGLE = (3, True, {(0, 1), (1, 2), (0, 2)}, [(False, [("remove", 0), ("remove", 1)])])
 
 
 @settings(max_examples=60, deadline=None)
+@example(TWO_SIDES_OF_A_TRIANGLE)
 @given(journal_windows())
 def test_property_maintained_results_equal_a_cold_recompute(case):
     size, symmetric, edges, windows = case
@@ -687,24 +704,43 @@ def test_property_maintained_results_equal_a_cold_recompute(case):
         cold = _cold(csr)
 
         # the refusals, stated on the window: components refuses any removal;
-        # BFS repairs every window (it refuses depth-limited results only)
-        refused = {"components": bool(delta.removed), "bfs": False, "pagerank": False}
+        # BFS repairs every window (it refuses depth-limited results only);
+        # triangle counts never refuse
+        refused = {
+            "components": bool(delta.removed),
+            "bfs": False,
+            "pagerank": False,
+            "triangle-counts": False,
+        }
         # a pure removal window resets exactly the vertices whose distance grew
         grew = sum(
             old >= 0 and (new < 0 or new > old) for old, new in zip(prev["bfs"], cold["bfs"])
         )
+        # the triangle repair processes exactly the pairs whose undirected
+        # adjacency changed
+        flipped = len(_undirected_pairs(before) ^ _undirected_pairs(csr))
         maintained = {}
         for backend in map(get_backend, MAINTAINER_BACKENDS):
             csr._backend_cache.pop("rev_csr", None)  # each backend derives its own
             for name, maintain in MAINTAINERS.items():
                 resets = RepairCounters.bfs_resets
+                pairs = RepairCounters.triangle_pairs
                 dense = maintain(prev[name], csr, delta, params[name], backend)
                 assert (dense is None) == refused[name], (name, backend.name)
                 if name == "bfs" and not delta.added:
                     assert RepairCounters.bfs_resets - resets == grew
-                if dense is not None:
+                if name == "triangle-counts":
+                    assert RepairCounters.triangle_pairs - pairs == flipped
+                if name == "triangle-counts":
+                    # integers: exactly cold; and the clustering shaped from
+                    # them is a cold plan's float, bit for bit
+                    assert dense == cold[name], backend.name
+                    clustering = PLAN_ALGORITHMS["clustering"].kernel(csr, backend, {})
+                    assert clustering_from_counts(csr, dense) == clustering, backend.name
+                elif dense is not None:
                     # == cold, and so numpy == python
                     _assert_same_answers(dict(enumerate(dense)), dict(enumerate(cold[name])))
+                if dense is not None:
                     maintained[name] = dense
             depth_limited = {"source": BFS_SOURCE, "max_depth": 3}
             assert MAINTAINERS["bfs"](prev["bfs"], csr, delta, depth_limited, backend) is None
