@@ -24,7 +24,10 @@ help:
 	@echo "                    tally and work pins, one netting per window for every"
 	@echo "                    entry at its position; the service pin: a write"
 	@echo "                    carries triangles + clustering and the next read"
-	@echo "                    repairs both with no triangle pass;"
+	@echo "                    repairs both with no triangle pass, one"
+	@echo "                    triangle-counts maintainer run per window for both"
+	@echo "                    (repair on read and refresh()), the shared vector kept"
+	@echo "                    while either result is cached;"
 	@echo "                    the delta journal + overlay suite (an extended overlay"
 	@echo "                    == a one-shot one; added / removed / prior_present =="
 	@echo "                    a brute-force netting of any split stream: the one"
@@ -32,7 +35,8 @@ help:
 	@echo "                    digests, stop decision and dense/sparse push counts;"
 	@echo "                    the pin that only repro.incremental.MaintainedResults"
 	@echo "                    touches the maintained state (no _incremental* name"
-	@echo "                    elsewhere)"
+	@echo "                    elsewhere); the algorithm modules load no"
+	@echo "                    repro.incremental* and no repro.graph.delta"
 	@echo "make test-dedup   - DEDUP-1/BITMAP/DEDUP-2 suites, the identity goldens"
 	@echo "                    (every algorithm x ordering, edge for edge), the"
 	@echo "                    probe pins, maintained-mask property, fig12 shapes"
@@ -95,7 +99,8 @@ test-session:
 test-incremental:
 	$(PYTEST) -q tests/test_incremental.py tests/test_graph_delta.py \
 		tests/test_pagerank_kernel.py tests/test_maintained_owner.py \
-		tests/test_property_invariants.py::test_property_maintained_results_equal_a_cold_recompute
+		tests/test_property_invariants.py::test_property_maintained_results_equal_a_cold_recompute \
+		tests/test_lazy_imports.py::test_the_algorithm_modules_load_no_incremental_layer
 
 test-dedup:
 	$(PYTEST) -q tests/test_dedup_*.py \

@@ -17,9 +17,10 @@ preserve first-occurrence discovery order, see
 :func:`bfs_runner` is the registry's ``(csr, backend, params)`` runner and
 :func:`check_bfs` its parameter check: together they are
 :func:`bfs_distances` and a session :class:`~repro.session.AnalysisPlan`'s
-``bfs`` request.  The runner is :func:`bfs_vector`, the per-index form the
-incremental maintainer carries, decoded by
-:func:`repro.incremental.base.decode`, the one decoder plans use too.
+``bfs`` request.  The runner is :func:`bfs_values` of :func:`bfs_vector`:
+the per-index form the incremental maintainer carries, and the registry's
+step from it to the reported dict, which plans and incremental serves take
+too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from repro.algorithms.centrality import is_nonnegative_int
 from repro.exceptions import RepresentationError, UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
-from repro.incremental.base import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
@@ -61,8 +61,14 @@ def bfs_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> list[
     return backend.bfs_distances(csr, source, max_depth=params["max_depth"])
 
 
+def bfs_values(csr: "CSRGraph", dense: list[int]) -> dict:
+    """A distance vector as the reported dict: unreached vertices (-1)
+    dropped."""
+    return {v: d for v, d in zip(csr.external_ids, dense) if d >= 0}
+
+
 def bfs_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
-    return decode("bfs", csr, bfs_vector(csr, backend, params))
+    return bfs_values(csr, bfs_vector(csr, backend, params))
 
 
 def bfs_distances(graph: Graph, source: VertexId, max_depth: int | None = None) -> dict[VertexId, int]:

@@ -14,8 +14,8 @@ results are identical across backends and to the pre-backend implementation.
 runner — :func:`connected_components` and a session
 :class:`~repro.session.AnalysisPlan`'s ``components`` request alike;
 it is :func:`components_vector`, the per-index form the incremental
-maintainer carries, decoded by :func:`repro.incremental.base.decode`, the
-one decoder plans use too.
+maintainer carries, decoded by ``csr.decode`` — the registry's step from
+vector to value, which plans and incremental serves take too.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
-from repro.incremental.base import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
@@ -38,7 +37,7 @@ def components_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -
 
 
 def components_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
-    return decode("components", csr, components_vector(csr, backend, params))
+    return csr.decode(components_vector(csr, backend, params))
 
 
 def connected_components(graph: Graph) -> dict[VertexId, int]:

@@ -18,7 +18,8 @@ and :func:`check_pagerank` its parameter check: together they are
 :func:`pagerank` and a session :class:`~repro.session.AnalysisPlan`'s
 ``pagerank`` request.  The runner is :func:`pagerank_vector`, the
 per-index form the incremental maintainer carries, decoded by
-:func:`repro.incremental.base.decode`, the one decoder plans use too.
+``csr.decode`` — the registry's step from vector to value, which plans and
+incremental serves take too.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from repro.algorithms.centrality import is_nonnegative_int
 from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
-from repro.incremental.base import decode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.backend.python_backend import KernelBackend
@@ -61,7 +61,7 @@ def pagerank_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> 
 
 
 def pagerank_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:
-    return decode("pagerank", csr, pagerank_vector(csr, backend, params))
+    return csr.decode(pagerank_vector(csr, backend, params))
 
 
 def pagerank(

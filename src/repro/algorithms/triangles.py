@@ -14,7 +14,7 @@ derived clustering coefficients share every arithmetic step and are
 bit-identical too.
 
 Both answers are shaped from the one per-vertex pass,
-``backend.triangles_per_vertex``: the count is its sum over three
+:func:`triangle_counts_vector`: the count is its sum over three
 (:func:`triangles_from_counts`), the mean coefficient
 :func:`clustering_from_counts`.  :func:`triangles_runner` /
 :func:`clustering_runner` are the registry's ``(csr, backend, params)``
@@ -22,8 +22,8 @@ runners — :func:`count_triangles` / :func:`average_clustering` and a session
 :class:`~repro.session.AnalysisPlan`'s requests alike; a plan that asks for
 both runs the pass once and hands it to both shapers.
 
-On a journaled graph the per-vertex vector is what the session remembers:
-both algorithms name the ``triangle-counts`` maintainer
+On a journaled graph the per-vertex vector is what the session remembers,
+once for both algorithms: they name the ``triangle-counts`` maintainer
 (:mod:`repro.incremental.triangles`), which repairs it over a window of
 edge deltas from the changed pairs' common neighbours, and an incremental
 serve shapes it with the same two functions — so a maintained
@@ -65,12 +65,17 @@ def clustering_from_counts(csr: "CSRGraph", per_vertex: list[int]) -> float:
     return total / csr.n
 
 
+def triangle_counts_vector(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> list[int]:
+    """Triangles per dense index."""
+    return backend.triangles_per_vertex(csr)
+
+
 def triangles_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> int:
-    return triangles_from_counts(csr, backend.triangles_per_vertex(csr))
+    return triangles_from_counts(csr, triangle_counts_vector(csr, backend, params))
 
 
 def clustering_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> float:
-    return clustering_from_counts(csr, backend.triangles_per_vertex(csr))
+    return clustering_from_counts(csr, triangle_counts_vector(csr, backend, params))
 
 
 def count_triangles(graph: Graph) -> int:

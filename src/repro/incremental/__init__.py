@@ -21,10 +21,10 @@ position share one), ``params`` the request's effective parameters and
 overlay merges only ever *append* vertices, so a dense index never changes
 meaning and nothing is re-keyed; a maintainer reads only the overlay's
 ``added``, ``removed`` and ``prior_present`` and treats it, like ``prev``,
-as read-only (it may return ``prev`` unchanged).  External IDs exist only
-at the boundary: :func:`~repro.incremental.base.encode` when a cold result
-is first remembered, :func:`~repro.incremental.base.decode` when a plan
-asks for the values.  The returned vector (length ``csr.n``) must satisfy
+as read-only (it may return ``prev`` unchanged).  External IDs never reach
+a maintainer: a plan hands over the vector its registry entry computed
+(``PlanAlgorithm.dense``), and the entry's ``shape`` turns a vector into
+the reported value.  The returned vector (length ``csr.n``) must satisfy
 the same equivalence contract the backends do: integer-valued results (components,
 BFS, triangle counts) **equal** a cold recompute on the current snapshot bit-for-bit;
 float-valued results (PageRank) match within the documented tolerance under
@@ -39,11 +39,11 @@ Registered maintainers (:data:`MAINTAINERS`) are wired into
 warm-started power iteration where it cannot hold), ``bfs`` (nearest-first
 delta-BFS; refuses depth-limited results) and ``triangle-counts`` — the
 per-vertex triangle vector both ``triangles`` and ``clustering`` name and
-are shaped from on decode (pair-by-pair common-neighbour repair; never
-refuses).  A handle's previous results live in its
-:class:`MaintainedResults` (``handle.maintained``), which the compiler
-records to and serves incremental nodes from, ``refresh()`` advances, and
-the graph service repairs stale entries through.
+are shaped from (pair-by-pair common-neighbour repair; never refuses).  A
+handle's previous vectors live in its :class:`MaintainedResults`
+(``handle.maintained``), one per maintainer and parameters, which the
+compiler records to and serves incremental nodes from, ``refresh()``
+advances, and the graph service repairs stale entries through.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.graph.delta import DeltaOverlay
-from repro.incremental.base import decode, encode
 from repro.incremental.bfs import maintain_bfs
 from repro.incremental.components import maintain_components
 from repro.incremental.pagerank import maintain_pagerank
@@ -62,6 +61,7 @@ from repro.session.report import canonical_params
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.kernel import CSRGraph
+    from repro.session.plan import PlanAlgorithm
     from repro.session.session import GraphHandle
 
 #: maintainer name (``PlanAlgorithm.maintainer``) -> maintain callable;
@@ -74,8 +74,6 @@ MAINTAINERS = {
 }
 
 __all__ = [
-    "encode",
-    "decode",
     "MAINTAINERS",
     "MaintainedResults",
     "maintain_components",
@@ -87,19 +85,19 @@ __all__ = [
 
 @dataclass
 class _Entry:
-    """A previous result a dynamic maintainer can carry over deltas."""
+    """A vector its maintainer (the key's first half) carries over deltas."""
 
-    #: algorithm registry name, and its maintainer's name in MAINTAINERS
-    algorithm: str
-    maintainer: str
+    #: registry names of the algorithms read from it (``triangles`` and
+    #: ``clustering`` share one); it goes when the last is forgotten
+    algorithms: set[str]
     #: effective parameters of the remembered run
     params: dict[str, Any]
     #: journal position (``journal.total``) the values are exact at
     position: int
-    #: the result as a per-dense-index vector (``encode``), exact on the
-    #: prefix ``[0, len(dense))`` of every later snapshot of the same
-    #: generation — merges only ever append vertices.  Replaced, never
-    #: mutated, and never handed out: reports get a fresh decode
+    #: the per-dense-index vector, exact on the prefix ``[0, len(dense))``
+    #: of every later snapshot of the same generation — merges only ever
+    #: append vertices.  Replaced, never mutated, and never handed out:
+    #: reports get a fresh ``shape``
     dense: list
     #: journal generation the position is valid for (a rebaseline that could
     #: not be expressed as edge records bumps it, invalidating the entry)
@@ -107,10 +105,11 @@ class _Entry:
 
 
 class MaintainedResults:
-    """A handle's previous results, one per (algorithm, canonical params),
-    carried over its delta journal; no other code touches them.  Every method
-    runs under the handle's own lock, so a snapshot build, a service write and
-    a maintainer run stay exclusive.  Non-journaled handles remember nothing."""
+    """A handle's previous results, one vector per (maintainer, canonical
+    params), carried over its delta journal; no other code touches them.  Every
+    method runs under the handle's own lock, so a snapshot build, a service
+    write and a maintainer run stay exclusive.  Non-journaled handles remember
+    nothing."""
 
     def __init__(self, handle: "GraphHandle", lock) -> None:
         self._handle = handle
@@ -125,35 +124,38 @@ class MaintainedResults:
         ``journal.total`` is not its position.  Caller holds the lock."""
         return self._handle.graph.cached_snapshot() is not csr
 
-    def record(
-        self, name: str, maintainer: str, params: dict, values: Any, csr: "CSRGraph", dense=None
-    ) -> None:
-        """Remember ``name(params)``, freshly computed on ``csr``, for
-        ``maintainer`` to carry over future deltas — as its dense vector:
-        ``dense`` when the plan computed it (inline, or the shared
-        ``triangle-counts`` pass a count or coefficient was shaped from),
-        else encoded from the dict ``values`` here, once.  No-op when
-        neither is given (a result shape no vector can be read back from)."""
+    def record(self, spec: "PlanAlgorithm", params: dict, csr: "CSRGraph", dense: list) -> None:
+        """Remember ``dense``, the vector ``spec.name(params)`` was freshly
+        shaped from on ``csr``, for its maintainer to carry over future
+        deltas: it replaces the vector the entry held, and ``spec.name``
+        joins the algorithms holding it."""
         journal = self._handle.journal
-        if journal is None or (dense is None and not isinstance(values, dict)):
+        if journal is None:
             return
         with self._lock:
             if self._superseded(csr):
                 return
-            self._entries[(name, canonical_params(params))] = _Entry(
-                algorithm=name,
-                maintainer=maintainer,
+            key = (spec.maintainer, canonical_params(params))
+            held = self._entries.get(key)
+            self._entries[key] = _Entry(
+                algorithms={spec.name} | (held.algorithms if held else set()),
                 params=dict(params),
                 position=journal.total,
-                dense=encode(csr, values) if dense is None else dense,
+                dense=dense,
                 generation=self._handle.graph.generation,
             )
 
-    def forget(self, name: str, params: dict) -> None:
-        """Drop the remembered ``name(params)`` result, if any: whoever held
-        it for re-serving (the service's result cache) let it go."""
+    def forget(self, spec: "PlanAlgorithm", params: dict) -> None:
+        """``spec.name(params)`` no longer holds its vector: whoever kept the
+        result for re-serving (the service's result cache) let it go.  The
+        vector goes with the last algorithm holding it."""
         with self._lock:
-            self._entries.pop((name, canonical_params(params)), None)
+            key = (spec.maintainer, canonical_params(params))
+            entry = self._entries.get(key)
+            if entry is not None:
+                entry.algorithms.discard(spec.name)
+                if not entry.algorithms:
+                    del self._entries[key]
 
     def _advance(
         self, key: tuple[str, str], entry: _Entry, journal, csr: "CSRGraph", backend, windows: dict
@@ -175,7 +177,7 @@ class MaintainedResults:
             delta = windows.get(entry.position)
             if delta is None:
                 delta = windows[entry.position] = DeltaOverlay(records)
-            dense = MAINTAINERS[entry.maintainer](dense, csr, delta, entry.params, backend)
+            dense = MAINTAINERS[key[0]](dense, csr, delta, entry.params, backend)
         if records is None or dense is None:
             del self._entries[key]
             return None
@@ -184,11 +186,12 @@ class MaintainedResults:
         return len(records)
 
     def serve(
-        self, name: str, params: dict, csr: "CSRGraph", backend
+        self, spec: "PlanAlgorithm", params: dict, csr: "CSRGraph", backend
     ) -> "tuple[Any, float, str] | None":
-        """``name(params)`` on ``csr`` as ``(values, seconds, note)``, by
-        maintaining the remembered result over the journal window — values
-        decoded here, a fresh dict per call — or None to fall back cold."""
+        """``spec.name(params)`` on ``csr`` as ``(values, seconds, note)``, by
+        maintaining the remembered vector over the journal window and
+        shaping it with ``spec.shape`` — a fresh value per call — or None to
+        fall back cold.  ``spec.name`` joins the algorithms holding it."""
         journal = self._handle.journal
         if journal is None:
             return None
@@ -196,19 +199,20 @@ class MaintainedResults:
             if self._superseded(csr):
                 return None
             started = time.perf_counter()
-            key = (name, canonical_params(params))
+            key = (spec.maintainer, canonical_params(params))
             entry = self._entries.get(key)
             if entry is None:
                 return None
             absorbed = self._advance(key, entry, journal, csr, backend, {})
             if absorbed is None:
                 return None
+            entry.algorithms.add(spec.name)
             return (
-                decode(entry.maintainer, csr, entry.dense, entry.algorithm),
+                spec.shape(csr, entry.dense),
                 time.perf_counter() - started,
                 f"incremental: maintained over {absorbed} delta record(s)"
                 if absorbed
-                else "incremental: no new deltas since the previous result",
+                else "incremental: the maintained vector was already current",
             )
 
     def advance_all(self, csr: "CSRGraph", backend) -> tuple[list[str], list[str]]:
@@ -222,5 +226,5 @@ class MaintainedResults:
             journal = self._handle.journal  # entries exist only when it does
             for key, entry in list(self._entries.items()):
                 advanced = self._advance(key, entry, journal, csr, backend, windows)
-                (maintained if advanced is not None else dropped).append(entry.algorithm)
+                (maintained if advanced is not None else dropped).extend(sorted(entry.algorithms))
         return maintained, dropped

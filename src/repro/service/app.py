@@ -147,6 +147,8 @@ class GraphService:
             raise UsageError(f"max_inflight must be at least 1 (got {max_inflight})")
         if max_queue < 0:
             raise UsageError(f"max_queue must be non-negative (got {max_queue})")
+        if cache_size < 1:
+            raise UsageError(f"cache_size must be at least 1 (got {cache_size})")
         self.incremental = incremental
         if incremental:
             from repro.graph.delta import JournaledGraph
@@ -160,7 +162,7 @@ class GraphService:
         self.handle = handle
         self.cache = ResultCache(cache_size)
         self.cache.on_drop = lambda result: handle.maintained.forget(
-            result.algorithm, result.params
+            PLAN_ALGORITHMS[result.algorithm], result.params
         )
         self._slots = threading.BoundedSemaphore(max_inflight)
         self._max_inflight = max_inflight
@@ -241,15 +243,17 @@ class GraphService:
         pool_manager = self.session.pool_manager
         store = self.session.store
         journal = self.handle.journal
+        # one snapshot: the journal block's counters agree with the cache's
+        cache = self.cache.stats()
         journal_stats = None
         if journal is not None:
             journal_stats = {
                 **journal.summary(),
-                "patched": self.cache.stats()["patched"],
-                "evicted": self.cache.stats()["invalidations"],
+                "patched": cache["patched"],
+                "evicted": cache["invalidations"],
             }
         return {
-            "cache": self.cache.stats(),
+            "cache": cache,
             "admission": admission,
             "pool": dict(pool_manager.counters) if pool_manager is not None else None,
             # which store path answered each snapshot request: "source-hit"
@@ -435,7 +439,7 @@ class GraphService:
             if csr.content_hash.hex() != key[0]:
                 return None
             served = self.handle.maintained.serve(
-                stale.algorithm, stale.params, csr, self.session.backend
+                PLAN_ALGORITHMS[stale.algorithm], stale.params, csr, self.session.backend
             )
             delta_edges = self.handle.delta_edges
         if served is None:

@@ -83,7 +83,6 @@ from repro.algorithms.centrality import (
 )
 from repro.algorithms.shortest_paths import diameter_sample_indexes
 from repro.graph import snapshot_store
-from repro.incremental.base import decode
 from repro.session.report import (
     AnalysisReport,
     AnalysisResult,
@@ -136,9 +135,9 @@ class Node:
     # runtime state
     done: bool = False
     value: Any = None
-    #: a maintainable inline node's value before decoding (see
-    #: ``PlanAlgorithm.dense``), or the ``triangle-counts`` vector its value
-    #: was shaped from: what ``MaintainedResults.record`` keeps
+    #: the vector a maintainable node's value was shaped from (its
+    #: ``PlanAlgorithm.dense``, the shared ``triangle-counts`` pass, or a
+    #: swept bfs distance list): what ``MaintainedResults.record`` keeps
     dense: list | None = None
     seconds: float = 0.0
     attributed: bool = False
@@ -328,7 +327,7 @@ def compile_plan(
             continue
         if node.spec.name in _UND_CONSUMERS:
             node.deps += (derived("und-csr"),)
-        if node.spec.from_triangles is not None:
+        if node.spec.maintainer == "triangle-counts":
             # one per-vertex triangle pass per plan: its value lives on the
             # node and dies with the plan
             node.deps += (derived("triangle-counts"),)
@@ -450,7 +449,9 @@ def _finalise_from_sweep(
             )
         )
     if kind == "bfs":
-        return decode("bfs", csr, sweep.dists[demand["source"]])
+        # the -1-padded per-index vector bfs_vector computes, to record too
+        node.dense = sweep.dists[demand["source"]]
+        return node.spec.shape(csr, node.dense)
     raise AssertionError(f"unknown sweep demand {kind!r}")  # pragma: no cover
 
 
@@ -492,7 +493,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
         key = _algo_key(spec.name, params)
         if spec.maintainer is None or key in incremental_served:
             continue
-        served = handle.maintained.serve(spec.name, params, csr, backend)
+        served = handle.maintained.serve(spec, params, csr, backend)
         if served is not None:
             incremental_served[key] = served
             CompilerCounters.nodes_computed += 1
@@ -558,15 +559,14 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
                 tick = time.perf_counter()
                 if node.mode == "sweep":
                     node.value = _finalise_from_sweep(node, compiled.sweep, csr, backend)
-                elif spec.from_triangles is not None:
-                    # the shared pass seeds the maintained results too
-                    node.dense = derived["triangle-counts"]
-                    node.value = spec.from_triangles(csr, node.dense)
-                elif spec.dense is not None:
-                    # the runner's two steps, keeping its vector to seed
-                    # the maintained results
-                    node.dense = spec.dense(csr, backend, params)
-                    node.value = decode(spec.maintainer, csr, node.dense)
+                elif spec.maintainer is not None:
+                    # the runner's two steps, keeping the vector (a derive
+                    # node of the maintainer's name: shared) to record
+                    if spec.maintainer in derived:
+                        node.dense = derived[spec.maintainer]
+                    else:
+                        node.dense = spec.dense(csr, backend, params)
+                    node.value = spec.shape(csr, node.dense)
                 else:
                     node.value = spec.kernel(csr, backend, params)
                 node.seconds = time.perf_counter() - tick
@@ -610,9 +610,7 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             # maintained results so the *next* run after mutations can serve
             # it from the journal (idempotent for duplicate bindings)
             if spec.maintainer is not None and node.mode != "incremental":
-                handle.maintained.record(
-                    spec.name, spec.maintainer, params, node.value, csr, node.dense
-                )
+                handle.maintained.record(spec, params, csr, node.dense)
 
             count = seen_labels.get(spec.name, 0) + 1
             seen_labels[spec.name] = count

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.algorithms.bfs import bfs_runner, bfs_vector, check_bfs
+from repro.algorithms.bfs import bfs_runner, bfs_values, bfs_vector, check_bfs
 from repro.algorithms.centrality import betweenness_runner, check_betweenness, closeness_runner
 from repro.algorithms.connected_components import components_runner, components_vector
 from repro.algorithms.degree import degree_runner
@@ -59,17 +59,18 @@ from repro.algorithms.similarity import check_link_predictions, link_predictions
 from repro.algorithms.triangles import (
     clustering_from_counts,
     clustering_runner,
+    triangle_counts_vector,
     triangles_from_counts,
     triangles_runner,
 )
 from repro.exceptions import UsageError
+from repro.graph.kernel import CSRGraph
 from repro.session.compiler import run_compiled
 from repro.session.report import AnalysisReport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.api import VertexId
     from repro.graph.backend.python_backend import KernelBackend
-    from repro.graph.kernel import CSRGraph
     from repro.session.session import GraphHandle
 
 #: sentinel marking a parameter that must be supplied by the caller
@@ -87,21 +88,21 @@ class PlanAlgorithm:
     #: one code computing it, for plans and the free function alike
     kernel: Callable[["CSRGraph", "KernelBackend", dict], Any]
     #: maintainable algorithms: the per-dense-index vector its maintainer
-    #: carries; the runner is this, decoded by
-    #: :func:`repro.incremental.base.decode`
+    #: carries ...
     dense: Callable[["CSRGraph", "KernelBackend", dict], list] | None = None
+    #: ... and ``(csr, vector) -> value``, the one step from that vector to
+    #: the reported value: the runner is ``shape(csr, dense(...))``, and a
+    #: plan's inline node and an incremental serve shape the same way
+    shape: Callable[["CSRGraph", list], Any] | None = None
     #: the module's parameter check (beyond unknown/missing), run once by
     #: ``add()``; runners trust it
     validate: Callable[[dict], None] | None = None
-    #: ``(csr, per-vertex triangle counts) -> value`` for the algorithms a
-    #: plan answers from its one shared ``triangle-counts`` pass — and an
-    #: incremental serve from the maintained vector of the same name
-    from_triangles: Callable[["CSRGraph", list], Any] | None = None
     #: name of this algorithm's dynamic maintainer in
     #: :data:`repro.incremental.MAINTAINERS`, or None when no incremental
     #: path exists.  When the handle's graph is journaled and a previous
-    #: result plus a replayable journal window are available, routing serves
-    #: the request incrementally instead of executing any kernel.
+    #: vector plus a replayable journal window are available, routing serves
+    #: the request incrementally instead of executing any kernel.  Entries
+    #: naming one maintainer (``triangles``, ``clustering``) read one vector.
     maintainer: str | None = None
 
 
@@ -114,6 +115,7 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             defaults={"damping": 0.85, "max_iterations": 50, "tolerance": 1.0e-9},
             kernel=pagerank_runner,
             dense=pagerank_vector,
+            shape=CSRGraph.decode,
             validate=check_pagerank,
             maintainer="pagerank",
         ),
@@ -122,6 +124,7 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             defaults={},
             kernel=components_runner,
             dense=components_vector,
+            shape=CSRGraph.decode,
             maintainer="components",
         ),
         PlanAlgorithm(
@@ -129,6 +132,7 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             defaults={"source": REQUIRED, "max_depth": None},
             kernel=bfs_runner,
             dense=bfs_vector,
+            shape=bfs_values,
             validate=check_bfs,
             maintainer="bfs",
         ),
@@ -137,14 +141,16 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             "triangles",
             defaults={},
             kernel=triangles_runner,
-            from_triangles=triangles_from_counts,
+            dense=triangle_counts_vector,
+            shape=triangles_from_counts,
             maintainer="triangle-counts",
         ),
         PlanAlgorithm(
             "clustering",
             defaults={},
             kernel=clustering_runner,
-            from_triangles=clustering_from_counts,
+            dense=triangle_counts_vector,
+            shape=clustering_from_counts,
             maintainer="triangle-counts",
         ),
         PlanAlgorithm(

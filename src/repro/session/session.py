@@ -83,9 +83,11 @@ class RefreshReport:
     #: provenance of the refreshed snapshot (``"base+delta"`` when the
     #: journal was applied; ``"heap"``/``"cache-hit"`` etc. otherwise)
     snapshot_source: str | None
-    #: labels of previous results the dynamic maintainers carried forward
+    #: algorithm names whose remembered vector the dynamic maintainers
+    #: carried forward — each name of a shared vector (``triangles`` and
+    #: ``clustering``: one ``triangle-counts`` run), in entry order
     maintained: list[str] = field(default_factory=list)
-    #: labels of previous results that could not be maintained (recomputed
+    #: algorithm names whose vector could not be maintained (recomputed
     #: cold on their next request)
     dropped: list[str] = field(default_factory=list)
     #: wall-clock seconds for the whole refresh
@@ -338,7 +340,7 @@ class GraphHandle:
         since the last snapshot) and carry every remembered result forward
         through its dynamic maintainer (:meth:`MaintainedResults.advance_all`:
         one copy of each dense vector plus work in the delta's neighbourhood,
-        nothing decoded until a plan asks).  Entries no maintainer can repair
+        nothing shaped until a plan asks).  Entries no maintainer can repair
         (e.g. a component split) are dropped and recompute cold on their next
         request.
         """

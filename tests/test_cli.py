@@ -77,6 +77,23 @@ class TestParser:
         assert "Traceback" not in done.stderr
 
 
+class TestServeCommand:
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_a_cache_size_below_one_is_a_one_line_usage_error(self, size):
+        """Like ``--max-inflight 0``: exit status 1 and one ``error:`` line,
+        no traceback, and no server bound."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--dataset", "univ", "--cache-size", size],
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.splitlines() == [f"error: cache_size must be at least 1 (got {size})"]
+        assert "serving on" not in done.stdout
+
+
 class TestDatasetsCommand:
     def test_lists_all_builtins(self):
         code, output = run_cli("datasets")

@@ -8,8 +8,8 @@ The contract under test:
   PageRank within L∞ 1e-9, on both kernel backends through BOTH execution
   paths (the PR-5 scheduler and the PR-6 compiler), with
   ``engine="incremental"`` and ``snapshot_source="base+delta"`` provenance;
-* the maintainers are dense in, dense out (``repro.incremental.encode`` /
-  ``decode`` are the only places external IDs appear), and each falls back
+* the maintainers are dense in, dense out (the registry's ``dense`` /
+  ``shape`` pair is where external IDs appear), and each falls back
   (returns ``None``) exactly where its repair is not provably exact:
   components on any net removal, delta-BFS on a depth-limited previous
   result only — a removed shortest-path-tree edge is repaired — and the
@@ -32,8 +32,9 @@ The contract under test:
   writes came first, none for an entry never read again — keeping LRU order
   and the handle's maintained state within the cache, with counters in
   ``/stats`` — also with readers racing a writer; ``triangles`` and
-  ``clustering`` ride one ``triangle-counts`` vector and repair with no
-  triangle pass;
+  ``clustering`` ride one ``triangle-counts`` vector, repaired by one
+  maintainer run per window with no triangle pass, and kept while either
+  result is cached;
 * the wire codec round-trips the new provenance (``delta_edges``, report
   ``journal``) and decodes legacy payloads to defaults.
 """
@@ -50,12 +51,13 @@ from repro.graph import ExpandedGraph
 from repro.graph.backend import get_backend, numpy_available
 from repro.graph.delta import DeltaOverlay, JournaledGraph
 from repro.graph.snapshot_store import peek_header, saves_in_thread
-from repro.incremental import MAINTAINERS, decode, encode
+from repro.incremental import MAINTAINERS
 from repro.incremental.base import RepairCounters
 from repro.relational.database import Database
 from repro.service import GraphService, decode_report, encode_report
 from repro.service.codec import dumps, loads
 from repro.session import GraphSession
+from repro.session.plan import PLAN_ALGORITHMS
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -107,6 +109,12 @@ def _source_vertex(edges) -> int:
     return min(u for u, _ in edges)
 
 
+def _dense(csr, values: dict) -> list:
+    """A free function's result as the per-index vector its maintainer
+    carries (``-1`` where a vertex has no entry: BFS unreached)."""
+    return [values.get(vertex, -1) for vertex in csr.external_ids]
+
+
 def _linf(a: dict, b: dict) -> float:
     assert set(a) == set(b)
     return max(abs(a[k] - b[k]) for k in a) if a else 0.0
@@ -135,9 +143,9 @@ class TestMaintainers:
         from repro.algorithms import bfs_distances, connected_components, pagerank
 
         prev = {
-            "components": encode(before, connected_components(graph)),
-            "bfs": encode(before, bfs_distances(graph, source)),
-            "pagerank": encode(before, pagerank(graph, **PAGERANK_PARAMS)),
+            "components": _dense(before, connected_components(graph)),
+            "bfs": _dense(before, bfs_distances(graph, source)),
+            "pagerank": _dense(before, pagerank(graph, **PAGERANK_PARAMS)),
         }
         untouched = {name: list(dense) for name, dense in prev.items()}
         position = graph.journal.total
@@ -158,11 +166,11 @@ class TestMaintainers:
         assert csr.n > before.n  # the delta appended vertices past the prefix
         for name in ("components", "bfs"):
             maintained = MAINTAINERS[name](prev[name], csr, delta, params[name], backend)
-            assert decode(name, csr, maintained) == cold[name], name
+            assert PLAN_ALGORITHMS[name].shape(csr, maintained) == cold[name], name
         warm = MAINTAINERS["pagerank"](
             prev["pagerank"], csr, delta, params["pagerank"], backend
         )
-        assert _linf(decode("pagerank", csr, warm), cold["pagerank"]) <= 1e-9
+        assert _linf(PLAN_ALGORITHMS["pagerank"].shape(csr, warm), cold["pagerank"]) <= 1e-9
         assert prev == untouched  # maintainers treat the previous vector as read-only
 
     def test_components_falls_back_on_removal(self):
@@ -170,7 +178,7 @@ class TestMaintainers:
         graph = JournaledGraph(_build(_random_symmetric_edges(20, 30, seed=5)))
         from repro.algorithms import connected_components
 
-        prev = encode(graph.snapshot(), connected_components(graph))
+        prev = _dense(graph.snapshot(), connected_components(graph))
         position = graph.journal.total
         u, v = next(iter(_random_symmetric_edges(20, 30, seed=5)))
         graph.delete_edge(u, v)
@@ -234,7 +242,7 @@ class TestMaintainers:
         assert RepairCounters.bfs_resets - resets == 2
         from repro.algorithms import bfs_distances
 
-        assert decode("bfs", csr, maintained) == bfs_distances(graph.inner, 0)
+        assert PLAN_ALGORITHMS["bfs"].shape(csr, maintained) == bfs_distances(graph.inner, 0)
         # a depth-limited previous result can never be repaired
         assert (
             MAINTAINERS["bfs"](prev, csr, delta, {"source": 0, "max_depth": 2}, backend)
@@ -262,7 +270,7 @@ class TestMaintainers:
         maintained = MAINTAINERS["bfs"](prev, csr, delta, params, backend)
         from repro.algorithms import bfs_distances
 
-        assert decode("bfs", csr, maintained) == bfs_distances(graph.inner, 0)
+        assert PLAN_ALGORITHMS["bfs"].shape(csr, maintained) == bfs_distances(graph.inner, 0)
         assert "rev_csr" not in csr._backend_cache  # no in-neighbour was needed
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -350,8 +358,8 @@ class TestSessionEquivalence:
         from repro.algorithms import connected_components
 
         assert warm["components"].values == connected_components(graph.inner)
-        # a report's values are a fresh decode, never the remembered vector:
-        # scribbling on them cannot change the next answer ("no new deltas")
+        # a report's values are freshly shaped, never the remembered vector:
+        # scribbling on them cannot change the next answer (no new deltas)
         warm["components"].values.clear()
         again = handle.analyze().components().run()
         assert again["components"].engine == "incremental"
@@ -553,7 +561,7 @@ class TestRingRefresh:
         graph = JournaledGraph(_ring(n, seed=5))
         from repro.algorithms import connected_components
 
-        prev = encode(graph.snapshot(), connected_components(graph))
+        prev = _dense(graph.snapshot(), connected_components(graph))
         position = graph.journal.total
         _add_undirected(graph, random.Random(1), 8, _local(n, 50))
         delta = DeltaOverlay(graph.journal.records_since(position))
@@ -723,14 +731,12 @@ class TestRingRefresh:
         assert len(deltas) == 3
         assert len({id(delta) for delta in deltas}) == 1
 
-    def test_cold_inline_results_are_recorded_without_being_re_encoded(self, backend_name, monkeypatch):
-        """The kernel runner hands the record the dense vector it decoded its
-        dict from; ``encode`` is left for results that arrive as dicts only."""
+    def test_cold_inline_results_are_recorded_without_being_re_encoded(self, backend_name):
+        """The plan hands the record the dense vector it shaped its value
+        from; no encoder of dict results exists to fall back on."""
         import repro.incremental
 
-        monkeypatch.setattr(
-            repro.incremental, "encode", lambda *args: pytest.fail("a dense result was re-encoded")
-        )
+        assert not hasattr(repro.incremental, "encode")
         n = 600
         graph = JournaledGraph(_ring(n, seed=7))
         handle = GraphSession(Database("dense"), backend=backend_name).wrap(graph)
@@ -837,6 +843,63 @@ class TestIncrementalService:
         cold = cold_session.wrap(service.handle.graph.inner).analyze().triangles().clustering().run()
         assert warm["triangles"].values == cold["triangles"].values == 6
         assert warm["clustering"].values == cold["clustering"].values
+
+    def test_triangles_and_clustering_run_one_triangle_maintainer_per_window(self, monkeypatch):
+        """One ``triangle-counts`` vector for both algorithms: a window is
+        repaired once, whether the service's reads repair it or
+        ``refresh()`` advances it, and both values stay a cold plan's."""
+        calls = []
+        maintain = MAINTAINERS["triangle-counts"]
+
+        def spy(prev, csr, delta, params, backend):
+            calls.append(id(prev))
+            return maintain(prev, csr, delta, params, backend)
+
+        monkeypatch.setitem(MAINTAINERS, "triangle-counts", spy)
+        service = _coauthor_service(incremental=True)
+        payload = {"algorithms": [{"name": "triangles"}, {"name": "clustering"}]}
+
+        def assert_cold(report) -> None:
+            session = GraphSession(Database("cold-shared"), backend="python")
+            cold = session.wrap(service.handle.graph.inner).analyze().triangles().clustering().run()
+            assert report["triangles"].values == cold["triangles"].values
+            assert report["clustering"].values == cold["clustering"].values
+
+        service.analyze(payload)
+        service.add_edge({"source": 6, "target": 1})
+        warm = service.analyze(payload)
+        assert len(calls) == 1
+        assert len(service.handle.maintained) == 1
+        assert [r.engine for r in warm] == ["incremental", "incremental"]
+        assert_cold(warm)
+
+        service.add_edge({"source": 6, "target": 2})
+        calls.clear()
+        report = service.handle.refresh()
+        assert len(calls) == 1
+        assert sorted(report.maintained) == ["clustering", "triangles"]
+        warm = service.analyze(payload)
+        assert len(calls) == 1  # the reads find the window absorbed
+        assert [r.engine for r in warm] == ["incremental", "incremental"]
+        assert_cold(warm)
+
+    def test_the_shared_vector_stays_while_either_result_is_cached(self):
+        service = _coauthor_service(incremental=True, cache_size=2)
+        service.analyze({"algorithm": "triangles"})
+        service.analyze({"algorithm": "clustering"})
+        assert len(service.handle.maintained) == 1
+        service.analyze({"algorithm": "degree"})  # evicts triangles, the LRU
+        assert len(service.handle.maintained) == 1
+        service.add_edge({"source": 6, "target": 1})
+        stale = service.analyze({"algorithm": "clustering"})
+        assert stale.cache["hits"] == 1
+        assert stale["clustering"].engine == "incremental"
+        cold_session = GraphSession(Database("cold-forget"), backend="python")
+        cold = cold_session.wrap(service.handle.graph.inner).analyze().clustering().run()
+        assert stale["clustering"].values == cold["clustering"].values
+        service.analyze({"algorithm": "degree"})
+        service.analyze({"algorithm": "kcore"})  # evicts clustering
+        assert len(service.handle.maintained) == 0
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     @pytest.mark.parametrize("seed", range(3))

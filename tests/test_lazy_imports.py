@@ -220,3 +220,24 @@ def test_no_export_is_shadowed_by_a_submodule():
                 assert value is sys.modules[f"{package.__name__}.{name}"]
             else:
                 assert not isinstance(value, type(sys)), f"{package.__name__}.{name} is a module"
+
+
+def test_the_algorithm_modules_load_no_incremental_layer():
+    """A free function's module shapes its own vector: importing it loads
+    neither the maintainers nor the delta journal they read."""
+    script = (
+        "import json, sys\n"
+        "import repro.algorithms.pagerank, repro.algorithms.bfs\n"
+        "import repro.algorithms.connected_components\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = [
+        name
+        for name in json.loads(done.stdout)
+        if name.startswith("repro.incremental") or name == "repro.graph.delta"
+    ]
+    assert loaded == []

@@ -656,15 +656,17 @@ MAINTAINED_PARAMS = {
 }
 
 
+#: a registry entry naming each maintainer (entries naming one share its
+#: ``dense`` vector)
+ENTRY_OF = {spec.maintainer: spec for spec in PLAN_ALGORITHMS.values() if spec.maintainer}
+
+
 def _cold(csr) -> dict[str, list]:
     reference = get_backend("python")
-    cold = {
-        name: PLAN_ALGORITHMS[name].dense(csr, reference, params)
+    return {
+        name: ENTRY_OF[name].dense(csr, reference, params)
         for name, params in MAINTAINED_PARAMS.items()
-        if name != "triangle-counts"
     }
-    cold["triangle-counts"] = reference.triangles_per_vertex(csr)
-    return cold
 
 
 def _undirected_pairs(csr) -> set[frozenset]:
