@@ -57,9 +57,12 @@ help:
 	@echo "                    pins: one scan, distinct rows only)"
 	@echo "make test-algorithms - one runner per algorithm: plan == runner == free"
 	@echo "                    function on both backends (generated plans), the"
-	@echo "                    free functions' checks (a bad parameter is a 400"
-	@echo "                    over HTTP), backend and representation parity"
-	@echo "                    (similarity ==), the block-sweep digests, the API shims"
+	@echo "                    free functions' checks (a bad parameter or seed is a"
+	@echo "                    400 over HTTP), backend and representation parity"
+	@echo "                    (similarity ==), the block-sweep digests, the API"
+	@echo "                    shims; the pin that the plan compiler names no"
+	@echo "                    algorithm (each sweep runner is its finish over its"
+	@echo "                    one demand, the finish a plan calls too)"
 	@echo "make test-representations - the condensed representations' one walk:"
 	@echo "                    graph and kernel suites, representation parity,"
 	@echo "                    BITMAP, fig13 walk counts, every walk == a brute-force"
@@ -127,7 +130,9 @@ test-algorithms:
 		tests/test_representation_parity.py tests/test_sweep_kernel.py \
 		tests/test_api_compat.py \
 		tests/test_property_invariants.py::test_property_plan_results_equal_their_kernel_runners \
-		tests/test_service_http.py::TestErrorContract::test_mistyped_params_are_400_not_500
+		tests/test_compiler_names_no_algorithm.py \
+		tests/test_service_http.py::TestErrorContract::test_mistyped_params_are_400_not_500 \
+		tests/test_service_http.py::TestErrorContract::test_a_seed_or_flag_of_the_wrong_type_is_400
 
 test-representations:
 	$(PYTEST) -q tests/test_graph_*.py tests/test_representation_parity.py \

@@ -20,14 +20,17 @@ preserve first-occurrence discovery order, see
 ``bfs`` request.  The runner is :func:`bfs_values` of :func:`bfs_vector`:
 the per-index form the incremental maintainer carries, and the registry's
 step from it to the reported dict, which plans and incremental serves take
-too.
+too.  In a plan whose fused source sweep already covers every vertex, an
+unbounded ``bfs`` rides along instead (:func:`bfs_demand`, the sweep
+protocol of :mod:`repro.algorithms.centrality`): :func:`bfs_finish` shapes
+the swept distance row with the same :func:`bfs_values`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.algorithms.centrality import is_nonnegative_int
+from repro.algorithms.centrality import SweepDemand, is_nonnegative_int
 from repro.exceptions import RepresentationError, UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
@@ -65,6 +68,20 @@ def bfs_values(csr: "CSRGraph", dense: list[int]) -> dict:
     """A distance vector as the reported dict: unreached vertices (-1)
     dropped."""
     return {v: d for v, d in zip(csr.external_ids, dense) if d >= 0}
+
+
+def bfs_demand(csr: "CSRGraph", params: dict) -> SweepDemand | None:
+    """The source's distance row, riding along a sweep over every vertex;
+    none when bounded by ``max_depth`` or off the graph (the runner raises)."""
+    source = params["source"]
+    if params["max_depth"] is not None or not csr.has_vertex(source):
+        return None
+    return SweepDemand([csr.index(source)], distances=True, rides_along=True)
+
+
+def bfs_finish(csr: "CSRGraph", backend: "KernelBackend", params: dict, answer) -> dict:
+    _, _, distances = answer
+    return bfs_values(csr, distances)
 
 
 def bfs_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:

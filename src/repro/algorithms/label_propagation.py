@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.algorithms.centrality import is_nonnegative_int
+from repro.algorithms.centrality import check_seed, is_nonnegative_int
 from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
@@ -39,6 +39,7 @@ def check_label_propagation(params: dict) -> None:
             f"label_propagation: max_iterations must be a non-negative integer "
             f"(got {params['max_iterations']!r})"
         )
+    check_seed("label_propagation", params["seed"])
 
 
 def label_propagation_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> dict:

@@ -1,18 +1,21 @@
 """Single-source shortest paths (unweighted) plus eccentricity / diameter
 estimates, executed on the CSR kernel.
 
-The sampled estimates hand their source sample to the backend's block-wise
-sweep over the shared snapshot and aggregate its integer tree stats without
-materialising per-source dictionaries.  Sampling draws from the snapshot's
-external-ID list (the canonical ``get_vertices`` order), keeping the chosen
-sources identical to the pre-kernel implementation for a given seed.
+The sampled estimates sweep a seeded source sample through the backend's
+block-wise sweep over the shared snapshot and aggregate its integer tree
+stats without materialising per-source dictionaries.  Sampling draws from
+the snapshot's external-ID list (the canonical ``get_vertices`` order),
+keeping the chosen sources identical to the pre-kernel implementation for a
+given seed.
 
-:func:`diameter_runner` is the registry's ``(csr, backend, params)`` runner
-and :func:`check_diameter` its parameter check: together they are
-:func:`approximate_diameter` and a session
-:class:`~repro.session.AnalysisPlan`'s ``diameter`` request.  The runner's
-answer is the max eccentricity the plan compiler also reads off its fused
-sweep.
+``diameter`` speaks the sweep protocol of :mod:`repro.algorithms.centrality`:
+:func:`diameter_demand` is the seeded sample, :func:`diameter_finish` the
+largest eccentricity over it, and :func:`diameter_runner` — the registry's
+``(csr, backend, params)`` runner — is that finish over the one-demand
+:func:`~repro.algorithms.centrality.sweep_answer`; a plan's fused sweep
+hands the same finish its answer.  :func:`average_path_length` sweeps the
+same demand and finishes with :func:`path_length_finish`.
+:func:`check_diameter` is the parameter check of both estimates.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.algorithms.bfs import bfs_distances
-from repro.algorithms.centrality import is_positive_int
+from repro.algorithms.centrality import SweepDemand, check_seed, is_positive_int, sweep_answer
 from repro.exceptions import UsageError
 from repro.graph.api import Graph, VertexId
 from repro.graph.backend import get_backend
@@ -32,32 +35,42 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def check_diameter(params: dict) -> None:
-    """The one ``samples`` check, for the diameter and path-length estimates."""
+    """The one ``samples`` / ``seed`` check of the diameter and path-length estimates."""
     if not is_positive_int(params["samples"]):
         raise UsageError(
             f"diameter: samples must be a positive integer (got {params['samples']!r})"
         )
+    check_seed("diameter", params["seed"])
 
 
-def diameter_sample_indexes(csr: "CSRGraph", samples: int, seed: int) -> list[int]:
-    """Dense indexes of the seeded BFS sample a diameter or path-length
-    estimate sweeps from.
-
-    Shared by the runners and the plan compiler's fused sweep (which
-    partitions this exact list across workers), so all sweep the same
-    sources for a given seed.
-    """
+def diameter_demand(csr: "CSRGraph", params: dict) -> SweepDemand | None:
+    """The seeded sample of ``samples`` sources (all of them, shuffled, when
+    ``samples >= n``); None on an empty graph."""
     vertices = csr.external_ids
     if not vertices:
-        return []
-    rng = SeededRandom(seed)
-    return [csr.index(vertex) for vertex in rng.sample(vertices, min(samples, len(vertices)))]
+        return None
+    rng = SeededRandom(params["seed"])
+    picked = rng.sample(vertices, min(params["samples"], len(vertices)))
+    return SweepDemand([csr.index(vertex) for vertex in picked])
+
+
+def diameter_finish(csr: "CSRGraph", backend: "KernelBackend", params: dict, answer) -> int:
+    """Diameter lower bound: the largest eccentricity over the sample."""
+    stats, _, _ = answer
+    return max((ecc for _, _, ecc in stats), default=0)
 
 
 def diameter_runner(csr: "CSRGraph", backend: "KernelBackend", params: dict) -> int:
-    """Diameter lower bound: the largest eccentricity over the sample."""
-    sources = diameter_sample_indexes(csr, params["samples"], params["seed"])
-    return max((backend.tree_stats(tree)[2] for tree, _ in backend.sweep(csr, sources)), default=0)
+    answer = sweep_answer(csr, backend, diameter_demand(csr, params))
+    return diameter_finish(csr, backend, params, answer)
+
+
+def path_length_finish(csr: "CSRGraph", backend: "KernelBackend", params: dict, answer) -> float:
+    """Mean hop distance over the sample's trees: integer sums, one division."""
+    stats, _, _ = answer
+    count = sum(reachable for reachable, _, _ in stats)
+    total = sum(distance for _, distance, _ in stats)
+    return total / count if count else 0.0
 
 
 def single_source_shortest_paths(graph: Graph, source: VertexId) -> dict[VertexId, int]:
@@ -81,12 +94,9 @@ def approximate_diameter(graph: Graph, samples: int = 10, seed: int = 0) -> int:
 
 def average_path_length(graph: Graph, samples: int = 10, seed: int = 0) -> float:
     """Average hop distance over BFS trees rooted at sampled vertices."""
-    check_diameter({"samples": samples})
+    params = {"samples": samples, "seed": seed}
+    check_diameter(params)
     csr = graph.snapshot()
     backend = get_backend()
-    total = count = 0
-    for tree, _ in backend.sweep(csr, diameter_sample_indexes(csr, samples, seed)):
-        reachable, distance, _ = backend.tree_stats(tree)
-        count += reachable
-        total += distance
-    return total / count if count else 0.0
+    answer = sweep_answer(csr, backend, diameter_demand(csr, params))
+    return path_length_finish(csr, backend, params, answer)

@@ -98,55 +98,39 @@ def _edge_sources(csr: "CSRGraph") -> np.ndarray:
 
 
 def _undirected_csr(csr: "CSRGraph") -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrised adjacency as a sorted, deduplicated CSR (cached).
-
-    Same logical view as :meth:`CSRGraph.undirected_sets` — ``u ~ v`` iff
-    ``u→v`` or ``v→u``, self-loops dropped — with each row's targets sorted
-    ascending so membership tests are ``searchsorted`` probes.
-
-    The arrays are shared with the other backends through the snapshot's
-    backend-neutral ``"und_csr"`` cache entry: if any consumer (python
-    kernels included) already derived the symmetrised form, it is wrapped
-    zero-copy here instead of being rebuilt, and a fresh vectorised build is
-    published back under the neutral key for them.
+    """Zero-copy ``np.int64`` views of the snapshot's one symmetrised form,
+    :meth:`CSRGraph.undirected_csr` (rows ascending, so membership tests are
+    ``searchsorted`` probes; cached).  When nothing derived that form yet, it
+    is built here, vectorised, and published under the backend-neutral
+    ``"und_csr"`` key for the other backends.
     """
     cache = csr._backend_cache
     und = cache.get("np_undirected")
     if und is None:
-        n = csr.n
-        if "und_csr" in cache or csr._undirected is not None:
-            neutral_offsets, neutral_targets = csr.undirected_csr()
-            und = cache["np_undirected"] = (
-                np.frombuffer(neutral_offsets, dtype=np.int64),
-                np.frombuffer(neutral_targets, dtype=np.int64),
-            )
-            return und
-        offsets, targets = _views(csr)
-        sources = np.repeat(np.arange(n, dtype=np.int64), _out_degrees(csr))
-        keep = sources != targets
-        u = np.concatenate([sources[keep], targets[keep]])
-        v = np.concatenate([targets[keep], sources[keep]])
-        if u.size:
-            # sorted, then adjacent duplicates dropped: the values of
-            # np.unique, whose hash-based integer path costs ~20x the sort
-            # here (numpy 2.4 on a 2-vCPU host, 48 000 codes: 3.8 vs 0.17 ms)
-            codes = np.sort(u * np.int64(n) + v)
-            first = np.empty(codes.size, dtype=bool)
-            first[0] = True
-            np.not_equal(codes[1:], codes[:-1], out=first[1:])
-            uu, vv = np.divmod(codes[first], np.int64(n))
-        else:
+        if "und_csr" not in cache:
+            n = csr.n
+            _, targets = _views(csr)
+            sources = np.repeat(np.arange(n, dtype=np.int64), _out_degrees(csr))
+            keep = sources != targets
+            u = np.concatenate([sources[keep], targets[keep]])
+            v = np.concatenate([targets[keep], sources[keep]])
             uu = vv = np.empty(0, dtype=np.int64)
-        und_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(uu, minlength=n), out=und_offsets[1:])
-        und = cache["np_undirected"] = (und_offsets, vv)
-        # publish the backend-neutral form so python kernels (undirected_sets)
-        # and future backends reuse this derivation instead of re-symmetrising
-        neutral_offsets = array("q")
-        neutral_offsets.frombytes(np.ascontiguousarray(und_offsets).tobytes())
-        neutral_targets = array("q")
-        neutral_targets.frombytes(np.ascontiguousarray(vv).tobytes())
-        cache["und_csr"] = (neutral_offsets, neutral_targets)
+            if u.size:
+                # sorted, then adjacent duplicates dropped: the values of
+                # np.unique, whose hash-based integer path costs ~20x the
+                # sort here (numpy 2.4 on a 2-vCPU host, 48 000 codes: 3.8
+                # vs 0.17 ms)
+                codes = np.sort(u * np.int64(n) + v)
+                first = np.empty(codes.size, dtype=bool)
+                first[0] = True
+                np.not_equal(codes[1:], codes[:-1], out=first[1:])
+                uu, vv = np.divmod(codes[first], np.int64(n))
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(uu, minlength=n), out=offsets[1:])
+            cache["und_csr"] = (array("q", offsets.tobytes()), array("q", vv.tobytes()))
+        und = cache["np_undirected"] = tuple(
+            np.frombuffer(part, dtype=np.int64) for part in csr.undirected_csr()
+        )
     return und
 
 

@@ -16,6 +16,7 @@ answers stay with the algorithms' runners, which call these kernels.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from itertools import accumulate, combinations
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,9 +42,10 @@ class KernelBackend:
 
     The protocol holds kernels only.  Each registry algorithm has one runner
     that calls them — closeness, betweenness and diameter go through
-    :meth:`sweep` plus the ``tree_*`` accessors, triangles and clustering
-    through :meth:`triangles_per_vertex` — so a backend speeds an algorithm
-    up by overriding a kernel, never by re-implementing its orchestration.
+    :meth:`sweep_products` (:meth:`sweep` plus the ``tree_*`` accessors),
+    triangles and clustering through :meth:`triangles_per_vertex` — so a
+    backend speeds an algorithm up by overriding a kernel, never by
+    re-implementing its orchestration.
     Neighborhood-similarity scores are not kernels: they are functions over
     ``csr.neighbor_set`` in :mod:`repro.algorithms.similarity`, the same on
     every backend.
@@ -100,10 +102,10 @@ class KernelBackend:
         return bfs_parents_kernel(csr, source)
 
     # ------------------------------------------------------------------ #
-    # shared traversal intermediates (plan-compiler sweep protocol)
+    # shared traversal intermediates (the sweep protocol)
     #
     # One traversal per source feeds closeness, diameter, bfs *and*
-    # betweenness finalisers: hop distances are uniquely determined
+    # betweenness finishes: hop distances are uniquely determined
     # integers, so any backend's tree yields the same stats, and a Brandes
     # traversal's internal distance array doubles as the BFS tree.  Trees
     # and deltas stay in the backend's native form until a ``tree_*``
@@ -125,6 +127,23 @@ class KernelBackend:
                 yield self._brandes_tree(csr, source)
             else:
                 yield bfs_distances_kernel(csr, source), None
+
+    def sweep_products(self, csr: "CSRGraph", payload):
+        """:meth:`sweep` in product form, for a runner's one demand, the
+        plan's fused sweep and a pool worker's slice alike: per ``(source,
+        want_delta, want_dists)`` of ``payload``, ``(stats, delta | None,
+        dists | None)`` — the delta native, the distances a list."""
+        trees = self.sweep(
+            csr,
+            [source for source, _, _ in payload],
+            {source for source, want_delta, _ in payload if want_delta},
+        )
+        for (_, _, want_dists), (tree, delta) in zip(payload, trees):
+            yield (
+                self.tree_stats(tree),
+                delta,
+                self.tree_distances(tree) if want_dists else None,
+            )
 
     def _brandes_tree(self, csr: "CSRGraph", source: int):
         """``(tree, delta)``: the Brandes traversal's distance array plus the
@@ -204,7 +223,7 @@ class KernelBackend:
         """Materialise this backend's symmetrised adjacency view so the
         derivation cost is attributable to one plan node instead of hiding
         inside the first consuming kernel."""
-        csr.undirected_sets()
+        csr.undirected_csr()
 
     def reverse_csr(self, csr: "CSRGraph") -> tuple[array, array]:
         """In-edges as a CSR: ``(offsets, sources)``, where
@@ -442,11 +461,11 @@ class KernelBackend:
     # ------------------------------------------------------------------ #
     def core_numbers(self, csr: "CSRGraph") -> list[int]:
         """Core number per dense index (Batagelj–Zaveršnik peeling)."""
-        adjacency = csr.undirected_sets()
         n = csr.n
         if n == 0:
             return []
-        degrees = [len(neighbors) for neighbors in adjacency]
+        offsets, targets = csr.undirected_csr()
+        degrees = [offsets[v + 1] - offsets[v] for v in range(n)]
         max_degree = max(degrees, default=0)
         buckets: list[list[int]] = [[] for _ in range(max_degree + 1)]
         for vertex, degree in enumerate(degrees):
@@ -464,7 +483,7 @@ class KernelBackend:
                 current = max(current, degree)
                 cores[vertex] = current
                 removed[vertex] = 1
-                for neighbor in adjacency[vertex]:
+                for neighbor in targets[offsets[vertex] : offsets[vertex + 1]]:
                     if removed[neighbor]:
                         continue
                     if degrees[neighbor] > degree:
@@ -489,15 +508,22 @@ class KernelBackend:
         vectors of any split of ``[0, n)`` add up to the whole-graph vector
         exactly (the plan compiler's sliced ``triangle-counts`` node).
         """
-        adjacency = csr.undirected_sets()
+        offsets, targets = csr.undirected_csr()
         if hi is None:
             hi = csr.n
         counts = [0] * csr.n
         for u in range(lo, hi):
-            higher_u = {v for v in adjacency[u] if v > u}
-            for v in higher_u:
-                for w in adjacency[v]:
-                    if w > v and w in higher_u:
+            # rows are ascending: a row's tail past its vertex is its
+            # higher neighbours
+            end = offsets[u + 1]
+            higher = targets[bisect_right(targets, u, offsets[u], end) : end]
+            if len(higher) < 2:
+                continue
+            higher_u = set(higher)
+            for v in higher:
+                end = offsets[v + 1]
+                for w in targets[bisect_right(targets, v, offsets[v], end) : end]:
+                    if w in higher_u:
                         counts[u] += 1
                         counts[v] += 1
                         counts[w] += 1
@@ -505,12 +531,15 @@ class KernelBackend:
 
     def clustering_coefficient(self, csr: "CSRGraph", index: int) -> float:
         """Local clustering coefficient of one dense index."""
-        adjacency = csr.undirected_sets()
-        neighbors = adjacency[index]
+        offsets, targets = csr.undirected_csr()
+        neighbors = targets[offsets[index] : offsets[index + 1]]
         degree = len(neighbors)
         if degree < 2:
             return 0.0
-        links = sum(1 for a, b in combinations(neighbors, 2) if b in adjacency[a])
+        links = 0
+        for a, b in combinations(neighbors, 2):
+            at = bisect_left(targets, b, offsets[a], offsets[a + 1])
+            links += at < offsets[a + 1] and targets[at] == b
         return 2.0 * links / (degree * (degree - 1))
 
 

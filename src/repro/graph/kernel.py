@@ -80,7 +80,6 @@ class CSRGraph:
         "source",
         "_offsets_list",
         "_targets_list",
-        "_undirected",
         "_degrees",
         "_backend_cache",
         "_buffer_owner",
@@ -123,7 +122,6 @@ class CSRGraph:
         self.source = source
         self._offsets_list: list[int] | None = None
         self._targets_list: list[int] | None = None
-        self._undirected: list[set[int]] | None = None
         self._degrees: list[int] | None = None
         #: scratch space for kernel backends (e.g. cached NumPy views over the
         #: offset/target buffers, symmetrised CSR forms).  Snapshots are
@@ -371,63 +369,31 @@ class CSRGraph:
         edges = set(self.iter_edges())
         return all((v, u) in edges for (u, v) in edges)
 
-    def undirected_sets(self) -> list[set[int]]:
-        """Symmetrised adjacency (``u ~ v`` iff ``u→v`` or ``v→u``) as a list
-        of dense-index sets with self-loops dropped.  Cached: triangles,
-        k-core and similarity kernels all start from this view.
-
-        When another consumer (e.g. the NumPy backend) already derived the
-        backend-neutral :meth:`undirected_csr`, the sets are rebuilt from
-        those shared arrays instead of re-symmetrising the edge list."""
-        if self._undirected is None:
-            neutral = self._backend_cache.get("und_csr")
-            if neutral is not None:
-                offsets, targets = neutral
-                self._undirected = [
-                    set(targets[offsets[u] : offsets[u + 1]]) for u in range(self.n)
-                ]
-            else:
-                adjacency: list[set[int]] = [set() for _ in range(self.n)]
-                offsets = self.offsets_list
-                targets = self.targets_list
-                for u in range(self.n):
-                    for e in range(offsets[u], offsets[u + 1]):
-                        v = targets[e]
-                        if v != u:
-                            adjacency[u].add(v)
-                            adjacency[v].add(u)
-                self._undirected = adjacency
-        return self._undirected
-
     def undirected_csr(self) -> tuple[array, array]:
-        """Symmetrised, deduplicated adjacency as a backend-neutral sorted CSR:
-        ``('q')`` offset/target arrays with each row ascending, self-loops
-        dropped — the same logical view as :meth:`undirected_sets`.
+        """Symmetrised adjacency (``u ~ v`` iff ``u→v`` or ``v→u``) as a
+        backend-neutral sorted CSR: ``('q')`` offset/target arrays with each
+        row ascending and deduplicated, self-loops dropped.  The one
+        symmetrised form a snapshot holds: triangles, clustering and k-core
+        read its rows on every backend.
 
         Cached in ``_backend_cache`` under the single backend-independent key
-        ``"und_csr"`` so a session that runs python *and* numpy kernels over
-        one snapshot derives the symmetrised form once: the NumPy backend
-        wraps these arrays zero-copy (and publishes its own vectorised build
-        here), while :meth:`undirected_sets` converts in either direction."""
+        ``"und_csr"``: the NumPy backend wraps these arrays zero-copy, and
+        publishes its own vectorised build here when it derives them first."""
         neutral = self._backend_cache.get("und_csr")
         if neutral is None:
-            if self._undirected is not None:
-                rows: list[list[int]] = [sorted(s) for s in self._undirected]
-            else:
-                sets: list[set[int]] = [set() for _ in range(self.n)]
-                offsets_list = self.offsets_list
-                targets_list = self.targets_list
-                for u in range(self.n):
-                    for e in range(offsets_list[u], offsets_list[u + 1]):
-                        v = targets_list[e]
-                        if v != u:
-                            sets[u].add(v)
-                            sets[v].add(u)
-                rows = [sorted(s) for s in sets]
+            sets: list[set[int]] = [set() for _ in range(self.n)]
+            offsets_list = self.offsets_list
+            targets_list = self.targets_list
+            for u in range(self.n):
+                for e in range(offsets_list[u], offsets_list[u + 1]):
+                    v = targets_list[e]
+                    if v != u:
+                        sets[u].add(v)
+                        sets[v].add(u)
             offsets = array("q", [0])
             targets = array("q")
-            for row in rows:
-                targets.extend(row)
+            for row in sets:
+                targets.extend(sorted(row))
                 offsets.append(len(targets))
             neutral = self._backend_cache["und_csr"] = (offsets, targets)
         return neutral

@@ -86,10 +86,14 @@ def _decode_params(params: Any) -> dict[str, Any]:
         return {}
     if not isinstance(params, dict):
         raise UsageError(f"params must be a JSON object (got {type(params).__name__})")
-    if params.get("$") == "map":
-        decoded = decode_value(params)
-    else:
-        decoded = {key: decode_value(value) for key, value in params.items()}
+    try:
+        if params.get("$") == "map":
+            decoded = decode_value(params)
+        else:
+            decoded = {key: decode_value(value) for key, value in params.items()}
+    except (ValueError, TypeError, KeyError) as exc:
+        # a malformed tagged value is the caller's mistake, not a crash
+        raise UsageError(f"params: malformed value ({exc!r})") from None
     for key in decoded:
         if not isinstance(key, str):
             raise UsageError(f"parameter names must be strings (got {key!r})")

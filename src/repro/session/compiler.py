@@ -11,38 +11,35 @@ worker machinery (one pool, one snapshot file per plan):
 
 * ``snapshot`` — acquisition of the handle's shared CSR (cache-aware:
   reported ``reused`` when it came off the in-process cache or a store mmap);
-* ``derive`` nodes — the backend-neutral symmetrised/sorted adjacency CSR
-  (``und-csr``) and degree arrays, created once per plan when a
-  consumer needs them, so the derivation cost is attributed to a node
-  instead of hiding inside the first consuming kernel; and the per-vertex
-  ``triangle-counts`` that ``triangles`` and ``clustering`` both
-  read — a node *value*, gone when ``run()`` returns;
-* one fused ``sweep`` node — per-source BFS trees / Brandes contributions
-  over the union of every source-sweep demand in the plan.  Hop distances
-  are uniquely determined integers, so a single traversal per source feeds
-  closeness stats, diameter eccentricities, bfs distance maps *and*
-  betweenness dependency vectors at once, and a Brandes traversal's internal
-  distance array doubles as the BFS tree.  The source list goes to the
-  backend's block-wise ``sweep`` whole (through :func:`sweep_products`,
-  the same loop a pool worker runs on its slice), and Brandes products stay
-  in the backend's native vector form until a finaliser needs a list;
-* ``algo`` nodes — per-request execution or (for sweep-covered requests) a
-  cheap finaliser over the sweep's products.
+* ``derive`` nodes — the views an inline kernel reads (its registry entry's
+  ``views``): the symmetrised sorted adjacency (``und-csr``) and degree
+  arrays, created once per plan so their cost is attributed to a node, and
+  the per-vertex ``triangle-counts`` — a node *value*, gone when ``run()``
+  returns;
+* one fused ``sweep`` node — one traversal per source over the union of
+  every sweep demand in the plan: hop distances are uniquely determined
+  integers, so one BFS tree (or a Brandes traversal, whose distance array
+  is that tree) feeds tree stats, distance rows and dependency vectors at
+  once.  The source list goes to ``backend.sweep_products`` whole (the loop
+  a pool worker runs on its slice), and Brandes products stay in the
+  backend's native vector form until a ``finish`` needs a list;
+* ``algo`` nodes — the request's runner, or for a sweep-covered request
+  its registry ``finish`` over an answer built from the sweep's products.
 
+The compiler names no algorithm: what it knows of one is a field of its
+:data:`~repro.session.plan.PLAN_ALGORITHMS` entry — ``views``, and for a
+sweep algorithm ``demand`` and ``finish`` (:mod:`repro.algorithms.centrality`).
 Nodes are deduplicated by **structural key**: two requests with the same
 algorithm and identical effective parameters resolve to one node (the
-second result reports ``reused``), and ``closeness + diameter +
-sampled-betweenness`` in one plan perform the BFS/Brandes sweeps once.
+second result reports ``reused``).
 
 **Bit-identity.**  Every result equals its per-request runner
 (``PLAN_ALGORITHMS[name].kernel(csr, backend, params)``) exactly, floats
-included: a sweep-covered request is shaped by the finaliser arithmetic its
-runner applies to its own ``backend.sweep`` — closeness is
-:func:`repro.algorithms.centrality.closeness_value` of integer tree stats,
-diameter a max of integer eccentricities, and betweenness re-sums ordered
-per-source contributions (``backend.add_delta``, elementwise) in each
-request's own global source order before
-:func:`~repro.algorithms.centrality.apply_betweenness_scale`.
+included, by construction: a sweep algorithm's runner is its ``finish``
+over the answer its one demand streams, and :func:`_answer` hands the same
+``finish`` the same answer — stats in the demand's own source order, its
+per-source dependency vectors re-summed (``backend.add_delta``) in that
+order, its distance row.
 
 **One DAG, then placement.**  :func:`compile_plan` never sees the session's
 ``parallelism``: node keys, ``nodes_computed``, ``sweep_traversals`` and
@@ -50,8 +47,8 @@ every value are the same at any worker count.  :func:`place_on_pool` then
 marks the only two nodes with an exact slice form and hands *those* to the
 pool, one payload per partition: the **fused sweep**, split by source
 (``sources[k::parts]``; products are independent per source and re-keyed by
-it) — unless it streams a full-source betweenness total, one ordered float
-accumulation that stays on the coordinator — and the **``triangle-counts``
+it) — unless it streams a dependency total over every vertex, one ordered
+float accumulation that stays on the coordinator — and the **``triangle-counts``
 derive node**, split by vertex range (every triangle is attributed to its
 smallest vertex, so the integer partial vectors add exactly).  Everything
 else runs inline on the session's backend, and a plan holding neither node
@@ -75,13 +72,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.algorithms.bfs import encode_source
-from repro.algorithms.centrality import (
-    apply_betweenness_scale,
-    betweenness_sources,
-    closeness_value,
-)
-from repro.algorithms.shortest_paths import diameter_sample_indexes
 from repro.graph import snapshot_store
 from repro.session.report import (
     AnalysisReport,
@@ -131,13 +121,14 @@ class Node:
     params: dict | None = None
     notes: tuple[str, ...] = ()
     deps: tuple["Node", ...] = ()
-    demand: dict | None = None  # sweep-extraction info for sweep-covered algo nodes
+    #: a sweep-covered algo node's ``SweepDemand`` (its spec's ``demand``)
+    demand: Any = None
     # runtime state
     done: bool = False
     value: Any = None
     #: the vector a maintainable node's value was shaped from (its
     #: ``PlanAlgorithm.dense``, the shared ``triangle-counts`` pass, or a
-    #: swept bfs distance list): what ``MaintainedResults.record`` keeps
+    #: swept distance row): what ``MaintainedResults.record`` keeps
     dense: list | None = None
     seconds: float = 0.0
     attributed: bool = False
@@ -149,21 +140,21 @@ class SweepPlan:
 
     node: Node
     sources: list[int] = field(default_factory=list)
-    #: sources whose Brandes dependency vector must be stored per source
-    #: (strict-subset betweenness samples; re-summed per request)
+    #: sources whose Brandes dependency vector is stored (sampled demands,
+    #: each re-summing its own)
     delta_sources: set[int] = field(default_factory=set)
-    #: sources whose full distance list must be stored (bfs demands)
+    #: sources whose distance row is stored
     dist_sources: set[int] = field(default_factory=set)
     #: accumulate a running delta total over *every* source in sweep order
-    #: (full-source betweenness: the serial kernel's ascending source order,
-    #: which is why a streaming sweep is never sliced)
+    #: (a Brandes demand over every vertex: its runner's ascending source
+    #: order, which is why a streaming sweep is never sliced)
     stream: bool = False
     covers_all: bool = False
     # runtime products
     stats: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     dists: dict[int, list[int]] = field(default_factory=dict)
     #: Brandes products stay in the backend's native vector form until a
-    #: betweenness finaliser converts its total
+    #: finish converts its total
     deltas: dict[int, Any] = field(default_factory=dict)
     stream_total: Any = None
 
@@ -179,15 +170,9 @@ class CompiledPlan:
 
     @property
     def wants_pool(self) -> bool:
-        """Whether any node was placed on workers."""
-        nodes = [*self.algo_nodes, *self.derive_nodes]
-        if self.sweep is not None:
-            nodes.append(self.sweep.node)
-        return any(node.mode == "chunks" for node in nodes)
-
-
-#: algorithms whose kernels consume the symmetrised adjacency view
-_UND_CONSUMERS = {"kcore", "triangles", "clustering"}
+        """Whether any node was placed on workers (algo nodes never are)."""
+        sweep = () if self.sweep is None else (self.sweep.node,)
+        return any(node.mode == "chunks" for node in (*self.derive_nodes, *sweep))
 
 
 def _algo_key(name: str, params: dict) -> str:
@@ -245,100 +230,59 @@ def compile_plan(
             algo_nodes.append(node)
         bindings.append(node)
 
-    # -- sweep demand collection (two passes: bfs coverage depends on
-    #    whether some other demand already sweeps every source) ----------- #
-    sweep = SweepPlan(node=Node(key="sweep", kind="sweep"))
-    demanding: list[Node] = []
+    # -- sweep demands: a rider joins only a sweep that some other demand
+    #    already makes cover every vertex ------------------------------- #
+    primary: list[tuple[Node, Any]] = []
+    riders: list[tuple[Node, Any]] = []
     for node in algo_nodes:
-        if node.mode == "incremental":
+        if node.mode == "incremental" or node.spec.demand is None:
             continue
-        name = node.spec.name
-        params = node.params
-        if name == "closeness" and n > 0:
-            node.demand = {"kind": "closeness"}
-            sweep.covers_all = True
-            demanding.append(node)
-        elif name == "diameter" and n > 0:
-            sources = diameter_sample_indexes(csr, params["samples"], params["seed"])
-            if sources:
-                node.demand = {"kind": "diameter", "sources": sources}
-                demanding.append(node)
-        elif name == "betweenness" and n > 2:  # n <= 2 is the runner's early exit
-            sources, scale = betweenness_sources(csr, params["sample_size"], params["seed"])
-            strict_subset = len(sources) < n
-            node.demand = {
-                "kind": "betweenness",
-                "sources": sources,
-                "scale": scale,
-                "stream": not strict_subset,
-            }
-            if strict_subset:
-                sweep.delta_sources.update(sources)
-            else:
-                # full-source Brandes: stream the running total in the
-                # serial kernel's ascending source order
-                sweep.stream = True
-                sweep.covers_all = True
-            demanding.append(node)
-    for node in algo_nodes:
-        if (
-            node.spec.name == "bfs"
-            and node.mode != "incremental"
-            and sweep.covers_all
-            and node.params["max_depth"] is None
-        ):
-            source = encode_source(csr, node.params["source"])
-            node.demand = {"kind": "bfs", "source": source}
-            sweep.dist_sources.add(source)
-            demanding.append(node)
-
-    if demanding:
+        demand = node.spec.demand(csr, node.params)
+        if demand is not None:  # no demand: the runner runs inline
+            (riders if demand.rides_along else primary).append((node, demand))
+    sweep = SweepPlan(node=Node(key="sweep", kind="sweep"))
+    sweep.covers_all = any(demand.sources is None for _, demand in primary)
+    joined = primary + riders if sweep.covers_all else primary
+    for node, demand in joined:
+        node.demand = demand
+        node.mode = "sweep"
+        node.deps = (sweep.node,)
+        if demand.brandes and demand.sources is None:
+            # a running total in ascending source order, as its runner sums
+            sweep.stream = True
+        elif demand.brandes:
+            sweep.delta_sources.update(demand.sources)
+        if demand.distances:
+            sweep.dist_sources.update(demand.sources)
+    if joined:
         if sweep.covers_all:
             sweep.sources = list(range(n))
         else:
-            seen: set[int] = set()
-            for node in demanding:
-                for source in node.demand.get("sources", ()):
-                    if source not in seen:
-                        seen.add(source)
-                        sweep.sources.append(source)
+            sweep.sources = list(
+                dict.fromkeys(source for _, demand in joined for source in demand.sources)
+            )
         sweep.node.key = "sweep[{}:{} sources]".format(
-            "+".join(dict.fromkeys(node.spec.name for node in demanding)),
+            "+".join(dict.fromkeys(node.spec.name for node, _ in joined)),
             len(sweep.sources),
         )
 
-    # -- modes: sweep-covered nodes bypass their kernels; everything else is
-    #    "inline" (its kernel on the coordinator) -------------------------- #
-    for node in demanding:
-        node.mode = "sweep"
-        node.deps = (sweep.node,)
-    # -- derive nodes: views shared by the kernels that read them ---------- #
+    # -- derive nodes: views shared by the inline kernels that read them -- #
     derive_nodes: list[Node] = []
     shared: dict[str, Node] = {}
-
-    def derived(key: str) -> Node:
-        if key not in shared:
-            shared[key] = Node(key=key, kind="derive")
-            derive_nodes.append(shared[key])
-        return shared[key]
-
     for node in algo_nodes:
         if node.mode != "inline":
             continue
-        if node.spec.name in _UND_CONSUMERS:
-            node.deps += (derived("und-csr"),)
-        if node.spec.maintainer == "triangle-counts":
-            # one per-vertex triangle pass per plan: its value lives on the
-            # node and dies with the plan
-            node.deps += (derived("triangle-counts"),)
-        if node.spec.name == "degree":
-            node.deps += (derived("degrees"),)
+        for key in node.spec.views:
+            if key not in shared:
+                shared[key] = Node(key=key, kind="derive")
+                derive_nodes.append(shared[key])
+            node.deps += (shared[key],)
 
     return CompiledPlan(
         bindings=bindings,
         algo_nodes=algo_nodes,
         derive_nodes=derive_nodes,
-        sweep=sweep if demanding else None,
+        sweep=sweep if joined else None,
     )
 
 
@@ -358,31 +302,6 @@ def place_on_pool(compiled: CompiledPlan) -> None:
 # --------------------------------------------------------------------------- #
 # sweep execution
 # --------------------------------------------------------------------------- #
-def sweep_products(backend, csr, payload):
-    """The fused sweep's per-source product loop — the one place it exists,
-    for the coordinator's inline sweep and for
-    :meth:`~repro.session.scheduler.PlanWorker.run_sweep`.
-
-    ``payload`` is a list of ``(source, want_delta, want_dists)`` tuples;
-    the backend's block-wise :meth:`~KernelBackend.sweep` grows a Brandes
-    traversal where a betweenness demand needs the dependency vector and a
-    plain BFS tree otherwise, and each source yields ``(stats, delta | None,
-    dists | None)`` in payload order: integer-exact stats, the delta still
-    in the backend's native form, distances as a plain list.
-    """
-    trees = backend.sweep(
-        csr,
-        [source for source, _, _ in payload],
-        {source for source, want_delta, _ in payload if want_delta},
-    )
-    for (_, _, want_dists), (tree, delta) in zip(payload, trees):
-        yield (
-            backend.tree_stats(tree),
-            delta,
-            backend.tree_distances(tree) if want_dists else None,
-        )
-
-
 def _execute_sweep(sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend", pool) -> None:
     """Grow one traversal per swept source — in blocks, on the session's
     backend — and keep every demanded product (stats always; distances and
@@ -399,7 +318,7 @@ def _execute_sweep(sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend", 
     if pool is None:
         # one slice, consumed lazily: a streamed total holds one delta at a time
         slices = [sweep.sources]
-        batches = [sweep_products(backend, csr, payload(sweep.sources))]
+        batches = [backend.sweep_products(csr, payload(sweep.sources))]
     else:
         # a sliced sweep never streams, so products are independent per
         # source and keyed by it below; striding balances the workers
@@ -420,39 +339,18 @@ def _execute_sweep(sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend", 
     sweep.node.done = True
 
 
-def _finalise_from_sweep(
-    node: Node, sweep: SweepPlan, csr: "CSRGraph", backend: "KernelBackend"
-) -> Any:
-    """Shape one sweep-covered request's values from the shared products —
-    bit-identical to the matching runner (see module docstring)."""
-    demand = node.demand
-    kind = demand["kind"]
-    n = csr.n
-    if kind == "closeness":
-        values = [
-            closeness_value(n, sweep.stats[v][0], sweep.stats[v][1]) for v in range(n)
-        ]
-        return csr.decode(values)
-    if kind == "diameter":
-        return max((sweep.stats[s][2] for s in demand["sources"]), default=0)
-    if kind == "betweenness":
-        totals = sweep.stream_total
-        if not demand["stream"]:
-            totals = None
-            for source in demand["sources"]:
-                # re-sum in this request's own global source order: the
-                # serial kernel's addition sequence, on the native vectors
-                totals = backend.add_delta(totals, sweep.deltas[source])
-        return csr.decode(
-            apply_betweenness_scale(
-                backend.tree_delta(totals), n, node.params["normalized"], demand["scale"]
-            )
-        )
-    if kind == "bfs":
-        # the -1-padded per-index vector bfs_vector computes, to record too
-        node.dense = sweep.dists[demand["source"]]
-        return node.spec.shape(csr, node.dense)
-    raise AssertionError(f"unknown sweep demand {kind!r}")  # pragma: no cover
+def _answer(sweep: SweepPlan, demand, n: int, backend: "KernelBackend") -> tuple:
+    """One sweep-covered demand's ``(stats, delta, distances)`` answer from
+    the fused products — what its runner's one-demand sweep streams."""
+    sources = range(n) if demand.sources is None else demand.sources
+    delta = None
+    if demand.brandes and demand.sources is None:
+        delta = sweep.stream_total
+    elif demand.brandes:
+        for source in sources:  # its runner's addition sequence
+            delta = backend.add_delta(delta, sweep.deltas[source])
+    distances = sweep.dists[sources[0]] if demand.distances else None
+    return [sweep.stats[source] for source in sources], delta, distances
 
 
 # --------------------------------------------------------------------------- #
@@ -558,7 +456,10 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             if not node.done:
                 tick = time.perf_counter()
                 if node.mode == "sweep":
-                    node.value = _finalise_from_sweep(node, compiled.sweep, csr, backend)
+                    answer = _answer(compiled.sweep, node.demand, csr.n, backend)
+                    node.value = spec.finish(csr, backend, params, answer)
+                    # a maintainable rider's vector is its distance row
+                    node.dense = answer[2]
                 elif spec.maintainer is not None:
                     # the runner's two steps, keeping the vector (a derive
                     # node of the maintainer's name: shared) to record
@@ -644,14 +545,9 @@ def run_compiled(plan: "AnalysisPlan") -> AnalysisReport:
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
 
-    computed_total = 0
-    reused_total = 0
-    for result in results:
-        for node in result.nodes:
-            if node.status == "computed":
-                computed_total += 1
-            else:
-                reused_total += 1
+    statuses = [node.status for result in results for node in result.nodes]
+    computed_total = statuses.count("computed")
+    reused_total = len(statuses) - computed_total
     journal = handle.journal
     return AnalysisReport(
         results=results,

@@ -21,10 +21,12 @@ an :class:`~repro.session.AnalysisReport`.
 
 Every value equals what this registry's per-request runner
 ``PLAN_ALGORITHMS[name].kernel(csr, backend, params)`` returns — exactly,
-float kernels included.  The registry only points at runners: each lives in
-its algorithm's :mod:`repro.algorithms` module beside its parameter check,
-and the matching free function is ``graph.snapshot()`` + that check + that
-runner.  Session
+float kernels included.  The registry only points at the algorithms'
+functions: each lives in its algorithm's :mod:`repro.algorithms` module
+beside its parameter check, and the matching free function is
+``graph.snapshot()`` + that check + that runner.  What the compiler knows
+of an algorithm is a field here (``views``, ``demand``, ``finish``).
+Session
 ``parallelism`` never changes the DAG or a value: at ``parallelism > 1`` the
 fused sweep (split by source) and the ``triangle-counts`` node (split by
 vertex range) run as slices on one worker pool over one persisted snapshot
@@ -44,17 +46,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.algorithms.bfs import bfs_runner, bfs_values, bfs_vector, check_bfs
-from repro.algorithms.centrality import betweenness_runner, check_betweenness, closeness_runner
+from repro.algorithms.bfs import (
+    bfs_demand,
+    bfs_finish,
+    bfs_runner,
+    bfs_values,
+    bfs_vector,
+    check_bfs,
+)
+from repro.algorithms.centrality import (
+    betweenness_demand,
+    betweenness_finish,
+    betweenness_runner,
+    check_betweenness,
+    closeness_demand,
+    closeness_finish,
+    closeness_runner,
+)
 from repro.algorithms.connected_components import components_runner, components_vector
 from repro.algorithms.degree import degree_runner
 from repro.algorithms.kcore import kcore_runner
-from repro.algorithms.label_propagation import (
-    check_label_propagation,
-    label_propagation_runner,
-)
+from repro.algorithms.label_propagation import check_label_propagation, label_propagation_runner
 from repro.algorithms.pagerank import check_pagerank, pagerank_runner, pagerank_vector
-from repro.algorithms.shortest_paths import check_diameter, diameter_runner
+from repro.algorithms.shortest_paths import (
+    check_diameter,
+    diameter_demand,
+    diameter_finish,
+    diameter_runner,
+)
 from repro.algorithms.similarity import check_link_predictions, link_predictions_runner
 from repro.algorithms.triangles import (
     clustering_from_counts,
@@ -104,12 +123,20 @@ class PlanAlgorithm:
     #: the request incrementally instead of executing any kernel.  Entries
     #: naming one maintainer (``triangles``, ``clustering``) read one vector.
     maintainer: str | None = None
+    #: the derive views its kernel reads, once per plan: ``und-csr``,
+    #: ``degrees``, ``triangle-counts`` (also that maintainer's vector)
+    views: tuple[str, ...] = ()
+    #: sweep algorithms (:mod:`repro.algorithms.centrality`): what the
+    #: request asks of the source sweep (None: its runner runs inline) ...
+    demand: Callable[["CSRGraph", dict], Any] | None = None
+    #: ... and its value from the demand's answer, in a runner and a plan
+    finish: Callable[["CSRGraph", "KernelBackend", dict, Any], Any] | None = None
 
 
 PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
     spec.name: spec
     for spec in (
-        PlanAlgorithm("degree", defaults={}, kernel=degree_runner),
+        PlanAlgorithm("degree", defaults={}, kernel=degree_runner, views=("degrees",)),
         PlanAlgorithm(
             "pagerank",
             defaults={"damping": 0.85, "max_iterations": 50, "tolerance": 1.0e-9},
@@ -135,8 +162,10 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             shape=bfs_values,
             validate=check_bfs,
             maintainer="bfs",
+            demand=bfs_demand,
+            finish=bfs_finish,
         ),
-        PlanAlgorithm("kcore", defaults={}, kernel=kcore_runner),
+        PlanAlgorithm("kcore", defaults={}, kernel=kcore_runner, views=("und-csr",)),
         PlanAlgorithm(
             "triangles",
             defaults={},
@@ -144,6 +173,7 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             dense=triangle_counts_vector,
             shape=triangles_from_counts,
             maintainer="triangle-counts",
+            views=("und-csr", "triangle-counts"),
         ),
         PlanAlgorithm(
             "clustering",
@@ -152,6 +182,7 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             dense=triangle_counts_vector,
             shape=clustering_from_counts,
             maintainer="triangle-counts",
+            views=("und-csr", "triangle-counts"),
         ),
         PlanAlgorithm(
             "label_propagation",
@@ -159,18 +190,28 @@ PLAN_ALGORITHMS: dict[str, PlanAlgorithm] = {
             kernel=label_propagation_runner,
             validate=check_label_propagation,
         ),
-        PlanAlgorithm("closeness", defaults={}, kernel=closeness_runner),
+        PlanAlgorithm(
+            "closeness",
+            defaults={},
+            kernel=closeness_runner,
+            demand=closeness_demand,
+            finish=closeness_finish,
+        ),
         PlanAlgorithm(
             "betweenness",
             defaults={"normalized": True, "sample_size": None, "seed": 0},
             kernel=betweenness_runner,
             validate=check_betweenness,
+            demand=betweenness_demand,
+            finish=betweenness_finish,
         ),
         PlanAlgorithm(
             "diameter",
             defaults={"samples": 10, "seed": 0},
             kernel=diameter_runner,
             validate=check_diameter,
+            demand=diameter_demand,
+            finish=diameter_finish,
         ),
         PlanAlgorithm(
             "link_predictions",

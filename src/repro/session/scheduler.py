@@ -14,8 +14,8 @@ module holds the worker-side machinery the plan executor
   command:
 
   - ``run_sweep`` — one slice of the plan's fused source sweep, through
-    :func:`~repro.session.compiler.sweep_products`, the same per-source
-    product loop the coordinator runs for an inline sweep.  Products are
+    the backend's ``sweep_products``, the same per-source product loop the
+    coordinator runs for an inline sweep and a runner for its one demand.  Products are
     independent per source: integer stats are exact, and float products
     are shipped as *per-source contribution vectors* (the backend's native
     form) that the master re-sums in each request's own global source
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import threading
 
-from repro.session.compiler import sweep_products
 from repro.vertexcentric.parallel import ParallelSuperstepExecutor, SnapshotWorker
 
 
@@ -57,11 +56,11 @@ class PlanWorker(SnapshotWorker):
 
     def run_sweep(self, payload):
         """One slice of the plan compiler's shared source sweep: this
-        worker's :func:`sweep_products`, shipped back as a list.  Stats are
+        worker's ``backend.sweep_products``, shipped back as a list.  Stats are
         integer-exact and deltas are per-source contributions the master
         re-keys by source, so every consuming algorithm stays bit-identical
         to its serial kernel (see :mod:`repro.session.compiler`)."""
-        return list(sweep_products(self.backend, self.csr, payload))
+        return list(self.backend.sweep_products(self.csr, payload))
 
 
 class SharedPoolManager:

@@ -225,14 +225,18 @@ class TestTraversalKernels:
         assert not directed.snapshot().is_symmetric()
         assert ExpandedGraph().snapshot().is_symmetric()
 
-    def test_undirected_sets_symmetric_and_loop_free(self):
+    def test_undirected_csr_symmetric_and_loop_free(self):
         graph = ExpandedGraph.from_edges([(1, 2), (2, 1), (1, 1), (2, 3)])
         snap = graph.snapshot()
-        adjacency = snap.undirected_sets()
+        offsets, targets = snap.undirected_csr()
+
+        def row(index):
+            return list(targets[offsets[index] : offsets[index + 1]])
+
         i1, i2, i3 = snap.index(1), snap.index(2), snap.index(3)
-        assert adjacency[i1] == {i2}
-        assert adjacency[i2] == {i1, i3}
-        assert adjacency[i3] == {i2}
+        assert row(i1) == [i2]
+        assert row(i2) == sorted([i1, i3])
+        assert row(i3) == [i2]
 
 
 class TestKernelViewCaches:
@@ -248,7 +252,7 @@ class TestKernelViewCaches:
         assert csr.degrees() is csr.degrees()
         assert csr.offsets_list is csr.offsets_list
         assert csr.targets_list is csr.targets_list
-        assert csr.undirected_sets() is csr.undirected_sets()
+        assert csr.undirected_csr() is csr.undirected_csr()
 
     def test_mmap_backed_snapshot_caches_too(self, tmp_path):
         from repro.graph import CSRGraph

@@ -22,9 +22,10 @@ plan into a deduplicated node DAG changes *scheduling*, never *values*:
   performs the BFS/Brandes sweep **once** (``sweep_traversals`` moves by
   exactly ``n``), and duplicate requests execute once with the second result
   reporting ``reused``;
-* the symmetrised-CSR satellite: ``und_csr`` lives in the snapshot's
+* the symmetrised CSR: ``und_csr`` lives in the snapshot's
   backend-neutral ``_backend_cache`` under one key, built once and shared by
-  both backends (numpy wraps it zero-copy).
+  both backends (numpy wraps it zero-copy), the one symmetrised form a
+  snapshot holds after a ``clustering`` plan on either backend.
 """
 
 from __future__ import annotations
@@ -609,10 +610,11 @@ def test_undirected_csr_cached_backend_neutral_once():
     for v in range(csr.n):
         row = list(targets[offsets[v] : offsets[v + 1]])
         assert row == sorted(row)
-    # the python backend's set view is built from the same cached arrays
-    sets = csr.undirected_sets()
+    # rows are the symmetrised, loop-free adjacency
+    edges = {(u, v) for u, v in csr.iter_edges() if u != v}
     for v in range(csr.n):
-        assert sets[v] == set(targets[offsets[v] : offsets[v + 1]])
+        want = {w for u, w in edges if u == v} | {u for u, w in edges if w == v}
+        assert set(targets[offsets[v] : offsets[v + 1]]) == want
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy backend not available")
@@ -630,16 +632,42 @@ def test_numpy_wraps_the_neutral_undirected_csr_zero_copy():
     assert np.shares_memory(np_offsets, np.frombuffer(offsets, dtype=np.int64))
     assert np.shares_memory(np_targets, np.frombuffer(targets, dtype=np.int64))
     # and the reverse direction: a numpy-first derivation publishes the
-    # neutral arrays for the python backend to consume
+    # neutral arrays for the python backend to consume, and views them
     fresh = CDupGraph(
         build_symmetric_condensed(seed=9, num_real=20, num_virtual=6, max_size=5)
     ).snapshot()
-    _undirected_csr(fresh)
+    np_offsets, np_targets = _undirected_csr(fresh)
     assert "und_csr" in fresh._backend_cache
-    neutral_offsets, neutral_targets = fresh._backend_cache["und_csr"]
-    sets = fresh.undirected_sets()
-    for v in range(fresh.n):
-        assert sets[v] == set(neutral_targets[neutral_offsets[v] : neutral_offsets[v + 1]])
+    neutral_offsets, neutral_targets = fresh.undirected_csr()
+    assert np.shares_memory(np_offsets, np.frombuffer(neutral_offsets, dtype=np.int64))
+    assert np.shares_memory(np_targets, np.frombuffer(neutral_targets, dtype=np.int64))
+    assert list(neutral_offsets) == list(offsets) and list(neutral_targets) == list(targets)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_clustering_plan_leaves_one_symmetrised_form(backend):
+    """The snapshot holds the symmetrised adjacency once: the neutral
+    ``und_csr`` arrays, which numpy views in place — no set-of-rows copy on
+    python, no second array pair on numpy."""
+    from repro.graph import CSRGraph
+
+    graph = CDupGraph(
+        build_symmetric_condensed(seed=21, num_real=24, num_virtual=8, max_size=5)
+    )
+    handle = _session(1, backend).wrap(graph)
+    handle.analyze().clustering().run()
+    csr = handle.snapshot()
+    assert not hasattr(csr, "undirected_sets") and "_undirected" not in CSRGraph.__slots__
+    offsets, targets = csr._backend_cache["und_csr"]
+    assert len(targets) > 0
+    if backend == "numpy":
+        import numpy as np
+
+        np_offsets, np_targets = csr._backend_cache["np_undirected"]
+        assert np.shares_memory(np_offsets, np.frombuffer(offsets, dtype=np.int64))
+        assert np.shares_memory(np_targets, np.frombuffer(targets, dtype=np.int64))
+    else:
+        assert "np_undirected" not in csr._backend_cache
 
 
 # --------------------------------------------------------------------------- #

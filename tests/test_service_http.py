@@ -156,6 +156,44 @@ class TestErrorContract:
         assert status == 400
         assert "k must be a non-negative integer" in body["error"]
 
+    @pytest.mark.parametrize(
+        "algorithm, params, message",
+        [
+            ("diameter", {"seed": [1]}, "diameter: seed must be an integer"),
+            ("diameter", {"seed": None}, "diameter: seed must be an integer"),
+            ("label_propagation", {"seed": [2]}, "label_propagation: seed must be an integer"),
+            ("label_propagation", {"seed": None}, "label_propagation: seed must be an integer"),
+            ("betweenness", {"sample_size": 3, "seed": None}, "betweenness: seed must be"),
+            ("betweenness", {"sample_size": 3, "seed": True}, "betweenness: seed must be"),
+            ("betweenness", {"normalized": "no"}, "normalized must be true or false"),
+        ],
+        ids=[
+            "diameter-list-seed", "diameter-null-seed", "lpa-list-seed", "lpa-null-seed",
+            "betweenness-null-seed", "betweenness-bool-seed", "betweenness-string-normalized",
+        ],
+    )  # fmt: skip
+    def test_a_seed_or_flag_of_the_wrong_type_is_400(self, served, algorithm, params, message):
+        """A seed is an integer: a list crashed ``random.Random`` (a 500) and
+        ``null`` seeded from OS entropy, so one request key answered
+        differently run to run; ``normalized`` is a boolean, not any truthy
+        value."""
+        base, _, _ = served
+        status, body = http_post(base, "/analyze", {"algorithm": algorithm, "params": params})
+        assert status == 400, body
+        assert message in body["error"] and "\n" not in body["error"]
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"seed": {"a": 1}}, {"source": {"$": "tuple"}}, {"$": "map", "items": [[1]]}],
+        ids=["untagged-object", "tuple-without-items", "map-item-not-a-pair"],
+    )
+    def test_a_malformed_parameter_object_is_400(self, served, params):
+        base, _, _ = served
+        status, body = http_post(base, "/analyze", {"algorithm": "bfs", "params": params})
+        assert status == 400, body
+        assert body["error"].startswith("params: malformed value")
+        assert "\n" not in body["error"] and "Traceback" not in body["error"]
+
     def test_invalid_json_body_is_400(self, served):
         base, _, _ = served
         status, body = http_post(base, "/analyze", b"{not json")
